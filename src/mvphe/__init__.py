@@ -10,7 +10,7 @@ README for the quickstart; the usual flow is
     c   = encrypt(sk, [0, 1], Random(3))
 """
 
-from .arith import NoiseSampler, Residue, balanced_mod, random_prime, round_nearest
+from .arith import NoiseSampler, balanced_mod, random_prime, round_nearest
 from .circuit import Circuit, eval_homomorphic, eval_plain, parse_circuit
 from .errors import (
     ConstructionError,
@@ -34,7 +34,7 @@ from .keys import (
     preset_params,
     setup,
 )
-from .mvpoly import Polynomial, enumerate_monomials, poly_add, poly_mul, reduce_by_set
+from .mvpoly import Polynomial, enumerate_monomials, reduce_by_set
 from .she import (
     Ciphertext,
     PublicKey,
@@ -53,9 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # arithmetic
-    "Residue", "NoiseSampler", "balanced_mod", "round_nearest", "random_prime",
+    "NoiseSampler", "balanced_mod", "round_nearest", "random_prime",
     # polynomials
-    "Polynomial", "enumerate_monomials", "poly_add", "poly_mul", "reduce_by_set",
+    "Polynomial", "enumerate_monomials", "reduce_by_set",
     # keys and parameters
     "Params", "SecretKey", "EvalKey", "PRESETS", "setup", "preset_params",
     "keygen", "build_evalkey", "build_G", "bitdecomp", "powersoftwo",

@@ -15,7 +15,6 @@ cross-module arithmetic use this form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -94,62 +93,9 @@ def balance(x: int, q: int) -> int:
     return r - q if r > q // 2 else r
 
 
-def round_floor(x: Rational) -> int:
-    """Greatest integer <= x.  Exact on Fraction inputs."""
-    return math.floor(x)
-
-
 def round_nearest(x: Rational) -> int:
     """Nearest integer to x, half-values rounding toward +infinity."""
     return math.floor(2 * x + 1) // 2
-
-
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """An element of Z_q held as its balanced representative.
-
-    Mostly a convenience wrapper for API-level code and tests; the inner
-    linear-algebra loops work on raw ints in balanced form for speed.
-    """
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", balanced_mod(self.value, self.q))
-
-    def _coerce(self, other: "Residue | int") -> int:
-        if isinstance(other, Residue):
-            if other.q != self.q:
-                raise ParameterError(
-                    f"mixed moduli in residue arithmetic: {self.q} vs {other.q}"
-                )
-            return other.value
-        return other
-
-    def __add__(self, other):
-        return Residue(self.value + self._coerce(other), self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Residue(self.value - self._coerce(other), self.q)
-
-    def __mul__(self, other):
-        return Residue(self.value * self._coerce(other), self.q)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.q)
-
-    def inverse(self) -> "Residue":
-        if self.value % self.q == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return Residue(pow(self.value, -1, self.q), self.q)
-
-    def __int__(self):
-        return self.value
 
 
 _WEIGHT_BITS = 48  # weight table resolution: weights are numerators over 2^48

@@ -34,15 +34,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 from .errors import DepthError, FormatError, ParameterError
 from .keys import EvalKey
 from .she import Ciphertext, eval_add, eval_mult
 
-__all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic",
-           "random_circuit"]
+__all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic"]
 
 _ID = re.compile(r"[a-z0-9_]+\Z")
 
@@ -193,32 +191,3 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
             env[g.out] = eval_add(env[g.a], env[g.b])
     return [env[w] for w in circ.outputs]
 
-
-def random_circuit(rng: Random, n_inputs: int, n_gates: int, L: int) -> Circuit:
-    """Random netlist whose depth ledger fits within L (for testing).
-
-    Gates pick random earlier wires; an AND is only emitted when some pair
-    of available wires respects the level budget, otherwise the gate
-    becomes an XOR.
-    """
-    if n_inputs < 2 or n_gates < 1 or L < 0:
-        raise ParameterError("need at least 2 inputs, 1 gate, and L >= 0")
-    lines = [f"in x{i}" for i in range(n_inputs)]
-    wires = [f"x{i}" for i in range(n_inputs)]
-    level = {w: 0 for w in wires}
-    for k in range(n_gates):
-        name = f"w{k}"
-        want_and = L > 0 and rng.random() < 0.5
-        a = rng.choice(wires)
-        b = rng.choice(wires)
-        if want_and and level[a] + level[b] + 1 <= L:
-            lines.append(f"{name} = AND {a} {b}")
-            level[name] = level[a] + level[b] + 1
-        else:
-            lines.append(f"{name} = XOR {a} {b}")
-            level[name] = max(level[a], level[b])
-        wires.append(name)
-    # expose a couple of late wires as outputs
-    outs = {wires[-1], rng.choice(wires[n_inputs:])}
-    lines.extend(f"out {w}" for w in sorted(outs))
-    return parse_circuit("\n".join(lines))

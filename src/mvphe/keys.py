@@ -33,10 +33,9 @@ The multiplication key is the order-3 tensor
 assembled in five steps (unmasking matrices D_i with dyadic masking noise
 eps_i, point-extension matrix A, rescaling tensor U, re-expression matrix B,
 and the reduction matrix Q that realizes polynomial division back into
-degree <= r on evaluations).  M is never materialized entry-by-entry during
-evaluation; the rank-1 slice structure lets everything run through the two
-factor matrices P_i = D_i~ · A and the combined third factor W = B·Q·R.
-EvalKey.tensor() materializes M on demand for inspection and tests.
+degree <= r on evaluations).  M is never materialized: the rank-1 slice
+structure lets evaluation run through the two factor matrices P_i = D_i~ · A
+and the combined third factor W = B·Q·R.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .arith import Rational, balance, is_probable_prime, random_prime
+from .arith import Rational, is_probable_prime, random_prime
 from .errors import (
     ConstructionError,
     GenerationFailure,
@@ -56,17 +55,14 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Tensor3,
     balanced_matrix,
     identity,
     inverse_mod_q,
     mat_mul,
     rank_mod_q,
-    solve_mod_q,
-    transpose,
     zeros,
 )
-from .mvpoly import Monomial, Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
+from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
 
@@ -99,12 +95,12 @@ class Params:
     B: int
     u: int
     gadget_enabled: bool = True
-    # derived (filled by __post_init__ when left at 0)
-    r: int = 0
-    n: int = 0
-    N: int = 0
-    n1: int = 0
-    t: int = 0
+    # derived by __post_init__, not settable
+    r: int = field(init=False)
+    n: int = field(init=False)
+    N: int = field(init=False)
+    n1: int = field(init=False)
+    t: int = field(init=False)
 
     def __post_init__(self):
         r = self.r_g + self.r_prime
@@ -157,11 +153,6 @@ class Params:
     @property
     def message_bits(self) -> int:
         return self.ell - self.n
-
-    @property
-    def gadget_width(self) -> int:
-        """Bit positions per vector entry in the gadget decomposition."""
-        return self.u + self.q_bits
 
     def depth_margin(self) -> Fraction:
         """(q/B) / (margin_c * n * log2 q)^L; >= 1 on every valid preset."""
@@ -426,6 +417,7 @@ def keygen(params: Params, rng: Random) -> SecretKey:
 # ---------------------------------------------------------------------------
 
 def _gadget_width(q: int, u: int) -> int:
+    """Bit positions per vector entry in the gadget decomposition."""
     return u + q.bit_length()
 
 
@@ -441,20 +433,21 @@ def bitdecomp(vec: Sequence, q: int, u: int) -> list[int]:
 
     holds exactly.
     """
-    width = _gadget_width(q, u)
-    modulus = q << u
-    scaled = []
+    nums = []
     for x in vec:
         y = x * (1 << u)
         num = int(y)
         if num != y:
             raise ParameterError(f"entry {x} does not have {u} fractional bits")
-        scaled.append(num % modulus)
-    out = []
-    for s in range(width):
-        for num in scaled:
-            out.append((num >> s) & 1)
-    return out
+        nums.append(num)
+    return _bitdecomp_numerators(nums, q, u)
+
+
+def _bitdecomp_numerators(nums: Sequence[int], q: int, u: int) -> list[int]:
+    """bitdecomp of the vector with numerators ``nums`` at denominator 2^u."""
+    modulus = q << u
+    reduced = [num % modulus for num in nums]
+    return [(num >> s) & 1 for s in range(_gadget_width(q, u)) for num in reduced]
 
 
 def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
@@ -604,107 +597,16 @@ def _build_Q(sk: SecretKey, F1: Matrix, F2: Matrix, F1p_inv: Matrix) -> Matrix:
     return Q
 
 
-@dataclass
-class EvalKey:
-    """Public multiplication key in factored form.
+def _stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
+    """Re-expression matrix B and reduction matrix Q (steps 4 and 5).
 
-    ``P1``/``P2`` hold D_i~·A — in gadget form the bit-decomposed D columns
-    times A (plain integers), in the plain variant D·A scaled by 2^u.  ``W``
-    is the balanced combined third factor B·Q·R mod q.  ``k_max`` is the
-    certified bound on the transient carry coefficients appearing during
-    multiplication, which feeds the tracked noise formula.
-
-    The full tensor M (dims ell(u+w)^2 x ell in gadget form, ell^3 plain) is
-    available from tensor(); evaluation never needs it.
+    Both derive from F1, the degree-(<= 2r) ideal basis evaluated at all t
+    points; F1p^{-1}, the inverse of F1 restricted to z_1..z_n and the
+    extension points; and F2, the basis remainders under build_G evaluated
+    at z_1..z_ell.  The mandatory post-check F1·Q = F2 (mod q) runs here.
     """
-
-    params: Params
-    gadget_enabled: bool
-    u: int
-    P1: Matrix
-    P2: Matrix
-    W: Matrix
-    k_max: Fraction
-
-    @property
-    def input_dim(self) -> int:
-        return len(self.P1)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.input_dim, self.input_dim, self.params.ell)
-
-    def scale_bits(self) -> int:
-        """P entries carry an implied denominator 2^scale_bits."""
-        return 0 if self.gadget_enabled else self.u
-
-    def u_coeffs(self) -> list[Fraction]:
-        """Diagonal of the rescaling tensor: 2/q on the message band."""
-        p = self.params
-        return [Fraction(2, p.q) if p.n <= s < p.ell else Fraction(1)
-                for s in range(p.t)]
-
-    def tensor(self) -> Tensor3:
-        """Materialize M entrywise (test/inspection use; O(dim^2 * ell * t))."""
-        p = self.params
-        dim = self.input_dim
-        shift = 2 * self.scale_bits()
-        coeffs = self.u_coeffs()
-        T = Tensor3.zeros(dim, dim, p.ell)
-        for k in range(p.ell):
-            wk = [self.W[s][k] for s in range(p.t)]
-            sl = T.slices[k]
-            for i in range(dim):
-                row1 = self.P1[i]
-                out_row = sl[i]
-                for j in range(dim):
-                    row2 = self.P2[j]
-                    acc = Fraction(0)
-                    for s in range(p.t):
-                        if wk[s] and row1[s] and row2[s]:
-                            acc += coeffs[s] * row1[s] * row2[s] * wk[s]
-                    out_row[j] = acc / (1 << shift)
-        return T
-
-
-def _max_column_one_norm_scaled(D_scaled: Matrix, u: int) -> Fraction:
-    width = len(D_scaled)
-    return max(
-        Fraction(sum(abs(D_scaled[i][j]) for i in range(width)), 1 << u)
-        for j in range(len(D_scaled[0]))
-    )
-
-
-def build_evalkey(sk: SecretKey, params: Params | None = None,
-                  rng: Random | None = None, *, zero_eps: bool = False,
-                  gadget: bool | None = None) -> EvalKey:
-    """Construct the multiplication key from a secret key.
-
-    The five steps: (1) unmasking matrices D_i with fresh dyadic masking
-    blocks, (2) point-extension matrix A, (3) rescaling diagonal folded into
-    the rank-1 slice structure, (4) re-expression matrix B, (5) reduction
-    matrix Q from the division remainders of the degree-(<= 2r) ideal basis.
-    The mandatory post-check F1·Q = F2 (mod q) runs on every build.
-
-    ``zero_eps`` forces both masking blocks to zero (exact-arithmetic test
-    mode).  ``gadget`` overrides params.gadget_enabled.
-    """
-    p = params or sk.params
+    p = sk.params
     q = p.q
-    if gadget is None:
-        gadget = p.gadget_enabled
-    rng = rng or Random()
-
-    # step 1: unmasking matrices
-    eps1 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
-    eps2 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
-    D1s = _build_D_scaled(sk, eps1)
-    D2s = _build_D_scaled(sk, eps2)
-
-    # step 2: extension matrix
-    A = _build_A(sk)
-
-    # steps 4+5 share the evaluation matrices of the degree-(<= 2r) basis
     basis2 = _ideal_basis_2r(p, sk.g)
     F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
     sub_idx = list(range(p.n)) + list(range(p.ell, p.t))
@@ -725,7 +627,78 @@ def build_evalkey(sk: SecretKey, params: Params | None = None,
     Q = _build_Q(sk, F1, F2, F1p_inv)
     if mat_mul(F1, Q, q) != F2:
         raise ConstructionError("post-check failed: F1·Q != F2 (mod q)")
+    return B, Q
 
+
+@dataclass
+class EvalKey:
+    """Public multiplication key in factored form.
+
+    ``P1``/``P2`` hold D_i~·A — in gadget form the bit-decomposed D columns
+    times A (plain integers), in the plain variant D·A scaled by 2^u.  ``W``
+    is the balanced combined third factor B·Q·R mod q.  ``k_max`` is the
+    certified bound on the transient carry coefficients appearing during
+    multiplication, which feeds the tracked noise formula.
+
+    The full tensor M has dims input_dim x input_dim x ell (input_dim =
+    ell·(u + q_bits) in gadget form, ell plain); evaluation never needs it.
+    """
+
+    params: Params
+    gadget_enabled: bool
+    u: int
+    P1: Matrix
+    P2: Matrix
+    W: Matrix
+    k_max: Fraction
+
+    @property
+    def input_dim(self) -> int:
+        return len(self.P1)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return (self.input_dim, self.input_dim, self.params.ell)
+
+
+def _max_column_one_norm_scaled(D_scaled: Matrix, u: int) -> Fraction:
+    width = len(D_scaled)
+    return max(
+        Fraction(sum(abs(D_scaled[i][j]) for i in range(width)), 1 << u)
+        for j in range(len(D_scaled[0]))
+    )
+
+
+def build_evalkey(sk: SecretKey, rng: Random | None = None, *,
+                  zero_eps: bool = False, gadget: bool | None = None) -> EvalKey:
+    """Construct the multiplication key from a secret key.
+
+    The five steps: (1) unmasking matrices D_i with fresh dyadic masking
+    blocks, (2) point-extension matrix A, (3) rescaling diagonal folded into
+    the rank-1 slice structure, (4) re-expression matrix B, (5) reduction
+    matrix Q from the division remainders of the degree-(<= 2r) ideal basis.
+    The mandatory post-check F1·Q = F2 (mod q) runs on every build.
+
+    ``zero_eps`` forces both masking blocks to zero (exact-arithmetic test
+    mode).  ``gadget`` overrides params.gadget_enabled.
+    """
+    p = sk.params
+    q = p.q
+    if gadget is None:
+        gadget = p.gadget_enabled
+    rng = rng or Random()
+
+    # step 1: unmasking matrices
+    eps1 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
+    eps2 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
+    D1s = _build_D_scaled(sk, eps1)
+    D2s = _build_D_scaled(sk, eps2)
+
+    # step 2: extension matrix
+    A = _build_A(sk)
+
+    # steps 4+5
+    B, Q = _stage_matrices(sk)
     W = balanced_matrix(mat_mul(mat_mul(B, Q, q), sk.R, q), q)
 
     if gadget:
@@ -760,66 +733,7 @@ def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
 
 def _bitdecomp_matrix_times(D_scaled: Matrix, A: Matrix, p: Params, q: int) -> Matrix:
     """Rows of bitdecomp(D columns) times A, i.e. D~·A, position-major."""
-    width = _gadget_width(q, p.u)
-    ell = p.ell
-    modulus = q << p.u
-    cols = [[D_scaled[i][j] % modulus for i in range(ell)] for j in range(ell)]
-    rows = ell * width
-    Dt = zeros(rows, ell)
-    for s in range(width):
-        for i in range(ell):
-            row = Dt[s * ell + i]
-            for j in range(ell):
-                row[j] = (cols[j][i] >> s) & 1
-    return mat_mul_exact(Dt, A)
+    cols = [_bitdecomp_numerators([row[j] for row in D_scaled], q, p.u)
+            for j in range(p.ell)]
+    return mat_mul_exact([list(row) for row in zip(*cols)], A)
 
-
-def mult_intermediates(sk: SecretKey, evk: EvalKey,
-                       c1: Sequence[int], c2: Sequence[int]) -> dict:
-    """Every intermediate of one homomorphic multiplication (test oracle).
-
-    Recomputes the stage matrices from the secret key (they are
-    deterministic given sk) and carries the pipeline through with exact
-    rationals: transformed inputs, per-slice products, re-expression,
-    reduction, mixing, flooring.  Production evaluation folds these stages
-    together; this expansion exists so tests can pin each stage separately.
-    """
-    p = sk.params
-    q = p.q
-    basis2 = _ideal_basis_2r(p, sk.g)
-    F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
-    sub_idx = list(range(p.n)) + list(range(p.ell, p.t))
-    F1p_inv = inverse_mod_q([[F1[r][c] for c in sub_idx] for r in range(p.n1)], q)
-    B = _build_B(sk, F1, F1p_inv)
-    G = build_G(sk)
-    F2 = [[reduce_by_set(b, G, p.r).eval(z) % q for z in sk.points[: p.ell]]
-          for b in basis2]
-    Q = _build_Q(sk, F1, F2, F1p_inv)
-
-    shift = evk.scale_bits()
-    if evk.gadget_enabled:
-        t1 = _powersoftwo_numerators(c1, q, evk.u)
-        t2 = _powersoftwo_numerators(c2, q, evk.u)
-        denom = 1 << evk.u
-    else:
-        t1, t2 = list(c1), list(c2)
-        denom = 1
-    x1 = [Fraction(sum(a * evk.P1[i][s] for i, a in enumerate(t1)),
-                   denom << shift) for s in range(p.t)]
-    x2 = [Fraction(sum(a * evk.P2[i][s] for i, a in enumerate(t2)),
-                   denom << shift) for s in range(p.t)]
-    coeffs = evk.u_coeffs()
-    c_prime = [coeffs[s] * x1[s] * x2[s] for s in range(p.t)]
-    c_dprime = [sum(c_prime[s] * B[s][j] for s in range(p.t)) for j in range(p.t)]
-    c_tilde = [sum(c_dprime[s] * Q[s][j] for s in range(p.t)) for j in range(p.ell)]
-    pre_floor = [sum(c_tilde[i] * sk.R[i][j] for i in range(p.ell))
-                 for j in range(p.ell)]
-    floored = [balance(math.floor(x), q) for x in pre_floor]
-    return {
-        "transformed": (x1, x2),
-        "sliced": c_prime,
-        "reexpressed": c_dprime,
-        "reduced": c_tilde,
-        "pre_floor": pre_floor,
-        "product": floored,
-    }

@@ -1,24 +1,16 @@
-"""Dense exact linear algebra mod q, and order-3 rational tensors.
+"""Dense exact linear algebra mod q.
 
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
-
-Tensors (class Tensor3) hold exact rationals and provide the two operations
-the multiplication key needs: the n-mode product (contract one index with a
-matrix) and bilinear evaluation (contract the first two indices with a pair
-of vectors, leaving a vector indexed by the third).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
 from .arith import balance
-from .errors import ConstructionError, ParameterError, SingularMatrixError
+from .errors import ParameterError, SingularMatrixError
 
 Matrix = list[list[int]]
 
@@ -33,10 +25,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
 
 
 def dims(A: Matrix) -> tuple[int, int]:
@@ -71,256 +59,57 @@ def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:
     return out
 
 
-def mat_add(A: Matrix, B: Matrix, q: int) -> Matrix:
-    if dims(A) != dims(B):
-        raise ParameterError(f"shape mismatch {dims(A)} vs {dims(B)}")
-    return [[(a + b) % q for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def vec_mat(x: Sequence[int], A: Matrix, q: int) -> list[int]:
-    """Row vector times matrix."""
-    n, m = dims(A)
-    if len(x) != n:
-        raise ParameterError(f"vector length {len(x)} vs matrix rows {n}")
-    out = [0] * m
-    for i, xi in enumerate(x):
-        if xi:
-            row = A[i]
-            for j in range(m):
-                out[j] += xi * row[j]
-    return [v % q for v in out]
-
-
-def mat_vec(A: Matrix, x: Sequence[int], q: int) -> list[int]:
-    """Matrix times column vector."""
-    n, m = dims(A)
-    if len(x) != m:
-        raise ParameterError(f"vector length {len(x)} vs matrix cols {m}")
-    return [sum(a * xi for a, xi in zip(row, x)) % q for row in A]
-
-
 # ---------------------------------------------------------------------------
-# elimination-based kernels
+# elimination
 # ---------------------------------------------------------------------------
+
+def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
+    """Gauss–Jordan elimination of ``work`` in place, mod prime q.
+
+    Entries must already lie in [0, q).  Pivots are sought only in the first
+    ``ncols`` columns, so trailing columns (an identity, a right-hand side)
+    ride along with the row operations.  On return row i holds the i-th
+    pivot, scaled to 1 and cleared from every other row; the pivot columns
+    are returned in order, and a column without a pivot is skipped.
+    """
+    n = len(work)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == n:
+            break
+        pivot = next((r for r in range(rank, n) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        row_p = work[rank] = [x * inv % q for x in work[rank]]
+        for r in range(n):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_p)]
+        pivots.append(col)
+    return pivots
+
 
 def inverse_mod_q(A: Matrix, q: int) -> Matrix:
-    """Inverse of a square matrix mod prime q via Gauss–Jordan."""
+    """Inverse of a square matrix mod prime q via Gauss–Jordan.
+
+    Raises SingularMatrixError naming the first column left without a pivot.
+    """
     n, m = dims(A)
     if n != m:
         raise ParameterError(f"inverse needs a square matrix, got {n}x{m}")
     work = [[x % q for x in row] + [1 if i == j else 0 for j in range(n)]
             for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError(col)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, q)
-        work[col] = [x * inv % q for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                row_c = work[col]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_c)]
+    pivots = _eliminate(work, n, q)
+    if len(pivots) < n:
+        raise SingularMatrixError(
+            next((c for c, col in enumerate(pivots) if c != col), len(pivots)))
     return [row[n:] for row in work]
-
-
-def _eliminate(A: Matrix, q: int) -> tuple[Matrix, list[tuple[int, int]]]:
-    """Row-reduce a copy of A mod q; returns (RREF, pivot (row, col) list)."""
-    work = [[x % q for x in row] for row in A]
-    n, m = dims(work)
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        work[rank] = [x * inv % q for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                row_p = work[rank]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_p)]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == n:
-            break
-    return work, pivots
 
 
 def rank_mod_q(A: Matrix, q: int) -> int:
     if not A or not A[0]:
         return 0
-    _, pivots = _eliminate(A, q)
-    return len(pivots)
-
-
-def solve_mod_q(A: Matrix, Y: Matrix, q: int) -> Matrix:
-    """X with A·X = Y (mod q); free variables are set to zero.
-
-    Raises ConstructionError when the system is inconsistent — in key
-    generation that signals a bad batch of evaluation points, and the caller
-    is expected to resample rather than continue.
-    """
-    n, m = dims(A)
-    ny, p = dims(Y)
-    if n != ny:
-        raise ParameterError(f"A has {n} rows but Y has {ny}")
-    work = [[x % q for x in list(A[i]) + list(Y[i])] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(m):  # pivot only within A's columns
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        work[rank] = [x * inv % q for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                row_p = work[rank]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_p)]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == n:
-            break
-    # a row with its A-part fully eliminated must have zero right-hand side
-    for r in range(rank, n):
-        if any(work[r][m:]):
-            raise ConstructionError(f"inconsistent linear system (row {r})")
-    X = zeros(m, p)
-    for r, col in pivots:
-        X[col] = work[r][m:]
-    return X
-
-
-# ---------------------------------------------------------------------------
-# order-3 tensors over Q
-# ---------------------------------------------------------------------------
-
-class Tensor3:
-    """Dense order-3 tensor of exact rationals, stored as frontal slices.
-
-    ``slices[k][i][j]`` is entry (i, j, k); there are dims[2] slices of
-    shape dims[0] x dims[1].
-    """
-
-    __slots__ = ("dims", "slices")
-
-    def __init__(self, slices: list[list[list[Fraction]]]):
-        if not slices or not slices[0] or not slices[0][0]:
-            raise ParameterError("tensor needs positive dimensions")
-        i1, i2 = len(slices[0]), len(slices[0][0])
-        for sl in slices:
-            if len(sl) != i1 or any(len(row) != i2 for row in sl):
-                raise ParameterError("ragged tensor slices")
-        self.dims = (i1, i2, len(slices))
-        self.slices = slices
-
-    @classmethod
-    def zeros(cls, i1: int, i2: int, i3: int) -> "Tensor3":
-        return cls([[[Fraction(0)] * i2 for _ in range(i1)] for _ in range(i3)])
-
-    def entry(self, i: int, j: int, k: int) -> Fraction:
-        return self.slices[k][i][j]
-
-    def set_entry(self, i: int, j: int, k: int, value) -> None:
-        self.slices[k][i][j] = Fraction(value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor3)
-            and self.dims == other.dims
-            and self.slices == other.slices
-        )
-
-
-def n_mode_product(T: Tensor3, M: Sequence[Sequence], mode: int) -> Tensor3:
-    """Contract T's ``mode`` index (1, 2 or 3) with the columns of M.
-
-    The result replaces dims[mode-1] with the row count of M; entry-wise it
-    is sum_s M[a][s] * T[.., s in position mode, ..], computed exactly.
-    """
-    if mode not in (1, 2, 3):
-        raise ParameterError(f"mode must be 1, 2 or 3, got {mode}")
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    i1, i2, i3 = T.dims
-    if cols != T.dims[mode - 1]:
-        raise ParameterError(
-            f"matrix has {cols} columns but tensor dim {mode} is {T.dims[mode - 1]}"
-        )
-    frac = [[Fraction(x) for x in row] for row in M]
-    if mode == 1:
-        out = Tensor3.zeros(rows, i2, i3)
-        for k in range(i3):
-            src, dst = T.slices[k], out.slices[k]
-            for a in range(rows):
-                row_m = frac[a]
-                for s in range(i1):
-                    coeff = row_m[s]
-                    if coeff:
-                        row_s = src[s]
-                        row_d = dst[a]
-                        for j in range(i2):
-                            if row_s[j]:
-                                row_d[j] += coeff * row_s[j]
-        return out
-    if mode == 2:
-        out = Tensor3.zeros(i1, rows, i3)
-        for k in range(i3):
-            src, dst = T.slices[k], out.slices[k]
-            for i in range(i1):
-                row_s = src[i]
-                row_d = dst[i]
-                for b in range(rows):
-                    acc = Fraction(0)
-                    row_m = frac[b]
-                    for s in range(i2):
-                        if row_s[s]:
-                            acc += row_m[s] * row_s[s]
-                    row_d[b] = acc
-        return out
-    out = Tensor3.zeros(i1, i2, rows)
-    for c in range(rows):
-        row_m = frac[c]
-        dst = out.slices[c]
-        for k in range(i3):
-            coeff = row_m[k]
-            if coeff:
-                src = T.slices[k]
-                for i in range(i1):
-                    row_s = src[i]
-                    row_d = dst[i]
-                    for j in range(i2):
-                        if row_s[j]:
-                            row_d[j] += coeff * row_s[j]
-    return out
-
-
-def bilinear_eval(T: Tensor3, v1: Sequence, v2: Sequence) -> list[Fraction]:
-    """[v1 · T_k · v2 for each frontal slice T_k], exactly."""
-    i1, i2, i3 = T.dims
-    if len(v1) != i1 or len(v2) != i2:
-        raise ParameterError(
-            f"vector lengths ({len(v1)}, {len(v2)}) vs tensor dims ({i1}, {i2})"
-        )
-    f1 = [Fraction(x) for x in v1]
-    f2 = [Fraction(x) for x in v2]
-    out = []
-    for k in range(i3):
-        sl = T.slices[k]
-        acc = Fraction(0)
-        for i in range(i1):
-            if f1[i]:
-                row = sl[i]
-                inner = Fraction(0)
-                for j in range(i2):
-                    if row[j]:
-                        inner += row[j] * f2[j]
-                acc += f1[i] * inner
-        out.append(acc)
-    return out
+    return len(_eliminate([[x % q for x in row] for row in A], len(A[0]), q))

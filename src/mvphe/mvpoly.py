@@ -13,7 +13,7 @@ coefficients are never kept, so ``terms`` is always in canonical form.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .arith import balance
 from .errors import ConstructionError, ParameterError
@@ -206,14 +206,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(v={self.v}, q={self.q}, {self})"
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
 
 
 def reduce_by_set(f: Polynomial, G: Sequence[Polynomial], r: int) -> Polynomial:

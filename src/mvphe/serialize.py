@@ -8,7 +8,8 @@ All integers are little-endian.  Arbitrary-precision integers are encoded
 as sign byte (0 or 1) + u32 byte count + magnitude; rationals as two such
 integers (numerator, denominator).  The trailing 32 bytes are the SHA-256
 digest of everything before them.  The version is checked before any
-payload is parsed; a corrupted digest or a truncated file raises
+payload is parsed; a corrupted digest, a truncated file, bytes after the
+payload, or a matrix whose shape does not match the parameters raise
 FormatError.
 
 Every file embeds the complete parameter block of the parameters it was
@@ -16,7 +17,7 @@ produced under.  The 8-byte parameter fingerprint — the first 8 bytes of
 the SHA-256 of that block — is how tools decide whether two files belong
 together without comparing full keys.
 
-Secret-key files store only the core fields (g, points, R1, R2); all
+Secret-key files store only the core fields (g, points, S, R1, R2); all
 derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction.  Evaluation keys store their factored form
 verbatim.  Noise hints on ciphertexts are serialized (they are useful
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 from .errors import FormatError, ParameterError
-from .keys import EvalKey, Params, SecretKey
+from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
 from .mvpoly import Polynomial, grevlex_key
 from .she import Ciphertext, PublicKey
@@ -157,10 +158,17 @@ class _Reader:
     def intvec(self) -> list[int]:
         return [self.int_() for _ in range(self.uint(4))]
 
-    def matrix(self) -> Matrix:
-        rows = self.uint(4)
-        cols = self.uint(4)
-        return [[self.int_() for _ in range(cols)] for _ in range(rows)]
+    def matrix(self, name: str, rows: int | None, cols: int) -> Matrix:
+        """A matrix that must be rows x cols; rows=None accepts any count."""
+        have_rows, have_cols = self.uint(4), self.uint(4)
+        if have_cols != cols or rows not in (None, have_rows):
+            want = "any" if rows is None else rows
+            raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {want}x{cols}")
+        return [[self.int_() for _ in range(cols)] for _ in range(have_rows)]
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise FormatError(f"{len(self.data) - self.pos} bytes after the payload")
 
     def poly(self, q: int) -> Polynomial:
         v = self.uint(4)
@@ -270,7 +278,8 @@ def save_params(p: Params, path: str) -> None:
 
 
 def load_params(path: str) -> Params:
-    params, _ = _read_container(path, TYPE_PARAMS)
+    params, r = _read_container(path, TYPE_PARAMS)
+    r.end()
     return params
 
 
@@ -288,12 +297,13 @@ def load_secret_key(path: str) -> SecretKey:
     params, r = _read_container(path, TYPE_SECRET)
     g = r.poly(params.q)
     npts = r.uint(4)
-    points = [tuple(r.int_() for _ in range(params.v)) for _ in range(npts)]
-    S = r.matrix()
-    R1 = r.matrix()
-    R2 = r.matrix()
     if npts != params.t:
         raise FormatError(f"secret key has {npts} points, expected {params.t}")
+    points = [tuple(r.int_() for _ in range(params.v)) for _ in range(npts)]
+    S = r.matrix("S", params.message_bits, params.n)
+    R1 = r.matrix("R1", params.n, params.n)
+    R2 = r.matrix("R2", params.message_bits, params.n)
+    r.end()
     return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
 
 
@@ -312,10 +322,14 @@ def load_evalkey(path: str) -> EvalKey:
     params, r = _read_container(path, TYPE_EVALKEY)
     gadget = bool(r.take(1)[0])
     u = r.uint(4)
+    if u != params.u:
+        raise FormatError(f"evaluation key has u = {u}, parameters have u = {params.u}")
     k_max = r.fraction()
-    P1 = r.matrix()
-    P2 = r.matrix()
-    W = r.matrix()
+    dim = params.ell * _gadget_width(params.q, u) if gadget else params.ell
+    P1 = r.matrix("P1", dim, params.t)
+    P2 = r.matrix("P2", dim, params.t)
+    W = r.matrix("W", params.t, params.ell)
+    r.end()
     return EvalKey(params=params, gadget_enabled=gadget, u=u, P1=P1, P2=P2,
                    W=W, k_max=k_max)
 
@@ -331,8 +345,9 @@ def save_public_key(pk: PublicKey, path: str) -> None:
 def load_public_key(path: str) -> PublicKey:
     params, r = _read_container(path, TYPE_PUBLIC)
     eps = r.fraction()
-    C0 = r.matrix()
-    C_unit = r.matrix()
+    C0 = r.matrix("C0", None, params.ell)
+    C_unit = r.matrix("C_unit", params.message_bits, params.ell)
+    r.end()
     return PublicKey(params=params, eps=eps, C0=C0, C_unit=C_unit)
 
 
@@ -353,10 +368,15 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
 def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     params, r = _read_container(path, TYPE_CIPHERTEXT)
     level = r.uint(4)
+    if level > params.L:
+        raise FormatError(f"ciphertext level {level} is outside 0..{params.L}")
     has_hint = r.take(1)[0]
     hint = r.fraction() if has_hint else None
+    if hint is not None and hint < 0:
+        raise FormatError(f"negative noise hint {hint}")
     vec = r.intvec()
     if len(vec) != params.ell:
         raise FormatError(f"ciphertext length {len(vec)} != ell = {params.ell}")
+    r.end()
     ct = Ciphertext(vec=vec, level=level, q=params.q, noise_hint=hint)
     return ct, params

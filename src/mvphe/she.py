@@ -208,10 +208,10 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     if evk.gadget_enabled:
         t1 = _powersoftwo_numerators(ct1.vec, q, evk.u)
         t2 = _powersoftwo_numerators(ct2.vec, q, evk.u)
-        shift = 2 * evk.u  # each transform contributes denominator 2^u
     else:
         t1, t2 = ct1.vec, ct2.vec
-        shift = 2 * evk.u  # both P factors carry denominator 2^u
+    # denominator 2^u from each gadget transform, or from each plain P factor
+    shift = 2 * evk.u
     x = _columns_dot(t1, evk.P1)
     y = _columns_dot(t2, evk.P2)
     denom = q << shift

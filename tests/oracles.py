@@ -1,0 +1,230 @@
+"""Test-only oracles: the multiplication key as an explicit rational tensor,
+every stage of one multiplication carried out with exact rationals, and a
+random netlist generator.
+
+Production evaluation never materializes the order-3 tensor M or the
+per-stage vectors; these exist so tests can check the factored form against
+the paper's literal definitions.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from random import Random
+from typing import Sequence
+
+from mvphe.arith import balance
+from mvphe.circuit import Circuit, parse_circuit
+from mvphe.errors import ParameterError
+from mvphe.keys import EvalKey, SecretKey, _powersoftwo_numerators, _stage_matrices
+from mvphe.linalg import Matrix
+
+
+def transpose(A: Matrix) -> Matrix:
+    return [list(col) for col in zip(*A)]
+
+
+# ---------------------------------------------------------------------------
+# order-3 tensors over Q
+# ---------------------------------------------------------------------------
+
+class Tensor3:
+    """Dense order-3 tensor of exact rationals, stored as frontal slices.
+
+    ``slices[k][i][j]`` is entry (i, j, k); there are dims[2] slices of
+    shape dims[0] x dims[1].
+    """
+
+    __slots__ = ("dims", "slices")
+
+    def __init__(self, slices: list[list[list[Fraction]]]):
+        if not slices or not slices[0] or not slices[0][0]:
+            raise ParameterError("tensor needs positive dimensions")
+        i1, i2 = len(slices[0]), len(slices[0][0])
+        for sl in slices:
+            if len(sl) != i1 or any(len(row) != i2 for row in sl):
+                raise ParameterError("ragged tensor slices")
+        self.dims = (i1, i2, len(slices))
+        self.slices = slices
+
+    @classmethod
+    def zeros(cls, i1: int, i2: int, i3: int) -> "Tensor3":
+        return cls([[[Fraction(0)] * i2 for _ in range(i1)] for _ in range(i3)])
+
+    def entry(self, i: int, j: int, k: int) -> Fraction:
+        return self.slices[k][i][j]
+
+    def set_entry(self, i: int, j: int, k: int, value) -> None:
+        self.slices[k][i][j] = Fraction(value)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Tensor3)
+            and self.dims == other.dims
+            and self.slices == other.slices
+        )
+
+
+def n_mode_product(T: Tensor3, M: Sequence[Sequence], mode: int) -> Tensor3:
+    """Contract T's ``mode`` index (1, 2 or 3) with the columns of M.
+
+    The result replaces dims[mode-1] with the row count of M; entry-wise it
+    is sum_s M[a][s] * T[.., s in position mode, ..], computed exactly.
+    """
+    if mode not in (1, 2, 3):
+        raise ParameterError(f"mode must be 1, 2 or 3, got {mode}")
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    if cols != T.dims[mode - 1]:
+        raise ParameterError(
+            f"matrix has {cols} columns but tensor dim {mode} is {T.dims[mode - 1]}"
+        )
+    frac = [[Fraction(x) for x in row] for row in M]
+    out_dims = list(T.dims)
+    out_dims[mode - 1] = rows
+    out = Tensor3.zeros(*out_dims)
+    for k, sl in enumerate(T.slices):
+        for i, row in enumerate(sl):
+            for j, x in enumerate(row):
+                if x:
+                    idx = [i, j, k]
+                    s = idx[mode - 1]
+                    for a in range(rows):
+                        idx[mode - 1] = a
+                        out.slices[idx[2]][idx[0]][idx[1]] += frac[a][s] * x
+    return out
+
+
+def bilinear_eval(T: Tensor3, v1: Sequence, v2: Sequence) -> list[Fraction]:
+    """[v1 · T_k · v2 for each frontal slice T_k], exactly."""
+    i1, i2, _ = T.dims
+    if len(v1) != i1 or len(v2) != i2:
+        raise ParameterError(
+            f"vector lengths ({len(v1)}, {len(v2)}) vs tensor dims ({i1}, {i2})"
+        )
+    f1 = [Fraction(x) for x in v1]
+    f2 = [Fraction(x) for x in v2]
+    out = []
+    for sl in T.slices:
+        acc = Fraction(0)
+        for i, row in enumerate(sl):
+            if f1[i]:
+                acc += f1[i] * sum((x * f2[j] for j, x in enumerate(row) if x), Fraction(0))
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the multiplication key, unfactored
+# ---------------------------------------------------------------------------
+
+def scale_bits(evk: EvalKey) -> int:
+    """P entries carry an implied denominator 2^scale_bits."""
+    return 0 if evk.gadget_enabled else evk.u
+
+
+def u_coeffs(evk: EvalKey) -> list[Fraction]:
+    """Diagonal of the rescaling tensor: 2/q on the message band."""
+    p = evk.params
+    return [Fraction(2, p.q) if p.n <= s < p.ell else Fraction(1)
+            for s in range(p.t)]
+
+
+def evalkey_tensor(evk: EvalKey) -> Tensor3:
+    """Materialize M entrywise (O(dim^2 * ell * t))."""
+    p = evk.params
+    dim = evk.input_dim
+    shift = 2 * scale_bits(evk)
+    coeffs = u_coeffs(evk)
+    T = Tensor3.zeros(dim, dim, p.ell)
+    for k in range(p.ell):
+        wk = [evk.W[s][k] for s in range(p.t)]
+        sl = T.slices[k]
+        for i in range(dim):
+            row1 = evk.P1[i]
+            out_row = sl[i]
+            for j in range(dim):
+                row2 = evk.P2[j]
+                acc = Fraction(0)
+                for s in range(p.t):
+                    if wk[s] and row1[s] and row2[s]:
+                        acc += coeffs[s] * row1[s] * row2[s] * wk[s]
+                out_row[j] = acc / (1 << shift)
+    return T
+
+
+def mult_intermediates(sk: SecretKey, evk: EvalKey,
+                       c1: Sequence[int], c2: Sequence[int]) -> dict:
+    """Every intermediate of one homomorphic multiplication.
+
+    Takes B and Q from the secret key (they are deterministic given sk) and
+    carries the pipeline through with exact rationals: transformed inputs,
+    per-slice products, re-expression, reduction, mixing, flooring.
+    Production evaluation folds these stages together.
+    """
+    p = sk.params
+    q = p.q
+    B, Q = _stage_matrices(sk)
+
+    shift = scale_bits(evk)
+    if evk.gadget_enabled:
+        t1 = _powersoftwo_numerators(c1, q, evk.u)
+        t2 = _powersoftwo_numerators(c2, q, evk.u)
+        denom = 1 << evk.u
+    else:
+        t1, t2 = list(c1), list(c2)
+        denom = 1
+    x1 = [Fraction(sum(a * evk.P1[i][s] for i, a in enumerate(t1)),
+                   denom << shift) for s in range(p.t)]
+    x2 = [Fraction(sum(a * evk.P2[i][s] for i, a in enumerate(t2)),
+                   denom << shift) for s in range(p.t)]
+    coeffs = u_coeffs(evk)
+    c_prime = [coeffs[s] * x1[s] * x2[s] for s in range(p.t)]
+    c_dprime = [sum(c_prime[s] * B[s][j] for s in range(p.t)) for j in range(p.t)]
+    c_tilde = [sum(c_dprime[s] * Q[s][j] for s in range(p.t)) for j in range(p.ell)]
+    pre_floor = [sum(c_tilde[i] * sk.R[i][j] for i in range(p.ell))
+                 for j in range(p.ell)]
+    floored = [balance(math.floor(x), q) for x in pre_floor]
+    return {
+        "transformed": (x1, x2),
+        "sliced": c_prime,
+        "reexpressed": c_dprime,
+        "reduced": c_tilde,
+        "pre_floor": pre_floor,
+        "product": floored,
+    }
+
+
+# ---------------------------------------------------------------------------
+# circuits
+# ---------------------------------------------------------------------------
+
+def random_circuit(rng: Random, n_inputs: int, n_gates: int, L: int) -> Circuit:
+    """Random netlist whose depth ledger fits within L.
+
+    Gates pick random earlier wires; an AND is only emitted when some pair
+    of available wires respects the level budget, otherwise the gate
+    becomes an XOR.
+    """
+    if n_inputs < 2 or n_gates < 1 or L < 0:
+        raise ParameterError("need at least 2 inputs, 1 gate, and L >= 0")
+    lines = [f"in x{i}" for i in range(n_inputs)]
+    wires = [f"x{i}" for i in range(n_inputs)]
+    level = {w: 0 for w in wires}
+    for k in range(n_gates):
+        name = f"w{k}"
+        want_and = L > 0 and rng.random() < 0.5
+        a = rng.choice(wires)
+        b = rng.choice(wires)
+        if want_and and level[a] + level[b] + 1 <= L:
+            lines.append(f"{name} = AND {a} {b}")
+            level[name] = level[a] + level[b] + 1
+        else:
+            lines.append(f"{name} = XOR {a} {b}")
+            level[name] = max(level[a], level[b])
+        wires.append(name)
+    # expose a couple of late wires as outputs
+    outs = {wires[-1], rng.choice(wires[n_inputs:])}
+    lines.extend(f"out {w}" for w in sorted(outs))
+    return parse_circuit("\n".join(lines))

@@ -34,15 +34,9 @@ from mvphe import (
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.circuit import random_circuit
 from mvphe.keys import _ideal_basis_2r, _build_Q
-from mvphe.linalg import (
-    Tensor3,
-    bilinear_eval,
-    inverse_mod_q,
-    mat_mul,
-    n_mode_product,
-)
+from mvphe.linalg import inverse_mod_q, mat_mul
+from oracles import Tensor3, bilinear_eval, n_mode_product, random_circuit
 
 
 def _rand_message(rng, p):

@@ -8,12 +8,10 @@ import pytest
 
 from mvphe.arith import (
     NoiseSampler,
-    Residue,
     balance,
     balanced_mod,
     is_probable_prime,
     random_prime,
-    round_floor,
     round_nearest,
 )
 from mvphe.errors import ParameterError
@@ -55,12 +53,6 @@ def test_exact_rational_arithmetic():
         assert (Fraction(a, b) + Fraction(c, d)) * d * b == a * d + c * b
 
 
-def test_round_floor_examples():
-    assert round_floor(Fraction(7, 2)) == 3
-    assert round_floor(Fraction(-7, 2)) == -4
-    assert round_floor(5) == 5
-
-
 def test_round_nearest_examples():
     assert round_nearest(Fraction(-3, 2)) == -1  # tie rounds up
     assert round_nearest(Fraction(5, 3)) == 2
@@ -77,30 +69,10 @@ def test_rounding_against_integer_scan_oracle():
         x = Fraction(num, den)
         lo = num // den - 2
         floor_oracle = max(k for k in range(lo, lo + 5) if k <= x)
-        assert round_floor(x) == floor_oracle
+        assert math.floor(x) == floor_oracle
         # nearest-with-ties-up: smallest k minimizing |x-k|, preferring larger
         best = min(range(lo, lo + 5), key=lambda k: (abs(x - k), -k))
         assert round_nearest(x) == best
-
-
-class TestResidue:
-    def test_balanced_eagerly(self):
-        r = Residue(10, 7)
-        assert r.value == 3
-        assert Residue(4, 7).value == -3
-
-    def test_ring_ops(self):
-        q = 97
-        a, b = Residue(45, q), Residue(80, q)
-        assert (a + b).value == balanced_mod(45 + 80, q)
-        assert (a - b).value == balanced_mod(45 - 80, q)
-        assert (a * b).value == balanced_mod(45 * 80, q)
-        assert (-a).value == balanced_mod(-45, q)
-        assert (a * a.inverse()).value == 1
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ParameterError):
-            Residue(1, 7) + Residue(1, 13)
 
 
 def test_sampler_degenerate_sigma_zero():

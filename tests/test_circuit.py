@@ -12,8 +12,8 @@ from mvphe import (
     eval_plain,
     parse_circuit,
 )
-from mvphe.circuit import random_circuit
 from mvphe.errors import DepthError, FormatError, ParameterError
+from oracles import random_circuit
 
 SIMPLE = """
 in a

@@ -167,6 +167,22 @@ def test_eval_refuses_foreign_ciphertext(workdir, tmp_path, capsys):
     assert "fingerprint mismatch" in capsys.readouterr().err
 
 
+def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
+    evk = serialize.load_evalkey(str(workdir / "evk.bin"))
+    bad = str(tmp_path / "evk_bad.bin")
+    evk.P1.pop()
+    serialize.save_evalkey(evk, bad)
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
+    ca = str(tmp_path / "ca.bin")
+    assert main(["encrypt", "--key", str(workdir / "sk.bin"), "--bits", "11",
+                 "--seed", "14", "--out", ca]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--evalkey", bad, "--circuit", str(netlist),
+                 "--in", ca, ca, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "error: P1 is" in capsys.readouterr().err
+
+
 # --- noise -------------------------------------------------------------------
 
 def test_noise_verb_zero_noise(workdir, tmp_path, capsys):

@@ -22,10 +22,19 @@ from mvphe import (
     setup,
 )
 from mvphe.errors import GenerationFailure, ParameterError
-from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators, mult_intermediates
-from mvphe.linalg import Tensor3, bilinear_eval, mat_mul, n_mode_product, rank_mod_q, transpose
+from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators
+from mvphe.linalg import mat_mul, rank_mod_q
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.arith import balance
+from oracles import (
+    Tensor3,
+    bilinear_eval,
+    evalkey_tensor,
+    mult_intermediates,
+    n_mode_product,
+    transpose,
+    u_coeffs,
+)
 
 
 # --- Params / setup -----------------------------------------------------
@@ -93,6 +102,12 @@ def test_params_rejects_composite_modulus():
     with pytest.raises(ParameterError):
         Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8,
                q=858024799841, sigma=8, B=48, u=8)  # q-2 of a prime, composite
+
+
+def test_params_derived_fields_are_not_settable():
+    with pytest.raises(TypeError):
+        Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8,
+               q=858024799843, sigma=8, B=48, u=8, n=99)
 
 
 # --- keygen ---------------------------------------------------------------
@@ -367,13 +382,13 @@ def test_plain_variant_tensor_composition(toy_sk):
     p = toy_sk.params
     evk = build_evalkey(toy_sk, rng=Random(8), gadget=False)
     U = Tensor3.zeros(p.t, p.t, p.t)
-    for s, c in enumerate(evk.u_coeffs()):
+    for s, c in enumerate(u_coeffs(evk)):
         U.set_entry(s, s, s, c)
     P1 = [[Fraction(x, 1 << p.u) for x in row] for row in evk.P1]
     P2 = [[Fraction(x, 1 << p.u) for x in row] for row in evk.P2]
     Wt = [[Fraction(x) for x in row] for row in transpose(evk.W)]
     M = n_mode_product(n_mode_product(n_mode_product(U, P1, 1), P2, 2), Wt, 3)
-    assert M == evk.tensor()
+    assert M == evalkey_tensor(evk)
     assert M.dims == (p.ell, p.ell, p.ell)
 
 
@@ -383,7 +398,7 @@ def test_evalkey_denominators_divide_q_2_2u():
     tiny = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
     sk = keygen(tiny, Random(9))
     evk = build_evalkey(sk, rng=Random(10))
-    M = evk.tensor()
+    M = evalkey_tensor(evk)
     width = tiny.u + tiny.q.bit_length()
     assert M.dims == (3 * width, 3 * width, 3)
     lim = tiny.q * (1 << (2 * tiny.u))
@@ -428,7 +443,7 @@ def test_gadget_transforms_match_tensor_contraction():
     tiny = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
     sk = keygen(tiny, Random(11))
     evk = build_evalkey(sk, rng=Random(12))
-    M = evk.tensor()
+    M = evalkey_tensor(evk)
     rng = Random(13)
     for _ in range(10):
         c1 = encrypt(sk, [rng.randrange(2)], rng)

@@ -1,4 +1,4 @@
-"""Exact linear algebra mod q and order-3 tensor operations."""
+"""Exact linear algebra mod q, and the order-3 tensor oracles."""
 
 from fractions import Fraction
 from random import Random
@@ -6,24 +6,29 @@ from random import Random
 import pytest
 
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
-from mvphe.linalg import (
-    Tensor3,
-    bilinear_eval,
-    identity,
-    inverse_mod_q,
-    mat_mul,
-    n_mode_product,
-    rank_mod_q,
-    solve_mod_q,
-    transpose,
-    zeros,
-)
+from mvphe.linalg import _eliminate, identity, inverse_mod_q, mat_mul, rank_mod_q, zeros
+from oracles import Tensor3, bilinear_eval, n_mode_product, transpose
 
 Q40 = 858024799843  # a 40-bit prime
 
 
 def rand_matrix(rng, rows, cols, q):
     return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+
+def solve_mod_q(A, Y, q):
+    """X with A·X = Y (mod q), free variables zero: the elimination kernel
+    run on [A | Y] with pivots restricted to A's columns."""
+    m = len(A[0])
+    work = [[x % q for x in a + y] for a, y in zip(A, Y)]
+    pivots = _eliminate(work, m, q)
+    # a row with its A-part fully eliminated must have zero right-hand side
+    if any(any(row[m:]) for row in work[len(pivots):]):
+        raise ConstructionError("inconsistent linear system")
+    X = zeros(m, len(Y[0]))
+    for r, col in enumerate(pivots):
+        X[col] = work[r][m:]
+    return X
 
 
 def rand_tensor(rng, d1, d2, d3, scale=100):
@@ -103,6 +108,20 @@ def test_singular_reports_pivot_column():
     with pytest.raises(SingularMatrixError) as ei:
         inverse_mod_q(A, 7)
     assert ei.value.column == 1
+    # column c a combination of the (generic) columns before it: the first
+    # column without a pivot is c
+    rng = Random(30)
+    for _ in range(40):
+        n = rng.randrange(3, 13)
+        c = rng.randrange(n)
+        A = rand_matrix(rng, n, n, Q40)
+        coeffs = [rng.randrange(Q40) for _ in range(c)]
+        for row in A:
+            row[c] = sum(a * x for a, x in zip(coeffs, row)) % Q40
+        with pytest.raises(SingularMatrixError) as ei:
+            inverse_mod_q(A, Q40)
+        assert ei.value.column == c
+        assert rank_mod_q(A, Q40) == n - 1
 
 
 def test_solve_identity():

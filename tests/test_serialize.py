@@ -1,5 +1,7 @@
 """Container file format: roundtrips, integrity checks, fingerprints."""
 
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -198,6 +200,75 @@ def test_reader_rejects_malformed_primitives():
     r = _Reader(zero + neg_one)
     with pytest.raises(FormatError, match="denominator"):
         r.fraction()
+
+
+# --- shape and range checks (files re-sealed with a valid checksum) ---------
+
+def test_evalkey_factor_shapes_checked(tmp_path, toy_sk, toy_evk):
+    path = str(tmp_path / "evk.bin")
+    plain = build_evalkey(toy_sk, rng=Random(149), gadget=False)
+    for bad in (replace(toy_evk, P1=toy_evk.P1[:-1]),
+                replace(toy_evk, P2=[row[:-1] for row in toy_evk.P2]),
+                replace(plain, P1=toy_evk.P1),  # gadget-sized rows, plain flag
+                replace(plain, P2=plain.P2[:-1])):
+        save_evalkey(bad, path)
+        with pytest.raises(FormatError, match="P[12] is"):
+            load_evalkey(path)
+
+
+def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
+    path = str(tmp_path / "evk.bin")
+    for bad, match in ((replace(toy_evk, W=toy_evk.W[:-1]), "W is"),
+                       (replace(toy_evk, W=[row[:-1] for row in toy_evk.W]), "W is"),
+                       (replace(toy_evk, u=toy_evk.u + 1), f"u = {toy_evk.u + 1}")):
+        save_evalkey(bad, path)
+        with pytest.raises(FormatError, match=match):
+            load_evalkey(path)
+
+
+def test_key_matrix_shapes_checked(tmp_path, toy_sk):
+    path = str(tmp_path / "key.bin")
+    for name in ("S", "R1", "R2"):
+        m = getattr(toy_sk, name)
+        for bad in (m[:-1], [row[:-1] for row in m]):
+            save_secret_key(replace(toy_sk, **{name: bad}), path)
+            with pytest.raises(FormatError, match=f"{name} is"):
+                load_secret_key(path)
+    pk = pk_keygen(toy_sk, Random(150))
+    for bad in (replace(pk, C0=[row[:-1] for row in pk.C0]),
+                replace(pk, C_unit=[row[:-1] for row in pk.C_unit]),
+                replace(pk, C_unit=pk.C_unit[:-1])):
+        save_public_key(bad, path)
+        with pytest.raises(FormatError, match="C0 is|C_unit is"):
+            load_public_key(path)
+
+
+def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
+    paths = [str(tmp_path / name) for name in ("p.bin", "ct.bin", "evk.bin")]
+    save_params(toy_params, paths[0])
+    save_ciphertext(encrypt(toy_sk, [1, 0], Random(151)), toy_params, paths[1])
+    save_evalkey(toy_evk, paths[2])
+    for path, load in zip(paths, (load_params, load_ciphertext, load_evalkey)):
+        with open(path, "rb") as fh:
+            body = fh.read()[:-32] + b"\x00\x00"
+        with open(path, "wb") as fh:
+            fh.write(body + hashlib.sha256(body).digest())
+        with pytest.raises(FormatError, match="2 bytes after the payload"):
+            load(path)
+
+
+def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
+    path = str(tmp_path / "ct.bin")
+    vec = [3] * toy_params.ell
+    save_ciphertext(Ciphertext(vec=vec, level=toy_params.L, q=toy_params.q,
+                               noise_hint=0), toy_params, path)
+    assert load_ciphertext(path)[0].level == toy_params.L
+    for bad, match in ((Ciphertext(vec=vec, level=99, q=toy_params.q), "level 99"),
+                       (Ciphertext(vec=vec, level=0, q=toy_params.q,
+                                   noise_hint=Fraction(-1, 2)), "negative noise hint")):
+        save_ciphertext(bad, toy_params, path)
+        with pytest.raises(FormatError, match=match):
+            load_ciphertext(path)
 
 
 # --- fingerprints -----------------------------------------------------------
