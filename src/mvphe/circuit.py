@@ -61,10 +61,6 @@ class Circuit:
     depth: int                 # max AND count on any path
     level_need: int            # depth ledger under l1 + l2 + 1 accounting
 
-    @property
-    def wires(self) -> set[str]:
-        return set(self.inputs) | {g.out for g in self.gates}
-
 
 def parse_circuit(text: str) -> Circuit:
     """Parse a netlist, raising FormatError with a line number on any problem."""

@@ -13,9 +13,11 @@ Verbs:
     noise       report the exact noise of a ciphertext
     bench       time homomorphic multiplication across ciphertext sizes
 
-All randomized verbs accept ``--seed``; with a fixed seed every output file
-is byte-identical across runs.  Files carry a parameter fingerprint, and
-verbs that combine files refuse to run when the fingerprints disagree.
+Every verb that draws randomness accepts ``--seed``; with a fixed seed every
+output file is byte-identical across runs.  ``--preset`` names the parameter
+set for ``params`` and ``keygen``; the other verbs read it from their input
+files.  Files carry a parameter fingerprint, and verbs that combine files
+refuse to run when the fingerprints disagree.
 """
 
 from __future__ import annotations
@@ -42,26 +44,16 @@ BENCH_PRESETS = ("toy", "bench12", "bench16")
 
 
 def _rng(args, stage: str) -> Random:
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         return Random()
     return Random(f"{args.seed}|{stage}")
 
 
 def _modulus_rng(args) -> Random | None:
     """None when unseeded, so setup() stays a pure function of its knobs."""
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         return None
     return Random(f"{args.seed}|modulus")
-
-
-def _resolve_params(args) -> Params:
-    if getattr(args, "params", None):
-        return serialize.load_params(args.params)
-    preset = getattr(args, "preset", None) or "toy"
-    extra = {}
-    if getattr(args, "gadget", None):
-        extra["gadget_enabled"] = args.gadget == "on"
-    return preset_params(preset, rng=_modulus_rng(args), **extra)
 
 
 def _parse_bits(s: str, expected: int) -> list[int]:
@@ -96,8 +88,6 @@ def cmd_params(args) -> int:
             overrides["lambda_"] = args.lambda_
         if args.depth is not None:
             overrides["L"] = args.depth
-        if args.gadget:
-            overrides["gadget_enabled"] = args.gadget == "on"
         p = preset_params(args.preset, rng=_modulus_rng(args), **overrides)
     else:
         kwargs = {}
@@ -107,8 +97,6 @@ def cmd_params(args) -> int:
                 kwargs[name] = val
         if args.noise_bound is not None:
             kwargs["B"] = args.noise_bound
-        if args.gadget:
-            kwargs["gadget_enabled"] = args.gadget == "on"
         p = setup(args.lambda_ if args.lambda_ is not None else 64,
                   args.depth if args.depth is not None else 1,
                   rng=_modulus_rng(args), **kwargs)
@@ -122,7 +110,6 @@ def cmd_params(args) -> int:
     print(f"  message bits   {p.message_bits}")
     print(f"  q              {p.q}  ({p.q_bits} bits)")
     print(f"  sigma, B, u    {p.sigma}, {p.B}, {p.u}")
-    print(f"  gadget         {'on' if p.gadget_enabled else 'off'}")
     print(f"  depth margin   (q/B) / (n*log2 q)^L = {float(margin):.4g}")
     print(f"  fingerprint    {serialize.params_fingerprint(p)}")
     print("note: sizes are chosen for correctness at depth L; the underlying")
@@ -134,7 +121,10 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    p = _resolve_params(args)
+    if args.params:
+        p = serialize.load_params(args.params)
+    else:
+        p = preset_params(args.preset or "toy", rng=_modulus_rng(args))
     sk = keygen(p, _rng(args, "keygen"))
     serialize.save_secret_key(sk, args.out)
     print(f"wrote {args.out} (fingerprint {serialize.params_fingerprint(p)})")
@@ -150,11 +140,9 @@ def cmd_keygen(args) -> int:
 
 def cmd_evalkey(args) -> int:
     sk = serialize.load_secret_key(args.key)
-    gadget = None if not args.gadget else args.gadget == "on"
-    evk = build_evalkey(sk, rng=_rng(args, "evalkey"), gadget=gadget)
+    evk = build_evalkey(sk, rng=_rng(args, "evalkey"))
     serialize.save_evalkey(evk, args.out)
-    kind = "gadget" if evk.gadget_enabled else "plain"
-    print(f"wrote {args.out} ({kind} form, {evk.input_dim}x{sk.params.t} factors)")
+    print(f"wrote {args.out} ({evk.input_dim}x{sk.params.t} factors)")
     return 0
 
 
@@ -267,16 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "(multivariate-evaluation based)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (reproducible output)")
-    common.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=sorted(PRESETS), default=None,
                         help="named parameter set")
-    common.add_argument("--gadget", choices=("on", "off"), default=None,
-                        help="use the bit-decomposition form of the "
-                             "multiplication key (default: on)")
 
-    p = sub.add_parser("params", parents=[common],
+    p = sub.add_parser("params", parents=[seeded, preset],
                        help="print/save a parameter set")
     p.add_argument("--lambda", dest="lambda_", type=int, default=None)
     p.add_argument("--depth", type=int, default=None, help="multiplicative depth L")
@@ -290,20 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the parameter file here")
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("keygen", parents=[common], help="generate a secret key")
+    p = sub.add_parser("keygen", parents=[seeded, preset],
+                       help="generate a secret key")
     p.add_argument("--params", default=None, help="parameter file (else preset)")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-keys", action="store_true",
                    help="also print the key components")
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("evalkey", parents=[common],
+    p = sub.add_parser("evalkey", parents=[seeded],
                        help="build the multiplication key")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evalkey)
 
-    p = sub.add_parser("encrypt", parents=[common], help="encrypt bits")
+    p = sub.add_parser("encrypt", parents=[seeded], help="encrypt bits")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--bits", required=True, help="plaintext bits, e.g. 01")
     p.add_argument("--out", required=True)
@@ -311,26 +298,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit the noise term (debugging)")
     p.set_defaults(func=cmd_encrypt)
 
-    p = sub.add_parser("decrypt", parents=[common], help="decrypt a ciphertext")
+    p = sub.add_parser("decrypt", help="decrypt a ciphertext")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--in", dest="infile", required=True, help="ciphertext file")
     p.set_defaults(func=cmd_decrypt)
 
-    p = sub.add_parser("pk-keygen", parents=[common],
+    p = sub.add_parser("pk-keygen", parents=[seeded],
                        help="derive a public encryption key")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pk_keygen)
 
-    p = sub.add_parser("pk-encrypt", parents=[common],
+    p = sub.add_parser("pk-encrypt", parents=[seeded],
                        help="encrypt with a public key")
     p.add_argument("--pk", required=True, help="public key file")
     p.add_argument("--bits", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pk_encrypt)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a circuit over ciphertexts")
+    p = sub.add_parser("eval", help="evaluate a circuit over ciphertexts")
     p.add_argument("--evalkey", required=True)
     p.add_argument("--circuit", required=True, help="netlist file")
     p.add_argument("--in", dest="inputs", nargs="+", required=True,
@@ -339,15 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output files are <prefix><i>.bin")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("noise", parents=[common],
-                       help="report exact ciphertext noise")
+    p = sub.add_parser("noise", help="report exact ciphertext noise")
     p.add_argument("--key", required=True, help="secret key file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--bits", default=None,
                    help="expected plaintext (default: decrypt first)")
     p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[seeded],
                        help="time multiplication across ciphertext sizes")
     p.add_argument("--mults", type=int, default=10,
                    help="timed multiplications per size (default 10)")

@@ -94,7 +94,6 @@ class Params:
     sigma: Rational
     B: int
     u: int
-    gadget_enabled: bool = True
     # derived by __post_init__, not settable
     r: int = field(init=False)
     n: int = field(init=False)
@@ -211,10 +210,9 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
           **overrides) -> Params:
     """Build a consistent Params object.
 
-    Dimension knobs (v, r_g, r_prime, ell, sigma, B, u, q_bits, q,
-    gadget_enabled) may be overridden; anything left out is defaulted, with
-    the modulus size chosen as the smallest that passes a worst-case noise
-    simulation for depth L.  Without an explicit ``rng`` the modulus is
+    Dimension knobs (v, r_g, r_prime, ell, sigma, B, u, q_bits, q) may be
+    overridden; anything left out is defaulted, with the modulus size chosen
+    as the smallest that passes a worst-case noise simulation for depth L.  Without an explicit ``rng`` the modulus is
     drawn from a generator seeded by (lambda_, L, overrides), so the result
     is a pure function of its arguments.
     """
@@ -226,7 +224,6 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
     sigma = overrides.pop("sigma", 8)
     B = overrides.pop("B", math.ceil(6 * Fraction(sigma)) if sigma else 48)
     u = overrides.pop("u", 8)
-    gadget_enabled = overrides.pop("gadget_enabled", True)
     q = overrides.pop("q", None)
     q_bits = overrides.pop("q_bits", None)
     if overrides:
@@ -239,7 +236,7 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
             rng = Random(stamp)
         q = random_prime(q_bits, rng)
     return Params(lambda_=lambda_, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell,
-                  q=q, sigma=sigma, B=B, u=u, gadget_enabled=gadget_enabled)
+                  q=q, sigma=sigma, B=B, u=u)
 
 
 def preset_params(name: str, rng: Random | None = None, **extra) -> Params:
@@ -634,43 +631,30 @@ def _stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
 class EvalKey:
     """Public multiplication key in factored form.
 
-    ``P1``/``P2`` hold D_i~·A — in gadget form the bit-decomposed D columns
-    times A (plain integers), in the plain variant D·A scaled by 2^u.  ``W``
-    is the balanced combined third factor B·Q·R mod q.  ``k_max`` is the
-    certified bound on the transient carry coefficients appearing during
-    multiplication, which feeds the tracked noise formula.
-
-    The full tensor M has dims input_dim x input_dim x ell (input_dim =
-    ell·(u + q_bits) in gadget form, ell plain); evaluation never needs it.
+    ``P1``/``P2`` hold D_i~·A: the bit-decomposed columns of D_i times A,
+    as plain integers.  ``W`` is the balanced combined third factor
+    B·Q·R mod q.  The full tensor M has dims input_dim x input_dim x ell
+    (input_dim = ell·(u + q_bits)); evaluation never needs it.
     """
 
     params: Params
-    gadget_enabled: bool
-    u: int
     P1: Matrix
     P2: Matrix
     W: Matrix
-    k_max: Fraction
 
     @property
     def input_dim(self) -> int:
         return len(self.P1)
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.input_dim, self.input_dim, self.params.ell)
+    def k_max(self) -> Fraction:
+        """Certified bound on the transient carry coefficients appearing
+        during multiplication; it feeds the tracked noise formula."""
+        p = self.params
+        return Fraction(p.ell * _gadget_width(p.q, p.u), 2) + 1
 
 
-def _max_column_one_norm_scaled(D_scaled: Matrix, u: int) -> Fraction:
-    width = len(D_scaled)
-    return max(
-        Fraction(sum(abs(D_scaled[i][j]) for i in range(width)), 1 << u)
-        for j in range(len(D_scaled[0]))
-    )
-
-
-def build_evalkey(sk: SecretKey, rng: Random | None = None, *,
-                  zero_eps: bool = False, gadget: bool | None = None) -> EvalKey:
+def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     """Construct the multiplication key from a secret key.
 
     The five steps: (1) unmasking matrices D_i with fresh dyadic masking
@@ -678,21 +662,14 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None, *,
     the rank-1 slice structure, (4) re-expression matrix B, (5) reduction
     matrix Q from the division remainders of the degree-(<= 2r) ideal basis.
     The mandatory post-check F1·Q = F2 (mod q) runs on every build.
-
-    ``zero_eps`` forces both masking blocks to zero (exact-arithmetic test
-    mode).  ``gadget`` overrides params.gadget_enabled.
     """
     p = sk.params
     q = p.q
-    if gadget is None:
-        gadget = p.gadget_enabled
     rng = rng or Random()
 
     # step 1: unmasking matrices
-    eps1 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
-    eps2 = zeros(p.n, p.ell - p.n) if zero_eps else _sample_masking_block(p, rng)
-    D1s = _build_D_scaled(sk, eps1)
-    D2s = _build_D_scaled(sk, eps2)
+    D1s = _build_D_scaled(sk, _sample_masking_block(p, rng))
+    D2s = _build_D_scaled(sk, _sample_masking_block(p, rng))
 
     # step 2: extension matrix
     A = _build_A(sk)
@@ -701,18 +678,9 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None, *,
     B, Q = _stage_matrices(sk)
     W = balanced_matrix(mat_mul(mat_mul(B, Q, q), sk.R, q), q)
 
-    if gadget:
-        width = _gadget_width(q, p.u)
-        P1 = _bitdecomp_matrix_times(D1s, A, p, q)
-        P2 = _bitdecomp_matrix_times(D2s, A, p, q)
-        k_max = Fraction(p.ell * width, 2) + 1
-    else:
-        P1 = mat_mul_exact(D1s, A)
-        P2 = mat_mul_exact(D2s, A)
-        k_max = max(_max_column_one_norm_scaled(D1s, p.u),
-                    _max_column_one_norm_scaled(D2s, p.u)) / 2 + 1
-    return EvalKey(params=p, gadget_enabled=gadget, u=p.u, P1=P1, P2=P2,
-                   W=W, k_max=k_max)
+    P1 = _bitdecomp_matrix_times(D1s, A, p, q)
+    P2 = _bitdecomp_matrix_times(D2s, A, p, q)
+    return EvalKey(params=p, P1=P1, P2=P2, W=W)
 
 
 def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:

@@ -86,14 +86,6 @@ class Polynomial:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, v: int, q: int) -> "Polynomial":
-        return cls(v, q, {})
-
-    @classmethod
-    def constant(cls, v: int, q: int, c: int) -> "Polynomial":
-        return cls(v, q, {(0,) * v: c})
-
-    @classmethod
     def monomial(cls, v: int, q: int, mono: Monomial, coeff: int = 1) -> "Polynomial":
         return cls(v, q, {mono: coeff})
 

@@ -20,8 +20,11 @@ together without comparing full keys.
 Secret-key files store only the core fields (g, points, S, R1, R2); all
 derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction.  Evaluation keys store their factored form
-verbatim.  Noise hints on ciphertexts are serialized (they are useful
-diagnostics) but remain advisory.
+verbatim, after a key-form byte (always 1, the gadget form), u and the
+carry bound k_max, all of which must agree with the parameters.  The
+parameter block ends with the same key-form byte.  Noise hints on
+ciphertexts are serialized (they are useful diagnostics) but remain
+advisory.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ __all__ = [
 
 MAGIC = b"MVPH"
 VERSION = 1
+
+# The one multiplication-key form (bit-decomposed); files still carry the
+# byte, and loaders refuse any other value.
+GADGET_FLAG = 1
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -184,6 +191,12 @@ class _Reader:
 # parameter block and fingerprint
 # ---------------------------------------------------------------------------
 
+def _expect_gadget_flag(r: _Reader) -> None:
+    flag = r.take(1)[0]
+    if flag != GADGET_FLAG:
+        raise FormatError(f"gadget flag {flag}; only the gadget key form (1) is supported")
+
+
 def _params_block(p: Params) -> bytes:
     buf = bytearray()
     _w_uint(buf, p.lambda_, 4)
@@ -196,7 +209,7 @@ def _params_block(p: Params) -> bytes:
     _w_fraction(buf, p.sigma)
     _w_int(buf, p.B)
     _w_uint(buf, p.u, 4)
-    buf.append(1 if p.gadget_enabled else 0)
+    buf.append(GADGET_FLAG)
     return bytes(buf)
 
 
@@ -212,11 +225,9 @@ def _read_params(r: _Reader) -> Params:
     sigma = int(sigma_f) if sigma_f.denominator == 1 else sigma_f
     B = r.int_()
     u = r.uint(4)
-    flag = r.take(1)[0]
-    if flag not in (0, 1):
-        raise FormatError("bad gadget flag")
+    _expect_gadget_flag(r)
     return Params(lambda_=lam, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell,
-                  q=q, sigma=sigma, B=B, u=u, gadget_enabled=bool(flag))
+                  q=q, sigma=sigma, B=B, u=u)
 
 
 def params_fingerprint(p: Params) -> str:
@@ -309,8 +320,8 @@ def load_secret_key(path: str) -> SecretKey:
 
 def save_evalkey(evk: EvalKey, path: str) -> None:
     buf = bytearray()
-    buf.append(1 if evk.gadget_enabled else 0)
-    _w_uint(buf, evk.u, 4)
+    buf.append(GADGET_FLAG)
+    _w_uint(buf, evk.params.u, 4)
     _w_fraction(buf, evk.k_max)
     _w_matrix(buf, evk.P1)
     _w_matrix(buf, evk.P2)
@@ -320,18 +331,21 @@ def save_evalkey(evk: EvalKey, path: str) -> None:
 
 def load_evalkey(path: str) -> EvalKey:
     params, r = _read_container(path, TYPE_EVALKEY)
-    gadget = bool(r.take(1)[0])
+    _expect_gadget_flag(r)
     u = r.uint(4)
     if u != params.u:
         raise FormatError(f"evaluation key has u = {u}, parameters have u = {params.u}")
     k_max = r.fraction()
-    dim = params.ell * _gadget_width(params.q, u) if gadget else params.ell
+    dim = params.ell * _gadget_width(params.q, u)
     P1 = r.matrix("P1", dim, params.t)
     P2 = r.matrix("P2", dim, params.t)
     W = r.matrix("W", params.t, params.ell)
     r.end()
-    return EvalKey(params=params, gadget_enabled=gadget, u=u, P1=P1, P2=P2,
-                   W=W, k_max=k_max)
+    evk = EvalKey(params=params, P1=P1, P2=P2, W=W)
+    if k_max != evk.k_max:
+        raise FormatError(
+            f"evaluation key has k_max = {k_max}, parameters give {evk.k_max}")
+    return evk
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:

@@ -17,8 +17,8 @@ vector and merely warns when the hint crosses q/4 — and it is deliberately
 excluded from equality comparisons and serialized only as a convenience.
 
 Addition is entrywise (hint: h1 + h2 + 1).  Multiplication contracts the
-evaluation-key tensor with the two (gadget-decomposed) ciphertexts and
-floors; the hint follows
+evaluation-key tensor with the gadget transforms of the two ciphertexts
+and floors; the hint follows
 
     4B' + 2(4B' + 1)·k_max + (8B'^2 + 1)/q + ell,     B' = max(h1, h2),
 
@@ -188,7 +188,7 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     Contracts the key's tensor with the two transformed ciphertexts and
     floors the result.  Internally runs the factored form: with
     x_s = <t1, P1[:,s]>, y_s = <t2, P2[:,s]> (t_i the gadget transform of
-    ct_i, or ct_i itself in the plain variant), the k-th output is
+    ct_i), the k-th output is
 
         floor( sum_s u_s * x_s * y_s * W[s,k] )  mod q,
 
@@ -205,16 +205,12 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
             f"multiplication at levels {ct1.level} + {ct2.level} needs depth "
             f"{level} > L = {p.L}"
         )
-    if evk.gadget_enabled:
-        t1 = _powersoftwo_numerators(ct1.vec, q, evk.u)
-        t2 = _powersoftwo_numerators(ct2.vec, q, evk.u)
-    else:
-        t1, t2 = ct1.vec, ct2.vec
-    # denominator 2^u from each gadget transform, or from each plain P factor
-    shift = 2 * evk.u
+    t1 = _powersoftwo_numerators(ct1.vec, q, p.u)
+    t2 = _powersoftwo_numerators(ct2.vec, q, p.u)
     x = _columns_dot(t1, evk.P1)
     y = _columns_dot(t2, evk.P2)
-    denom = q << shift
+    # denominator 2^u from each gadget transform
+    denom = q << (2 * p.u)
     n, ell, t = p.n, p.ell, p.t
     out = []
     for k in range(ell):

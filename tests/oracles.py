@@ -119,11 +119,6 @@ def bilinear_eval(T: Tensor3, v1: Sequence, v2: Sequence) -> list[Fraction]:
 # the multiplication key, unfactored
 # ---------------------------------------------------------------------------
 
-def scale_bits(evk: EvalKey) -> int:
-    """P entries carry an implied denominator 2^scale_bits."""
-    return 0 if evk.gadget_enabled else evk.u
-
-
 def u_coeffs(evk: EvalKey) -> list[Fraction]:
     """Diagonal of the rescaling tensor: 2/q on the message band."""
     p = evk.params
@@ -135,7 +130,6 @@ def evalkey_tensor(evk: EvalKey) -> Tensor3:
     """Materialize M entrywise (O(dim^2 * ell * t))."""
     p = evk.params
     dim = evk.input_dim
-    shift = 2 * scale_bits(evk)
     coeffs = u_coeffs(evk)
     T = Tensor3.zeros(dim, dim, p.ell)
     for k in range(p.ell):
@@ -150,7 +144,7 @@ def evalkey_tensor(evk: EvalKey) -> Tensor3:
                 for s in range(p.t):
                     if wk[s] and row1[s] and row2[s]:
                         acc += coeffs[s] * row1[s] * row2[s] * wk[s]
-                out_row[j] = acc / (1 << shift)
+                out_row[j] = acc
     return T
 
 
@@ -167,18 +161,13 @@ def mult_intermediates(sk: SecretKey, evk: EvalKey,
     q = p.q
     B, Q = _stage_matrices(sk)
 
-    shift = scale_bits(evk)
-    if evk.gadget_enabled:
-        t1 = _powersoftwo_numerators(c1, q, evk.u)
-        t2 = _powersoftwo_numerators(c2, q, evk.u)
-        denom = 1 << evk.u
-    else:
-        t1, t2 = list(c1), list(c2)
-        denom = 1
-    x1 = [Fraction(sum(a * evk.P1[i][s] for i, a in enumerate(t1)),
-                   denom << shift) for s in range(p.t)]
-    x2 = [Fraction(sum(a * evk.P2[i][s] for i, a in enumerate(t2)),
-                   denom << shift) for s in range(p.t)]
+    t1 = _powersoftwo_numerators(c1, q, p.u)
+    t2 = _powersoftwo_numerators(c2, q, p.u)
+    denom = 1 << p.u
+    x1 = [Fraction(sum(a * evk.P1[i][s] for i, a in enumerate(t1)), denom)
+          for s in range(p.t)]
+    x2 = [Fraction(sum(a * evk.P2[i][s] for i, a in enumerate(t2)), denom)
+          for s in range(p.t)]
     coeffs = u_coeffs(evk)
     c_prime = [coeffs[s] * x1[s] * x2[s] for s in range(p.t)]
     c_dprime = [sum(c_prime[s] * B[s][j] for s in range(p.t)) for j in range(p.t)]

@@ -128,7 +128,8 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
     generated key, re-derived here from scratch.  Part 2: with zero noise
     and zero masking, production multiplication output equals the direct
     polynomial pipeline — reduce the product by the top-degree set, evaluate
-    at the first ell points, remix — exactly."""
+    at the first ell points, remix — exactly.  (Masking is zero at the toy
+    scale; test_masking_zero_at_toy_scale pins that.)"""
     rng = Random("acc-6")
     for trial in range(3):
         p = preset_params("toy")
@@ -145,11 +146,11 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
         Q = _build_Q(sk, F1, F2, F1p_inv)
         assert mat_mul(F1, Q, q) == F2
 
-        evk = build_evalkey(sk, rng=rng, zero_eps=True)
+        evk = build_evalkey(sk, rng=rng)
         for _ in range(10):
             cts, polys = [], []
             for _ in range(2):
-                f = Polynomial.zero(p.v, q)
+                f = Polynomial(p.v, q)
                 for b in sk.basis:
                     f = f + b.scale(rng.randrange(q))
                 ev = [f.eval(z) % q for z in sk.points[:p.ell]]

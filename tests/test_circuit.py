@@ -45,7 +45,7 @@ def test_parse_simple():
     assert c.outputs == ["t"]
     assert [g.op for g in c.gates] == ["AND"]
     assert c.depth == 1 and c.level_need == 1
-    assert c.wires == {"a", "b", "t"}
+    assert [g.out for g in c.gates] == ["t"]
 
 
 def test_parse_full_adder():
@@ -207,7 +207,8 @@ def test_random_circuit_respects_budget():
                            n_gates=rng.randrange(1, 40), L=2)
         assert c.level_need <= 2
         assert c.depth <= c.level_need
-        assert c.outputs and set(c.outputs) <= c.wires
+        wires = set(c.inputs) | {g.out for g in c.gates}
+        assert c.outputs and set(c.outputs) <= wires
 
 
 def test_random_circuit_rejects_degenerate():

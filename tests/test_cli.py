@@ -106,6 +106,18 @@ def test_decrypt_refuses_fingerprint_mismatch(workdir, tmp_path, capsys):
     assert "refusing to continue" in capsys.readouterr().err
 
 
+def test_options_belong_to_the_verbs_that_read_them(capsys):
+    """decrypt draws no randomness and encrypt takes its parameters from the
+    key file, so --seed and --preset there are usage errors, not no-ops."""
+    for argv in (["decrypt", "--seed", "5", "--key", "k", "--in", "c"],
+                 ["encrypt", "--preset", "depth3", "--key", "k", "--bits", "01",
+                  "--out", "o"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["decrypt", "--key", str(tmp_path / "nope.bin"),
                  "--in", str(tmp_path / "nope2.bin")]) == 2
@@ -113,16 +125,6 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 
 # --- evalkey / eval ----------------------------------------------------------
-
-def test_evalkey_reports_form(workdir, capsys):
-    out = capsys.readouterr()  # drain
-    evk2 = str(workdir / "evk_plain.bin")
-    assert main(["evalkey", "--key", str(workdir / "sk.bin"), "--gadget", "off",
-                 "--seed", "8", "--out", evk2]) == 0
-    assert "plain form" in capsys.readouterr().out
-    assert not serialize.load_evalkey(evk2).gadget_enabled
-    assert serialize.load_evalkey(str(workdir / "evk.bin")).gadget_enabled
-
 
 def test_eval_circuit_over_files(workdir, tmp_path, capsys):
     sk = str(workdir / "sk.bin")

@@ -1,5 +1,6 @@
 """The shipped package holds the scheme and nothing more: no unused imports,
-and no top-level function or class that nothing in the package uses."""
+no top-level function or class, and no method or property of a package
+class, that nothing in the package uses."""
 
 import ast
 from pathlib import Path
@@ -40,12 +41,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_every_top_level_definition_is_used():
+def _package_names() -> set[str]:
     used = set(mvphe.__all__)
     for tree in TREES.values():
         used |= _used_names(tree)
+    return used
+
+
+def test_every_top_level_definition_is_used():
+    used = _package_names()
     unused = [f"{name}: {node.name}"
               for name, tree in TREES.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert unused == []
+
+
+def test_every_method_is_used():
+    """Dunders are called by the language; any other method or property must
+    be named somewhere in the package.  The scan goes by name, so a member
+    whose name other code happens to use escapes it."""
+    used = _package_names()
+    unused = [f"{name}: {cls.name}.{node.name}"
+              for name, tree in TREES.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert unused == []

@@ -157,7 +157,7 @@ def test_annihilation_of_ideal_evaluations(toy_sk):
     rng = Random(55)
     for _ in range(20):
         coeffs = [rng.randrange(q) for _ in range(p.n)]
-        f = Polynomial.zero(p.v, q)
+        f = Polynomial(p.v, q)
         for c, b in zip(coeffs, toy_sk.basis):
             f = f + b.scale(c)
         ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]
@@ -329,12 +329,10 @@ def test_f1q_equals_f2_post_check(toy_sk, toy_evk):
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):
     p = toy_sk.params
     width = p.u + p.q_bits
-    assert toy_evk.gadget_enabled
-    assert len(toy_evk.P1) == p.ell * width
+    assert toy_evk.input_dim == len(toy_evk.P1) == len(toy_evk.P2) == p.ell * width
     assert len(toy_evk.P1[0]) == p.t
     assert len(toy_evk.W) == p.t and len(toy_evk.W[0]) == p.ell
     assert toy_evk.k_max == Fraction(p.ell * width, 2) + 1
-    assert toy_evk.dims == (p.ell * width, p.ell * width, p.ell)
     # balanced third factor
     assert all(abs(x) <= p.q // 2 for row in toy_evk.W for x in row)
 
@@ -354,9 +352,6 @@ def test_masking_nonzero_at_small_preset(small_sk):
     e1 = build_evalkey(small_sk, rng=Random(3))
     e2 = build_evalkey(small_sk, rng=Random(4))
     assert e1.P1 != e2.P1
-    ez = build_evalkey(small_sk, rng=Random(5), zero_eps=True)
-    e0 = build_evalkey(small_sk, rng=Random(6), zero_eps=True)
-    assert ez.P1 == e0.P1
 
 
 def test_masking_column_norm_bound(small_sk):
@@ -376,20 +371,18 @@ def test_masking_column_norm_bound(small_sk):
         assert col_norm < Fraction(p.B, p.q)
 
 
-def test_plain_variant_tensor_composition(toy_sk):
-    """M assembled by chained n-mode products equals the factored entry
-    formula (plain variant: the ell^3 tensor is materializable)."""
-    p = toy_sk.params
-    evk = build_evalkey(toy_sk, rng=Random(8), gadget=False)
-    U = Tensor3.zeros(p.t, p.t, p.t)
+def test_tensor_composition_matches_factored_form():
+    """M assembled by chained n-mode products U x1 P1 x2 P2 x3 W^T equals the
+    factored entry formula, on a tiny set where the tensor is materializable."""
+    tiny = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
+    evk = build_evalkey(keygen(tiny, Random(8)), rng=Random(8))
+    U = Tensor3.zeros(tiny.t, tiny.t, tiny.t)
     for s, c in enumerate(u_coeffs(evk)):
         U.set_entry(s, s, s, c)
-    P1 = [[Fraction(x, 1 << p.u) for x in row] for row in evk.P1]
-    P2 = [[Fraction(x, 1 << p.u) for x in row] for row in evk.P2]
-    Wt = [[Fraction(x) for x in row] for row in transpose(evk.W)]
-    M = n_mode_product(n_mode_product(n_mode_product(U, P1, 1), P2, 2), Wt, 3)
+    M = n_mode_product(n_mode_product(n_mode_product(U, evk.P1, 1), evk.P2, 2),
+                       transpose(evk.W), 3)
     assert M == evalkey_tensor(evk)
-    assert M.dims == (p.ell, p.ell, p.ell)
+    assert M.dims == (evk.input_dim, evk.input_dim, tiny.ell)
 
 
 def test_evalkey_denominators_divide_q_2_2u():
@@ -408,18 +401,19 @@ def test_evalkey_denominators_divide_q_2_2u():
                 assert lim % e.denominator == 0
 
 
-def test_zero_eps_pipeline_matches_polynomial_reduction(toy_sk):
-    """With zero noise and zero masking, the multiplication pipeline's
-    reduced stage equals evaluations of reduce_by_set(f1*f2) mod q."""
+def test_noiseless_pipeline_matches_polynomial_reduction(toy_sk):
+    """With zero noise (and the zero masking of the toy scale, pinned by
+    test_masking_zero_at_toy_scale), the multiplication pipeline's reduced
+    stage equals evaluations of reduce_by_set(f1*f2) mod q."""
     p = toy_sk.params
     q = p.q
     rng = Random(60)
-    evk = build_evalkey(toy_sk, rng=rng, zero_eps=True)
+    evk = build_evalkey(toy_sk, rng=rng)
     G = build_G(toy_sk)
     for _ in range(5):
         fs, cts = [], []
         for _ in range(2):
-            f = Polynomial.zero(p.v, q)
+            f = Polynomial(p.v, q)
             for b in toy_sk.basis:
                 f = f + b.scale(rng.randrange(q))
             ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]

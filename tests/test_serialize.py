@@ -9,7 +9,6 @@ import pytest
 
 from mvphe import (
     Ciphertext,
-    build_evalkey,
     decrypt,
     encrypt,
     eval_mult,
@@ -17,10 +16,12 @@ from mvphe import (
     pk_keygen,
     preset_params,
 )
+from mvphe.cli import main
 from mvphe.errors import FormatError
 from mvphe.serialize import (
     MAGIC,
     _Reader,
+    _w_fraction,
     load_ciphertext,
     load_evalkey,
     load_params,
@@ -73,21 +74,11 @@ def test_evalkey_roundtrip(tmp_path, toy_sk, toy_evk):
     back = load_evalkey(path)
     assert back.P1 == toy_evk.P1 and back.P2 == toy_evk.P2
     assert back.W == toy_evk.W
-    assert back.k_max == toy_evk.k_max
-    assert back.gadget_enabled and back.u == toy_evk.u
+    assert back.params == toy_evk.params and back.k_max == toy_evk.k_max
     rng = Random(142)
     c = eval_mult(back, encrypt(toy_sk, [1, 1], rng),
                   encrypt(toy_sk, [1, 0], rng))
     assert decrypt(toy_sk, c) == [1, 0]
-
-
-def test_plain_evalkey_roundtrip(tmp_path, toy_sk):
-    evk = build_evalkey(toy_sk, rng=Random(143), gadget=False)
-    path = str(tmp_path / "evk.bin")
-    save_evalkey(evk, path)
-    back = load_evalkey(path)
-    assert not back.gadget_enabled
-    assert back.k_max == evk.k_max and back.P1 == evk.P1
 
 
 def test_public_key_roundtrip(tmp_path, toy_sk):
@@ -204,13 +195,22 @@ def test_reader_rejects_malformed_primitives():
 
 # --- shape and range checks (files re-sealed with a valid checksum) ---------
 
-def test_evalkey_factor_shapes_checked(tmp_path, toy_sk, toy_evk):
+def _patch_payload(path: str, offset: int, old_len: int, new: bytes) -> None:
+    """Replace ``old_len`` bytes at ``offset`` into the payload (negative:
+    into the parameter block) and re-seal the checksum."""
+    with open(path, "rb") as fh:
+        body = fh.read()[:-32]
+    # payload starts after magic, version, type, block length and block
+    at = 11 + int.from_bytes(body[7:11], "little") + offset
+    body = body[:at] + new + body[at + old_len:]
+    with open(path, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
+
+
+def test_evalkey_factor_shapes_checked(tmp_path, toy_evk):
     path = str(tmp_path / "evk.bin")
-    plain = build_evalkey(toy_sk, rng=Random(149), gadget=False)
     for bad in (replace(toy_evk, P1=toy_evk.P1[:-1]),
-                replace(toy_evk, P2=[row[:-1] for row in toy_evk.P2]),
-                replace(plain, P1=toy_evk.P1),  # gadget-sized rows, plain flag
-                replace(plain, P2=plain.P2[:-1])):
+                replace(toy_evk, P2=[row[:-1] for row in toy_evk.P2])):
         save_evalkey(bad, path)
         with pytest.raises(FormatError, match="P[12] is"):
             load_evalkey(path)
@@ -218,12 +218,48 @@ def test_evalkey_factor_shapes_checked(tmp_path, toy_sk, toy_evk):
 
 def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
     path = str(tmp_path / "evk.bin")
-    for bad, match in ((replace(toy_evk, W=toy_evk.W[:-1]), "W is"),
-                       (replace(toy_evk, W=[row[:-1] for row in toy_evk.W]), "W is"),
-                       (replace(toy_evk, u=toy_evk.u + 1), f"u = {toy_evk.u + 1}")):
+    for bad in (replace(toy_evk, W=toy_evk.W[:-1]),
+                replace(toy_evk, W=[row[:-1] for row in toy_evk.W])):
         save_evalkey(bad, path)
-        with pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError, match="W is"):
             load_evalkey(path)
+    save_evalkey(toy_evk, path)
+    u = toy_evk.params.u
+    _patch_payload(path, 1, 4, (u + 1).to_bytes(4, "little"))  # after the form byte
+    with pytest.raises(FormatError, match=f"u = {u + 1}"):
+        load_evalkey(path)
+
+
+def test_evalkey_form_byte_and_carry_bound_checked(tmp_path, toy_sk, toy_evk, capsys):
+    path = str(tmp_path / "evk.bin")
+    save_evalkey(toy_evk, path)
+    _patch_payload(path, 0, 1, b"\x00")
+    with pytest.raises(FormatError, match="gadget flag 0"):
+        load_evalkey(path)
+    # k_max follows the form byte and u; an understated bound is refused
+    save_evalkey(toy_evk, path)
+    stored, one = bytearray(), bytearray()
+    _w_fraction(stored, toy_evk.k_max)
+    _w_fraction(one, 1)
+    _patch_payload(path, 5, len(stored), bytes(one))
+    with pytest.raises(FormatError, match="k_max = 1,"):
+        load_evalkey(path)
+    ct = str(tmp_path / "ct.bin")
+    save_ciphertext(encrypt(toy_sk, [1, 1], Random(149)), toy_sk.params, ct)
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
+                 "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_params_gadget_flag_checked(tmp_path, toy_params):
+    path = str(tmp_path / "p.bin")
+    save_params(toy_params, path)
+    _patch_payload(path, -1, 1, b"\x00")  # the block's last byte
+    with pytest.raises(FormatError, match="gadget flag 0"):
+        load_params(path)
 
 
 def test_key_matrix_shapes_checked(tmp_path, toy_sk):
