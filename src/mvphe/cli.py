@@ -15,9 +15,10 @@ Verbs:
 
 Every verb that draws randomness accepts ``--seed``; with a fixed seed every
 output file is byte-identical across runs.  ``--preset`` names the parameter
-set for ``params`` and ``keygen``; the other verbs read it from their input
-files.  Files carry a parameter fingerprint, and verbs that combine files
-refuse to run when the fingerprints disagree.
+set for ``params`` and ``keygen`` (which takes it or ``--params``, not both);
+the other verbs read it from their input files.  Files carry a parameter
+fingerprint, and verbs that combine files refuse to run when the
+fingerprints disagree.
 """
 
 from __future__ import annotations
@@ -82,24 +83,15 @@ def _fmt_matrix(name: str, m) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_params(args) -> int:
+    # each option's dest is the setup()/preset_params() keyword it sets
+    overrides = {name: getattr(args, name)
+                 for name in ("lambda_", "L", "v", "r_g", "r_prime", "ell",
+                              "q_bits", "sigma", "u", "B")
+                 if getattr(args, name) is not None}
     if args.preset:
-        overrides = {}
-        if args.lambda_ is not None:
-            overrides["lambda_"] = args.lambda_
-        if args.depth is not None:
-            overrides["L"] = args.depth
         p = preset_params(args.preset, rng=_modulus_rng(args), **overrides)
     else:
-        kwargs = {}
-        for name in ("v", "r_g", "r_prime", "ell", "q_bits", "sigma", "u"):
-            val = getattr(args, name, None)
-            if val is not None:
-                kwargs[name] = val
-        if args.noise_bound is not None:
-            kwargs["B"] = args.noise_bound
-        p = setup(args.lambda_ if args.lambda_ is not None else 64,
-                  args.depth if args.depth is not None else 1,
-                  rng=_modulus_rng(args), **kwargs)
+        p = setup(rng=_modulus_rng(args), **overrides)
     margin = p.depth_margin()
     print("parameter set")
     print(f"  lambda         {p.lambda_}")
@@ -258,27 +250,30 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None,
                         help="seed for all randomness (reproducible output)")
-    preset = argparse.ArgumentParser(add_help=False)
-    preset.add_argument("--preset", choices=sorted(PRESETS), default=None,
-                        help="named parameter set")
+    preset = dict(choices=sorted(PRESETS), default=None,
+                  help="named parameter set")
 
-    p = sub.add_parser("params", parents=[seeded, preset],
+    p = sub.add_parser("params", parents=[seeded],
                        help="print/save a parameter set")
+    p.add_argument("--preset", **preset)
     p.add_argument("--lambda", dest="lambda_", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None, help="multiplicative depth L")
-    for name, kind in (("--v", int), ("--r-g", int), ("--r-prime", int),
-                       ("--ell", int), ("--q-bits", int), ("--sigma", int),
-                       ("--u", int)):
-        p.add_argument(name, dest=name[2:].replace("-", "_"), type=kind,
+    p.add_argument("--depth", dest="L", type=int, default=None,
+                   help="multiplicative depth L")
+    for name in ("--v", "--r-g", "--r-prime", "--ell", "--q-bits", "--sigma",
+                 "--u"):
+        p.add_argument(name, dest=name[2:].replace("-", "_"), type=int,
                        default=None)
-    p.add_argument("--noise-bound", type=int, default=None,
+    p.add_argument("--noise-bound", dest="B", type=int, default=None,
                    help="noise bound B (default ceil(6*sigma))")
     p.add_argument("--out", default=None, help="write the parameter file here")
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("keygen", parents=[seeded, preset],
+    p = sub.add_parser("keygen", parents=[seeded],
                        help="generate a secret key")
-    p.add_argument("--params", default=None, help="parameter file (else preset)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--preset", **preset)
+    source.add_argument("--params", default=None,
+                        help="parameter file (default: the toy preset)")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-keys", action="store_true",
                    help="also print the key components")

@@ -60,6 +60,7 @@ from .linalg import (
     inverse_mod_q,
     mat_mul,
     rank_mod_q,
+    vec_mat,
     zeros,
 )
 from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
@@ -259,7 +260,8 @@ class SecretKey:
     """Secret key material plus derived encryption/decryption matrices.
 
     Core fields (g, points, S, R1, R2) determine everything; the derived
-    matrices are recomputed deterministically on deserialization.
+    matrices are recomputed deterministically on construction and are not
+    settable.
     """
 
     params: Params
@@ -268,26 +270,19 @@ class SecretKey:
     S: Matrix
     R1: Matrix
     R2: Matrix
-    # derived
-    basis_h: list[Polynomial] = field(repr=False, default_factory=list)
-    basis: list[Polynomial] = field(repr=False, default_factory=list)
-    R: Matrix = field(repr=False, default_factory=list)
-    R_inv: Matrix = field(repr=False, default_factory=list)
-    S_enc: Matrix = field(repr=False, default_factory=list)
-    S_dec: Matrix = field(repr=False, default_factory=list)
-    E1_inv: Matrix = field(repr=False, default_factory=list)
+    # derived by __post_init__, not settable
+    basis: list[Polynomial] = field(init=False, repr=False)
+    R: Matrix = field(init=False, repr=False)
+    R_inv: Matrix = field(init=False, repr=False)
+    S_enc: Matrix = field(init=False, repr=False)
+    S_dec: Matrix = field(init=False, repr=False)
+    E1_inv: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.basis:
-            self._derive()
-
-    def _derive(self) -> None:
         p = self.params
         q = p.q
-        self.basis_h = [
-            Polynomial.monomial(p.v, q, m) for m in enumerate_monomials(p.v, p.r_prime)
-        ]
-        self.basis = [self.g * h for h in self.basis_h]
+        self.basis = [self.g * Polynomial.monomial(p.v, q, m)
+                      for m in enumerate_monomials(p.v, p.r_prime)]
         n, ell, k = p.n, p.ell, p.ell - p.n
         # R = [[R1, R2^T], [0, I]]  (random block above the diagonal)
         R = zeros(ell, ell)
@@ -316,9 +311,6 @@ class SecretKey:
         self.S_dec = mat_mul(self.R_inv, SI_t, q)
         E1 = [[b.eval(z) % q for z in self.points[:n]] for b in self.basis]
         self.E1_inv = inverse_mod_q(E1, q)
-
-    def eval_basis_at(self, z: tuple[int, ...]) -> list[int]:
-        return [b.eval(z) % self.params.q for b in self.basis]
 
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
@@ -390,10 +382,8 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         pts = pts + extras
         # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
         E1_inv = inverse_mod_q(E1, q)
-        S = []
-        for j in range(p.n, p.ell):
-            col = [[-E[i][j] % q] for i in range(p.n)]
-            S.append([row[0] for row in mat_mul(E1_inv, col, q)])
+        S_t = mat_mul(E1_inv, [[-x for x in row[p.n:]] for row in E], q)
+        S = [list(col) for col in zip(*S_t)]
         R1 = None
         for _ in range(RETRY_CAP):
             cand_r1 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.n)]
@@ -511,20 +501,18 @@ def _sample_masking_block(p: Params, rng: Random) -> Matrix:
 def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
     """Unmasking matrix D = R^{-1}·[[I, S^T],[0, I]] + masking, times 2^u.
 
-    Returned as the exact integer matrix D·2^u (entries of D are balanced
-    integers plus dyadic masking with u fractional bits).
+    No product is formed: the first n columns of [[I, S^T],[0, I]] are unit
+    vectors and the rest are [S | I]^T, so D = [first n columns of R^{-1} |
+    S_dec], both already derived by the secret key.  Returned as the exact
+    integer matrix D·2^u (entries of D are balanced integers plus dyadic
+    masking with u fractional bits).
     """
     p = sk.params
-    q = p.q
-    n, ell = p.n, p.ell
-    IS = identity(ell)
-    for i in range(n):
-        for j in range(ell - n):
-            IS[i][n + j] = sk.S[j][i] % q
-    D = balanced_matrix(mat_mul(sk.R_inv, IS, q), q)
+    n = p.n
+    D = balanced_matrix([r[:n] + s for r, s in zip(sk.R_inv, sk.S_dec)], p.q)
     scaled = [[x << p.u for x in row] for row in D]
     for i in range(n):
-        for j in range(ell - n):
+        for j in range(p.ell - n):
             scaled[i][n + j] += eps[i][j]
     return scaled
 
@@ -537,16 +525,15 @@ def _build_A(sk: SecretKey) -> Matrix:
     degree <= r.
     """
     p = sk.params
-    q = p.q
-    A = zeros(p.ell, p.t)
-    for i in range(p.ell):
-        A[i][i] = 1
-    for k in range(p.ell, p.t):
-        col = [[v] for v in sk.eval_basis_at(sk.points[k])]
-        alpha = mat_mul(sk.E1_inv, col, q)
-        for i in range(p.n):
-            A[i][k] = alpha[i][0]
-    return A
+    evals = [[b.eval(z) for z in sk.points[p.ell:]] for b in sk.basis]
+    ext = mat_mul(sk.E1_inv, evals, p.q) + zeros(p.ell - p.n, p.t - p.ell)
+    return [row + ext_row for row, ext_row in zip(identity(p.ell), ext)]
+
+
+def _sub_rows(p: Params) -> list[int]:
+    """Rows of B and Q that F1p^{-1} solves for: z_1..z_n, then the
+    extension points (F1p's columns, in order)."""
+    return [*range(p.n), *range(p.ell, p.t)]
 
 
 def _build_B(sk: SecretKey, F1: Matrix, F1p_inv: Matrix) -> Matrix:
@@ -558,15 +545,10 @@ def _build_B(sk: SecretKey, F1: Matrix, F1p_inv: Matrix) -> Matrix:
     points.
     """
     p = sk.params
-    q = p.q
     B = identity(p.t)
-    for j in range(p.n, p.ell):
-        rhs = [[F1[r][j]] for r in range(p.n1)]
-        beta = mat_mul(F1p_inv, rhs, q)
-        for i in range(p.n):
-            B[i][j] = beta[i][0]
-        for i in range(p.n1 - p.n):
-            B[p.ell + i][j] = beta[p.n + i][0]
+    beta = mat_mul(F1p_inv, [row[p.n:p.ell] for row in F1], p.q)
+    for i, row in zip(_sub_rows(p), beta):
+        B[i][p.n:p.ell] = row
     return B
 
 
@@ -585,12 +567,10 @@ def _build_Q(sk: SecretKey, F1: Matrix, F2: Matrix, F1p_inv: Matrix) -> Matrix:
             for j in range(p.ell)] for r in range(p.n1)]
     X = mat_mul(F1p_inv, rhs, q)
     Q = zeros(p.t, p.ell)
-    for i in range(p.n):
-        Q[i] = X[i][:]
-    for j in range(p.ell - p.n):
-        Q[p.n + j][p.n + j] = 1
-    for i in range(p.n1 - p.n):
-        Q[p.ell + i] = X[p.n + i][:]
+    for j in range(p.n, p.ell):
+        Q[j][j] = 1
+    for i, row in zip(_sub_rows(p), X):
+        Q[i] = row
     return Q
 
 
@@ -606,8 +586,7 @@ def _stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
     q = p.q
     basis2 = _ideal_basis_2r(p, sk.g)
     F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
-    sub_idx = list(range(p.n)) + list(range(p.ell, p.t))
-    F1p = [[F1[r][c] for c in sub_idx] for r in range(p.n1)]
+    F1p = [row[:p.n] + row[p.ell:] for row in F1]
     try:
         F1p_inv = inverse_mod_q(F1p, q)
     except SingularMatrixError as exc:
@@ -685,18 +664,7 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
 
 def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
     """Integer matrix product without modular reduction."""
-    n, k, m = len(A), len(B), len(B[0])
-    out = zeros(n, m)
-    for i in range(n):
-        row_a = A[i]
-        row_o = out[i]
-        for s in range(k):
-            a = row_a[s]
-            if a:
-                row_b = B[s]
-                for j in range(m):
-                    row_o[j] += a * row_b[j]
-    return out
+    return [vec_mat(row, B) for row in A]
 
 
 def _bitdecomp_matrix_times(D_scaled: Matrix, A: Matrix, p: Params, q: int) -> Matrix:

@@ -2,12 +2,15 @@
 
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
-into [0, q); use ``balanced_matrix`` when the balanced form is needed.
+into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
+exception is ``vec_mat``, the exact integer product everything builds on.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .arith import balance
 from .errors import ParameterError, SingularMatrixError
@@ -36,27 +39,30 @@ def balanced_matrix(A: Matrix, q: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# mod-q arithmetic
+# products
 # ---------------------------------------------------------------------------
+
+def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
+    """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced.
+
+    The one multiply-accumulate loop of the package: encryption, decryption,
+    the AND contraction and every key-construction product run through it.
+    """
+    out = [0] * len(M[0]) if M else []
+    cols = range(len(out))
+    for a, row in zip(v, M):
+        if a:
+            for j in cols:
+                out[j] += a * row[j]
+    return out
+
 
 def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:
     n, k = dims(A)
     k2, m = dims(B)
     if k != k2:
         raise ParameterError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    out = zeros(n, m)
-    for i in range(n):
-        row_a = A[i]
-        row_o = out[i]
-        for s in range(k):
-            a = row_a[s]
-            if a:
-                row_b = B[s]
-                for j in range(m):
-                    row_o[j] += a * row_b[j]
-        for j in range(m):
-            row_o[j] %= q
-    return out
+    return [[x % q for x in vec_mat(row, B)] for row in A]
 
 
 # ---------------------------------------------------------------------------

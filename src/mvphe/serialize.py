@@ -22,9 +22,10 @@ derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction.  Evaluation keys store their factored form
 verbatim, after a key-form byte (always 1, the gadget form), u and the
 carry bound k_max, all of which must agree with the parameters.  The
-parameter block ends with the same key-form byte.  Noise hints on
-ciphertexts are serialized (they are useful diagnostics) but remain
-advisory.
+parameter block ends with the same key-form byte.  Public-key files store
+eps, which must be PK_EPS = 1/10, then exactly d = ceil(1.1·ell·log2 q)
+zero encryptions.  Noise hints on ciphertexts are serialized (they are
+useful diagnostics) but remain advisory.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import FormatError, ParameterError
 from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
 from .mvpoly import Polynomial, grevlex_key
-from .she import Ciphertext, PublicKey
+from .she import PK_EPS, Ciphertext, PublicKey, pk_rows
 
 __all__ = [
     "MAGIC", "VERSION", "params_fingerprint",
@@ -165,13 +166,12 @@ class _Reader:
     def intvec(self) -> list[int]:
         return [self.int_() for _ in range(self.uint(4))]
 
-    def matrix(self, name: str, rows: int | None, cols: int) -> Matrix:
-        """A matrix that must be rows x cols; rows=None accepts any count."""
+    def matrix(self, name: str, rows: int, cols: int) -> Matrix:
+        """A matrix that must be rows x cols."""
         have_rows, have_cols = self.uint(4), self.uint(4)
-        if have_cols != cols or rows not in (None, have_rows):
-            want = "any" if rows is None else rows
-            raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {want}x{cols}")
-        return [[self.int_() for _ in range(cols)] for _ in range(have_rows)]
+        if (have_rows, have_cols) != (rows, cols):
+            raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {rows}x{cols}")
+        return [[self.int_() for _ in range(cols)] for _ in range(rows)]
 
     def end(self) -> None:
         if self.pos != len(self.data):
@@ -350,7 +350,7 @@ def load_evalkey(path: str) -> EvalKey:
 
 def save_public_key(pk: PublicKey, path: str) -> None:
     buf = bytearray()
-    _w_fraction(buf, pk.eps)
+    _w_fraction(buf, PK_EPS)
     _w_matrix(buf, pk.C0)
     _w_matrix(buf, pk.C_unit)
     _write_container(path, TYPE_PUBLIC, pk.params, bytes(buf))
@@ -359,10 +359,12 @@ def save_public_key(pk: PublicKey, path: str) -> None:
 def load_public_key(path: str) -> PublicKey:
     params, r = _read_container(path, TYPE_PUBLIC)
     eps = r.fraction()
-    C0 = r.matrix("C0", None, params.ell)
+    if eps != PK_EPS:
+        raise FormatError(f"public key has eps = {eps}, expected {PK_EPS}")
+    C0 = r.matrix("C0", pk_rows(params), params.ell)
     C_unit = r.matrix("C_unit", params.message_bits, params.ell)
     r.end()
-    return PublicKey(params=params, eps=eps, C0=C0, C_unit=C_unit)
+    return PublicKey(params=params, C0=C0, C_unit=C_unit)
 
 
 def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:

@@ -39,7 +39,7 @@ from typing import Sequence
 from .arith import NoiseSampler, Rational, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey, _powersoftwo_numerators
-from .linalg import Matrix
+from .linalg import Matrix, vec_mat
 
 __all__ = [
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
@@ -99,22 +99,10 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     # pre-mixing vector: y spread by S_enc, message + noise on the message band
     # (the band is exactly what [S | I]^T reads back out, so noise added
     # anywhere else would be amplified by S at decryption)
-    pre = [0] * p.ell
-    for i in range(p.n):
-        yi = y[i]
-        if yi:
-            row = sk.S_enc[i]
-            for j in range(p.ell):
-                pre[j] += yi * row[j]
+    pre = vec_mat(y, sk.S_enc)
     for j in range(p.message_bits):
         pre[p.n + j] += m[j] * half + e[j]
-    vec = [0] * p.ell
-    for i in range(p.ell):
-        xi = pre[i]
-        if xi:
-            row = sk.R[i]
-            for j in range(p.ell):
-                vec[j] += xi * row[j]
+    vec = vec_mat(pre, sk.R)
     hint = 0 if zero_noise else p.B
     return Ciphertext(vec=vec, level=0, q=q, noise_hint=hint)
 
@@ -140,17 +128,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
 
 
 def _apply_sdec(sk: SecretKey, vec: Sequence[int]) -> list[int]:
-    p = sk.params
-    q = p.q
-    k = p.ell - p.n
-    out = [0] * k
-    for i in range(p.ell):
-        xi = vec[i]
-        if xi:
-            row = sk.S_dec[i]
-            for j in range(k):
-                out[j] += xi * row[j]
-    return [balance(x, q) for x in out]
+    return [balance(x, sk.params.q) for x in vec_mat(vec, sk.S_dec)]
 
 
 def noise_of(sk: SecretKey, ct: Ciphertext, m: Sequence[int]) -> list[int]:
@@ -186,14 +164,17 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """Homomorphic AND via the multiplication key.
 
     Contracts the key's tensor with the two transformed ciphertexts and
-    floors the result.  Internally runs the factored form: with
-    x_s = <t1, P1[:,s]>, y_s = <t2, P2[:,s]> (t_i the gadget transform of
-    ct_i), the k-th output is
+    floors the result.  Internally runs the factored form in three layers:
+    the gadget transforms t_i of ct_i (``_powersoftwo_numerators``); the
+    products x = t1·P1 and y = t2·P2 (``vec_mat``); and the W contraction.
+    That last layer first forms z_s = x_s·y_s·u_s, then z·W, so the k-th
+    output is
 
-        floor( sum_s u_s * x_s * y_s * W[s,k] )  mod q,
+        floor( sum_s z_s * W[s,k] )  mod q,
 
-    accumulated as a single integer numerator over the common denominator
-    q·2^(2u'), so the floor is one exact integer division.
+    where u_s is 2/q on the message band and 1 elsewhere.  Each sum is one
+    integer numerator over the common denominator q·2^(2u), so the floor
+    is one exact integer division.
     """
     p = evk.params
     q = p.q
@@ -207,99 +188,68 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         )
     t1 = _powersoftwo_numerators(ct1.vec, q, p.u)
     t2 = _powersoftwo_numerators(ct2.vec, q, p.u)
-    x = _columns_dot(t1, evk.P1)
-    y = _columns_dot(t2, evk.P2)
-    # denominator 2^u from each gadget transform
+    x = vec_mat(t1, evk.P1)
+    y = vec_mat(t2, evk.P2)
+    # u_s times the common denominator q·2^(2u) (2^u from each transform)
+    n, ell = p.n, p.ell
+    z = [xs * ys * (2 if n <= s < ell else q)
+         for s, (xs, ys) in enumerate(zip(x, y))]
     denom = q << (2 * p.u)
-    n, ell, t = p.n, p.ell, p.t
-    out = []
-    for k in range(ell):
-        acc = 0
-        for s in range(t):
-            w = evk.W[s][k]
-            if not w:
-                continue
-            prod = x[s] * y[s]
-            if not prod:
-                continue
-            # fold in u_s: 1 on head/extension slices, 2/q on the message band
-            acc += (2 * prod * w) if n <= s < ell else (q * prod * w)
-        out.append(balance((acc // denom) % q, q))
+    out = [balance(acc // denom, q) for acc in vec_mat(z, evk.W)]
     hint = None
     if ct1.noise_hint is not None and ct2.noise_hint is not None:
         hint = mult_noise_hint(evk, ct1.noise_hint, ct2.noise_hint)
     return Ciphertext(vec=out, level=level, q=q, noise_hint=hint)
 
 
-def _columns_dot(t: Sequence[int], P: Matrix) -> list[int]:
-    """All column inner products <t, P[:,s]> as integers."""
-    cols = len(P[0])
-    out = [0] * cols
-    for i, a in enumerate(t):
-        if a:
-            row = P[i]
-            for s in range(cols):
-                out[s] += a * row[s]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public-key mode
 # ---------------------------------------------------------------------------
+
+#: Public-key slack eps; public-key files store it, so it stays 1/10.
+PK_EPS = Fraction(1, 10)
+
+
+def pk_rows(p: Params) -> int:
+    """d = ceil((1 + eps)·ell·log2 q), the zero encryptions in a public key."""
+    return math.ceil((1 + PK_EPS) * p.ell * p.q_bits)
+
 
 @dataclass
 class PublicKey:
     """Encryptions of zero (C0) and of the unit bit vectors (C_unit).
 
-    d = ceil((1+eps)·ell·log2 q) zero encryptions make random subset sums
+    d = pk_rows(params) zero encryptions make random subset sums
     statistically close to fresh encryptions of zero; adding the unit-vector
     rows for the set bits of m yields an encryption of m without the secret
     key.
     """
 
     params: Params
-    eps: Fraction
     C0: Matrix
     C_unit: Matrix
 
     @property
     def d(self) -> int:
-        return len(self.C0)
+        return pk_rows(self.params)
 
 
-def pk_keygen(sk: SecretKey, rng: Random, eps: Rational = Fraction(1, 10)) -> PublicKey:
+def pk_keygen(sk: SecretKey, rng: Random) -> PublicKey:
     p = sk.params
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ParameterError("eps must be >= 0")
-    d = math.ceil((1 + eps) * p.ell * p.q_bits)
     zero = [0] * p.message_bits
-    C0 = [encrypt(sk, zero, rng).vec for _ in range(d)]
+    C0 = [encrypt(sk, zero, rng).vec for _ in range(pk_rows(p))]
     C_unit = []
     for j in range(p.message_bits):
         e_j = [1 if i == j else 0 for i in range(p.message_bits)]
         C_unit.append(encrypt(sk, e_j, rng).vec)
-    return PublicKey(params=p, eps=eps, C0=C0, C_unit=C_unit)
+    return PublicKey(params=p, C0=C0, C_unit=C_unit)
 
 
 def pk_encrypt(pk: PublicKey, m: Sequence[int], rng: Random) -> Ciphertext:
     """Encrypt with the public key: unit rows for set bits + random zero subset."""
     p = pk.params
-    q = p.q
     m = _check_message(p, m)
-    acc = [0] * p.ell
-    weight = 0
-    for j, bit in enumerate(m):
-        if bit:
-            weight += 1
-            row = pk.C_unit[j]
-            for i in range(p.ell):
-                acc[i] += row[i]
-    subset = 0
-    for row in pk.C0:
-        if rng.randrange(2):
-            subset += 1
-            for i in range(p.ell):
-                acc[i] += row[i]
-    hint = (weight + subset) * p.B
-    return Ciphertext(vec=acc, level=0, q=q, noise_hint=hint)
+    subset = [rng.randrange(2) for _ in pk.C0]
+    vec = vec_mat(m + subset, pk.C_unit + pk.C0)
+    hint = (sum(m) + sum(subset)) * p.B
+    return Ciphertext(vec=vec, level=0, q=p.q, noise_hint=hint)

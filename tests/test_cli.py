@@ -1,5 +1,7 @@
 """End-to-end command-line workflows (run in-process through cli.main)."""
 
+import hashlib
+
 import pytest
 
 from mvphe import serialize
@@ -35,6 +37,15 @@ def test_params_custom_dimensions(capsys):
     assert "n < ell <= N   2 < 3 <= 3" in out
 
 
+def test_params_preset_takes_every_override(capsys):
+    assert main(["params", "--preset", "toy", "--ell", "9", "--u", "3",
+                 "--noise-bound", "50", "--depth", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "n < ell <= N   6 < 9 <= 10" in out
+    assert "sigma, B, u    8, 50, 3" in out
+    assert "depth L        1" in out
+
+
 def test_params_bad_depth_exits_2(capsys):
     assert main(["params", "--depth", "0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -65,6 +76,14 @@ def test_keygen_is_seeded_deterministic(tmp_path, capsys):
     capsys.readouterr()
     with open(a, "rb") as f1, open(b, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_keygen_takes_params_or_preset_not_both(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--params", str(tmp_path / "p.bin"), "--preset",
+              "depth3", "--out", str(tmp_path / "sk.bin")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_keygen_dump_keys(tmp_path, capsys):
@@ -210,7 +229,6 @@ def test_noise_verb_with_expected_bits(workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "plaintext  10" in out and "hint       48" in out
 
-
 # --- public key --------------------------------------------------------------
 
 def test_pk_workflow(workdir, tmp_path, capsys):
@@ -240,3 +258,46 @@ def test_bench_csv_structure(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == ["8", "12", "16"]
     assert all(float(r[3]) > 0 for r in rows)
+
+
+# --- file bytes --------------------------------------------------------------
+
+# sha256 of the toy files each verb writes under --seed 7.  Files must stay
+# byte-identical under a fixed seed; a change here is a format change and
+# needs a VERSION bump.
+PINNED_TOY_SEED_7 = {
+    "params.bin": "80f5344d8c925855f3a322c992dcca7793386c73a1e850086caea5d2ca8729cd",
+    "sk.bin": "9a36e15204f9fa4d61b8cab59b6c44c88ee6d348280889e8fa56cce5d5b1b511",
+    "evk.bin": "10bee363be0d50fa59d3d3d280023af283633acacb3ea8fb0ccfec754fca9b9f",
+    "pk.bin": "e9a4994bb418177d40d369772a8d692a019b0380288e869a823b96973303b32a",
+    "ct.bin": "648528b10031bf11c6ae51ade5309ef3c994904295a50d20a8546e0ea04da5de",
+    "pct.bin": "0ff73ef9538a694e1143ffbf0600638f27db763897d1659f4d783012564e9201",
+    "out0.bin": "e74fe93b728dbfc6a7909bebb7fa1724f5164fdc98278a32462dac996f695c48",
+    "out1.bin": "7ce30849d144b08effd568662137bfc602c7a69c4e872b843bc1b5856c64a6a2",
+}
+
+
+def test_seeded_toy_files_are_pinned(tmp_path, capsys):
+    f = {name: str(tmp_path / name) for name in PINNED_TOY_SEED_7}
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nx = XOR t b\nout t\nout x\n",
+                       encoding="utf-8")
+    seed = ["--seed", "7"]
+    for argv in (["params", "--preset", "toy", "--out", f["params.bin"]],
+                 ["keygen", "--preset", "toy", "--out", f["sk.bin"]],
+                 ["evalkey", "--key", f["sk.bin"], "--out", f["evk.bin"]],
+                 ["pk-keygen", "--key", f["sk.bin"], "--out", f["pk.bin"]],
+                 ["encrypt", "--key", f["sk.bin"], "--bits", "11",
+                  "--out", f["ct.bin"]],
+                 ["pk-encrypt", "--pk", f["pk.bin"], "--bits", "10",
+                  "--out", f["pct.bin"]]):
+        assert main(argv + seed) == 0
+    assert main(["eval", "--evalkey", f["evk.bin"], "--circuit", str(netlist),
+                 "--in", f["ct.bin"], f["pct.bin"],
+                 "--out-prefix", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    got = {}
+    for name, path in f.items():
+        with open(path, "rb") as fh:
+            got[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert got == PINNED_TOY_SEED_7

@@ -11,6 +11,7 @@ from mvphe import (
     PRESETS,
     Params,
     Polynomial,
+    SecretKey,
     bitdecomp,
     build_G,
     build_evalkey,
@@ -108,6 +109,14 @@ def test_params_derived_fields_are_not_settable():
     with pytest.raises(TypeError):
         Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8,
                q=858024799843, sigma=8, B=48, u=8, n=99)
+
+
+def test_secret_key_derived_fields_are_not_settable(toy_sk):
+    core = dict(params=toy_sk.params, g=toy_sk.g, points=toy_sk.points,
+                S=toy_sk.S, R1=toy_sk.R1, R2=toy_sk.R2)
+    assert SecretKey(**core) == toy_sk
+    with pytest.raises(TypeError):
+        SecretKey(**core, R=[])
 
 
 # --- keygen ---------------------------------------------------------------

@@ -6,7 +6,16 @@ from random import Random
 import pytest
 
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
-from mvphe.linalg import _eliminate, identity, inverse_mod_q, mat_mul, rank_mod_q, zeros
+from mvphe.keys import mat_mul_exact
+from mvphe.linalg import (
+    _eliminate,
+    identity,
+    inverse_mod_q,
+    mat_mul,
+    rank_mod_q,
+    vec_mat,
+    zeros,
+)
 from oracles import Tensor3, bilinear_eval, n_mode_product, transpose
 
 Q40 = 858024799843  # a 40-bit prime
@@ -80,6 +89,30 @@ def triple_loop_mode_product(T, M, mode):
                                 sum(Fraction(M[a][k]) * T.entry(i, j, k)
                                     for k in range(d3)))
     return R
+
+
+def triple_sum_product(A, B):
+    return [[sum(A[i][s] * B[s][j] for s in range(len(B)))
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+def test_products_against_triple_sum():
+    """vec_mat, mat_mul_exact and mat_mul on signed entries, with zero rows
+    in both factors and zero entries in the vectors."""
+    rng = Random(37)
+    for _ in range(30):
+        n, k, m = rng.randrange(1, 7), rng.randrange(1, 9), rng.randrange(1, 7)
+        A = [[rng.choice((0, rng.randrange(-Q40, Q40))) for _ in range(k)]
+             for _ in range(n)]
+        B = [[rng.randrange(-Q40, Q40) for _ in range(m)] for _ in range(k)]
+        A[rng.randrange(n)] = [0] * k
+        B[rng.randrange(k)] = [0] * m
+        want = triple_sum_product(A, B)
+        assert [vec_mat(row, B) for row in A] == want
+        assert mat_mul_exact(A, B) == want
+        assert mat_mul(A, B, Q40) == [[x % Q40 for x in row] for row in want]
+    with pytest.raises(ParameterError):
+        mat_mul([[1, 2]], [[1, 2]], 7)
 
 
 def test_identity_inverse():

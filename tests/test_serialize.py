@@ -1,5 +1,6 @@
 """Container file format: roundtrips, integrity checks, fingerprints."""
 
+import copy
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
@@ -86,7 +87,7 @@ def test_public_key_roundtrip(tmp_path, toy_sk):
     path = str(tmp_path / "pk.bin")
     save_public_key(pk, path)
     back = load_public_key(path)
-    assert back.eps == pk.eps and back.d == pk.d
+    assert back.d == pk.d == len(back.C0)
     assert back.C0 == pk.C0 and back.C_unit == pk.C_unit
     ct = pk_encrypt(back, [0, 1], Random(145))
     assert decrypt(toy_sk, ct) == [0, 1]
@@ -267,16 +268,30 @@ def test_key_matrix_shapes_checked(tmp_path, toy_sk):
     for name in ("S", "R1", "R2"):
         m = getattr(toy_sk, name)
         for bad in (m[:-1], [row[:-1] for row in m]):
-            save_secret_key(replace(toy_sk, **{name: bad}), path)
+            key = copy.copy(toy_sk)
+            setattr(key, name, bad)
+            save_secret_key(key, path)
             with pytest.raises(FormatError, match=f"{name} is"):
                 load_secret_key(path)
     pk = pk_keygen(toy_sk, Random(150))
     for bad in (replace(pk, C0=[row[:-1] for row in pk.C0]),
+                replace(pk, C0=pk.C0[:1]),
                 replace(pk, C_unit=[row[:-1] for row in pk.C_unit]),
                 replace(pk, C_unit=pk.C_unit[:-1])):
         save_public_key(bad, path)
         with pytest.raises(FormatError, match="C0 is|C_unit is"):
             load_public_key(path)
+
+
+def test_public_key_eps_checked(tmp_path, toy_sk):
+    path = str(tmp_path / "pk.bin")
+    save_public_key(pk_keygen(toy_sk, Random(152)), path)
+    stored, half = bytearray(), bytearray()
+    _w_fraction(stored, Fraction(1, 10))
+    _w_fraction(half, Fraction(1, 2))
+    _patch_payload(path, 0, len(stored), bytes(half))
+    with pytest.raises(FormatError, match="eps = 1/2"):
+        load_public_key(path)
 
 
 def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
