@@ -35,13 +35,18 @@ eps_i, point-extension matrix A, rescaling tensor U, re-expression matrix B,
 and the reduction matrix Q that realizes polynomial division back into
 degree <= r on evaluations).  M is never materialized: the rank-1 slice
 structure lets evaluation run through the two factor matrices P_i = D_i~ · A
-and the combined third factor W = B·Q·R.
+and the combined third factor W = B·Q·R.  Every entry of P_i lies in
+0..n(q − 1): D_i~ is 0/1, and A = [I | A_ext] has entries in [0, q) with
+only n nonzero rows of A_ext.  AND multiplies the gadget-transformed
+ciphertexts by P_i through a Kronecker-packed copy of their rows
+(``EvalKey.packed``), built from the key on its first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -55,10 +60,12 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    Packed,
     balanced_matrix,
     identity,
     inverse_mod_q,
     mat_mul,
+    pack_rows,
     rank_mod_q,
     vec_mat,
     zeros,
@@ -276,7 +283,6 @@ class SecretKey:
     R_inv: Matrix = field(init=False, repr=False)
     S_enc: Matrix = field(init=False, repr=False)
     S_dec: Matrix = field(init=False, repr=False)
-    E1_inv: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -309,8 +315,6 @@ class SecretKey:
                 SI_t[i][j] = self.S[j][i] % q
             SI_t[n + j][j] = 1
         self.S_dec = mat_mul(self.R_inv, SI_t, q)
-        E1 = [[b.eval(z) % q for z in self.points[:n]] for b in self.basis]
-        self.E1_inv = inverse_mod_q(E1, q)
 
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
@@ -525,8 +529,10 @@ def _build_A(sk: SecretKey) -> Matrix:
     degree <= r.
     """
     p = sk.params
+    q = p.q
+    E1 = [[b.eval(z) % q for z in sk.points[:p.n]] for b in sk.basis]
     evals = [[b.eval(z) for z in sk.points[p.ell:]] for b in sk.basis]
-    ext = mat_mul(sk.E1_inv, evals, p.q) + zeros(p.ell - p.n, p.t - p.ell)
+    ext = mat_mul(inverse_mod_q(E1, q), evals, q) + zeros(p.ell - p.n, p.t - p.ell)
     return [row + ext_row for row, ext_row in zip(identity(p.ell), ext)]
 
 
@@ -611,9 +617,14 @@ class EvalKey:
     """Public multiplication key in factored form.
 
     ``P1``/``P2`` hold D_i~·A: the bit-decomposed columns of D_i times A,
-    as plain integers.  ``W`` is the balanced combined third factor
-    B·Q·R mod q.  The full tensor M has dims input_dim x input_dim x ell
-    (input_dim = ell·(u + q_bits)); evaluation never needs it.
+    as plain integers in 0..n(q − 1).  ``W`` is the balanced combined third
+    factor B·Q·R mod q.  The full tensor M has dims input_dim x input_dim x
+    ell (input_dim = ell·(u + q_bits)); evaluation never needs it.
+
+    ``packed`` is a cache of P1 and P2 in the form eval_mult multiplies by.
+    It is not part of the key: equality, repr and files ignore it, and
+    ``replace`` gives a key that packs its own P1/P2 afresh.  Mutating
+    P1 or P2 in place after the first eval_mult leaves it stale.
     """
 
     params: Params
@@ -631,6 +642,16 @@ class EvalKey:
         during multiplication; it feeds the tracked noise formula."""
         p = self.params
         return Fraction(p.ell * _gadget_width(p.q, p.u), 2) + 1
+
+    @cached_property
+    def packed(self) -> tuple[Packed, Packed]:
+        """P1 and P2 packed by ``pack_rows``, built on first use.
+
+        The vector bound (q·2^u)//2 bounds every entry of the gadget
+        transform ``_powersoftwo_numerators`` that eval_mult applies.
+        """
+        v_bound = (self.params.q << self.params.u) // 2
+        return pack_rows(self.P1, v_bound), pack_rows(self.P2, v_bound)
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:

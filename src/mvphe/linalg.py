@@ -3,14 +3,18 @@
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
-exception is ``vec_mat``, the exact integer product everything builds on.
+exceptions are ``vec_mat``, the exact integer product everything builds on,
+and ``packed_vec_mat``, the same product against a matrix whose rows were
+Kronecker-packed once by ``pack_rows``.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import repeat
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .arith import balance
 from .errors import ParameterError, SingularMatrixError
@@ -46,7 +50,8 @@ def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
     """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced.
 
     The one multiply-accumulate loop of the package: encryption, decryption,
-    the AND contraction and every key-construction product run through it.
+    the W contraction of AND and every key-construction product run through
+    it.  The t·P products of AND use ``packed_vec_mat``.
     """
     out = [0] * len(M[0]) if M else []
     cols = range(len(out))
@@ -55,6 +60,52 @@ def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
             for j in cols:
                 out[j] += a * row[j]
     return out
+
+
+class Packed(NamedTuple):
+    """A nonnegative matrix with each row packed into one integer."""
+
+    rows: list[int]  # row i is sum_j M[i][j]·2^(8·width·j)
+    width: int       # bytes per slot
+    cols: int
+
+
+def pack_rows(M: Matrix, v_bound: int) -> Packed:
+    """Kronecker-pack each row of a nonnegative matrix for ``packed_vec_mat``.
+
+    Slots are byte-aligned and ``width`` bytes wide, where width is the
+    least with len(M)·v_bound·max(M) < 2^(8·width − 1).  Then every slot of
+    v·M with all |v_k| <= v_bound lies strictly inside ±2^(8·width − 1), so
+    the products of whole rows never carry from one slot into the next.
+    Negative entries would borrow across slots and are refused.  Rows are
+    packed one at a time, so no matrix-sized integer is ever built.
+    """
+    bound = len(M) * v_bound * max(map(max, M))
+    width = (bound.bit_length() + 8) // 8
+    widths, order = repeat(width), repeat("little")
+    try:
+        rows = [int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)),
+                               "little") for row in M]
+    except OverflowError:  # to_bytes refuses a negative entry
+        raise ParameterError("pack_rows needs a nonnegative matrix") from None
+    return Packed(rows, width, len(M[0]))
+
+
+def packed_vec_mat(v: Sequence[int], P: Packed) -> list[int]:
+    """Exact v·M for the matrix M that ``P`` packs: one big-integer
+    multiply-add per row of M instead of one small one per entry.
+
+    Equal to ``vec_mat(v, M)`` provided every |v_k| is at most the
+    ``v_bound`` given to ``pack_rows``; that bound is the caller's to keep.
+    """
+    w = P.width
+    half = 1 << (8 * w - 1)
+    # a bias of half per slot lifts every slot into [0, 2^(8w)), so the
+    # sum's bytes split into slots with no borrows to undo
+    bias = int.from_bytes(half.to_bytes(w, "little") * P.cols, "little")
+    data = (sum(map(mul, v, P.rows)) + bias).to_bytes(w * P.cols, "little")
+    return [int.from_bytes(data[j:j + w], "little") - half
+            for j in range(0, w * P.cols, w)]
 
 
 def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:

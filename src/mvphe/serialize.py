@@ -21,10 +21,11 @@ Secret-key files store only the core fields (g, points, S, R1, R2); all
 derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction.  Evaluation keys store their factored form
 verbatim, after a key-form byte (always 1, the gadget form), u and the
-carry bound k_max, all of which must agree with the parameters.  The
-parameter block ends with the same key-form byte.  Public-key files store
-eps, which must be PK_EPS = 1/10, then exactly d = ceil(1.1·ell·log2 q)
-zero encryptions.  Noise hints on ciphertexts are serialized (they are
+carry bound k_max, all of which must agree with the parameters; every
+entry of P1 and P2 must lie in 0..n(q − 1), the range of every key
+build_evalkey makes.  The parameter block ends with the same key-form
+byte.  Public-key files store eps, which must be PK_EPS = 1/10, then
+exactly d = ceil(1.1·ell·log2 q) zero encryptions.  Noise hints on ciphertexts are serialized (they are
 useful diagnostics) but remain advisory.
 """
 
@@ -341,6 +342,10 @@ def load_evalkey(path: str) -> EvalKey:
     P2 = r.matrix("P2", dim, params.t)
     W = r.matrix("W", params.t, params.ell)
     r.end()
+    top = params.n * (params.q - 1)
+    for name, P in (("P1", P1), ("P2", P2)):
+        if min(map(min, P)) < 0 or max(map(max, P)) > top:
+            raise FormatError(f"{name} has an entry outside 0..{top}")
     evk = EvalKey(params=params, P1=P1, P2=P2, W=W)
     if k_max != evk.k_max:
         raise FormatError(

@@ -39,7 +39,7 @@ from typing import Sequence
 from .arith import NoiseSampler, Rational, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey, _powersoftwo_numerators
-from .linalg import Matrix, vec_mat
+from .linalg import Matrix, packed_vec_mat, vec_mat
 
 __all__ = [
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
@@ -166,9 +166,11 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     Contracts the key's tensor with the two transformed ciphertexts and
     floors the result.  Internally runs the factored form in three layers:
     the gadget transforms t_i of ct_i (``_powersoftwo_numerators``); the
-    products x = t1·P1 and y = t2·P2 (``vec_mat``); and the W contraction.
-    That last layer first forms z_s = x_s·y_s·u_s, then z·W, so the k-th
-    output is
+    products x = t1·P1 and y = t2·P2, each one big-integer multiply-add per
+    row of P_i against the key's Kronecker-packed rows (``packed_vec_mat``
+    on ``evk.packed``, which the first call on a key builds); and the W
+    contraction.  That last layer first forms z_s = x_s·y_s·u_s, then z·W
+    (``vec_mat``), so the k-th output is
 
         floor( sum_s z_s * W[s,k] )  mod q,
 
@@ -188,8 +190,9 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         )
     t1 = _powersoftwo_numerators(ct1.vec, q, p.u)
     t2 = _powersoftwo_numerators(ct2.vec, q, p.u)
-    x = vec_mat(t1, evk.P1)
-    y = vec_mat(t2, evk.P2)
+    P1, P2 = evk.packed
+    x = packed_vec_mat(t1, P1)
+    y = packed_vec_mat(t2, P2)
     # u_s times the common denominator q·2^(2u) (2^u from each transform)
     n, ell = p.n, p.ell
     z = [xs * ys * (2 if n <= s < ell else q)

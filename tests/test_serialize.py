@@ -63,7 +63,6 @@ def test_secret_key_roundtrip(tmp_path, toy_sk):
     assert back.S == toy_sk.S and back.R1 == toy_sk.R1 and back.R2 == toy_sk.R2
     # derived matrices are rebuilt identically
     assert back.R == toy_sk.R and back.S_dec == toy_sk.S_dec
-    assert back.E1_inv == toy_sk.E1_inv
     # and the reloaded key actually decrypts
     ct = encrypt(toy_sk, [1, 0], Random(141))
     assert decrypt(back, ct) == [1, 0]
@@ -215,6 +214,30 @@ def test_evalkey_factor_shapes_checked(tmp_path, toy_evk):
         save_evalkey(bad, path)
         with pytest.raises(FormatError, match="P[12] is"):
             load_evalkey(path)
+
+
+def test_evalkey_factor_range_checked(tmp_path, toy_sk, toy_evk, capsys):
+    """P1/P2 entries must lie in 0..n(q − 1), the range of every built key."""
+    p = toy_evk.params
+    top = p.n * (p.q - 1)
+    assert max(max(map(max, P)) for P in (toy_evk.P1, toy_evk.P2)) <= top
+    path = str(tmp_path / "evk.bin")
+    low = [row[:] for row in toy_evk.P1]
+    low[0][0] = -1
+    high = [row[:] for row in toy_evk.P2]
+    high[-1][-1] = top + 1
+    for bad in (replace(toy_evk, P2=high), replace(toy_evk, P1=low)):
+        save_evalkey(bad, path)
+        with pytest.raises(FormatError, match=f"P[12] has an entry outside 0..{top}"):
+            load_evalkey(path)
+    ct = str(tmp_path / "ct.bin")
+    save_ciphertext(encrypt(toy_sk, [1, 1], Random(153)), toy_sk.params, ct)
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
+                 "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "error: P1 has an entry outside" in capsys.readouterr().err
 
 
 def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):

@@ -1,6 +1,7 @@
 """Encryption, decryption, noise accounting, and homomorphic operations."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -21,7 +22,9 @@ from mvphe import (
     preset_params,
 )
 from mvphe.errors import DepthError, ParameterError
+from mvphe.keys import PRESETS
 from mvphe.linalg import mat_mul
+from oracles import mult_intermediates
 
 
 class _ZeroRandom(Random):
@@ -249,6 +252,47 @@ def test_mult_depth_accounting(toy_sk, toy_evk):
         eval_mult(toy_evk, lvl2, c)
     with pytest.raises(DepthError):
         eval_mult(toy_evk, lvl1, lvl1)  # 1 + 1 + 1 > 2
+
+
+def _extreme_ciphertexts(sk):
+    """Two seeded encryptions, then all-(q−1)/2, all-−(q−1)/2 and all-zero."""
+    p = sk.params
+    rng = Random(f"extreme-{p.q}")
+    cts = [encrypt(sk, [rng.randrange(2) for _ in range(p.message_bits)], rng)
+           for _ in range(2)]
+    for x in ((p.q - 1) // 2, -(p.q - 1) // 2, 0):
+        cts.append(Ciphertext(vec=[x] * p.ell, level=0, q=p.q))
+    return cts
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_mult_matches_exact_oracle(preset):
+    """eval_mult equals the exact-rational pipeline of mult_intermediates,
+    on seeded ciphertexts and on the extreme and zero vectors."""
+    p = preset_params(preset)
+    sk = keygen(p, Random(f"oracle-{preset}"))
+    evk = build_evalkey(sk, rng=Random(f"oracle-evk-{preset}"))
+    cts = _extreme_ciphertexts(sk)
+    pairs = list(zip(cts, cts[1:] + cts[:1])) + [(c, c) for c in cts[2:]]
+    for c1, c2 in pairs:
+        want = mult_intermediates(sk, evk, c1.vec, c2.vec)["product"]
+        assert eval_mult(evk, c1, c2).vec == want
+
+
+def test_mult_packed_form_follows_the_key(toy_sk):
+    """The packed P1/P2 are built once per key object: a repeat call reuses
+    them and gives the same product, and a replaced key packs its own."""
+    evk = build_evalkey(toy_sk, rng=Random(119))
+    c1, c2, *_ = _extreme_ciphertexts(toy_sk)
+    first = eval_mult(evk, c1, c2)
+    packed = evk.packed
+    assert eval_mult(evk, c1, c2) == first and evk.packed is packed
+    swapped = replace(evk, P1=evk.P2, P2=evk.P1)
+    got = eval_mult(swapped, c1, c2)
+    assert swapped.packed is not packed
+    assert swapped.packed[0].rows == packed[1].rows
+    assert got.vec == mult_intermediates(toy_sk, swapped, c1.vec, c2.vec)["product"]
+    assert swapped == replace(evk, P1=evk.P2, P2=evk.P1)  # the cache is not compared
 
 
 def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
