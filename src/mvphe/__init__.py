@@ -10,7 +10,7 @@ README for the quickstart; the usual flow is
     c   = encrypt(sk, [0, 1], Random(3))
 """
 
-from .arith import NoiseSampler, balanced_mod, random_prime, round_nearest
+from .arith import NoiseSampler, random_prime, round_nearest
 from .circuit import Circuit, eval_homomorphic, eval_plain, parse_circuit
 from .errors import (
     ConstructionError,
@@ -26,11 +26,8 @@ from .keys import (
     EvalKey,
     Params,
     SecretKey,
-    bitdecomp,
     build_evalkey,
-    build_G,
     keygen,
-    powersoftwo,
     preset_params,
     setup,
 )
@@ -53,12 +50,12 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # arithmetic
-    "NoiseSampler", "balanced_mod", "round_nearest", "random_prime",
+    "NoiseSampler", "round_nearest", "random_prime",
     # polynomials
     "Polynomial", "enumerate_monomials", "reduce_by_set",
     # keys and parameters
     "Params", "SecretKey", "EvalKey", "PRESETS", "setup", "preset_params",
-    "keygen", "build_evalkey", "build_G", "bitdecomp", "powersoftwo",
+    "keygen", "build_evalkey",
     # encryption
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
     "eval_add", "eval_mult", "mult_noise_hint", "pk_keygen", "pk_encrypt",

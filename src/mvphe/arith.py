@@ -22,10 +22,6 @@ from .errors import ParameterError
 
 Rational = Union[int, Fraction]
 
-# Moduli that already passed the primality check.  balanced_mod is called in
-# hot loops, so the (probabilistic) primality test runs once per modulus.
-_checked_moduli: set[int] = set()
-
 _MR_ROUNDS = 64  # error probability <= 4^-64 = 2^-128 per candidate
 
 
@@ -46,8 +42,8 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, rng=None, rounds: int = _MR_ROUNDS) -> bool:
-    """Miller–Rabin primality test with failure probability <= 4**-rounds.
+def is_probable_prime(n: int, rng=None) -> bool:
+    """Miller–Rabin primality test, _MR_ROUNDS rounds: false positives <= 4**-64.
 
     Witnesses are drawn from ``rng`` when given (keeps callers deterministic
     under a fixed seed), otherwise from a fixed small-prime list extended by
@@ -58,7 +54,7 @@ def is_probable_prime(n: int, rng=None, rounds: int = _MR_ROUNDS) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    for i in range(rounds):
+    for i in range(_MR_ROUNDS):
         if rng is not None:
             a = rng.randrange(2, n - 1)
         else:
@@ -68,27 +64,8 @@ def is_probable_prime(n: int, rng=None, rounds: int = _MR_ROUNDS) -> bool:
     return True
 
 
-def _require_odd_prime(q: int) -> None:
-    if q < 3 or q % 2 == 0:
-        raise ParameterError(f"modulus must be an odd prime >= 3, got {q}")
-    if q not in _checked_moduli:
-        if not is_probable_prime(q):
-            raise ParameterError(f"modulus {q} is not prime")
-        _checked_moduli.add(q)
-        if len(_checked_moduli) > 4096:  # stop an unbounded cache in pathological use
-            _checked_moduli.clear()
-            _checked_moduli.add(q)
-
-
-def balanced_mod(x: int, q: int) -> int:
-    """Reduce x modulo q into the balanced interval (−q/2, q/2]."""
-    _require_odd_prime(q)
-    r = x % q
-    return r - q if r > q // 2 else r
-
-
 def balance(x: int, q: int) -> int:
-    """balanced_mod without the modulus check — internal hot-path form."""
+    """Reduce x modulo q into the balanced interval (−q/2, q/2]."""
     r = x % q
     return r - q if r > q // 2 else r
 

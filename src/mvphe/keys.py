@@ -74,10 +74,6 @@ from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
 
-# Expected magnitude relation between q/B and (margin_c * n * log2 q)^L for
-# depth-L correctness; margin_c = 1 is the factor the presets are sized for.
-MARGIN_C = 1
-
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -162,31 +158,40 @@ class Params:
         return self.ell - self.n
 
     def depth_margin(self) -> Fraction:
-        """(q/B) / (margin_c * n * log2 q)^L; >= 1 on every valid preset."""
-        return Fraction(self.q, self.B) / (MARGIN_C * self.n * self.q_bits) ** self.L
+        """(q/B) / (n * log2 q)^L; >= 1 on every valid preset."""
+        return Fraction(self.q, self.B) / (self.n * self.q_bits) ** self.L
 
 
-def _simulated_noise_after_depth(
-    L: int, ell: int, u: int, bits: int, B: int
-) -> Fraction:
-    """Worst-case tracked noise after L levels of (multiply, then add)."""
-    q_min = 1 << (bits - 1)
-    k_max = Fraction(ell * (u + bits), 2) + 1
-    h = Fraction(B)
-    for _ in range(L):
-        h = 4 * h + 2 * (4 * h + 1) * k_max + (8 * h * h + 1) / q_min + ell
-        h = 2 * h + 1
-    return h
+# ---------------------------------------------------------------------------
+# noise growth
+# ---------------------------------------------------------------------------
+
+def _carry_bound(ell: int, u: int, q_bits: int) -> Fraction:
+    """k_max, the certified bound on the carries of one multiplication."""
+    return Fraction(ell * (u + q_bits), 2) + 1
 
 
-def _auto_q_bits(L: int, ell: int, n: int, u: int, B: int) -> int:
+def _product_hint(h: Rational, k_max: Fraction, q: int, ell: int) -> Fraction:
+    """Tracked noise bound of a product whose inputs have noise at most h:
+    linear in h·k_max, plus a term damped by 1/q and the floor's slack ell."""
+    h = Fraction(h)
+    return 4 * h + 2 * (4 * h + 1) * k_max + (8 * h * h + 1) / q + ell
+
+
+def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
+    """Smallest q_bits in 16..64 with 2·h_L < floor(q_min/2)/2, where h_L is
+    the hint after L levels of (multiply, then add) from B at q_min =
+    2^(q_bits − 1).  This implies both depth checks in ``Params.validate``:
+    h_L >= B, so B < floor(q/2)/2; and each level multiplies the hint by
+    more than 16·k_max > 8·n·q_bits (ell > n), so (q/B) >= (n·q_bits)^L.
+    """
     for bits in range(16, 65):
         q_min = 1 << (bits - 1)
-        if not B < Fraction(q_min // 2, 2):
-            continue
-        if Fraction(q_min, B) < (MARGIN_C * n * bits) ** L:
-            continue
-        if 2 * _simulated_noise_after_depth(L, ell, u, bits, B) < Fraction(q_min // 2, 2):
+        k_max = _carry_bound(ell, u, bits)
+        h = Fraction(B)
+        for _ in range(L):
+            h = 2 * _product_hint(h, k_max, q_min, ell) + 1
+        if 2 * h < Fraction(q_min // 2, 2):
             return bits
     raise ParameterError(
         f"no modulus size up to 64 bits supports depth L={L} at these dimensions"
@@ -238,7 +243,7 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
         raise ParameterError(f"unknown parameter overrides: {sorted(overrides)}")
     if q is None:
         if q_bits is None:
-            q_bits = _auto_q_bits(L, ell, n, u, B)
+            q_bits = _auto_q_bits(L, ell, u, B)
         if rng is None:
             stamp = f"mvphe-setup|{lambda_}|{L}|{v}|{r_g}|{r_prime}|{ell}|{q_bits}"
             rng = Random(stamp)
@@ -412,37 +417,17 @@ def _gadget_width(q: int, u: int) -> int:
     return u + q.bit_length()
 
 
-def bitdecomp(vec: Sequence, q: int, u: int) -> list[int]:
-    """Bit-decompose a vector of dyadic rationals (denominators | 2^u).
-
-    Each entry x is mapped to the nonnegative representative of x·2^u
-    modulo q·2^u and split into u + ceil(log2 q) bits.  The output is
-    position-major: entry i's bit at position s lands at index s·len(vec)+i,
-    matching the layout of powersoftwo so that the inner-product identity
-
-        <v, w> = <bitdecomp(v), powersoftwo(w)>  (mod q)
-
-    holds exactly.
-    """
-    nums = []
-    for x in vec:
-        y = x * (1 << u)
-        num = int(y)
-        if num != y:
-            raise ParameterError(f"entry {x} does not have {u} fractional bits")
-        nums.append(num)
-    return _bitdecomp_numerators(nums, q, u)
-
-
 def _bitdecomp_numerators(nums: Sequence[int], q: int, u: int) -> list[int]:
-    """bitdecomp of the vector with numerators ``nums`` at denominator 2^u."""
+    """u + q_bits bits of each numerator's residue mod q·2^u, position-major:
+    entry i's bit s is at index s·len(nums) + i, as in _powersoftwo_numerators."""
     modulus = q << u
     reduced = [num % modulus for num in nums]
     return [(num >> s) & 1 for s in range(_gadget_width(q, u)) for num in reduced]
 
 
 def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
-    """powersoftwo numerators at implied denominator 2^u (hot-path form)."""
+    """Numerators over 2^u of w·2^(s−u) balanced mod q, position-major;
+    paired with v's bits they give <v, w> mod q."""
     width = _gadget_width(q, u)
     modulus = q << u
     half = modulus // 2
@@ -452,14 +437,6 @@ def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
             r = (w << s) % modulus
             out.append(r - modulus if r > half else r)
     return out
-
-
-def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:
-    """Balanced multiples w·2^(s−u) reduced mod q, position-major.
-
-    Entries are exact rationals with denominator 2^u and magnitude <= q/2.
-    """
-    return [Fraction(n, 1 << u) for n in _powersoftwo_numerators(vec, q, u)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +615,9 @@ class EvalKey:
 
     @property
     def k_max(self) -> Fraction:
-        """Certified bound on the transient carry coefficients appearing
-        during multiplication; it feeds the tracked noise formula."""
+        """``_carry_bound`` of these parameters, for the noise hint."""
         p = self.params
-        return Fraction(p.ell * _gadget_width(p.q, p.u), 2) + 1
+        return _carry_bound(p.ell, p.u, p.q_bits)
 
     @cached_property
     def packed(self) -> tuple[Packed, Packed]:
@@ -689,7 +665,7 @@ def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
 
 
 def _bitdecomp_matrix_times(D_scaled: Matrix, A: Matrix, p: Params, q: int) -> Matrix:
-    """Rows of bitdecomp(D columns) times A, i.e. D~·A, position-major."""
+    """Rows of the bit-decomposed D columns times A, i.e. D~·A, position-major."""
     cols = [_bitdecomp_numerators([row[j] for row in D_scaled], q, p.u)
             for j in range(p.ell)]
     return mat_mul_exact([list(row) for row in zip(*cols)], A)

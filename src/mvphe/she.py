@@ -18,13 +18,10 @@ excluded from equality comparisons and serialized only as a convenience.
 
 Addition is entrywise (hint: h1 + h2 + 1).  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
-and floors; the hint follows
-
-    4B' + 2(4B' + 1)·k_max + (8B'^2 + 1)/q + ell,     B' = max(h1, h2),
-
-where k_max is the carry bound certified by the evaluation key.  The whole
-pipeline is exact integer/rational arithmetic; the only rounding anywhere
-is the final floor, by design.
+and floors; the hint is the per-product bound ``keys._product_hint`` at
+max(h1, h2), linear in the carry bound k_max certified by the evaluation
+key.  The whole pipeline is exact integer/rational arithmetic; the only
+rounding anywhere is the final floor, by design.
 """
 
 from __future__ import annotations
@@ -38,7 +35,8 @@ from typing import Sequence
 
 from .arith import NoiseSampler, Rational, balance, round_nearest
 from .errors import DepthError, ParameterError
-from .keys import EvalKey, Params, SecretKey, _powersoftwo_numerators
+from .keys import EvalKey, Params, SecretKey
+from .keys import _powersoftwo_numerators, _product_hint
 from .linalg import Matrix, packed_vec_mat, vec_mat
 
 __all__ = [
@@ -155,9 +153,7 @@ def eval_add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 def mult_noise_hint(evk: EvalKey, h1: Rational, h2: Rational) -> Fraction:
     """Tracked noise bound for a product of ciphertexts with hints h1, h2."""
     p = evk.params
-    bp = Fraction(max(h1, h2))
-    return (4 * bp + 2 * (4 * bp + 1) * evk.k_max
-            + (8 * bp * bp + 1) / p.q + p.ell)
+    return _product_hint(max(h1, h2), evk.k_max, p.q, p.ell)
 
 
 def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:

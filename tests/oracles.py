@@ -1,6 +1,7 @@
-"""Test-only oracles: the multiplication key as an explicit rational tensor,
-every stage of one multiplication carried out with exact rationals, and a
-random netlist generator.
+"""Test-only oracles: the gadget transforms as exact rationals, the
+multiplication key as an explicit rational tensor, every stage of one
+multiplication carried out with exact rationals, and a random netlist
+generator.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -17,12 +18,52 @@ from typing import Sequence
 from mvphe.arith import balance
 from mvphe.circuit import Circuit, parse_circuit
 from mvphe.errors import ParameterError
-from mvphe.keys import EvalKey, SecretKey, _powersoftwo_numerators, _stage_matrices
+from mvphe.keys import (
+    EvalKey,
+    SecretKey,
+    _bitdecomp_numerators,
+    _powersoftwo_numerators,
+    _stage_matrices,
+)
 from mvphe.linalg import Matrix
 
 
 def transpose(A: Matrix) -> Matrix:
     return [list(col) for col in zip(*A)]
+
+
+# ---------------------------------------------------------------------------
+# gadget transforms, in the Fraction form of the paper
+# ---------------------------------------------------------------------------
+
+def bitdecomp(vec: Sequence, q: int, u: int) -> list[int]:
+    """Bit-decompose a vector of dyadic rationals (denominators | 2^u).
+
+    Each entry x is mapped to the nonnegative representative of x·2^u
+    modulo q·2^u and split into u + ceil(log2 q) bits.  The output is
+    position-major: entry i's bit at position s lands at index s·len(vec)+i,
+    matching the layout of powersoftwo so that the inner-product identity
+
+        <v, w> = <bitdecomp(v), powersoftwo(w)>  (mod q)
+
+    holds exactly.
+    """
+    nums = []
+    for x in vec:
+        y = x * (1 << u)
+        num = int(y)
+        if num != y:
+            raise ParameterError(f"entry {x} does not have {u} fractional bits")
+        nums.append(num)
+    return _bitdecomp_numerators(nums, q, u)
+
+
+def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:
+    """Balanced multiples w·2^(s−u) reduced mod q, position-major.
+
+    Entries are exact rationals with denominator 2^u and magnitude <= q/2.
+    """
+    return [Fraction(n, 1 << u) for n in _powersoftwo_numerators(vec, q, u)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ import time
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from mvphe import (
+    PRESETS,
     Ciphertext,
     Polynomial,
-    bitdecomp,
-    build_G,
     build_evalkey,
     decrypt,
     encrypt,
@@ -29,14 +30,20 @@ from mvphe import (
     noise_of,
     pk_encrypt,
     pk_keygen,
-    powersoftwo,
     preset_params,
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.keys import _ideal_basis_2r, _build_Q
+from mvphe.keys import _ideal_basis_2r, _build_Q, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
-from oracles import Tensor3, bilinear_eval, n_mode_product, random_circuit
+from oracles import (
+    Tensor3,
+    bilinear_eval,
+    bitdecomp,
+    n_mode_product,
+    powersoftwo,
+    random_circuit,
+)
 
 
 def _rand_message(rng, p):
@@ -248,17 +255,31 @@ def test_c09_public_key_encryption(toy_sk):
             a & b for a, b in zip(m1, m2)]
 
 
-def test_c10_random_circuits_match_plain_evaluation(toy_sk, toy_evk):
-    p = toy_sk.params
-    rng = Random("acc-10")
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_c10_random_circuits_match_plain_evaluation(preset, request):
+    """100 random circuits within each preset's depth budget: every output
+    decrypts to the plain evaluation, and its measured noise stays within
+    its tracked hint.  Each preset but toy gets its own seeded keys; small
+    is the one with nonzero masking."""
+    if preset == "toy":
+        sk = request.getfixturevalue("toy_sk")
+        evk = request.getfixturevalue("toy_evk")
+        rng = Random("acc-10")
+    else:
+        sk = keygen(preset_params(preset), Random(f"acc-10-key-{preset}"))
+        evk = build_evalkey(sk, rng=Random(f"acc-10-evk-{preset}"))
+        rng = Random(f"acc-10-{preset}")
+    p = sk.params
     for _ in range(100):
         circ = random_circuit(rng, n_inputs=rng.randrange(2, 5),
                               n_gates=rng.randrange(1, 65), L=p.L)
         assert circ.level_need <= p.L and len(circ.gates) <= 64
         plains = [_rand_message(rng, p) for _ in circ.inputs]
-        cts = [encrypt(toy_sk, m, rng) for m in plains]
-        got = eval_homomorphic(toy_evk, circ, cts)
-        assert [decrypt(toy_sk, ct) for ct in got] == eval_plain(circ, plains)
+        cts = [encrypt(sk, m, rng) for m in plains]
+        got = eval_homomorphic(evk, circ, cts)
+        for ct, want in zip(got, eval_plain(circ, plains), strict=True):
+            assert decrypt(sk, ct) == want
+            assert max(abs(x) for x in noise_of(sk, ct, want)) <= ct.noise_hint
 
 
 def test_c11_benchmark_trend(capsys):

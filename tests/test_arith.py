@@ -4,17 +4,13 @@ import math
 from fractions import Fraction
 from random import Random
 
-import pytest
-
 from mvphe.arith import (
     NoiseSampler,
     balance,
-    balanced_mod,
     is_probable_prime,
     random_prime,
     round_nearest,
 )
-from mvphe.errors import ParameterError
 
 
 def test_balanced_mod_range_and_congruence():
@@ -22,7 +18,7 @@ def test_balanced_mod_range_and_congruence():
     for _ in range(10_000):
         q = rng.choice([7, 13, 97, 12289, (1 << 31) - 1])
         x = rng.randrange(-q * q, q * q)
-        b = balanced_mod(x, q)
+        b = balance(x, q)
         assert (b - x) % q == 0
         assert -q / 2 < b <= q / 2
 
@@ -33,15 +29,8 @@ def test_balanced_mod_is_ring_homomorphism():
     for _ in range(10_000):
         a = rng.randrange(-(1 << 64), 1 << 64)
         b = rng.randrange(-(1 << 64), 1 << 64)
-        assert balanced_mod(a + b, q) == balanced_mod(balanced_mod(a, q) + balanced_mod(b, q), q)
-        assert balanced_mod(a * b, q) == balanced_mod(balanced_mod(a, q) * balanced_mod(b, q), q)
-
-
-def test_balanced_mod_rejects_bad_modulus():
-    with pytest.raises(ParameterError):
-        balanced_mod(3, 8)  # even
-    with pytest.raises(ParameterError):
-        balanced_mod(3, 15)  # composite
+        assert balance(a + b, q) == balance(balance(a, q) + balance(b, q), q)
+        assert balance(a * b, q) == balance(balance(a, q) * balance(b, q), q)
 
 
 def test_exact_rational_arithmetic():
@@ -138,10 +127,3 @@ def test_is_probable_prime_known_values():
     # a few Mersenne-adjacent composites
     assert not is_probable_prime((1 << 40) - 1)
     assert is_probable_prime((1 << 89) - 1)
-
-
-def test_balance_matches_balanced_mod():
-    rng = Random(6)
-    for _ in range(1000):
-        x = rng.randrange(-(1 << 50), 1 << 50)
-        assert balance(x, 12289) == balanced_mod(x, 12289)

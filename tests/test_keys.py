@@ -12,27 +12,26 @@ from mvphe import (
     Params,
     Polynomial,
     SecretKey,
-    bitdecomp,
-    build_G,
     build_evalkey,
     enumerate_monomials,
     keygen,
-    powersoftwo,
     preset_params,
     reduce_by_set,
     setup,
 )
 from mvphe.errors import GenerationFailure, ParameterError
-from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators
+from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators, build_G
 from mvphe.linalg import mat_mul, rank_mod_q
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.arith import balance
 from oracles import (
     Tensor3,
     bilinear_eval,
+    bitdecomp,
     evalkey_tensor,
     mult_intermediates,
     n_mode_product,
+    powersoftwo,
     transpose,
     u_coeffs,
 )
