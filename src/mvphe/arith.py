@@ -24,6 +24,12 @@ Rational = Union[int, Fraction]
 
 _MR_ROUNDS = 64  # error probability <= 4^-64 = 2^-128 per candidate
 
+# Miller–Rabin with the first 13 primes as bases is a proof of primality for
+# every n below psi_13 (Sorenson & Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+_PROOF_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
     """True if a witnesses compositeness of odd n > 2."""
@@ -46,14 +52,18 @@ def is_probable_prime(n: int, rng=None) -> bool:
     """Miller–Rabin primality test, _MR_ROUNDS rounds: false positives <= 4**-64.
 
     Witnesses are drawn from ``rng`` when given (keeps callers deterministic
-    under a fixed seed), otherwise from a fixed small-prime list extended by
-    a deterministic sweep.
+    under a fixed seed).  Without one, n below psi_13 is decided exactly by
+    the fixed bases 2..41; larger n get a deterministic sweep of
+    _MR_ROUNDS bases.
     """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if rng is None and n < _PSI_13:
+        # n > 37 here, so only n = 41 meets its own base; skipping it is exact
+        return not any(_miller_rabin_witness(n, a) for a in _PROOF_BASES if a < n)
     for i in range(_MR_ROUNDS):
         if rng is not None:
             a = rng.randrange(2, n - 1)

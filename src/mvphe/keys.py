@@ -73,6 +73,7 @@ from .linalg import (
 from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
+_T_BITS = 32  # key files record the point count t, and matrix shapes, as u32
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ class Params:
 
     Derived fields satisfy: r = r_prime + r_g, n = C(v+r_prime, r_prime),
     N = C(v+r, r), n1 = C(v + 2r − r_g, 2r − r_g), t = n1 + ell − n,
-    n < ell <= N.
+    n < ell <= N, and t < 2^32 (key files record t as a u32).
     """
 
     lambda_: int
@@ -106,6 +107,11 @@ class Params:
     t: int = field(init=False)
 
     def __post_init__(self):
+        # every binomial below is at most n1 <= t, and n1 >= 2^min(v, 2r - r_g):
+        # refuse a set whose t cannot fit before a binomial grows past it
+        if min(self.v, self.r_g + 2 * self.r_prime) >= _T_BITS:
+            raise ParameterError(f"need t < 2^{_T_BITS} points: v = {self.v}, "
+                                 f"r_g = {self.r_g}, r_prime = {self.r_prime}")
         r = self.r_g + self.r_prime
         n = math.comb(self.v + self.r_prime, self.r_prime)
         N = math.comb(self.v + r, r)
@@ -128,6 +134,8 @@ class Params:
             raise ParameterError(
                 f"need n < ell <= N, got n={self.n}, ell={self.ell}, N={self.N}"
             )
+        if self.t >= 1 << _T_BITS:
+            raise ParameterError(f"need t < 2^{_T_BITS} points, got t = {self.t}")
         if self.u < 0:
             raise ParameterError("gadget fractional bits u must be >= 0")
         if self.q < 3 or self.q % 2 == 0 or not is_probable_prime(self.q):
@@ -141,6 +149,13 @@ class Params:
         if not self.B < Fraction(self.q // 2, 2):
             raise ParameterError(
                 f"decryption needs B < floor(q/2)/2: B={self.B}, q={self.q}"
+            )
+        # L is a u32 in every file, so refuse a hopeless depth before the
+        # exact power: (n·q_bits)^L >= 2^q_bits > q/B leaves a margin below 1
+        if self.L * ((self.n * self.q_bits).bit_length() - 1) >= self.q_bits:
+            raise ParameterError(
+                f"q/B ratio too small for depth L={self.L}: "
+                f"(n·log2 q)^L >= 2^{self.q_bits} > q/B"
             )
         if self.depth_margin() < 1:
             raise ParameterError(

@@ -32,6 +32,7 @@ useful diagnostics) but remain advisory.
 from __future__ import annotations
 
 import hashlib
+import struct
 from fractions import Fraction
 from typing import Sequence
 
@@ -80,13 +81,22 @@ def _w_uint(buf: bytearray, x: int, nbytes: int) -> None:
     buf += x.to_bytes(nbytes, "little")
 
 
+# Every integer starts with the same header: sign byte, u32 magnitude length.
+_INT_HEADER = struct.Struct("<BI")
+
+
+def _w_ints(buf: bytearray, xs: Sequence[int]) -> None:
+    """Encode each of ``xs`` in turn, with no count in front."""
+    pack = _INT_HEADER.pack
+    for x in xs:
+        mag = -x if x < 0 else x
+        raw = mag.to_bytes((mag.bit_length() + 7) // 8, "little")
+        buf += pack(x < 0, len(raw))
+        buf += raw
+
+
 def _w_int(buf: bytearray, x: int) -> None:
-    sign = 1 if x < 0 else 0
-    mag = abs(x)
-    raw = mag.to_bytes((mag.bit_length() + 7) // 8, "little") if mag else b""
-    buf.append(sign)
-    _w_uint(buf, len(raw), 4)
-    buf += raw
+    _w_ints(buf, (x,))
 
 
 def _w_fraction(buf: bytearray, x) -> None:
@@ -97,8 +107,7 @@ def _w_fraction(buf: bytearray, x) -> None:
 
 def _w_intvec(buf: bytearray, v: Sequence[int]) -> None:
     _w_uint(buf, len(v), 4)
-    for x in v:
-        _w_int(buf, x)
+    _w_ints(buf, v)
 
 
 def _w_matrix(buf: bytearray, m: Matrix) -> None:
@@ -109,8 +118,7 @@ def _w_matrix(buf: bytearray, m: Matrix) -> None:
     for row in m:
         if len(row) != cols:
             raise ParameterError("ragged matrix")
-        for x in row:
-            _w_int(buf, x)
+        _w_ints(buf, row)
 
 
 def _w_poly(buf: bytearray, f: Polynomial) -> None:
@@ -128,8 +136,7 @@ def _w_points(buf: bytearray, pts: Sequence[tuple[int, ...]], v: int) -> None:
     for z in pts:
         if len(z) != v:
             raise ParameterError("point arity mismatch")
-        for c in z:
-            _w_int(buf, c)
+        _w_ints(buf, z)
 
 
 class _Reader:
@@ -147,15 +154,45 @@ class _Reader:
     def uint(self, nbytes: int) -> int:
         return int.from_bytes(self.take(nbytes), "little")
 
+    def ints(self, count: int) -> list[int]:
+        """``count`` integers, each a sign byte, u32 length and magnitude.
+
+        Refuses what ``int_`` always refused, with the same message for the
+        first fault in the data: a sign byte other than 0 or 1, negative
+        zero, or an integer cut short.
+        """
+        data, pos = self.data, self.pos
+        unpack_from, from_bytes = _INT_HEADER.unpack_from, int.from_bytes
+        out = []
+        append = out.append
+        try:
+            for _ in range(count):
+                sign, n = unpack_from(data, pos)
+                pos += 5
+                mag = from_bytes(data[pos : pos + n], "little")
+                pos += n
+                if sign:
+                    if sign != 1:
+                        raise FormatError("bad integer sign byte")
+                    if not mag:
+                        raise FormatError("truncated file" if pos > len(data)
+                                          else "negative zero encoding")
+                    mag = -mag
+                append(mag)
+        except struct.error:
+            # a short header: its sign byte, if present, is checked first
+            if pos < len(data) and data[pos] > 1:
+                raise FormatError("bad integer sign byte") from None
+            raise FormatError("truncated file") from None
+        # a magnitude that runs past the end leaves every later header short,
+        # so one check after the loop catches it
+        if pos > len(data):
+            raise FormatError("truncated file")
+        self.pos = pos
+        return out
+
     def int_(self) -> int:
-        sign = self.take(1)[0]
-        if sign not in (0, 1):
-            raise FormatError("bad integer sign byte")
-        n = self.uint(4)
-        mag = int.from_bytes(self.take(n), "little")
-        if sign and mag == 0:
-            raise FormatError("negative zero encoding")
-        return -mag if sign else mag
+        return self.ints(1)[0]
 
     def fraction(self) -> Fraction:
         num = self.int_()
@@ -165,14 +202,14 @@ class _Reader:
         return Fraction(num, den)
 
     def intvec(self) -> list[int]:
-        return [self.int_() for _ in range(self.uint(4))]
+        return self.ints(self.uint(4))
 
     def matrix(self, name: str, rows: int, cols: int) -> Matrix:
         """A matrix that must be rows x cols."""
         have_rows, have_cols = self.uint(4), self.uint(4)
         if (have_rows, have_cols) != (rows, cols):
             raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {rows}x{cols}")
-        return [[self.int_() for _ in range(cols)] for _ in range(rows)]
+        return [self.ints(cols) for _ in range(rows)]
 
     def end(self) -> None:
         if self.pos != len(self.data):
@@ -311,7 +348,7 @@ def load_secret_key(path: str) -> SecretKey:
     npts = r.uint(4)
     if npts != params.t:
         raise FormatError(f"secret key has {npts} points, expected {params.t}")
-    points = [tuple(r.int_() for _ in range(params.v)) for _ in range(npts)]
+    points = [tuple(r.ints(params.v)) for _ in range(npts)]
     S = r.matrix("S", params.message_bits, params.n)
     R1 = r.matrix("R1", params.n, params.n)
     R2 = r.matrix("R2", params.message_bits, params.n)

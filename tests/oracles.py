@@ -1,7 +1,8 @@
 """Test-only oracles: the gadget transforms as exact rationals, the
 multiplication key as an explicit rational tensor, every stage of one
-multiplication carried out with exact rationals, and a random netlist
-generator.
+multiplication carried out with exact rationals, a random netlist
+generator, and the container's integer encoding written one entry at a
+time.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -258,3 +259,18 @@ def random_circuit(rng: Random, n_inputs: int, n_gates: int, L: int) -> Circuit:
     outs = {wires[-1], rng.choice(wires[n_inputs:])}
     lines.extend(f"out {w}" for w in sorted(outs))
     return parse_circuit("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# container integers, one entry at a time
+# ---------------------------------------------------------------------------
+
+def w_int_reference(buf: bytearray, x: int) -> None:
+    """Append x as the container encodes every integer: sign byte (0 or 1),
+    u32 little-endian byte count, little-endian magnitude (none for 0)."""
+    sign = 1 if x < 0 else 0
+    mag = abs(x)
+    raw = mag.to_bytes((mag.bit_length() + 7) // 8, "little") if mag else b""
+    buf.append(sign)
+    buf += len(raw).to_bytes(4, "little")
+    buf += raw

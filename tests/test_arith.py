@@ -5,7 +5,11 @@ from fractions import Fraction
 from random import Random
 
 from mvphe.arith import (
+    _MR_ROUNDS,
+    _PROOF_BASES,
+    _PSI_13,
     NoiseSampler,
+    _miller_rabin_witness,
     balance,
     is_probable_prime,
     random_prime,
@@ -97,23 +101,17 @@ def test_random_prime_8_bits_exhaustive():
         assert all(p % d for d in range(2, 16))
 
 
-def test_random_prime_trial_division_oracle():
-    def is_prime_td(n):
-        if n < 2:
-            return False
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 1
-        return True
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
+
+def test_random_prime_trial_division_oracle():
     rng = Random(5)
     for bits in (8, 12, 16, 20):
         for _ in range(25):
             p = random_prime(bits, rng)
             assert p.bit_length() == bits
-            assert is_prime_td(p)
+            assert _trial_division(p)
 
 
 def test_random_prime_deterministic():
@@ -127,3 +125,57 @@ def test_is_probable_prime_known_values():
     # a few Mersenne-adjacent composites
     assert not is_probable_prime((1 << 40) - 1)
     assert is_probable_prime((1 << 89) - 1)
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases, k = 1..13
+# (psi_8 = psi_7 and psi_10 = psi_11 = psi_9).  Each one is exposed only by
+# the (k + 1)-th prime, or, for psi_13, by none of the first thirteen.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+
+
+def _swept(n: int) -> bool:
+    """The deterministic 64-round sweep, for odd n with no factor <= 37."""
+    return not any(_miller_rabin_witness(n, 2 + i * 0x9E3779B97F4A7C15 % (n - 3))
+                   for i in range(_MR_ROUNDS))
+
+
+def test_fixed_bases_refuse_every_psi():
+    assert PSI[-1] == _PSI_13
+    assert [a for a in _PROOF_BASES if _miller_rabin_witness(PSI[-2], a)] == [41]
+    for n in PSI:
+        assert not is_probable_prime(n), n
+    # psi_13 is past the proof's range and falls to the sweep
+    assert not any(_miller_rabin_witness(_PSI_13, a) for a in _PROOF_BASES)
+
+
+def test_fixed_bases_agree_with_trial_division_below_20000():
+    for n in range(20000):
+        assert is_probable_prime(n) == _trial_division(n), n
+
+
+def _chernick(k: int) -> int | None:
+    """(6k + 1)(12k + 1)(18k + 1), a Carmichael number when all three are prime."""
+    f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    return f[0] * f[1] * f[2] if all(map(_trial_division, f)) else None
+
+
+def test_fixed_bases_agree_with_sweep_on_odd_numbers():
+    rng = Random(131)
+    cases = [rng.randrange(1 << (bits - 1), 1 << bits) | 1
+             for bits in range(20, 83) for _ in range(5)]
+    carmichael = []
+    k = 1
+    while k < 1 << 23:
+        n = _chernick(k)
+        if n is not None:
+            carmichael.append(n)
+            k = k * 3 // 2 + 1
+        else:
+            k += 1
+    assert len(carmichael) >= 10 and carmichael[-1].bit_length() > 70
+    for n in cases + carmichael:
+        small_factor = any(n % p == 0 for p in _PROOF_BASES[:-1])
+        assert is_probable_prime(n) == (not small_factor and _swept(n)), n
+    assert not any(map(is_probable_prime, carmichael))

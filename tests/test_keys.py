@@ -98,6 +98,13 @@ def test_setup_depth_unsatisfiable_at_forced_small_q():
         setup(64, 3, v=2, r_g=1, r_prime=2, ell=8, q_bits=16)
 
 
+def test_params_rejects_t_past_u32():
+    # n = 2^31 + 1 < ell <= N, but t = C(2^31 + 3, 3) + 1 cannot be stored
+    with pytest.raises(ParameterError, match="need t < 2\\^32 points, got t = "):
+        Params(lambda_=64, L=1, v=2**31, r_g=1, r_prime=1, ell=2**31 + 2,
+               q=858024799843, sigma=8, B=48, u=8)
+
+
 def test_params_rejects_composite_modulus():
     with pytest.raises(ParameterError):
         Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8,

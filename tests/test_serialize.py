@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -18,11 +19,12 @@ from mvphe import (
     preset_params,
 )
 from mvphe.cli import main
-from mvphe.errors import FormatError
+from mvphe.errors import FormatError, ParameterError
 from mvphe.serialize import (
     MAGIC,
     _Reader,
     _w_fraction,
+    _w_ints,
     load_ciphertext,
     load_evalkey,
     load_params,
@@ -35,6 +37,7 @@ from mvphe.serialize import (
     save_public_key,
     save_secret_key,
 )
+from oracles import w_int_reference
 
 
 # --- roundtrips -------------------------------------------------------------
@@ -174,23 +177,69 @@ def test_type_mismatch(tmp_path, toy_params, toy_sk):
         load_params(path)
 
 
+def _encode(*xs: int) -> bytes:
+    buf = bytearray()
+    for x in xs:
+        w_int_reference(buf, x)
+    return bytes(buf)
+
+
+def _read_nine(form: str, entries: bytes):
+    """Read nine integers from ``entries`` as nine int_ calls, one intvec or
+    one 3x3 matrix."""
+    if form == "int_":
+        r = _Reader(entries)
+        return [r.int_() for _ in range(9)]
+    if form == "intvec":
+        return _Reader((9).to_bytes(4, "little") + entries).intvec()
+    return _Reader((3).to_bytes(4, "little") * 2 + entries).matrix("M", 3, 3)
+
+
 def test_reader_rejects_malformed_primitives():
-    r = _Reader(bytes([2]))  # sign byte must be 0 or 1
-    with pytest.raises(FormatError, match="sign byte"):
-        r.int_()
-    # -0 is not a valid encoding
-    r = _Reader(bytes([1]) + (0).to_bytes(4, "little"))
-    with pytest.raises(FormatError, match="negative zero"):
-        r.int_()
+    """Each malformed integer is refused with the same message, read through
+    int_, intvec or matrix, as the first entry or a middle one."""
+    good = _encode(-3)
+    header = bytes([0]) + (2).to_bytes(4, "little")  # a two-byte magnitude
+    malformed = [  # (bad entry, whether entries may follow it, message)
+        (bytes([2]) + (1).to_bytes(4, "little") + b"\x07", True, "bad integer sign byte"),
+        (bytes([1]) + (0).to_bytes(4, "little"), True, "negative zero encoding"),
+        (header + b"\x01", False, "truncated file"),  # magnitude one byte short
+        # ... even where the bytes that are there read as negative zero
+        (bytes([1]) + header[1:] + b"\x00", False, "truncated file"),
+        (bytes([2]), False, "bad integer sign byte"),  # sign checked before length
+    ] + [(header[:cut], False, "truncated file") for cut in range(5)]
+    for bad, more, message in malformed:
+        for at in (0, 4):
+            entries = good * at + bad + (good * (8 - at) if more else b"")
+            for form in ("int_", "intvec", "matrix"):
+                with pytest.raises(FormatError, match=f"^{message}$"):
+                    _read_nine(form, entries)
     # denominators must be positive
-    neg_one = bytes([1]) + (1).to_bytes(4, "little") + bytes([1])
-    zero = bytes([0]) + (0).to_bytes(4, "little")
-    r = _Reader(zero + zero)
-    with pytest.raises(FormatError, match="denominator"):
-        r.fraction()
-    r = _Reader(zero + neg_one)
-    with pytest.raises(FormatError, match="denominator"):
-        r.fraction()
+    zero = _encode(0)
+    for data in (zero + zero, zero + _encode(-1)):
+        with pytest.raises(FormatError, match="denominator"):
+            _Reader(data).fraction()
+
+
+@pytest.mark.parametrize("form", ["int_", "intvec", "matrix"])
+def test_reader_decodes_up_to_the_last_byte(form):
+    xs = [0, 1, -1, 255, -256, 1 << 70, 7, -(1 << 40), 3]
+    entries = _encode(*xs)
+    assert entries[-1] != 0
+    got = _read_nine(form, entries)
+    assert (got if form != "matrix" else [x for row in got for x in row]) == xs
+
+
+def test_integer_encoding_roundtrips_and_matches_reference():
+    xs = [0]
+    for k in range(71):
+        for x in ((1 << 8 * k) - 1, 1 << 8 * k):
+            xs += [x, -x] if x else []
+    buf = bytearray()
+    _w_ints(buf, xs)
+    assert bytes(buf) == _encode(*xs)
+    r = _Reader(bytes(buf))
+    assert r.ints(len(xs)) == xs and r.pos == len(buf)
 
 
 # --- shape and range checks (files re-sealed with a valid checksum) ---------
@@ -276,6 +325,33 @@ def test_evalkey_form_byte_and_carry_bound_checked(tmp_path, toy_sk, toy_evk, ca
     assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
                  "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _patch_params_u32(path: str, field: int, value: int) -> None:
+    """Set the parameter block's u32 number ``field`` (0 = lambda, 1 = L,
+    2 = v, 3 = r_g, 4 = r_prime, 5 = ell) and re-seal the checksum."""
+    with open(path, "rb") as fh:
+        block_len = int.from_bytes(fh.read(11)[7:], "little")
+    _patch_payload(path, 4 * field - block_len, 4, value.to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize("fields, message", [
+    # (n·q_bits)^L would take hours at this L
+    ({1: 2**31 - 1}, "q/B ratio too small for depth L=2147483647"),
+    # C(v + r_prime, r_prime) ran for minutes; found by the loader fuzz test
+    ({2: 1678311428, 4: 589826}, "need t < 2\\^32 points"),
+])
+def test_params_huge_u32_refused_at_once(tmp_path, toy_params, fields, message):
+    """Each parameter is a u32 in every file; values that would stall the
+    loader are refused before the exact arithmetic."""
+    path = str(tmp_path / "p.bin")
+    save_params(toy_params, path)
+    for field, value in fields.items():
+        _patch_params_u32(path, field, value)
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match=message):
+        load_params(path)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_params_gadget_flag_checked(tmp_path, toy_params):
