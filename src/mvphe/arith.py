@@ -3,9 +3,9 @@
 Everything in the scheme core is computed exactly — integers of arbitrary
 size and `fractions.Fraction` for rationals.  No floating point enters any
 ciphertext or key computation.  The single place a ``float`` appears is in
-building the noise sampler's weight table, and the weights themselves are
-then fixed integers (numerators at a fixed power-of-two denominator), so the
-sample stream is reproducible bit-for-bit from a seed.
+the noise sampler's acceptance weights, and each weight is rounded to a
+fixed integer (a numerator at a fixed power-of-two denominator) before use,
+so the sample stream is reproducible bit-for-bit from a seed.
 
 The balanced representative convention: an integer x reduced mod an odd
 prime q is reported in the interval (−q/2, q/2].  Serialization and all
@@ -85,16 +85,19 @@ def round_nearest(x: Rational) -> int:
     return math.floor(2 * x + 1) // 2
 
 
-_WEIGHT_BITS = 48  # weight table resolution: weights are numerators over 2^48
+_WEIGHT_BITS = 48  # acceptance weights are numerators over 2^48
 
 
 class NoiseSampler:
-    """Discrete Gaussian on Z restricted to [−B, B], rejection-sampled.
+    """Discrete Gaussian on Z restricted to [−⌈6σ⌉, ⌈6σ⌉], rejection-sampled.
 
     The target mass is proportional to exp(−x² / (2σ²)), i.e. σ is the
-    standard deviation of the untruncated distribution.  With the default
-    bound B = ceil(6σ) the truncated tail mass is below 2^−26, so the
-    restriction is statistically invisible at test scale.
+    standard deviation of the untruncated distribution.  The truncated tail
+    mass is below 2^−26, so the restriction is statistically invisible at
+    test scale.  Each acceptance weight is computed when a draw needs it,
+    so building a sampler costs the same at every σ.  ``Params`` requires
+    the noise bound B >= ⌈6σ⌉, so B bounds every fresh sample; it is the
+    noise hint of a fresh ciphertext.
 
     σ = 0 is the degenerate zero-noise test mode: every sample is 0.
 
@@ -102,23 +105,14 @@ class NoiseSampler:
     one per thread, each with its own seed.
     """
 
-    def __init__(self, sigma: Rational, rng, bound: int | None = None):
+    def __init__(self, sigma: Rational, rng):
         if sigma < 0:
             raise ParameterError("sigma must be >= 0")
         self.sigma = sigma
         self.rng = rng
-        if sigma == 0:
-            self.bound = 0
-            self._weights = None
-            return
-        self.bound = int(bound) if bound is not None else math.ceil(6 * Fraction(sigma))
-        if self.bound < 1:
-            raise ParameterError("bound must be >= 1 for sigma > 0")
+        self.bound = math.ceil(6 * Fraction(sigma))
         s = float(sigma)
-        scale = 1 << _WEIGHT_BITS
-        self._weights = [
-            round(scale * math.exp(-(x * x) / (2 * s * s))) for x in range(self.bound + 1)
-        ]
+        self._two_s2 = 2 * s * s
 
     def sample(self) -> int:
         """One sample, |result| <= bound, reproducible from the rng state."""
@@ -127,7 +121,8 @@ class NoiseSampler:
         scale = 1 << _WEIGHT_BITS
         while True:
             x = self.rng.randrange(-self.bound, self.bound + 1)
-            if self.rng.randrange(scale) < self._weights[abs(x)]:
+            weight = round(scale * math.exp(-(x * x) / self._two_s2))
+            if self.rng.randrange(scale) < weight:
                 return x
 
 

@@ -35,11 +35,15 @@ eps_i, point-extension matrix A, rescaling tensor U, re-expression matrix B,
 and the reduction matrix Q that realizes polynomial division back into
 degree <= r on evaluations).  M is never materialized: the rank-1 slice
 structure lets evaluation run through the two factor matrices P_i = D_i~ · A
-and the combined third factor W = B·Q·R.  Every entry of P_i lies in
-0..n(q − 1): D_i~ is 0/1, and A = [I | A_ext] has entries in [0, q) with
-only n nonzero rows of A_ext.  AND multiplies the gadget-transformed
-ciphertexts by P_i through a Kronecker-packed copy of their rows
-(``EvalKey.packed``), built from the key on its first use.
+and the combined third factor W = B·Q·R.  Neither B nor Q is formed either:
+B·Q comes from one solve against F1p, the degree-(<= 2r) ideal basis
+evaluated at z_1..z_n and the extension points (``_reduction_map``).  And
+A = [I | A_ext] with A_ext zero below its first n rows, so P_i is built as
+[D_i~ | D_i~[:, :n]·E], E being those n rows (``_build_E``).  Every entry of
+P_i lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
+multiplies the gadget-transformed ciphertexts by P_i through a
+Kronecker-packed copy of their rows (``EvalKey.packed``), built from the
+key on its first use.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .linalg import (
     Matrix,
     Packed,
     balanced_matrix,
-    identity,
     inverse_mod_q,
     mat_mul,
     pack_rows,
@@ -74,6 +77,7 @@ from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
 _T_BITS = 32  # key files record the point count t, and matrix shapes, as u32
+_Q_BITS_MAX = 64  # below log2(psi_13), so the fixed bases prove every q prime
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,8 @@ class Params:
 
     Derived fields satisfy: r = r_prime + r_g, n = C(v+r_prime, r_prime),
     N = C(v+r, r), n1 = C(v + 2r − r_g, 2r − r_g), t = n1 + ell − n,
-    n < ell <= N, and t < 2^32 (key files record t as a u32).
+    n < ell <= N, and t < 2^32 (key files record t as a u32).  q is an
+    odd prime of at most 64 bits.
     """
 
     lambda_: int
@@ -138,6 +143,9 @@ class Params:
             raise ParameterError(f"need t < 2^{_T_BITS} points, got t = {self.t}")
         if self.u < 0:
             raise ParameterError("gadget fractional bits u must be >= 0")
+        if self.q_bits > _Q_BITS_MAX:
+            raise ParameterError(
+                f"q must have at most {_Q_BITS_MAX} bits, got {self.q_bits}")
         if self.q < 3 or self.q % 2 == 0 or not is_probable_prime(self.q):
             raise ParameterError(f"q = {self.q} is not an odd prime")
         if self.sigma < 0:
@@ -194,13 +202,14 @@ def _product_hint(h: Rational, k_max: Fraction, q: int, ell: int) -> Fraction:
 
 
 def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
-    """Smallest q_bits in 16..64 with 2·h_L < floor(q_min/2)/2, where h_L is
-    the hint after L levels of (multiply, then add) from B at q_min =
-    2^(q_bits − 1).  This implies both depth checks in ``Params.validate``:
-    h_L >= B, so B < floor(q/2)/2; and each level multiplies the hint by
-    more than 16·k_max > 8·n·q_bits (ell > n), so (q/B) >= (n·q_bits)^L.
+    """Smallest q_bits in 16.._Q_BITS_MAX with 2·h_L < floor(q_min/2)/2,
+    where h_L is the hint after L levels of (multiply, then add) from B at
+    q_min = 2^(q_bits − 1).  This implies both depth checks in
+    ``Params.validate``: h_L >= B, so B < floor(q/2)/2; and each level
+    multiplies the hint by more than 16·k_max > 8·n·q_bits (ell > n), so
+    (q/B) >= (n·q_bits)^L.
     """
-    for bits in range(16, 65):
+    for bits in range(16, _Q_BITS_MAX + 1):
         q_min = 1 << (bits - 1)
         k_max = _carry_bound(ell, u, bits)
         h = Fraction(B)
@@ -209,7 +218,8 @@ def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
         if 2 * h < Fraction(q_min // 2, 2):
             return bits
     raise ParameterError(
-        f"no modulus size up to 64 bits supports depth L={L} at these dimensions"
+        f"no modulus size up to {_Q_BITS_MAX} bits supports depth L={L} "
+        "at these dimensions"
     )
 
 
@@ -513,10 +523,12 @@ def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
     return scaled
 
 
-def _build_A(sk: SecretKey) -> Matrix:
-    """Point-extension matrix A (ell x t): [I | coefficient columns].
+def _build_E(sk: SecretKey) -> Matrix:
+    """Extension coefficients E (n x (t − ell)), step 2.
 
-    Column k >= ell expresses evaluation at the extra point z_k as a linear
+    The paper's point-extension matrix is A = [I | A_ext] (ell x t), and
+    A_ext is zero below its first n rows; E is those rows.  Column k
+    expresses evaluation at the extra point z_(ell+k) as a linear
     combination of evaluations at z_1..z_n, valid on ideal elements of
     degree <= r.
     """
@@ -524,94 +536,54 @@ def _build_A(sk: SecretKey) -> Matrix:
     q = p.q
     E1 = [[b.eval(z) % q for z in sk.points[:p.n]] for b in sk.basis]
     evals = [[b.eval(z) for z in sk.points[p.ell:]] for b in sk.basis]
-    ext = mat_mul(inverse_mod_q(E1, q), evals, q) + zeros(p.ell - p.n, p.t - p.ell)
-    return [row + ext_row for row, ext_row in zip(identity(p.ell), ext)]
+    return mat_mul(inverse_mod_q(E1, q), evals, q)
 
 
-def _sub_rows(p: Params) -> list[int]:
-    """Rows of B and Q that F1p^{-1} solves for: z_1..z_n, then the
-    extension points (F1p's columns, in order)."""
-    return [*range(p.n), *range(p.ell, p.t)]
+def _reduction_map(sk: SecretKey) -> Matrix:
+    """B·Q (t x ell): re-expression B and reduction Q, steps 4 and 5, in
+    one solve.
 
-
-def _build_B(sk: SecretKey, F1: Matrix, F1p_inv: Matrix) -> Matrix:
-    """Re-expression matrix B (t x t).
-
-    Identity except in columns n..ell−1: column j additionally carries the
-    coefficients writing evaluation-at-z_j of any degree-(<= 2r) ideal
-    element as a combination of its evaluations at z_1..z_n and the extra
-    points.
-    """
-    p = sk.params
-    B = identity(p.t)
-    beta = mat_mul(F1p_inv, [row[p.n:p.ell] for row in F1], p.q)
-    for i, row in zip(_sub_rows(p), beta):
-        B[i][p.n:p.ell] = row
-    return B
-
-
-def _build_Q(sk: SecretKey, F1: Matrix, F2: Matrix, F1p_inv: Matrix) -> Matrix:
-    """Reduction matrix Q (t x ell) with F1·Q = F2 (mod q).
-
-    Rows n..ell−1 are pinned to [0 | I]; the remaining rows are solved for.
-    The pinning matters beyond uniqueness: those rows multiply the only
-    coordinates whose entries are non-integers during multiplication, and
-    0/1 coefficients let the fractional parts pass straight into the tail
-    of the output where the final floor can absorb them.
+    F1p is the degree-(<= 2r) ideal basis evaluated at the n1 solve points
+    (z_1..z_n, then the extension points) and F2 its remainders under
+    build_G evaluated at z_1..z_ell.  B·Q's rows at the solve points are
+    X = F1p^{-1}·F2 (mod q): B adds F1p^{-1}·F1[:, n:ell] into exactly the
+    band columns from which Q's right-hand side subtracts F1[:, n:ell].  Its
+    rows n..ell−1 are Q's pinned unit rows [0 | I], which pass the
+    fractional parts of a product straight into the tail of the output,
+    where the final floor absorbs them.  The mandatory post-check
+    F1p·X = F2 (mod q), equivalent to the paper's F1·Q = F2, runs here.
     """
     p = sk.params
     q = p.q
-    rhs = [[(F2[r][j] - (F1[r][j] if p.n <= j < p.ell else 0)) % q
-            for j in range(p.ell)] for r in range(p.n1)]
-    X = mat_mul(F1p_inv, rhs, q)
-    Q = zeros(p.t, p.ell)
-    for j in range(p.n, p.ell):
-        Q[j][j] = 1
-    for i, row in zip(_sub_rows(p), X):
-        Q[i] = row
-    return Q
-
-
-def _stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
-    """Re-expression matrix B and reduction matrix Q (steps 4 and 5).
-
-    Both derive from F1, the degree-(<= 2r) ideal basis evaluated at all t
-    points; F1p^{-1}, the inverse of F1 restricted to z_1..z_n and the
-    extension points; and F2, the basis remainders under build_G evaluated
-    at z_1..z_ell.  The mandatory post-check F1·Q = F2 (mod q) runs here.
-    """
-    p = sk.params
-    q = p.q
-    basis2 = _ideal_basis_2r(p, sk.g)
-    F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
-    F1p = [row[:p.n] + row[p.ell:] for row in F1]
+    solve_points = sk.points[:p.n] + sk.points[p.ell:]
+    G = build_G(sk)
+    F1p, F2 = [], []
+    for b in _ideal_basis_2r(p, sk.g):
+        F1p.append([b.eval(z) % q for z in solve_points])
+        rem = reduce_by_set(b, G, p.r)
+        F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
     try:
         F1p_inv = inverse_mod_q(F1p, q)
     except SingularMatrixError as exc:
         raise ConstructionError(
             "extension-point evaluations lost rank; regenerate the key"
         ) from exc
-    B = _build_B(sk, F1, F1p_inv)
-
-    G = build_G(sk)
-    F2 = []
-    for b in basis2:
-        rem = reduce_by_set(b, G, p.r)
-        F2.append([rem.eval(z) % q for z in sk.points[: p.ell]])
-    Q = _build_Q(sk, F1, F2, F1p_inv)
-    if mat_mul(F1, Q, q) != F2:
-        raise ConstructionError("post-check failed: F1·Q != F2 (mod q)")
-    return B, Q
+    X = mat_mul(F1p_inv, F2, q)
+    if mat_mul(F1p, X, q) != F2:
+        raise ConstructionError("post-check failed: F1p·X != F2 (mod q)")
+    unit_rows = [[int(j == i) for j in range(p.ell)] for i in range(p.n, p.ell)]
+    return X[:p.n] + unit_rows + X[p.n:]
 
 
 @dataclass
 class EvalKey:
     """Public multiplication key in factored form.
 
-    ``P1``/``P2`` hold D_i~·A: the bit-decomposed columns of D_i times A,
-    as plain integers in 0..n(q − 1).  ``W`` is the balanced combined third
-    factor B·Q·R mod q.  The full tensor M has dims input_dim x input_dim x
-    ell (input_dim = ell·(u + q_bits)); evaluation never needs it.
+    ``P1``/``P2`` hold D_i~·A = [D_i~ | D_i~[:, :n]·E]: the bit-decomposed
+    columns of D_i times A, as plain integers in 0..n(q − 1).  ``W`` is the
+    balanced combined third factor B·Q·R mod q.  The full tensor M has dims
+    input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
+    never needs it.
 
     ``packed`` is a cache of P1 and P2 in the form eval_mult multiplies by.
     It is not part of the key: equality, repr and files ignore it, and
@@ -649,10 +621,12 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     """Construct the multiplication key from a secret key.
 
     The five steps: (1) unmasking matrices D_i with fresh dyadic masking
-    blocks, (2) point-extension matrix A, (3) rescaling diagonal folded into
-    the rank-1 slice structure, (4) re-expression matrix B, (5) reduction
-    matrix Q from the division remainders of the degree-(<= 2r) ideal basis.
-    The mandatory post-check F1·Q = F2 (mod q) runs on every build.
+    blocks, (2) the extension coefficients E, the nonzero block of the
+    point-extension matrix A, (3) rescaling diagonal folded into the rank-1
+    slice structure, (4)+(5) re-expression matrix B times reduction matrix
+    Q, from one solve against the division remainders of the degree-(<= 2r)
+    ideal basis.  The mandatory post-check F1p·X = F2 (mod q) runs on every
+    build.  P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].
     """
     p = sk.params
     q = p.q
@@ -662,15 +636,14 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     D1s = _build_D_scaled(sk, _sample_masking_block(p, rng))
     D2s = _build_D_scaled(sk, _sample_masking_block(p, rng))
 
-    # step 2: extension matrix
-    A = _build_A(sk)
+    # step 2: extension coefficients
+    E = _build_E(sk)
 
     # steps 4+5
-    B, Q = _stage_matrices(sk)
-    W = balanced_matrix(mat_mul(mat_mul(B, Q, q), sk.R, q), q)
+    W = balanced_matrix(mat_mul(_reduction_map(sk), sk.R, q), q)
 
-    P1 = _bitdecomp_matrix_times(D1s, A, p, q)
-    P2 = _bitdecomp_matrix_times(D2s, A, p, q)
+    P1 = _bitdecomp_matrix_times(D1s, E, p, q)
+    P2 = _bitdecomp_matrix_times(D2s, E, p, q)
     return EvalKey(params=p, P1=P1, P2=P2, W=W)
 
 
@@ -679,9 +652,11 @@ def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
     return [vec_mat(row, B) for row in A]
 
 
-def _bitdecomp_matrix_times(D_scaled: Matrix, A: Matrix, p: Params, q: int) -> Matrix:
-    """Rows of the bit-decomposed D columns times A, i.e. D~·A, position-major."""
+def _bitdecomp_matrix_times(D_scaled: Matrix, E: Matrix, p: Params, q: int) -> Matrix:
+    """Rows of D~·A = [D~ | D~[:, :n]·E], where D~ holds the bit-decomposed
+    D columns, position-major."""
     cols = [_bitdecomp_numerators([row[j] for row in D_scaled], q, p.u)
             for j in range(p.ell)]
-    return mat_mul_exact([list(row) for row in zip(*cols)], A)
-
+    D_bits = list(zip(*cols))
+    ext = mat_mul_exact([row[:p.n] for row in D_bits], E)
+    return [[*row, *ext_row] for row, ext_row in zip(D_bits, ext)]

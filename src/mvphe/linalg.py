@@ -30,10 +30,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def dims(A: Matrix) -> tuple[int, int]:
     return len(A), len(A[0]) if A else 0
 

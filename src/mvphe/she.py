@@ -81,8 +81,10 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
             zero_noise: bool = False) -> Ciphertext:
     """Encrypt a bit vector under the secret key.
 
-    ``zero_noise`` drops the Gaussian term (debugging/test calibration);
-    the hint is then 0 and decryption is exact.
+    The noise is Gaussian of width σ truncated at ⌈6σ⌉, which ``Params``
+    keeps at most B, so B is the fresh noise hint.  ``zero_noise`` drops
+    the Gaussian term (debugging/test calibration); the hint is then 0 and
+    decryption is exact.
     """
     p = sk.params
     q = p.q
@@ -92,7 +94,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     if zero_noise:
         e = [0] * p.message_bits
     else:
-        sampler = NoiseSampler(p.sigma, rng, p.B)
+        sampler = NoiseSampler(p.sigma, rng)
         e = [sampler.sample() for _ in range(p.message_bits)]
     # pre-mixing vector: y spread by S_enc, message + noise on the message band
     # (the band is exactly what [S | I]^T reads back out, so noise added

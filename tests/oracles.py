@@ -1,8 +1,9 @@
 """Test-only oracles: the gadget transforms as exact rationals, the
-multiplication key as an explicit rational tensor, every stage of one
-multiplication carried out with exact rationals, a random netlist
-generator, and the container's integer encoding written one entry at a
-time.
+re-expression and reduction matrices B and Q built one at a time as the
+paper stages them, the multiplication key as an explicit rational tensor,
+every stage of one multiplication carried out with exact rationals, a random
+netlist generator, and the container's integer encoding written one entry
+at a time.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -18,19 +19,26 @@ from typing import Sequence
 
 from mvphe.arith import balance
 from mvphe.circuit import Circuit, parse_circuit
-from mvphe.errors import ParameterError
+from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import (
     EvalKey,
+    Params,
     SecretKey,
     _bitdecomp_numerators,
+    _ideal_basis_2r,
     _powersoftwo_numerators,
-    _stage_matrices,
+    build_G,
 )
-from mvphe.linalg import Matrix
+from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, zeros
+from mvphe.mvpoly import reduce_by_set
 
 
 def transpose(A: Matrix) -> Matrix:
     return [list(col) for col in zip(*A)]
+
+
+def identity(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +73,88 @@ def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:
     Entries are exact rationals with denominator 2^u and magnitude <= q/2.
     """
     return [Fraction(n, 1 << u) for n in _powersoftwo_numerators(vec, q, u)]
+
+
+# ---------------------------------------------------------------------------
+# re-expression and reduction, staged as in the paper
+# ---------------------------------------------------------------------------
+# Reference copy of the staged construction: keys._reduction_map computes
+# B·Q in one solve without forming either matrix.
+
+def sub_rows(p: Params) -> list[int]:
+    """Rows of B and Q that F1p^{-1} solves for: z_1..z_n, then the
+    extension points (F1p's columns, in order)."""
+    return [*range(p.n), *range(p.ell, p.t)]
+
+
+def build_B(sk: SecretKey, F1: Matrix, F1p_inv: Matrix) -> Matrix:
+    """Re-expression matrix B (t x t).
+
+    Identity except in columns n..ell−1: column j additionally carries the
+    coefficients writing evaluation-at-z_j of any degree-(<= 2r) ideal
+    element as a combination of its evaluations at z_1..z_n and the extra
+    points.
+    """
+    p = sk.params
+    B = identity(p.t)
+    beta = mat_mul(F1p_inv, [row[p.n:p.ell] for row in F1], p.q)
+    for i, row in zip(sub_rows(p), beta):
+        B[i][p.n:p.ell] = row
+    return B
+
+
+def build_Q(sk: SecretKey, F1: Matrix, F2: Matrix, F1p_inv: Matrix) -> Matrix:
+    """Reduction matrix Q (t x ell) with F1·Q = F2 (mod q).
+
+    Rows n..ell−1 are pinned to [0 | I]; the remaining rows are solved for.
+    The pinning matters beyond uniqueness: those rows multiply the only
+    coordinates whose entries are non-integers during multiplication, and
+    0/1 coefficients let the fractional parts pass straight into the tail
+    of the output where the final floor can absorb them.
+    """
+    p = sk.params
+    q = p.q
+    rhs = [[(F2[r][j] - (F1[r][j] if p.n <= j < p.ell else 0)) % q
+            for j in range(p.ell)] for r in range(p.n1)]
+    X = mat_mul(F1p_inv, rhs, q)
+    Q = zeros(p.t, p.ell)
+    for j in range(p.n, p.ell):
+        Q[j][j] = 1
+    for i, row in zip(sub_rows(p), X):
+        Q[i] = row
+    return Q
+
+
+def stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
+    """Re-expression matrix B and reduction matrix Q (steps 4 and 5).
+
+    Both derive from F1, the degree-(<= 2r) ideal basis evaluated at all t
+    points; F1p^{-1}, the inverse of F1 restricted to z_1..z_n and the
+    extension points; and F2, the basis remainders under build_G evaluated
+    at z_1..z_ell.  The mandatory post-check F1·Q = F2 (mod q) runs here.
+    """
+    p = sk.params
+    q = p.q
+    basis2 = _ideal_basis_2r(p, sk.g)
+    F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
+    F1p = [row[:p.n] + row[p.ell:] for row in F1]
+    try:
+        F1p_inv = inverse_mod_q(F1p, q)
+    except SingularMatrixError as exc:
+        raise ConstructionError(
+            "extension-point evaluations lost rank; regenerate the key"
+        ) from exc
+    B = build_B(sk, F1, F1p_inv)
+
+    G = build_G(sk)
+    F2 = []
+    for b in basis2:
+        rem = reduce_by_set(b, G, p.r)
+        F2.append([rem.eval(z) % q for z in sk.points[: p.ell]])
+    Q = build_Q(sk, F1, F2, F1p_inv)
+    if mat_mul(F1, Q, q) != F2:
+        raise ConstructionError("post-check failed: F1·Q != F2 (mod q)")
+    return B, Q
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +284,15 @@ def mult_intermediates(sk: SecretKey, evk: EvalKey,
                        c1: Sequence[int], c2: Sequence[int]) -> dict:
     """Every intermediate of one homomorphic multiplication.
 
-    Takes B and Q from the secret key (they are deterministic given sk) and
-    carries the pipeline through with exact rationals: transformed inputs,
-    per-slice products, re-expression, reduction, mixing, flooring.
-    Production evaluation folds these stages together.
+    Takes B and Q from the secret key through the staged
+    ``stage_matrices`` (they are deterministic given sk) and carries the
+    pipeline through with exact rationals: transformed inputs, per-slice
+    products, re-expression, reduction, mixing, flooring.  Production
+    evaluation folds these stages together.
     """
     p = sk.params
     q = p.q
-    B, Q = _stage_matrices(sk)
+    B, Q = stage_matrices(sk)
 
     t1 = _powersoftwo_numerators(c1, q, p.u)
     t2 = _powersoftwo_numerators(c2, q, p.u)

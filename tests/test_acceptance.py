@@ -9,6 +9,7 @@ pipeline, brute-force tensor sums) rather than trusting the code under test.
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 from random import Random
 
@@ -34,12 +35,14 @@ from mvphe import (
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.keys import _ideal_basis_2r, _build_Q, build_G
+from mvphe.keys import _ideal_basis_2r, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
 from oracles import (
     Tensor3,
     bilinear_eval,
     bitdecomp,
+    build_B,
+    build_Q,
     n_mode_product,
     powersoftwo,
     random_circuit,
@@ -132,11 +135,13 @@ def test_c05_depth_three_chains():
 
 def test_c06_evalkey_integrity_and_polynomial_pipeline():
     """Part 1: the reduction relation F1*Q = F2 (mod q) holds for every
-    generated key, re-derived here from scratch.  Part 2: with zero noise
-    and zero masking, production multiplication output equals the direct
-    polynomial pipeline — reduce the product by the top-degree set, evaluate
-    at the first ell points, remix — exactly.  (Masking is zero at the toy
-    scale; test_masking_zero_at_toy_scale pins that.)"""
+    generated key, re-derived here from scratch with B and Q staged as in
+    the paper, and the built key's W is balanced(B·Q·R mod q).  Part 2:
+    with zero noise and zero masking, production multiplication output
+    equals the direct polynomial pipeline — reduce the product by the
+    top-degree set, evaluate at the first ell points, remix — exactly.
+    (Masking is zero at the toy scale; test_masking_zero_at_toy_scale pins
+    that.)"""
     rng = Random("acc-6")
     for trial in range(3):
         p = preset_params("toy")
@@ -150,10 +155,12 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
         sub = list(range(p.n)) + list(range(p.ell, p.t))
         F1p_inv = inverse_mod_q(
             [[F1[r][c] for c in sub] for r in range(p.n1)], q)
-        Q = _build_Q(sk, F1, F2, F1p_inv)
+        Q = build_Q(sk, F1, F2, F1p_inv)
         assert mat_mul(F1, Q, q) == F2
 
         evk = build_evalkey(sk, rng=rng)
+        BQR = mat_mul(mat_mul(build_B(sk, F1, F1p_inv), Q, q), sk.R, q)
+        assert [[balance(x, q) for x in row] for row in BQR] == evk.W
         for _ in range(10):
             cts, polys = [], []
             for _ in range(2):
@@ -259,8 +266,9 @@ def test_c09_public_key_encryption(toy_sk):
 def test_c10_random_circuits_match_plain_evaluation(preset, request):
     """100 random circuits within each preset's depth budget: every output
     decrypts to the plain evaluation, and its measured noise stays within
-    its tracked hint.  Each preset but toy gets its own seeded keys; small
-    is the one with nonzero masking."""
+    its tracked hint.  decrypt warns exactly when the hint passes q/4.
+    Each preset but toy gets its own seeded keys; small is the one with
+    nonzero masking."""
     if preset == "toy":
         sk = request.getfixturevalue("toy_sk")
         evk = request.getfixturevalue("toy_evk")
@@ -278,7 +286,12 @@ def test_c10_random_circuits_match_plain_evaluation(preset, request):
         cts = [encrypt(sk, m, rng) for m in plains]
         got = eval_homomorphic(evk, circ, cts)
         for ct, want in zip(got, eval_plain(circ, plains), strict=True):
-            assert decrypt(sk, ct) == want
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert decrypt(sk, ct) == want
+            warned = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                      and "exceeds q/4" in str(w.message)]
+            assert len(warned) == len(caught) == (ct.noise_hint > Fraction(p.q, 4))
             assert max(abs(x) for x in noise_of(sk, ct, want)) <= ct.noise_hint
 
 

@@ -69,12 +69,12 @@ def test_rounding_against_integer_scan_oracle():
 
 
 def test_sampler_degenerate_sigma_zero():
-    s = NoiseSampler(0, Random(1), 48)
+    s = NoiseSampler(0, Random(1))
     assert all(s.sample() == 0 for _ in range(1000))
 
 
 def test_sampler_statistics_seed42():
-    s = NoiseSampler(8, Random(42), 48)
+    s = NoiseSampler(8, Random(42))
     xs = [s.sample() for _ in range(10_000)]
     mean = sum(xs) / len(xs)
     stdev = math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
@@ -83,7 +83,7 @@ def test_sampler_statistics_seed42():
 
 
 def test_sampler_never_exceeds_bound():
-    s = NoiseSampler(8, Random(7), 48)
+    s = NoiseSampler(8, Random(7))
     assert all(abs(s.sample()) <= 48 for _ in range(1_000_000))
 
 

@@ -1,6 +1,8 @@
 """End-to-end command-line workflows (run in-process through cli.main)."""
 
 import hashlib
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +113,36 @@ def test_encrypt_rejects_bad_bits(workdir, capsys):
     out = str(workdir / "never.bin")
     assert main(["encrypt", "--key", sk, "--bits", "012", "--out", out]) == 2
     assert "must be 2 characters" in capsys.readouterr().err
+
+
+def test_encrypt_with_huge_sigma_returns_at_once(tmp_path, toy_sk, capsys):
+    """The sampler computes each weight as a draw needs it, so its cost does
+    not grow with sigma or B.  2^28 is about the largest sigma whose B = 6σ
+    the toy modulus admits (at depth 1); a table of B + 1 weights would not
+    fit in memory."""
+    sigma = 1 << 28
+    sk = replace(toy_sk, params=replace(toy_sk.params, L=1, sigma=sigma,
+                                        B=6 * sigma))
+    key, ct = str(tmp_path / "sk.bin"), str(tmp_path / "ct.bin")
+    serialize.save_secret_key(sk, key)
+    start = time.perf_counter()
+    assert main(["encrypt", "--key", key, "--bits", "10", "--out", ct,
+                 "--seed", "1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+    assert main(["decrypt", "--key", key, "--in", ct]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+
+
+def test_evalkey_refuses_key_with_repeated_extension_point(tmp_path, toy_sk, capsys):
+    points = list(toy_sk.points)
+    points[-1] = points[-2]
+    sk = replace(toy_sk, points=points)
+    key = str(tmp_path / "sk.bin")
+    serialize.save_secret_key(sk, key)
+    assert main(["evalkey", "--key", key, "--out", str(tmp_path / "evk.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "lost rank" in err
 
 
 def test_decrypt_refuses_fingerprint_mismatch(workdir, tmp_path, capsys):

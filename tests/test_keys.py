@@ -15,19 +15,22 @@ from mvphe import (
     build_evalkey,
     enumerate_monomials,
     keygen,
+    keys,
     preset_params,
     reduce_by_set,
     setup,
 )
-from mvphe.errors import GenerationFailure, ParameterError
+from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
 from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators, build_G
-from mvphe.linalg import mat_mul, rank_mod_q
+from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.arith import balance
 from oracles import (
     Tensor3,
     bilinear_eval,
     bitdecomp,
+    build_B,
+    build_Q,
     evalkey_tensor,
     mult_intermediates,
     n_mode_product,
@@ -103,6 +106,11 @@ def test_params_rejects_t_past_u32():
     with pytest.raises(ParameterError, match="need t < 2\\^32 points, got t = "):
         Params(lambda_=64, L=1, v=2**31, r_g=1, r_prime=1, ell=2**31 + 2,
                q=858024799843, sigma=8, B=48, u=8)
+
+
+def test_setup_refuses_q_past_64_bits():
+    with pytest.raises(ParameterError, match="q must have at most 64 bits, got 65"):
+        setup(q_bits=65)
 
 
 def test_params_rejects_composite_modulus():
@@ -317,7 +325,9 @@ def test_powersoftwo_numerators_match_public_form():
 # --- build_evalkey --------------------------------------------------------
 
 def test_f1q_equals_f2_post_check(toy_sk, toy_evk):
-    """Recompute the reduction relation independently of the builder."""
+    """Recompute the reduction relation independently of the builder, with
+    B and Q staged as in the paper, and check the builder's one-solve W
+    against balanced(B·Q·R mod q)."""
     p = toy_sk.params
     q = p.q
     basis2 = _ideal_basis_2r(p, toy_sk.g)
@@ -325,20 +335,60 @@ def test_f1q_equals_f2_post_check(toy_sk, toy_evk):
     F1 = [[b.eval(z) % q for z in toy_sk.points] for b in basis2]
     F2 = [[reduce_by_set(b, G, p.r).eval(z) % q for z in toy_sk.points[:p.ell]]
           for b in basis2]
-    # Q is not stored in the evaluation key; rebuild it through the
-    # intermediates helper and check the relation directly.
     st_probe = mult_intermediates(toy_sk, toy_evk, [0] * p.ell, [0] * p.ell)
     assert st_probe["product"] == [0] * p.ell
-    from mvphe.keys import _build_Q, _build_B
-    from mvphe.linalg import inverse_mod_q
     sub_idx = list(range(p.n)) + list(range(p.ell, p.t))
     F1p_inv = inverse_mod_q([[F1[r][c] for c in sub_idx] for r in range(p.n1)], q)
-    Qm = _build_Q(toy_sk, F1, F2, F1p_inv)
+    Qm = build_Q(toy_sk, F1, F2, F1p_inv)
     assert mat_mul(F1, Qm, q) == F2
     # pinned middle rows
     for j in range(p.ell - p.n):
         row = Qm[p.n + j]
         assert row == [int(c == p.n + j) for c in range(p.ell)]
+    BQR = mat_mul(mat_mul(build_B(toy_sk, F1, F1p_inv), Qm, q), toy_sk.R, q)
+    assert [[balance(x, q) for x in row] for row in BQR] == toy_evk.W
+
+
+def test_evalkey_refuses_repeated_extension_point(toy_sk):
+    p = toy_sk.params
+    points = list(toy_sk.points)
+    points[p.ell + 1] = points[p.ell]
+    sk = SecretKey(params=p, g=toy_sk.g, points=points, S=toy_sk.S,
+                   R1=toy_sk.R1, R2=toy_sk.R2)
+    with pytest.raises(ConstructionError, match="lost rank"):
+        build_evalkey(sk, rng=Random(1))
+
+
+def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
+    """The post-check tests the computed F1p^{-1} against the right-hand
+    side it was applied to: one wrong entry of the n1 x n1 inverse trips it."""
+    p = toy_sk.params
+    real = keys.inverse_mod_q
+
+    def perturbed(A, q):
+        inv = real(A, q)
+        if len(inv) == p.n1:
+            inv[0][0] = (inv[0][0] + 1) % q
+        return inv
+
+    monkeypatch.setattr(keys, "inverse_mod_q", perturbed)
+    with pytest.raises(ConstructionError, match="post-check failed"):
+        build_evalkey(toy_sk, rng=Random(1))
+
+
+def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
+    """B·Q is one solve and P skips A's identity block: four mat_mul, two
+    inverse_mod_q and two mat_mul_exact calls, and one reduce_by_set per
+    degree-(<= 2r) ideal basis element."""
+    calls = {}
+    for name in ("mat_mul", "inverse_mod_q", "mat_mul_exact", "reduce_by_set"):
+        def counted(*args, _name=name, _fn=getattr(keys, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(keys, name, counted)
+    build_evalkey(toy_sk, rng=Random(1))
+    assert calls == {"mat_mul": 4, "inverse_mod_q": 2, "mat_mul_exact": 2,
+                     "reduce_by_set": toy_sk.params.n1}
 
 
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):

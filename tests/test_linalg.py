@@ -9,7 +9,6 @@ from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import mat_mul_exact
 from mvphe.linalg import (
     _eliminate,
-    identity,
     inverse_mod_q,
     mat_mul,
     pack_rows,
@@ -18,7 +17,7 @@ from mvphe.linalg import (
     vec_mat,
     zeros,
 )
-from oracles import Tensor3, bilinear_eval, n_mode_product, transpose
+from oracles import Tensor3, bilinear_eval, identity, n_mode_product, transpose
 
 Q40 = 858024799843  # a 40-bit prime
 

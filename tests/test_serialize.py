@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -21,10 +22,15 @@ from mvphe import (
 from mvphe.cli import main
 from mvphe.errors import FormatError, ParameterError
 from mvphe.serialize import (
+    GADGET_FLAG,
     MAGIC,
+    TYPE_PARAMS,
+    VERSION,
     _Reader,
     _w_fraction,
+    _w_int,
     _w_ints,
+    _w_uint,
     load_ciphertext,
     load_evalkey,
     load_params,
@@ -351,6 +357,34 @@ def test_params_huge_u32_refused_at_once(tmp_path, toy_params, fields, message):
     start = time.perf_counter()
     with pytest.raises(ParameterError, match=message):
         load_params(path)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
+    """A q of more than 64 bits is refused before the primality test, which
+    would sweep 64 Miller–Rabin rounds over this one for days."""
+    q = (1 << 16383) + 1
+    while math.gcd(q, math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))) != 1:
+        q += 2
+    p = toy_params
+    block = bytearray()
+    for x in (p.lambda_, p.L, p.v, p.r_g, p.r_prime, p.ell):
+        _w_uint(block, x, 4)
+    _w_int(block, q)
+    _w_fraction(block, p.sigma)
+    _w_int(block, p.B)
+    _w_uint(block, p.u, 4)
+    block.append(GADGET_FLAG)
+    body = bytearray(MAGIC)
+    _w_uint(body, VERSION, 2)
+    body.append(TYPE_PARAMS)
+    _w_uint(body, len(block), 4)
+    body += block
+    path = tmp_path / "p.bin"
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="q must have at most 64 bits, got 16384"):
+        load_params(str(path))
     assert time.perf_counter() - start < 0.5
 
 
