@@ -24,6 +24,7 @@ fingerprints disagree.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from random import Random
@@ -240,6 +241,7 @@ def cmd_bench(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: main runs once per verb
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mvphe",

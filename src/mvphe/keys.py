@@ -41,9 +41,12 @@ evaluated at z_1..z_n and the extension points (``_reduction_map``).  And
 A = [I | A_ext] with A_ext zero below its first n rows, so P_i is built as
 [D_i~ | D_i~[:, :n]·E], E being those n rows (``_build_E``).  Every entry of
 P_i lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
-multiplies the gadget-transformed ciphertexts by P_i through a
-Kronecker-packed copy of their rows (``EvalKey.packed``), built from the
-key on its first use.
+multiplies the gadget-transformed ciphertexts by P_i without forming the
+transforms: every entry of a transform is c·2^s less a carry, and all the
+carries of an entry c come from the bits of one quotient, so t·P_i is
+c·P_red plus a subset sum of carry rows (``_carry_product``).  Those rows
+are Kronecker-packed once per key object, on its first AND
+(``EvalKey.packed``, ``_carry_table``).
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import Rational, is_probable_prime, random_prime
 from .errors import (
@@ -64,12 +69,13 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Packed,
     balanced_matrix,
     inverse_mod_q,
     mat_mul,
     pack_rows,
     rank_mod_q,
+    slot_width,
+    unpack_slots,
     vec_mat,
     zeros,
 )
@@ -444,24 +450,81 @@ def _gadget_width(q: int, u: int) -> int:
 
 def _bitdecomp_numerators(nums: Sequence[int], q: int, u: int) -> list[int]:
     """u + q_bits bits of each numerator's residue mod q·2^u, position-major:
-    entry i's bit s is at index s·len(nums) + i, as in _powersoftwo_numerators."""
+    entry i's bit s is at index s·len(nums) + i, the row order of P."""
     modulus = q << u
     reduced = [num % modulus for num in nums]
     return [(num >> s) & 1 for s in range(_gadget_width(q, u)) for num in reduced]
 
 
-def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
-    """Numerators over 2^u of w·2^(s−u) balanced mod q, position-major;
-    paired with v's bits they give <v, w> mod q."""
-    width = _gadget_width(q, u)
-    modulus = q << u
-    half = modulus // 2
-    out = []
-    for s in range(width):
-        for w in vec:
-            r = (w << s) % modulus
-            out.append(r - modulus if r > half else r)
-    return out
+class CarryTable(NamedTuple):
+    """A key factor P regrouped for ``_carry_product``, rows packed at one
+    slot width by ``pack_rows``."""
+
+    low: list[int]            # P_red,i, one per ciphertext entry i
+    carries: list[list[int]]  # H_i,b for b = 0..q_bits − 2
+    width: int                # bytes per slot
+    cols: int
+
+
+def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
+    """Regroup the rows of P (position-major, u + K of them per entry, K =
+    q_bits) by the carry identity of ``_carry_product``.
+
+    With R_k the row of entry i at position u + k and S_0 = 0, the rows are
+    H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
+    P_red = sum_(s <= u) 2^s·P[s·ell + i] + 2^(u+1)·S_(K−1).  Each row of P
+    is packed once, one entry's rows at a time; the rest are sums of packed
+    rows.  The slot width is the one a product with any balanced vector
+    needs, since its slots are the entries of t·P with every
+    |t_k| <= (q·2^u)/2.
+    """
+    ell = len(P) // _gadget_width(q, u)
+    width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
+    low, carries = [], []
+    for i in range(ell):
+        R = pack_rows(P[i::ell], width)  # position s of entry i; R_k = R[u + k]
+        S, H = 0, []
+        for r in R[:u:-1]:  # R_(K−1) down to R_1
+            H.append(S + r)
+            S = 2 * S + r
+        low.append(sum(r << s for s, r in enumerate(R[:u + 1])) + (S << (u + 1)))
+        carries.append(H)
+    return CarryTable(low, carries, width, len(P[0]))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(F: int) -> bytes:
+    """The bits of F >= 0, least significant first, one 0/1 byte each."""
+    return bin(F)[:1:-1].encode().translate(_BITS)
+
+
+def _carry_product(vec: Sequence[int], table: CarryTable, q: int, u: int) -> list[int]:
+    """t·P for the gadget transform t of a balanced vector, without forming t.
+
+    With M = q·2^u and K = q_bits, the transform's entry at position s is
+    bal_M(c·2^s) = c·2^s − M·rho_s(c), where rho_s = 0 for s <= u and
+    rho_(u+k)(c) = sign(c)·round(|c|·2^k/q) for k = 1..K−1 (q is odd, so
+    there are no ties).  Every rho comes from one quotient
+    F = floor(|c|·2^K/q) < 2^(K−1), as rho_(u+k) = (F >> (K−k)) +
+    bit_(K−1−k)(F).  Summed against P this gives
+
+        t·P = sum_i c_i·P_red,i − M·sum_i sign(c_i)·sum_(b in bits(F_i)) H_i,b,
+
+    one multiply-add per entry plus a subset sum of its carry rows, all on
+    packed integers and read back by one ``unpack_slots``.  Entries of
+    ``vec`` must be balanced, |c| <= (q − 1)/2, as ``Ciphertext`` keeps them.
+    """
+    K = q.bit_length()
+    carry = 0
+    for c, H in zip(vec, table.carries):
+        if c > 0:
+            carry += sum(compress(H, _bits((c << K) // q)))
+        elif c < 0:
+            carry -= sum(compress(H, _bits((-c << K) // q)))
+    total = sum(map(mul, vec, table.low)) - (carry * q << u)
+    return unpack_slots(total, table.width, table.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +648,10 @@ class EvalKey:
     input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
     never needs it.
 
-    ``packed`` is a cache of P1 and P2 in the form eval_mult multiplies by.
+    ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
+    (``_carry_table``: the packed rows P_red and H of the carry identity).
     It is not part of the key: equality, repr and files ignore it, and
-    ``replace`` gives a key that packs its own P1/P2 afresh.  Mutating
+    ``replace`` gives a key that builds its own tables afresh.  Mutating
     P1 or P2 in place after the first eval_mult leaves it stale.
     """
 
@@ -607,14 +671,11 @@ class EvalKey:
         return _carry_bound(p.ell, p.u, p.q_bits)
 
     @cached_property
-    def packed(self) -> tuple[Packed, Packed]:
-        """P1 and P2 packed by ``pack_rows``, built on first use.
-
-        The vector bound (q·2^u)//2 bounds every entry of the gadget
-        transform ``_powersoftwo_numerators`` that eval_mult applies.
-        """
-        v_bound = (self.params.q << self.params.u) // 2
-        return pack_rows(self.P1, v_bound), pack_rows(self.P2, v_bound)
+    def packed(self) -> tuple[CarryTable, CarryTable]:
+        """P1 and P2 as the carry tables of ``_carry_table``, built on
+        first use."""
+        p = self.params
+        return _carry_table(self.P1, p.q, p.u), _carry_table(self.P2, p.q, p.u)
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:

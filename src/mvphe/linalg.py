@@ -3,9 +3,11 @@
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
-exceptions are ``vec_mat``, the exact integer product everything builds on,
-and ``packed_vec_mat``, the same product against a matrix whose rows were
-Kronecker-packed once by ``pack_rows``.
+exception is ``vec_mat``, the exact integer product everything builds on.
+``pack_rows`` and ``unpack_slots`` are Kronecker substitution: a row packed
+into one integer turns a vector-matrix product into one big-integer
+multiply-add per row, and AND's carry tables (``keys._carry_table``) are
+sums of such rows read back by one ``unpack_slots``.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
 """
@@ -13,8 +15,9 @@ pivot inverses never needs pivoting heuristics beyond "first nonzero".
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul
-from typing import NamedTuple, Sequence
+from struct import Struct
+from struct import error as StructError
+from typing import Sequence
 
 from .arith import balance
 from .errors import ParameterError, SingularMatrixError
@@ -47,7 +50,7 @@ def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
 
     The one multiply-accumulate loop of the package: encryption, decryption,
     the W contraction of AND and every key-construction product run through
-    it.  The t·P products of AND use ``packed_vec_mat``.
+    it.  AND's products against the key factors use packed rows.
     """
     out = [0] * len(M[0]) if M else []
     cols = range(len(out))
@@ -58,50 +61,51 @@ def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
     return out
 
 
-class Packed(NamedTuple):
-    """A nonnegative matrix with each row packed into one integer."""
-
-    rows: list[int]  # row i is sum_j M[i][j]·2^(8·width·j)
-    width: int       # bytes per slot
-    cols: int
+def slot_width(bound: int) -> int:
+    """Bytes per Kronecker slot for packed sums whose every slot lies in
+    [−bound, bound]: the least width with bound < 2^(8·width − 1)."""
+    return (bound.bit_length() + 8) // 8
 
 
-def pack_rows(M: Matrix, v_bound: int) -> Packed:
-    """Kronecker-pack each row of a nonnegative matrix for ``packed_vec_mat``.
+def pack_rows(M: Matrix, width: int) -> list[int]:
+    """Kronecker-pack each row of a nonnegative matrix into one integer,
+    sum_j M[i][j]·2^(8·width·j).
 
-    Slots are byte-aligned and ``width`` bytes wide, where width is the
-    least with len(M)·v_bound·max(M) < 2^(8·width − 1).  Then every slot of
-    v·M with all |v_k| <= v_bound lies strictly inside ±2^(8·width − 1), so
-    the products of whole rows never carry from one slot into the next.
+    Packing is linear, so any integer combination of packed rows is the
+    packed form of the same combination of the rows; ``unpack_slots``
+    reads it back when every slot of the result lies strictly inside
+    ±2^(8·width − 1), as ``slot_width`` ensures for the bound it is given.
     Negative entries would borrow across slots and are refused.  Rows are
     packed one at a time, so no matrix-sized integer is ever built.
     """
-    bound = len(M) * v_bound * max(map(max, M))
-    width = (bound.bit_length() + 8) // 8
+    # one struct call per row when every entry fits the widest native
+    # unsigned size no wider than the slot; to_bytes per entry otherwise
+    size, code = max((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                     if s <= width)
+    fmt = Struct("<" + f"{code}{width - size}x" * len(M[0]))
+    try:
+        return [int.from_bytes(fmt.pack(*row), "little") for row in M]
+    except StructError:  # an entry too wide for the format, or negative
+        pass
     widths, order = repeat(width), repeat("little")
     try:
-        rows = [int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)),
+        return [int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)),
                                "little") for row in M]
     except OverflowError:  # to_bytes refuses a negative entry
         raise ParameterError("pack_rows needs a nonnegative matrix") from None
-    return Packed(rows, width, len(M[0]))
 
 
-def packed_vec_mat(v: Sequence[int], P: Packed) -> list[int]:
-    """Exact v·M for the matrix M that ``P`` packs: one big-integer
-    multiply-add per row of M instead of one small one per entry.
-
-    Equal to ``vec_mat(v, M)`` provided every |v_k| is at most the
-    ``v_bound`` given to ``pack_rows``; that bound is the caller's to keep.
-    """
-    w = P.width
-    half = 1 << (8 * w - 1)
+def unpack_slots(total: int, width: int, cols: int) -> list[int]:
+    """The ``cols`` signed slots of a combination of rows packed by
+    ``pack_rows`` at ``width``; each must lie strictly inside
+    ±2^(8·width − 1), which is the caller's to keep."""
+    half = 1 << (8 * width - 1)
     # a bias of half per slot lifts every slot into [0, 2^(8w)), so the
     # sum's bytes split into slots with no borrows to undo
-    bias = int.from_bytes(half.to_bytes(w, "little") * P.cols, "little")
-    data = (sum(map(mul, v, P.rows)) + bias).to_bytes(w * P.cols, "little")
-    return [int.from_bytes(data[j:j + w], "little") - half
-            for j in range(0, w * P.cols, w)]
+    bias = int.from_bytes(half.to_bytes(width, "little") * cols, "little")
+    data = (total + bias).to_bytes(width * cols, "little")
+    return [int.from_bytes(data[j:j + width], "little") - half
+            for j in range(0, width * cols, width)]
 
 
 def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:

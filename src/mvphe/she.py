@@ -36,8 +36,8 @@ from typing import Sequence
 from .arith import NoiseSampler, Rational, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
-from .keys import _powersoftwo_numerators, _product_hint
-from .linalg import Matrix, packed_vec_mat, vec_mat
+from .keys import _carry_product, _product_hint
+from .linalg import Matrix, vec_mat
 
 __all__ = [
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
@@ -161,14 +161,17 @@ def mult_noise_hint(evk: EvalKey, h1: Rational, h2: Rational) -> Fraction:
 def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """Homomorphic AND via the multiplication key.
 
-    Contracts the key's tensor with the two transformed ciphertexts and
-    floors the result.  Internally runs the factored form in three layers:
-    the gadget transforms t_i of ct_i (``_powersoftwo_numerators``); the
-    products x = t1·P1 and y = t2·P2, each one big-integer multiply-add per
-    row of P_i against the key's Kronecker-packed rows (``packed_vec_mat``
-    on ``evk.packed``, which the first call on a key builds); and the W
-    contraction.  That last layer first forms z_s = x_s·y_s·u_s, then z·W
-    (``vec_mat``), so the k-th output is
+    Contracts the key's tensor with the two gadget-transformed ciphertexts
+    and floors the result.  Internally runs the factored form in three
+    layers, the first two fused in ``keys._carry_product`` so that the
+    transforms t_i are never formed.  Quotients and carries: one division
+    per ciphertext entry, whose bits give every carry of that entry's
+    transform.  Packed products: x = t1·P1 and y = t2·P2, each one
+    big-integer multiply-add per ciphertext entry plus a subset sum of
+    carry rows, against the key's Kronecker-packed carry tables
+    (``evk.packed``, which the first call on a key builds).  The W
+    contraction: first z_s = x_s·y_s·u_s, then z·W (``vec_mat``), so the
+    k-th output is
 
         floor( sum_s z_s * W[s,k] )  mod q,
 
@@ -186,11 +189,9 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
             f"multiplication at levels {ct1.level} + {ct2.level} needs depth "
             f"{level} > L = {p.L}"
         )
-    t1 = _powersoftwo_numerators(ct1.vec, q, p.u)
-    t2 = _powersoftwo_numerators(ct2.vec, q, p.u)
-    P1, P2 = evk.packed
-    x = packed_vec_mat(t1, P1)
-    y = packed_vec_mat(t2, P2)
+    T1, T2 = evk.packed
+    x = _carry_product(ct1.vec, T1, q, p.u)
+    y = _carry_product(ct2.vec, T2, q, p.u)
     # u_s times the common denominator q·2^(2u) (2^u from each transform)
     n, ell = p.n, p.ell
     z = [xs * ys * (2 if n <= s < ell else q)

@@ -21,13 +21,16 @@ from mvphe.arith import balance
 from mvphe.circuit import Circuit, parse_circuit
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import (
+    PRESETS,
     EvalKey,
     Params,
     SecretKey,
     _bitdecomp_numerators,
+    _gadget_width,
     _ideal_basis_2r,
-    _powersoftwo_numerators,
     build_G,
+    preset_params,
+    setup,
 )
 from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, zeros
 from mvphe.mvpoly import reduce_by_set
@@ -65,6 +68,33 @@ def bitdecomp(vec: Sequence, q: int, u: int) -> list[int]:
             raise ParameterError(f"entry {x} does not have {u} fractional bits")
         nums.append(num)
     return _bitdecomp_numerators(nums, q, u)
+
+
+def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
+    """Numerators over 2^u of w·2^(s−u) balanced mod q, position-major;
+    paired with v's bits they give <v, w> mod q.  The package never forms
+    this vector: ``keys._carry_product`` multiplies it by a key factor
+    from one quotient per entry."""
+    width = _gadget_width(q, u)
+    modulus = q << u
+    half = modulus // 2
+    out = []
+    for s in range(width):
+        for w in vec:
+            r = (w << s) % modulus
+            out.append(r - modulus if r > half else r)
+    return out
+
+
+#: Parameter sets on which AND's carry form is checked: every preset, a
+#: u = 0 set (no fractional gadget bits), and the q = 97 tiny set, whose
+#: 7-bit q leaves six carry positions.
+CARRY_SETS = {
+    **{name: (lambda name=name: preset_params(name)) for name in sorted(PRESETS)},
+    "toy-u0": lambda: preset_params("toy", u=0),
+    "tiny-q97": lambda: setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97,
+                              sigma=1, B=6, u=2),
+}
 
 
 def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:

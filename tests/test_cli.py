@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from mvphe import serialize
-from mvphe.cli import main
+from mvphe.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,26 @@ def test_options_belong_to_the_verbs_that_read_them(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    """Repeated main calls reuse one parser, and a bad option still exits 2
+    with the usage text of a freshly built parser."""
+    argv = ["decrypt", "--seed", "5", "--key", "k", "--in", "c"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 2
+    fresh = capsys.readouterr().err
+    assert fresh.startswith("usage: mvphe") and "unrecognized arguments" in fresh
+    before = build_parser.cache_info()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == fresh
+    after = build_parser.cache_info()
+    assert after.misses <= 1 and after.hits >= before.hits + 1
+    assert build_parser() is build_parser()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

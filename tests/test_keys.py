@@ -21,12 +21,14 @@ from mvphe import (
     setup,
 )
 from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
-from mvphe.keys import _ideal_basis_2r, _powersoftwo_numerators, build_G
-from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q
+from mvphe.keys import _carry_product, _carry_table, _ideal_basis_2r, build_G
+from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q, vec_mat
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.arith import balance
 from oracles import (
+    CARRY_SETS,
     Tensor3,
+    _powersoftwo_numerators,
     bilinear_eval,
     bitdecomp,
     build_B,
@@ -320,6 +322,49 @@ def test_powersoftwo_numerators_match_public_form():
     nums = _powersoftwo_numerators(vec, q, u)
     assert powersoftwo(vec, q, u) == [Fraction(n, 1 << u) for n in nums]
     assert all(abs(Fraction(n, 1 << u)) <= Fraction(q, 2) for n in nums)
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_carry_identity_from_one_quotient(name):
+    """bal_M(c·2^s) = c·2^s − M·rho_s(c) at every gadget position s, with
+    rho_s = 0 for s <= u and every other rho read off the bits of the one
+    quotient F = floor(|c|·2^K/q)."""
+    p = CARRY_SETS[name]()
+    q, u, K = p.q, p.u, p.q_bits
+    M = q << u
+    h = (q - 1) // 2
+    rng = Random(f"identity-{name}")
+    for c in [h, -h, 0, 1, -1] + [rng.randint(-h, h) for _ in range(300)]:
+        F = (abs(c) << K) // q
+        assert F < 1 << (K - 1)
+        sign = (c > 0) - (c < 0)
+        for s in range(u + K):
+            k = s - u
+            rho = sign * ((F >> (K - k)) + (F >> (K - 1 - k) & 1)) if k > 0 else 0
+            assert balance(c << s, M) == (c << s) - M * rho
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_carry_product_matches_gadget_transform(name):
+    """_carry_product(c, _carry_table(P)) is t·P for the gadget transform t
+    of c, on nonnegative P with a zero row, entries up to 2^70 (past the
+    one-call packing), and an all-zero P."""
+    p = CARRY_SETS[name]()
+    q, u = p.q, p.u
+    rows, cols = p.ell * (u + p.q_bits), 5
+    rng = Random(f"carry-table-{name}")
+    h = (q - 1) // 2
+    small = [[rng.randrange(p.n * q) for _ in range(cols)] for _ in range(rows)]
+    small[rng.randrange(rows)] = [0] * cols
+    wide = [[rng.choice((0, rng.randrange(1 << 70))) for _ in range(cols)]
+            for _ in range(rows)]
+    vecs = [[h] * p.ell, [-h] * p.ell, [0] * p.ell, [1] * p.ell, [-1] * p.ell]
+    vecs += [[rng.randint(-h, h) for _ in range(p.ell)] for _ in range(20)]
+    for P in (small, wide, [[0] * cols for _ in range(rows)]):
+        table = _carry_table(P, q, u)
+        for c in vecs:
+            assert _carry_product(c, table, q, u) == vec_mat(
+                _powersoftwo_numerators(c, q, u), P)
 
 
 # --- build_evalkey --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact linear algebra mod q, and the order-3 tensor oracles."""
 
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
@@ -12,8 +13,9 @@ from mvphe.linalg import (
     inverse_mod_q,
     mat_mul,
     pack_rows,
-    packed_vec_mat,
     rank_mod_q,
+    slot_width,
+    unpack_slots,
     vec_mat,
     zeros,
 )
@@ -116,43 +118,53 @@ def test_products_against_triple_sum():
         mat_mul([[1, 2]], [[1, 2]], 7)
 
 
+def packed_product(v, M, width):
+    """v·M through Kronecker packing: one multiply-add per row of M."""
+    return unpack_slots(sum(map(mul, v, pack_rows(M, width))), width, len(M[0]))
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (7, 1), (13, 9),
                                        (384, 23), (768, 56)])
 def test_packed_product_against_triple_sum(rows, cols):
-    """packed_vec_mat(v, pack_rows(M, b)) equals vec_mat(v, M) and the
-    triple-sum reference for every |v_k| <= b, including the extremes."""
+    """Packing the rows of M, combining them with v and unpacking gives
+    vec_mat(v, M) and the triple-sum reference for every |v_k| <= b,
+    including the extremes, at the width slot_width gives for that bound;
+    entries past 2^64 take the per-entry packing."""
     rng = Random(rows * 1000 + cols)
     b = Q40 << 7  # the toy gadget bound, (q·2^8)//2
     top = 9 * (Q40 - 1)
     rand = [[rng.choice((0, rng.randrange(top + 1))) for _ in range(cols)]
             for _ in range(rows)]
     rand[rng.randrange(rows)] = [0] * cols
-    mats = [rand, zeros(rows, cols), [[top] * cols for _ in range(rows)]]
+    wide = [[x << 30 for x in row] for row in rand]
+    mats = [rand, wide, zeros(rows, cols), [[top] * cols for _ in range(rows)]]
     vecs = [[b] * rows, [-b] * rows, [0] * rows,
             [rng.choice((b, -b, 0, rng.randrange(-b, b + 1))) for _ in range(rows)]]
     for M in mats:
-        P = pack_rows(M, b)
-        assert len(P.rows) == rows and P.cols == cols
+        width = slot_width(rows * b * max(map(max, M)))
+        assert len(pack_rows(M, width)) == rows
         for v in vecs:
             want = triple_sum_product([v], M)[0]
             assert vec_mat(v, M) == want
-            assert packed_vec_mat(v, P) == want
+            assert packed_product(v, M, width) == want
 
 
 def test_packed_slot_width_at_byte_boundaries():
     """A slot bound just below, at and above 2^15 and 2^16: the sign bit
-    needs its own bit, so 2^15 already takes a third byte."""
+    needs its own bit, so 2^15 already takes a third byte, and an entry of
+    2^16 no longer fits the two-byte packing of a three-byte slot."""
     for top in (2**15 - 1, 2**15, 2**16 - 1, 2**16):
         M = [[top, 0, top]]
-        P = pack_rows(M, 1)
-        assert P.width == (2 if top < 2**15 else 3)
+        width = slot_width(top)
+        assert width == (2 if top < 2**15 else 3)
         for v in ([1], [-1]):
-            assert packed_vec_mat(v, P) == vec_mat(v, M)
+            assert packed_product(v, M, width) == vec_mat(v, M)
 
 
 def test_pack_rows_refuses_negative_entries():
-    with pytest.raises(ParameterError, match="nonnegative"):
-        pack_rows([[3, 1], [-1, 5]], 10)
+    for width in (1, 8, 9):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            pack_rows([[3, 1], [-1, 5]], width)
 
 
 def test_identity_inverse():

@@ -24,7 +24,7 @@ from mvphe import (
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS
 from mvphe.linalg import mat_mul
-from oracles import mult_intermediates
+from oracles import CARRY_SETS, mult_intermediates
 
 
 class _ZeroRandom(Random):
@@ -280,19 +280,39 @@ def test_mult_matches_exact_oracle(preset):
 
 
 def test_mult_packed_form_follows_the_key(toy_sk):
-    """The packed P1/P2 are built once per key object: a repeat call reuses
-    them and gives the same product, and a replaced key packs its own."""
+    """The carry tables are built once per key object: a repeat call reuses
+    them and gives the same product, a replaced key builds its own, and
+    equality ignores them."""
     evk = build_evalkey(toy_sk, rng=Random(119))
     c1, c2, *_ = _extreme_ciphertexts(toy_sk)
     first = eval_mult(evk, c1, c2)
-    packed = evk.packed
-    assert eval_mult(evk, c1, c2) == first and evk.packed is packed
+    tables = evk.packed
+    assert eval_mult(evk, c1, c2) == first and evk.packed is tables
     swapped = replace(evk, P1=evk.P2, P2=evk.P1)
     got = eval_mult(swapped, c1, c2)
-    assert swapped.packed is not packed
-    assert swapped.packed[0].rows == packed[1].rows
+    assert swapped.packed is not tables
+    assert swapped.packed[0] == tables[1] and swapped.packed[1] == tables[0]
     assert got.vec == mult_intermediates(toy_sk, swapped, c1.vec, c2.vec)["product"]
     assert swapped == replace(evk, P1=evk.P2, P2=evk.P1)  # the cache is not compared
+    assert "packed" not in repr(evk)
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_mult_matches_oracle_on_random_vectors(name):
+    """eval_mult equals the exact-rational pipeline on random balanced
+    vectors that are no encryptions, and on ±(q−1)/2, 0 and ±1 entries."""
+    p = CARRY_SETS[name]()
+    sk = keygen(p, Random(f"carry-{name}"))
+    evk = build_evalkey(sk, rng=Random(f"carry-evk-{name}"))
+    h = (p.q - 1) // 2
+    rng = Random(f"carry-vec-{name}")
+    vecs = [[rng.choice((h, -h, 0, 1, -1, rng.randint(-h, h))) for _ in range(p.ell)]
+            for _ in range(3)]
+    vecs += [[rng.randint(-h, h) for _ in range(p.ell)] for _ in range(3)]
+    for v1, v2 in zip(vecs, vecs[1:] + vecs[:1]):
+        c1, c2 = (Ciphertext(vec=v, level=0, q=p.q) for v in (v1, v2))
+        want = mult_intermediates(sk, evk, v1, v2)["product"]
+        assert eval_mult(evk, c1, c2).vec == want
 
 
 def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
