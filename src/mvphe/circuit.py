@@ -25,9 +25,10 @@ Two depth measures matter:
                    already-multiplied values, level_need is larger (the
                    accounting is deliberately conservative).
 
-``eval_homomorphic`` pre-checks level_need against params.L and fails fast
-before touching any ciphertext, so a circuit either evaluates completely or
-not at all.
+level_need assumes fresh (level-0) inputs.  ``eval_homomorphic`` recomputes
+the ledger from the levels of the ciphertexts it is given, over every AND
+gate, checks it against params.L and fails fast before any homomorphic
+work, so a circuit either evaluates completely or not at all.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Circuit:
     gates: list[Gate]          # in definition order (already topological)
     outputs: list[str]
     depth: int                 # max AND count on any path
-    level_need: int            # depth ledger under l1 + l2 + 1 accounting
+    level_need: int            # depth ledger under l1 + l2 + 1, level-0 inputs
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -166,18 +167,26 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
                      inputs: Sequence[Ciphertext]) -> list[Ciphertext]:
     """Evaluate gate by gate on ciphertexts.
 
-    Fails fast — before any homomorphic work — if the circuit's depth
-    ledger exceeds the parameter set's budget L.
+    Fails fast — before any homomorphic work — if the depth ledger, run
+    from the inputs' levels over every AND gate, exceeds the parameter
+    set's budget L.
     """
     p = evk.params
-    if circ.level_need > p.L:
-        raise DepthError(
-            f"circuit needs depth {circ.level_need} (AND-path depth "
-            f"{circ.depth}) but parameters support L = {p.L}"
-        )
     if len(inputs) != len(circ.inputs):
         raise ParameterError(
             f"circuit has {len(circ.inputs)} inputs, got {len(inputs)}"
+        )
+    level = {w: ct.level for w, ct in zip(circ.inputs, inputs)}
+    need = 0
+    for g in circ.gates:
+        a, b = level[g.a], level[g.b]
+        level[g.out] = a + b + 1 if g.op == "AND" else max(a, b)
+        if g.op == "AND":
+            need = max(need, level[g.out])
+    if need > p.L:
+        raise DepthError(
+            f"circuit needs depth {need} on these inputs (AND-path depth "
+            f"{circ.depth}) but parameters support L = {p.L}"
         )
     env: dict[str, Ciphertext] = dict(zip(circ.inputs, inputs))
     for g in circ.gates:

@@ -36,11 +36,13 @@ and the reduction matrix Q that realizes polynomial division back into
 degree <= r on evaluations).  M is never materialized: the rank-1 slice
 structure lets evaluation run through the two factor matrices P_i = D_i~ · A
 and the combined third factor W = B·Q·R.  Neither B nor Q is formed either:
-B·Q comes from one solve against F1p, the degree-(<= 2r) ideal basis
-evaluated at z_1..z_n and the extension points (``_reduction_map``).  And
-A = [I | A_ext] with A_ext zero below its first n rows, so P_i is built as
-[D_i~ | D_i~[:, :n]·E], E being those n rows (``_build_E``).  Every entry of
-P_i lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
+B·Q's rows at the solve points are the X that solves F1p·X = F2, F1p being
+the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
+points (``_reduction_map``).  And A = [I | A_ext] with A_ext zero below its
+first n rows, so P_i is built as [D_i~ | D_i~[:, :n]·E], E being those n
+rows (``_build_E``).  X, E and S each come from one ``linalg.solve_mod_q``;
+no inverse is formed and then multiplied.  Every entry of P_i lies in
+0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
 multiplies the gadget-transformed ciphertexts by P_i without forming the
 transforms: every entry of a transform is c·2^s less a carry, and all the
 carries of an entry c come from the bits of one quotient, so t·P_i is
@@ -75,6 +77,7 @@ from .linalg import (
     pack_rows,
     rank_mod_q,
     slot_width,
+    solve_mod_q,
     unpack_slots,
     vec_mat,
     zeros,
@@ -421,8 +424,7 @@ def keygen(params: Params, rng: Random) -> SecretKey:
             continue
         pts = pts + extras
         # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
-        E1_inv = inverse_mod_q(E1, q)
-        S_t = mat_mul(E1_inv, [[-x for x in row[p.n:]] for row in E], q)
+        S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
         S = [list(col) for col in zip(*S_t)]
         R1 = None
         for _ in range(RETRY_CAP):
@@ -593,13 +595,13 @@ def _build_E(sk: SecretKey) -> Matrix:
     A_ext is zero below its first n rows; E is those rows.  Column k
     expresses evaluation at the extra point z_(ell+k) as a linear
     combination of evaluations at z_1..z_n, valid on ideal elements of
-    degree <= r.
+    degree <= r: E solves E1·E = evals.
     """
     p = sk.params
     q = p.q
     E1 = [[b.eval(z) % q for z in sk.points[:p.n]] for b in sk.basis]
     evals = [[b.eval(z) for z in sk.points[p.ell:]] for b in sk.basis]
-    return mat_mul(inverse_mod_q(E1, q), evals, q)
+    return solve_mod_q(E1, evals, q)
 
 
 def _reduction_map(sk: SecretKey) -> Matrix:
@@ -609,8 +611,9 @@ def _reduction_map(sk: SecretKey) -> Matrix:
     F1p is the degree-(<= 2r) ideal basis evaluated at the n1 solve points
     (z_1..z_n, then the extension points) and F2 its remainders under
     build_G evaluated at z_1..z_ell.  B·Q's rows at the solve points are
-    X = F1p^{-1}·F2 (mod q): B adds F1p^{-1}·F1[:, n:ell] into exactly the
-    band columns from which Q's right-hand side subtracts F1[:, n:ell].  Its
+    the X that solves F1p·X = F2 (mod q), one elimination over [F1p | F2]:
+    B adds the Y that solves F1p·Y = F1[:, n:ell] into exactly the band
+    columns from which Q's right-hand side subtracts F1[:, n:ell].  Its
     rows n..ell−1 are Q's pinned unit rows [0 | I], which pass the
     fractional parts of a product straight into the tail of the output,
     where the final floor absorbs them.  The mandatory post-check
@@ -626,12 +629,11 @@ def _reduction_map(sk: SecretKey) -> Matrix:
         rem = reduce_by_set(b, G, p.r)
         F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
     try:
-        F1p_inv = inverse_mod_q(F1p, q)
+        X = solve_mod_q(F1p, F2, q)
     except SingularMatrixError as exc:
         raise ConstructionError(
             "extension-point evaluations lost rank; regenerate the key"
         ) from exc
-    X = mat_mul(F1p_inv, F2, q)
     if mat_mul(F1p, X, q) != F2:
         raise ConstructionError("post-check failed: F1p·X != F2 (mod q)")
     unit_rows = [[int(j == i) for j in range(p.ell)] for i in range(p.n, p.ell)]
@@ -685,9 +687,10 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     blocks, (2) the extension coefficients E, the nonzero block of the
     point-extension matrix A, (3) rescaling diagonal folded into the rank-1
     slice structure, (4)+(5) re-expression matrix B times reduction matrix
-    Q, from one solve against the division remainders of the degree-(<= 2r)
-    ideal basis.  The mandatory post-check F1p·X = F2 (mod q) runs on every
-    build.  P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].
+    Q, from the X that solves F1p·X = F2, F2 being the division
+    remainders of the degree-(<= 2r) ideal basis.  The mandatory
+    post-check F1p·X = F2 (mod q) runs on every build.
+    P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].
     """
     p = sk.params
     q = p.q

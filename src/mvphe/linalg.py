@@ -8,6 +8,9 @@ exception is ``vec_mat``, the exact integer product everything builds on.
 into one integer turns a vector-matrix product into one big-integer
 multiply-add per row, and AND's carry tables (``keys._carry_table``) are
 sums of such rows read back by one ``unpack_slots``.
+``solve_mod_q`` is the one entry point for linear systems: it solves
+A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
+against the identity.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
 """
@@ -149,21 +152,29 @@ def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
     return pivots
 
 
-def inverse_mod_q(A: Matrix, q: int) -> Matrix:
-    """Inverse of a square matrix mod prime q via Gauss–Jordan.
+def solve_mod_q(A: Matrix, Y: Matrix, q: int) -> Matrix:
+    """X with A·X = Y (mod prime q), for square A, by one Gauss–Jordan pass
+    over [A | Y] with pivots sought only in A's columns.
 
     Raises SingularMatrixError naming the first column left without a pivot.
     """
     n, m = dims(A)
     if n != m:
-        raise ParameterError(f"inverse needs a square matrix, got {n}x{m}")
-    work = [[x % q for x in row] + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(A)]
+        raise ParameterError(f"solve needs a square matrix, got {n}x{m}")
+    if len(Y) != n:
+        raise ParameterError(f"cannot solve {n}x{n} against {len(Y)} rows")
+    work = [[x % q for x in (*a, *y)] for a, y in zip(A, Y)]
     pivots = _eliminate(work, n, q)
     if len(pivots) < n:
         raise SingularMatrixError(
             next((c for c, col in enumerate(pivots) if c != col), len(pivots)))
     return [row[n:] for row in work]
+
+
+def inverse_mod_q(A: Matrix, q: int) -> Matrix:
+    """Inverse of a square matrix mod prime q: ``solve_mod_q`` against I."""
+    n = len(A)
+    return solve_mod_q(A, [[int(i == j) for j in range(n)] for i in range(n)], q)
 
 
 def rank_mod_q(A: Matrix, q: int) -> int:

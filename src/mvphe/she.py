@@ -77,6 +77,15 @@ def _check_message(params: Params, m: Sequence[int]) -> list[int]:
     return m
 
 
+def _check_ciphertext(params: Params, ct: Ciphertext) -> None:
+    """Refuse a ciphertext whose modulus or length does not fit the key."""
+    if ct.q != params.q:
+        raise ParameterError("ciphertext modulus does not match this key")
+    if len(ct.vec) != params.ell:
+        raise ParameterError(
+            f"ciphertext must have {params.ell} entries, got {len(ct.vec)}")
+
+
 def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
             zero_noise: bool = False) -> Ciphertext:
     """Encrypt a bit vector under the secret key.
@@ -116,8 +125,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
     """
     p = sk.params
     q = p.q
-    if ct.q != q:
-        raise ParameterError("ciphertext modulus does not match this key")
+    _check_ciphertext(p, ct)
     if ct.noise_hint is not None and ct.noise_hint > Fraction(q, 4):
         warnings.warn(
             f"noise hint {float(ct.noise_hint):.4g} exceeds q/4 = {q / 4:.4g}; "
@@ -134,6 +142,7 @@ def _apply_sdec(sk: SecretKey, vec: Sequence[int]) -> list[int]:
 def noise_of(sk: SecretKey, ct: Ciphertext, m: Sequence[int]) -> list[int]:
     """Exact noise vector of ct relative to plaintext m (balanced residues)."""
     p = sk.params
+    _check_ciphertext(p, ct)
     m = _check_message(p, m)
     half = p.q // 2
     w = _apply_sdec(sk, ct.vec)
@@ -181,8 +190,8 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """
     p = evk.params
     q = p.q
-    if ct1.q != q or ct2.q != q:
-        raise ParameterError("ciphertext modulus does not match this key")
+    _check_ciphertext(p, ct1)
+    _check_ciphertext(p, ct2)
     level = ct1.level + ct2.level + 1
     if level > p.L:
         raise DepthError(

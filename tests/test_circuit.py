@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from mvphe import circuit as circuit_mod
 from mvphe import (
     decrypt,
     encrypt,
@@ -168,6 +169,30 @@ out t2
     cts = [encrypt(toy_sk, [0, 1], Random(132)) for _ in range(2)]
     with pytest.raises(DepthError, match="support L = 2"):
         eval_homomorphic(toy_evk, deep, cts)
+
+
+def test_homomorphic_depth_precheck_reads_input_levels(toy_sk, toy_evk,
+                                                       monkeypatch):
+    """The ledger starts from the inputs' real levels and covers every AND
+    gate, outputs or not: the refusal comes before the first eval_mult."""
+    calls = []
+    real = circuit_mod.eval_mult
+    monkeypatch.setattr(circuit_mod, "eval_mult",
+                        lambda *args: calls.append(1) or real(*args))
+    fresh = [encrypt(toy_sk, [1, 1], Random(134)) for _ in range(2)]
+    once = real(toy_evk, *fresh)
+    assert once.level == 1
+    chain = parse_circuit("in x\nin y\nt = AND y y\nu = AND x t\nout u\n")
+    assert chain.level_need == 2 == toy_sk.params.L
+    with pytest.raises(DepthError, match="needs depth 3"):
+        eval_homomorphic(toy_evk, chain, [once, fresh[0]])
+    dead = parse_circuit("in x\nin y\nt = AND x y\nu = AND t t\nout x\n")
+    assert dead.level_need == 0
+    with pytest.raises(DepthError, match="needs depth 3"):
+        eval_homomorphic(toy_evk, dead, fresh)
+    assert calls == []
+    eval_homomorphic(toy_evk, chain, fresh)
+    assert len(calls) == 2
 
 
 def test_homomorphic_arity_check(toy_sk, toy_evk):

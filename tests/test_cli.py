@@ -195,6 +195,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_directory_paths_exit_2(workdir, tmp_path, capsys):
+    """A directory where a file is read or written is an error, not a
+    traceback."""
+    assert main(["decrypt", "--key", str(tmp_path),
+                 "--in", str(tmp_path / "ct.bin")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["encrypt", "--key", str(workdir / "sk.bin"), "--bits", "10",
+                 "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # --- evalkey / eval ----------------------------------------------------------
 
 def test_eval_circuit_over_files(workdir, tmp_path, capsys):
@@ -254,6 +265,19 @@ def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
     assert main(["eval", "--evalkey", bad, "--circuit", str(netlist),
                  "--in", ca, ca, "--out-prefix", str(tmp_path / "r")]) == 2
     assert "error: P1 is" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_utf8_netlist(workdir, tmp_path, capsys):
+    netlist = tmp_path / "c.txt"
+    netlist.write_bytes(b"\xff\xfein a\nout a\n")
+    ca = str(tmp_path / "ca.bin")
+    assert main(["encrypt", "--key", str(workdir / "sk.bin"), "--bits", "11",
+                 "--seed", "15", "--out", ca]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--evalkey", str(workdir / "evk.bin"),
+                 "--circuit", str(netlist), "--in", ca,
+                 "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --- noise -------------------------------------------------------------------

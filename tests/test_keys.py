@@ -405,35 +405,42 @@ def test_evalkey_refuses_repeated_extension_point(toy_sk):
 
 
 def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
-    """The post-check tests the computed F1p^{-1} against the right-hand
-    side it was applied to: one wrong entry of the n1 x n1 inverse trips it."""
+    """The post-check tests the solution X of F1p·X = F2 against the system
+    it came from: one wrong entry of the n1-row X trips it."""
     p = toy_sk.params
-    real = keys.inverse_mod_q
+    real = keys.solve_mod_q
 
-    def perturbed(A, q):
-        inv = real(A, q)
-        if len(inv) == p.n1:
-            inv[0][0] = (inv[0][0] + 1) % q
-        return inv
+    def perturbed(A, Y, q):
+        X = real(A, Y, q)
+        if len(X) == p.n1:
+            X[0][0] = (X[0][0] + 1) % q
+        return X
 
-    monkeypatch.setattr(keys, "inverse_mod_q", perturbed)
+    monkeypatch.setattr(keys, "solve_mod_q", perturbed)
     with pytest.raises(ConstructionError, match="post-check failed"):
         build_evalkey(toy_sk, rng=Random(1))
 
 
 def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
-    """B·Q is one solve and P skips A's identity block: four mat_mul, two
-    inverse_mod_q and two mat_mul_exact calls, and one reduce_by_set per
-    degree-(<= 2r) ideal basis element."""
+    """Every linear system is one solve and no inverse is formed: a build
+    makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
+    two mat_mul_exact and one reduce_by_set per degree-(<= 2r) ideal basis
+    element.  A keygen draw that passes its rank checks makes one solve (S)
+    and one inverse (R^{-1} of the secret key)."""
     calls = {}
-    for name in ("mat_mul", "inverse_mod_q", "mat_mul_exact", "reduce_by_set"):
+    names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "mat_mul_exact",
+             "reduce_by_set")
+    for name in names:
         def counted(*args, _name=name, _fn=getattr(keys, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(keys, name, counted)
     build_evalkey(toy_sk, rng=Random(1))
-    assert calls == {"mat_mul": 4, "inverse_mod_q": 2, "mat_mul_exact": 2,
+    assert calls == {"mat_mul": 2, "solve_mod_q": 2, "mat_mul_exact": 2,
                      "reduce_by_set": toy_sk.params.n1}
+    calls.clear()
+    keygen(toy_sk.params, Random(3))
+    assert calls["inverse_mod_q"] == calls["solve_mod_q"] == 1
 
 
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):

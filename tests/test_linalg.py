@@ -6,15 +6,15 @@ from random import Random
 
 import pytest
 
-from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
+from mvphe.errors import ParameterError, SingularMatrixError
 from mvphe.keys import mat_mul_exact
 from mvphe.linalg import (
-    _eliminate,
     inverse_mod_q,
     mat_mul,
     pack_rows,
     rank_mod_q,
     slot_width,
+    solve_mod_q,
     unpack_slots,
     vec_mat,
     zeros,
@@ -26,21 +26,6 @@ Q40 = 858024799843  # a 40-bit prime
 
 def rand_matrix(rng, rows, cols, q):
     return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-
-
-def solve_mod_q(A, Y, q):
-    """X with A·X = Y (mod q), free variables zero: the elimination kernel
-    run on [A | Y] with pivots restricted to A's columns."""
-    m = len(A[0])
-    work = [[x % q for x in a + y] for a, y in zip(A, Y)]
-    pivots = _eliminate(work, m, q)
-    # a row with its A-part fully eliminated must have zero right-hand side
-    if any(any(row[m:]) for row in work[len(pivots):]):
-        raise ConstructionError("inconsistent linear system")
-    X = zeros(m, len(Y[0]))
-    for r, col in enumerate(pivots):
-        X[col] = work[r][m:]
-    return X
 
 
 def rand_tensor(rng, d1, d2, d3, scale=100):
@@ -189,24 +174,30 @@ def test_inverse_multiply_back():
 
 
 def test_singular_reports_pivot_column():
-    A = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]  # rows 0,1 dependent
-    with pytest.raises(SingularMatrixError) as ei:
-        inverse_mod_q(A, 7)
-    assert ei.value.column == 1
-    # column c a combination of the (generic) columns before it: the first
-    # column without a pivot is c
-    rng = Random(30)
-    for _ in range(40):
-        n = rng.randrange(3, 13)
-        c = rng.randrange(n)
-        A = rand_matrix(rng, n, n, Q40)
-        coeffs = [rng.randrange(Q40) for _ in range(c)]
-        for row in A:
-            row[c] = sum(a * x for a, x in zip(coeffs, row)) % Q40
+    """Both entry points name the first column without a pivot: the
+    inverse, and a solve against a right-hand side."""
+    def solve(A, q):
+        return solve_mod_q(A, [[1, 2]] * len(A), q)
+
+    for fn in (inverse_mod_q, solve):
+        A = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]  # rows 0,1 dependent
         with pytest.raises(SingularMatrixError) as ei:
-            inverse_mod_q(A, Q40)
-        assert ei.value.column == c
-        assert rank_mod_q(A, Q40) == n - 1
+            fn(A, 7)
+        assert ei.value.column == 1
+        # column c a combination of the (generic) columns before it: the
+        # first column without a pivot is c
+        rng = Random(30)
+        for _ in range(40):
+            n = rng.randrange(3, 13)
+            c = rng.randrange(n)
+            A = rand_matrix(rng, n, n, Q40)
+            coeffs = [rng.randrange(Q40) for _ in range(c)]
+            for row in A:
+                row[c] = sum(a * x for a, x in zip(coeffs, row)) % Q40
+            with pytest.raises(SingularMatrixError) as ei:
+                fn(A, Q40)
+            assert ei.value.column == c
+            assert rank_mod_q(A, Q40) == n - 1
 
 
 def test_solve_identity():
@@ -215,6 +206,8 @@ def test_solve_identity():
 
 
 def test_solve_resubstitution():
+    """The solution resubstitutes, equals the planted X, and takes
+    right-hand sides outside [0, q)."""
     rng = Random(32)
     for _ in range(100):
         n = rng.randrange(2, 26)
@@ -224,23 +217,29 @@ def test_solve_resubstitution():
         Y = mat_mul(A, X, Q40)
         got = solve_mod_q(A, Y, Q40)
         assert mat_mul(A, got, Q40) == Y
+        assert got == X  # the seeded random A are all invertible
+        shifted = [[y - Q40 * rng.randrange(-3, 4) for y in row] for row in Y]
+        assert solve_mod_q(A, shifted, Q40) == X
 
 
-def test_solve_inconsistent_raises():
+def test_solve_refuses_singular_matrix():
     A = [[1, 2], [2, 4]]  # rank 1
-    Y = [[1], [3]]        # not in the column space
-    with pytest.raises(ConstructionError):
-        solve_mod_q(A, Y, 7)
+    for Y in ([[1], [3]], [[1], [2]]):  # inconsistent, then consistent
+        with pytest.raises(SingularMatrixError):
+            solve_mod_q(A, Y, 7)
 
 
-def test_solve_underdetermined_consistent():
-    # wide system with a consistent RHS: any solution must resubstitute
+def test_solve_refuses_bad_shapes():
+    """A wide or tall A, or a right-hand side with the wrong row count."""
     rng = Random(33)
-    A = rand_matrix(rng, 3, 5, Q40)
-    X = rand_matrix(rng, 5, 2, Q40)
-    Y = mat_mul(A, X, Q40)
-    got = solve_mod_q(A, Y, Q40)
-    assert mat_mul(A, got, Q40) == Y
+    for A, Y in ((rand_matrix(rng, 3, 5, Q40), rand_matrix(rng, 3, 2, Q40)),
+                 (rand_matrix(rng, 5, 3, Q40), rand_matrix(rng, 5, 2, Q40)),
+                 (identity(3), rand_matrix(rng, 2, 2, Q40)),
+                 (identity(3), rand_matrix(rng, 4, 2, Q40))):
+        with pytest.raises(ParameterError):
+            solve_mod_q(A, Y, Q40)
+    with pytest.raises(ParameterError):
+        inverse_mod_q(rand_matrix(rng, 2, 3, Q40), Q40)
 
 
 def test_rank_examples():

@@ -322,6 +322,24 @@ def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
         eval_mult(toy_evk, c, c)
 
 
+def test_library_calls_refuse_misshapen_ciphertexts(toy_sk, toy_evk, small_sk):
+    """decrypt, noise_of and eval_mult refuse a ciphertext that is short,
+    long or under another modulus, rather than read or truncate it."""
+    p = toy_sk.params
+    good = encrypt(toy_sk, [1, 0], Random(120))
+    bad = [Ciphertext(vec=good.vec[:-3], level=0, q=p.q),
+           Ciphertext(vec=good.vec + [0, 1], level=0, q=p.q),
+           Ciphertext(vec=good.vec, level=0, q=small_sk.params.q)]
+    for ct in bad:
+        with pytest.raises(ParameterError):
+            decrypt(toy_sk, ct)
+        with pytest.raises(ParameterError):
+            noise_of(toy_sk, ct, [1, 0])
+        for pair in ((ct, good), (good, ct)):
+            with pytest.raises(ParameterError):
+                eval_mult(toy_evk, *pair)
+
+
 def test_mult_noise_within_tracked_bound(toy_sk, toy_evk):
     p = toy_sk.params
     rng = Random(119)
