@@ -41,8 +41,10 @@ the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
 points (``_reduction_map``).  And A = [I | A_ext] with A_ext zero below its
 first n rows, so P_i is built as [D_i~ | D_i~[:, :n]·E], E being those n
 rows (``_build_E``).  X, E and S each come from one ``linalg.solve_mod_q``;
-no inverse is formed and then multiplied.  Every entry of P_i lies in
-0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
+no inverse is formed and then multiplied.  Their ideal evaluations are
+g(z)·m(z) mod q, one monomial table times g's values (``_monomial_table``,
+``_ideal_rows``); no product polynomial is formed.  Every entry of P_i
+lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
 multiplies the gadget-transformed ciphertexts by P_i without forming the
 transforms: every entry of a transform is c·2^s less a carry, and all the
 carries of an entry c come from the bits of one quotient, so t·P_i is
@@ -100,7 +102,7 @@ class Params:
     Derived fields satisfy: r = r_prime + r_g, n = C(v+r_prime, r_prime),
     N = C(v+r, r), n1 = C(v + 2r − r_g, 2r − r_g), t = n1 + ell − n,
     n < ell <= N, and t < 2^32 (key files record t as a u32).  q is an
-    odd prime of at most 64 bits.
+    odd prime of at most 64 bits, and u <= 64 (ell·(u + q_bits) key rows).
     """
 
     lambda_: int
@@ -150,8 +152,8 @@ class Params:
             )
         if self.t >= 1 << _T_BITS:
             raise ParameterError(f"need t < 2^{_T_BITS} points, got t = {self.t}")
-        if self.u < 0:
-            raise ParameterError("gadget fractional bits u must be >= 0")
+        if not 0 <= self.u <= _Q_BITS_MAX:
+            raise ParameterError(f"need 0 <= u <= {_Q_BITS_MAX}, got u = {self.u}")
         if self.q_bits > _Q_BITS_MAX:
             raise ParameterError(
                 f"q must have at most {_Q_BITS_MAX} bits, got {self.q_bits}")
@@ -317,7 +319,6 @@ class SecretKey:
     R1: Matrix
     R2: Matrix
     # derived by __post_init__, not settable
-    basis: list[Polynomial] = field(init=False, repr=False)
     R: Matrix = field(init=False, repr=False)
     R_inv: Matrix = field(init=False, repr=False)
     S_enc: Matrix = field(init=False, repr=False)
@@ -326,8 +327,6 @@ class SecretKey:
     def __post_init__(self):
         p = self.params
         q = p.q
-        self.basis = [self.g * Polynomial.monomial(p.v, q, m)
-                      for m in enumerate_monomials(p.v, p.r_prime)]
         n, ell, k = p.n, p.ell, p.ell - p.n
         # R = [[R1, R2^T], [0, I]]  (random block above the diagonal)
         R = zeros(ell, ell)
@@ -377,8 +376,26 @@ def _sample_point(p: Params, g: Polynomial, rng: Random) -> tuple[int, ...]:
     raise GenerationFailure("could not find a point where g is nonzero")
 
 
+def _monomial_table(p: Params, points: Sequence[tuple[int, ...]]) -> Matrix:
+    """m(z) mod q for the monomials m of degree <= 2r − r_g (rows, ascending
+    by degree as ``enumerate_monomials`` lists them, so the first N rows have
+    degree <= r and the first n degree <= r_prime) at each point z (columns)."""
+    q = p.q
+    return [[math.prod(pow(x, e, q) for x, e in zip(z, m)) % q for z in points]
+            for m in enumerate_monomials(p.v, 2 * p.r - p.r_g)]
+
+
+def _ideal_rows(g: Polynomial, points: Sequence[tuple[int, ...]],
+                table: Matrix) -> Matrix:
+    """(g·m)(z) = g(z)·m(z) mod q for each row m(z) of ``table``."""
+    q = g.q
+    gz = [g.eval(z) for z in points]
+    return [[a * b % q for a, b in zip(gz, row)] for row in table]
+
+
 def _ideal_basis_2r(p: Params, g: Polynomial) -> list[Polynomial]:
-    """Basis g*m of the degree-(<= 2r) slice of <g>; length n1."""
+    """Basis g*m of the degree-(<= 2r) slice of <g>; length n1, as the
+    polynomials that F2's division reduces."""
     monos = enumerate_monomials(p.v, 2 * p.r - p.r_g)
     return [g * Polynomial.monomial(p.v, p.q, m) for m in monos]
 
@@ -390,49 +407,40 @@ def keygen(params: Params, rng: Random) -> SecretKey:
     of Z_q^ell for degree-<= r polynomials, (2) the ideal basis evaluated at
     z_1..z_n is invertible, and (3) the degree-(<= 2r) ideal basis evaluated
     at (z_1..z_n, z_{ell+1}..z_t) is invertible.  Each full redraw counts
-    against a retry cap of RETRY_CAP.
+    against a retry cap of RETRY_CAP.  Each check reads a monomial table
+    of its points: (1) its degree-(<= r) rows, (2) and (3) rows times g(z).
     """
     p = params
     q = p.q
-    all_monos = enumerate_monomials(p.v, p.r)
     for _ in range(RETRY_CAP):
         g = _sample_generator(p, rng)
-        basis = [g * Polynomial.monomial(p.v, q, m)
-                 for m in enumerate_monomials(p.v, p.r_prime)]
         pts = [_sample_point(p, g, rng) for _ in range(p.ell)]
+        table = _monomial_table(p, pts)
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
-        V = [[Polynomial.monomial(p.v, q, m).eval(z) % q for z in pts]
-             for m in all_monos]
-        if rank_mod_q(V, q) != p.ell:
+        if rank_mod_q(table[:p.N], q) != p.ell:
             continue
         # condition 2: ideal evaluations at the first n points are a basis
-        E = [[b.eval(z) % q for z in pts] for b in basis]
+        E = _ideal_rows(g, pts, table[:p.n])
         E1 = [row[: p.n] for row in E]
         if rank_mod_q(E1, q) != p.n:
             continue
         # condition 3: extension points keep the 2r-slice evaluations full rank
-        basis2 = _ideal_basis_2r(p, g)
-        extras = None
         for _ in range(RETRY_CAP):
-            cand = [_sample_point(p, g, rng) for _ in range(p.t - p.ell)]
-            sub = pts[: p.n] + cand
-            F1p = [[b.eval(z) % q for z in sub] for b in basis2]
-            if rank_mod_q(F1p, q) == p.n1:
-                extras = cand
+            extras = [_sample_point(p, g, rng) for _ in range(p.t - p.ell)]
+            sub = pts[: p.n] + extras
+            if rank_mod_q(_ideal_rows(g, sub, _monomial_table(p, sub)), q) == p.n1:
                 break
-        if extras is None:
+        else:
             continue
         pts = pts + extras
         # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
         S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
         S = [list(col) for col in zip(*S_t)]
-        R1 = None
         for _ in range(RETRY_CAP):
-            cand_r1 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.n)]
-            if rank_mod_q(cand_r1, q) == p.n:
-                R1 = cand_r1
+            R1 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.n)]
+            if rank_mod_q(R1, q) == p.n:
                 break
-        if R1 is None:
+        else:
             continue
         R2 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.ell - p.n)]
         return SecretKey(params=p, g=g, points=pts, S=S, R1=R1, R2=R2)
@@ -537,21 +545,15 @@ def build_G(sk: SecretKey) -> list[Polynomial]:
     """Reduction set: g·m for every monomial m of exact degree r_prime + 1.
 
     Ordered with the grevlex-largest leading monomial first, so top-reduction
-    always finds its divisor at the earliest position.  g is monic, hence so
-    is every element.
+    always finds its divisor at the earliest position.  g is monic (keygen
+    draws it so and ``load_secret_key`` refuses any other), hence so is
+    every element.
     """
     p = sk.params
     monos = [m for m in enumerate_monomials(p.v, p.r_prime + 1)
              if sum(m) == p.r_prime + 1]
     monos.sort(key=grevlex_key, reverse=True)
-    out = []
-    for m in monos:
-        gi = sk.g * Polynomial.monomial(p.v, p.q, m)
-        lead_mono, lead_coeff = gi.leading_term()
-        if lead_coeff != 1:  # g is monic by construction; normalize defensively
-            gi = gi.scale(pow(lead_coeff, -1, p.q))
-        out.append(gi)
-    return out
+    return [sk.g * Polynomial.monomial(p.v, p.q, m) for m in monos]
 
 
 def _sample_masking_block(p: Params, rng: Random) -> Matrix:
@@ -588,23 +590,20 @@ def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
     return scaled
 
 
-def _build_E(sk: SecretKey) -> Matrix:
+def _build_E(F1p: Matrix, n: int, q: int) -> Matrix:
     """Extension coefficients E (n x (t − ell)), step 2.
 
     The paper's point-extension matrix is A = [I | A_ext] (ell x t), and
     A_ext is zero below its first n rows; E is those rows.  Column k
     expresses evaluation at the extra point z_(ell+k) as a linear
     combination of evaluations at z_1..z_n, valid on ideal elements of
-    degree <= r: E solves E1·E = evals.
+    degree <= r: E solves E1·E = evals, F1p's first n rows split at column n.
     """
-    p = sk.params
-    q = p.q
-    E1 = [[b.eval(z) % q for z in sk.points[:p.n]] for b in sk.basis]
-    evals = [[b.eval(z) for z in sk.points[p.ell:]] for b in sk.basis]
-    return solve_mod_q(E1, evals, q)
+    top = F1p[:n]
+    return solve_mod_q([row[:n] for row in top], [row[n:] for row in top], q)
 
 
-def _reduction_map(sk: SecretKey) -> Matrix:
+def _reduction_map(sk: SecretKey, F1p: Matrix) -> Matrix:
     """B·Q (t x ell): re-expression B and reduction Q, steps 4 and 5, in
     one solve.
 
@@ -621,11 +620,9 @@ def _reduction_map(sk: SecretKey) -> Matrix:
     """
     p = sk.params
     q = p.q
-    solve_points = sk.points[:p.n] + sk.points[p.ell:]
     G = build_G(sk)
-    F1p, F2 = [], []
+    F2 = []
     for b in _ideal_basis_2r(p, sk.g):
-        F1p.append([b.eval(z) % q for z in solve_points])
         rem = reduce_by_set(b, G, p.r)
         F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
     try:
@@ -690,7 +687,8 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     Q, from the X that solves F1p·X = F2, F2 being the division
     remainders of the degree-(<= 2r) ideal basis.  The mandatory
     post-check F1p·X = F2 (mod q) runs on every build.
-    P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].
+    P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].  F1p, read off the monomial table
+    at the solve points, feeds both E and X.
     """
     p = sk.params
     q = p.q
@@ -701,10 +699,12 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     D2s = _build_D_scaled(sk, _sample_masking_block(p, rng))
 
     # step 2: extension coefficients
-    E = _build_E(sk)
+    solve_points = sk.points[:p.n] + sk.points[p.ell:]
+    F1p = _ideal_rows(sk.g, solve_points, _monomial_table(p, solve_points))
+    E = _build_E(F1p, p.n, q)
 
     # steps 4+5
-    W = balanced_matrix(mat_mul(_reduction_map(sk), sk.R, q), q)
+    W = balanced_matrix(mat_mul(_reduction_map(sk, F1p), sk.R, q), q)
 
     P1 = _bitdecomp_matrix_times(D1s, E, p, q)
     P2 = _bitdecomp_matrix_times(D2s, E, p, q)

@@ -19,12 +19,13 @@ together without comparing full keys.
 
 Secret-key files store only the core fields (g, points, S, R1, R2); all
 derived matrices are recomputed on load, so a save/load round trip is
-bit-exact by construction.  Evaluation keys store their factored form
-verbatim, after a key-form byte (always 1, the gadget form), u and the
-carry bound k_max, all of which must agree with the parameters; every
-entry of P1 and P2 must lie in 0..n(q − 1), the range of every key
-build_evalkey makes.  The parameter block ends with the same key-form
-byte.  Public-key files store eps, which must be PK_EPS = 1/10, then
+bit-exact by construction; g must be as keygen draws it, monic of degree
+r_g in v variables with a nonzero constant term.  Evaluation keys store
+their factored form verbatim, after a key-form byte (always 1, the gadget
+form), u and the carry bound k_max, all of which must agree with the
+parameters; every entry of P1 and P2 must lie in 0..n(q − 1), the range
+of every key build_evalkey makes.  The parameter block ends with the same
+key-form byte.  Public-key files store eps, which must be PK_EPS = 1/10, then
 exactly d = ceil(1.1·ell·log2 q) zero encryptions.  Noise hints on ciphertexts are serialized (they are
 useful diagnostics) but remain advisory.
 """
@@ -345,6 +346,11 @@ def save_secret_key(sk: SecretKey, path: str) -> None:
 def load_secret_key(path: str) -> SecretKey:
     params, r = _read_container(path, TYPE_SECRET)
     g = r.poly(params.q)
+    if (g.v != params.v or g.degree != params.r_g or g.leading_term()[1] != 1
+            or (0,) * g.v not in g.terms):
+        raise FormatError(f"secret key generator is not monic of degree r_g = "
+                          f"{params.r_g} in v = {params.v} variables with a "
+                          "nonzero constant term")
     npts = r.uint(4)
     if npts != params.t:
         raise FormatError(f"secret key has {npts} points, expected {params.t}")

@@ -1,9 +1,10 @@
 """Test-only oracles: the gadget transforms as exact rationals, the
-re-expression and reduction matrices B and Q built one at a time as the
-paper stages them, the multiplication key as an explicit rational tensor,
-every stage of one multiplication carried out with exact rationals, a random
-netlist generator, and the container's integer encoding written one entry
-at a time.
+degree-(<= r) ideal basis as polynomial products, the re-expression and
+reduction matrices B and Q built one at a time as the paper stages them,
+the multiplication key as an explicit rational tensor, every stage of one
+multiplication carried out with exact rationals, a random netlist
+generator, and the container's integer encoding written one entry at a
+time.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -33,7 +34,7 @@ from mvphe.keys import (
     setup,
 )
 from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, zeros
-from mvphe.mvpoly import reduce_by_set
+from mvphe.mvpoly import Polynomial, enumerate_monomials, reduce_by_set
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -103,6 +104,19 @@ def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:
     Entries are exact rationals with denominator 2^u and magnitude <= q/2.
     """
     return [Fraction(n, 1 << u) for n in _powersoftwo_numerators(vec, q, u)]
+
+
+# ---------------------------------------------------------------------------
+# the ideal basis, as products
+# ---------------------------------------------------------------------------
+
+def ideal_basis_r(sk: SecretKey) -> list[Polynomial]:
+    """The basis g·h_i of the degree-(<= r) slice of <g>, one polynomial
+    product per monomial h_i of degree <= r_prime: the reference for key
+    construction, which evaluates it as g(z)·h_i(z) without the products."""
+    p = sk.params
+    return [sk.g * Polynomial.monomial(p.v, p.q, m)
+            for m in enumerate_monomials(p.v, p.r_prime)]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from oracles import (
     bitdecomp,
     build_B,
     build_Q,
+    ideal_basis_r,
     n_mode_product,
     powersoftwo,
     random_circuit,
@@ -165,7 +166,7 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
             cts, polys = [], []
             for _ in range(2):
                 f = Polynomial(p.v, q)
-                for b in sk.basis:
+                for b in ideal_basis_r(sk):
                     f = f + b.scale(rng.randrange(q))
                 ev = [f.eval(z) % q for z in sk.points[:p.ell]]
                 vec = [sum(ev[i] * sk.R[i][j] for i in range(p.ell)) % q

@@ -1,8 +1,12 @@
 """Fuzzed containers: a file with a few bytes changed, or cut short, and its
 checksum re-sealed must load or be refused with an MvpheError, never a
-traceback of another kind."""
+traceback of another kind; and every CLI verb that reads it must finish, or
+print ``error: …`` and exit 2."""
 
 import hashlib
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from random import Random
 
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvphe import pk_keygen
+from mvphe.cli import main
 from mvphe.errors import MvpheError
 from mvphe.serialize import (
     load_ciphertext,
@@ -34,9 +39,28 @@ LOADERS = {
 }
 
 
+# CLI runs per file kind: {f} is the fuzzed file, every other input a good
+# toy file of the fixture's directory
+VERB_RUNS = {
+    "secret key": ("evalkey --key {f} --out {out}",
+                   "decrypt --key {f} --in {ciphertext}",
+                   "noise --key {f} --in {ciphertext}",
+                   "pk-keygen --key {f} --out {out}"),
+    "evaluation key": ("eval --evalkey {f} --circuit {netlist} "
+                       "--in {ciphertext} {ciphertext} --out-prefix {out}",),
+    "public key": ("pk-encrypt --pk {f} --bits 10 --out {out}",),
+    "ciphertext": ("decrypt --key {secret_key} --in {f}",
+                   "noise --key {secret_key} --in {f}",
+                   "eval --evalkey {evaluation_key} --circuit {netlist} "
+                   "--in {f} {f} --out-prefix {out}"),
+}
+
+
 @pytest.fixture(scope="module")
 def toy_bodies(tmp_path_factory, toy_params, toy_sk, toy_evk):
-    """Each toy file kind's body (the file without its digest)."""
+    """The fuzzed file's path, the paths of a good toy file of each kind
+    (keyed by kind, spaces as underscores) and of a one-AND netlist, and each
+    kind's body (the file without its digest)."""
     d = tmp_path_factory.mktemp("fuzz")
     savers = {
         "params": lambda p: save_params(toy_params, p),
@@ -46,20 +70,20 @@ def toy_bodies(tmp_path_factory, toy_params, toy_sk, toy_evk):
         "ciphertext": lambda p: save_ciphertext(
             encrypt(toy_sk, [1, 0], Random(161)), toy_params, p),
     }
+    paths = {"f": str(d / "fuzzed.bin"), "out": str(d / "out"),
+             "netlist": str(d / "and.txt")}
+    (d / "and.txt").write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
     bodies = {}
     for kind, save in savers.items():
-        path = d / "file.bin"
+        path = d / f"{kind.replace(' ', '_')}.bin"
         save(str(path))
+        paths[path.stem] = str(path)
         bodies[kind] = path.read_bytes()[:-32]
-    return d / "fuzzed.bin", bodies
+    return paths, bodies
 
 
-@pytest.mark.parametrize("kind", list(LOADERS))
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_fuzzed_file_loads_or_is_refused(toy_bodies, kind, data):
-    path, bodies = toy_bodies
-    body = bytearray(bodies[kind])
+def _fuzz(data, body: bytearray) -> bytes:
+    """The body cut short or with a few bytes changed, digest re-sealed."""
     block_end = 11 + int.from_bytes(body[7:11], "little")
     if data.draw(st.booleans(), label="truncate"):
         body = body[:data.draw(st.integers(0, len(body) - 1), label="cut")]
@@ -71,8 +95,35 @@ def test_fuzzed_file_loads_or_is_refused(toy_bodies, kind, data):
                                      min_size=1, max_size=4), label="changes")
         for at, byte in changes:
             body[at] = byte
-    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_file_loads_or_is_refused(toy_bodies, kind, data):
+    paths, bodies = toy_bodies
+    with open(paths["f"], "wb") as fh:
+        fh.write(_fuzz(data, bytearray(bodies[kind])))
     try:
-        LOADERS[kind](str(path))
+        LOADERS[kind](paths["f"])
     except MvpheError:
         pass
+
+
+@pytest.mark.parametrize("kind", list(VERB_RUNS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_file_through_cli_verbs(toy_bodies, kind, data):
+    paths, bodies = toy_bodies
+    with open(paths["f"], "wb") as fh:
+        fh.write(_fuzz(data, bytearray(bodies[kind])))
+    for run in VERB_RUNS[kind]:
+        err = io.StringIO()
+        # a loaded ciphertext may carry any noise hint; decrypt's warning
+        # about a large one is output, not a failure
+        with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([arg.format(**paths) for arg in run.split()])
+        assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")), run

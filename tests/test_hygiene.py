@@ -83,3 +83,26 @@ def test_every_method_is_used():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in used]
     assert unused == []
+
+
+def _init_false(node: ast.AST) -> bool:
+    """True for an annotated class field declared ``field(init=False)``."""
+    call = getattr(node, "value", None)
+    return (isinstance(node, ast.AnnAssign) and isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in call.keywords))
+
+
+def test_every_derived_field_is_read():
+    """A dataclass field derived by __post_init__ (``field(init=False)``) is
+    computed on every construction, so the package must read it somewhere;
+    the store that derives it does not count."""
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    derived = [(f"{name}: {cls.name}.{node.target.id}", node.target.id)
+               for name, tree in TREES.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if _init_false(node)]
+    assert derived
+    assert [where for where, attr in derived if attr not in read] == []

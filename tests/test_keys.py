@@ -1,7 +1,9 @@
 """Parameter setup, key generation, and multiplication-key construction."""
 
+import hashlib
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -21,9 +23,17 @@ from mvphe import (
     setup,
 )
 from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
-from mvphe.keys import _carry_product, _carry_table, _ideal_basis_2r, build_G
+from mvphe.keys import (
+    _carry_product,
+    _carry_table,
+    _ideal_basis_2r,
+    _ideal_rows,
+    _monomial_table,
+    build_G,
+)
 from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q, vec_mat
 from mvphe.mvpoly import grevlex_key, monomial_divides
+from mvphe.serialize import load_secret_key, save_secret_key
 from mvphe.arith import balance
 from oracles import (
     CARRY_SETS,
@@ -34,6 +44,7 @@ from oracles import (
     build_B,
     build_Q,
     evalkey_tensor,
+    ideal_basis_r,
     mult_intermediates,
     n_mode_product,
     powersoftwo,
@@ -115,6 +126,15 @@ def test_setup_refuses_q_past_64_bits():
         setup(q_bits=65)
 
 
+def test_params_refuses_u_past_64():
+    """An evaluation key has ell·(u + q_bits) gadget rows, so u is capped
+    like q's bits: a secret-key file re-sealed with u = 2^31 − 1 stalled
+    ``mvphe evalkey`` (found by the CLI fuzz test)."""
+    with pytest.raises(ParameterError, match="need 0 <= u <= 64, got u = 2147483647"):
+        preset_params("toy", u=2**31 - 1)
+    assert preset_params("toy", u=64).u == 64
+
+
 def test_params_rejects_composite_modulus():
     with pytest.raises(ParameterError):
         Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8,
@@ -146,6 +166,30 @@ def test_keygen_deterministic(toy_params):
     assert k3.points != k1.points
 
 
+# sha256 of repr((S, S_dec, P1, P2, W)) over seeds 1..3, per preset
+KEY_DIGESTS = {
+    "bench12": "4bcf209b17f7c5a3bf5285489c3d26a499d0c02cb6d97cf4facaf711a8bb9ba2",
+    "bench16": "f900998918a41e379344a316944c7813d4d844604a8caf9d8b1e0538adf2d2ee",
+    "depth3": "6309f2c57581c842ca53774fa95f5706a22b843330a56f3f9ffd91aa98564d9f",
+    "small": "0bf4b5c753835fb834252c15c63d9b9b768856a1bde3a7c72b4e555ad9444f60",
+    "toy": "0f3853c1ee4b02d6522b73a0ee1a526f85488cd493cd67c406871fd2a09e1bb9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_seeded_keys_are_pinned(name):
+    """Key material is a fixed function of the seeds on every preset: a
+    refactor of key construction must keep keygen's and build_evalkey's
+    draws and arithmetic bit-identical."""
+    p = preset_params(name)
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        sk = keygen(p, Random(f"pin-{name}-{seed}"))
+        evk = build_evalkey(sk, rng=Random(f"pin-evk-{name}-{seed}"))
+        h.update(repr((sk.S, sk.S_dec, evk.P1, evk.P2, evk.W)).encode())
+    assert h.hexdigest() == KEY_DIGESTS[name]
+
+
 def test_generator_properties(toy_sk):
     p = toy_sk.params
     g = toy_sk.g
@@ -165,13 +209,37 @@ def test_point_rank_conditions(toy_sk):
          for m in enumerate_monomials(p.v, p.r)]
     assert rank_mod_q(V, q) == p.ell
     # condition 2: ideal evaluations at the first n points have full rank
-    E1 = [[b.eval(z) % q for z in toy_sk.points[:p.n]] for b in toy_sk.basis]
+    E1 = [[b.eval(z) % q for z in toy_sk.points[:p.n]]
+          for b in ideal_basis_r(toy_sk)]
     assert rank_mod_q(E1, q) == p.n
     # extension condition: the 2r-slice basis at (z_1..z_n, extras)
     basis2 = _ideal_basis_2r(p, toy_sk.g)
     sub = toy_sk.points[:p.n] + toy_sk.points[p.ell:]
     F1p = [[b.eval(z) % q for z in sub] for b in basis2]
     assert rank_mod_q(F1p, q) == p.n1
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "tiny"])
+def test_monomial_table_matches_polynomial_products(name):
+    """Key construction reads every ideal evaluation off one monomial table
+    as g(z)·m(z); at all t points that equals (g·m)(z) for the products
+    formed as polynomials.  The table's first N rows are the monomials of
+    degree <= r, and the first n ideal rows are the degree-(<= r) basis."""
+    if name == "tiny":
+        p = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
+    else:
+        p = preset_params(name)
+    sk = keygen(p, Random(f"table-{name}"))
+    q = p.q
+    table = _monomial_table(p, sk.points)
+    assert table[:p.N] == [[Polynomial.monomial(p.v, q, m).eval(z) % q
+                            for z in sk.points]
+                           for m in enumerate_monomials(p.v, p.r)]
+    rows = _ideal_rows(sk.g, sk.points, table)
+    assert rows == [[b.eval(z) % q for z in sk.points]
+                    for b in _ideal_basis_2r(p, sk.g)]
+    assert rows[:p.n] == [[b.eval(z) % q for z in sk.points]
+                          for b in ideal_basis_r(sk)]
 
 
 def test_annihilation_of_ideal_evaluations(toy_sk):
@@ -183,7 +251,7 @@ def test_annihilation_of_ideal_evaluations(toy_sk):
     for _ in range(20):
         coeffs = [rng.randrange(q) for _ in range(p.n)]
         f = Polynomial(p.v, q)
-        for c, b in zip(coeffs, toy_sk.basis):
+        for c, b in zip(coeffs, ideal_basis_r(toy_sk)):
             f = f + b.scale(c)
         ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]
         for j in range(p.ell - p.n):
@@ -443,6 +511,45 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert calls["inverse_mod_q"] == calls["solve_mod_q"] == 1
 
 
+def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
+                                                       monkeypatch):
+    """keygen and load_secret_key form no Polynomial product, and
+    build_evalkey evaluates only g, once per solve point, and the n1
+    division remainders, each at z_1..z_ell."""
+    products, evaluated, remainders = [], [], []
+    real_mul, real_eval, real_reduce = (Polynomial.__mul__, Polynomial.eval,
+                                        keys.reduce_by_set)
+
+    def mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    def evaluate(self, point):
+        evaluated.append(self)
+        return real_eval(self, point)
+
+    def reduce(*args):
+        remainders.append(real_reduce(*args))
+        return remainders[-1]
+
+    monkeypatch.setattr(Polynomial, "__mul__", mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", mul)
+    monkeypatch.setattr(Polynomial, "eval", evaluate)
+    monkeypatch.setattr(keys, "reduce_by_set", reduce)
+    p = toy_params
+    sk = keygen(p, Random(3))
+    path = str(tmp_path / "sk.bin")
+    save_secret_key(sk, path)
+    load_secret_key(path)
+    assert products == []
+    evaluated.clear()
+    build_evalkey(sk, rng=Random(1))
+    assert sum(f is sk.g for f in evaluated) == p.n1
+    assert len(remainders) == p.n1
+    counts = Counter(id(f) for f in evaluated if f is not sk.g)
+    assert counts == {id(rem): p.ell for rem in remainders}
+
+
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):
     p = toy_sk.params
     width = p.u + p.q_bits
@@ -531,7 +638,7 @@ def test_noiseless_pipeline_matches_polynomial_reduction(toy_sk):
         fs, cts = [], []
         for _ in range(2):
             f = Polynomial(p.v, q)
-            for b in toy_sk.basis:
+            for b in ideal_basis_r(toy_sk):
                 f = f + b.scale(rng.randrange(q))
             ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]
             vec = [sum(ev[i] * toy_sk.R[i][j] for i in range(p.ell)) % q

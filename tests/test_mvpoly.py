@@ -39,6 +39,17 @@ def test_enumerate_count_v3_r2():
     assert len(enumerate_monomials(3, 2)) == 10
 
 
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_enumerate_lower_degree_is_a_prefix(v):
+    """Key construction reads the degree-(<= r) and degree-(<= r_prime)
+    slices of one monomial table as its leading rows."""
+    for d_hi in range(6):
+        longest = enumerate_monomials(v, d_hi)
+        for d in range(d_hi + 1):
+            shorter = enumerate_monomials(v, d)
+            assert longest[:len(shorter)] == shorter
+
+
 def test_grevlex_is_total_order_and_graded():
     ms = enumerate_monomials(3, 4)
     keys = [grevlex_key(m) for m in ms]

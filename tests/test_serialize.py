@@ -12,6 +12,7 @@ import pytest
 
 from mvphe import (
     Ciphertext,
+    Polynomial,
     decrypt,
     encrypt,
     eval_mult,
@@ -414,6 +415,25 @@ def test_key_matrix_shapes_checked(tmp_path, toy_sk):
         save_public_key(bad, path)
         with pytest.raises(FormatError, match="C0 is|C_unit is"):
             load_public_key(path)
+
+
+def test_secret_key_generator_checked(tmp_path, toy_sk):
+    """g must be what keygen draws: v variables, degree r_g, monic under
+    grevlex, nonzero constant term.  A scaled g would otherwise load and
+    evaluate, and g·g would load and fail only at evalkey."""
+    p = toy_sk.params
+    g = toy_sk.g
+    const = (0,) * p.v
+    path = str(tmp_path / "key.bin")
+    for bad in (Polynomial(p.v + 1, p.q, {(1,) + const: 1, (0,) + const: 5}),
+                g * g,
+                g.scale(2),
+                g - Polynomial.monomial(p.v, p.q, const, g.terms[const])):
+        key = copy.copy(toy_sk)
+        key.g = bad
+        save_secret_key(key, path)
+        with pytest.raises(FormatError, match="generator is not monic of degree"):
+            load_secret_key(path)
 
 
 def test_public_key_eps_checked(tmp_path, toy_sk):
