@@ -31,6 +31,7 @@ from random import Random
 
 from . import circuit as circuit_mod
 from . import serialize
+from .arith import approx
 from .errors import MvpheError
 from .keys import PRESETS, Params, build_evalkey, keygen, preset_params, setup
 from .she import (
@@ -64,6 +65,13 @@ def _parse_bits(s: str, expected: int) -> list[int]:
         raise MvpheError(
             f"message must be {expected} characters of 0/1, got {s!r}")
     return [int(c) for c in s]
+
+
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _check_fingerprints(a: Params, b: Params, what: str) -> None:
@@ -202,8 +210,8 @@ def cmd_noise(args) -> int:
     print(f"noise      {e}")
     print(f"max |e|    {max(abs(x) for x in e)}")
     hint = ct.noise_hint
-    approx = f"  (~{float(hint):.6g})" if hint is not None else ""
-    print(f"hint       {hint}{approx}")
+    shown = f"  (~{approx(hint, '.6g')})" if hint is not None else ""
+    print(f"hint       {hint}{shown}")
     print(f"level      {ct.level}")
     return 0
 
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[seeded],
                        help="time multiplication across ciphertext sizes")
-    p.add_argument("--mults", type=int, default=10,
+    p.add_argument("--mults", type=_positive_int, default=10,
                    help="timed multiplications per size (default 10)")
     p.add_argument("--csv", default=None, help="also write the CSV here")
     p.set_defaults(func=cmd_bench)

@@ -309,7 +309,8 @@ class SecretKey:
 
     Core fields (g, points, S, R1, R2) determine everything; the derived
     matrices are recomputed deterministically on construction and are not
-    settable.
+    settable.  Encryption multiplies by C = T^{-1}·R, T = [[I, S^T], [0, I]];
+    D = C^{-1} unmasks, and its last ell − n columns are S_dec.
     """
 
     params: Params
@@ -320,8 +321,8 @@ class SecretKey:
     R2: Matrix
     # derived by __post_init__, not settable
     R: Matrix = field(init=False, repr=False)
-    R_inv: Matrix = field(init=False, repr=False)
-    S_enc: Matrix = field(init=False, repr=False)
+    C: Matrix = field(init=False, repr=False)
+    D: Matrix = field(init=False, repr=False)
     S_dec: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -338,21 +339,11 @@ class SecretKey:
         for j in range(k):
             R[n + j][n + j] = 1
         self.R = R
-        self.R_inv = inverse_mod_q(R, q)
-        # S_enc = [I | -S^T]
-        S_enc = zeros(n, ell)
-        for i in range(n):
-            S_enc[i][i] = 1
-            for j in range(k):
-                S_enc[i][n + j] = -self.S[j][i] % q
-        self.S_enc = S_enc
-        # S_dec = R^{-1} [S | I]^T
-        SI_t = zeros(ell, k)
-        for j in range(k):
-            for i in range(n):
-                SI_t[i][j] = self.S[j][i] % q
-            SI_t[n + j][j] = 1
-        self.S_dec = mat_mul(self.R_inv, SI_t, q)
+        # C = T^{-1}·R = [[R1, R2^T − S^T], [0, I]]
+        self.C = [row[:n] + [(x - s) % q for x, s in zip(row[n:], s_col)]
+                  for row, s_col in zip(R, zip(*self.S))] + R[n:]
+        self.D = inverse_mod_q(self.C, q)
+        self.S_dec = [row[n:] for row in self.D]
 
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
@@ -572,18 +563,12 @@ def _sample_masking_block(p: Params, rng: Random) -> Matrix:
 
 
 def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
-    """Unmasking matrix D = R^{-1}·[[I, S^T],[0, I]] + masking, times 2^u.
-
-    No product is formed: the first n columns of [[I, S^T],[0, I]] are unit
-    vectors and the rest are [S | I]^T, so D = [first n columns of R^{-1} |
-    S_dec], both already derived by the secret key.  Returned as the exact
-    integer matrix D·2^u (entries of D are balanced integers plus dyadic
-    masking with u fractional bits).
-    """
+    """The secret key's unmasking matrix D = C^{-1} = R^{-1}·[[I, S^T],[0, I]]
+    plus masking, as the exact integer matrix D·2^u (entries of D are
+    balanced integers plus dyadic masking with u fractional bits)."""
     p = sk.params
     n = p.n
-    D = balanced_matrix([r[:n] + s for r, s in zip(sk.R_inv, sk.S_dec)], p.q)
-    scaled = [[x << p.u for x in row] for row in D]
+    scaled = [[x << p.u for x in row] for row in balanced_matrix(sk.D, p.q)]
     for i in range(n):
         for j in range(p.ell - n):
             scaled[i][n + j] += eps[i][j]

@@ -37,7 +37,7 @@ import struct
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
 from .mvpoly import Polynomial, grevlex_key
@@ -359,7 +359,10 @@ def load_secret_key(path: str) -> SecretKey:
     R1 = r.matrix("R1", params.n, params.n)
     R2 = r.matrix("R2", params.message_bits, params.n)
     r.end()
-    return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
+    try:  # C is invertible exactly when R1 is
+        return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
+    except SingularMatrixError:
+        raise FormatError(f"secret key R1 is singular mod q = {params.q}") from None
 
 
 def save_evalkey(evk: EvalKey, path: str) -> None:

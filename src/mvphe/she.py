@@ -2,13 +2,13 @@
 
 A plaintext is a vector of ell − n bits.  Its encryption is
 
-    c = (p·floor(q/2) + y·S_enc + e) · R   (mod q, balanced)
+    c = (y ‖ p·floor(q/2) + e) · C   (mod q, balanced)
 
 where y is a uniformly random head vector, e a discrete-Gaussian noise
-vector, S_enc = [I | −S^T], and R the secret mixing matrix.  Decryption
-computes w = c·S_dec (mod q, balanced) and rounds each w_j to the nearest
-multiple of floor(q/2), modulo 2.  Correct as long as the noise stays below
-floor(q/2)/2 in infinity norm.
+vector, and C the secret key's encryption matrix.  Decryption computes
+w = c·S_dec (mod q, balanced), S_dec being the last ell − n columns of
+C^{-1}, and rounds each w_j to the nearest multiple of floor(q/2), mod 2.
+Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 
 Every ciphertext carries a ``noise_hint``: an upper bound on the infinity
 norm of its noise, maintained through each operation by the tracked
@@ -33,7 +33,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .arith import NoiseSampler, Rational, balance, round_nearest
+from .arith import NoiseSampler, Rational, approx, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
 from .keys import _carry_product, _product_hint
@@ -98,20 +98,14 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     p = sk.params
     q = p.q
     m = _check_message(p, m)
-    half = q // 2
     y = [rng.randrange(q) for _ in range(p.n)]
-    if zero_noise:
-        e = [0] * p.message_bits
-    else:
+    band = [b * (q // 2) for b in m]
+    if not zero_noise:
         sampler = NoiseSampler(p.sigma, rng)
-        e = [sampler.sample() for _ in range(p.message_bits)]
-    # pre-mixing vector: y spread by S_enc, message + noise on the message band
-    # (the band is exactly what [S | I]^T reads back out, so noise added
-    # anywhere else would be amplified by S at decryption)
-    pre = vec_mat(y, sk.S_enc)
-    for j in range(p.message_bits):
-        pre[p.n + j] += m[j] * half + e[j]
-    vec = vec_mat(pre, sk.R)
+        band = [x + sampler.sample() for x in band]
+    # message + noise on the band after y: S_dec is the last ell − n columns
+    # of C^{-1}, so (y ‖ band)·C·S_dec = band and y drops out at decryption
+    vec = vec_mat(y + band, sk.C)
     hint = 0 if zero_noise else p.B
     return Ciphertext(vec=vec, level=0, q=q, noise_hint=hint)
 
@@ -128,7 +122,7 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
     _check_ciphertext(p, ct)
     if ct.noise_hint is not None and ct.noise_hint > Fraction(q, 4):
         warnings.warn(
-            f"noise hint {float(ct.noise_hint):.4g} exceeds q/4 = {q / 4:.4g}; "
+            f"noise hint {approx(ct.noise_hint, '.4g')} exceeds q/4 = {q / 4:.4g}; "
             "decryption may be incorrect", RuntimeWarning, stacklevel=2)
     half = q // 2
     w = _apply_sdec(sk, ct.vec)

@@ -1,5 +1,6 @@
 """Test-only oracles: the gadget transforms as exact rationals, the
-degree-(<= r) ideal basis as polynomial products, the re-expression and
+degree-(<= r) ideal basis as polynomial products, encryption in two
+products from the key's core fields, the re-expression and
 reduction matrices B and Q built one at a time as the paper stages them,
 the multiplication key as an explicit rational tensor, every stage of one
 multiplication carried out with exact rationals, a random netlist
@@ -18,7 +19,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from mvphe.arith import balance
+from mvphe.arith import NoiseSampler, balance
 from mvphe.circuit import Circuit, parse_circuit
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import (
@@ -117,6 +118,43 @@ def ideal_basis_r(sk: SecretKey) -> list[Polynomial]:
     p = sk.params
     return [sk.g * Polynomial.monomial(p.v, p.q, m)
             for m in enumerate_monomials(p.v, p.r_prime)]
+
+
+# ---------------------------------------------------------------------------
+# encryption, in two products
+# ---------------------------------------------------------------------------
+
+def encryption_factors(sk: SecretKey) -> tuple[Matrix, Matrix]:
+    """T^{-1} = [[I, −S^T], [0, I]] and R = [[R1, R2^T], [0, I]] mod q,
+    assembled entry by entry from the key's core fields."""
+    p = sk.params
+    q, n, ell = p.q, p.n, p.ell
+    T_inv, R = identity(ell), identity(ell)
+    for i in range(n):
+        for j in range(ell - n):
+            T_inv[i][n + j] = -sk.S[j][i] % q
+            R[i][n + j] = sk.R2[j][i] % q
+        for j in range(n):
+            R[i][j] = sk.R1[i][j] % q
+    return T_inv, R
+
+
+def encrypt_reference(sk: SecretKey, m: Sequence[int], rng: Random) -> list[int]:
+    """A fresh ciphertext's vector in two products, (y·S_enc + [0 | band])·R
+    with S_enc = [I | −S^T] the first n rows of T^{-1}, band = m·floor(q/2)
+    + e; y and then the noise are drawn from ``rng`` as ``encrypt`` draws
+    them."""
+    p = sk.params
+    q, n, ell = p.q, p.n, p.ell
+    y = [rng.randrange(q) for _ in range(n)]
+    sampler = NoiseSampler(p.sigma, rng)
+    band = [b * (q // 2) + sampler.sample() for b in m]
+    T_inv, R = encryption_factors(sk)
+    pre = [sum(y[i] * T_inv[i][c] for i in range(n)) for c in range(ell)]
+    for j, x in enumerate(band):
+        pre[n + j] += x
+    return [balance(sum(pre[i] * R[i][c] for i in range(ell)), q)
+            for c in range(ell)]
 
 
 # ---------------------------------------------------------------------------

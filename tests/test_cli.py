@@ -305,6 +305,24 @@ def test_noise_verb_with_expected_bits(workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "plaintext  10" in out and "hint       48" in out
 
+def test_decrypt_and_noise_show_a_hint_past_the_float_range(workdir, tmp_path,
+                                                             capsys):
+    sk = str(workdir / "sk.bin")
+    ct = str(tmp_path / "huge.bin")
+    assert main(["encrypt", "--key", sk, "--bits", "10", "--seed", "14",
+                 "--out", ct]) == 0
+    fresh, params = serialize.load_ciphertext(ct)
+    serialize.save_ciphertext(replace(fresh, noise_hint=10**400), params, ct)
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 exceeds"):
+        assert main(["decrypt", "--key", sk, "--in", ct]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+    with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 exceeds"):
+        assert main(["noise", "--key", sk, "--in", ct]) == 0
+    out = capsys.readouterr().out
+    assert "plaintext  10" in out and f"hint       {10**400}  (~2^1328.77)" in out
+
+
 # --- public key --------------------------------------------------------------
 
 def test_pk_workflow(workdir, tmp_path, capsys):
@@ -334,6 +352,15 @@ def test_bench_csv_structure(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == ["8", "12", "16"]
     assert all(float(r[3]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("mults", ["0", "-3"])
+def test_bench_refuses_fewer_than_one_mult(mults, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--mults", mults])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--mults: must be at least 1" in err
 
 
 # --- file bytes --------------------------------------------------------------

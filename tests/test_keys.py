@@ -15,12 +15,14 @@ from mvphe import (
     Polynomial,
     SecretKey,
     build_evalkey,
+    encrypt,
     enumerate_monomials,
     keygen,
     keys,
     preset_params,
     reduce_by_set,
     setup,
+    she,
 )
 from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
 from mvphe.keys import (
@@ -43,6 +45,7 @@ from oracles import (
     bitdecomp,
     build_B,
     build_Q,
+    encryption_factors,
     evalkey_tensor,
     ideal_basis_r,
     mult_intermediates,
@@ -260,17 +263,24 @@ def test_annihilation_of_ideal_evaluations(toy_sk):
 
 
 def test_annihilation_via_s_enc_rows(toy_sk):
-    """y*S_enc spans exactly the annihilated space, for random y."""
+    """y·S_enc, with S_enc = [I | −S^T] the first n rows of T^{-1}, lies in
+    the annihilated space for random y; the key's C is T^{-1}·R, so its
+    first n rows are those rows mixed by R and each decrypts to zero."""
     p = toy_sk.params
     q = p.q
+    T_inv, R = encryption_factors(toy_sk)
     rng = Random(56)
     for _ in range(1000):
         y = [rng.randrange(q) for _ in range(p.n)]
-        vec = [sum(y[i] * toy_sk.S_enc[i][j] for i in range(p.n)) % q
+        vec = [sum(y[i] * T_inv[i][j] for i in range(p.n)) % q
                for j in range(p.ell)]
         for j in range(p.ell - p.n):
             acc = sum(toy_sk.S[j][i] * vec[i] for i in range(p.n)) + vec[p.n + j]
             assert acc % q == 0
+    assert toy_sk.R == R
+    assert toy_sk.C == mat_mul(T_inv, R, q)
+    assert mat_mul(toy_sk.C[:p.n], toy_sk.S_dec, q) == [
+        [0] * (p.ell - p.n) for _ in range(p.n)]
 
 
 def test_mixing_matrix_block_shape(toy_sk):
@@ -287,8 +297,14 @@ def test_mixing_matrix_block_shape(toy_sk):
             assert R[i][p.n + j] == toy_sk.R2[j][i] % p.q
     assert rank_mod_q(toy_sk.R1, p.q) == p.n
     assert rank_mod_q(toy_sk.S, p.q) == k
-    assert mat_mul(toy_sk.R, toy_sk.R_inv, p.q) == [
+    # D = C^{-1} = R^{-1}·T for T = [[I, S^T], [0, I]]
+    T = [[int(i == j) for j in range(p.ell)] for i in range(p.ell)]
+    for i in range(p.n):
+        for j in range(k):
+            T[i][p.n + j] = toy_sk.S[j][i] % p.q
+    assert mat_mul(toy_sk.C, toy_sk.D, p.q) == [
         [int(i == j) for j in range(p.ell)] for i in range(p.ell)]
+    assert mat_mul(R, toy_sk.D, p.q) == T
 
 
 def test_keygen_failure_on_degenerate_params():
@@ -493,8 +509,9 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     """Every linear system is one solve and no inverse is formed: a build
     makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
     two mat_mul_exact and one reduce_by_set per degree-(<= 2r) ideal basis
-    element.  A keygen draw that passes its rank checks makes one solve (S)
-    and one inverse (R^{-1} of the secret key)."""
+    element.  A keygen draw that passes its rank checks makes one solve (S),
+    one inverse (the secret key's D = C^{-1}) and no product, and an
+    encryption is one product, by C."""
     calls = {}
     names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "mat_mul_exact",
              "reduce_by_set")
@@ -507,8 +524,16 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert calls == {"mat_mul": 2, "solve_mod_q": 2, "mat_mul_exact": 2,
                      "reduce_by_set": toy_sk.params.n1}
     calls.clear()
-    keygen(toy_sk.params, Random(3))
-    assert calls["inverse_mod_q"] == calls["solve_mod_q"] == 1
+    sk = keygen(toy_sk.params, Random(3))
+    assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
+    products = []
+
+    def vec_mat_counted(v, M, _fn=she.vec_mat):
+        products.append(M)
+        return _fn(v, M)
+    monkeypatch.setattr(she, "vec_mat", vec_mat_counted)
+    encrypt(sk, [1] * sk.params.message_bits, Random(4))
+    assert products == [sk.C]
 
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,

@@ -436,6 +436,17 @@ def test_secret_key_generator_checked(tmp_path, toy_sk):
             load_secret_key(path)
 
 
+def test_secret_key_singular_r1_refused(tmp_path, toy_sk):
+    """C = [[R1, R2^T − S^T], [0, I]] is invertible exactly when R1 is, so
+    a file whose R1 is singular is malformed, not a linear-algebra error."""
+    path = str(tmp_path / "key.bin")
+    key = copy.copy(toy_sk)
+    key.R1 = [[0] * toy_sk.params.n for _ in range(toy_sk.params.n)]
+    save_secret_key(key, path)
+    with pytest.raises(FormatError, match="R1 is singular"):
+        load_secret_key(path)
+
+
 def test_public_key_eps_checked(tmp_path, toy_sk):
     path = str(tmp_path / "pk.bin")
     save_public_key(pk_keygen(toy_sk, Random(152)), path)

@@ -24,7 +24,7 @@ from mvphe import (
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS
 from mvphe.linalg import mat_mul
-from oracles import CARRY_SETS, mult_intermediates
+from oracles import CARRY_SETS, encrypt_reference, mult_intermediates
 
 
 class _ZeroRandom(Random):
@@ -80,6 +80,19 @@ def test_zero_message_zero_randomness_is_zero_vector(toy_sk):
     assert ct.vec == [0] * toy_sk.params.ell
 
 
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "tiny-q97"])
+def test_encrypt_matches_two_product_reference(name):
+    """encrypt's one product by C = T^{-1}·R equals the two-product form
+    (y·S_enc + [0 | band])·R under the same draws: y, then the noise."""
+    p = CARRY_SETS[name]()
+    sk = keygen(p, Random(f"enc-ref-{name}"))
+    rng = Random(f"enc-ref-msgs-{name}")
+    for i in range(5):
+        m = [rng.randrange(2) for _ in range(p.message_bits)]
+        ct = encrypt(sk, m, Random(f"enc-ref-{name}-{i}"))
+        assert ct.vec == encrypt_reference(sk, m, Random(f"enc-ref-{name}-{i}"))
+
+
 def test_decryption_matrix_identity(toy_sk):
     """R·S_dec == [S | I]^T mod q — mixing then unmixing reads the band."""
     p = toy_sk.params
@@ -131,9 +144,9 @@ def test_ciphertext_vec_balanced_and_hint_ignored_by_eq(toy_sk):
 
 def test_decrypt_noise_threshold_is_exact(toy_sk):
     """The smallest band perturbation that flips a bit is ceil(half/2),
-    where half = floor(q/2); one less never flips.  Band slot j of the
-    pre-mixing vector is ciphertext coordinate n+j because the mixing
-    matrix is identity on the band rows."""
+    where half = floor(q/2); one less never flips.  Band slot j of
+    (y ‖ band) is ciphertext coordinate n+j because the encryption matrix
+    C is [0 | I] on the band rows."""
     p = toy_sk.params
     half = p.q // 2
     T = (half + 1) // 2
@@ -158,6 +171,10 @@ def test_decrypt_warns_past_quarter_q(toy_sk):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert decrypt(toy_sk, quiet) == [1, 0]
+    # a hint past the float range is shown as a power of two
+    huge = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=10**400)
+    with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 exceeds"):
+        assert decrypt(toy_sk, huge) == [1, 0]
 
 
 # --- addition -------------------------------------------------------------
