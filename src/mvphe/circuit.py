@@ -19,27 +19,27 @@ Two depth measures matter:
 * ``depth``      — the maximum number of AND gates on any input-to-output
                    path; this is the quantity a parameter set's L budgets.
 * ``level_need`` — the depth ledger the homomorphic evaluator actually
-                   accumulates, where a product of ciphertexts at levels
-                   l1, l2 lands at l1 + l2 + 1.  For multiplication chains
-                   the two coincide; for trees that multiply two
-                   already-multiplied values, level_need is larger (the
-                   accounting is deliberately conservative).
+                   accumulates, ``she.product_level`` at each AND gate.
+                   For multiplication chains the two coincide; for trees
+                   that multiply two already-multiplied values, level_need
+                   is larger (the accounting is deliberately conservative).
 
 level_need assumes fresh (level-0) inputs.  ``eval_homomorphic`` recomputes
 the ledger from the levels of the ciphertexts it is given, over every AND
 gate, checks it against params.L and fails fast before any homomorphic
-work, so a circuit either evaluates completely or not at all.
+work, so a circuit either evaluates completely or not at all.  Each of
+these passes, and each evaluation, is one ``_walk`` over the gates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DepthError, FormatError, ParameterError
 from .keys import EvalKey
-from .she import Ciphertext, eval_add, eval_mult
+from .she import Ciphertext, eval_add, eval_mult, product_level
 
 __all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic"]
 
@@ -60,7 +60,15 @@ class Circuit:
     gates: list[Gate]          # in definition order (already topological)
     outputs: list[str]
     depth: int                 # max AND count on any path
-    level_need: int            # depth ledger under l1 + l2 + 1, level-0 inputs
+    level_need: int            # depth ledger under product_level, level-0 inputs
+
+
+def _walk(gates: Sequence[Gate], env: dict, AND: Callable, XOR: Callable) -> dict:
+    """Run the gates in order over ``env`` (wire → value), each gate setting
+    its output wire to AND(a, b) or XOR(a, b) of its inputs' values."""
+    for g in gates:
+        env[g.out] = (AND if g.op == "AND" else XOR)(env[g.a], env[g.b])
+    return env
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -68,8 +76,6 @@ def parse_circuit(text: str) -> Circuit:
     inputs: list[str] = []
     gates: list[Gate] = []
     outputs: list[str] = []
-    depth: dict[str, int] = {}
-    level: dict[str, int] = {}
     defined: set[str] = set()
 
     def err(lineno: int, msg: str):
@@ -95,8 +101,6 @@ def parse_circuit(text: str) -> Circuit:
                 err(lineno, "inputs must precede gates and outputs")
             inputs.append(name)
             defined.add(name)
-            depth[name] = 0
-            level[name] = 0
         elif tok[0] == "out":
             if len(tok) != 2:
                 err(lineno, "expected 'out <id>'")
@@ -118,25 +122,18 @@ def parse_circuit(text: str) -> Circuit:
                                 "(forward references and cycles are not allowed)")
             gates.append(Gate(out=name, op=op, a=a, b=b))
             defined.add(name)
-            if op == "AND":
-                depth[name] = max(depth[a], depth[b]) + 1
-                level[name] = level[a] + level[b] + 1
-            else:
-                depth[name] = max(depth[a], depth[b])
-                level[name] = max(level[a], level[b])
         else:
             err(lineno, f"cannot parse {line!r}")
     if not inputs:
         raise FormatError("circuit has no inputs")
     if not outputs:
         raise FormatError("circuit has no outputs")
-    return Circuit(
-        inputs=inputs,
-        gates=gates,
-        outputs=outputs,
-        depth=max(depth[w] for w in outputs),
-        level_need=max(level[w] for w in outputs),
-    )
+    depth = _walk(gates, dict.fromkeys(inputs, 0),
+                  lambda a, b: max(a, b) + 1, max)
+    level = _walk(gates, dict.fromkeys(inputs, 0), product_level, max)
+    return Circuit(inputs, gates, outputs,
+                   depth=max(depth[w] for w in outputs),
+                   level_need=max(level[w] for w in outputs))
 
 
 def eval_plain(circ: Circuit, inputs: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -145,21 +142,14 @@ def eval_plain(circ: Circuit, inputs: Sequence[Sequence[int]]) -> list[list[int]
         raise ParameterError(
             f"circuit has {len(circ.inputs)} inputs, got {len(inputs)}"
         )
-    width = len(inputs[0]) if inputs else 0
-    env: dict[str, list[int]] = {}
-    for name, vec in zip(circ.inputs, inputs):
-        vec = list(vec)
-        if len(vec) != width:
-            raise ParameterError("all input vectors must have the same width")
-        if any(b not in (0, 1) for b in vec):
-            raise ParameterError("input bits must be 0 or 1")
-        env[name] = vec
-    for g in circ.gates:
-        a, b = env[g.a], env[g.b]
-        if g.op == "AND":
-            env[g.out] = [x & y for x, y in zip(a, b)]
-        else:
-            env[g.out] = [x ^ y for x, y in zip(a, b)]
+    vecs = [list(vec) for vec in inputs]
+    if any(len(vec) != len(vecs[0]) for vec in vecs):
+        raise ParameterError("all input vectors must have the same width")
+    if any(b not in (0, 1) for vec in vecs for b in vec):
+        raise ParameterError("input bits must be 0 or 1")
+    env = _walk(circ.gates, dict(zip(circ.inputs, vecs)),
+                lambda a, b: [x & y for x, y in zip(a, b)],
+                lambda a, b: [x ^ y for x, y in zip(a, b)])
     return [env[w][:] for w in circ.outputs]
 
 
@@ -171,28 +161,22 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
     from the inputs' levels over every AND gate, exceeds the parameter
     set's budget L.
     """
-    p = evk.params
+    L = evk.params.L
     if len(inputs) != len(circ.inputs):
         raise ParameterError(
             f"circuit has {len(circ.inputs)} inputs, got {len(inputs)}"
         )
-    level = {w: ct.level for w, ct in zip(circ.inputs, inputs)}
-    need = 0
-    for g in circ.gates:
-        a, b = level[g.a], level[g.b]
-        level[g.out] = a + b + 1 if g.op == "AND" else max(a, b)
-        if g.op == "AND":
-            need = max(need, level[g.out])
-    if need > p.L:
+    ands = [0]  # the level of every AND gate, dead ones included
+    _walk(circ.gates, {w: ct.level for w, ct in zip(circ.inputs, inputs)},
+          lambda a, b: ands.append(product_level(a, b)) or ands[-1], max)
+    if max(ands) > L:
         raise DepthError(
-            f"circuit needs depth {need} on these inputs (AND-path depth "
-            f"{circ.depth}) but parameters support L = {p.L}"
+            f"circuit needs depth {max(ands)} on these inputs (AND-path depth "
+            f"{circ.depth}) but parameters support L = {L}"
         )
-    env: dict[str, Ciphertext] = dict(zip(circ.inputs, inputs))
-    for g in circ.gates:
-        if g.op == "AND":
-            env[g.out] = eval_mult(evk, env[g.a], env[g.b])
-        else:
-            env[g.out] = eval_add(env[g.a], env[g.b])
+    # eval_mult and eval_add are read from this module at call time, so a
+    # wrapper set on mvphe.circuit sees every gate
+    env = _walk(circ.gates, dict(zip(circ.inputs, inputs)),
+                lambda a, b: eval_mult(evk, a, b), eval_add)
     return [env[w] for w in circ.outputs]
 

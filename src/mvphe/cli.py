@@ -27,6 +27,7 @@ import argparse
 import functools
 import sys
 import time
+import warnings
 from random import Random
 
 from . import circuit as circuit_mod
@@ -210,8 +211,7 @@ def cmd_noise(args) -> int:
     print(f"noise      {e}")
     print(f"max |e|    {max(abs(x) for x in e)}")
     hint = ct.noise_hint
-    shown = f"  (~{approx(hint, '.6g')})" if hint is not None else ""
-    print(f"hint       {hint}{shown}")
+    print(f"hint       {approx(hint, '.6g') if hint is not None else None}")
     print(f"level      {ct.level}")
     return 0
 
@@ -349,11 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (MvpheError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # each warning as one line, like errors
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (MvpheError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

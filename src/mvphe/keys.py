@@ -212,6 +212,11 @@ def _product_hint(h: Rational, k_max: Fraction, q: int, ell: int) -> Fraction:
     return 4 * h + 2 * (4 * h + 1) * k_max + (8 * h * h + 1) / q + ell
 
 
+def _sum_hint(h1: Rational, h2: Rational) -> Rational:
+    """Tracked noise bound of a sum whose inputs have noise at most h1, h2."""
+    return h1 + h2 + 1
+
+
 def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
     """Smallest q_bits in 16.._Q_BITS_MAX with 2·h_L < floor(q_min/2)/2,
     where h_L is the hint after L levels of (multiply, then add) from B at
@@ -225,7 +230,8 @@ def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
         k_max = _carry_bound(ell, u, bits)
         h = Fraction(B)
         for _ in range(L):
-            h = 2 * _product_hint(h, k_max, q_min, ell) + 1
+            x = _product_hint(h, k_max, q_min, ell)
+            h = _sum_hint(x, x)
         if 2 * h < Fraction(q_min // 2, 2):
             return bits
     raise ParameterError(

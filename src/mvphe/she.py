@@ -16,7 +16,7 @@ formulas below.  The hint is advisory — decryption works off the actual
 vector and merely warns when the hint crosses q/4 — and it is deliberately
 excluded from equality comparisons and serialized only as a convenience.
 
-Addition is entrywise (hint: h1 + h2 + 1).  Multiplication contracts the
+Addition is entrywise (hint: ``keys._sum_hint``).  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
 and floors; the hint is the per-product bound ``keys._product_hint`` at
 max(h1, h2), linear in the carry bound k_max certified by the evaluation
@@ -36,7 +36,7 @@ from typing import Sequence
 from .arith import NoiseSampler, Rational, approx, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
-from .keys import _carry_product, _product_hint
+from .keys import _carry_product, _product_hint, _sum_hint
 from .linalg import Matrix, vec_mat
 
 __all__ = [
@@ -50,8 +50,8 @@ class Ciphertext:
     """A length-ell vector over Z_q (balanced), at a multiplicative level.
 
     ``level`` counts consumed depth: fresh encryptions are level 0 and a
-    product of levels l1, l2 sits at l1 + l2 + 1.  ``noise_hint`` is the
-    tracked noise bound; it does not participate in equality.
+    product sits at ``product_level`` of its factors' levels.  ``noise_hint``
+    is the tracked noise bound; it does not participate in equality.
     """
 
     vec: list[int]
@@ -150,9 +150,14 @@ def eval_add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     vec = [a + b for a, b in zip(ct1.vec, ct2.vec)]
     hint = None
     if ct1.noise_hint is not None and ct2.noise_hint is not None:
-        hint = ct1.noise_hint + ct2.noise_hint + 1
+        hint = _sum_hint(ct1.noise_hint, ct2.noise_hint)
     return Ciphertext(vec=vec, level=max(ct1.level, ct2.level), q=ct1.q,
                       noise_hint=hint)
+
+
+def product_level(l1: int, l2: int) -> int:
+    """The level of a product of ciphertexts at levels l1 and l2."""
+    return l1 + l2 + 1
 
 
 def mult_noise_hint(evk: EvalKey, h1: Rational, h2: Rational) -> Fraction:
@@ -186,7 +191,7 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     q = p.q
     _check_ciphertext(p, ct1)
     _check_ciphertext(p, ct2)
-    level = ct1.level + ct2.level + 1
+    level = product_level(ct1.level, ct2.level)
     if level > p.L:
         raise DepthError(
             f"multiplication at levels {ct1.level} + {ct2.level} needs depth "

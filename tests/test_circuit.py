@@ -1,6 +1,7 @@
 """Netlist parsing, plain evaluation, and homomorphic evaluation."""
 
 import itertools
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -213,6 +214,76 @@ def test_xor_only_circuit_hint_telescopes(toy_sk, toy_evk):
     # a feeds two gates, b and c one each: hint = 4B + (number of gates)
     assert out.noise_hint == 4 * toy_sk.params.B + len(c.gates)
     assert out.level == 0
+
+
+def _reference_ledgers(c, in_levels):
+    """Per wire: AND-path depth from 0 and level from ``in_levels``, plus the
+    largest level over every AND gate, each kept gate by gate here."""
+    depth = {w: 0 for w in c.inputs}
+    level = dict(zip(c.inputs, in_levels))
+    need = 0
+    for g in c.gates:
+        if g.op == "AND":
+            depth[g.out] = max(depth[g.a], depth[g.b]) + 1
+            level[g.out] = level[g.a] + level[g.b] + 1
+            need = max(need, level[g.out])
+        else:
+            depth[g.out] = max(depth[g.a], depth[g.b])
+            level[g.out] = max(level[g.a], level[g.b])
+    return depth, level, need
+
+
+def _random_netlist(rng):
+    """Any mix of gates with no level budget; outputs are one or two random
+    wires, often an input, so many AND gates feed no output."""
+    wires = [f"x{i}" for i in range(rng.randrange(2, 5))]
+    lines = [f"in {w}" for w in wires]
+    for k in range(rng.randrange(1, 10)):
+        op = "AND" if rng.random() < 0.4 else "XOR"
+        lines.append(f"w{k} = {op} {rng.choice(wires)} {rng.choice(wires)}")
+        wires.append(f"w{k}")
+    outs = sorted({rng.choice(wires) for _ in range(2)})
+    return parse_circuit("\n".join(lines + [f"out {w}" for w in outs]))
+
+
+def test_ledgers_match_a_reference_on_random_netlists(toy_sk, toy_evk,
+                                                      monkeypatch):
+    """parse_circuit's depth and level_need, and eval_homomorphic's refusal,
+    against a ledger kept in this test: the refusal comes, before any
+    eval_mult, exactly when some AND gate's level from the given input
+    levels passes L, output or not (``dead`` counts the refusals that only
+    an AND gate feeding no output causes); otherwise every AND runs and the
+    outputs carry the reference levels."""
+    L = toy_sk.params.L
+    calls = []
+    real = circuit_mod.eval_mult
+    monkeypatch.setattr(circuit_mod, "eval_mult",
+                        lambda *args: calls.append(1) or real(*args))
+    rng = Random(138)
+    fresh = [encrypt(toy_sk, [1, 0], rng) for _ in range(4)]
+    refused = dead = 0
+    for _ in range(200):
+        c = _random_netlist(rng)
+        depth, level, _ = _reference_ledgers(c, [0] * len(c.inputs))
+        assert c.depth == max(depth[w] for w in c.outputs)
+        assert c.level_need == max(level[w] for w in c.outputs)
+        in_levels = [rng.randrange(L + 1) if rng.random() < 0.3 else 0
+                     for _ in c.inputs]
+        _, level, need = _reference_ledgers(c, in_levels)
+        ands = sum(g.op == "AND" for g in c.gates)
+        dead += need > L >= max(level[w] for w in c.outputs)
+        cts = [replace(ct, level=lv) for ct, lv in zip(fresh, in_levels)]
+        calls.clear()
+        if need > L:
+            refused += 1
+            with pytest.raises(DepthError, match=f"needs depth {need} "):
+                eval_homomorphic(toy_evk, c, cts)
+            assert calls == []
+        else:
+            outs = eval_homomorphic(toy_evk, c, cts)
+            assert len(calls) == ands
+            assert [ct.level for ct in outs] == [level[w] for w in c.outputs]
+    assert 50 < refused < 150 and dead > 20
 
 
 def test_gate_order_and_depth_examples():

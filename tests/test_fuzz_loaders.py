@@ -5,7 +5,6 @@ print ``error: …`` and exit 2."""
 
 import hashlib
 import io
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from random import Random
 
@@ -121,9 +120,9 @@ def test_fuzzed_file_through_cli_verbs(toy_bodies, kind, data):
     for run in VERB_RUNS[kind]:
         err = io.StringIO()
         # a loaded ciphertext may carry any noise hint; decrypt's warning
-        # about a large one is output, not a failure
-        with redirect_stdout(io.StringIO()), redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # about a large one is a `warning: ` line, not a failure
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main([arg.format(**paths) for arg in run.split()])
         assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")), run
+        assert all(line.startswith(("warning: ", "error: "))
+                   for line in err.getvalue().splitlines()), run

@@ -1,9 +1,11 @@
 """The shipped package holds the scheme and nothing more: no unused imports,
 no top-level function or class, and no method or property of a package
 class, that nothing in the package uses.  Listing a name in __all__ does
-not count as using it."""
+not count as using it.  And every function the benchmark's tracer wraps
+still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import mvphe
@@ -106,3 +108,16 @@ def test_every_derived_field_is_read():
                for node in cls.body if _init_false(node)]
     assert derived
     assert [where for where, attr in derived if attr not in read] == []
+
+
+def test_every_trace_target_resolves():
+    """The benchmark's tracer wraps package functions by module attribute
+    and fails on a missing one; a renamed or deleted target fails here."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracing.TARGETS
+               if not callable(getattr(mod, attr, None))]
+    assert missing == []
