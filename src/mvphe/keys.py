@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import compress
 from operator import mul
@@ -205,6 +205,7 @@ def _carry_bound(ell: int, u: int, q_bits: int) -> Fraction:
     return Fraction(ell * (u + q_bits), 2) + 1
 
 
+@lru_cache(maxsize=256)  # a circuit's ANDs see few distinct hints
 def _product_hint(h: Rational, k_max: Fraction, q: int, ell: int) -> Fraction:
     """Tracked noise bound of a product whose inputs have noise at most h:
     linear in h·k_max, plus a term damped by 1/q and the floor's slack ell."""
@@ -642,7 +643,8 @@ class EvalKey:
     (``_carry_table``: the packed rows P_red and H of the carry identity).
     It is not part of the key: equality, repr and files ignore it, and
     ``replace`` gives a key that builds its own tables afresh.  Mutating
-    P1 or P2 in place after the first eval_mult leaves it stale.
+    P1 or P2 in place after the first eval_mult leaves it stale.  ``k_max``
+    is cached the same way, from ``params``.
     """
 
     params: Params
@@ -654,9 +656,10 @@ class EvalKey:
     def input_dim(self) -> int:
         return len(self.P1)
 
-    @property
+    @cached_property
     def k_max(self) -> Fraction:
-        """``_carry_bound`` of these parameters, for the noise hint."""
+        """``_carry_bound`` of these parameters, for the noise hint; computed
+        once per key, like ``packed``."""
         p = self.params
         return _carry_bound(p.ell, p.u, p.q_bits)
 

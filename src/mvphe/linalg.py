@@ -13,6 +13,12 @@ A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
 against the identity.
 Everything is exact — q is prime, so Gauss–Jordan elimination with modular
 pivot inverses never needs pivoting heuristics beyond "first nonzero".
+The one elimination kernel, ``_eliminate``, also works on packed rows, in
+bit-wide slots: clearing a pivot column from a row is one big-integer
+multiply-add.  Slots are reduced only in the pivot row, so every slot
+stays below q + rank·(q − 1)², which the slot width holds; pivots are
+chosen on residues mod q, so pivots and results are those of elimination
+entry by entry.
 """
 
 from __future__ import annotations
@@ -131,24 +137,49 @@ def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
     ride along with the row operations.  On return row i holds the i-th
     pivot, scaled to 1 and cleared from every other row; the pivot columns
     are returned in order, and a column without a pivot is skipped.
+
+    Rows are worked on packed, one slot of ``bits`` bits per entry and
+    column 0 in the top slot.  A pivot row is unpacked, reduced, scaled and
+    repacked once; every other row then takes row += (q − f)·row_p, f being
+    its slot in the pivot column mod q.  That adds less than (q − 1)² to
+    each slot, and a row is reduced when it becomes a pivot, so every slot
+    stays below q + rank·(q − 1)² and never carries into the next.  Pivots
+    and f are read as residues, so the pivots and the reduced rows are the
+    same as elimination entry by entry (``tests/oracles.py`` keeps that
+    kernel as the reference).
     """
     n = len(work)
+    width = len(work[0]) if work else 0
+    bits = ((q - 1) * (1 + min(n, ncols) * (q - 1))).bit_length()
+    mask = (1 << bits) - 1
+    shifts = range(bits * (width - 1), -1, -bits)  # slot j sits at shifts[j]
+
+    def pack(row: Sequence[int]) -> int:
+        acc = 0
+        for x in row:
+            acc = acc << bits | x
+        return acc
+
+    rows = [pack(row) for row in work]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
         if rank == n:
             break
-        pivot = next((r for r in range(rank, n) if work[r][col]), None)
+        s = shifts[col]
+        fs = [(row >> s & mask) % q for row in rows]
+        pivot = next((r for r in range(rank, n) if fs[r]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        row_p = work[rank] = [x * inv % q for x in work[rank]]
-        for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_p)]
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        fs[rank], fs[pivot] = fs[pivot], fs[rank]
+        inv, top = pow(fs[rank], -1, q), rows[rank]
+        row_p = rows[rank] = pack([(top >> t & mask) * inv % q for t in shifts])
+        for r, f in enumerate(fs):
+            if f and r != rank:
+                rows[r] += (q - f) * row_p
         pivots.append(col)
+    work[:] = [[(row >> t & mask) % q for t in shifts] for row in rows]
     return pivots
 
 

@@ -1,11 +1,11 @@
-"""Test-only oracles: the gadget transforms as exact rationals, the
-degree-(<= r) ideal basis as polynomial products, encryption in two
-products from the key's core fields, the re-expression and
-reduction matrices B and Q built one at a time as the paper stages them,
-the multiplication key as an explicit rational tensor, every stage of one
-multiplication carried out with exact rationals, a random netlist
-generator, and the container's integer encoding written one entry at a
-time.
+"""Test-only oracles: Gauss–Jordan elimination entry by entry, the gadget
+transforms as exact rationals, the degree-(<= r) ideal basis as polynomial
+products, encryption in two products from the key's core fields, the
+re-expression and reduction matrices B and Q built one at a time as the
+paper stages them, the multiplication key as an explicit rational tensor,
+every stage of one multiplication carried out with exact rationals, a
+random netlist generator, and the container's integer encoding written one
+entry at a time.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -44,6 +44,41 @@ def transpose(A: Matrix) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# elimination, entry by entry
+# ---------------------------------------------------------------------------
+# Reference copy of the unpacked kernel: linalg._eliminate does the same
+# row operations on Kronecker-packed rows.
+
+def eliminate_reference(work: Matrix, ncols: int, q: int) -> list[int]:
+    """Gauss–Jordan elimination of ``work`` in place, mod prime q.
+
+    Entries must already lie in [0, q).  Pivots are sought only in the first
+    ``ncols`` columns, so trailing columns (an identity, a right-hand side)
+    ride along with the row operations.  On return row i holds the i-th
+    pivot, scaled to 1 and cleared from every other row; the pivot columns
+    are returned in order, and a column without a pivot is skipped.
+    """
+    n = len(work)
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == n:
+            break
+        pivot = next((r for r in range(rank, n) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        row_p = work[rank] = [x * inv % q for x in work[rank]]
+        for r in range(n):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(x - f * y) % q for x, y in zip(work[r], row_p)]
+        pivots.append(col)
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from mvphe.errors import ParameterError, SingularMatrixError
 from mvphe.keys import mat_mul_exact
 from mvphe.linalg import (
+    _eliminate,
     inverse_mod_q,
     mat_mul,
     pack_rows,
@@ -19,9 +20,17 @@ from mvphe.linalg import (
     vec_mat,
     zeros,
 )
-from oracles import Tensor3, bilinear_eval, identity, n_mode_product, transpose
+from oracles import (
+    Tensor3,
+    bilinear_eval,
+    eliminate_reference,
+    identity,
+    n_mode_product,
+    transpose,
+)
 
 Q40 = 858024799843  # a 40-bit prime
+Q64 = 2**64 - 59  # the largest 64-bit prime
 
 
 def rand_matrix(rng, rows, cols, q):
@@ -284,6 +293,74 @@ def test_rank_against_minor_oracle():
                     continue
                 break
         assert rank_mod_q(A, q) == best
+
+
+def assert_eliminates_like_reference(M, ncols, q):
+    work, ref = [row[:] for row in M], [row[:] for row in M]
+    assert _eliminate(work, ncols, q) == eliminate_reference(ref, ncols, q)
+    assert work == ref
+
+
+def planted_matrix(rng, rows, cols, q):
+    """Random rows, with some rows zero and some the sum of an earlier row
+    and a multiple of another, so ranks fall short and columns lack a
+    pivot."""
+    M = rand_matrix(rng, rows, cols, q)
+    for i in range(1, rows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            M[i] = [0] * cols
+        elif kind == 1:
+            a, b, f = rng.randrange(i), rng.randrange(i), rng.randrange(q)
+            M[i] = [(x + f * y) % q for x, y in zip(M[a], M[b])]
+    return M
+
+
+@pytest.mark.parametrize("q", [3, 7, Q40, Q64])
+def test_eliminate_matches_entrywise_reference(q):
+    """The packed kernel gives the entrywise reference's pivots and worked
+    matrix on square, wide (pivots sought in fewer columns than a row
+    holds, as in a solve) and tall shapes, keygen's 21 x 16 among them,
+    random and with planted zero and dependent rows."""
+    rng = Random(q)
+    shapes = [(21, 16, 16)]
+    for _ in range(40):
+        n = rng.randrange(1, 14)
+        extra = rng.randrange(1, 9)
+        shapes += [(n, n, n), (n, n + extra, n), (n + extra, n, n),
+                   (n, n + extra, rng.randrange(n + extra))]
+    for rows, cols, ncols in shapes:
+        assert_eliminates_like_reference(rand_matrix(rng, rows, cols, q),
+                                         ncols, q)
+        assert_eliminates_like_reference(planted_matrix(rng, rows, cols, q),
+                                         ncols, q)
+
+
+def test_eliminate_extremes():
+    """Widest slots at a 64-bit q, and shapes with nothing in them.
+
+    Every entry q − 1 starts each slot at its widest.  In the planted case
+    rows 0..k−1 are unit rows with q − 1 in the trailing columns and row k
+    is ones, so each of the k pivots clears row k with f = 1, adding
+    (q − 1)² to its trailing slots: they end at exactly (q − 1) + k·(q − 1)²,
+    the most the slot width allows for.  At k = 65 that takes one bit more
+    than the bound for k − 1 pivots would give."""
+    q = Q64
+    for rows, cols, ncols in ((56, 56, 56), (56, 72, 56), (64, 56, 56)):
+        assert_eliminates_like_reference([[q - 1] * cols] * rows, ncols, q)
+    k, t = 65, 4
+    M = [[int(i == j) for j in range(k)] + [q - 1] * t for i in range(k)]
+    M.append([1] * k + [q - 1] * t)
+    assert_eliminates_like_reference(M, k, q)
+    assert_eliminates_like_reference(M[::-1], k, q)
+    # a 0 x 0 system, and matrices with no columns
+    assert solve_mod_q([], [], q) == []
+    assert inverse_mod_q([], q) == []
+    for rows in (0, 3):
+        work = [[] for _ in range(rows)]
+        assert _eliminate(work, 0, q) == []
+        assert work == [[] for _ in range(rows)]
+    assert rank_mod_q([[], []], q) == 0
 
 
 # --- tensors ----------------------------------------------------------------

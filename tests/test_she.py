@@ -22,7 +22,7 @@ from mvphe import (
     preset_params,
 )
 from mvphe.errors import DepthError, ParameterError
-from mvphe.keys import PRESETS
+from mvphe.keys import PRESETS, _carry_bound, _product_hint
 from mvphe.linalg import mat_mul
 from oracles import CARRY_SETS, encrypt_reference, mult_intermediates
 
@@ -380,6 +380,34 @@ def test_mult_hint_monotone(toy_evk):
     h = mult_noise_hint
     assert h(toy_evk, 1, 1) < h(toy_evk, 10, 1) < h(toy_evk, 10, 20)
     assert h(toy_evk, 3, 5) == h(toy_evk, 5, 3)
+
+
+def test_memoized_hints_match_the_formula_along_an_and_chain(toy_sk, toy_evk):
+    """Each product's hint, memoized per (h, k_max, q, ell), equals the
+    formula evaluated afresh (``_product_hint.__wrapped__``) at every link
+    of an AND chain, the second chain served from the cache; past the
+    toy depth the chain goes on through ``mult_noise_hint`` alone."""
+    p = toy_sk.params
+    formula = _product_hint.__wrapped__
+    k_max = _carry_bound(p.ell, p.u, p.q_bits)
+    assert toy_evk.k_max == k_max
+    rng, mb = Random(121), p.message_bits
+    for chain in range(2):
+        hits = _product_hint.cache_info().hits
+        acc, *rest = [encrypt(toy_sk, [rng.randrange(2) for _ in range(mb)], rng)
+                      for _ in range(p.L + 1)]
+        for c in rest:
+            want = formula(max(acc.noise_hint, c.noise_hint), k_max, p.q, p.ell)
+            acc = eval_mult(toy_evk, acc, c)
+            assert acc.noise_hint == want
+        if chain:
+            assert _product_hint.cache_info().hits >= hits + p.L
+    h = p.B
+    for _ in range(6):
+        want = formula(h, k_max, p.q, p.ell)
+        assert mult_noise_hint(toy_evk, h, p.B) == want
+        assert mult_noise_hint(toy_evk, p.B, h) == want
+        h = want
 
 
 def test_depth3_chain(depth3_sk, depth3_evk):
