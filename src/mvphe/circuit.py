@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 from .errors import DepthError, FormatError, ParameterError
 from .keys import EvalKey
-from .she import Ciphertext, eval_add, eval_mult, product_level
+from .she import Ciphertext, _check_ciphertext, eval_add, eval_mult, product_level
 
 __all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic"]
 
@@ -157,15 +157,17 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
                      inputs: Sequence[Ciphertext]) -> list[Ciphertext]:
     """Evaluate gate by gate on ciphertexts.
 
-    Fails fast — before any homomorphic work — if the depth ledger, run
-    from the inputs' levels over every AND gate, exceeds the parameter
-    set's budget L.
+    Fails fast — before any homomorphic work — if an input does not fit the
+    key's parameters, or if the depth ledger, run from the inputs' levels
+    over every AND gate, exceeds the parameter set's budget L.
     """
     L = evk.params.L
     if len(inputs) != len(circ.inputs):
         raise ParameterError(
             f"circuit has {len(circ.inputs)} inputs, got {len(inputs)}"
         )
+    for ct in inputs:
+        _check_ciphertext(evk.params, ct)
     ands = [0]  # the level of every AND gate, dead ones included
     _walk(circ.gates, {w: ct.level for w, ct in zip(circ.inputs, inputs)},
           lambda a, b: ands.append(product_level(a, b)) or ands[-1], max)

@@ -210,8 +210,7 @@ def cmd_noise(args) -> int:
     print(f"plaintext  {''.join(str(b) for b in m)}")
     print(f"noise      {e}")
     print(f"max |e|    {max(abs(x) for x in e)}")
-    hint = ct.noise_hint
-    print(f"hint       {approx(hint, '.6g') if hint is not None else None}")
+    print(f"hint       {approx(ct.noise_hint, '.6g')}")
     print(f"level      {ct.level}")
     return 0
 

@@ -165,7 +165,7 @@ class Params:
             raise ParameterError("noise bound B must be >= 1")
         if self.sigma > 0 and self.B < math.ceil(6 * Fraction(self.sigma)):
             raise ParameterError("noise bound B must be >= ceil(6*sigma)")
-        if not self.B < Fraction(self.q // 2, 2):
+        if not self.B < _noise_limit(self.q):
             raise ParameterError(
                 f"decryption needs B < floor(q/2)/2: B={self.B}, q={self.q}"
             )
@@ -200,6 +200,12 @@ class Params:
 # noise growth
 # ---------------------------------------------------------------------------
 
+def _noise_limit(q: int) -> Fraction:
+    """floor(q/2)/2: a ciphertext decrypts correctly while its noise stays
+    below this, and a noise of ceil(floor(q/2)/2) can flip a bit."""
+    return Fraction(q // 2, 2)
+
+
 def _carry_bound(ell: int, u: int, q_bits: int) -> Fraction:
     """k_max, the certified bound on the carries of one multiplication."""
     return Fraction(ell * (u + q_bits), 2) + 1
@@ -233,7 +239,7 @@ def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
         for _ in range(L):
             x = _product_hint(h, k_max, q_min, ell)
             h = _sum_hint(x, x)
-        if 2 * h < Fraction(q_min // 2, 2):
+        if 2 * h < _noise_limit(q_min):
             return bits
     raise ParameterError(
         f"no modulus size up to {_Q_BITS_MAX} bits supports depth L={L} "

@@ -24,10 +24,13 @@ r_g in v variables with a nonzero constant term.  Evaluation keys store
 their factored form verbatim, after a key-form byte (always 1, the gadget
 form), u and the carry bound k_max, all of which must agree with the
 parameters; every entry of P1 and P2 must lie in 0..n(q − 1), the range
-of every key build_evalkey makes.  The parameter block ends with the same
-key-form byte.  Public-key files store eps, which must be PK_EPS = 1/10, then
-exactly d = ceil(1.1·ell·log2 q) zero encryptions.  Noise hints on ciphertexts are serialized (they are
-useful diagnostics) but remain advisory.
+of every key build_evalkey makes, and every entry of W in
+−floor(q/2)..floor(q/2), as build_evalkey balances it.  The parameter block
+ends with the same key-form byte.  Public-key files store eps, which must be
+PK_EPS = 1/10, then exactly d = ceil(1.1·ell·log2 q) zero encryptions.
+Ciphertext files store the level, a hint flag byte (always 1), the noise
+hint and the vector; every ciphertext carries its hint, so loaders refuse
+any other flag and a negative hint.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
 from .mvpoly import Polynomial, grevlex_key
-from .she import PK_EPS, Ciphertext, PublicKey, pk_rows
+from .she import PK_EPS, Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
 __all__ = [
     "MAGIC", "VERSION", "params_fingerprint",
@@ -58,6 +61,10 @@ VERSION = 1
 # The one multiplication-key form (bit-decomposed); files still carry the
 # byte, and loaders refuse any other value.
 GADGET_FLAG = 1
+
+# Every ciphertext carries a noise hint; files still carry the byte in front
+# of it, and loaders refuse any other value.
+HINT_FLAG = 1
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -392,6 +399,9 @@ def load_evalkey(path: str) -> EvalKey:
     for name, P in (("P1", P1), ("P2", P2)):
         if min(map(min, P)) < 0 or max(map(max, P)) > top:
             raise FormatError(f"{name} has an entry outside 0..{top}")
+    half = params.q // 2
+    if min(map(min, W)) < -half or max(map(max, W)) > half:
+        raise FormatError(f"W has an entry outside -{half}..{half}")
     evk = EvalKey(params=params, P1=P1, P2=P2, W=W)
     if k_max != evk.k_max:
         raise FormatError(
@@ -419,15 +429,11 @@ def load_public_key(path: str) -> PublicKey:
 
 
 def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
-    if ct.q != params.q:
-        raise ParameterError("ciphertext modulus does not match parameters")
+    _check_ciphertext(params, ct)
     buf = bytearray()
     _w_uint(buf, ct.level, 4)
-    if ct.noise_hint is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        _w_fraction(buf, ct.noise_hint)
+    buf.append(HINT_FLAG)
+    _w_fraction(buf, ct.noise_hint)
     _w_intvec(buf, ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
 
@@ -437,9 +443,12 @@ def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     level = r.uint(4)
     if level > params.L:
         raise FormatError(f"ciphertext level {level} is outside 0..{params.L}")
-    has_hint = r.take(1)[0]
-    hint = r.fraction() if has_hint else None
-    if hint is not None and hint < 0:
+    flag = r.take(1)[0]
+    if flag != HINT_FLAG:
+        raise FormatError(f"hint flag {flag}; every ciphertext carries "
+                          f"its noise hint (flag {HINT_FLAG})")
+    hint = r.fraction()
+    if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
     vec = r.intvec()
     if len(vec) != params.ell:

@@ -10,11 +10,13 @@ w = c·S_dec (mod q, balanced), S_dec being the last ell − n columns of
 C^{-1}, and rounds each w_j to the nearest multiple of floor(q/2), mod 2.
 Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 
-Every ciphertext carries a ``noise_hint``: an upper bound on the infinity
-norm of its noise, maintained through each operation by the tracked
-formulas below.  The hint is advisory — decryption works off the actual
-vector and merely warns when the hint crosses q/4 — and it is deliberately
-excluded from equality comparisons and serialized only as a convenience.
+Every ciphertext carries a ``noise_hint``, and must: an upper bound on the
+infinity norm of its noise, set by whatever made the ciphertext and carried
+through each operation by the tracked formulas below.  The decryption limit
+is ``keys._noise_limit(q)`` = floor(q/2)/2: noise below it always decrypts,
+and noise of ceil(floor(q/2)/2) can flip a bit.  The hint is advisory —
+decryption works off the actual vector and warns when the hint reaches the
+limit — and it is excluded from equality comparisons.  Files store it.
 
 Addition is entrywise (hint: ``keys._sum_hint``).  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
@@ -36,7 +38,7 @@ from typing import Sequence
 from .arith import NoiseSampler, Rational, approx, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
-from .keys import _carry_product, _product_hint, _sum_hint
+from .keys import _carry_product, _noise_limit, _product_hint, _sum_hint
 from .linalg import Matrix, vec_mat
 
 __all__ = [
@@ -51,13 +53,14 @@ class Ciphertext:
 
     ``level`` counts consumed depth: fresh encryptions are level 0 and a
     product sits at ``product_level`` of its factors' levels.  ``noise_hint``
-    is the tracked noise bound; it does not participate in equality.
+    is the tracked noise bound, required of every ciphertext; it does not
+    participate in equality.
     """
 
     vec: list[int]
     level: int
     q: int
-    noise_hint: Rational | None = field(default=None, compare=False)
+    noise_hint: Rational = field(compare=False)
 
     def __post_init__(self):
         self.vec = [balance(x, self.q) for x in self.vec]
@@ -113,17 +116,20 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
 def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
     """Recover the plaintext bits.
 
-    Emits a RuntimeWarning when the ciphertext's noise hint exceeds q/4 —
-    past that bound rounding to the nearest multiple of floor(q/2) is no
-    longer guaranteed to land on the encrypted bit.
+    Emits a RuntimeWarning when the ciphertext's noise hint reaches the
+    decryption limit floor(q/2)/2 (``keys._noise_limit``) — from there on,
+    rounding to the nearest multiple of floor(q/2) is no longer guaranteed
+    to land on the encrypted bit.
     """
     p = sk.params
     q = p.q
     _check_ciphertext(p, ct)
-    if ct.noise_hint is not None and ct.noise_hint > Fraction(q, 4):
+    limit = _noise_limit(q)
+    if ct.noise_hint >= limit:
         warnings.warn(
-            f"noise hint {approx(ct.noise_hint, '.4g')} exceeds q/4 = {q / 4:.4g}; "
-            "decryption may be incorrect", RuntimeWarning, stacklevel=2)
+            f"noise hint {approx(ct.noise_hint, '.4g')} reaches floor(q/2)/2 = "
+            f"{approx(limit, '.4g')}; decryption may be incorrect",
+            RuntimeWarning, stacklevel=2)
     half = q // 2
     w = _apply_sdec(sk, ct.vec)
     return [round_nearest(Fraction(wj, half)) % 2 for wj in w]
@@ -148,11 +154,8 @@ def eval_add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     if ct1.q != ct2.q or len(ct1.vec) != len(ct2.vec):
         raise ParameterError("ciphertexts come from different parameter sets")
     vec = [a + b for a, b in zip(ct1.vec, ct2.vec)]
-    hint = None
-    if ct1.noise_hint is not None and ct2.noise_hint is not None:
-        hint = _sum_hint(ct1.noise_hint, ct2.noise_hint)
     return Ciphertext(vec=vec, level=max(ct1.level, ct2.level), q=ct1.q,
-                      noise_hint=hint)
+                      noise_hint=_sum_hint(ct1.noise_hint, ct2.noise_hint))
 
 
 def product_level(l1: int, l2: int) -> int:
@@ -205,11 +208,9 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     z = [xs * ys * (2 if n <= s < ell else q)
          for s, (xs, ys) in enumerate(zip(x, y))]
     denom = q << (2 * p.u)
-    out = [balance(acc // denom, q) for acc in vec_mat(z, evk.W)]
-    hint = None
-    if ct1.noise_hint is not None and ct2.noise_hint is not None:
-        hint = mult_noise_hint(evk, ct1.noise_hint, ct2.noise_hint)
-    return Ciphertext(vec=out, level=level, q=q, noise_hint=hint)
+    out = [acc // denom for acc in vec_mat(z, evk.W)]  # the constructor balances
+    return Ciphertext(vec=out, level=level, q=q,
+                      noise_hint=mult_noise_hint(evk, ct1.noise_hint, ct2.noise_hint))
 
 
 # ---------------------------------------------------------------------------

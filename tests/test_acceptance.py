@@ -35,7 +35,7 @@ from mvphe import (
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.keys import _ideal_basis_2r, build_G
+from mvphe.keys import _ideal_basis_2r, _noise_limit, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
 from oracles import (
     Tensor3,
@@ -248,8 +248,8 @@ def test_c09_public_key_encryption(toy_sk):
     pk = pk_keygen(toy_sk, Random("acc-9-pk"))
     assert pk.d == math.ceil((1 + Fraction(1, 10)) * p.ell * p.q_bits)
     for row in pk.C0:
-        assert decrypt(toy_sk, Ciphertext(vec=list(row), level=0, q=p.q)) \
-            == [0] * p.message_bits
+        assert decrypt(toy_sk, Ciphertext(vec=list(row), level=0, q=p.q,
+                                          noise_hint=p.B)) == [0] * p.message_bits
     rng = Random("acc-9")
     for _ in range(1000):
         m = _rand_message(rng, p)
@@ -267,7 +267,8 @@ def test_c09_public_key_encryption(toy_sk):
 def test_c10_random_circuits_match_plain_evaluation(preset, request):
     """100 random circuits within each preset's depth budget: every output
     decrypts to the plain evaluation, and its measured noise stays within
-    its tracked hint.  decrypt warns exactly when the hint passes q/4.
+    its tracked hint.  decrypt warns exactly when the hint reaches
+    floor(q/2)/2.
     Each preset but toy gets its own seeded keys; small is the one with
     nonzero masking."""
     if preset == "toy":
@@ -291,8 +292,8 @@ def test_c10_random_circuits_match_plain_evaluation(preset, request):
                 warnings.simplefilter("always")
                 assert decrypt(sk, ct) == want
             warned = [w for w in caught if issubclass(w.category, RuntimeWarning)
-                      and "exceeds q/4" in str(w.message)]
-            assert len(warned) == len(caught) == (ct.noise_hint > Fraction(p.q, 4))
+                      and "reaches floor(q/2)/2" in str(w.message)]
+            assert len(warned) == len(caught) == (ct.noise_hint >= _noise_limit(p.q))
             assert max(abs(x) for x in noise_of(sk, ct, want)) <= ct.noise_hint
 
 

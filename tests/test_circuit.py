@@ -196,6 +196,22 @@ def test_homomorphic_depth_precheck_reads_input_levels(toy_sk, toy_evk,
     assert len(calls) == 2
 
 
+def test_homomorphic_refuses_foreign_inputs_before_any_gate(toy_evk, small_sk,
+                                                            monkeypatch):
+    """A ciphertext under another parameter set is refused before any gate
+    runs, also in a circuit of XOR gates only."""
+    calls = []
+    real = circuit_mod.eval_add
+    monkeypatch.setattr(circuit_mod, "eval_add",
+                        lambda *args: calls.append(1) or real(*args))
+    c = parse_circuit("in a\nin b\nt = XOR a b\nout t\n")
+    mb = small_sk.params.message_bits
+    cts = [encrypt(small_sk, [1] * mb, Random(139)) for _ in range(2)]
+    with pytest.raises(ParameterError, match="modulus does not match"):
+        eval_homomorphic(toy_evk, c, cts)
+    assert calls == []
+
+
 def test_homomorphic_arity_check(toy_sk, toy_evk):
     c = parse_circuit(SIMPLE)
     ct = encrypt(toy_sk, [0, 1], Random(133))

@@ -314,7 +314,7 @@ def test_decrypt_and_noise_show_a_hint_past_the_float_range(workdir, tmp_path,
     fresh, params = serialize.load_ciphertext(ct)
     serialize.save_ciphertext(replace(fresh, noise_hint=10**400), params, ct)
     capsys.readouterr()
-    warning = "warning: noise hint 2^1329 exceeds q/4 = "
+    warning = "warning: noise hint 2^1329 reaches floor(q/2)/2 = "
     assert main(["decrypt", "--key", sk, "--in", ct]) == 0
     out, err = capsys.readouterr()
     assert out.strip() == "10"

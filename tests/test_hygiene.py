@@ -110,6 +110,28 @@ def test_every_derived_field_is_read():
     assert [where for where, attr in derived if attr not in read] == []
 
 
+def test_no_dataclass_field_has_a_default():
+    """A field that can be left out makes a second kind of object, one the
+    code must then check for everywhere; every field of a package dataclass
+    is required, except those derived by __post_init__."""
+    defaulted = [f"{name}: {cls.name}.{node.target.id}"
+                 for name, tree in TREES.items()
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                 for node in cls.body
+                 if isinstance(node, ast.AnnAssign) and node.value is not None
+                 and not _init_false(node) and _has_default(node.value)]
+    assert defaulted == []
+
+
+def _has_default(value: ast.expr) -> bool:
+    """True unless ``value`` is a ``field(...)`` call without a default."""
+    return not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "field"
+                and not any(k.arg in ("default", "default_factory")
+                            for k in value.keywords))
+
+
 def test_every_trace_target_resolves():
     """The benchmark's tracer wraps package functions by module attribute
     and fails on a missing one; a renamed or deleted target fails here."""

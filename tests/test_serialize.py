@@ -112,12 +112,21 @@ def test_ciphertext_roundtrip(tmp_path, toy_sk, toy_params):
     assert back.level == ct.level and back.noise_hint == ct.noise_hint
 
 
-def test_ciphertext_roundtrip_without_hint(tmp_path, toy_sk, toy_params):
+def test_ciphertext_without_hint_refused(tmp_path, toy_sk, toy_params, capsys):
+    """The hint flag byte after the level must be 1: a file that claims no
+    hint (0), or any other flag, is refused, by the library and the CLI."""
     path = str(tmp_path / "ct.bin")
-    ct = Ciphertext(vec=[3] * toy_params.ell, level=2, q=toy_params.q)
-    save_ciphertext(ct, toy_params, path)
-    back, _ = load_ciphertext(path)
-    assert back.noise_hint is None and back.level == 2
+    ct = encrypt(toy_sk, [1, 1], Random(147))
+    sk = str(tmp_path / "sk.bin")
+    save_secret_key(toy_sk, sk)
+    for flag in (0, 2):
+        save_ciphertext(ct, toy_params, path)
+        _patch_payload(path, 4, 1, bytes([flag]))  # after the u32 level
+        with pytest.raises(FormatError, match=f"hint flag {flag};"):
+            load_ciphertext(path)
+        capsys.readouterr()
+        assert main(["decrypt", "--key", sk, "--in", path]) == 2
+        assert f"error: hint flag {flag};" in capsys.readouterr().err
 
 
 def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
@@ -294,6 +303,32 @@ def test_evalkey_factor_range_checked(tmp_path, toy_sk, toy_evk, capsys):
     assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
                  "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
     assert "error: P1 has an entry outside" in capsys.readouterr().err
+
+
+def test_evalkey_w_range_checked(tmp_path, toy_sk, toy_evk, capsys):
+    """W entries must lie in −floor(q/2)..floor(q/2), as build_evalkey
+    balances them; a W shifted by a multiple of q is refused."""
+    p = toy_evk.params
+    half = p.q // 2
+    assert all(-half <= x <= half for row in toy_evk.W for x in row)
+    path = str(tmp_path / "evk.bin")
+    shifted = [row[:] for row in toy_evk.W]
+    for row in shifted:
+        row[0] += 7 * p.q
+    low = [row[:] for row in toy_evk.W]
+    low[-1][-1] = -half - 1
+    for bad in (replace(toy_evk, W=shifted), replace(toy_evk, W=low)):
+        save_evalkey(bad, path)
+        with pytest.raises(FormatError, match=f"W has an entry outside -{half}..{half}"):
+            load_evalkey(path)
+    ct = str(tmp_path / "ct.bin")
+    save_ciphertext(encrypt(toy_sk, [1, 1], Random(154)), toy_sk.params, ct)
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
+                 "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "error: W has an entry outside" in capsys.readouterr().err
 
 
 def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
@@ -478,7 +513,8 @@ def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
     save_ciphertext(Ciphertext(vec=vec, level=toy_params.L, q=toy_params.q,
                                noise_hint=0), toy_params, path)
     assert load_ciphertext(path)[0].level == toy_params.L
-    for bad, match in ((Ciphertext(vec=vec, level=99, q=toy_params.q), "level 99"),
+    for bad, match in ((Ciphertext(vec=vec, level=99, q=toy_params.q, noise_hint=0),
+                        "level 99"),
                        (Ciphertext(vec=vec, level=0, q=toy_params.q,
                                    noise_hint=Fraction(-1, 2)), "negative noise hint")):
         save_ciphertext(bad, toy_params, path)

@@ -22,8 +22,9 @@ from mvphe import (
     preset_params,
 )
 from mvphe.errors import DepthError, ParameterError
-from mvphe.keys import PRESETS, _carry_bound, _product_hint
+from mvphe.keys import PRESETS, _carry_bound, _noise_limit, _product_hint
 from mvphe.linalg import mat_mul
+from mvphe.serialize import save_ciphertext
 from oracles import CARRY_SETS, encrypt_reference, mult_intermediates
 
 
@@ -133,11 +134,17 @@ def test_decrypt_rejects_foreign_modulus(toy_sk, small_sk):
 
 def test_ciphertext_vec_balanced_and_hint_ignored_by_eq(toy_sk):
     q = toy_sk.params.q
-    ct = Ciphertext(vec=[q - 1] * toy_sk.params.ell, level=0, q=q)
+    ct = Ciphertext(vec=[q - 1] * toy_sk.params.ell, level=0, q=q, noise_hint=0)
     assert ct.vec == [-1] * toy_sk.params.ell
     other = Ciphertext(vec=[-1] * toy_sk.params.ell, level=0, q=q,
                        noise_hint=123)
     assert ct == other
+
+
+def test_ciphertext_requires_a_hint(toy_sk):
+    p = toy_sk.params
+    with pytest.raises(TypeError, match="noise_hint"):
+        Ciphertext([0] * p.ell, 0, p.q)
 
 
 # --- decryption threshold --------------------------------------------------
@@ -146,17 +153,23 @@ def test_decrypt_noise_threshold_is_exact(toy_sk):
     """The smallest band perturbation that flips a bit is ceil(half/2),
     where half = floor(q/2); one less never flips.  Band slot j of
     (y ‖ band) is ciphertext coordinate n+j because the encryption matrix
-    C is [0 | I] on the band rows."""
+    C is [0 | I] on the band rows.  With the noise as its hint, decrypt
+    warns exactly at the flipping noise, also on toy, where q ≡ 1 (mod 4)
+    puts T = floor(q/2)/2 below q/4."""
     p = toy_sk.params
     half = p.q // 2
     T = (half + 1) // 2
+    assert p.q % 4 == 1 and T == _noise_limit(p.q) < Fraction(p.q, 4)
     base = encrypt(toy_sk, [0, 0], Random(107), zero_noise=True)
     for j in range(p.message_bits):
         for delta, want in ((T, 1), (T - 1, 0), (-(T - 1), 0)):
             vec = list(base.vec)
             vec[p.n + j] += delta
-            ct = Ciphertext(vec=vec, level=0, q=p.q)
-            got = decrypt(toy_sk, ct)
+            ct = Ciphertext(vec=vec, level=0, q=p.q, noise_hint=abs(delta))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = decrypt(toy_sk, ct)
+            assert len(caught) == (delta == T)
             assert got[j] == want
             assert got[1 - j] == 0  # other slot untouched
 
@@ -167,13 +180,13 @@ def test_decrypt_warns_past_quarter_q(toy_sk):
     noisy = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=p.q // 4 + 1)
     with pytest.warns(RuntimeWarning):
         decrypt(toy_sk, noisy)
-    quiet = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=None)
+    quiet = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=p.B)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert decrypt(toy_sk, quiet) == [1, 0]
     # a hint past the float range is shown as a power of two
     huge = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=10**400)
-    with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 exceeds"):
+    with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 reaches"):
         assert decrypt(toy_sk, huge) == [1, 0]
 
 
@@ -278,7 +291,7 @@ def _extreme_ciphertexts(sk):
     cts = [encrypt(sk, [rng.randrange(2) for _ in range(p.message_bits)], rng)
            for _ in range(2)]
     for x in ((p.q - 1) // 2, -(p.q - 1) // 2, 0):
-        cts.append(Ciphertext(vec=[x] * p.ell, level=0, q=p.q))
+        cts.append(Ciphertext(vec=[x] * p.ell, level=0, q=p.q, noise_hint=0))
     return cts
 
 
@@ -327,7 +340,7 @@ def test_mult_matches_oracle_on_random_vectors(name):
             for _ in range(3)]
     vecs += [[rng.randint(-h, h) for _ in range(p.ell)] for _ in range(3)]
     for v1, v2 in zip(vecs, vecs[1:] + vecs[:1]):
-        c1, c2 = (Ciphertext(vec=v, level=0, q=p.q) for v in (v1, v2))
+        c1, c2 = (Ciphertext(vec=v, level=0, q=p.q, noise_hint=0) for v in (v1, v2))
         want = mult_intermediates(sk, evk, v1, v2)["product"]
         assert eval_mult(evk, c1, c2).vec == want
 
@@ -339,14 +352,16 @@ def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
         eval_mult(toy_evk, c, c)
 
 
-def test_library_calls_refuse_misshapen_ciphertexts(toy_sk, toy_evk, small_sk):
-    """decrypt, noise_of and eval_mult refuse a ciphertext that is short,
-    long or under another modulus, rather than read or truncate it."""
+def test_library_calls_refuse_misshapen_ciphertexts(toy_sk, toy_evk, small_sk,
+                                                    tmp_path):
+    """decrypt, noise_of, eval_mult and save_ciphertext refuse a ciphertext
+    that is short, long or under another modulus, rather than read,
+    truncate or write it."""
     p = toy_sk.params
     good = encrypt(toy_sk, [1, 0], Random(120))
-    bad = [Ciphertext(vec=good.vec[:-3], level=0, q=p.q),
-           Ciphertext(vec=good.vec + [0, 1], level=0, q=p.q),
-           Ciphertext(vec=good.vec, level=0, q=small_sk.params.q)]
+    bad = [Ciphertext(vec=good.vec[:-3], level=0, q=p.q, noise_hint=p.B),
+           Ciphertext(vec=good.vec + [0, 1], level=0, q=p.q, noise_hint=p.B),
+           Ciphertext(vec=good.vec, level=0, q=small_sk.params.q, noise_hint=p.B)]
     for ct in bad:
         with pytest.raises(ParameterError):
             decrypt(toy_sk, ct)
@@ -355,6 +370,9 @@ def test_library_calls_refuse_misshapen_ciphertexts(toy_sk, toy_evk, small_sk):
         for pair in ((ct, good), (good, ct)):
             with pytest.raises(ParameterError):
                 eval_mult(toy_evk, *pair)
+        with pytest.raises(ParameterError):
+            save_ciphertext(ct, p, str(tmp_path / "ct.bin"))
+        assert not (tmp_path / "ct.bin").exists()
 
 
 def test_mult_noise_within_tracked_bound(toy_sk, toy_evk):
@@ -442,10 +460,10 @@ def test_pk_dimension(toy_sk, toy_pk):
 def test_pk_rows_decrypt_correctly(toy_sk, toy_pk):
     p = toy_sk.params
     for row in toy_pk.C0[:32]:
-        ct = Ciphertext(vec=list(row), level=0, q=p.q)
+        ct = Ciphertext(vec=list(row), level=0, q=p.q, noise_hint=p.B)
         assert decrypt(toy_sk, ct) == [0] * p.message_bits
     for j, row in enumerate(toy_pk.C_unit):
-        ct = Ciphertext(vec=list(row), level=0, q=p.q)
+        ct = Ciphertext(vec=list(row), level=0, q=p.q, noise_hint=p.B)
         assert decrypt(toy_sk, ct) == [1 if i == j else 0
                                        for i in range(p.message_bits)]
 
