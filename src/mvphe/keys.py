@@ -324,6 +324,10 @@ class SecretKey:
     matrices are recomputed deterministically on construction and are not
     settable.  Encryption multiplies by C = T^{-1}·R, T = [[I, S^T], [0, I]];
     D = C^{-1} unmasks, and its last ell − n columns are S_dec.
+
+    ``packed`` caches C's rows Kronecker-packed for ``she.encrypt``.  Like
+    ``EvalKey.packed`` it is not part of the key: equality, repr and files
+    ignore it, and ``replace`` gives a key that packs afresh.
     """
 
     params: Params
@@ -358,6 +362,15 @@ class SecretKey:
         self.D = inverse_mod_q(self.C, q)
         self.S_dec = [row[n:] for row in self.D]
 
+    @cached_property
+    def packed(self) -> tuple[list[int], int]:
+        """C's rows packed by ``pack_rows``, and their slot width, built on
+        first use.  An encryption's vector has entries in (−q, q) and C's
+        in [0, q), so every slot of its product lies within ell·q²."""
+        p = self.params
+        width = slot_width(p.ell * p.q ** 2)
+        return pack_rows(self.C, width), width
+
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
     """Monic degree-r_g polynomial with a nonzero constant term."""
@@ -383,10 +396,19 @@ def _sample_point(p: Params, g: Polynomial, rng: Random) -> tuple[int, ...]:
 def _monomial_table(p: Params, points: Sequence[tuple[int, ...]]) -> Matrix:
     """m(z) mod q for the monomials m of degree <= 2r − r_g (rows, ascending
     by degree as ``enumerate_monomials`` lists them, so the first N rows have
-    degree <= r and the first n degree <= r_prime) at each point z (columns)."""
+    degree <= r and the first n degree <= r_prime) at each point z (columns).
+
+    The row of m = m'·x_i is the row of m' times the coordinates z_i, one
+    multiplication mod q per entry; m' has lower degree, so its row is
+    already built."""
     q = p.q
-    return [[math.prod(pow(x, e, q) for x, e in zip(z, m)) % q for z in points]
-            for m in enumerate_monomials(p.v, 2 * p.r - p.r_g)]
+    const, *monos = enumerate_monomials(p.v, 2 * p.r - p.r_g)
+    rows = {const: [1] * len(points)}
+    for m in monos:
+        i = next(i for i, e in enumerate(m) if e)
+        parent = rows[(*m[:i], m[i] - 1, *m[i + 1:])]
+        rows[m] = [a * z[i] % q for a, z in zip(parent, points)]
+    return list(rows.values())
 
 
 def _ideal_rows(g: Polynomial, points: Sequence[tuple[int, ...]],

@@ -3,11 +3,14 @@
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
-exception is ``vec_mat``, the exact integer product everything builds on.
+exception is ``vec_mat``, the exact integer product of decryption, AND's W
+contraction and ``keys.mat_mul_exact``.
 ``pack_rows`` and ``unpack_slots`` are Kronecker substitution: a row packed
 into one integer turns a vector-matrix product into one big-integer
-multiply-add per row, and AND's carry tables (``keys._carry_table``) are
-sums of such rows read back by one ``unpack_slots``.
+multiply-add per row.  ``mat_mul`` and encryption (``she.encrypt``, on the
+secret key's packed C) multiply that way, and AND's carry tables
+(``keys._carry_table``) are sums of such rows read back by one
+``unpack_slots``.
 ``solve_mod_q`` is the one entry point for linear systems: it solves
 A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
 against the identity.
@@ -24,6 +27,7 @@ entry by entry.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import mul
 from struct import Struct
 from struct import error as StructError
 from typing import Sequence
@@ -57,9 +61,10 @@ def balanced_matrix(A: Matrix, q: int) -> Matrix:
 def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
     """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced.
 
-    The one multiply-accumulate loop of the package: encryption, decryption,
-    the W contraction of AND and every key-construction product run through
-    it.  AND's products against the key factors use packed rows.
+    The one entrywise multiply-accumulate loop of the package: decryption,
+    the W contraction of AND and ``keys.mat_mul_exact`` run through it.
+    Encryption, ``mat_mul`` and AND's products against the key factors use
+    packed rows.
     """
     out = [0] * len(M[0]) if M else []
     cols = range(len(out))
@@ -118,11 +123,20 @@ def unpack_slots(total: int, width: int, cols: int) -> list[int]:
 
 
 def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:
+    """A·B mod q.  B's rows are reduced and packed once, so each row of A
+    is one multiply-add per row of B and one ``unpack_slots``; with both
+    factors reduced into [0, q), every slot lies below k·(q − 1)²."""
     n, k = dims(A)
     k2, m = dims(B)
     if k != k2:
         raise ParameterError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    return [[x % q for x in vec_mat(row, B)] for row in A]
+    if not m:
+        return [[] for _ in A]
+    width = slot_width(k * (q - 1) ** 2)
+    rows = pack_rows([[x % q for x in row] for row in B], width)
+    return [[x % q for x in unpack_slots(
+                sum(map(mul, [a % q for a in row], rows)), width, m)]
+            for row in A]
 
 
 # ---------------------------------------------------------------------------

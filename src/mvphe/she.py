@@ -32,6 +32,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from random import Random
 from typing import Sequence
 
@@ -39,7 +41,7 @@ from .arith import NoiseSampler, Rational, approx, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
 from .keys import _carry_product, _noise_limit, _product_hint, _sum_hint
-from .linalg import Matrix, vec_mat
+from .linalg import Matrix, unpack_slots, vec_mat
 
 __all__ = [
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
@@ -96,7 +98,9 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     The noise is Gaussian of width σ truncated at ⌈6σ⌉, which ``Params``
     keeps at most B, so B is the fresh noise hint.  ``zero_noise`` drops
     the Gaussian term (debugging/test calibration); the hint is then 0 and
-    decryption is exact.
+    decryption is exact.  The product by C runs on the key's packed rows
+    (``sk.packed``, which the first encryption under a key builds): ell
+    big-integer multiply-adds and one ``unpack_slots``.
     """
     p = sk.params
     q = p.q
@@ -108,7 +112,8 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
         band = [x + sampler.sample() for x in band]
     # message + noise on the band after y: S_dec is the last ell − n columns
     # of C^{-1}, so (y ‖ band)·C·S_dec = band and y drops out at decryption
-    vec = vec_mat(y + band, sk.C)
+    rows, width = sk.packed
+    vec = unpack_slots(sum(map(mul, y + band, rows)), width, p.ell)
     hint = 0 if zero_noise else p.B
     return Ciphertext(vec=vec, level=0, q=q, noise_hint=hint)
 
@@ -257,10 +262,15 @@ def pk_keygen(sk: SecretKey, rng: Random) -> PublicKey:
 
 
 def pk_encrypt(pk: PublicKey, m: Sequence[int], rng: Random) -> Ciphertext:
-    """Encrypt with the public key: unit rows for set bits + random zero subset."""
+    """Encrypt with the public key: unit rows for set bits + random zero subset.
+
+    The vector is the column sums of the selected rows of C_unit and C0, all
+    zero when no row is selected.
+    """
     p = pk.params
     m = _check_message(p, m)
     subset = [rng.randrange(2) for _ in pk.C0]
-    vec = vec_mat(m + subset, pk.C_unit + pk.C0)
+    rows = compress(pk.C_unit + pk.C0, m + subset)
+    vec = [*map(sum, zip(*rows))] or [0] * p.ell
     hint = (sum(m) + sum(subset)) * p.B
     return Ciphertext(vec=vec, level=0, q=p.q, noise_hint=hint)

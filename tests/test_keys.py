@@ -222,16 +222,24 @@ def test_point_rank_conditions(toy_sk):
     assert rank_mod_q(F1p, q) == p.n1
 
 
-@pytest.mark.parametrize("name", [*sorted(PRESETS), "tiny"])
+TABLE_SHAPES = {
+    "tiny": lambda: setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1,
+                          B=6, u=2),
+    "v3": lambda: setup(64, 1, v=3, r_g=2, r_prime=1, ell=6),
+    "v4": lambda: setup(64, 1, v=4, r_g=1, r_prime=1, ell=7),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESETS), *TABLE_SHAPES])
 def test_monomial_table_matches_polynomial_products(name):
     """Key construction reads every ideal evaluation off one monomial table
     as g(z)·m(z); at all t points that equals (g·m)(z) for the products
     formed as polynomials.  The table's first N rows are the monomials of
-    degree <= r, and the first n ideal rows are the degree-(<= r) basis."""
-    if name == "tiny":
-        p = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
-    else:
-        p = preset_params(name)
+    degree <= r, and the first n ideal rows are the degree-(<= r) basis.
+    The table builds each row from a parent row times one coordinate, so
+    the shapes with three and four variables check that recurrence on
+    every variable."""
+    p = TABLE_SHAPES[name]() if name in TABLE_SHAPES else preset_params(name)
     sk = keygen(p, Random(f"table-{name}"))
     q = p.q
     table = _monomial_table(p, sk.points)
@@ -510,8 +518,10 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
     two mat_mul_exact and one reduce_by_set per degree-(<= 2r) ideal basis
     element.  A keygen draw that passes its rank checks makes one solve (S),
-    one inverse (the secret key's D = C^{-1}) and no product, and an
-    encryption is one product, by C."""
+    one inverse (the secret key's D = C^{-1}) and no product.  An
+    encryption is one packed product by C: the first under a key packs C's
+    rows once, and every encryption reads its product back with one
+    unpack_slots and calls no vec_mat."""
     calls = {}
     names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "mat_mul_exact",
              "reduce_by_set")
@@ -526,14 +536,30 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     calls.clear()
     sk = keygen(toy_sk.params, Random(3))
     assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
-    products = []
+    products, packed, unpacked = [], [], []
 
     def vec_mat_counted(v, M, _fn=she.vec_mat):
         products.append(M)
         return _fn(v, M)
+
+    def pack_counted(M, width, _fn=keys.pack_rows):
+        packed.append(M)
+        return _fn(M, width)
+
+    def unpack_counted(total, width, cols, _fn=she.unpack_slots):
+        unpacked.append((width, cols))
+        return _fn(total, width, cols)
     monkeypatch.setattr(she, "vec_mat", vec_mat_counted)
-    encrypt(sk, [1] * sk.params.message_bits, Random(4))
-    assert products == [sk.C]
+    monkeypatch.setattr(keys, "pack_rows", pack_counted)
+    monkeypatch.setattr(she, "unpack_slots", unpack_counted)
+    m = [1] * sk.params.message_bits
+    encrypt(sk, m, Random(4))
+    rows, width = sk.packed
+    assert packed == [sk.C] and len(rows) == sk.params.ell
+    assert unpacked == [(width, sk.params.ell)] and products == []
+    encrypt(sk, m, Random(5))
+    assert packed == [sk.C]
+    assert unpacked == [(width, sk.params.ell)] * 2 and products == []
 
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,

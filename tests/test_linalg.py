@@ -112,6 +112,17 @@ def test_products_against_triple_sum():
         mat_mul([[1, 2]], [[1, 2]], 7)
 
 
+def test_mat_mul_at_its_slot_bound():
+    """mat_mul packs B's rows at the width for k·(q − 1)²: with every entry
+    q − 1, k = 55 and the largest 64-bit prime, each slot reaches that
+    bound, and the product still equals the triple sum mod q."""
+    k, top = 55, Q64 - 1
+    A = [[top] * k for _ in range(3)]
+    B = [[top] * 4 for _ in range(k)]
+    want = [[x % Q64 for x in row] for row in triple_sum_product(A, B)]
+    assert mat_mul(A, B, Q64) == want
+
+
 def packed_product(v, M, width):
     """v·M through Kronecker packing: one multiply-add per row of M."""
     return unpack_slots(sum(map(mul, v, pack_rows(M, width))), width, len(M[0]))

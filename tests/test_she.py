@@ -3,6 +3,7 @@
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
@@ -21,9 +22,10 @@ from mvphe import (
     pk_keygen,
     preset_params,
 )
+from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS, _carry_bound, _noise_limit, _product_hint
-from mvphe.linalg import mat_mul
+from mvphe.linalg import mat_mul, unpack_slots, vec_mat
 from mvphe.serialize import save_ciphertext
 from oracles import CARRY_SETS, encrypt_reference, mult_intermediates
 
@@ -33,6 +35,13 @@ class _ZeroRandom(Random):
 
     def randrange(self, *args):
         return 0
+
+
+class _OneRandom(Random):
+    """Stub RNG whose randrange always picks 1 (selects every row)."""
+
+    def randrange(self, *args):
+        return 1
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,24 @@ def test_encrypt_matches_two_product_reference(name):
         m = [rng.randrange(2) for _ in range(p.message_bits)]
         ct = encrypt(sk, m, Random(f"enc-ref-{name}-{i}"))
         assert ct.vec == encrypt_reference(sk, m, Random(f"enc-ref-{name}-{i}"))
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_encrypt_packed_product_at_its_slot_bound(name):
+    """encrypt's product by C's packed rows equals vec_mat(v, C) when every
+    |v_i| is q − 1, the largest an encryption's vector (y in [0, q), band
+    below q/2 + B) can hold, with all signs equal and mixed: the slots the
+    width must hold."""
+    p = CARRY_SETS[name]()
+    sk = keygen(p, Random(f"enc-slots-{name}"))
+    rows, width = sk.packed
+    rng = Random(f"enc-slots-signs-{name}")
+    top = p.q - 1
+    signs = [[1] * p.ell, [-1] * p.ell,
+             *([rng.choice((-1, 1)) for _ in range(p.ell)] for _ in range(8))]
+    for sign in signs:
+        v = [s * top for s in sign]
+        assert unpack_slots(sum(map(mul, v, rows)), width, p.ell) == vec_mat(v, sk.C)
 
 
 def test_decryption_matrix_identity(toy_sk):
@@ -491,6 +518,27 @@ def test_pk_encrypt_empty_subset_is_zero(toy_pk):
     ct = pk_encrypt(toy_pk, [0, 0], _ZeroRandom())
     assert ct.vec == [0] * toy_pk.params.ell
     assert ct.noise_hint == 0
+
+
+@pytest.mark.parametrize("name", ["toy", "bench16"])
+def test_pk_encrypt_matches_product_reference(name):
+    """pk_encrypt's column sums of the selected rows equal the balanced
+    product (m ‖ subset)·(C_unit ‖ C0) under the same subset draws, for
+    random subsets and for the all-ones subset of a stub RNG."""
+    p = preset_params(name)
+    sk = keygen(p, Random(f"pk-ref-{name}"))
+    pk = pk_keygen(sk, Random(f"pk-ref-keys-{name}"))
+    rng = Random(f"pk-ref-msgs-{name}")
+
+    def reference(m, draws):
+        subset = [draws.randrange(2) for _ in pk.C0]
+        return [balance(x, p.q) for x in vec_mat(m + subset, pk.C_unit + pk.C0)]
+    for i in range(4):
+        m = [rng.randrange(2) for _ in range(p.message_bits)]
+        ct = pk_encrypt(pk, m, Random(f"pk-ref-{name}-{i}"))
+        assert ct.vec == reference(m, Random(f"pk-ref-{name}-{i}"))
+    ones = [1] * p.message_bits
+    assert pk_encrypt(pk, ones, _OneRandom()).vec == reference(ones, _OneRandom())
 
 
 def test_pk_ciphertexts_compose_homomorphically(toy_sk, toy_evk, toy_pk):
