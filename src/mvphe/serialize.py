@@ -17,20 +17,19 @@ produced under.  The 8-byte parameter fingerprint — the first 8 bytes of
 the SHA-256 of that block — is how tools decide whether two files belong
 together without comparing full keys.
 
-Secret-key files store only the core fields (g, points, S, R1, R2); all
-derived matrices are recomputed on load, so a save/load round trip is
-bit-exact by construction; g must be as keygen draws it, monic of degree
-r_g in v variables with a nonzero constant term.  Evaluation keys store
-their factored form verbatim, after a key-form byte (always 1, the gadget
-form), u and the carry bound k_max, all of which must agree with the
-parameters; every entry of P1 and P2 must lie in 0..n(q − 1), the range
-of every key build_evalkey makes, and every entry of W in
-−floor(q/2)..floor(q/2), as build_evalkey balances it.  The parameter block
-ends with the same key-form byte.  Public-key files store eps, which must be
-PK_EPS = 1/10, then exactly d = ceil(1.1·ell·log2 q) zero encryptions.
-Ciphertext files store the level, a hint flag byte (always 1), the noise
-hint and the vector; every ciphertext carries its hint, so loaders refuse
-any other flag and a negative hint.
+A file stores nothing that its parameters fix.  The parameter block holds
+lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
+inside it are refused.  Secret-key files store only the core fields (g,
+points, S, R1, R2); all derived matrices are recomputed on load, so a
+save/load round trip is bit-exact by construction; g must be as keygen
+draws it, monic of degree r_g in v variables with a nonzero constant term.
+Evaluation keys store P1, P2 and W verbatim (the carry bound k_max follows
+from the parameters); every entry of P1 and P2 must lie in 0..n(q − 1),
+the range of every key build_evalkey makes, and every entry of W in
+−floor(q/2)..floor(q/2), as build_evalkey balances it.  Public-key files
+store exactly d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the
+encryptions of the unit vectors.  Ciphertext files store the level, the
+noise hint, which must be nonnegative, and the vector.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
 from .mvpoly import Polynomial, grevlex_key
-from .she import PK_EPS, Ciphertext, PublicKey, _check_ciphertext, pk_rows
+from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
 __all__ = [
     "MAGIC", "VERSION", "params_fingerprint",
@@ -56,15 +55,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 1
-
-# The one multiplication-key form (bit-decomposed); files still carry the
-# byte, and loaders refuse any other value.
-GADGET_FLAG = 1
-
-# Every ciphertext carries a noise hint; files still carry the byte in front
-# of it, and loaders refuse any other value.
-HINT_FLAG = 1
+VERSION = 2
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -219,9 +210,9 @@ class _Reader:
             raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {rows}x{cols}")
         return [self.ints(cols) for _ in range(rows)]
 
-    def end(self) -> None:
+    def end(self, what: str = "payload") -> None:
         if self.pos != len(self.data):
-            raise FormatError(f"{len(self.data) - self.pos} bytes after the payload")
+            raise FormatError(f"{len(self.data) - self.pos} bytes after the {what}")
 
     def poly(self, q: int) -> Polynomial:
         v = self.uint(4)
@@ -237,12 +228,6 @@ class _Reader:
 # parameter block and fingerprint
 # ---------------------------------------------------------------------------
 
-def _expect_gadget_flag(r: _Reader) -> None:
-    flag = r.take(1)[0]
-    if flag != GADGET_FLAG:
-        raise FormatError(f"gadget flag {flag}; only the gadget key form (1) is supported")
-
-
 def _params_block(p: Params) -> bytes:
     buf = bytearray()
     _w_uint(buf, p.lambda_, 4)
@@ -255,7 +240,6 @@ def _params_block(p: Params) -> bytes:
     _w_fraction(buf, p.sigma)
     _w_int(buf, p.B)
     _w_uint(buf, p.u, 4)
-    buf.append(GADGET_FLAG)
     return bytes(buf)
 
 
@@ -271,7 +255,7 @@ def _read_params(r: _Reader) -> Params:
     sigma = int(sigma_f) if sigma_f.denominator == 1 else sigma_f
     B = r.int_()
     u = r.uint(4)
-    _expect_gadget_flag(r)
+    r.end("parameter block")
     return Params(lambda_=lam, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell,
                   q=q, sigma=sigma, B=B, u=u)
 
@@ -374,9 +358,6 @@ def load_secret_key(path: str) -> SecretKey:
 
 def save_evalkey(evk: EvalKey, path: str) -> None:
     buf = bytearray()
-    buf.append(GADGET_FLAG)
-    _w_uint(buf, evk.params.u, 4)
-    _w_fraction(buf, evk.k_max)
     _w_matrix(buf, evk.P1)
     _w_matrix(buf, evk.P2)
     _w_matrix(buf, evk.W)
@@ -385,12 +366,7 @@ def save_evalkey(evk: EvalKey, path: str) -> None:
 
 def load_evalkey(path: str) -> EvalKey:
     params, r = _read_container(path, TYPE_EVALKEY)
-    _expect_gadget_flag(r)
-    u = r.uint(4)
-    if u != params.u:
-        raise FormatError(f"evaluation key has u = {u}, parameters have u = {params.u}")
-    k_max = r.fraction()
-    dim = params.ell * _gadget_width(params.q, u)
+    dim = params.ell * _gadget_width(params.q, params.u)
     P1 = r.matrix("P1", dim, params.t)
     P2 = r.matrix("P2", dim, params.t)
     W = r.matrix("W", params.t, params.ell)
@@ -402,16 +378,11 @@ def load_evalkey(path: str) -> EvalKey:
     half = params.q // 2
     if min(map(min, W)) < -half or max(map(max, W)) > half:
         raise FormatError(f"W has an entry outside -{half}..{half}")
-    evk = EvalKey(params=params, P1=P1, P2=P2, W=W)
-    if k_max != evk.k_max:
-        raise FormatError(
-            f"evaluation key has k_max = {k_max}, parameters give {evk.k_max}")
-    return evk
+    return EvalKey(params=params, P1=P1, P2=P2, W=W)
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:
     buf = bytearray()
-    _w_fraction(buf, PK_EPS)
     _w_matrix(buf, pk.C0)
     _w_matrix(buf, pk.C_unit)
     _write_container(path, TYPE_PUBLIC, pk.params, bytes(buf))
@@ -419,9 +390,6 @@ def save_public_key(pk: PublicKey, path: str) -> None:
 
 def load_public_key(path: str) -> PublicKey:
     params, r = _read_container(path, TYPE_PUBLIC)
-    eps = r.fraction()
-    if eps != PK_EPS:
-        raise FormatError(f"public key has eps = {eps}, expected {PK_EPS}")
     C0 = r.matrix("C0", pk_rows(params), params.ell)
     C_unit = r.matrix("C_unit", params.message_bits, params.ell)
     r.end()
@@ -432,7 +400,6 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_ciphertext(params, ct)
     buf = bytearray()
     _w_uint(buf, ct.level, 4)
-    buf.append(HINT_FLAG)
     _w_fraction(buf, ct.noise_hint)
     _w_intvec(buf, ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
@@ -443,10 +410,6 @@ def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     level = r.uint(4)
     if level > params.L:
         raise FormatError(f"ciphertext level {level} is outside 0..{params.L}")
-    flag = r.take(1)[0]
-    if flag != HINT_FLAG:
-        raise FormatError(f"hint flag {flag}; every ciphertext carries "
-                          f"its noise hint (flag {HINT_FLAG})")
     hint = r.fraction()
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")

@@ -222,7 +222,8 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 # public-key mode
 # ---------------------------------------------------------------------------
 
-#: Public-key slack eps; public-key files store it, so it stays 1/10.
+#: Public-key slack eps.  Files do not store it; the loader derives d from
+#: it, so another eps would refuse every existing public-key file.
 PK_EPS = Fraction(1, 10)
 
 

@@ -79,6 +79,12 @@ def test_parse_error_line_numbers():
         parse_circuit("in a\nout missing")
     with pytest.raises(FormatError, match="cannot parse"):
         parse_circuit("in a\nt = XOR a\nout t")
+    with pytest.raises(FormatError, match="^line 2: expected 'in <id>'$"):
+        parse_circuit("in a\nin b c\nout a")
+    with pytest.raises(FormatError, match="^line 2: expected 'out <id>'$"):
+        parse_circuit("in a\nout\n")
+    with pytest.raises(FormatError, match="^line 3: duplicate definition of 't'$"):
+        parse_circuit("in a\nt = XOR a a\nt = AND a a\nout t")
 
 
 def test_parse_requires_io():

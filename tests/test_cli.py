@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from mvphe import serialize
+from mvphe import preset_params, serialize
 from mvphe.cli import build_parser, main
 
 
@@ -86,6 +86,18 @@ def test_keygen_takes_params_or_preset_not_both(tmp_path, capsys):
               "depth3", "--out", str(tmp_path / "sk.bin")])
     assert exc.value.code == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+def test_keygen_from_params_file(tmp_path, capsys):
+    """A key made from a parameters file carries exactly those parameters,
+    here a seeded toy modulus that differs from the preset's own."""
+    params, sk = str(tmp_path / "p.bin"), str(tmp_path / "sk.bin")
+    assert main(["params", "--preset", "toy", "--seed", "3", "--out", params]) == 0
+    assert main(["keygen", "--params", params, "--seed", "3", "--out", sk]) == 0
+    capsys.readouterr()
+    want = serialize.load_params(params)
+    assert want.q != preset_params("toy").q
+    assert serialize.load_secret_key(sk).params == want
 
 
 def test_keygen_dump_keys(tmp_path, capsys):
@@ -371,14 +383,14 @@ def test_bench_refuses_fewer_than_one_mult(mults, capsys):
 # byte-identical under a fixed seed; a change here is a format change and
 # needs a VERSION bump.
 PINNED_TOY_SEED_7 = {
-    "params.bin": "80f5344d8c925855f3a322c992dcca7793386c73a1e850086caea5d2ca8729cd",
-    "sk.bin": "9a36e15204f9fa4d61b8cab59b6c44c88ee6d348280889e8fa56cce5d5b1b511",
-    "evk.bin": "10bee363be0d50fa59d3d3d280023af283633acacb3ea8fb0ccfec754fca9b9f",
-    "pk.bin": "e9a4994bb418177d40d369772a8d692a019b0380288e869a823b96973303b32a",
-    "ct.bin": "648528b10031bf11c6ae51ade5309ef3c994904295a50d20a8546e0ea04da5de",
-    "pct.bin": "0ff73ef9538a694e1143ffbf0600638f27db763897d1659f4d783012564e9201",
-    "out0.bin": "e74fe93b728dbfc6a7909bebb7fa1724f5164fdc98278a32462dac996f695c48",
-    "out1.bin": "7ce30849d144b08effd568662137bfc602c7a69c4e872b843bc1b5856c64a6a2",
+    "params.bin": "876988932a3c998653ff53b2d3997be41d465b374befc9da081d839439fe1ab4",
+    "sk.bin": "2d551d9f65ed3e5599f72ab59a5d20de9ac1352c51f104cde1c52d48b932280a",
+    "evk.bin": "fe00071ed6a372daa6c0ded27d5d9295a643f0354abc537c305cef14e97ee25f",
+    "pk.bin": "cbd01b04843d696fdc6ee5be7f1529aaacef06a56d9b764d922634b250df12d7",
+    "ct.bin": "d2aa533ef771c2ca512e1729dbf6677769c1183ce120cb63b8128fface9ca73a",
+    "pct.bin": "0a400c6764dcb1cb77ee19c54bfa9992a0f965e46679eede991fd887ae910b86",
+    "out0.bin": "11c4c7eeaabb83b4a2ad41ac822382730dff826a7f8a39ae6c4b8970ba1d8c5d",
+    "out1.bin": "6b6f26a58c386737d7257c6260ab5414954ccc9b86b30a90dc5a5b5ea274c249",
 }
 
 

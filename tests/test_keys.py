@@ -15,6 +15,7 @@ from mvphe import (
     Polynomial,
     SecretKey,
     build_evalkey,
+    decrypt,
     encrypt,
     enumerate_monomials,
     keygen,
@@ -109,12 +110,23 @@ def test_setup_rejects_bad_shapes():
         setup(64, 1, q=97, B=30)  # B >= floor(q/2)/2
     with pytest.raises(ParameterError):
         preset_params("nope")
+    with pytest.raises(ParameterError, match=r"unknown parameter overrides: \['w'\]"):
+        setup(64, 1, w=3)
+    # 5·log2(6·40) < 40 bits passes the cheap L check; the margin refuses it
+    with pytest.raises(ParameterError, match="depth L=5: margin 0.0"):
+        preset_params("toy", L=5)
 
 
 def test_setup_depth_unsatisfiable_at_forced_small_q():
     # a 16-bit modulus cannot host depth 3 at these dimensions
     with pytest.raises(ParameterError):
         setup(64, 3, v=2, r_g=1, r_prime=2, ell=8, q_bits=16)
+    # left to choose, setup sizes q at 58 bits for depth 4, and none of at
+    # most 64 bits hosts depth 5
+    assert setup(64, 4, v=2, r_g=1, r_prime=2, ell=8).q_bits == 58
+    with pytest.raises(ParameterError, match="no modulus size up to 64 bits "
+                                             "supports depth L=5"):
+        setup(64, 5, v=2, r_g=1, r_prime=2, ell=8)
 
 
 def test_params_rejects_t_past_u32():
@@ -315,12 +327,56 @@ def test_mixing_matrix_block_shape(toy_sk):
     assert mat_mul(R, toy_sk.D, p.q) == T
 
 
-def test_keygen_failure_on_degenerate_params():
-    # q=3 leaves almost no valid points; the retry cap must trip
-    with pytest.raises((GenerationFailure, ParameterError)):
-        p = Params(lambda_=8, L=1, v=1, r_g=1, r_prime=1, ell=3, q=3,
-                   sigma=0, B=1, u=0)
-        keygen(p, Random(1))
+def _rank_stub(monkeypatch, p, failures):
+    """Make keys.rank_mod_q report one rank short on the first
+    ``failures[check]`` calls of each keygen check (1, 2, 3 or "R1") and
+    record the check of every call.  E1 and R1 are both n × n; R1's check
+    is the one that follows condition 3 or another R1 draw."""
+    real, seen = keys.rank_mod_q, []
+
+    def stub(M, q):
+        shape = (len(M), len(M[0]))
+        if shape == (p.N, p.ell):
+            check = 1
+        elif shape == (p.n1, p.n1):
+            check = 3
+        else:
+            assert shape == (p.n, p.n)
+            check = "R1" if seen and seen[-1] in (3, "R1") else 2
+        seen.append(check)
+        if seen.count(check) <= failures.get(check, 0):
+            return min(shape) - 1
+        return real(M, q)
+
+    monkeypatch.setattr(keys, "rank_mod_q", stub)
+    return seen
+
+
+def test_keygen_redraws_on_each_rejection(monkeypatch, toy_params):
+    """Conditions 1 and 2 fail once each, then condition 3 and the R1 draw
+    each fail RETRY_CAP times in a row, which redraws the whole batch: the
+    fifth batch gives a key, after 8 + 2·RETRY_CAP extra rank checks."""
+    cap, p = keys.RETRY_CAP, toy_params
+    seen = _rank_stub(monkeypatch, p, {1: 1, 2: 1, 3: cap, "R1": cap})
+    sk = keygen(p, Random(5))
+    assert seen == ([1] + [1, 2] + [1, 2] + [3] * cap + [1, 2] + [3] + ["R1"] * cap
+                    + [1, 2, 3, "R1"])
+    assert len(seen) == 4 + 8 + 2 * cap
+    monkeypatch.undo()
+    assert decrypt(sk, encrypt(sk, [1, 0], Random(6))) == [1, 0]
+
+
+@pytest.mark.parametrize("check", [1, 2, 3, "R1"])
+def test_keygen_gives_up_at_the_retry_cap(monkeypatch, toy_params, check):
+    """A check that never passes ends keygen with GenerationFailure after
+    RETRY_CAP batches, and with nothing else."""
+    monkeypatch.setattr(keys, "RETRY_CAP", 3)
+    seen = _rank_stub(monkeypatch, toy_params, {check: math.inf})
+    with pytest.raises(GenerationFailure, match="failed after 3 attempts") as exc:
+        keygen(toy_params, Random(7))
+    assert exc.type is GenerationFailure
+    per_batch = {1: 1, 2: 1, 3: 3, "R1": 3}[check]
+    assert seen.count(check) == 3 * per_batch
 
 
 # --- build_G ---------------------------------------------------------------

@@ -23,7 +23,6 @@ from mvphe import (
 from mvphe.cli import main
 from mvphe.errors import FormatError, ParameterError
 from mvphe.serialize import (
-    GADGET_FLAG,
     MAGIC,
     TYPE_PARAMS,
     VERSION,
@@ -112,23 +111,6 @@ def test_ciphertext_roundtrip(tmp_path, toy_sk, toy_params):
     assert back.level == ct.level and back.noise_hint == ct.noise_hint
 
 
-def test_ciphertext_without_hint_refused(tmp_path, toy_sk, toy_params, capsys):
-    """The hint flag byte after the level must be 1: a file that claims no
-    hint (0), or any other flag, is refused, by the library and the CLI."""
-    path = str(tmp_path / "ct.bin")
-    ct = encrypt(toy_sk, [1, 1], Random(147))
-    sk = str(tmp_path / "sk.bin")
-    save_secret_key(toy_sk, sk)
-    for flag in (0, 2):
-        save_ciphertext(ct, toy_params, path)
-        _patch_payload(path, 4, 1, bytes([flag]))  # after the u32 level
-        with pytest.raises(FormatError, match=f"hint flag {flag};"):
-            load_ciphertext(path)
-        capsys.readouterr()
-        assert main(["decrypt", "--key", sk, "--in", path]) == 2
-        assert f"error: hint flag {flag};" in capsys.readouterr().err
-
-
 def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_secret_key(toy_sk, a)
@@ -149,14 +131,18 @@ def test_bad_magic(tmp_path, toy_params):
 
 
 def test_version_gate_precedes_checksum(tmp_path, toy_params):
-    # bumping the version also breaks the digest; the version error must win
+    # changing the version also breaks the digest; the version error must
+    # win, for a future version and for version 1, which stored six fields
+    # that the parameters fix
+    assert VERSION == 2
     path = str(tmp_path / "p.bin")
-    save_params(toy_params, path)
-    with open(path, "r+b") as fh:
-        fh.seek(len(MAGIC))
-        fh.write((99).to_bytes(2, "little"))
-    with pytest.raises(FormatError, match="unsupported format version 99"):
-        load_params(path)
+    for version in (99, 1):
+        save_params(toy_params, path)
+        with open(path, "r+b") as fh:
+            fh.seek(len(MAGIC))
+            fh.write(version.to_bytes(2, "little"))
+        with pytest.raises(FormatError, match=f"unsupported format version {version}$"):
+            load_params(path)
 
 
 def test_corruption_detected(tmp_path, toy_sk, toy_params):
@@ -338,35 +324,14 @@ def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
         save_evalkey(bad, path)
         with pytest.raises(FormatError, match="W is"):
             load_evalkey(path)
+    # the key's u is its parameter block's, the block's last u32; P1 and P2
+    # must have ell·(u + q_bits) rows for it
     save_evalkey(toy_evk, path)
-    u = toy_evk.params.u
-    _patch_payload(path, 1, 4, (u + 1).to_bytes(4, "little"))  # after the form byte
-    with pytest.raises(FormatError, match=f"u = {u + 1}"):
+    p = toy_evk.params
+    _patch_payload(path, -4, 4, (p.u + 1).to_bytes(4, "little"))
+    have, want = len(toy_evk.P1), p.ell * (p.u + 1 + p.q_bits)
+    with pytest.raises(FormatError, match=f"P1 is {have}x{p.t}, expected {want}x{p.t}"):
         load_evalkey(path)
-
-
-def test_evalkey_form_byte_and_carry_bound_checked(tmp_path, toy_sk, toy_evk, capsys):
-    path = str(tmp_path / "evk.bin")
-    save_evalkey(toy_evk, path)
-    _patch_payload(path, 0, 1, b"\x00")
-    with pytest.raises(FormatError, match="gadget flag 0"):
-        load_evalkey(path)
-    # k_max follows the form byte and u; an understated bound is refused
-    save_evalkey(toy_evk, path)
-    stored, one = bytearray(), bytearray()
-    _w_fraction(stored, toy_evk.k_max)
-    _w_fraction(one, 1)
-    _patch_payload(path, 5, len(stored), bytes(one))
-    with pytest.raises(FormatError, match="k_max = 1,"):
-        load_evalkey(path)
-    ct = str(tmp_path / "ct.bin")
-    save_ciphertext(encrypt(toy_sk, [1, 1], Random(149)), toy_sk.params, ct)
-    netlist = tmp_path / "c.txt"
-    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
-                 "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def _patch_params_u32(path: str, field: int, value: int) -> None:
@@ -410,7 +375,6 @@ def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
     _w_fraction(block, p.sigma)
     _w_int(block, p.B)
     _w_uint(block, p.u, 4)
-    block.append(GADGET_FLAG)
     body = bytearray(MAGIC)
     _w_uint(body, VERSION, 2)
     body.append(TYPE_PARAMS)
@@ -424,12 +388,21 @@ def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
     assert time.perf_counter() - start < 0.5
 
 
-def test_params_gadget_flag_checked(tmp_path, toy_params):
-    path = str(tmp_path / "p.bin")
-    save_params(toy_params, path)
-    _patch_payload(path, -1, 1, b"\x00")  # the block's last byte
-    with pytest.raises(FormatError, match="gadget flag 0"):
-        load_params(path)
+def test_params_block_stray_bytes_refused(tmp_path, toy_params, capsys):
+    """Bytes left over inside the length-prefixed parameter block are
+    refused, by the library and by ``mvphe keygen --params``."""
+    path = tmp_path / "p.bin"
+    save_params(toy_params, str(path))
+    body = path.read_bytes()[:-32]
+    # a parameters file has no payload: its block runs to the digest
+    block_len = int.from_bytes(body[7:11], "little")
+    body = body[:7] + (block_len + 3).to_bytes(4, "little") + body[11:] + bytes(3)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(FormatError, match="^3 bytes after the parameter block$"):
+        load_params(str(path))
+    capsys.readouterr()
+    assert main(["keygen", "--params", str(path), "--out", str(tmp_path / "sk.bin")]) == 2
+    assert "error: 3 bytes after the parameter block" in capsys.readouterr().err
 
 
 def test_key_matrix_shapes_checked(tmp_path, toy_sk):
@@ -482,17 +455,6 @@ def test_secret_key_singular_r1_refused(tmp_path, toy_sk):
         load_secret_key(path)
 
 
-def test_public_key_eps_checked(tmp_path, toy_sk):
-    path = str(tmp_path / "pk.bin")
-    save_public_key(pk_keygen(toy_sk, Random(152)), path)
-    stored, half = bytearray(), bytearray()
-    _w_fraction(stored, Fraction(1, 10))
-    _w_fraction(half, Fraction(1, 2))
-    _patch_payload(path, 0, len(stored), bytes(half))
-    with pytest.raises(FormatError, match="eps = 1/2"):
-        load_public_key(path)
-
-
 def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
     paths = [str(tmp_path / name) for name in ("p.bin", "ct.bin", "evk.bin")]
     save_params(toy_params, paths[0])
@@ -520,6 +482,19 @@ def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
         save_ciphertext(bad, toy_params, path)
         with pytest.raises(FormatError, match=match):
             load_ciphertext(path)
+    # save_ciphertext refuses a short vector, so cut one from the file: the
+    # vector follows the u32 level and the hint
+    save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
+                    toy_params, path)
+    hint, full, short = bytearray(), bytearray(), bytearray()
+    _w_fraction(hint, 0)
+    for buf, v in ((full, vec), (short, vec[:-1])):
+        _w_uint(buf, len(v), 4)
+        _w_ints(buf, v)
+    _patch_payload(path, 4 + len(hint), len(full), bytes(short))
+    with pytest.raises(FormatError, match=f"ciphertext length {toy_params.ell - 1} "
+                                          f"!= ell = {toy_params.ell}"):
+        load_ciphertext(path)
 
 
 # --- fingerprints -----------------------------------------------------------
