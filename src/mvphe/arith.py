@@ -86,12 +86,12 @@ def round_nearest(x: Rational) -> int:
 
 
 def approx(x: Rational, spec: str) -> str:
-    """A nonnegative rational for display: ``format(float(x), spec)``, or
-    2^k with k = log2 x in ``spec`` when x is past the float range."""
+    """A nonnegative number for display: ``format(float(x), spec)``, or
+    2^k with k = log2 x in ``spec`` for an int past the float range."""
     try:
         return format(float(x), spec)
     except OverflowError:
-        return f"2^{math.log2(x.numerator) - math.log2(x.denominator):{spec}}"
+        return f"2^{math.log2(x):{spec}}"
 
 
 _WEIGHT_BITS = 48  # acceptance weights are numerators over 2^48

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress
 from operator import mul
@@ -87,7 +87,7 @@ from .linalg import (
 from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
-_T_BITS = 32  # key files record the point count t, and matrix shapes, as u32
+_T_BITS = 32  # files record lambda, the point count t and matrix shapes as u32
 _Q_BITS_MAX = 64  # below log2(psi_13), so the fixed bases prove every q prime
 
 
@@ -125,6 +125,7 @@ class Params:
     def __post_init__(self):
         # every binomial below is at most n1 <= t, and n1 >= 2^min(v, 2r - r_g):
         # refuse a set whose t cannot fit before a binomial grows past it
+        _check_dimensions(self.v, self.r_g, self.r_prime)
         if min(self.v, self.r_g + 2 * self.r_prime) >= _T_BITS:
             raise ParameterError(f"need t < 2^{_T_BITS} points: v = {self.v}, "
                                  f"r_g = {self.r_g}, r_prime = {self.r_prime}")
@@ -144,8 +145,9 @@ class Params:
     def validate(self) -> None:
         if self.lambda_ < 1 or self.L < 1:
             raise ParameterError("need lambda >= 1 and L >= 1")
-        if self.v < 1 or self.r_g < 1 or self.r_prime < 1:
-            raise ParameterError("need v, r_g, r_prime >= 1")
+        if self.lambda_ >= 1 << _T_BITS:
+            raise ParameterError(
+                f"need lambda < 2^{_T_BITS}, got lambda = {self.lambda_}")
         if not self.n < self.ell <= self.N:
             raise ParameterError(
                 f"need n < ell <= N, got n={self.n}, ell={self.ell}, N={self.N}"
@@ -196,6 +198,12 @@ class Params:
         return Fraction(self.q, self.B) / (self.n * self.q_bits) ** self.L
 
 
+def _check_dimensions(v: int, r_g: int, r_prime: int) -> None:
+    """Refuse a shape before any binomial of it is taken."""
+    if v < 1 or r_g < 1 or r_prime < 1:
+        raise ParameterError("need v, r_g, r_prime >= 1")
+
+
 # ---------------------------------------------------------------------------
 # noise growth
 # ---------------------------------------------------------------------------
@@ -206,20 +214,21 @@ def _noise_limit(q: int) -> Fraction:
     return Fraction(q // 2, 2)
 
 
-def _carry_bound(ell: int, u: int, q_bits: int) -> Fraction:
-    """k_max, the certified bound on the carries of one multiplication."""
-    return Fraction(ell * (u + q_bits), 2) + 1
+def _carry_bound(ell: int, u: int, q_bits: int) -> int:
+    """2·k_max = ell·(u + q_bits) + 2, twice the certified bound k_max on the
+    carries of one multiplication: an integer even where k_max is not."""
+    return ell * (u + q_bits) + 2
 
 
-@lru_cache(maxsize=256)  # a circuit's ANDs see few distinct hints
-def _product_hint(h: Rational, k_max: Fraction, q: int, ell: int) -> Fraction:
+def _product_hint(h: int, ell: int, u: int, q: int) -> int:
     """Tracked noise bound of a product whose inputs have noise at most h:
-    linear in h·k_max, plus a term damped by 1/q and the floor's slack ell."""
-    h = Fraction(h)
-    return 4 * h + 2 * (4 * h + 1) * k_max + (8 * h * h + 1) / q + ell
+    4h + 2·(4h + 1)·k_max + ceil((8h² + 1)/q) + ell, linear in h·k_max, plus
+    a term damped by 1/q and the floor's slack ell."""
+    return (4 * h + (4 * h + 1) * _carry_bound(ell, u, q.bit_length())
+            + (8 * h * h + q) // q + ell)
 
 
-def _sum_hint(h1: Rational, h2: Rational) -> Rational:
+def _sum_hint(h1: int, h2: int) -> int:
     """Tracked noise bound of a sum whose inputs have noise at most h1, h2."""
     return h1 + h2 + 1
 
@@ -227,19 +236,20 @@ def _sum_hint(h1: Rational, h2: Rational) -> Rational:
 def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
     """Smallest q_bits in 16.._Q_BITS_MAX with 2·h_L < floor(q_min/2)/2,
     where h_L is the hint after L levels of (multiply, then add) from B at
-    q_min = 2^(q_bits − 1).  This implies both depth checks in
-    ``Params.validate``: h_L >= B, so B < floor(q/2)/2; and each level
-    multiplies the hint by more than 16·k_max > 8·n·q_bits (ell > n), so
-    (q/B) >= (n·q_bits)^L.
+    q_min = 2^(q_bits − 1), dropping a size as soon as 2·h reaches the limit.
+    This implies both depth checks in ``Params.validate``: h_L >= B, so
+    B < floor(q/2)/2; and each level multiplies the hint by more than
+    16·k_max > 8·n·q_bits (ell > n), so (q/B) >= (n·q_bits)^L.
     """
     for bits in range(16, _Q_BITS_MAX + 1):
         q_min = 1 << (bits - 1)
-        k_max = _carry_bound(ell, u, bits)
-        h = Fraction(B)
+        h = B
         for _ in range(L):
-            x = _product_hint(h, k_max, q_min, ell)
+            x = _product_hint(h, ell, u, q_min)
             h = _sum_hint(x, x)
-        if 2 * h < _noise_limit(q_min):
+            if 2 * h >= _noise_limit(q_min):
+                break
+        else:
             return bits
     raise ParameterError(
         f"no modulus size up to {_Q_BITS_MAX} bits supports depth L={L} "
@@ -281,6 +291,7 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
     v = overrides.pop("v", 2)
     r_g = overrides.pop("r_g", 1)
     r_prime = overrides.pop("r_prime", 2)
+    _check_dimensions(v, r_g, r_prime)
     n = math.comb(v + r_prime, r_prime)
     ell = overrides.pop("ell", n + 2)
     sigma = overrides.pop("sigma", 8)
@@ -293,6 +304,9 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
     if q is None:
         if q_bits is None:
             q_bits = _auto_q_bits(L, ell, u, B)
+        elif q_bits > _Q_BITS_MAX:  # refused before a long prime search
+            raise ParameterError(
+                f"q must have at most {_Q_BITS_MAX} bits, got {q_bits}")
         if rng is None:
             stamp = f"mvphe-setup|{lambda_}|{L}|{v}|{r_g}|{r_prime}|{ell}|{q_bits}"
             rng = Random(stamp)
@@ -671,8 +685,7 @@ class EvalKey:
     (``_carry_table``: the packed rows P_red and H of the carry identity).
     It is not part of the key: equality, repr and files ignore it, and
     ``replace`` gives a key that builds its own tables afresh.  Mutating
-    P1 or P2 in place after the first eval_mult leaves it stale.  ``k_max``
-    is cached the same way, from ``params``.
+    P1 or P2 in place after the first eval_mult leaves it stale.
     """
 
     params: Params
@@ -683,13 +696,6 @@ class EvalKey:
     @property
     def input_dim(self) -> int:
         return len(self.P1)
-
-    @cached_property
-    def k_max(self) -> Fraction:
-        """``_carry_bound`` of these parameters, for the noise hint; computed
-        once per key, like ``packed``."""
-        p = self.params
-        return _carry_bound(p.ell, p.u, p.q_bits)
 
     @cached_property
     def packed(self) -> tuple[CarryTable, CarryTable]:

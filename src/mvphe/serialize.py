@@ -29,7 +29,7 @@ the range of every key build_evalkey makes, and every entry of W in
 −floor(q/2)..floor(q/2), as build_evalkey balances it.  Public-key files
 store exactly d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the
 encryptions of the unit vectors.  Ciphertext files store the level, the
-noise hint, which must be nonnegative, and the vector.
+noise hint, one integer that must be nonnegative, and the vector.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 2
+VERSION = 3
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -400,7 +400,7 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_ciphertext(params, ct)
     buf = bytearray()
     _w_uint(buf, ct.level, 4)
-    _w_fraction(buf, ct.noise_hint)
+    _w_int(buf, ct.noise_hint)
     _w_intvec(buf, ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
 
@@ -410,7 +410,7 @@ def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     level = r.uint(4)
     if level > params.L:
         raise FormatError(f"ciphertext level {level} is outside 0..{params.L}")
-    hint = r.fraction()
+    hint = r.int_()
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
     vec = r.intvec()

@@ -21,9 +21,9 @@ limit — and it is excluded from equality comparisons.  Files store it.
 Addition is entrywise (hint: ``keys._sum_hint``).  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
 and floors; the hint is the per-product bound ``keys._product_hint`` at
-max(h1, h2), linear in the carry bound k_max certified by the evaluation
-key.  The whole pipeline is exact integer/rational arithmetic; the only
-rounding anywhere is the final floor, by design.
+max(h1, h2), linear in the carry bound k_max that the parameters certify.
+Hints are integers.  The whole pipeline is exact integer/rational
+arithmetic; the only rounding of a vector is the final floor, by design.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import mul
 from random import Random
 from typing import Sequence
 
-from .arith import NoiseSampler, Rational, approx, balance, round_nearest
+from .arith import NoiseSampler, approx, balance, round_nearest
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
 from .keys import _carry_product, _noise_limit, _product_hint, _sum_hint
@@ -55,16 +55,19 @@ class Ciphertext:
 
     ``level`` counts consumed depth: fresh encryptions are level 0 and a
     product sits at ``product_level`` of its factors' levels.  ``noise_hint``
-    is the tracked noise bound, required of every ciphertext; it does not
-    participate in equality.
+    is the tracked noise bound, a nonnegative int required of every
+    ciphertext; it does not participate in equality.
     """
 
     vec: list[int]
     level: int
     q: int
-    noise_hint: Rational = field(compare=False)
+    noise_hint: int = field(compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.noise_hint, int) or self.noise_hint < 0:
+            raise ParameterError(
+                f"noise hint must be a nonnegative int, got {self.noise_hint!r}")
         self.vec = [balance(x, self.q) for x in self.vec]
 
     def __len__(self) -> int:
@@ -168,10 +171,10 @@ def product_level(l1: int, l2: int) -> int:
     return l1 + l2 + 1
 
 
-def mult_noise_hint(evk: EvalKey, h1: Rational, h2: Rational) -> Fraction:
+def mult_noise_hint(evk: EvalKey, h1: int, h2: int) -> int:
     """Tracked noise bound for a product of ciphertexts with hints h1, h2."""
     p = evk.params
-    return _product_hint(max(h1, h2), evk.k_max, p.q, p.ell)
+    return _product_hint(max(h1, h2), p.ell, p.u, p.q)
 
 
 def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:

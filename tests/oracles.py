@@ -4,8 +4,9 @@ products, encryption in two products from the key's core fields, the
 re-expression and reduction matrices B and Q built one at a time as the
 paper stages them, the multiplication key as an explicit rational tensor,
 every stage of one multiplication carried out with exact rationals, a
-random netlist generator, and the container's integer encoding written one
-entry at a time.
+random netlist generator, the container's integer encoding written one
+entry at a time, and the noise hints as the exact rational bounds that the
+integer rules round up.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -482,3 +483,32 @@ def w_int_reference(buf: bytearray, x: int) -> None:
     buf.append(sign)
     buf += len(raw).to_bytes(4, "little")
     buf += raw
+
+
+# ---------------------------------------------------------------------------
+# noise hints as exact rationals
+# ---------------------------------------------------------------------------
+
+def product_hint_reference(h, ell: int, u: int, q: int) -> Fraction:
+    """The AND hint as the exact rational bound
+    4h + 2·(4h + 1)·k_max + (8h² + 1)/q + ell, with the certified carry bound
+    k_max = ell·(u + q_bits)/2 + 1; ``keys._product_hint`` is its ceiling."""
+    h = Fraction(h)
+    k_max = Fraction(ell * (u + q.bit_length()), 2) + 1
+    return 4 * h + 2 * (4 * h + 1) * k_max + (8 * h * h + 1) / q + ell
+
+
+def auto_q_bits_reference(L: int, ell: int, u: int, B: int) -> int:
+    """``keys._auto_q_bits`` on rational hints: every size runs all L levels
+    of (multiply, then add) from B, and the first whose final hint h has
+    2·h < floor(q_min/2)/2 wins.  The hint's denominator grows as
+    q^(2^L − 1), so this is for small L only."""
+    for bits in range(16, 65):
+        q_min = 1 << (bits - 1)
+        h = Fraction(B)
+        for _ in range(L):
+            x = product_hint_reference(h, ell, u, q_min)
+            h = x + x + 1
+        if 2 * h < Fraction(q_min // 2, 2):
+            return bits
+    raise ParameterError(f"no modulus size up to 64 bits supports depth L={L}")

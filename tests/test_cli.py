@@ -53,6 +53,28 @@ def test_params_bad_depth_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--depth", "14"], "no modulus size up to 64 bits supports depth L=14 "),
+    (["--depth", "100000000"],
+     "no modulus size up to 64 bits supports depth L=100000000 "),
+    (["--v", "-5"], "need v, r_g, r_prime >= 1"),
+    (["--r-prime", "-3"], "need v, r_g, r_prime >= 1"),
+    (["--lambda", "4294967296", "--out", "p.bin"],
+     "need lambda < 2^32, got lambda = 4294967296"),
+    (["--q-bits", "30000"], "q must have at most 64 bits, got 30000"),
+])
+def test_params_refuses_bad_input_at_once(argv, message, tmp_path, capsys):
+    """Each input ends in one error line, not a traceback or a stall (a
+    depth of 14 ran past a minute, and 30000 bits drew a prime)."""
+    argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
+    t0 = time.perf_counter()
+    assert main(["params", *argv]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "p.bin").exists()
+
+
 def test_params_unseeded_is_deterministic(capsys):
     assert main(["params", "--preset", "toy"]) == 0
     first = capsys.readouterr().out
@@ -383,14 +405,14 @@ def test_bench_refuses_fewer_than_one_mult(mults, capsys):
 # byte-identical under a fixed seed; a change here is a format change and
 # needs a VERSION bump.
 PINNED_TOY_SEED_7 = {
-    "params.bin": "876988932a3c998653ff53b2d3997be41d465b374befc9da081d839439fe1ab4",
-    "sk.bin": "2d551d9f65ed3e5599f72ab59a5d20de9ac1352c51f104cde1c52d48b932280a",
-    "evk.bin": "fe00071ed6a372daa6c0ded27d5d9295a643f0354abc537c305cef14e97ee25f",
-    "pk.bin": "cbd01b04843d696fdc6ee5be7f1529aaacef06a56d9b764d922634b250df12d7",
-    "ct.bin": "d2aa533ef771c2ca512e1729dbf6677769c1183ce120cb63b8128fface9ca73a",
-    "pct.bin": "0a400c6764dcb1cb77ee19c54bfa9992a0f965e46679eede991fd887ae910b86",
-    "out0.bin": "11c4c7eeaabb83b4a2ad41ac822382730dff826a7f8a39ae6c4b8970ba1d8c5d",
-    "out1.bin": "6b6f26a58c386737d7257c6260ab5414954ccc9b86b30a90dc5a5b5ea274c249",
+    "params.bin": "a40f7e5f663870318c6311436206cc770113776d52499572eeab3c901b1ce193",
+    "sk.bin": "ecb402f9c6a353b79cffbb49f02e7ea0eeccbac9b081fd4fe7cb6aa3dee8d2c5",
+    "evk.bin": "99bfed5b4e7ffbf4a0f3abc7cda81ded2e98aa53f6d5385ab34345cdd261a07d",
+    "pk.bin": "e4647029eebd6f09e52f9d574355dc05136368ef3ad3a71636751478b0ca9bde",
+    "ct.bin": "6253b9dfcb87755128749586aa3654b2c29681f08abb1ed49287d3ba64b626d9",
+    "pct.bin": "89fb212861e3b580b618798175ccfd9cbc00058962c1425cd8053953e987cbbe",
+    "out0.bin": "73c2e558453a0d5dde0cecb0c62e1be516bde76491aea5a4cc0819a470d37cf3",
+    "out1.bin": "328389d969968d695e49631d0b29764024d96b0240bf24e72a1499e56241dde3",
 }
 
 

@@ -1,8 +1,9 @@
 """The shipped package holds the scheme and nothing more: no unused imports,
 no top-level function or class, and no method or property of a package
 class, that nothing in the package uses.  Listing a name in __all__ does
-not count as using it.  And every function the benchmark's tracer wraps
-still exists."""
+not count as using it.  And the benchmark still runs on it: every function
+its tracer wraps exists, and its workloads give the ciphertext vectors its
+digests pin."""
 
 import ast
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 import mvphe
 
 PACKAGE = Path(mvphe.__file__).parent
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -132,14 +134,34 @@ def _has_default(value: ast.expr) -> bool:
                             for k in value.keywords))
 
 
+def _load_perfbench(name: str):
+    """A perfbench module, loaded from its file and left as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_trace_target_resolves():
     """The benchmark's tracer wraps package functions by module attribute
     and fails on a missing one; a renamed or deleted target fails here."""
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     assert tracing.TARGETS
     missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in tracing.TARGETS
                if not callable(getattr(mod, attr, None))]
     assert missing == []
+
+
+def test_benchmark_digests_hold(tmp_path, monkeypatch):
+    """The benchmark's digest check: the first ops of each workload at its
+    fixed seed all pass their own check, and their output ciphertext
+    vectors hash to the workload's ``EXPECTED_DIGESTS`` entry."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports netlist
+    workloads = _load_perfbench("workloads")
+    assert set(workloads.EXPECTED_DIGESTS) == set(workloads.WORKLOADS)
+    for name, digest in workloads.EXPECTED_DIGESTS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = workloads.WORKLOADS[name].golden_ops
+        assert workloads.golden_digest(name, str(workdir)) == (digest, ops, 0), name

@@ -5,6 +5,7 @@ import math
 import warnings
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -27,6 +28,8 @@ from mvphe import (
 )
 from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
 from mvphe.keys import (
+    _auto_q_bits,
+    _carry_bound,
     _carry_product,
     _carry_table,
     _ideal_basis_2r,
@@ -42,6 +45,7 @@ from oracles import (
     CARRY_SETS,
     Tensor3,
     _powersoftwo_numerators,
+    auto_q_bits_reference,
     bilinear_eval,
     bitdecomp,
     build_B,
@@ -115,6 +119,15 @@ def test_setup_rejects_bad_shapes():
     # 5·log2(6·40) < 40 bits passes the cheap L check; the margin refuses it
     with pytest.raises(ParameterError, match="depth L=5: margin 0.0"):
         preset_params("toy", L=5)
+    # negative dimensions are refused before any binomial is taken, by setup
+    # (default ell) and by Params alike
+    base = dict(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8, q=858024799843,
+                sigma=8, B=48, u=8)
+    for shape in (dict(v=-5), dict(r_prime=-3), dict(r_g=0), dict(v=-5, ell=8)):
+        with pytest.raises(ParameterError, match="need v, r_g, r_prime >= 1"):
+            setup(64, 1, **shape)
+        with pytest.raises(ParameterError, match="need v, r_g, r_prime >= 1"):
+            Params(**{**base, **shape})
 
 
 def test_setup_depth_unsatisfiable_at_forced_small_q():
@@ -137,8 +150,35 @@ def test_params_rejects_t_past_u32():
 
 
 def test_setup_refuses_q_past_64_bits():
-    with pytest.raises(ParameterError, match="q must have at most 64 bits, got 65"):
-        setup(q_bits=65)
+    # refused before the prime search, which would stall on 30000 bits
+    for bits in (65, 30000):
+        with pytest.raises(ParameterError, match=f"q must have at most 64 bits, got {bits}$"):
+            setup(q_bits=bits)
+
+
+def test_params_refuses_lambda_past_u32():
+    """Files record lambda as a u32."""
+    with pytest.raises(ParameterError, match="need lambda < 2\\^32, got lambda = 4294967296"):
+        setup(2**32)
+    assert setup(2**32 - 1).lambda_ == 2**32 - 1
+
+
+def test_auto_q_bits_matches_the_rational_reference():
+    """The integer hint rules size q exactly as the rational ones do over
+    a grid of shapes, and refuse a deep L at once, where the rational rule
+    would carry denominators of q^(2^L − 1)."""
+    def bits_or_none(rule, *shape):
+        try:
+            return rule(*shape)
+        except ParameterError:
+            return None
+
+    for shape in product(range(1, 6), (7, 8, 12, 30), (0, 8, 64), (1, 48, 1000)):
+        assert (bits_or_none(_auto_q_bits, *shape)
+                == bits_or_none(auto_q_bits_reference, *shape)), shape
+    for L in (14, 100, 10**8):
+        with pytest.raises(ParameterError, match=f"supports depth L={L} "):
+            _auto_q_bits(L, 8, 8, 48)
 
 
 def test_params_refuses_u_past_64():
@@ -663,7 +703,7 @@ def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):
     assert toy_evk.input_dim == len(toy_evk.P1) == len(toy_evk.P2) == p.ell * width
     assert len(toy_evk.P1[0]) == p.t
     assert len(toy_evk.W) == p.t and len(toy_evk.W[0]) == p.ell
-    assert toy_evk.k_max == Fraction(p.ell * width, 2) + 1
+    assert _carry_bound(p.ell, p.u, p.q_bits) == 2 * (Fraction(p.ell * width, 2) + 1)
     # balanced third factor
     assert all(abs(x) <= p.q // 2 for row in toy_evk.W for x in row)
 

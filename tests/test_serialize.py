@@ -16,6 +16,7 @@ from mvphe import (
     decrypt,
     encrypt,
     eval_mult,
+    mult_noise_hint,
     pk_encrypt,
     pk_keygen,
     preset_params,
@@ -83,7 +84,9 @@ def test_evalkey_roundtrip(tmp_path, toy_sk, toy_evk):
     back = load_evalkey(path)
     assert back.P1 == toy_evk.P1 and back.P2 == toy_evk.P2
     assert back.W == toy_evk.W
-    assert back.params == toy_evk.params and back.k_max == toy_evk.k_max
+    assert back.params == toy_evk.params
+    p = back.params
+    assert mult_noise_hint(back, p.B, p.B) == mult_noise_hint(toy_evk, p.B, p.B)
     rng = Random(142)
     c = eval_mult(back, encrypt(toy_sk, [1, 1], rng),
                   encrypt(toy_sk, [1, 0], rng))
@@ -132,11 +135,12 @@ def test_bad_magic(tmp_path, toy_params):
 
 def test_version_gate_precedes_checksum(tmp_path, toy_params):
     # changing the version also breaks the digest; the version error must
-    # win, for a future version and for version 1, which stored six fields
-    # that the parameters fix
-    assert VERSION == 2
+    # win, for a future version, for version 1, which stored six fields
+    # that the parameters fix, and for version 2, which stored the noise
+    # hint as a rational
+    assert VERSION == 3
     path = str(tmp_path / "p.bin")
-    for version in (99, 1):
+    for version in (99, 1, 2):
         save_params(toy_params, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
@@ -475,19 +479,23 @@ def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
     save_ciphertext(Ciphertext(vec=vec, level=toy_params.L, q=toy_params.q,
                                noise_hint=0), toy_params, path)
     assert load_ciphertext(path)[0].level == toy_params.L
-    for bad, match in ((Ciphertext(vec=vec, level=99, q=toy_params.q, noise_hint=0),
-                        "level 99"),
-                       (Ciphertext(vec=vec, level=0, q=toy_params.q,
-                                   noise_hint=Fraction(-1, 2)), "negative noise hint")):
-        save_ciphertext(bad, toy_params, path)
-        with pytest.raises(FormatError, match=match):
-            load_ciphertext(path)
-    # save_ciphertext refuses a short vector, so cut one from the file: the
-    # vector follows the u32 level and the hint
+    save_ciphertext(Ciphertext(vec=vec, level=99, q=toy_params.q, noise_hint=0),
+                    toy_params, path)
+    with pytest.raises(FormatError, match="level 99"):
+        load_ciphertext(path)
+    # Ciphertext refuses a negative hint, and save_ciphertext a short vector,
+    # so write both into the file: the hint follows the u32 level, and the
+    # vector follows the hint
     save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
                     toy_params, path)
-    hint, full, short = bytearray(), bytearray(), bytearray()
-    _w_fraction(hint, 0)
+    hint, negative, full, short = bytearray(), bytearray(), bytearray(), bytearray()
+    _w_int(hint, 0)
+    _w_int(negative, -1)
+    _patch_payload(path, 4, len(hint), bytes(negative))
+    with pytest.raises(FormatError, match="negative noise hint -1"):
+        load_ciphertext(path)
+    save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
+                    toy_params, path)
     for buf, v in ((full, vec), (short, vec[:-1])):
         _w_uint(buf, len(v), 4)
         _w_ints(buf, v)

@@ -1,5 +1,6 @@
 """Encryption, decryption, noise accounting, and homomorphic operations."""
 
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -24,10 +25,15 @@ from mvphe import (
 )
 from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
-from mvphe.keys import PRESETS, _carry_bound, _noise_limit, _product_hint
+from mvphe.keys import PRESETS, _noise_limit
 from mvphe.linalg import mat_mul, unpack_slots, vec_mat
 from mvphe.serialize import save_ciphertext
-from oracles import CARRY_SETS, encrypt_reference, mult_intermediates
+from oracles import (
+    CARRY_SETS,
+    encrypt_reference,
+    mult_intermediates,
+    product_hint_reference,
+)
 
 
 class _ZeroRandom(Random):
@@ -172,6 +178,14 @@ def test_ciphertext_requires_a_hint(toy_sk):
     p = toy_sk.params
     with pytest.raises(TypeError, match="noise_hint"):
         Ciphertext([0] * p.ell, 0, p.q)
+
+
+def test_ciphertext_hint_is_a_nonnegative_int(toy_sk):
+    p = toy_sk.params
+    for bad in (-1, Fraction(1, 2), Fraction(3), 2.0, "48"):
+        with pytest.raises(ParameterError, match="noise hint must be a nonnegative int"):
+            Ciphertext([0] * p.ell, 0, p.q, bad)
+    assert Ciphertext([0] * p.ell, 0, p.q, 10**400).noise_hint == 10**400
 
 
 # --- decryption threshold --------------------------------------------------
@@ -427,32 +441,26 @@ def test_mult_hint_monotone(toy_evk):
     assert h(toy_evk, 3, 5) == h(toy_evk, 5, 3)
 
 
-def test_memoized_hints_match_the_formula_along_an_and_chain(toy_sk, toy_evk):
-    """Each product's hint, memoized per (h, k_max, q, ell), equals the
-    formula evaluated afresh (``_product_hint.__wrapped__``) at every link
-    of an AND chain, the second chain served from the cache; past the
-    toy depth the chain goes on through ``mult_noise_hint`` alone."""
-    p = toy_sk.params
-    formula = _product_hint.__wrapped__
-    k_max = _carry_bound(p.ell, p.u, p.q_bits)
-    assert toy_evk.k_max == k_max
-    rng, mb = Random(121), p.message_bits
-    for chain in range(2):
-        hits = _product_hint.cache_info().hits
-        acc, *rest = [encrypt(toy_sk, [rng.randrange(2) for _ in range(mb)], rng)
-                      for _ in range(p.L + 1)]
+def test_hints_match_the_reference_along_an_and_chain():
+    """On every preset, each product's hint along an AND chain is the
+    ceiling of the rational reference bound at its integer inputs: up to
+    depth L through ``eval_mult``, and one level past it through
+    ``mult_noise_hint`` alone."""
+    for name in PRESETS:
+        rng = Random(f"hint-chain-{name}")
+        p = preset_params(name)
+        sk = keygen(p, rng)
+        evk = build_evalkey(sk, rng=rng)
+        acc, *rest = [encrypt(sk, [rng.randrange(2) for _ in range(p.message_bits)],
+                              rng) for _ in range(p.L + 1)]
         for c in rest:
-            want = formula(max(acc.noise_hint, c.noise_hint), k_max, p.q, p.ell)
-            acc = eval_mult(toy_evk, acc, c)
-            assert acc.noise_hint == want
-        if chain:
-            assert _product_hint.cache_info().hits >= hits + p.L
-    h = p.B
-    for _ in range(6):
-        want = formula(h, k_max, p.q, p.ell)
-        assert mult_noise_hint(toy_evk, h, p.B) == want
-        assert mult_noise_hint(toy_evk, p.B, h) == want
-        h = want
+            want = math.ceil(product_hint_reference(
+                max(acc.noise_hint, c.noise_hint), p.ell, p.u, p.q))
+            acc = eval_mult(evk, acc, c)
+            assert type(acc.noise_hint) is int and acc.noise_hint == want
+        want = math.ceil(product_hint_reference(acc.noise_hint, p.ell, p.u, p.q))
+        assert mult_noise_hint(evk, acc.noise_hint, p.B) == want
+        assert mult_noise_hint(evk, p.B, acc.noise_hint) == want
 
 
 def test_depth3_chain(depth3_sk, depth3_evk):
