@@ -40,10 +40,11 @@ B·Q's rows at the solve points are the X that solves F1p·X = F2, F1p being
 the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
 points (``_reduction_map``).  And A = [I | A_ext] with A_ext zero below its
 first n rows, so P_i is built as [D_i~ | D_i~[:, :n]·E], E being those n
-rows (``_build_E``).  X, E and S each come from one ``linalg.solve_mod_q``;
-no inverse is formed and then multiplied.  Their ideal evaluations are
-g(z)·m(z) mod q, one monomial table times g's values (``_monomial_table``,
-``_ideal_rows``); no product polynomial is formed.  Every entry of P_i
+rows (``_build_E``), and each row of D_i~[:, :n]·E sums the rows of E that
+its bits select (``mat_mul_exact``).  X, E and S each come from one
+``linalg.solve_mod_q``; no inverse is formed and then multiplied.  Their
+ideal evaluations are g(z)·m(z) mod q, one monomial table times g's values
+(``_monomial_table``, ``_ideal_rows``); no product polynomial is formed.  Every entry of P_i
 lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
 multiplies the gadget-transformed ciphertexts by P_i without forming the
 transforms: every entry of a transform is c·2^s less a carry, and all the
@@ -81,7 +82,6 @@ from .linalg import (
     slot_width,
     solve_mod_q,
     unpack_slots,
-    vec_mat,
     zeros,
 )
 from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
@@ -740,8 +740,21 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
 
 
 def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
-    """Integer matrix product without modular reduction."""
-    return [vec_mat(row, B) for row in A]
+    """Integer matrix product without modular reduction, row by row as
+    the column sums of the rows of B that the row of A selects.
+
+    A row of B is taken as it is under an entry 1 and scaled under any
+    other nonzero entry, so the product is exact for every integer A; on
+    the 0/1 bit rows of D~ it makes no multiplication at all.  A row that
+    selects nothing gives a fresh zero row.
+    """
+    cols = len(B[0]) if B else 0
+    out = []
+    for a in A:
+        rows = [r if x == 1 else [*map(x.__mul__, r)]
+                for x, r in compress(zip(a, B), a)]
+        out.append([*map(sum, zip(*rows))] or [0] * cols)
+    return out
 
 
 def _bitdecomp_matrix_times(D_scaled: Matrix, E: Matrix, p: Params, q: int) -> Matrix:

@@ -112,6 +112,52 @@ def test_products_against_triple_sum():
         mat_mul([[1, 2]], [[1, 2]], 7)
 
 
+def test_mat_mul_exact_scales_every_selected_row():
+    """Entries other than 0 and 1 scale the row they select, signed and
+    past 64 bits alike, so the column sums equal the triple sum for any
+    integer A."""
+    rng = Random(42)
+    picks = (-1, 0, 1, 2, 2**70, -2**70)
+    for _ in range(40):
+        n, k, m = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 9)
+        A = [[rng.choice(picks) for _ in range(k)] for _ in range(n)]
+        B = [[rng.randrange(-Q40, Q40) for _ in range(m)] for _ in range(k)]
+        assert mat_mul_exact(A, B) == triple_sum_product(A, B)
+
+
+def test_mat_mul_exact_zero_rows_are_fresh_lists():
+    """0/1 rows that select nothing give zero rows, each its own list, so
+    writing into one result row leaves the others as they were."""
+    rng = Random(43)
+    for k, m in ((1, 1), (4, 3), (15, 40)):
+        A = [[rng.randrange(2) for _ in range(k)] for _ in range(6)]
+        A[1] = A[4] = [0] * k
+        B = [[rng.randrange(-Q40, Q40) for _ in range(m)] for _ in range(k)]
+        got = mat_mul_exact(A, B)
+        assert got == triple_sum_product(A, B)
+        assert got[1] == got[4] == [0] * m and got[1] is not got[4]
+        got[1][0] = 5
+        assert got[4] == [0] * m
+
+
+def test_mat_mul_exact_empty_shapes():
+    """An A with no rows, and a B with no columns."""
+    B = [[1, -2, 3], [4, 5, -6]]
+    assert mat_mul_exact([], B) == triple_sum_product([], B) == []
+    A = [[1, 0], [0, 0], [2, -1]]
+    want = triple_sum_product(A, [[], []])
+    assert mat_mul_exact(A, [[], []]) == want == [[], [], []]
+
+
+def test_mat_mul_exact_on_bench16_bit_shape():
+    """One 0/1 A of the shape of bench16's D~[:, :n] (768 x 15) against a
+    15 x 40 E with entries in [0, q)."""
+    rng = Random(44)
+    A = [[rng.randrange(2) for _ in range(15)] for _ in range(768)]
+    B = rand_matrix(rng, 15, 40, Q40)
+    assert mat_mul_exact(A, B) == triple_sum_product(A, B)
+
+
 def test_mat_mul_at_its_slot_bound():
     """mat_mul packs B's rows at the width for k·(q − 1)²: with every entry
     q − 1, k = 55 and the largest 64-bit prime, each slot reaches that
