@@ -8,9 +8,8 @@ All integers are little-endian.  Arbitrary-precision integers are encoded
 as sign byte (0 or 1) + u32 byte count + magnitude; rationals as two such
 integers (numerator, denominator).  The trailing 32 bytes are the SHA-256
 digest of everything before them.  The version is checked before any
-payload is parsed; a corrupted digest, a truncated file, bytes after the
-payload, or a matrix whose shape does not match the parameters raise
-FormatError.
+payload is parsed; a corrupted digest, a truncated file or bytes after the
+payload raise FormatError.
 
 Every file embeds the complete parameter block of the parameters it was
 produced under.  The 8-byte parameter fingerprint — the first 8 bytes of
@@ -19,30 +18,38 @@ together without comparing full keys.
 
 A file stores nothing that its parameters fix.  The parameter block holds
 lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
-inside it are refused.  Secret-key files store only the core fields (g,
-points, S, R1, R2); all derived matrices are recomputed on load, so a
-save/load round trip is bit-exact by construction; g must be as keygen
-draws it, monic of degree r_g in v variables with a nonzero constant term.
-Evaluation keys store P1, P2 and W verbatim (the carry bound k_max follows
-from the parameters); every entry of P1 and P2 must lie in 0..n(q − 1),
-the range of every key build_evalkey makes, and every entry of W in
-−floor(q/2)..floor(q/2), as build_evalkey balances it.  Public-key files
-store exactly d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the
-encryptions of the unit vectors.  Ciphertext files store the level, the
-noise hint, one integer that must be nonnegative, and the vector.
+inside it are refused.  It also fixes every payload's layout, so a payload
+is a plain run of integers with no shape, length, count or exponent in it;
+matrices are stored row by row, and each ``save_*`` refuses a field whose
+shape differs from the one the parameters fix.  Secret-key files store only
+the core fields: g as C(v + r_g, r_g) coefficients over
+``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
+first and the leading monomial last), the t x v points, then S, R1 and R2.
+All derived matrices are recomputed on load, so a save/load round trip is
+bit-exact by construction; g must be as keygen draws it, with leading
+coefficient 1 and a nonzero constant term.  Evaluation keys store P1, P2
+and W verbatim (the carry bound k_max follows from the parameters); every
+entry of P1 and P2 must lie in 0..n(q − 1), the range of every key
+build_evalkey makes, and every entry of W in −floor(q/2)..floor(q/2), as
+build_evalkey balances it.  Public-key files store exactly
+d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
+of the unit vectors.  Ciphertext files store the level, the noise hint,
+one integer that must be nonnegative, and the ell entries of the vector.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable
 
 from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey, _gadget_width
 from .linalg import Matrix
-from .mvpoly import Polynomial, grevlex_key
+from .mvpoly import Polynomial, enumerate_monomials
 from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
 __all__ = [
@@ -55,7 +62,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 3
+VERSION = 4
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -84,7 +91,7 @@ def _w_uint(buf: bytearray, x: int, nbytes: int) -> None:
 _INT_HEADER = struct.Struct("<BI")
 
 
-def _w_ints(buf: bytearray, xs: Sequence[int]) -> None:
+def _w_ints(buf: bytearray, xs: Iterable[int]) -> None:
     """Encode each of ``xs`` in turn, with no count in front."""
     pack = _INT_HEADER.pack
     for x in xs:
@@ -104,38 +111,11 @@ def _w_fraction(buf: bytearray, x) -> None:
     _w_int(buf, f.denominator)
 
 
-def _w_intvec(buf: bytearray, v: Sequence[int]) -> None:
-    _w_uint(buf, len(v), 4)
-    _w_ints(buf, v)
-
-
-def _w_matrix(buf: bytearray, m: Matrix) -> None:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    _w_uint(buf, rows, 4)
-    _w_uint(buf, cols, 4)
-    for row in m:
-        if len(row) != cols:
-            raise ParameterError("ragged matrix")
-        _w_ints(buf, row)
-
-
-def _w_poly(buf: bytearray, f: Polynomial) -> None:
-    _w_uint(buf, f.v, 4)
-    terms = sorted(f.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True)
-    _w_uint(buf, len(terms), 4)
-    for mono, coeff in terms:
-        for e in mono:
-            _w_uint(buf, e, 2)
-        _w_int(buf, coeff)
-
-
-def _w_points(buf: bytearray, pts: Sequence[tuple[int, ...]], v: int) -> None:
-    _w_uint(buf, len(pts), 4)
-    for z in pts:
-        if len(z) != v:
-            raise ParameterError("point arity mismatch")
-        _w_ints(buf, z)
+def _w_matrix(buf: bytearray, name: str, m: Matrix, rows: int, cols: int) -> None:
+    """Encode ``m``'s entries row by row; it must be rows x cols."""
+    if len(m) != rows or any(len(row) != cols for row in m):
+        raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
+    _w_ints(buf, chain.from_iterable(m))
 
 
 class _Reader:
@@ -156,9 +136,10 @@ class _Reader:
     def ints(self, count: int) -> list[int]:
         """``count`` integers, each a sign byte, u32 length and magnitude.
 
-        Refuses what ``int_`` always refused, with the same message for the
-        first fault in the data: a sign byte other than 0 or 1, negative
-        zero, or an integer cut short.
+        Every payload is read through here.  The first fault in the data is
+        refused with one message whether it is the first integer or a later
+        one: a sign byte other than 0 or 1, negative zero, or an integer cut
+        short.
         """
         data, pos = self.data, self.pos
         unpack_from, from_bytes = _INT_HEADER.unpack_from, int.from_bytes
@@ -200,28 +181,13 @@ class _Reader:
             raise FormatError("bad rational denominator")
         return Fraction(num, den)
 
-    def intvec(self) -> list[int]:
-        return self.ints(self.uint(4))
-
-    def matrix(self, name: str, rows: int, cols: int) -> Matrix:
-        """A matrix that must be rows x cols."""
-        have_rows, have_cols = self.uint(4), self.uint(4)
-        if (have_rows, have_cols) != (rows, cols):
-            raise FormatError(f"{name} is {have_rows}x{have_cols}, expected {rows}x{cols}")
+    def matrix(self, rows: int, cols: int) -> Matrix:
+        """rows x cols integers, row by row."""
         return [self.ints(cols) for _ in range(rows)]
 
     def end(self, what: str = "payload") -> None:
         if self.pos != len(self.data):
             raise FormatError(f"{len(self.data) - self.pos} bytes after the {what}")
-
-    def poly(self, q: int) -> Polynomial:
-        v = self.uint(4)
-        nterms = self.uint(4)
-        terms = {}
-        for _ in range(nterms):
-            mono = tuple(self.uint(2) for _ in range(v))
-            terms[mono] = self.int_()
-        return Polynomial(v, q, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -325,51 +291,58 @@ def load_params(path: str) -> Params:
 
 
 def save_secret_key(sk: SecretKey, path: str) -> None:
+    p, g = sk.params, sk.g
+    if g.v != p.v or g.degree > p.r_g:
+        raise ParameterError(f"g has a term outside the monomials of degree <= "
+                             f"r_g = {p.r_g} in v = {p.v} variables")
     buf = bytearray()
-    _w_poly(buf, sk.g)
-    _w_points(buf, sk.points, sk.params.v)
-    _w_matrix(buf, sk.S)
-    _w_matrix(buf, sk.R1)
-    _w_matrix(buf, sk.R2)
-    _write_container(path, TYPE_SECRET, sk.params, bytes(buf))
+    _w_ints(buf, [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)])
+    _w_matrix(buf, "points", sk.points, p.t, p.v)
+    _w_matrix(buf, "S", sk.S, p.message_bits, p.n)
+    _w_matrix(buf, "R1", sk.R1, p.n, p.n)
+    _w_matrix(buf, "R2", sk.R2, p.message_bits, p.n)
+    _write_container(path, TYPE_SECRET, p, bytes(buf))
 
 
 def load_secret_key(path: str) -> SecretKey:
     params, r = _read_container(path, TYPE_SECRET)
-    g = r.poly(params.q)
-    if (g.v != params.v or g.degree != params.r_g or g.leading_term()[1] != 1
-            or (0,) * g.v not in g.terms):
+    q = params.q
+    # read before enumerating: a block can name C(v + r_g, r_g) monomials
+    # far past what the file holds
+    coeffs = r.ints(math.comb(params.v + params.r_g, params.r_g))
+    if coeffs[-1] % q != 1 or coeffs[0] % q == 0:
         raise FormatError(f"secret key generator is not monic of degree r_g = "
                           f"{params.r_g} in v = {params.v} variables with a "
                           "nonzero constant term")
-    npts = r.uint(4)
-    if npts != params.t:
-        raise FormatError(f"secret key has {npts} points, expected {params.t}")
-    points = [tuple(r.ints(params.v)) for _ in range(npts)]
-    S = r.matrix("S", params.message_bits, params.n)
-    R1 = r.matrix("R1", params.n, params.n)
-    R2 = r.matrix("R2", params.message_bits, params.n)
+    g = Polynomial(params.v, q, dict(zip(enumerate_monomials(params.v, params.r_g),
+                                         coeffs)))
+    points = [tuple(z) for z in r.matrix(params.t, params.v)]
+    S = r.matrix(params.message_bits, params.n)
+    R1 = r.matrix(params.n, params.n)
+    R2 = r.matrix(params.message_bits, params.n)
     r.end()
     try:  # C is invertible exactly when R1 is
         return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
     except SingularMatrixError:
-        raise FormatError(f"secret key R1 is singular mod q = {params.q}") from None
+        raise FormatError(f"secret key R1 is singular mod q = {q}") from None
 
 
 def save_evalkey(evk: EvalKey, path: str) -> None:
+    p = evk.params
+    dim = p.ell * _gadget_width(p.q, p.u)
     buf = bytearray()
-    _w_matrix(buf, evk.P1)
-    _w_matrix(buf, evk.P2)
-    _w_matrix(buf, evk.W)
-    _write_container(path, TYPE_EVALKEY, evk.params, bytes(buf))
+    _w_matrix(buf, "P1", evk.P1, dim, p.t)
+    _w_matrix(buf, "P2", evk.P2, dim, p.t)
+    _w_matrix(buf, "W", evk.W, p.t, p.ell)
+    _write_container(path, TYPE_EVALKEY, p, bytes(buf))
 
 
 def load_evalkey(path: str) -> EvalKey:
     params, r = _read_container(path, TYPE_EVALKEY)
     dim = params.ell * _gadget_width(params.q, params.u)
-    P1 = r.matrix("P1", dim, params.t)
-    P2 = r.matrix("P2", dim, params.t)
-    W = r.matrix("W", params.t, params.ell)
+    P1 = r.matrix(dim, params.t)
+    P2 = r.matrix(dim, params.t)
+    W = r.matrix(params.t, params.ell)
     r.end()
     top = params.n * (params.q - 1)
     for name, P in (("P1", P1), ("P2", P2)):
@@ -382,16 +355,17 @@ def load_evalkey(path: str) -> EvalKey:
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:
+    p = pk.params
     buf = bytearray()
-    _w_matrix(buf, pk.C0)
-    _w_matrix(buf, pk.C_unit)
-    _write_container(path, TYPE_PUBLIC, pk.params, bytes(buf))
+    _w_matrix(buf, "C0", pk.C0, pk_rows(p), p.ell)
+    _w_matrix(buf, "C_unit", pk.C_unit, p.message_bits, p.ell)
+    _write_container(path, TYPE_PUBLIC, p, bytes(buf))
 
 
 def load_public_key(path: str) -> PublicKey:
     params, r = _read_container(path, TYPE_PUBLIC)
-    C0 = r.matrix("C0", pk_rows(params), params.ell)
-    C_unit = r.matrix("C_unit", params.message_bits, params.ell)
+    C0 = r.matrix(pk_rows(params), params.ell)
+    C_unit = r.matrix(params.message_bits, params.ell)
     r.end()
     return PublicKey(params=params, C0=C0, C_unit=C_unit)
 
@@ -401,7 +375,7 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     buf = bytearray()
     _w_uint(buf, ct.level, 4)
     _w_int(buf, ct.noise_hint)
-    _w_intvec(buf, ct.vec)
+    _w_ints(buf, ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
 
 
@@ -413,9 +387,7 @@ def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     hint = r.int_()
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
-    vec = r.intvec()
-    if len(vec) != params.ell:
-        raise FormatError(f"ciphertext length {len(vec)} != ell = {params.ell}")
+    vec = r.ints(params.ell)
     r.end()
     ct = Ciphertext(vec=vec, level=level, q=params.q, noise_hint=hint)
     return ct, params

@@ -286,10 +286,17 @@ def test_eval_refuses_foreign_ciphertext(workdir, tmp_path, capsys):
 
 
 def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
+    # the parameters fix P1, P2 and W's shapes; a file one W entry short
+    # runs out of bytes
     evk = serialize.load_evalkey(str(workdir / "evk.bin"))
+    last = bytearray()
+    serialize._w_int(last, evk.W[-1][-1])
+    body = (workdir / "evk.bin").read_bytes()[:-32]
+    assert body.endswith(last)
+    body = body[:-len(last)]
     bad = str(tmp_path / "evk_bad.bin")
-    evk.P1.pop()
-    serialize.save_evalkey(evk, bad)
+    with open(bad, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
     netlist = tmp_path / "c.txt"
     netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
     ca = str(tmp_path / "ca.bin")
@@ -298,7 +305,7 @@ def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--evalkey", bad, "--circuit", str(netlist),
                  "--in", ca, ca, "--out-prefix", str(tmp_path / "r")]) == 2
-    assert "error: P1 is" in capsys.readouterr().err
+    assert "error: truncated file" in capsys.readouterr().err
 
 
 def test_eval_rejects_non_utf8_netlist(workdir, tmp_path, capsys):
@@ -405,14 +412,14 @@ def test_bench_refuses_fewer_than_one_mult(mults, capsys):
 # byte-identical under a fixed seed; a change here is a format change and
 # needs a VERSION bump.
 PINNED_TOY_SEED_7 = {
-    "params.bin": "a40f7e5f663870318c6311436206cc770113776d52499572eeab3c901b1ce193",
-    "sk.bin": "ecb402f9c6a353b79cffbb49f02e7ea0eeccbac9b081fd4fe7cb6aa3dee8d2c5",
-    "evk.bin": "99bfed5b4e7ffbf4a0f3abc7cda81ded2e98aa53f6d5385ab34345cdd261a07d",
-    "pk.bin": "e4647029eebd6f09e52f9d574355dc05136368ef3ad3a71636751478b0ca9bde",
-    "ct.bin": "6253b9dfcb87755128749586aa3654b2c29681f08abb1ed49287d3ba64b626d9",
-    "pct.bin": "89fb212861e3b580b618798175ccfd9cbc00058962c1425cd8053953e987cbbe",
-    "out0.bin": "73c2e558453a0d5dde0cecb0c62e1be516bde76491aea5a4cc0819a470d37cf3",
-    "out1.bin": "328389d969968d695e49631d0b29764024d96b0240bf24e72a1499e56241dde3",
+    "params.bin": "2e015f9f20513c8c744f137d2de787f1686ea756f313e74f4a8a55a1984756a5",
+    "sk.bin": "4584751db4961da8350c13fdab1bc7d7c58ccb4aee01784659c6640600af60f3",
+    "evk.bin": "78941ca0b0633793a1f31713544a13c4a0269b685189ed10f30d510d122bf932",
+    "pk.bin": "c12524ea882498ac44b3f19869ba2f8be4c6e781be56f9ceeaff789d2148a61d",
+    "ct.bin": "a8cb2c34bb2c035004d8471b7927faaa2c61a0c1ac8438a60573f4028791f217",
+    "pct.bin": "fce9bcf00928d01ccf5de867f852f3dce9da8b4631bfeb5acbba69e461191fd1",
+    "out0.bin": "136e09a98255c7b69ab51f1d0144e2e812be110ec505e5923490d17b4b32bf59",
+    "out1.bin": "afbfdb102d3fa133f95d0654c00b36da4a5219be42ff85d513c6e2055ef017ac",
 }
 
 

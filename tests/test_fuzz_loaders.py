@@ -1,7 +1,8 @@
 """Fuzzed containers: a file with a few bytes changed, or cut short, and its
 checksum re-sealed must load or be refused with an MvpheError, never a
 traceback of another kind; and every CLI verb that reads it must finish, or
-print ``error: …`` and exit 2."""
+print ``error: …`` and exit 2.  Each example runs under a 10 s stall guard,
+so a loader that stalls fails with its input shown."""
 
 import hashlib
 import io
@@ -100,12 +101,13 @@ def _fuzz(data, body: bytearray) -> bytes:
 @pytest.mark.parametrize("kind", list(LOADERS))
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_fuzzed_file_loads_or_is_refused(toy_bodies, kind, data):
+def test_fuzzed_file_loads_or_is_refused(toy_bodies, stall_guard, kind, data):
     paths, bodies = toy_bodies
     with open(paths["f"], "wb") as fh:
         fh.write(_fuzz(data, bytearray(bodies[kind])))
     try:
-        LOADERS[kind](paths["f"])
+        with stall_guard():
+            LOADERS[kind](paths["f"])
     except MvpheError:
         pass
 
@@ -113,7 +115,7 @@ def test_fuzzed_file_loads_or_is_refused(toy_bodies, kind, data):
 @pytest.mark.parametrize("kind", list(VERB_RUNS))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_fuzzed_file_through_cli_verbs(toy_bodies, kind, data):
+def test_fuzzed_file_through_cli_verbs(toy_bodies, stall_guard, kind, data):
     paths, bodies = toy_bodies
     with open(paths["f"], "wb") as fh:
         fh.write(_fuzz(data, bytearray(bodies[kind])))
@@ -121,7 +123,8 @@ def test_fuzzed_file_through_cli_verbs(toy_bodies, kind, data):
         err = io.StringIO()
         # a loaded ciphertext may carry any noise hint; decrypt's warning
         # about a large one is a `warning: ` line, not a failure
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with (redirect_stdout(io.StringIO()), redirect_stderr(err),
+              stall_guard()):
             code = main([arg.format(**paths) for arg in run.split()])
         assert code == 0 or (code == 2 and err.getvalue().startswith("error: ")), run
         assert all(line.startswith(("warning: ", "error: "))

@@ -136,11 +136,12 @@ def test_bad_magic(tmp_path, toy_params):
 def test_version_gate_precedes_checksum(tmp_path, toy_params):
     # changing the version also breaks the digest; the version error must
     # win, for a future version, for version 1, which stored six fields
-    # that the parameters fix, and for version 2, which stored the noise
-    # hint as a rational
-    assert VERSION == 3
+    # that the parameters fix, for version 2, which stored the noise hint
+    # as a rational, and for version 3, which stored matrix shapes, vector
+    # lengths, a point count and g as a sparse term list
+    assert VERSION == 4
     path = str(tmp_path / "p.bin")
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         save_params(toy_params, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
@@ -191,19 +192,19 @@ def _encode(*xs: int) -> bytes:
 
 
 def _read_nine(form: str, entries: bytes):
-    """Read nine integers from ``entries`` as nine int_ calls, one intvec or
-    one 3x3 matrix."""
+    """Read nine integers from ``entries`` as nine int_ calls, one ints call
+    or one 3x3 matrix."""
     if form == "int_":
         r = _Reader(entries)
         return [r.int_() for _ in range(9)]
-    if form == "intvec":
-        return _Reader((9).to_bytes(4, "little") + entries).intvec()
-    return _Reader((3).to_bytes(4, "little") * 2 + entries).matrix("M", 3, 3)
+    if form == "ints":
+        return _Reader(entries).ints(9)
+    return _Reader(entries).matrix(3, 3)
 
 
 def test_reader_rejects_malformed_primitives():
     """Each malformed integer is refused with the same message, read through
-    int_, intvec or matrix, as the first entry or a middle one."""
+    int_, ints or matrix, as the first entry or a middle one."""
     good = _encode(-3)
     header = bytes([0]) + (2).to_bytes(4, "little")  # a two-byte magnitude
     malformed = [  # (bad entry, whether entries may follow it, message)
@@ -217,7 +218,7 @@ def test_reader_rejects_malformed_primitives():
     for bad, more, message in malformed:
         for at in (0, 4):
             entries = good * at + bad + (good * (8 - at) if more else b"")
-            for form in ("int_", "intvec", "matrix"):
+            for form in ("int_", "ints", "matrix"):
                 with pytest.raises(FormatError, match=f"^{message}$"):
                     _read_nine(form, entries)
     # denominators must be positive
@@ -227,7 +228,7 @@ def test_reader_rejects_malformed_primitives():
             _Reader(data).fraction()
 
 
-@pytest.mark.parametrize("form", ["int_", "intvec", "matrix"])
+@pytest.mark.parametrize("form", ["int_", "ints", "matrix"])
 def test_reader_decodes_up_to_the_last_byte(form):
     xs = [0, 1, -1, 255, -256, 1 << 70, 7, -(1 << 40), 3]
     entries = _encode(*xs)
@@ -249,6 +250,9 @@ def test_integer_encoding_roundtrips_and_matches_reference():
 
 
 # --- shape and range checks (files re-sealed with a valid checksum) ---------
+# The parameters fix every payload's layout: a mis-shaped field is refused
+# when saving, and a file whose payload has the wrong number of integers
+# when loading.
 
 def _patch_payload(path: str, offset: int, old_len: int, new: bytes) -> None:
     """Replace ``old_len`` bytes at ``offset`` into the payload (negative:
@@ -262,13 +266,20 @@ def _patch_payload(path: str, offset: int, old_len: int, new: bytes) -> None:
         fh.write(body + hashlib.sha256(body).digest())
 
 
+def _refused_unsaved(save, obj, path, message: str) -> None:
+    """``save(obj, path)`` raises ParameterError and writes no file."""
+    with pytest.raises(ParameterError, match=message):
+        save(obj, str(path))
+    assert not path.exists()
+
+
 def test_evalkey_factor_shapes_checked(tmp_path, toy_evk):
-    path = str(tmp_path / "evk.bin")
+    p = toy_evk.params
+    rows = p.ell * (p.u + p.q_bits)
     for bad in (replace(toy_evk, P1=toy_evk.P1[:-1]),
                 replace(toy_evk, P2=[row[:-1] for row in toy_evk.P2])):
-        save_evalkey(bad, path)
-        with pytest.raises(FormatError, match="P[12] is"):
-            load_evalkey(path)
+        _refused_unsaved(save_evalkey, bad, tmp_path / "evk.bin",
+                         f"^P[12] must be {rows}x{p.t} for these parameters$")
 
 
 def test_evalkey_factor_range_checked(tmp_path, toy_sk, toy_evk, capsys):
@@ -322,20 +333,21 @@ def test_evalkey_w_range_checked(tmp_path, toy_sk, toy_evk, capsys):
 
 
 def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
-    path = str(tmp_path / "evk.bin")
+    p = toy_evk.params
     for bad in (replace(toy_evk, W=toy_evk.W[:-1]),
                 replace(toy_evk, W=[row[:-1] for row in toy_evk.W])):
-        save_evalkey(bad, path)
-        with pytest.raises(FormatError, match="W is"):
-            load_evalkey(path)
+        _refused_unsaved(save_evalkey, bad, tmp_path / "evk.bin",
+                         f"^W must be {p.t}x{p.ell} for these parameters$")
     # the key's u is its parameter block's, the block's last u32; P1 and P2
-    # must have ell·(u + q_bits) rows for it
-    save_evalkey(toy_evk, path)
-    p = toy_evk.params
-    _patch_payload(path, -4, 4, (p.u + 1).to_bytes(4, "little"))
-    have, want = len(toy_evk.P1), p.ell * (p.u + 1 + p.q_bits)
-    with pytest.raises(FormatError, match=f"P1 is {have}x{p.t}, expected {want}x{p.t}"):
-        load_evalkey(path)
+    # have ell·(u + q_bits) rows for it, so a u patched up reads past the
+    # end, and one patched down leaves 2·ell·t integers unread
+    path = str(tmp_path / "evk.bin")
+    for u, message in ((p.u + 1, "^truncated file$"),
+                       (p.u - 1, r"^\d+ bytes after the payload$")):
+        save_evalkey(toy_evk, path)
+        _patch_payload(path, -4, 4, u.to_bytes(4, "little"))
+        with pytest.raises(FormatError, match=message):
+            load_evalkey(path)
 
 
 def _patch_params_u32(path: str, field: int, value: int) -> None:
@@ -410,42 +422,62 @@ def test_params_block_stray_bytes_refused(tmp_path, toy_params, capsys):
 
 
 def test_key_matrix_shapes_checked(tmp_path, toy_sk):
-    path = str(tmp_path / "key.bin")
-    for name in ("S", "R1", "R2"):
+    path = tmp_path / "key.bin"
+    for name in ("points", "S", "R1", "R2"):
         m = getattr(toy_sk, name)
+        rows, cols = len(m), len(m[0])
         for bad in (m[:-1], [row[:-1] for row in m]):
             key = copy.copy(toy_sk)
             setattr(key, name, bad)
-            save_secret_key(key, path)
-            with pytest.raises(FormatError, match=f"{name} is"):
-                load_secret_key(path)
+            _refused_unsaved(save_secret_key, key, path,
+                             f"^{name} must be {rows}x{cols} for these parameters$")
     pk = pk_keygen(toy_sk, Random(150))
     for bad in (replace(pk, C0=[row[:-1] for row in pk.C0]),
                 replace(pk, C0=pk.C0[:1]),
                 replace(pk, C_unit=[row[:-1] for row in pk.C_unit]),
                 replace(pk, C_unit=pk.C_unit[:-1])):
-        save_public_key(bad, path)
-        with pytest.raises(FormatError, match="C0 is|C_unit is"):
-            load_public_key(path)
+        _refused_unsaved(save_public_key, bad, path, "^(C0|C_unit) must be ")
 
 
 def test_secret_key_generator_checked(tmp_path, toy_sk):
     """g must be what keygen draws: v variables, degree r_g, monic under
-    grevlex, nonzero constant term.  A scaled g would otherwise load and
-    evaluate, and g·g would load and fail only at evalkey."""
+    grevlex, nonzero constant term.  The file holds g's coefficients on the
+    monomials of degree <= r_g in v variables, so a g with a term outside
+    them is refused when saving; a scaled g, a g of lower degree or one
+    with a zero constant would otherwise load and evaluate, so the loader
+    refuses them."""
     p = toy_sk.params
     g = toy_sk.g
     const = (0,) * p.v
-    path = str(tmp_path / "key.bin")
+    lead = g.leading_term()[0]
+    path = tmp_path / "key.bin"
     for bad in (Polynomial(p.v + 1, p.q, {(1,) + const: 1, (0,) + const: 5}),
-                g * g,
-                g.scale(2),
+                g * g):
+        key = copy.copy(toy_sk)
+        key.g = bad
+        _refused_unsaved(save_secret_key, key, path, "^g has a term outside the "
+                         f"monomials of degree <= r_g = {p.r_g} in v = {p.v}")
+    for bad in (g.scale(2),
+                g - Polynomial.monomial(p.v, p.q, lead),
                 g - Polynomial.monomial(p.v, p.q, const, g.terms[const])):
         key = copy.copy(toy_sk)
         key.g = bad
-        save_secret_key(key, path)
+        save_secret_key(key, str(path))
         with pytest.raises(FormatError, match="generator is not monic of degree"):
-            load_secret_key(path)
+            load_secret_key(str(path))
+
+
+def test_secret_key_huge_r_g_refused_at_once(tmp_path, toy_sk, stall_guard):
+    """A block patched to r_g = 40000 names C(40002, 2) ≈ 8·10^8 monomials of
+    g.  The loader reads their coefficients before it enumerates them, so it
+    runs out of bytes at once instead of stalling on the enumeration."""
+    path = str(tmp_path / "key.bin")
+    save_secret_key(toy_sk, path)
+    _patch_params_u32(path, 3, 40000)
+    start = time.perf_counter()
+    with stall_guard(), pytest.raises(FormatError):
+        load_secret_key(path)
+    assert time.perf_counter() - start < 5
 
 
 def test_secret_key_singular_r1_refused(tmp_path, toy_sk):
@@ -474,6 +506,8 @@ def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
 
 
 def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
+    """The level must lie in 0..L and the hint be nonnegative; a vector of
+    another length is refused by test_payload_one_integer_off_refused."""
     path = str(tmp_path / "ct.bin")
     vec = [3] * toy_params.ell
     save_ciphertext(Ciphertext(vec=vec, level=toy_params.L, q=toy_params.q,
@@ -483,26 +517,55 @@ def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
                     toy_params, path)
     with pytest.raises(FormatError, match="level 99"):
         load_ciphertext(path)
-    # Ciphertext refuses a negative hint, and save_ciphertext a short vector,
-    # so write both into the file: the hint follows the u32 level, and the
-    # vector follows the hint
+    # Ciphertext refuses a negative hint, so write it into the file: the
+    # hint follows the u32 level
     save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
                     toy_params, path)
-    hint, negative, full, short = bytearray(), bytearray(), bytearray(), bytearray()
-    _w_int(hint, 0)
-    _w_int(negative, -1)
-    _patch_payload(path, 4, len(hint), bytes(negative))
+    _patch_payload(path, 4, len(_encode(0)), _encode(-1))
     with pytest.raises(FormatError, match="negative noise hint -1"):
         load_ciphertext(path)
-    save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
-                    toy_params, path)
-    for buf, v in ((full, vec), (short, vec[:-1])):
-        _w_uint(buf, len(v), 4)
-        _w_ints(buf, v)
-    _patch_payload(path, 4 + len(hint), len(full), bytes(short))
-    with pytest.raises(FormatError, match=f"ciphertext length {toy_params.ell - 1} "
-                                          f"!= ell = {toy_params.ell}"):
-        load_ciphertext(path)
+    # and save_ciphertext refuses a vector of another length
+    with pytest.raises(ParameterError, match=f"must have {toy_params.ell} entries"):
+        save_ciphertext(Ciphertext(vec=vec[:-1], level=0, q=toy_params.q,
+                                   noise_hint=0), toy_params, str(tmp_path / "c2.bin"))
+    assert not (tmp_path / "c2.bin").exists()
+
+
+def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
+    """The parameters fix how many integers each payload holds, so a file
+    one integer short is truncated and one integer long has bytes after its
+    payload.  A parameters file has no payload; its block one u32 short (u
+    cut) is truncated."""
+    ct = encrypt(toy_sk, [1, 0], Random(155))
+    pk = pk_keygen(toy_sk, Random(156))
+    kinds = [  # (save, load, the payload's last integer)
+        (lambda path: save_secret_key(toy_sk, path), load_secret_key, toy_sk.R2[-1][-1]),
+        (lambda path: save_evalkey(toy_evk, path), load_evalkey, toy_evk.W[-1][-1]),
+        (lambda path: save_public_key(pk, path), load_public_key, pk.C_unit[-1][-1]),
+        (lambda path: save_ciphertext(ct, toy_params, path), load_ciphertext, ct.vec[-1]),
+    ]
+    path = tmp_path / "f.bin"
+    for save, load, last in kinds:
+        save(str(path))
+        body = path.read_bytes()[:-32]
+        assert body.endswith(_encode(last))
+        for changed, message in ((body[:-len(_encode(last))], "^truncated file$"),
+                                 (body + _encode(last), f"^{len(_encode(last))} "
+                                                        "bytes after the payload$")):
+            path.write_bytes(changed + hashlib.sha256(changed).digest())
+            with pytest.raises(FormatError, match=message):
+                load(str(path))
+    save_params(toy_params, str(path))
+    body = path.read_bytes()[:-36]  # the block's last u32 is u
+    body = body[:7] + (len(body) - 11).to_bytes(4, "little") + body[11:]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(FormatError, match="^truncated file$"):
+        load_params(str(path))
+    save_params(toy_params, str(path))
+    body = path.read_bytes()[:-32] + _encode(0)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(FormatError, match="^5 bytes after the payload$"):
+        load_params(str(path))
 
 
 # --- fingerprints -----------------------------------------------------------
