@@ -10,7 +10,7 @@ README for the quickstart; the usual flow is
     c   = encrypt(sk, [0, 1], Random(3))
 """
 
-from .arith import NoiseSampler, random_prime, round_nearest
+from .arith import NoiseSampler, random_prime
 from .circuit import Circuit, eval_homomorphic, eval_plain, parse_circuit
 from .errors import (
     ConstructionError,
@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # arithmetic
-    "NoiseSampler", "round_nearest", "random_prime",
+    "NoiseSampler", "random_prime",
     # polynomials
     "Polynomial", "enumerate_monomials", "reduce_by_set",
     # keys and parameters

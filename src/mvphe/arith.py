@@ -7,6 +7,11 @@ the noise sampler's acceptance weights, and each weight is rounded to a
 fixed integer (a numerator at a fixed power-of-two denominator) before use,
 so the sample stream is reproducible bit-for-bit from a seed.
 
+Every uniform draw below a bound is ``randbelow``, on the generator's
+``getrandbits`` alone: it draws what ``Random.randrange`` draws, without
+that method's argument handling.  (``random_prime`` takes its candidates'
+bits from ``getrandbits`` directly.)
+
 The balanced representative convention: an integer x reduced mod an odd
 prime q is reported in the interval (−q/2, q/2].  Serialization and all
 cross-module arithmetic use this form.
@@ -21,6 +26,19 @@ from typing import Union
 from .errors import ParameterError
 
 Rational = Union[int, Fraction]
+
+
+def randbelow(rng, n: int) -> int:
+    """Uniform in [0, n) for n >= 1: n.bit_length() bits from
+    ``rng.getrandbits``, redrawn while they read n or more.  That is the
+    draw of ``Random.randrange(n)``, so a seeded stream gives the same
+    values through either."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
 
 _MR_ROUNDS = 64  # error probability <= 4^-64 = 2^-128 per candidate
 
@@ -66,7 +84,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
         return not any(_miller_rabin_witness(n, a) for a in _PROOF_BASES if a < n)
     for i in range(_MR_ROUNDS):
         if rng is not None:
-            a = rng.randrange(2, n - 1)
+            a = 2 + randbelow(rng, n - 3)
         else:
             a = 2 + i * 0x9E3779B97F4A7C15 % (n - 3)
         if _miller_rabin_witness(n, a):
@@ -80,11 +98,6 @@ def balance(x: int, q: int) -> int:
     return r - q if r > q // 2 else r
 
 
-def round_nearest(x: Rational) -> int:
-    """Nearest integer to x, half-values rounding toward +infinity."""
-    return math.floor(2 * x + 1) // 2
-
-
 def approx(x: Rational, spec: str) -> str:
     """A nonnegative number for display: ``format(float(x), spec)``, or
     2^k with k = log2 x in ``spec`` for an int past the float range."""
@@ -94,7 +107,7 @@ def approx(x: Rational, spec: str) -> str:
         return f"2^{math.log2(x):{spec}}"
 
 
-_WEIGHT_BITS = 48  # acceptance weights are numerators over 2^48
+_WEIGHT_SCALE = 1 << 48  # acceptance weights are numerators over 2^48
 
 
 class NoiseSampler:
@@ -120,6 +133,7 @@ class NoiseSampler:
         self.sigma = sigma
         self.rng = rng
         self.bound = math.ceil(6 * Fraction(sigma))
+        self._width = 2 * self.bound + 1  # candidates -bound..bound
         s = float(sigma)
         self._two_s2 = 2 * s * s
 
@@ -127,11 +141,11 @@ class NoiseSampler:
         """One sample, |result| <= bound, reproducible from the rng state."""
         if self.sigma == 0:
             return 0
-        scale = 1 << _WEIGHT_BITS
+        rng, bound, width, two_s2 = self.rng, self.bound, self._width, self._two_s2
         while True:
-            x = self.rng.randrange(-self.bound, self.bound + 1)
-            weight = round(scale * math.exp(-(x * x) / self._two_s2))
-            if self.rng.randrange(scale) < weight:
+            x = randbelow(rng, width) - bound
+            weight = round(_WEIGHT_SCALE * math.exp(-(x * x) / two_s2))
+            if randbelow(rng, _WEIGHT_SCALE) < weight:
                 return x
 
 

@@ -32,7 +32,7 @@ from random import Random
 
 from . import circuit as circuit_mod
 from . import serialize
-from .arith import approx
+from .arith import approx, randbelow
 from .errors import MvpheError
 from .keys import PRESETS, Params, build_evalkey, keygen, preset_params, setup
 from .she import (
@@ -223,8 +223,8 @@ def cmd_bench(args) -> int:
         p = preset_params(name, rng=rng)
         sk = keygen(p, rng)
         evk = build_evalkey(sk, rng=rng)
-        m1 = [rng.randrange(2) for _ in range(p.message_bits)]
-        m2 = [rng.randrange(2) for _ in range(p.message_bits)]
+        m1 = [randbelow(rng, 2) for _ in range(p.message_bits)]
+        m2 = [randbelow(rng, 2) for _ in range(p.message_bits)]
         c1 = encrypt(sk, m1, rng)
         c2 = encrypt(sk, m2, rng)
         eval_mult(evk, c1, c2)  # warmup

@@ -51,7 +51,13 @@ transforms: every entry of a transform is c·2^s less a carry, and all the
 carries of an entry c come from the bits of one quotient, so t·P_i is
 c·P_red plus a subset sum of carry rows (``_carry_product``).  Those rows
 are Kronecker-packed once per key object, on its first AND
-(``EvalKey.packed``, ``_carry_table``).
+(``EvalKey.packed``, ``_carry_table``), and kept as hex windows, the 16
+subset sums of each four rows, so a carry sum is one lookup per hex digit
+of the quotient.  When P2 equals P1 (zero masking, every preset but
+``small``) one table serves both products.
+
+The evaluation key is not public: P_i's first ell columns are the bits of
+D·2^u + eps_i, and rounding off the u low bits gives D and so S_dec.
 """
 
 from __future__ import annotations
@@ -61,11 +67,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
-from operator import mul
+from operator import getitem, mul
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .arith import Rational, is_probable_prime, random_prime
+from .arith import Rational, is_probable_prime, randbelow, random_prime
 from .errors import (
     ConstructionError,
     GenerationFailure,
@@ -390,18 +396,18 @@ def _sample_generator(p: Params, rng: Random) -> Polynomial:
     """Monic degree-r_g polynomial with a nonzero constant term."""
     q = p.q
     monos = enumerate_monomials(p.v, p.r_g)
-    terms = {m: rng.randrange(q) for m in monos}
+    terms = {m: randbelow(rng, q) for m in monos}
     lead = max((m for m in monos if sum(m) == p.r_g), key=grevlex_key)
     terms[lead] = 1
     const = (0,) * p.v
     if terms.get(const, 0) % q == 0:
-        terms[const] = rng.randrange(1, q)
+        terms[const] = 1 + randbelow(rng, q - 1)
     return Polynomial(p.v, q, terms)
 
 
 def _sample_point(p: Params, g: Polynomial, rng: Random) -> tuple[int, ...]:
     for _ in range(RETRY_CAP * 100):
-        z = tuple(rng.randrange(p.q) for _ in range(p.v))
+        z = tuple(randbelow(rng, p.q) for _ in range(p.v))
         if g.eval(z) != 0:
             return z
     raise GenerationFailure("could not find a point where g is nonzero")
@@ -477,12 +483,12 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
         S = [list(col) for col in zip(*S_t)]
         for _ in range(RETRY_CAP):
-            R1 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.n)]
+            R1 = [[randbelow(rng, q) for _ in range(p.n)] for _ in range(p.n)]
             if rank_mod_q(R1, q) == p.n:
                 break
         else:
             continue
-        R2 = [[rng.randrange(q) for _ in range(p.n)] for _ in range(p.ell - p.n)]
+        R2 = [[randbelow(rng, q) for _ in range(p.n)] for _ in range(p.ell - p.n)]
         return SecretKey(params=p, g=g, points=pts, S=S, R1=R1, R2=R2)
     raise GenerationFailure(
         f"key generation failed after {RETRY_CAP} attempts; parameters degenerate?"
@@ -510,9 +516,9 @@ class CarryTable(NamedTuple):
     """A key factor P regrouped for ``_carry_product``, rows packed at one
     slot width by ``pack_rows``."""
 
-    low: list[int]            # P_red,i, one per ciphertext entry i
-    carries: list[list[int]]  # H_i,b for b = 0..q_bits − 2
-    width: int                # bytes per slot
+    low: list[int]                  # P_red,i, one per ciphertext entry i
+    windows: list[list[list[int]]]  # entry i's subset sums of H_i,b, by fours
+    width: int                      # bytes per slot
     cols: int
 
 
@@ -520,17 +526,20 @@ def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
     """Regroup the rows of P (position-major, u + K of them per entry, K =
     q_bits) by the carry identity of ``_carry_product``.
 
-    With R_k the row of entry i at position u + k and S_0 = 0, the rows are
-    H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
-    P_red = sum_(s <= u) 2^s·P[s·ell + i] + 2^(u+1)·S_(K−1).  Each row of P
-    is packed once, one entry's rows at a time; the rest are sums of packed
-    rows.  The slot width is the one a product with any balanced vector
-    needs, since its slots are the entries of t·P with every
-    |t_k| <= (q·2^u)/2.
+    With R_k the row of entry i at position u + k and S_0 = 0, the carry
+    rows are H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
+    P_red = sum_(s <= u) 2^s·P[s·ell + i] + 2^(u+1)·S_(K−1).  The H_b are
+    kept only as hex windows: window j holds, at each index d < 16, the
+    sum of the H_(4j+k) whose bit k is set in d, so the carry sum of a
+    quotient is one lookup per hex digit.  The last window is shorter when
+    4 does not divide K − 1.  Each row of P is packed once, one entry's
+    rows at a time; the rest are sums of packed rows.  The slot width is
+    the one a product with any balanced vector needs, since its slots are
+    the entries of t·P with every |t_k| <= (q·2^u)/2.
     """
     ell = len(P) // _gadget_width(q, u)
     width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
-    low, carries = [], []
+    low, windows = [], []
     for i in range(ell):
         R = pack_rows(P[i::ell], width)  # position s of entry i; R_k = R[u + k]
         S, H = 0, []
@@ -538,16 +547,22 @@ def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
             H.append(S + r)
             S = 2 * S + r
         low.append(sum(r << s for s, r in enumerate(R[:u + 1])) + (S << (u + 1)))
-        carries.append(H)
-    return CarryTable(low, carries, width, len(P[0]))
+        entry = []
+        for j in range(0, len(H), 4):
+            sums = [0]
+            for h in H[j:j + 4]:
+                sums += [x + h for x in sums]
+            entry.append(sums)
+        windows.append(entry)
+    return CarryTable(low, windows, width, len(P[0]))
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
+_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def _bits(F: int) -> bytes:
-    """The bits of F >= 0, least significant first, one 0/1 byte each."""
-    return bin(F)[:1:-1].encode().translate(_BITS)
+def _hex_digits(F: int) -> bytes:
+    """The hex digits of F >= 0, least significant first, one byte each."""
+    return f"{F:x}".encode().translate(_HEX)[::-1]
 
 
 def _carry_product(vec: Sequence[int], table: CarryTable, q: int, u: int) -> list[int]:
@@ -562,17 +577,18 @@ def _carry_product(vec: Sequence[int], table: CarryTable, q: int, u: int) -> lis
 
         t·P = sum_i c_i·P_red,i − M·sum_i sign(c_i)·sum_(b in bits(F_i)) H_i,b,
 
-    one multiply-add per entry plus a subset sum of its carry rows, all on
-    packed integers and read back by one ``unpack_slots``.  Entries of
-    ``vec`` must be balanced, |c| <= (q − 1)/2, as ``Ciphertext`` keeps them.
+    one multiply-add per entry plus a subset sum of its carry rows, taken as
+    one window lookup per hex digit of F_i, all on packed integers and read
+    back by one ``unpack_slots``.  Entries of ``vec`` must be balanced,
+    |c| <= (q − 1)/2, as ``Ciphertext`` keeps them.
     """
     K = q.bit_length()
     carry = 0
-    for c, H in zip(vec, table.carries):
+    for c, windows in zip(vec, table.windows):
         if c > 0:
-            carry += sum(compress(H, _bits((c << K) // q)))
+            carry += sum(map(getitem, windows, _hex_digits((c << K) // q)))
         elif c < 0:
-            carry -= sum(compress(H, _bits((-c << K) // q)))
+            carry -= sum(map(getitem, windows, _hex_digits((-c << K) // q)))
     total = sum(map(mul, vec, table.low)) - (carry * q << u)
     return unpack_slots(total, table.width, table.cols)
 
@@ -607,7 +623,7 @@ def _sample_masking_block(p: Params, rng: Random) -> Matrix:
     kmax = math.ceil(bound) - 1
     if kmax <= 0:
         return zeros(p.n, p.ell - p.n)
-    return [[rng.randint(-kmax, kmax) for _ in range(p.ell - p.n)]
+    return [[randbelow(rng, 2 * kmax + 1) - kmax for _ in range(p.ell - p.n)]
             for _ in range(p.n)]
 
 
@@ -673,19 +689,24 @@ def _reduction_map(sk: SecretKey, F1p: Matrix) -> Matrix:
 
 @dataclass
 class EvalKey:
-    """Public multiplication key in factored form.
+    """Multiplication key in factored form.  It must be kept like the
+    secret key: whoever holds it can decrypt.
 
     ``P1``/``P2`` hold D_i~·A = [D_i~ | D_i~[:, :n]·E]: the bit-decomposed
-    columns of D_i times A, as plain integers in 0..n(q − 1).  ``W`` is the
-    balanced combined third factor B·Q·R mod q.  The full tensor M has dims
-    input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
-    never needs it.
+    columns of D_i times A, as plain integers in 0..n(q − 1).  The first
+    ell columns are D_i~ itself, the bits of D·2^u + eps_i, and the masking
+    keeps |eps_i| < 2^u/(4n), short of the rounding boundary 2^(u − 1): so
+    D mod q, and its last ell − n columns S_dec, can be read off either
+    factor.  ``W`` is the balanced combined third factor B·Q·R mod q.  The
+    full tensor M has dims input_dim x input_dim x ell (input_dim =
+    ell·(u + q_bits)); evaluation never needs it.
 
     ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
-    (``_carry_table``: the packed rows P_red and H of the carry identity).
-    It is not part of the key: equality, repr and files ignore it, and
-    ``replace`` gives a key that builds its own tables afresh.  Mutating
-    P1 or P2 in place after the first eval_mult leaves it stale.
+    (``_carry_table``: the packed rows P_red and the hex windows of the
+    carry rows H), one table given twice when P2 == P1.  It is not part of
+    the key: equality, repr and files ignore it, and ``replace`` gives a
+    key that builds its own tables afresh.  Mutating P1 or P2 in place
+    after the first eval_mult leaves it stale.
     """
 
     params: Params
@@ -700,9 +721,11 @@ class EvalKey:
     @cached_property
     def packed(self) -> tuple[CarryTable, CarryTable]:
         """P1 and P2 as the carry tables of ``_carry_table``, built on
-        first use."""
+        first use; one table, given twice, when P2 equals P1."""
         p = self.params
-        return _carry_table(self.P1, p.q, p.u), _carry_table(self.P2, p.q, p.u)
+        T1 = _carry_table(self.P1, p.q, p.u)
+        T2 = T1 if self.P2 == self.P1 else _carry_table(self.P2, p.q, p.u)
+        return T1, T2
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:

@@ -11,7 +11,8 @@ into one integer turns a vector-matrix product into one big-integer
 multiply-add per row.  ``mat_mul`` and encryption (``she.encrypt``, on the
 secret key's packed C) multiply that way, and AND's carry tables
 (``keys._carry_table``) are sums of such rows read back by one
-``unpack_slots``.
+``unpack_slots``, which splits every slot with one ``struct`` call cached
+per (width, cols) shape.
 ``solve_mod_q`` is the one entry point for linear systems: it solves
 A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
 against the identity.
@@ -27,6 +28,7 @@ entry by entry.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 from operator import mul
 from struct import Struct
@@ -111,17 +113,26 @@ def pack_rows(M: Matrix, width: int) -> list[int]:
         raise ParameterError("pack_rows needs a nonnegative matrix") from None
 
 
+@lru_cache(maxsize=64)
+def _slot_reader(width: int, cols: int):
+    """For ``unpack_slots`` at one shape: the unpacker that splits
+    ``cols`` slots of ``width`` bytes in one call, the bias of half per
+    slot, and half = 2^(8·width − 1)."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * cols, "little")
+    return Struct("<" + f"{width}s" * cols).unpack, bias, half
+
+
 def unpack_slots(total: int, width: int, cols: int) -> list[int]:
     """The ``cols`` signed slots of a combination of rows packed by
     ``pack_rows`` at ``width``; each must lie strictly inside
     ±2^(8·width − 1), which is the caller's to keep."""
-    half = 1 << (8 * width - 1)
-    # a bias of half per slot lifts every slot into [0, 2^(8w)), so the
-    # sum's bytes split into slots with no borrows to undo
-    bias = int.from_bytes(half.to_bytes(width, "little") * cols, "little")
-    data = (total + bias).to_bytes(width * cols, "little")
-    return [int.from_bytes(data[j:j + width], "little") - half
-            for j in range(0, width * cols, width)]
+    unpack, bias, half = _slot_reader(width, cols)
+    from_bytes = int.from_bytes
+    # the bias lifts every slot into [0, 2^(8w)), so the sum's bytes split
+    # into slots with no borrows to undo
+    return [from_bytes(b, "little") - half
+            for b in unpack((total + bias).to_bytes(width * cols, "little"))]
 
 
 def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:

@@ -35,6 +35,16 @@ build_evalkey balances it.  Public-key files store exactly
 d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
 of the unit vectors.  Ciphertext files store the level, the noise hint,
 one integer that must be nonnegative, and the ell entries of the vector.
+
+Files are canonical: every residue is stored in the one form the package
+makes, so one key has one byte string.  g's coefficients and every
+public-key and ciphertext entry are balanced, in −floor(q/2)..floor(q/2),
+and the points, S, R1 and R2 lie in 0..q − 1.  Each loader refuses any
+other form with FormatError, after one min and one max pass per field, and
+``save_secret_key``, ``save_public_key`` and ``save_ciphertext`` refuse it
+with ParameterError.  ``save_evalkey`` writes P1, P2 and W unchecked: the
+same passes over a bench16 key cost about 3 ms, and the keys it is given
+come from ``build_evalkey``.
 """
 
 from __future__ import annotations
@@ -116,6 +126,14 @@ def _w_matrix(buf: bytearray, name: str, m: Matrix, rows: int, cols: int) -> Non
     if len(m) != rows or any(len(row) != cols for row in m):
         raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
     _w_ints(buf, chain.from_iterable(m))
+
+
+def _check_range(name: str, m: Matrix, lo: int, hi: int,
+                 error: type[Exception]) -> None:
+    """Refuse, with ``error``, a nonempty matrix with an entry outside
+    lo..hi: one min and one max pass, however large the matrix."""
+    if min(map(min, m)) < lo or max(map(max, m)) > hi:
+        raise error(f"{name} has an entry outside {lo}..{hi}")
 
 
 class _Reader:
@@ -295,12 +313,16 @@ def save_secret_key(sk: SecretKey, path: str) -> None:
     if g.v != p.v or g.degree > p.r_g:
         raise ParameterError(f"g has a term outside the monomials of degree <= "
                              f"r_g = {p.r_g} in v = {p.v} variables")
+    coeffs = [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)]
+    _check_range("g", [coeffs], -(p.q // 2), p.q // 2, ParameterError)
     buf = bytearray()
-    _w_ints(buf, [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)])
-    _w_matrix(buf, "points", sk.points, p.t, p.v)
-    _w_matrix(buf, "S", sk.S, p.message_bits, p.n)
-    _w_matrix(buf, "R1", sk.R1, p.n, p.n)
-    _w_matrix(buf, "R2", sk.R2, p.message_bits, p.n)
+    _w_ints(buf, coeffs)
+    for name, m, rows, cols in (("points", sk.points, p.t, p.v),
+                                ("S", sk.S, p.message_bits, p.n),
+                                ("R1", sk.R1, p.n, p.n),
+                                ("R2", sk.R2, p.message_bits, p.n)):
+        _w_matrix(buf, name, m, rows, cols)
+        _check_range(name, m, 0, p.q - 1, ParameterError)
     _write_container(path, TYPE_SECRET, p, bytes(buf))
 
 
@@ -310,17 +332,21 @@ def load_secret_key(path: str) -> SecretKey:
     # read before enumerating: a block can name C(v + r_g, r_g) monomials
     # far past what the file holds
     coeffs = r.ints(math.comb(params.v + params.r_g, params.r_g))
-    if coeffs[-1] % q != 1 or coeffs[0] % q == 0:
+    _check_range("g", [coeffs], -(q // 2), q // 2, FormatError)
+    if coeffs[-1] != 1 or coeffs[0] == 0:
         raise FormatError(f"secret key generator is not monic of degree r_g = "
                           f"{params.r_g} in v = {params.v} variables with a "
                           "nonzero constant term")
     g = Polynomial(params.v, q, dict(zip(enumerate_monomials(params.v, params.r_g),
                                          coeffs)))
-    points = [tuple(z) for z in r.matrix(params.t, params.v)]
+    points = r.matrix(params.t, params.v)
     S = r.matrix(params.message_bits, params.n)
     R1 = r.matrix(params.n, params.n)
     R2 = r.matrix(params.message_bits, params.n)
     r.end()
+    for name, m in (("points", points), ("S", S), ("R1", R1), ("R2", R2)):
+        _check_range(name, m, 0, q - 1, FormatError)
+    points = [tuple(z) for z in points]
     try:  # C is invertible exactly when R1 is
         return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
     except SingularMatrixError:
@@ -345,20 +371,21 @@ def load_evalkey(path: str) -> EvalKey:
     W = r.matrix(params.t, params.ell)
     r.end()
     top = params.n * (params.q - 1)
-    for name, P in (("P1", P1), ("P2", P2)):
-        if min(map(min, P)) < 0 or max(map(max, P)) > top:
-            raise FormatError(f"{name} has an entry outside 0..{top}")
+    _check_range("P1", P1, 0, top, FormatError)
+    _check_range("P2", P2, 0, top, FormatError)
     half = params.q // 2
-    if min(map(min, W)) < -half or max(map(max, W)) > half:
-        raise FormatError(f"W has an entry outside -{half}..{half}")
+    _check_range("W", W, -half, half, FormatError)
     return EvalKey(params=params, P1=P1, P2=P2, W=W)
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:
     p = pk.params
+    half = p.q // 2
     buf = bytearray()
-    _w_matrix(buf, "C0", pk.C0, pk_rows(p), p.ell)
-    _w_matrix(buf, "C_unit", pk.C_unit, p.message_bits, p.ell)
+    for name, m, rows in (("C0", pk.C0, pk_rows(p)),
+                          ("C_unit", pk.C_unit, p.message_bits)):
+        _w_matrix(buf, name, m, rows, p.ell)
+        _check_range(name, m, -half, half, ParameterError)
     _write_container(path, TYPE_PUBLIC, p, bytes(buf))
 
 
@@ -367,11 +394,16 @@ def load_public_key(path: str) -> PublicKey:
     C0 = r.matrix(pk_rows(params), params.ell)
     C_unit = r.matrix(params.message_bits, params.ell)
     r.end()
+    half = params.q // 2
+    _check_range("C0", C0, -half, half, FormatError)
+    _check_range("C_unit", C_unit, -half, half, FormatError)
     return PublicKey(params=params, C0=C0, C_unit=C_unit)
 
 
 def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_ciphertext(params, ct)
+    _check_range("ciphertext", [ct.vec], -(params.q // 2), params.q // 2,
+                 ParameterError)
     buf = bytearray()
     _w_uint(buf, ct.level, 4)
     _w_int(buf, ct.noise_hint)
@@ -389,5 +421,6 @@ def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
         raise FormatError(f"negative noise hint {hint}")
     vec = r.ints(params.ell)
     r.end()
+    _check_range("ciphertext", [vec], -(params.q // 2), params.q // 2, FormatError)
     ct = Ciphertext(vec=vec, level=level, q=params.q, noise_hint=hint)
     return ct, params

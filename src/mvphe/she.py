@@ -5,9 +5,11 @@ A plaintext is a vector of ell − n bits.  Its encryption is
     c = (y ‖ p·floor(q/2) + e) · C   (mod q, balanced)
 
 where y is a uniformly random head vector, e a discrete-Gaussian noise
-vector, and C the secret key's encryption matrix.  Decryption computes
-w = c·S_dec (mod q, balanced), S_dec being the last ell − n columns of
-C^{-1}, and rounds each w_j to the nearest multiple of floor(q/2), mod 2.
+vector, and C the secret key's encryption matrix; y, the noise and
+``pk_encrypt``'s subset are drawn by ``arith.randbelow``.  Decryption
+computes w = c·S_dec (mod q, balanced), S_dec being the last ell − n
+columns of C^{-1}, and rounds each w_j to the nearest multiple of
+floor(q/2), mod 2, as the integer (2·w_j + floor(q/2)) // (2·floor(q/2)).
 Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 
 Every ciphertext carries a ``noise_hint``, and must: an upper bound on the
@@ -37,7 +39,7 @@ from operator import mul
 from random import Random
 from typing import Sequence
 
-from .arith import NoiseSampler, approx, balance, round_nearest
+from .arith import NoiseSampler, approx, balance, randbelow
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
 from .keys import _carry_product, _noise_limit, _product_hint, _sum_hint
@@ -108,7 +110,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     p = sk.params
     q = p.q
     m = _check_message(p, m)
-    y = [rng.randrange(q) for _ in range(p.n)]
+    y = [randbelow(rng, q) for _ in range(p.n)]
     band = [b * (q // 2) for b in m]
     if not zero_noise:
         sampler = NoiseSampler(p.sigma, rng)
@@ -132,15 +134,14 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
     p = sk.params
     q = p.q
     _check_ciphertext(p, ct)
-    limit = _noise_limit(q)
-    if ct.noise_hint >= limit:
+    half = q // 2
+    if 2 * ct.noise_hint >= half:  # the hint reaches _noise_limit(q)
         warnings.warn(
             f"noise hint {approx(ct.noise_hint, '.4g')} reaches floor(q/2)/2 = "
-            f"{approx(limit, '.4g')}; decryption may be incorrect",
+            f"{approx(_noise_limit(q), '.4g')}; decryption may be incorrect",
             RuntimeWarning, stacklevel=2)
-    half = q // 2
-    w = _apply_sdec(sk, ct.vec)
-    return [round_nearest(Fraction(wj, half)) % 2 for wj in w]
+    # round(w / half), halves rounding up, as one floor division
+    return [(2 * wj + half) // (2 * half) % 2 for wj in _apply_sdec(sk, ct.vec)]
 
 
 def _apply_sdec(sk: SecretKey, vec: Sequence[int]) -> list[int]:
@@ -186,9 +187,10 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     transforms t_i are never formed.  Quotients and carries: one division
     per ciphertext entry, whose bits give every carry of that entry's
     transform.  Packed products: x = t1·P1 and y = t2·P2, each one
-    big-integer multiply-add per ciphertext entry plus a subset sum of
-    carry rows, against the key's Kronecker-packed carry tables
-    (``evk.packed``, which the first call on a key builds).  The W
+    big-integer multiply-add per ciphertext entry plus a carry sum of one
+    window lookup per hex digit of its quotient, against the key's
+    Kronecker-packed carry tables (``evk.packed``, which the first call on
+    a key builds, once when P2 == P1), and one ``unpack_slots``.  The W
     contraction: first z_s = x_s·y_s·u_s, then z·W (``vec_mat``), so the
     k-th output is
 
@@ -273,7 +275,7 @@ def pk_encrypt(pk: PublicKey, m: Sequence[int], rng: Random) -> Ciphertext:
     """
     p = pk.params
     m = _check_message(p, m)
-    subset = [rng.randrange(2) for _ in pk.C0]
+    subset = [randbelow(rng, 2) for _ in pk.C0]
     rows = compress(pk.C_unit + pk.C0, m + subset)
     vec = [*map(sum, zip(*rows))] or [0] * p.ell
     hint = (sum(m) + sum(subset)) * p.B

@@ -1,12 +1,13 @@
-"""Test-only oracles: Gauss–Jordan elimination entry by entry, the gadget
-transforms as exact rationals, the degree-(<= r) ideal basis as polynomial
-products, encryption in two products from the key's core fields, the
-re-expression and reduction matrices B and Q built one at a time as the
-paper stages them, the multiplication key as an explicit rational tensor,
-every stage of one multiplication carried out with exact rationals, a
-random netlist generator, the container's integer encoding written one
-entry at a time, and the noise hints as the exact rational bounds that the
-integer rules round up.
+"""Test-only oracles: nearest-integer rounding of exact rationals,
+Gauss–Jordan elimination entry by entry, the gadget transforms as exact
+rationals, the degree-(<= r) ideal basis as polynomial products,
+encryption in two products from the key's core fields, the re-expression
+and reduction matrices B and Q built one at a time as the paper stages
+them, the multiplication key as an explicit rational tensor, every stage
+of one multiplication carried out with exact rationals, a random netlist
+generator, the container's integer encoding written one entry at a time,
+and the noise hints as the exact rational bounds that the integer rules
+round up.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -45,6 +46,12 @@ def transpose(A: Matrix) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def round_nearest(x: int | Fraction) -> int:
+    """Nearest integer to x, half-values rounding toward +infinity: the
+    reference for ``decrypt``'s integer rounding."""
+    return math.floor(2 * x + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +137,8 @@ def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
 CARRY_SETS = {
     **{name: (lambda name=name: preset_params(name)) for name in sorted(PRESETS)},
     "toy-u0": lambda: preset_params("toy", u=0),
+    # q_bits − 1 = 40 carry rows: the last hex window is a full one
+    "toy-q41": lambda: preset_params("toy", q_bits=41),
     "tiny-q97": lambda: setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97,
                               sigma=1, B=6, u=2),
 }

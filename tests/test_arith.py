@@ -13,8 +13,10 @@ from mvphe.arith import (
     balance,
     is_probable_prime,
     random_prime,
-    round_nearest,
+    randbelow,
 )
+from mvphe.keys import PRESETS, preset_params
+from oracles import round_nearest
 
 
 def test_balanced_mod_range_and_congruence():
@@ -44,6 +46,31 @@ def test_exact_rational_arithmetic():
         a, c = (rng.getrandbits(256) - (1 << 255) for _ in range(2))
         b, d = (rng.getrandbits(256) | 1 for _ in range(2))
         assert (Fraction(a, b) + Fraction(c, d)) * d * b == a * d + c * b
+
+
+def test_randbelow_draws_what_randrange_draws():
+    """randbelow(rng, n) returns what Random.randrange(n) returns and leaves
+    the generator in the same state, seed by seed, so seeded keys, files and
+    digests do not depend on which of the two draws them.  Checked at 1, 2,
+    3, 97 (= 2B + 1, the sampler's candidates), 2^48 (its weights), every
+    preset's q and 2^k ± 1; and the shifted forms the package uses for
+    randrange(a, b) and randint(a, b)."""
+    ns = [1, 2, 3, 97, 2 * 48 + 1, 1 << 48]
+    ns += [preset_params(name).q for name in sorted(PRESETS)]
+    ns += [(1 << k) + d for k in range(1, 66) for d in (-1, 1)]
+    for n in ns:
+        for seed in range(40):
+            mine, ref = Random(f"{n}|{seed}"), Random(f"{n}|{seed}")
+            assert ([randbelow(mine, n) for _ in range(5)]
+                    == [ref.randrange(n) for _ in range(5)]), (n, seed)
+            assert mine.getstate() == ref.getstate()
+    for n in (5, 97, 12289, preset_params("toy").q):
+        mine, ref = Random(n), Random(n)
+        for _ in range(200):
+            assert 2 + randbelow(mine, n - 3) == ref.randrange(2, n - 1)
+            assert 1 + randbelow(mine, n - 1) == ref.randrange(1, n)
+            assert randbelow(mine, 2 * n + 1) - n == ref.randint(-n, n)
+        assert mine.getstate() == ref.getstate()
 
 
 def test_round_nearest_examples():

@@ -7,7 +7,9 @@ digests pin."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
+from random import Random
 
 import mvphe
 
@@ -132,6 +134,29 @@ def _has_default(value: ast.expr) -> bool:
                 and value.func.id == "field"
                 and not any(k.arg in ("default", "default_factory")
                             for k in value.keywords))
+
+
+def test_draws_use_getrandbits_only():
+    """Every draw of the package goes through ``arith.randbelow`` or
+    ``getrandbits``: randbelow reduces raw bits itself, so seeded outputs
+    do not rest on how one Python version's ``randrange`` reduces them.
+    The package names every generator ``rng`` (or ``self.rng``), so a call
+    of any other Random method on such a name, or on the ``random``
+    module, is flagged."""
+    methods = {name for name in dir(Random) if not name.startswith("_")}
+    methods -= {"getrandbits"}
+    generator = re.compile(r"(^|\.)(rng|random)$")
+    calls = [f"{name}: {ast.unparse(node)}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in methods
+             and generator.search(ast.unparse(node.func.value))]
+    assert calls == []
+    receivers = {ast.unparse(node.func.value)
+                 for tree in TREES.values() for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "getrandbits"}
+    assert receivers == {"rng"}
 
 
 def _load_perfbench(name: str):

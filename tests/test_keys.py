@@ -245,6 +245,35 @@ def test_seeded_keys_are_pinned(name):
     assert h.hexdigest() == KEY_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_evalkey_discloses_the_decryption_matrix(name):
+    """Whoever holds an evaluation key can decrypt, so it must be kept like
+    the secret key.  Row s·ell + i of P_i's first ell columns is bit s of
+    D·2^u + eps (mod q·2^u), so summing the bits back gives it; the masking
+    keeps |eps| < 2^u/(4n), below the rounding boundary 2^(u − 1), so
+    rounding off the u low bits gives D mod q, and D's last ell − n columns
+    are S_dec.  Masking is zero on every preset but small, so P1 == P2
+    there.  A change that hides D must update this test on purpose."""
+    p = preset_params(name)
+    q, u, ell, K = p.q, p.u, p.ell, p.q_bits
+    sk = keygen(p, Random(f"disclose-{name}"))
+    evk = build_evalkey(sk, rng=Random(f"disclose-evk-{name}"))
+    assert (evk.P1 == evk.P2) == (name != "small")
+    rng = Random(f"disclose-msgs-{name}")
+    msgs = [[rng.randrange(2) for _ in range(p.message_bits)] for _ in range(20)]
+    cts = [encrypt(sk, m, rng) for m in msgs]
+    half = q // 2
+    for P in (evk.P1, evk.P2):
+        scaled = [[sum(P[s * ell + i][j] << s for s in range(u + K))
+                   for j in range(ell)] for i in range(ell)]
+        D = [[((x + (1 << u >> 1)) >> u) % q for x in row] for row in scaled]
+        assert D == sk.D
+        S_dec = [row[p.n:] for row in D]
+        for m, ct in zip(msgs, cts):
+            w = [balance(x, q) for x in vec_mat(ct.vec, S_dec)]
+            assert [(2 * x + half) // (2 * half) % 2 for x in w] == m
+
+
 def test_generator_properties(toy_sk):
     p = toy_sk.params
     g = toy_sk.g
@@ -532,11 +561,23 @@ def test_carry_identity_from_one_quotient(name):
             assert balance(c << s, M) == (c << s) - M * rho
 
 
+def test_carry_sets_end_on_full_and_partial_windows():
+    """The carry rows of an entry come in hex windows of four; the sets
+    below end both on a full window (4 divides q_bits − 1) and on a
+    shorter one."""
+    assert {(CARRY_SETS[name]().q_bits - 1) % 4 == 0
+            for name in CARRY_SETS} == {True, False}
+
+
 @pytest.mark.parametrize("name", sorted(CARRY_SETS))
 def test_carry_product_matches_gadget_transform(name):
     """_carry_product(c, _carry_table(P)) is t·P for the gadget transform t
     of c, on nonnegative P with a zero row, entries up to 2^70 (past the
-    one-call packing), and an all-zero P."""
+    one-call packing), and an all-zero P.  c = ±(q − 1)/2 sets every bit of
+    its quotient, so it reads the top entry of every hex window; ±1 reads
+    the low windows only; mixed signs and magnitudes in one vector too.
+    Each entry keeps only its windows: 16 sums per window, fewer in a last
+    window of under four rows."""
     p = CARRY_SETS[name]()
     q, u = p.q, p.u
     rows, cols = p.ell * (u + p.q_bits), 5
@@ -546,10 +587,14 @@ def test_carry_product_matches_gadget_transform(name):
     small[rng.randrange(rows)] = [0] * cols
     wide = [[rng.choice((0, rng.randrange(1 << 70))) for _ in range(cols)]
             for _ in range(rows)]
-    vecs = [[h] * p.ell, [-h] * p.ell, [0] * p.ell, [1] * p.ell, [-1] * p.ell]
+    vecs = [[h] * p.ell, [-h] * p.ell, [0] * p.ell, [1] * p.ell, [-1] * p.ell,
+            [(h, -h, 1, -1)[i % 4] for i in range(p.ell)]]
     vecs += [[rng.randint(-h, h) for _ in range(p.ell)] for _ in range(20)]
+    full, rest = divmod(p.q_bits - 1, 4)
+    sizes = [16] * full + ([1 << rest] if rest else [])
     for P in (small, wide, [[0] * cols for _ in range(rows)]):
         table = _carry_table(P, q, u)
+        assert [[len(w) for w in entry] for entry in table.windows] == [sizes] * p.ell
         for c in vecs:
             assert _carry_product(c, table, q, u) == vec_mat(
                 _powersoftwo_numerators(c, q, u), P)

@@ -568,6 +568,99 @@ def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
         load_params(str(path))
 
 
+# --- canonical residues -----------------------------------------------------
+# One key, one byte string: a residue shifted by q names the same key, so
+# the loaders refuse it and the writers never make it.
+
+def _shift_payload_int(path: str, skip: int, index: int, by: int) -> None:
+    """Add ``by`` to the index-th integer of the payload, whose first
+    ``skip`` bytes are no integer, and re-seal the checksum."""
+    with open(path, "rb") as fh:
+        body = fh.read()[:-32]
+    r = _Reader(body)
+    r.pos = start = 11 + int.from_bytes(body[7:11], "little") + skip
+    xs = []
+    while r.pos < len(body):
+        xs.append(r.int_())
+    xs[index] += by
+    buf = bytearray(body[:start])
+    _w_ints(buf, xs)
+    with open(path, "wb") as fh:
+        fh.write(bytes(buf) + hashlib.sha256(bytes(buf)).digest())
+
+
+def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, capsys):
+    """One entry of each residue field, shifted by q, makes a file that every
+    loader refuses and that ``mvphe`` answers with exit 2 and one error
+    line; saving the same shifted object is refused and writes no file."""
+    p = toy_params
+    q, half = p.q, p.q // 2
+    ct = encrypt(toy_sk, [1, 0], Random(157))
+    pk = pk_keygen(toy_sk, Random(158))
+    files = {kind: str(tmp_path / f"{kind}.bin") for kind in ("sk", "evk", "pk", "ct")}
+    netlist = tmp_path / "c.txt"
+    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
+    out = str(tmp_path / "out.bin")
+    argv = {
+        "sk": ["decrypt", "--key", files["sk"], "--in", files["ct"]],
+        "evk": ["eval", "--evalkey", files["evk"], "--circuit", str(netlist),
+                "--in", files["ct"], files["ct"], "--out-prefix", out],
+        "pk": ["pk-encrypt", "--pk", files["pk"], "--bits", "01", "--out", out],
+        "ct": ["decrypt", "--key", files["sk"], "--in", files["ct"]],
+    }
+    g_len = math.comb(p.v + p.r_g, p.r_g)
+    dim = p.ell * (p.u + p.q_bits)
+    cases = [  # (kind, field, payload bytes before the integers, index, lo)
+        ("sk", "g", 0, 0, -half),
+        ("sk", "points", 0, g_len, 0),
+        ("sk", "S", 0, g_len + p.t * p.v, 0),
+        ("sk", "R1", 0, g_len + p.t * p.v + p.message_bits * p.n, 0),
+        ("sk", "R2", 0, g_len + p.t * p.v + (p.message_bits + p.n) * p.n, 0),
+        ("evk", "W", 0, 2 * dim * p.t, -half),
+        ("pk", "C0", 0, 0, -half),
+        ("pk", "C_unit", 0, pk.d * p.ell, -half),
+        ("ct", "ciphertext", 4, 1, -half),  # after the level, past the hint
+    ]
+    save = {"sk": lambda: save_secret_key(toy_sk, files["sk"]),
+            "evk": lambda: save_evalkey(toy_evk, files["evk"]),
+            "pk": lambda: save_public_key(pk, files["pk"]),
+            "ct": lambda: save_ciphertext(ct, p, files["ct"])}
+    load = {"sk": load_secret_key, "evk": load_evalkey, "pk": load_public_key,
+            "ct": load_ciphertext}
+    for kind, field, skip, index, lo in cases:
+        for f in save.values():
+            f()
+        _shift_payload_int(files[kind], skip, index, q)
+        message = f"{field} has an entry outside {lo}..{lo + q - 1}"
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            load[kind](files[kind])
+        capsys.readouterr()
+        assert main(argv[kind]) == 2, field
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # the writers refuse what the loaders refuse
+    tmp = tmp_path / "refused.bin"
+    for name in ("points", "S", "R1", "R2"):
+        key = copy.copy(toy_sk)
+        m = [list(row) for row in getattr(toy_sk, name)]
+        m[0][0] += q
+        setattr(key, name, m)
+        _refused_unsaved(save_secret_key, key, tmp,
+                         f"^{name} has an entry outside 0..{q - 1}$")
+    key = copy.copy(toy_sk)
+    key.g = copy.copy(toy_sk.g)
+    key.g.terms = {m: c + q for m, c in toy_sk.g.terms.items()}
+    _refused_unsaved(save_secret_key, key, tmp, f"^g has an entry outside -{half}..")
+    for name in ("C0", "C_unit"):
+        m = [row[:] for row in getattr(pk, name)]
+        m[0][0] -= q
+        _refused_unsaved(save_public_key, replace(pk, **{name: m}), tmp,
+                         f"^{name} has an entry outside -{half}..{half}$")
+    bad = copy.copy(ct)
+    bad.vec = [ct.vec[0] + q, *ct.vec[1:]]
+    _refused_unsaved(lambda c, path: save_ciphertext(c, p, path), bad, tmp,
+                     f"^ciphertext has an entry outside -{half}..{half}$")
+
+
 # --- fingerprints -----------------------------------------------------------
 
 def test_fingerprint_stable_and_sensitive(toy_params):

@@ -33,20 +33,27 @@ from oracles import (
     encrypt_reference,
     mult_intermediates,
     product_hint_reference,
+    round_nearest,
 )
 
 
 class _ZeroRandom(Random):
-    """Stub RNG whose randrange always picks 0 (forces empty choices)."""
+    """Stub RNG whose draws always pick 0 (forces empty choices)."""
 
     def randrange(self, *args):
         return 0
 
+    def getrandbits(self, k):
+        return 0
+
 
 class _OneRandom(Random):
-    """Stub RNG whose randrange always picks 1 (selects every row)."""
+    """Stub RNG whose draws always pick 1 (selects every row)."""
 
     def randrange(self, *args):
+        return 1
+
+    def getrandbits(self, k):
         return 1
 
 
@@ -157,6 +164,29 @@ def test_message_validation(toy_sk):
         encrypt(toy_sk, [0, 1, 0], rng)  # too long
     with pytest.raises(ParameterError):
         encrypt(toy_sk, [0, 2], rng)  # not a bit
+
+
+@pytest.mark.parametrize("key", ["toy_sk", "small_sk"])
+def test_decrypt_rounding_matches_rational_rounding(key, request):
+    """decrypt rounds w = c·S_dec as (2w + half) // (2·half), half =
+    floor(q/2), which must equal round_nearest(Fraction(w, half)) on random
+    w of the balanced range and on every tie w = (2k + 1)·half/2 in it,
+    which are ±half/2 (both keys have an even half).  Each w is put on the
+    band of the ciphertext (0 ‖ band)·C, whose S_dec product is exactly the
+    band."""
+    sk = request.getfixturevalue(key)
+    p = sk.params
+    q, half, mb = p.q, p.q // 2, p.message_bits
+    assert half % 2 == 0
+    rng = Random(f"rounding-{key}")
+    ws = [-half // 2, half // 2, -half, half, 0, 1, -1] + [rng.randint(-half, half) for _ in range(300)]
+    ws += [0] * (-len(ws) % mb)
+    for i in range(0, len(ws), mb):
+        band = ws[i:i + mb]
+        ct = Ciphertext(vec=vec_mat([0] * p.n + band, sk.C), level=0, q=q,
+                        noise_hint=0)
+        assert noise_of(sk, ct, [0] * mb) == band
+        assert decrypt(sk, ct) == [round_nearest(Fraction(w, half)) % 2 for w in band]
 
 
 def test_decrypt_rejects_foreign_modulus(toy_sk, small_sk):
@@ -366,6 +396,17 @@ def test_mult_packed_form_follows_the_key(toy_sk):
     assert got.vec == mult_intermediates(toy_sk, swapped, c1.vec, c2.vec)["product"]
     assert swapped == replace(evk, P1=evk.P2, P2=evk.P1)  # the cache is not compared
     assert "packed" not in repr(evk)
+
+
+def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
+    """With no masking (toy) P1 == P2, and both products run on one carry
+    table; small's masking blocks make P1 != P2, so it builds two."""
+    assert toy_evk.P1 == toy_evk.P2
+    assert toy_evk.packed[0] is toy_evk.packed[1]
+    small_evk = build_evalkey(small_sk, rng=Random(159))
+    assert small_evk.P1 != small_evk.P2
+    T1, T2 = small_evk.packed
+    assert T1 is not T2 and T1 != T2
 
 
 @pytest.mark.parametrize("name", sorted(CARRY_SETS))
