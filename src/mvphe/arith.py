@@ -107,6 +107,12 @@ def approx(x: Rational, spec: str) -> str:
         return f"2^{math.log2(x):{spec}}"
 
 
+def six_sigma(sigma: Rational) -> int:
+    """⌈6σ⌉, the sampler's truncation bound, as one integer ceiling."""
+    num, den = sigma.as_integer_ratio()
+    return -(-6 * num // den)
+
+
 _WEIGHT_SCALE = 1 << 48  # acceptance weights are numerators over 2^48
 
 
@@ -132,7 +138,7 @@ class NoiseSampler:
             raise ParameterError("sigma must be >= 0")
         self.sigma = sigma
         self.rng = rng
-        self.bound = math.ceil(6 * Fraction(sigma))
+        self.bound = six_sigma(sigma)
         self._width = 2 * self.bound + 1  # candidates -bound..bound
         s = float(sigma)
         self._two_s2 = 2 * s * s

@@ -14,21 +14,20 @@ makes file order a topological order and rules out cycles; every violation
 is reported with its line number.  XOR gates are free; AND gates consume
 multiplicative depth.
 
-Two depth measures matter:
+The parser records two depth measures of the outputs, from fresh inputs:
 
 * ``depth``      — the maximum number of AND gates on any input-to-output
-                   path; this is the quantity a parameter set's L budgets.
-* ``level_need`` — the depth ledger the homomorphic evaluator actually
-                   accumulates, ``she.product_level`` at each AND gate.
-                   For multiplication chains the two coincide; for trees
-                   that multiply two already-multiplied values, level_need
-                   is larger (the accounting is deliberately conservative).
+                   path.
+* ``level_need`` — a conservative ledger, l1 + l2 + 1 at each AND gate and
+                   max(l1, l2) at each XOR.  For multiplication chains the
+                   two coincide; for trees that multiply two
+                   already-multiplied values, level_need is larger.
 
-level_need assumes fresh (level-0) inputs.  ``eval_homomorphic`` recomputes
-the ledger from the levels of the ciphertexts it is given, over every AND
-gate, checks it against params.L and fails fast before any homomorphic
-work, so a circuit either evaluates completely or not at all.  Each of
-these passes, and each evaluation, is one ``_walk`` over the gates.
+Neither decides what the evaluator admits.  ``eval_homomorphic`` runs the
+gates in order, and ``she.eval_mult`` refuses the first product whose
+noise hint reaches the decryption limit, dead gates included; the circuit
+then returns nothing.  Each of these passes, and each evaluation, is one
+``_walk`` over the gates.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DepthError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 from .keys import EvalKey
-from .she import Ciphertext, _check_ciphertext, eval_add, eval_mult, product_level
+from .she import Ciphertext, _check_ciphertext, eval_add, eval_mult
 
 __all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic"]
 
@@ -60,7 +59,7 @@ class Circuit:
     gates: list[Gate]          # in definition order (already topological)
     outputs: list[str]
     depth: int                 # max AND count on any path
-    level_need: int            # depth ledger under product_level, level-0 inputs
+    level_need: int            # the l1 + l2 + 1 ledger, fresh inputs
 
 
 def _walk(gates: Sequence[Gate], env: dict, AND: Callable, XOR: Callable) -> dict:
@@ -130,10 +129,12 @@ def parse_circuit(text: str) -> Circuit:
         raise FormatError("circuit has no outputs")
     depth = _walk(gates, dict.fromkeys(inputs, 0),
                   lambda a, b: max(a, b) + 1, max)
-    level = _walk(gates, dict.fromkeys(inputs, 0), product_level, max)
+    # level_need stays because netlist generators draw on it; the
+    # evaluator does not read it
+    need = _walk(gates, dict.fromkeys(inputs, 0), lambda a, b: a + b + 1, max)
     return Circuit(inputs, gates, outputs,
                    depth=max(depth[w] for w in outputs),
-                   level_need=max(level[w] for w in outputs))
+                   level_need=max(need[w] for w in outputs))
 
 
 def eval_plain(circ: Circuit, inputs: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -158,24 +159,16 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
     """Evaluate gate by gate on ciphertexts.
 
     Fails fast — before any homomorphic work — if an input does not fit the
-    key's parameters, or if the depth ledger, run from the inputs' levels
-    over every AND gate, exceeds the parameter set's budget L.
+    key's parameters.  Every gate runs, outputs or not, so ``eval_mult``'s
+    DepthError at an AND whose product hint reaches the decryption limit
+    ends the evaluation with nothing returned.
     """
-    L = evk.params.L
     if len(inputs) != len(circ.inputs):
         raise ParameterError(
             f"circuit has {len(circ.inputs)} inputs, got {len(inputs)}"
         )
     for ct in inputs:
         _check_ciphertext(evk.params, ct)
-    ands = [0]  # the level of every AND gate, dead ones included
-    _walk(circ.gates, {w: ct.level for w, ct in zip(circ.inputs, inputs)},
-          lambda a, b: ands.append(product_level(a, b)) or ands[-1], max)
-    if max(ands) > L:
-        raise DepthError(
-            f"circuit needs depth {max(ands)} on these inputs (AND-path depth "
-            f"{circ.depth}) but parameters support L = {L}"
-        )
     # eval_mult and eval_add are read from this module at call time, so a
     # wrapper set on mvphe.circuit sees every gate
     env = _walk(circ.gates, dict(zip(circ.inputs, inputs)),

@@ -211,7 +211,6 @@ def cmd_noise(args) -> int:
     print(f"noise      {e}")
     print(f"max |e|    {max(abs(x) for x in e)}")
     print(f"hint       {approx(ct.noise_hint, '.6g')}")
-    print(f"level      {ct.level}")
     return 0
 
 

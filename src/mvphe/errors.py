@@ -33,7 +33,7 @@ class GenerationFailure(MvpheError, RuntimeError):
 
 
 class DepthError(MvpheError, RuntimeError):
-    """A homomorphic operation would exceed the multiplicative depth budget."""
+    """A homomorphic product's noise hint would reach the decryption limit."""
 
 
 class FormatError(MvpheError, ValueError):

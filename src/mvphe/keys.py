@@ -71,7 +71,7 @@ from operator import getitem, mul
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .arith import Rational, is_probable_prime, randbelow, random_prime
+from .arith import Rational, is_probable_prime, randbelow, random_prime, six_sigma
 from .errors import (
     ConstructionError,
     GenerationFailure,
@@ -171,9 +171,9 @@ class Params:
             raise ParameterError("sigma must be >= 0")
         if self.B < 1:
             raise ParameterError("noise bound B must be >= 1")
-        if self.sigma > 0 and self.B < math.ceil(6 * Fraction(self.sigma)):
+        if self.B < six_sigma(self.sigma):
             raise ParameterError("noise bound B must be >= ceil(6*sigma)")
-        if not self.B < _noise_limit(self.q):
+        if _reaches_limit(self.B, self.q):
             raise ParameterError(
                 f"decryption needs B < floor(q/2)/2: B={self.B}, q={self.q}"
             )
@@ -214,10 +214,11 @@ def _check_dimensions(v: int, r_g: int, r_prime: int) -> None:
 # noise growth
 # ---------------------------------------------------------------------------
 
-def _noise_limit(q: int) -> Fraction:
-    """floor(q/2)/2: a ciphertext decrypts correctly while its noise stays
-    below this, and a noise of ceil(floor(q/2)/2) can flip a bit."""
-    return Fraction(q // 2, 2)
+def _reaches_limit(h: int, q: int) -> bool:
+    """Whether noise h reaches the decryption limit floor(q/2)/2, tested as
+    2·h >= floor(q/2): a ciphertext decrypts correctly while its noise stays
+    below the limit, and a noise of ceil(floor(q/2)/2) can flip a bit."""
+    return 2 * h >= q // 2
 
 
 def _carry_bound(ell: int, u: int, q_bits: int) -> int:
@@ -253,7 +254,7 @@ def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
         for _ in range(L):
             x = _product_hint(h, ell, u, q_min)
             h = _sum_hint(x, x)
-            if 2 * h >= _noise_limit(q_min):
+            if _reaches_limit(2 * h, q_min):
                 break
         else:
             return bits
@@ -301,7 +302,7 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
     n = math.comb(v + r_prime, r_prime)
     ell = overrides.pop("ell", n + 2)
     sigma = overrides.pop("sigma", 8)
-    B = overrides.pop("B", math.ceil(6 * Fraction(sigma)) if sigma else 48)
+    B = overrides.pop("B", six_sigma(sigma) if sigma else 48)
     u = overrides.pop("u", 8)
     q = overrides.pop("q", None)
     q_bits = overrides.pop("q_bits", None)

@@ -33,8 +33,8 @@ entry of P1 and P2 must lie in 0..n(q − 1), the range of every key
 build_evalkey makes, and every entry of W in −floor(q/2)..floor(q/2), as
 build_evalkey balances it.  Public-key files store exactly
 d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
-of the unit vectors.  Ciphertext files store the level, the noise hint,
-one integer that must be nonnegative, and the ell entries of the vector.
+of the unit vectors.  Ciphertext files store the noise hint, one integer
+that must be nonnegative, and the ell entries of the vector.
 
 Files are canonical: every residue is stored in the one form the package
 makes, so one key has one byte string.  g's coefficients and every
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 4
+VERSION = 5
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -405,7 +405,6 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_range("ciphertext", [ct.vec], -(params.q // 2), params.q // 2,
                  ParameterError)
     buf = bytearray()
-    _w_uint(buf, ct.level, 4)
     _w_int(buf, ct.noise_hint)
     _w_ints(buf, ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
@@ -413,14 +412,11 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
 
 def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     params, r = _read_container(path, TYPE_CIPHERTEXT)
-    level = r.uint(4)
-    if level > params.L:
-        raise FormatError(f"ciphertext level {level} is outside 0..{params.L}")
     hint = r.int_()
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
     vec = r.ints(params.ell)
     r.end()
     _check_range("ciphertext", [vec], -(params.q // 2), params.q // 2, FormatError)
-    ct = Ciphertext(vec=vec, level=level, q=params.q, noise_hint=hint)
+    ct = Ciphertext(vec=vec, q=params.q, noise_hint=hint)
     return ct, params

@@ -15,17 +15,19 @@ Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 Every ciphertext carries a ``noise_hint``, and must: an upper bound on the
 infinity norm of its noise, set by whatever made the ciphertext and carried
 through each operation by the tracked formulas below.  The decryption limit
-is ``keys._noise_limit(q)`` = floor(q/2)/2: noise below it always decrypts,
-and noise of ceil(floor(q/2)/2) can flip a bit.  The hint is advisory —
-decryption works off the actual vector and warns when the hint reaches the
-limit — and it is excluded from equality comparisons.  Files store it.
+is floor(q/2)/2 (``keys._reaches_limit``): noise below it always decrypts,
+and noise of ceil(floor(q/2)/2) can flip a bit.  The hint is excluded from
+equality comparisons.  Files store it.
 
-Addition is entrywise (hint: ``keys._sum_hint``).  Multiplication contracts the
+The hint is the one depth rule.  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
-and floors; the hint is the per-product bound ``keys._product_hint`` at
-max(h1, h2), linear in the carry bound k_max that the parameters certify.
-Hints are integers.  The whole pipeline is exact integer/rational
-arithmetic; the only rounding of a vector is the final floor, by design.
+and floors; its hint is the per-product bound ``keys._product_hint`` at
+max(h1, h2), linear in the carry bound k_max, and ``eval_mult`` refuses a
+product whose hint reaches the limit.  Addition is entrywise (hint:
+``keys._sum_hint``) and refuses nothing, so decryption warns when a hint
+reaches the limit.  Hints are integers.  The whole pipeline is exact
+integer/rational arithmetic; the only rounding of a vector is the final
+floor, by design.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Sequence
 from .arith import NoiseSampler, approx, balance, randbelow
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
-from .keys import _carry_product, _noise_limit, _product_hint, _sum_hint
+from .keys import _carry_product, _product_hint, _reaches_limit, _sum_hint
 from .linalg import Matrix, unpack_slots, vec_mat
 
 __all__ = [
@@ -53,16 +55,13 @@ __all__ = [
 
 @dataclass
 class Ciphertext:
-    """A length-ell vector over Z_q (balanced), at a multiplicative level.
+    """A length-ell vector over Z_q (balanced).
 
-    ``level`` counts consumed depth: fresh encryptions are level 0 and a
-    product sits at ``product_level`` of its factors' levels.  ``noise_hint``
-    is the tracked noise bound, a nonnegative int required of every
-    ciphertext; it does not participate in equality.
+    ``noise_hint`` is the tracked noise bound, a nonnegative int required
+    of every ciphertext; it does not participate in equality.
     """
 
     vec: list[int]
-    level: int
     q: int
     noise_hint: int = field(compare=False)
 
@@ -120,26 +119,25 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     rows, width = sk.packed
     vec = unpack_slots(sum(map(mul, y + band, rows)), width, p.ell)
     hint = 0 if zero_noise else p.B
-    return Ciphertext(vec=vec, level=0, q=q, noise_hint=hint)
+    return Ciphertext(vec=vec, q=q, noise_hint=hint)
 
 
 def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
     """Recover the plaintext bits.
 
     Emits a RuntimeWarning when the ciphertext's noise hint reaches the
-    decryption limit floor(q/2)/2 (``keys._noise_limit``) — from there on,
-    rounding to the nearest multiple of floor(q/2) is no longer guaranteed
-    to land on the encrypted bit.
+    decryption limit floor(q/2)/2 — from there on, rounding to the nearest
+    multiple of floor(q/2) is no longer guaranteed to land on the encrypted
+    bit.  Only sums get there: ``eval_mult`` refuses such a product.
     """
     p = sk.params
     q = p.q
     _check_ciphertext(p, ct)
     half = q // 2
-    if 2 * ct.noise_hint >= half:  # the hint reaches _noise_limit(q)
-        warnings.warn(
-            f"noise hint {approx(ct.noise_hint, '.4g')} reaches floor(q/2)/2 = "
-            f"{approx(_noise_limit(q), '.4g')}; decryption may be incorrect",
-            RuntimeWarning, stacklevel=2)
+    if _reaches_limit(ct.noise_hint, q):
+        warnings.warn(f"noise hint {approx(ct.noise_hint, '.4g')} reaches floor(q/2)/2"
+                      f" = {half / 2:.4g}; decryption may be incorrect",
+                      RuntimeWarning, stacklevel=2)
     # round(w / half), halves rounding up, as one floor division
     return [(2 * wj + half) // (2 * half) % 2 for wj in _apply_sdec(sk, ct.vec)]
 
@@ -163,13 +161,8 @@ def eval_add(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     if ct1.q != ct2.q or len(ct1.vec) != len(ct2.vec):
         raise ParameterError("ciphertexts come from different parameter sets")
     vec = [a + b for a, b in zip(ct1.vec, ct2.vec)]
-    return Ciphertext(vec=vec, level=max(ct1.level, ct2.level), q=ct1.q,
+    return Ciphertext(vec=vec, q=ct1.q,
                       noise_hint=_sum_hint(ct1.noise_hint, ct2.noise_hint))
-
-
-def product_level(l1: int, l2: int) -> int:
-    """The level of a product of ciphertexts at levels l1 and l2."""
-    return l1 + l2 + 1
 
 
 def mult_noise_hint(evk: EvalKey, h1: int, h2: int) -> int:
@@ -180,6 +173,10 @@ def mult_noise_hint(evk: EvalKey, h1: int, h2: int) -> int:
 
 def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     """Homomorphic AND via the multiplication key.
+
+    A product whose hint (``mult_noise_hint``) reaches the decryption limit
+    floor(q/2)/2 is refused with DepthError before any work: the one place
+    a product is refused, so a circuit runs as deep as its noise allows.
 
     Contracts the key's tensor with the two gadget-transformed ciphertexts
     and floors the result.  Internally runs the factored form in three
@@ -201,26 +198,30 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     is one exact integer division.
     """
     p = evk.params
-    q = p.q
     _check_ciphertext(p, ct1)
     _check_ciphertext(p, ct2)
-    level = product_level(ct1.level, ct2.level)
-    if level > p.L:
-        raise DepthError(
-            f"multiplication at levels {ct1.level} + {ct2.level} needs depth "
-            f"{level} > L = {p.L}"
-        )
+    hint = mult_noise_hint(evk, ct1.noise_hint, ct2.noise_hint)
+    if _reaches_limit(hint, p.q):
+        raise DepthError(f"AND refused: its noise hint {approx(hint, '.4g')} "
+                         f"reaches floor(q/2)/2 = {p.q // 2 / 2:.4g}")
+    # the constructor balances
+    return Ciphertext(vec=_product(evk, ct1.vec, ct2.vec), q=p.q, noise_hint=hint)
+
+
+def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int]) -> list[int]:
+    """The three layers of ``eval_mult`` on two ciphertext vectors, with no
+    hint and no refusal; the entries are unbalanced."""
+    p = evk.params
+    q = p.q
     T1, T2 = evk.packed
-    x = _carry_product(ct1.vec, T1, q, p.u)
-    y = _carry_product(ct2.vec, T2, q, p.u)
+    x = _carry_product(v1, T1, q, p.u)
+    y = _carry_product(v2, T2, q, p.u)
     # u_s times the common denominator q·2^(2u) (2^u from each transform)
     n, ell = p.n, p.ell
     z = [xs * ys * (2 if n <= s < ell else q)
          for s, (xs, ys) in enumerate(zip(x, y))]
     denom = q << (2 * p.u)
-    out = [acc // denom for acc in vec_mat(z, evk.W)]  # the constructor balances
-    return Ciphertext(vec=out, level=level, q=q,
-                      noise_hint=mult_noise_hint(evk, ct1.noise_hint, ct2.noise_hint))
+    return [acc // denom for acc in vec_mat(z, evk.W)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,4 +280,4 @@ def pk_encrypt(pk: PublicKey, m: Sequence[int], rng: Random) -> Ciphertext:
     rows = compress(pk.C_unit + pk.C0, m + subset)
     vec = [*map(sum, zip(*rows))] or [0] * p.ell
     hint = (sum(m) + sum(subset)) * p.B
-    return Ciphertext(vec=vec, level=0, q=p.q, noise_hint=hint)
+    return Ciphertext(vec=vec, q=p.q, noise_hint=hint)

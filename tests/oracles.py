@@ -5,9 +5,9 @@ encryption in two products from the key's core fields, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
 of one multiplication carried out with exact rationals, a random netlist
-generator, the container's integer encoding written one entry at a time,
-and the noise hints as the exact rational bounds that the integer rules
-round up.
+generator and a netlist's noise hints gate by gate, the container's
+integer encoding written one entry at a time, and the noise hints as the
+exact rational bounds that the integer rules round up.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -477,6 +477,23 @@ def random_circuit(rng: Random, n_inputs: int, n_gates: int, L: int) -> Circuit:
     outs = {wires[-1], rng.choice(wires[n_inputs:])}
     lines.extend(f"out {w}" for w in sorted(outs))
     return parse_circuit("\n".join(lines))
+
+
+def hint_ledger(circ: Circuit, p: Params, in_hints: Sequence[int]):
+    """Every wire's noise hint from the inputs' hints, gate by gate: an XOR
+    adds its inputs' hints plus one, an AND is the ceiling of the rational
+    product bound at the larger one.  Also returns each AND gate's hint in
+    gate order, dead gates included."""
+    hint = dict(zip(circ.inputs, in_hints))
+    ands = []
+    for g in circ.gates:
+        a, b = hint[g.a], hint[g.b]
+        if g.op == "AND":
+            hint[g.out] = math.ceil(product_hint_reference(max(a, b), p.ell, p.u, p.q))
+            ands.append(hint[g.out])
+        else:
+            hint[g.out] = a + b + 1
+    return hint, ands
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from mvphe import (
     reduce_by_set,
 )
 from mvphe.arith import balance
-from mvphe.keys import _carry_bound, _ideal_basis_2r, _noise_limit, build_G
+from mvphe.errors import DepthError
+from mvphe.keys import _carry_bound, _ideal_basis_2r, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
 from oracles import (
     Tensor3,
@@ -44,6 +45,7 @@ from oracles import (
     build_B,
     build_Q,
     ideal_basis_r,
+    hint_ledger,
     n_mode_product,
     powersoftwo,
     random_circuit,
@@ -130,7 +132,6 @@ def test_c05_depth_three_chains():
             m = _rand_message(rng, p)
             acc = eval_mult(evk, acc, encrypt(sk, m, rng))
             acc_m = [a & b for a, b in zip(acc_m, m)]
-        assert acc.level == 3
         assert decrypt(sk, acc) == acc_m
 
 
@@ -172,7 +173,7 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
                 vec = [sum(ev[i] * sk.R[i][j] for i in range(p.ell)) % q
                        for j in range(p.ell)]
                 polys.append(f)
-                cts.append(Ciphertext(vec=vec, level=0, q=q, noise_hint=0))
+                cts.append(Ciphertext(vec=vec, q=q, noise_hint=0))
             got = eval_mult(evk, cts[0], cts[1])
             reduced = reduce_by_set(polys[0] * polys[1], G, p.r)
             ev = [reduced.eval(z) % q for z in sk.points[:p.ell]]
@@ -248,7 +249,7 @@ def test_c09_public_key_encryption(toy_sk):
     pk = pk_keygen(toy_sk, Random("acc-9-pk"))
     assert pk.d == math.ceil((1 + Fraction(1, 10)) * p.ell * p.q_bits)
     for row in pk.C0:
-        assert decrypt(toy_sk, Ciphertext(vec=list(row), level=0, q=p.q,
+        assert decrypt(toy_sk, Ciphertext(vec=list(row), q=p.q,
                                           noise_hint=p.B)) == [0] * p.message_bits
     rng = Random("acc-9")
     for _ in range(1000):
@@ -265,10 +266,13 @@ def test_c09_public_key_encryption(toy_sk):
 
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_c10_random_circuits_match_plain_evaluation(preset, request):
-    """100 random circuits within each preset's depth budget: every output
-    decrypts to the plain evaluation, and its measured noise stays within
-    its tracked hint.  decrypt warns exactly when the hint reaches
-    floor(q/2)/2.
+    """100 random circuits within each preset's level budget L.  A circuit
+    is refused with DepthError exactly when some AND gate's hint, kept
+    gate by gate by a reference ledger, reaches floor(q/2)/2; only small
+    refuses any.  Every output of an admitted circuit decrypts to the
+    plain evaluation, and its measured noise stays within its tracked
+    hint.  decrypt warns exactly when the hint reaches floor(q/2)/2, which
+    only sums of products can do.
     Each preset but toy gets its own seeded keys; small is the one with
     nonzero masking."""
     if preset == "toy":
@@ -280,12 +284,19 @@ def test_c10_random_circuits_match_plain_evaluation(preset, request):
         evk = build_evalkey(sk, rng=Random(f"acc-10-evk-{preset}"))
         rng = Random(f"acc-10-{preset}")
     p = sk.params
+    refused = 0
     for _ in range(100):
         circ = random_circuit(rng, n_inputs=rng.randrange(2, 5),
                               n_gates=rng.randrange(1, 65), L=p.L)
         assert circ.level_need <= p.L and len(circ.gates) <= 64
         plains = [_rand_message(rng, p) for _ in circ.inputs]
         cts = [encrypt(sk, m, rng) for m in plains]
+        _, ands = hint_ledger(circ, p, [ct.noise_hint for ct in cts])
+        if any(2 * h >= p.q // 2 for h in ands):
+            refused += 1
+            with pytest.raises(DepthError, match="AND refused"):
+                eval_homomorphic(evk, circ, cts)
+            continue
         got = eval_homomorphic(evk, circ, cts)
         for ct, want in zip(got, eval_plain(circ, plains), strict=True):
             with warnings.catch_warnings(record=True) as caught:
@@ -293,8 +304,9 @@ def test_c10_random_circuits_match_plain_evaluation(preset, request):
                 assert decrypt(sk, ct) == want
             warned = [w for w in caught if issubclass(w.category, RuntimeWarning)
                       and "reaches floor(q/2)/2" in str(w.message)]
-            assert len(warned) == len(caught) == (ct.noise_hint >= _noise_limit(p.q))
+            assert len(warned) == len(caught) == (2 * ct.noise_hint >= p.q // 2)
             assert max(abs(x) for x in noise_of(sk, ct, want)) <= ct.noise_hint
+    assert (refused > 0) == (preset == "small")
 
 
 def test_c11_benchmark_trend(capsys):

@@ -12,10 +12,12 @@ from mvphe import (
     encrypt,
     eval_homomorphic,
     eval_plain,
+    mult_noise_hint,
+    noise_of,
     parse_circuit,
 )
 from mvphe.errors import DepthError, FormatError, ParameterError
-from oracles import random_circuit
+from oracles import hint_ledger, random_circuit
 
 SIMPLE = """
 in a
@@ -162,44 +164,74 @@ def test_homomorphic_matches_plain(toy_sk, toy_evk):
         assert [decrypt(toy_sk, ct) for ct in got] == want
 
 
-def test_homomorphic_depth_precheck(toy_sk, toy_evk):
-    """A circuit whose ledger exceeds L is rejected before any evaluation."""
+def test_product_trees_and_chains_evaluate_on_toy(toy_sk, toy_evk):
+    """Toy admits what its noise allows, past its L = 2: the product tree
+    ((a AND b) AND (c AND d)), whose level_need is 3, and a chain of three
+    ANDs decrypt correctly, with measured noise within each output's hint."""
+    p = toy_sk.params
+    c = parse_circuit("in a\nin b\nin c\nin d\nab = AND a b\ncd = AND c d\n"
+                      "r = AND ab cd\ns = AND r d\nout r\nout s\n")
+    assert c.depth == 3 > p.L and c.level_need == 4
+    rng = Random(132)
+    for _ in range(5):
+        plains = [[rng.randrange(2) for _ in range(p.message_bits)]
+                  for _ in c.inputs]
+        cts = [encrypt(toy_sk, m, rng) for m in plains]
+        got = eval_homomorphic(toy_evk, c, cts)
+        for ct, want in zip(got, eval_plain(c, plains), strict=True):
+            assert decrypt(toy_sk, ct) == want
+            assert max(map(abs, noise_of(toy_sk, ct, want))) <= ct.noise_hint
+
+
+def test_homomorphic_refuses_a_product_past_the_limit(toy_sk, toy_evk,
+                                                      monkeypatch):
+    """A chain of four ANDs is refused by the fourth gate's eval_mult, whose
+    hint would reach floor(q/2)/2, and the call returns nothing."""
+    calls = []
+    real = circuit_mod.eval_mult
+    monkeypatch.setattr(circuit_mod, "eval_mult",
+                        lambda *args: calls.append(1) or real(*args))
     deep = parse_circuit("""
 in a
 in b
 t0 = AND a b
 t1 = AND t0 b
 t2 = AND t1 b
-out t2
+t3 = AND t2 b
+out t3
 """)
-    assert deep.level_need == 3 > toy_sk.params.L
     cts = [encrypt(toy_sk, [0, 1], Random(132)) for _ in range(2)]
-    with pytest.raises(DepthError, match="support L = 2"):
+    with pytest.raises(DepthError, match="AND refused: its noise hint .* reaches "
+                                         r"floor\(q/2\)/2"):
         eval_homomorphic(toy_evk, deep, cts)
+    assert len(calls) == 4
 
 
-def test_homomorphic_depth_precheck_reads_input_levels(toy_sk, toy_evk,
-                                                       monkeypatch):
-    """The ledger starts from the inputs' real levels and covers every AND
-    gate, outputs or not: the refusal comes before the first eval_mult."""
+def test_homomorphic_refusal_reads_input_hints(toy_sk, toy_evk, monkeypatch):
+    """The refusal follows the hints of the ciphertexts given, not their
+    vectors, and covers every AND gate, outputs or not."""
     calls = []
     real = circuit_mod.eval_mult
     monkeypatch.setattr(circuit_mod, "eval_mult",
                         lambda *args: calls.append(1) or real(*args))
     fresh = [encrypt(toy_sk, [1, 1], Random(134)) for _ in range(2)]
-    once = real(toy_evk, *fresh)
-    assert once.level == 1
-    chain = parse_circuit("in x\nin y\nt = AND y y\nu = AND x t\nout u\n")
-    assert chain.level_need == 2 == toy_sk.params.L
-    with pytest.raises(DepthError, match="needs depth 3"):
-        eval_homomorphic(toy_evk, chain, [once, fresh[0]])
-    dead = parse_circuit("in x\nin y\nt = AND x y\nu = AND t t\nout x\n")
-    assert dead.level_need == 0
-    with pytest.raises(DepthError, match="needs depth 3"):
-        eval_homomorphic(toy_evk, dead, fresh)
-    assert calls == []
-    eval_homomorphic(toy_evk, chain, fresh)
+    twice = real(toy_evk, real(toy_evk, *fresh), fresh[0])
+    chain = parse_circuit("in x\nin y\nt = AND x y\nu = AND t y\nout u\n")
+    (out,) = eval_homomorphic(toy_evk, chain, fresh)
+    assert decrypt(toy_sk, out) == [1, 1]
     assert len(calls) == 2
+    calls.clear()
+    worn = replace(fresh[0], noise_hint=twice.noise_hint)
+    with pytest.raises(DepthError, match="AND refused"):
+        eval_homomorphic(toy_evk, chain, [worn, fresh[1]])
+    assert len(calls) == 2
+    calls.clear()
+    dead = parse_circuit("in x\nin y\nt = AND x y\nu = AND t t\nv = AND u u\n"
+                         "w = AND v v\nout x\n")
+    assert dead.level_need == 0
+    with pytest.raises(DepthError, match="AND refused"):
+        eval_homomorphic(toy_evk, dead, fresh)
+    assert len(calls) == 4
 
 
 def test_homomorphic_refuses_foreign_inputs_before_any_gate(toy_evk, small_sk,
@@ -235,28 +267,25 @@ def test_xor_only_circuit_hint_telescopes(toy_sk, toy_evk):
     (out,) = eval_homomorphic(toy_evk, c, cts)
     # a feeds two gates, b and c one each: hint = 4B + (number of gates)
     assert out.noise_hint == 4 * toy_sk.params.B + len(c.gates)
-    assert out.level == 0
 
 
-def _reference_ledgers(c, in_levels):
-    """Per wire: AND-path depth from 0 and level from ``in_levels``, plus the
-    largest level over every AND gate, each kept gate by gate here."""
+def _reference_ledgers(c):
+    """Per wire from fresh inputs: AND-path depth and the l1 + l2 + 1
+    level ledger, each kept gate by gate here."""
     depth = {w: 0 for w in c.inputs}
-    level = dict(zip(c.inputs, in_levels))
-    need = 0
+    level = {w: 0 for w in c.inputs}
     for g in c.gates:
         if g.op == "AND":
             depth[g.out] = max(depth[g.a], depth[g.b]) + 1
             level[g.out] = level[g.a] + level[g.b] + 1
-            need = max(need, level[g.out])
         else:
             depth[g.out] = max(depth[g.a], depth[g.b])
             level[g.out] = max(level[g.a], level[g.b])
-    return depth, level, need
+    return depth, level
 
 
 def _random_netlist(rng):
-    """Any mix of gates with no level budget; outputs are one or two random
+    """Any mix of gates with no depth budget; outputs are one or two random
     wires, often an input, so many AND gates feed no output."""
     wires = [f"x{i}" for i in range(rng.randrange(2, 5))]
     lines = [f"in {w}" for w in wires]
@@ -270,41 +299,44 @@ def _random_netlist(rng):
 
 def test_ledgers_match_a_reference_on_random_netlists(toy_sk, toy_evk,
                                                       monkeypatch):
-    """parse_circuit's depth and level_need, and eval_homomorphic's refusal,
-    against a ledger kept in this test: the refusal comes, before any
-    eval_mult, exactly when some AND gate's level from the given input
-    levels passes L, output or not (``dead`` counts the refusals that only
-    an AND gate feeding no output causes); otherwise every AND runs and the
-    outputs carry the reference levels."""
-    L = toy_sk.params.L
+    """parse_circuit's depth and level_need against ledgers kept in this
+    test, and eval_homomorphic against a reference hint ledger from the
+    given input hints: the circuit is refused, by the eval_mult of the
+    first AND gate whose hint reaches floor(q/2)/2, exactly when some AND
+    gate's hint does, output or not; otherwise every AND runs once and the
+    outputs carry the reference hints.  Hints only grow along a path,
+    so ``dead`` counts the refusals where every output's hint stays below
+    the limit: only AND gates feeding no output cause those."""
+    p = toy_sk.params
     calls = []
     real = circuit_mod.eval_mult
     monkeypatch.setattr(circuit_mod, "eval_mult",
                         lambda *args: calls.append(1) or real(*args))
     rng = Random(138)
     fresh = [encrypt(toy_sk, [1, 0], rng) for _ in range(4)]
+    # the hint of a ciphertext two ANDs deep
+    worn = mult_noise_hint(toy_evk, mult_noise_hint(toy_evk, p.B, p.B), p.B)
     refused = dead = 0
     for _ in range(200):
         c = _random_netlist(rng)
-        depth, level, _ = _reference_ledgers(c, [0] * len(c.inputs))
+        depth, level = _reference_ledgers(c)
         assert c.depth == max(depth[w] for w in c.outputs)
         assert c.level_need == max(level[w] for w in c.outputs)
-        in_levels = [rng.randrange(L + 1) if rng.random() < 0.3 else 0
-                     for _ in c.inputs]
-        _, level, need = _reference_ledgers(c, in_levels)
-        ands = sum(g.op == "AND" for g in c.gates)
-        dead += need > L >= max(level[w] for w in c.outputs)
-        cts = [replace(ct, level=lv) for ct, lv in zip(fresh, in_levels)]
+        in_hints = [rng.choice((p.B, worn)) for _ in c.inputs]
+        hint, ands = hint_ledger(c, p, in_hints)
+        past = [2 * h >= p.q // 2 for h in ands]
+        cts = [replace(ct, noise_hint=h) for ct, h in zip(fresh, in_hints)]
         calls.clear()
-        if need > L:
+        if any(past):
             refused += 1
-            with pytest.raises(DepthError, match=f"needs depth {need} "):
+            dead += all(2 * hint[w] < p.q // 2 for w in c.outputs)
+            with pytest.raises(DepthError, match="AND refused"):
                 eval_homomorphic(toy_evk, c, cts)
-            assert calls == []
+            assert len(calls) == past.index(True) + 1
         else:
             outs = eval_homomorphic(toy_evk, c, cts)
-            assert len(calls) == ands
-            assert [ct.level for ct in outs] == [level[w] for w in c.outputs]
+            assert len(calls) == len(ands)
+            assert [ct.noise_hint for ct in outs] == [hint[w] for w in c.outputs]
     assert 50 < refused < 150 and dead > 20
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 from random import Random
 
 import mvphe
+from mvphe.circuit import _walk
+from mvphe.keys import _product_hint, _sum_hint
 
 PACKAGE = Path(mvphe.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -190,3 +192,30 @@ def test_benchmark_digests_hold(tmp_path, monkeypatch):
         workdir.mkdir()
         ops = workloads.WORKLOADS[name].golden_ops
         assert workloads.golden_digest(name, str(workdir)) == (digest, ops, 0), name
+
+
+# make_netlist's arguments in the benchmark's workloads: circuit-toy's and
+# cli-eval's netlists, both evaluated under the toy preset
+BENCHMARK_NETLISTS = ((8, 12, 20, 2, 4), (2, 2, 2, 2, 3))
+
+
+def test_benchmark_netlists_stay_far_below_the_noise_limit():
+    """Every AND of the netlists the benchmark draws, from fresh inputs,
+    has a hint below 1/16 of the decryption limit floor(q/2)/2 of any
+    40-bit toy modulus (cli-eval's keygen draws q from its seed), over 200
+    seeds, under the package's own hint rules: so a change to those rules
+    cannot start refusing a workload op unnoticed."""
+    netlist = _load_perfbench("netlist")
+    p = mvphe.preset_params("toy")
+    ands = []
+
+    def AND(a, b):
+        ands.append(_product_hint(max(a, b), p.ell, p.u, p.q))
+        return ands[-1]
+    for seed in range(200):
+        rng = Random(seed)
+        for shape in BENCHMARK_NETLISTS:
+            circ = mvphe.parse_circuit(netlist.make_netlist(rng, *shape))
+            _walk(circ.gates, dict.fromkeys(circ.inputs, p.B), AND, _sum_hint)
+    assert len(ands) == 200 * sum(shape[1] for shape in BENCHMARK_NETLISTS)
+    assert 32 * max(ands) < (1 << (p.q_bits - 1)) // 2

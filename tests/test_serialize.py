@@ -111,7 +111,7 @@ def test_ciphertext_roundtrip(tmp_path, toy_sk, toy_params):
     back, params = load_ciphertext(path)
     assert params == toy_params
     assert back == ct
-    assert back.level == ct.level and back.noise_hint == ct.noise_hint
+    assert back.noise_hint == ct.noise_hint
 
 
 def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
@@ -137,11 +137,12 @@ def test_version_gate_precedes_checksum(tmp_path, toy_params):
     # changing the version also breaks the digest; the version error must
     # win, for a future version, for version 1, which stored six fields
     # that the parameters fix, for version 2, which stored the noise hint
-    # as a rational, and for version 3, which stored matrix shapes, vector
-    # lengths, a point count and g as a sparse term list
-    assert VERSION == 4
+    # as a rational, for version 3, which stored matrix shapes, vector
+    # lengths, a point count and g as a sparse term list, and for version 4,
+    # which stored a ciphertext's level
+    assert VERSION == 5
     path = str(tmp_path / "p.bin")
-    for version in (99, 1, 2, 3):
+    for version in (99, 1, 2, 3, 4):
         save_params(toy_params, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
@@ -505,28 +506,25 @@ def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
             load(path)
 
 
-def test_ciphertext_level_and_hint_checked(tmp_path, toy_params):
-    """The level must lie in 0..L and the hint be nonnegative; a vector of
-    another length is refused by test_payload_one_integer_off_refused."""
+def test_ciphertext_hint_checked(tmp_path, toy_params):
+    """The hint must be nonnegative, and any nonnegative hint loads, also
+    one past the decryption limit; a vector of another length is refused
+    by test_payload_one_integer_off_refused."""
     path = str(tmp_path / "ct.bin")
     vec = [3] * toy_params.ell
-    save_ciphertext(Ciphertext(vec=vec, level=toy_params.L, q=toy_params.q,
-                               noise_hint=0), toy_params, path)
-    assert load_ciphertext(path)[0].level == toy_params.L
-    save_ciphertext(Ciphertext(vec=vec, level=99, q=toy_params.q, noise_hint=0),
+    save_ciphertext(Ciphertext(vec=vec, q=toy_params.q, noise_hint=toy_params.q),
                     toy_params, path)
-    with pytest.raises(FormatError, match="level 99"):
-        load_ciphertext(path)
+    assert load_ciphertext(path)[0].noise_hint == toy_params.q
     # Ciphertext refuses a negative hint, so write it into the file: the
-    # hint follows the u32 level
-    save_ciphertext(Ciphertext(vec=vec, level=0, q=toy_params.q, noise_hint=0),
+    # hint opens the payload
+    save_ciphertext(Ciphertext(vec=vec, q=toy_params.q, noise_hint=0),
                     toy_params, path)
-    _patch_payload(path, 4, len(_encode(0)), _encode(-1))
+    _patch_payload(path, 0, len(_encode(0)), _encode(-1))
     with pytest.raises(FormatError, match="negative noise hint -1"):
         load_ciphertext(path)
     # and save_ciphertext refuses a vector of another length
     with pytest.raises(ParameterError, match=f"must have {toy_params.ell} entries"):
-        save_ciphertext(Ciphertext(vec=vec[:-1], level=0, q=toy_params.q,
+        save_ciphertext(Ciphertext(vec=vec[:-1], q=toy_params.q,
                                    noise_hint=0), toy_params, str(tmp_path / "c2.bin"))
     assert not (tmp_path / "c2.bin").exists()
 
@@ -572,13 +570,13 @@ def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
 # One key, one byte string: a residue shifted by q names the same key, so
 # the loaders refuse it and the writers never make it.
 
-def _shift_payload_int(path: str, skip: int, index: int, by: int) -> None:
-    """Add ``by`` to the index-th integer of the payload, whose first
-    ``skip`` bytes are no integer, and re-seal the checksum."""
+def _shift_payload_int(path: str, index: int, by: int) -> None:
+    """Add ``by`` to the index-th integer of the payload and re-seal the
+    checksum."""
     with open(path, "rb") as fh:
         body = fh.read()[:-32]
     r = _Reader(body)
-    r.pos = start = 11 + int.from_bytes(body[7:11], "little") + skip
+    r.pos = start = 11 + int.from_bytes(body[7:11], "little")
     xs = []
     while r.pos < len(body):
         xs.append(r.int_())
@@ -610,16 +608,16 @@ def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, cap
     }
     g_len = math.comb(p.v + p.r_g, p.r_g)
     dim = p.ell * (p.u + p.q_bits)
-    cases = [  # (kind, field, payload bytes before the integers, index, lo)
-        ("sk", "g", 0, 0, -half),
-        ("sk", "points", 0, g_len, 0),
-        ("sk", "S", 0, g_len + p.t * p.v, 0),
-        ("sk", "R1", 0, g_len + p.t * p.v + p.message_bits * p.n, 0),
-        ("sk", "R2", 0, g_len + p.t * p.v + (p.message_bits + p.n) * p.n, 0),
-        ("evk", "W", 0, 2 * dim * p.t, -half),
-        ("pk", "C0", 0, 0, -half),
-        ("pk", "C_unit", 0, pk.d * p.ell, -half),
-        ("ct", "ciphertext", 4, 1, -half),  # after the level, past the hint
+    cases = [  # (kind, field, index, lo)
+        ("sk", "g", 0, -half),
+        ("sk", "points", g_len, 0),
+        ("sk", "S", g_len + p.t * p.v, 0),
+        ("sk", "R1", g_len + p.t * p.v + p.message_bits * p.n, 0),
+        ("sk", "R2", g_len + p.t * p.v + (p.message_bits + p.n) * p.n, 0),
+        ("evk", "W", 2 * dim * p.t, -half),
+        ("pk", "C0", 0, -half),
+        ("pk", "C_unit", pk.d * p.ell, -half),
+        ("ct", "ciphertext", 1, -half),  # past the hint
     ]
     save = {"sk": lambda: save_secret_key(toy_sk, files["sk"]),
             "evk": lambda: save_evalkey(toy_evk, files["evk"]),
@@ -627,10 +625,10 @@ def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, cap
             "ct": lambda: save_ciphertext(ct, p, files["ct"])}
     load = {"sk": load_secret_key, "evk": load_evalkey, "pk": load_public_key,
             "ct": load_ciphertext}
-    for kind, field, skip, index, lo in cases:
+    for kind, field, index, lo in cases:
         for f in save.values():
             f()
-        _shift_payload_int(files[kind], skip, index, q)
+        _shift_payload_int(files[kind], index, q)
         message = f"{field} has an entry outside {lo}..{lo + q - 1}"
         with pytest.raises(FormatError, match=f"^{message}$"):
             load[kind](files[kind])

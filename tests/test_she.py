@@ -25,9 +25,10 @@ from mvphe import (
 )
 from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
-from mvphe.keys import PRESETS, _noise_limit
+from mvphe.keys import PRESETS, _reaches_limit
 from mvphe.linalg import mat_mul, unpack_slots, vec_mat
 from mvphe.serialize import save_ciphertext
+from mvphe.she import _product
 from oracles import (
     CARRY_SETS,
     encrypt_reference,
@@ -75,7 +76,7 @@ def test_fresh_roundtrip(toy_sk):
         m = [rng.randrange(2) for _ in range(toy_sk.params.message_bits)]
         ct = encrypt(toy_sk, m, rng)
         assert decrypt(toy_sk, ct) == m
-        assert ct.level == 0
+        assert ct.noise_hint == toy_sk.params.B
         assert len(ct) == toy_sk.params.ell
 
 
@@ -183,7 +184,7 @@ def test_decrypt_rounding_matches_rational_rounding(key, request):
     ws += [0] * (-len(ws) % mb)
     for i in range(0, len(ws), mb):
         band = ws[i:i + mb]
-        ct = Ciphertext(vec=vec_mat([0] * p.n + band, sk.C), level=0, q=q,
+        ct = Ciphertext(vec=vec_mat([0] * p.n + band, sk.C), q=q,
                         noise_hint=0)
         assert noise_of(sk, ct, [0] * mb) == band
         assert decrypt(sk, ct) == [round_nearest(Fraction(w, half)) % 2 for w in band]
@@ -197,9 +198,9 @@ def test_decrypt_rejects_foreign_modulus(toy_sk, small_sk):
 
 def test_ciphertext_vec_balanced_and_hint_ignored_by_eq(toy_sk):
     q = toy_sk.params.q
-    ct = Ciphertext(vec=[q - 1] * toy_sk.params.ell, level=0, q=q, noise_hint=0)
+    ct = Ciphertext(vec=[q - 1] * toy_sk.params.ell, q=q, noise_hint=0)
     assert ct.vec == [-1] * toy_sk.params.ell
-    other = Ciphertext(vec=[-1] * toy_sk.params.ell, level=0, q=q,
+    other = Ciphertext(vec=[-1] * toy_sk.params.ell, q=q,
                        noise_hint=123)
     assert ct == other
 
@@ -207,15 +208,15 @@ def test_ciphertext_vec_balanced_and_hint_ignored_by_eq(toy_sk):
 def test_ciphertext_requires_a_hint(toy_sk):
     p = toy_sk.params
     with pytest.raises(TypeError, match="noise_hint"):
-        Ciphertext([0] * p.ell, 0, p.q)
+        Ciphertext([0] * p.ell, p.q)
 
 
 def test_ciphertext_hint_is_a_nonnegative_int(toy_sk):
     p = toy_sk.params
     for bad in (-1, Fraction(1, 2), Fraction(3), 2.0, "48"):
         with pytest.raises(ParameterError, match="noise hint must be a nonnegative int"):
-            Ciphertext([0] * p.ell, 0, p.q, bad)
-    assert Ciphertext([0] * p.ell, 0, p.q, 10**400).noise_hint == 10**400
+            Ciphertext([0] * p.ell, p.q, bad)
+    assert Ciphertext([0] * p.ell, p.q, 10**400).noise_hint == 10**400
 
 
 # --- decryption threshold --------------------------------------------------
@@ -226,17 +227,19 @@ def test_decrypt_noise_threshold_is_exact(toy_sk):
     (y ‖ band) is ciphertext coordinate n+j because the encryption matrix
     C is [0 | I] on the band rows.  With the noise as its hint, decrypt
     warns exactly at the flipping noise, also on toy, where q ≡ 1 (mod 4)
-    puts T = floor(q/2)/2 below q/4."""
+    puts T = floor(q/2)/2 below q/4: T is the least hint that reaches the
+    limit."""
     p = toy_sk.params
     half = p.q // 2
     T = (half + 1) // 2
-    assert p.q % 4 == 1 and T == _noise_limit(p.q) < Fraction(p.q, 4)
+    assert p.q % 4 == 1 and 2 * T == half and 4 * T < p.q
+    assert _reaches_limit(T, p.q) and not _reaches_limit(T - 1, p.q)
     base = encrypt(toy_sk, [0, 0], Random(107), zero_noise=True)
     for j in range(p.message_bits):
         for delta, want in ((T, 1), (T - 1, 0), (-(T - 1), 0)):
             vec = list(base.vec)
             vec[p.n + j] += delta
-            ct = Ciphertext(vec=vec, level=0, q=p.q, noise_hint=abs(delta))
+            ct = Ciphertext(vec=vec, q=p.q, noise_hint=abs(delta))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = decrypt(toy_sk, ct)
@@ -248,15 +251,15 @@ def test_decrypt_noise_threshold_is_exact(toy_sk):
 def test_decrypt_warns_past_quarter_q(toy_sk):
     p = toy_sk.params
     ct = encrypt(toy_sk, [1, 0], Random(108))
-    noisy = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=p.q // 4 + 1)
+    noisy = Ciphertext(vec=ct.vec, q=p.q, noise_hint=p.q // 4 + 1)
     with pytest.warns(RuntimeWarning):
         decrypt(toy_sk, noisy)
-    quiet = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=p.B)
+    quiet = Ciphertext(vec=ct.vec, q=p.q, noise_hint=p.B)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert decrypt(toy_sk, quiet) == [1, 0]
     # a hint past the float range is shown as a power of two
-    huge = Ciphertext(vec=ct.vec, level=0, q=p.q, noise_hint=10**400)
+    huge = Ciphertext(vec=ct.vec, q=p.q, noise_hint=10**400)
     with pytest.warns(RuntimeWarning, match=r"noise hint 2\^1329 reaches"):
         assert decrypt(toy_sk, huge) == [1, 0]
 
@@ -291,13 +294,19 @@ def test_add_residual_is_minus_carry(toy_sk):
         assert got == [-(a & b) for a, b in zip(m1, m2)]
 
 
-def test_add_level_is_max(toy_sk, toy_evk):
+def test_add_refuses_nothing(toy_sk, toy_evk):
+    """A sum's hint is h1 + h2 + 1, also past the decryption limit: eval_add
+    refuses nothing, and decrypt warns instead."""
+    p = toy_sk.params
     rng = Random(111)
     c0 = encrypt(toy_sk, [1, 0], rng)
     c1 = eval_mult(toy_evk, c0, encrypt(toy_sk, [1, 1], rng))
-    assert c1.level == 1
-    assert eval_add(c0, c1).level == 1
-    assert eval_add(c1, c1).level == 1
+    assert eval_add(c0, c1).noise_hint == p.B + c1.noise_hint + 1
+    worn = replace(c1, noise_hint=p.q // 4)
+    total = eval_add(worn, c0)
+    assert total.noise_hint == p.q // 4 + p.B + 1
+    with pytest.warns(RuntimeWarning, match="reaches floor"):
+        assert decrypt(toy_sk, total) == [0, 0]
 
 
 def test_add_rejects_mismatched(toy_sk, small_sk):
@@ -317,7 +326,7 @@ def test_mult_truth_table(toy_sk, toy_evk):
             c2 = encrypt(toy_sk, [b, b], rng)
             prod = eval_mult(toy_evk, c1, c2)
             assert decrypt(toy_sk, prod) == [a & b, a & b]
-            assert prod.level == 1
+            assert prod.noise_hint == mult_noise_hint(toy_evk, *[toy_sk.params.B] * 2)
             assert len(prod) == toy_sk.params.ell
 
 
@@ -341,18 +350,58 @@ def test_mult_by_all_ones_preserves_message(toy_sk, toy_evk):
 
 
 def test_mult_depth_accounting(toy_sk, toy_evk):
-    # toy has L = 2: one squaring then one more product is fine, the next is not
+    """Depth is counted by hints: a product's hint depends on the larger
+    input hint only, so on toy the square of a product and a chain of three
+    ANDs are admitted, and the fourth AND of a chain is refused."""
     rng = Random(117)
     c = encrypt(toy_sk, [1, 1], rng)
     lvl1 = eval_mult(toy_evk, c, c)
-    assert lvl1.level == 1
     lvl2 = eval_mult(toy_evk, lvl1, encrypt(toy_sk, [1, 1], rng))
-    assert lvl2.level == 2
-    assert decrypt(toy_sk, lvl2) == [1, 1]
-    with pytest.raises(DepthError):
-        eval_mult(toy_evk, lvl2, c)
-    with pytest.raises(DepthError):
-        eval_mult(toy_evk, lvl1, lvl1)  # 1 + 1 + 1 > 2
+    square = eval_mult(toy_evk, lvl1, lvl1)
+    assert square.noise_hint == lvl2.noise_hint
+    lvl3 = eval_mult(toy_evk, lvl2, c)
+    assert decrypt(toy_sk, square) == decrypt(toy_sk, lvl3) == [1, 1]
+    with pytest.raises(DepthError, match="AND refused"):
+        eval_mult(toy_evk, lvl3, c)
+    with pytest.raises(DepthError, match="AND refused"):
+        eval_mult(toy_evk, c, lvl3)
+
+
+#: The deepest AND chain each preset admits from fresh encryptions.
+DEEPEST_CHAIN = {"toy": 3, "small": 1, "depth3": 3, "bench12": 2, "bench16": 2}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_deepest_admitted_chain(name):
+    """Each preset admits an AND chain exactly as deep as DEEPEST_CHAIN, each
+    product decrypting correctly with measured noise within its hint; one
+    more AND raises DepthError."""
+    p = preset_params(name)
+    rng = Random(f"chain-{name}")
+    sk = keygen(p, rng)
+    evk = build_evalkey(sk, rng=rng)
+    plain = [rng.randrange(2) for _ in range(p.message_bits)]
+    acc = encrypt(sk, plain, rng)
+    for _ in range(DEEPEST_CHAIN[name]):
+        m = [rng.randrange(2) for _ in range(p.message_bits)]
+        acc = eval_mult(evk, acc, encrypt(sk, m, rng))
+        plain = [a & b for a, b in zip(plain, m)]
+        assert decrypt(sk, acc) == plain
+        assert max(map(abs, noise_of(sk, acc, plain))) <= acc.noise_hint
+    with pytest.raises(DepthError, match="AND refused"):
+        eval_mult(evk, acc, encrypt(sk, plain, rng))
+
+
+def test_eval_mult_refuses_every_product_at_q97():
+    """On the q = 97 set even a product of noiseless ciphertexts has hint 33,
+    past floor(97/2)/2 = 24, so eval_mult refuses every AND."""
+    p = CARRY_SETS["tiny-q97"]()
+    sk = keygen(p, Random("q97"))
+    evk = build_evalkey(sk, rng=Random("q97-evk"))
+    c = encrypt(sk, [1], Random("q97-ct"), zero_noise=True)
+    assert mult_noise_hint(evk, 0, 0) == 33 and _reaches_limit(33, p.q)
+    with pytest.raises(DepthError, match="noise hint 33 reaches"):
+        eval_mult(evk, c, c)
 
 
 def _extreme_ciphertexts(sk):
@@ -362,7 +411,7 @@ def _extreme_ciphertexts(sk):
     cts = [encrypt(sk, [rng.randrange(2) for _ in range(p.message_bits)], rng)
            for _ in range(2)]
     for x in ((p.q - 1) // 2, -(p.q - 1) // 2, 0):
-        cts.append(Ciphertext(vec=[x] * p.ell, level=0, q=p.q, noise_hint=0))
+        cts.append(Ciphertext(vec=[x] * p.ell, q=p.q, noise_hint=0))
     return cts
 
 
@@ -411,8 +460,10 @@ def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
 
 @pytest.mark.parametrize("name", sorted(CARRY_SETS))
 def test_mult_matches_oracle_on_random_vectors(name):
-    """eval_mult equals the exact-rational pipeline on random balanced
-    vectors that are no encryptions, and on ±(q−1)/2, 0 and ±1 entries."""
+    """eval_mult's arithmetic (``she._product``, without the hint rule that
+    refuses every product on the q = 97 set) equals the exact-rational
+    pipeline on random balanced vectors that are no encryptions, and on
+    ±(q−1)/2, 0 and ±1 entries."""
     p = CARRY_SETS[name]()
     sk = keygen(p, Random(f"carry-{name}"))
     evk = build_evalkey(sk, rng=Random(f"carry-evk-{name}"))
@@ -422,9 +473,8 @@ def test_mult_matches_oracle_on_random_vectors(name):
             for _ in range(3)]
     vecs += [[rng.randint(-h, h) for _ in range(p.ell)] for _ in range(3)]
     for v1, v2 in zip(vecs, vecs[1:] + vecs[:1]):
-        c1, c2 = (Ciphertext(vec=v, level=0, q=p.q, noise_hint=0) for v in (v1, v2))
         want = mult_intermediates(sk, evk, v1, v2)["product"]
-        assert eval_mult(evk, c1, c2).vec == want
+        assert [balance(x, p.q) for x in _product(evk, v1, v2)] == want
 
 
 def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
@@ -441,9 +491,9 @@ def test_library_calls_refuse_misshapen_ciphertexts(toy_sk, toy_evk, small_sk,
     truncate or write it."""
     p = toy_sk.params
     good = encrypt(toy_sk, [1, 0], Random(120))
-    bad = [Ciphertext(vec=good.vec[:-3], level=0, q=p.q, noise_hint=p.B),
-           Ciphertext(vec=good.vec + [0, 1], level=0, q=p.q, noise_hint=p.B),
-           Ciphertext(vec=good.vec, level=0, q=small_sk.params.q, noise_hint=p.B)]
+    bad = [Ciphertext(vec=good.vec[:-3], q=p.q, noise_hint=p.B),
+           Ciphertext(vec=good.vec + [0, 1], q=p.q, noise_hint=p.B),
+           Ciphertext(vec=good.vec, q=small_sk.params.q, noise_hint=p.B)]
     for ct in bad:
         with pytest.raises(ParameterError):
             decrypt(toy_sk, ct)
@@ -505,7 +555,7 @@ def test_hints_match_the_reference_along_an_and_chain():
 
 
 def test_depth3_chain(depth3_sk, depth3_evk):
-    """Three chained products (levels 1, 2, 3) survive at the L=3 preset."""
+    """Three chained products survive at the L=3 preset."""
     sk, evk = depth3_sk, depth3_evk
     rng = Random(120)
     mb = sk.params.message_bits
@@ -515,7 +565,6 @@ def test_depth3_chain(depth3_sk, depth3_evk):
     for m, c in zip(msgs[1:], cts[1:]):
         acc = eval_mult(evk, acc, c)
         plain = [a & b for a, b in zip(plain, m)]
-    assert acc.level == 3
     assert decrypt(sk, acc) == plain
 
 
@@ -536,10 +585,10 @@ def test_pk_dimension(toy_sk, toy_pk):
 def test_pk_rows_decrypt_correctly(toy_sk, toy_pk):
     p = toy_sk.params
     for row in toy_pk.C0[:32]:
-        ct = Ciphertext(vec=list(row), level=0, q=p.q, noise_hint=p.B)
+        ct = Ciphertext(vec=list(row), q=p.q, noise_hint=p.B)
         assert decrypt(toy_sk, ct) == [0] * p.message_bits
     for j, row in enumerate(toy_pk.C_unit):
-        ct = Ciphertext(vec=list(row), level=0, q=p.q, noise_hint=p.B)
+        ct = Ciphertext(vec=list(row), q=p.q, noise_hint=p.B)
         assert decrypt(toy_sk, ct) == [1 if i == j else 0
                                        for i in range(p.message_bits)]
 
