@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import FormatError, ParameterError
+from .errors import DepthError, FormatError, ParameterError
 from .keys import EvalKey
 from .she import Ciphertext, _check_ciphertext, eval_add, eval_mult
 
@@ -64,9 +64,13 @@ class Circuit:
 
 def _walk(gates: Sequence[Gate], env: dict, AND: Callable, XOR: Callable) -> dict:
     """Run the gates in order over ``env`` (wire → value), each gate setting
-    its output wire to AND(a, b) or XOR(a, b) of its inputs' values."""
+    its output wire to AND(a, b) or XOR(a, b) of its inputs' values.  A
+    DepthError from a gate is raised again with the gate's output wire."""
     for g in gates:
-        env[g.out] = (AND if g.op == "AND" else XOR)(env[g.a], env[g.b])
+        try:
+            env[g.out] = (AND if g.op == "AND" else XOR)(env[g.a], env[g.b])
+        except DepthError as exc:
+            raise DepthError(f"{exc} at gate {g.out}") from None
     return env
 
 
@@ -161,7 +165,8 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
     Fails fast — before any homomorphic work — if an input does not fit the
     key's parameters.  Every gate runs, outputs or not, so ``eval_mult``'s
     DepthError at an AND whose product hint reaches the decryption limit
-    ends the evaluation with nothing returned.
+    ends the evaluation with nothing returned; its message names the
+    gate's output wire.
     """
     if len(inputs) != len(circ.inputs):
         raise ParameterError(

@@ -144,7 +144,9 @@ def cmd_evalkey(args) -> int:
     sk = serialize.load_secret_key(args.key)
     evk = build_evalkey(sk, rng=_rng(args, "evalkey"))
     serialize.save_evalkey(evk, args.out)
-    print(f"wrote {args.out} ({evk.input_dim}x{sk.params.t} factors)")
+    p = sk.params
+    print(f"wrote {args.out} (D1s, D2s {p.ell}x{p.ell}, E {p.n}x{p.t - p.ell}, "
+          f"W {p.t}x{p.ell})")
     return 0
 
 

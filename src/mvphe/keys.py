@@ -38,26 +38,31 @@ structure lets evaluation run through the two factor matrices P_i = D_i~ · A
 and the combined third factor W = B·Q·R.  Neither B nor Q is formed either:
 B·Q's rows at the solve points are the X that solves F1p·X = F2, F1p being
 the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
-points (``_reduction_map``).  And A = [I | A_ext] with A_ext zero below its
-first n rows, so P_i is built as [D_i~ | D_i~[:, :n]·E], E being those n
-rows (``_build_E``), and each row of D_i~[:, :n]·E sums the rows of E that
-its bits select (``mat_mul_exact``).  X, E and S each come from one
+points (``_reduction_map``).  X, E and S each come from one
 ``linalg.solve_mod_q``; no inverse is formed and then multiplied.  Their
 ideal evaluations are g(z)·m(z) mod q, one monomial table times g's values
-(``_monomial_table``, ``_ideal_rows``); no product polynomial is formed.  Every entry of P_i
-lies in 0..n(q − 1): D_i~ is 0/1 and E has entries in [0, q).  AND
-multiplies the gadget-transformed ciphertexts by P_i without forming the
-transforms: every entry of a transform is c·2^s less a carry, and all the
-carries of an entry c come from the bits of one quotient, so t·P_i is
-c·P_red plus a subset sum of carry rows (``_carry_product``).  Those rows
-are Kronecker-packed once per key object, on its first AND
-(``EvalKey.packed``, ``_carry_table``), and kept as hex windows, the 16
-subset sums of each four rows, so a carry sum is one lookup per hex digit
-of the quotient.  When P2 equals P1 (zero masking, every preset but
-``small``) one table serves both products.
+(``_monomial_table``, ``_ideal_rows``); no product polynomial is formed.
 
-The evaluation key is not public: P_i's first ell columns are the bits of
-D·2^u + eps_i, and rounding off the u low bits gives D and so S_dec.
+P_i is not formed either, and the key does not store it.  A = [I | A_ext]
+with A_ext zero below its first n rows, so P_i = [D_i~ | D_i~[:, :n]·E]
+follows from two small blocks: D_i·2^u + eps_i mod q·2^u (ell x ell), whose
+bits are D_i~, and E, those n rows (``_build_E``).  The key holds those
+blocks and W.  Every entry of P_i lies in 0..n(q − 1): D_i~ is 0/1 and E
+has entries in [0, q).  AND multiplies the gadget-transformed ciphertexts
+by P_i without forming the transforms: every entry of a transform is c·2^s
+less a carry, and all the carries of an entry c come from the bits of one
+quotient, so t·P_i is c·P_red plus a subset sum of carry rows
+(``_carry_product``).  Those rows come from P_i's rows Kronecker-packed
+once per key object, on its first AND (``EvalKey.packed``): A's ell rows
+are packed, and each packed row of P_i is the sum of the packed rows of A
+that its bits in D_i~ select (``mat_mul_exact``), with no multiplication.
+``_carry_table`` keeps them as hex windows, the 16 subset sums of each
+four carry rows, so a carry sum is one lookup per hex digit of the
+quotient.  When D2s equals D1s (zero masking, every preset but ``small``)
+one table serves both products.
+
+The evaluation key is not public: it stores D_i·2^u + eps_i, and rounding
+off the u low bits gives D and so S_dec.
 """
 
 from __future__ import annotations
@@ -523,9 +528,11 @@ class CarryTable(NamedTuple):
     cols: int
 
 
-def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
-    """Regroup the rows of P (position-major, u + K of them per entry, K =
-    q_bits) by the carry identity of ``_carry_product``.
+def _carry_table(rows: Sequence[int], width: int, cols: int, q: int,
+                 u: int) -> CarryTable:
+    """Regroup the packed rows of a key factor P (position-major, u + K of
+    them per entry, K = q_bits; packed at ``width`` by ``pack_rows``) by
+    the carry identity of ``_carry_product``.
 
     With R_k the row of entry i at position u + k and S_0 = 0, the carry
     rows are H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
@@ -533,16 +540,14 @@ def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
     kept only as hex windows: window j holds, at each index d < 16, the
     sum of the H_(4j+k) whose bit k is set in d, so the carry sum of a
     quotient is one lookup per hex digit.  The last window is shorter when
-    4 does not divide K − 1.  Each row of P is packed once, one entry's
-    rows at a time; the rest are sums of packed rows.  The slot width is
-    the one a product with any balanced vector needs, since its slots are
-    the entries of t·P with every |t_k| <= (q·2^u)/2.
+    4 does not divide K − 1.  Every row here is a sum of packed rows, so
+    the slot width must hold the entries of t·P for every balanced t,
+    |t_k| <= (q·2^u)/2.
     """
-    ell = len(P) // _gadget_width(q, u)
-    width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
+    ell = len(rows) // _gadget_width(q, u)
     low, windows = [], []
     for i in range(ell):
-        R = pack_rows(P[i::ell], width)  # position s of entry i; R_k = R[u + k]
+        R = rows[i::ell]  # position s of entry i; R_k = R[u + k]
         S, H = 0, []
         for r in R[:u:-1]:  # R_(K−1) down to R_1
             H.append(S + r)
@@ -555,7 +560,7 @@ def _carry_table(P: Matrix, q: int, u: int) -> CarryTable:
                 sums += [x + h for x in sums]
             entry.append(sums)
         windows.append(entry)
-    return CarryTable(low, windows, width, len(P[0]))
+    return CarryTable(low, windows, width, cols)
 
 
 _HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -693,62 +698,86 @@ class EvalKey:
     """Multiplication key in factored form.  It must be kept like the
     secret key: whoever holds it can decrypt.
 
-    ``P1``/``P2`` hold D_i~·A = [D_i~ | D_i~[:, :n]·E]: the bit-decomposed
-    columns of D_i times A, as plain integers in 0..n(q − 1).  The first
-    ell columns are D_i~ itself, the bits of D·2^u + eps_i, and the masking
-    keeps |eps_i| < 2^u/(4n), short of the rounding boundary 2^(u − 1): so
-    D mod q, and its last ell − n columns S_dec, can be read off either
-    factor.  ``W`` is the balanced combined third factor B·Q·R mod q.  The
-    full tensor M has dims input_dim x input_dim x ell (input_dim =
-    ell·(u + q_bits)); evaluation never needs it.
+    ``D1s``/``D2s`` hold D·2^u + eps_i mod q·2^u (ell x ell, entries in
+    0..q·2^u − 1), whose bits, position-major, are D_i~; ``E`` holds the
+    extension coefficients (n x (t − ell), entries in 0..q − 1), the
+    nonzero rows of A's extension block; ``W`` is the balanced combined
+    third factor B·Q·R mod q.  The two factor matrices are P_i = D_i~·A =
+    [D_i~ | D_i~[:, :n]·E] (input_dim x t, entries in 0..n(q − 1)), and
+    neither is stored.  The masking keeps |eps_i| < 2^u/(4n), short of the
+    rounding boundary 2^(u − 1): so D mod q, and its last ell − n columns
+    S_dec, can be read off either D_is.  The full tensor M has dims
+    input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
+    never needs it.
 
     ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
     (``_carry_table``: the packed rows P_red and the hex windows of the
-    carry rows H), one table given twice when P2 == P1.  It is not part of
-    the key: equality, repr and files ignore it, and ``replace`` gives a
-    key that builds its own tables afresh.  Mutating P1 or P2 in place
+    carry rows H), one table given twice when D2s == D1s.  It is not part
+    of the key: equality, repr and files ignore it, and ``replace`` gives a
+    key that builds its own tables afresh.  Mutating a field in place
     after the first eval_mult leaves it stale.
     """
 
     params: Params
-    P1: Matrix
-    P2: Matrix
+    D1s: Matrix
+    D2s: Matrix
+    E: Matrix
     W: Matrix
 
     @property
     def input_dim(self) -> int:
-        return len(self.P1)
+        return self.params.ell * _gadget_width(self.params.q, self.params.u)
 
     @cached_property
     def packed(self) -> tuple[CarryTable, CarryTable]:
         """P1 and P2 as the carry tables of ``_carry_table``, built on
-        first use; one table, given twice, when P2 equals P1."""
+        first use; one table, given twice, when D2s equals D1s.
+
+        A's ell rows are packed once, and each packed row of P_i is the
+        sum of the packed rows of A that its bit row in D_i~ selects
+        (``mat_mul_exact``), so P_i is never formed unpacked.  The slot
+        width holds every entry of t·P_i for a balanced t: input_dim
+        entries up to (q·2^u)/2 times entries of P_i up to n(q − 1).
+        """
         p = self.params
-        T1 = _carry_table(self.P1, p.q, p.u)
-        T2 = T1 if self.P2 == self.P1 else _carry_table(self.P2, p.q, p.u)
-        return T1, T2
+        n, ell, t = p.n, p.ell, p.t
+        width = slot_width(self.input_dim * ((p.q << p.u) // 2) * n * (p.q - 1))
+        zero = [0] * (t - ell)
+        A = [[int(i == j) for j in range(ell)] + (self.E[i] if i < n else zero)
+             for i in range(ell)]
+        A_rows = [[a] for a in pack_rows(A, width)]
+
+        def table(D_scaled: Matrix) -> CarryTable:
+            bits = _bit_rows(D_scaled, p)
+            rows = [row[0] for row in mat_mul_exact(bits, A_rows)]
+            return _carry_table(rows, width, t, p.q, p.u)
+
+        T1 = table(self.D1s)
+        return T1, T1 if self.D2s == self.D1s else table(self.D2s)
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     """Construct the multiplication key from a secret key.
 
     The five steps: (1) unmasking matrices D_i with fresh dyadic masking
-    blocks, (2) the extension coefficients E, the nonzero block of the
-    point-extension matrix A, (3) rescaling diagonal folded into the rank-1
-    slice structure, (4)+(5) re-expression matrix B times reduction matrix
-    Q, from the X that solves F1p·X = F2, F2 being the division
-    remainders of the degree-(<= 2r) ideal basis.  The mandatory
-    post-check F1p·X = F2 (mod q) runs on every build.
-    P_i = D_i~·A = [D_i~ | D_i~[:, :n]·E].  F1p, read off the monomial table
-    at the solve points, feeds both E and X.
+    blocks, kept as D_i·2^u + eps_i mod q·2^u, (2) the extension
+    coefficients E, the nonzero block of the point-extension matrix A, (3)
+    rescaling diagonal folded into the rank-1 slice structure, (4)+(5)
+    re-expression matrix B times reduction matrix Q, from the X that solves
+    F1p·X = F2, F2 being the division remainders of the degree-(<= 2r)
+    ideal basis.  The mandatory post-check F1p·X = F2 (mod q) runs on every
+    build.  F1p, read off the monomial table at the solve points, feeds
+    both E and X.  The factors P_i = D_i~·A are left to the first AND.
     """
     p = sk.params
     q = p.q
     rng = rng or Random()
 
-    # step 1: unmasking matrices
-    D1s = _build_D_scaled(sk, _sample_masking_block(p, rng))
-    D2s = _build_D_scaled(sk, _sample_masking_block(p, rng))
+    # step 1: unmasking matrices, reduced mod q·2^u
+    modulus = q << p.u
+    D1s, D2s = [[[x % modulus for x in row] for row in _build_D_scaled(sk, eps)]
+                for eps in (_sample_masking_block(p, rng),
+                            _sample_masking_block(p, rng))]
 
     # step 2: extension coefficients
     solve_points = sk.points[:p.n] + sk.points[p.ell:]
@@ -757,10 +786,7 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
 
     # steps 4+5
     W = balanced_matrix(mat_mul(_reduction_map(sk, F1p), sk.R, q), q)
-
-    P1 = _bitdecomp_matrix_times(D1s, E, p, q)
-    P2 = _bitdecomp_matrix_times(D2s, E, p, q)
-    return EvalKey(params=p, P1=P1, P2=P2, W=W)
+    return EvalKey(params=p, D1s=D1s, D2s=D2s, E=E, W=W)
 
 
 def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
@@ -781,11 +807,8 @@ def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def _bitdecomp_matrix_times(D_scaled: Matrix, E: Matrix, p: Params, q: int) -> Matrix:
-    """Rows of D~·A = [D~ | D~[:, :n]·E], where D~ holds the bit-decomposed
-    D columns, position-major."""
-    cols = [_bitdecomp_numerators([row[j] for row in D_scaled], q, p.u)
-            for j in range(p.ell)]
-    D_bits = list(zip(*cols))
-    ext = mat_mul_exact([row[:p.n] for row in D_bits], E)
-    return [[*row, *ext_row] for row, ext_row in zip(D_bits, ext)]
+def _bit_rows(D_scaled: Matrix, p: Params) -> Matrix:
+    """D~: the bits of D_scaled's entries, position-major, so row s·ell + i
+    holds bit s of row i of D_scaled."""
+    bits = _bitdecomp_numerators([x for row in D_scaled for x in row], p.q, p.u)
+    return [bits[k:k + p.ell] for k in range(0, len(bits), p.ell)]

@@ -4,8 +4,8 @@ Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
 exception is ``vec_mat``, the exact integer product of decryption and AND's
-W contraction.  (``keys.mat_mul_exact``, the key's D~[:, :n]·E, sums the
-rows its 0/1 factor selects instead.)
+W contraction.  (``keys.mat_mul_exact``, the key's D~·A on A's packed rows,
+sums the rows its 0/1 factor selects instead.)
 ``pack_rows`` and ``unpack_slots`` are Kronecker substitution: a row packed
 into one integer turns a vector-matrix product into one big-integer
 multiply-add per row.  ``mat_mul`` and encryption (``she.encrypt``, on the

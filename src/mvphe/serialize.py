@@ -27,11 +27,12 @@ the core fields: g as C(v + r_g, r_g) coefficients over
 first and the leading monomial last), the t x v points, then S, R1 and R2.
 All derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction; g must be as keygen draws it, with leading
-coefficient 1 and a nonzero constant term.  Evaluation keys store P1, P2
-and W verbatim (the carry bound k_max follows from the parameters); every
-entry of P1 and P2 must lie in 0..n(q − 1), the range of every key
-build_evalkey makes, and every entry of W in −floor(q/2)..floor(q/2), as
-build_evalkey balances it.  Public-key files store exactly
+coefficient 1 and a nonzero constant term.  Evaluation keys store the
+blocks the factors P1 and P2 follow from, not the factors: D1s and D2s
+(ell x ell, entries in 0..q·2^u − 1), E (n x (t − ell), entries in
+0..q − 1), then W (t x ell, entries in −floor(q/2)..floor(q/2), as
+build_evalkey balances it); the carry bound k_max follows from the
+parameters.  Public-key files store exactly
 d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
 of the unit vectors.  Ciphertext files store the noise hint, one integer
 that must be nonnegative, and the ell entries of the vector.
@@ -41,10 +42,7 @@ makes, so one key has one byte string.  g's coefficients and every
 public-key and ciphertext entry are balanced, in −floor(q/2)..floor(q/2),
 and the points, S, R1 and R2 lie in 0..q − 1.  Each loader refuses any
 other form with FormatError, after one min and one max pass per field, and
-``save_secret_key``, ``save_public_key`` and ``save_ciphertext`` refuse it
-with ParameterError.  ``save_evalkey`` writes P1, P2 and W unchecked: the
-same passes over a bench16 key cost about 3 ms, and the keys it is given
-come from ``build_evalkey``.
+every ``save_*`` refuses it with ParameterError.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import FormatError, ParameterError, SingularMatrixError
-from .keys import EvalKey, Params, SecretKey, _gadget_width
+from .keys import EvalKey, Params, SecretKey
 from .linalg import Matrix
 from .mvpoly import Polynomial, enumerate_monomials
 from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
@@ -72,7 +70,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 5
+VERSION = 6
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -353,29 +351,32 @@ def load_secret_key(path: str) -> SecretKey:
         raise FormatError(f"secret key R1 is singular mod q = {q}") from None
 
 
+def _evalkey_layout(p: Params) -> tuple[tuple[str, int, int, int, int], ...]:
+    """(field, rows, cols, lowest entry, highest entry) of each evaluation
+    key field, in file order."""
+    half = p.q // 2
+    top = (p.q << p.u) - 1
+    return (("D1s", p.ell, p.ell, 0, top), ("D2s", p.ell, p.ell, 0, top),
+            ("E", p.n, p.t - p.ell, 0, p.q - 1), ("W", p.t, p.ell, -half, half))
+
+
 def save_evalkey(evk: EvalKey, path: str) -> None:
-    p = evk.params
-    dim = p.ell * _gadget_width(p.q, p.u)
     buf = bytearray()
-    _w_matrix(buf, "P1", evk.P1, dim, p.t)
-    _w_matrix(buf, "P2", evk.P2, dim, p.t)
-    _w_matrix(buf, "W", evk.W, p.t, p.ell)
-    _write_container(path, TYPE_EVALKEY, p, bytes(buf))
+    for name, rows, cols, lo, hi in _evalkey_layout(evk.params):
+        m = getattr(evk, name)
+        _w_matrix(buf, name, m, rows, cols)
+        _check_range(name, m, lo, hi, ParameterError)
+    _write_container(path, TYPE_EVALKEY, evk.params, bytes(buf))
 
 
 def load_evalkey(path: str) -> EvalKey:
     params, r = _read_container(path, TYPE_EVALKEY)
-    dim = params.ell * _gadget_width(params.q, params.u)
-    P1 = r.matrix(dim, params.t)
-    P2 = r.matrix(dim, params.t)
-    W = r.matrix(params.t, params.ell)
+    layout = _evalkey_layout(params)
+    fields = [r.matrix(rows, cols) for _, rows, cols, _, _ in layout]
     r.end()
-    top = params.n * (params.q - 1)
-    _check_range("P1", P1, 0, top, FormatError)
-    _check_range("P2", P2, 0, top, FormatError)
-    half = params.q // 2
-    _check_range("W", W, -half, half, FormatError)
-    return EvalKey(params=params, P1=P1, P2=P2, W=W)
+    for (name, _, _, lo, hi), m in zip(layout, fields):
+        _check_range(name, m, lo, hi, FormatError)
+    return EvalKey(params, *fields)
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:

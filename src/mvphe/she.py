@@ -187,7 +187,8 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     big-integer multiply-add per ciphertext entry plus a carry sum of one
     window lookup per hex digit of its quotient, against the key's
     Kronecker-packed carry tables (``evk.packed``, which the first call on
-    a key builds, once when P2 == P1), and one ``unpack_slots``.  The W
+    a key builds from its stored blocks, once when D2s == D1s), and one
+    ``unpack_slots``.  The W
     contraction: first z_s = x_s·y_s·u_s, then z·W (``vec_mat``), so the
     k-th output is
 

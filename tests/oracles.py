@@ -4,7 +4,9 @@ rationals, the degree-(<= r) ideal basis as polynomial products,
 encryption in two products from the key's core fields, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
-of one multiplication carried out with exact rationals, a random netlist
+of one multiplication carried out with exact rationals, the key factors
+P_i = D_i~·A by a plain triple sum and their carry tables packed as a
+key that stores P would pack them, a random netlist
 generator and a netlist's noise hints gate by gate, the container's
 integer encoding written one entry at a time, and the noise hints as the
 exact rational bounds that the integer rules round up.
@@ -26,17 +28,19 @@ from mvphe.circuit import Circuit, parse_circuit
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import (
     PRESETS,
+    CarryTable,
     EvalKey,
     Params,
     SecretKey,
     _bitdecomp_numerators,
+    _carry_table,
     _gadget_width,
     _ideal_basis_2r,
     build_G,
     preset_params,
     setup,
 )
-from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, zeros
+from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, pack_rows, slot_width, zeros
 from mvphe.mvpoly import Polynomial, enumerate_monomials, reduce_by_set
 
 
@@ -378,6 +382,31 @@ def bilinear_eval(T: Tensor3, v1: Sequence, v2: Sequence) -> list[Fraction]:
 # the multiplication key, unfactored
 # ---------------------------------------------------------------------------
 
+def factor_matrices(evk: EvalKey) -> tuple[Matrix, Matrix]:
+    """P1 and P2, each D_i~·A as a plain triple sum: row s·ell + i of D_i~
+    holds bit s of row i of D_is, and A = [I | A_ext] with A_ext's first n
+    rows E and the rest zero."""
+    p = evk.params
+    n, ell, t = p.n, p.ell, p.t
+    A = [[int(i == j) for j in range(ell)]
+         + (list(evk.E[i]) if i < n else [0] * (t - ell)) for i in range(ell)]
+    out = []
+    for Ds in (evk.D1s, evk.D2s):
+        bits = [[(x >> s) & 1 for x in row]
+                for s in range(_gadget_width(p.q, p.u)) for row in Ds]
+        out.append([[sum(b[j] * A[j][c] for j in range(ell)) for c in range(t)]
+                    for b in bits])
+    return out[0], out[1]
+
+
+def carry_table_from_P(P: Matrix, q: int, u: int) -> CarryTable:
+    """The carry table of a factor P packed the way a key that stores P
+    packs it: every row by ``pack_rows`` at the slot width that P's largest
+    entry needs, then regrouped by ``keys._carry_table``."""
+    width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
+    return _carry_table(pack_rows(P, width), width, len(P[0]), q, u)
+
+
 def u_coeffs(evk: EvalKey) -> list[Fraction]:
     """Diagonal of the rescaling tensor: 2/q on the message band."""
     p = evk.params
@@ -390,15 +419,16 @@ def evalkey_tensor(evk: EvalKey) -> Tensor3:
     p = evk.params
     dim = evk.input_dim
     coeffs = u_coeffs(evk)
+    P1, P2 = factor_matrices(evk)
     T = Tensor3.zeros(dim, dim, p.ell)
     for k in range(p.ell):
         wk = [evk.W[s][k] for s in range(p.t)]
         sl = T.slices[k]
         for i in range(dim):
-            row1 = evk.P1[i]
+            row1 = P1[i]
             out_row = sl[i]
             for j in range(dim):
-                row2 = evk.P2[j]
+                row2 = P2[j]
                 acc = Fraction(0)
                 for s in range(p.t):
                     if wk[s] and row1[s] and row2[s]:
@@ -424,9 +454,10 @@ def mult_intermediates(sk: SecretKey, evk: EvalKey,
     t1 = _powersoftwo_numerators(c1, q, p.u)
     t2 = _powersoftwo_numerators(c2, q, p.u)
     denom = 1 << p.u
-    x1 = [Fraction(sum(a * evk.P1[i][s] for i, a in enumerate(t1)), denom)
+    P1, P2 = factor_matrices(evk)
+    x1 = [Fraction(sum(a * P1[i][s] for i, a in enumerate(t1)), denom)
           for s in range(p.t)]
-    x2 = [Fraction(sum(a * evk.P2[i][s] for i, a in enumerate(t2)), denom)
+    x2 = [Fraction(sum(a * P2[i][s] for i, a in enumerate(t2)), denom)
           for s in range(p.t)]
     coeffs = u_coeffs(evk)
     c_prime = [coeffs[s] * x1[s] * x2[s] for s in range(p.t)]

@@ -186,7 +186,8 @@ def test_product_trees_and_chains_evaluate_on_toy(toy_sk, toy_evk):
 def test_homomorphic_refuses_a_product_past_the_limit(toy_sk, toy_evk,
                                                       monkeypatch):
     """A chain of four ANDs is refused by the fourth gate's eval_mult, whose
-    hint would reach floor(q/2)/2, and the call returns nothing."""
+    hint would reach floor(q/2)/2, and the call returns nothing; the
+    refusal names that gate's output wire."""
     calls = []
     real = circuit_mod.eval_mult
     monkeypatch.setattr(circuit_mod, "eval_mult",
@@ -201,8 +202,8 @@ t3 = AND t2 b
 out t3
 """)
     cts = [encrypt(toy_sk, [0, 1], Random(132)) for _ in range(2)]
-    with pytest.raises(DepthError, match="AND refused: its noise hint .* reaches "
-                                         r"floor\(q/2\)/2"):
+    with pytest.raises(DepthError, match="^AND refused: its noise hint .* reaches "
+                                         r"floor\(q/2\)/2 = \S+ at gate t3$"):
         eval_homomorphic(toy_evk, deep, cts)
     assert len(calls) == 4
 

@@ -168,6 +168,17 @@ def test_encrypt_with_huge_sigma_returns_at_once(tmp_path, toy_sk, capsys):
     assert capsys.readouterr().out.strip() == "10"
 
 
+def test_evalkey_names_what_the_file_stores(tmp_path, toy_sk, capsys):
+    """evalkey reports the blocks the file holds, D1s, D2s, E and W, with
+    their shapes: ell x ell, n x (t − ell) and t x ell."""
+    key, out = str(tmp_path / "sk.bin"), str(tmp_path / "evk.bin")
+    serialize.save_secret_key(toy_sk, key)
+    capsys.readouterr()
+    assert main(["evalkey", "--key", key, "--out", out, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (f"wrote {out} (D1s, D2s 8x8, E 6x15, "
+                                       "W 23x8)\n")
+
+
 def test_evalkey_refuses_key_with_repeated_extension_point(tmp_path, toy_sk, capsys):
     points = list(toy_sk.points)
     points[-1] = points[-2]
@@ -268,7 +279,9 @@ def test_eval_circuit_over_files(workdir, tmp_path, capsys):
 
 def test_eval_refused_circuit_writes_no_file(workdir, tmp_path, capsys):
     """A chain of four ANDs passes the noise limit of every toy modulus:
-    eval exits 2 with eval_mult's refusal and writes no output file."""
+    eval exits 2 with eval_mult's refusal and writes no output file.  The
+    error names the refused gate; the seed-9 key's q already refuses the
+    third AND, t2 (the preset's own q admits it; see test_circuit)."""
     netlist = tmp_path / "deep.txt"
     netlist.write_text("in a\nin b\nt0 = AND a b\nt1 = AND t0 b\nt2 = AND t1 b\n"
                        "t3 = AND t2 b\nout t0\nout t3\n", encoding="utf-8")
@@ -279,7 +292,9 @@ def test_eval_refused_circuit_writes_no_file(workdir, tmp_path, capsys):
     assert main(["eval", "--evalkey", str(workdir / "evk.bin"),
                  "--circuit", str(netlist), "--in", ca, ca,
                  "--out-prefix", str(tmp_path / "res")]) == 2
-    assert capsys.readouterr().err.startswith("error: AND refused: its noise hint ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: AND refused: its noise hint ")
+    assert err.endswith(" at gate t2\n") and err.count("\n") == 1
     assert not list(tmp_path.glob("res*"))
 
 
@@ -303,7 +318,7 @@ def test_eval_refuses_foreign_ciphertext(workdir, tmp_path, capsys):
 
 
 def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
-    # the parameters fix P1, P2 and W's shapes; a file one W entry short
+    # the parameters fix D1s, D2s, E and W's shapes; a file one W entry short
     # runs out of bytes
     evk = serialize.load_evalkey(str(workdir / "evk.bin"))
     last = bytearray()
@@ -429,14 +444,14 @@ def test_bench_refuses_fewer_than_one_mult(mults, capsys):
 # byte-identical under a fixed seed; a change here is a format change and
 # needs a VERSION bump.
 PINNED_TOY_SEED_7 = {
-    "params.bin": "95c890780d4f69bd6a7db17ac4817344c32f7735f5569a06f8ab775017c8e283",
-    "sk.bin": "ed88cfa0971b885a1cb69d28edfecf5bcfb4eedba530bd3d18afb870ddc639d6",
-    "evk.bin": "b118494a8a5c66d3a777340f5e37fe03e63222fd98ce6314d6a579329cf47e6e",
-    "pk.bin": "131b9824e7386b5c5f07b6634444c8381963410bb65f9b7569d51853ae091a42",
-    "ct.bin": "9fbc8845ea31ac293d677f9acdd088ff2a7654713223b5e0187c93bdc88bd719",
-    "pct.bin": "71e972ce976dbff997f71ec3beac26bb9a78ae522d89bc08599d98d46abfdc37",
-    "out0.bin": "61262bb5511f6ca8cbe030a069dfc5f8038874ab63b18fdcdab90d26df769a33",
-    "out1.bin": "ccb42cd43b91059fd0d69afee945eb9ac531f0cf0a0ff1568e42054a04b2748f",
+    "params.bin": "a994795db4abb60ce5265e592d34ef69b32ff4f4bca6c43efd645decd57f5c58",
+    "sk.bin": "8e2e650ececef65b828581f0c200c6409a30361e52de0b5b2d9d419c13a1d716",
+    "evk.bin": "043528c3dbc5d151f4d6ecb99187c2be267f299ea1414a332f19e27c50e49d82",
+    "pk.bin": "887b69ce408f8e28b78a0f1d85d9d9e054d10a8b3daabe4ae46bcc2bb888d57f",
+    "ct.bin": "c4fad47ed546300c838b7bcaf36a3831db3477cac7c80a3cc789651cc040841f",
+    "pct.bin": "3fd1e3441ed8b0fd11e9b6783735fbed2ce50bce6f45d74fa318b84f19aea936",
+    "out0.bin": "3b2a86073eac3cec953d35e2b5fa5e579bbdcf1cf74b9135b6281e1c4e79814a",
+    "out1.bin": "a3b5a71219faf81de82f19c9e8cf5c106ac4bbbee86cab1bcfd5e675918582c9",
 }
 
 

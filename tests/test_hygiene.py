@@ -2,8 +2,8 @@
 no top-level function or class, and no method or property of a package
 class, that nothing in the package uses.  Listing a name in __all__ does
 not count as using it.  And the benchmark still runs on it: every function
-its tracer wraps exists, and its workloads give the ciphertext vectors its
-digests pin."""
+its tracer wraps exists, every layer its metrics read is reached, and its
+workloads give the ciphertext vectors its digests pin."""
 
 import ast
 import importlib.util
@@ -192,6 +192,32 @@ def test_benchmark_digests_hold(tmp_path, monkeypatch):
         workdir.mkdir()
         ops = workloads.WORKLOADS[name].golden_ops
         assert workloads.golden_digest(name, str(workdir)) == (digest, ops, 0), name
+
+
+def test_every_traced_layer_is_reached(tmp_path, monkeypatch):
+    """Each span the benchmark's per-layer metrics read on a workload
+    (``run.LAYER_METRICS``) is called in one op of that workload, traced by
+    the benchmark's own ``Tracer``: so moving work between layers cannot
+    leave a metric reading zero unnoticed.  The keyring op reaches
+    ``keys.mat_mul_exact`` through its one AND, whose first call on a key
+    builds the carry tables."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run imports hostspeed
+    run = _load_perfbench("run")
+    tracing = _load_perfbench("tracing")
+    workloads = _load_perfbench("workloads")
+    missing = []
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        w = cls(workloads.DEFAULT_SEED, str(workdir))
+        w.setup()
+        tracer = tracing.Tracer()
+        ok, _ = tracer.op(0, w.op, 0)
+        assert ok, name
+        called = {span[0] for span in tracer.spans}
+        missing += [metric for metric, where in run.LAYER_METRICS.items()
+                    if where == name and metric.rsplit(".", 1)[0] not in called]
+    assert missing == []
 
 
 # make_netlist's arguments in the benchmark's workloads: circuit-toy's and

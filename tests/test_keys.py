@@ -30,7 +30,6 @@ from mvphe.keys import (
     _auto_q_bits,
     _carry_bound,
     _carry_product,
-    _carry_table,
     _ideal_basis_2r,
     _ideal_rows,
     _monomial_table,
@@ -49,8 +48,10 @@ from oracles import (
     bitdecomp,
     build_B,
     build_Q,
+    carry_table_from_P,
     encryption_factors,
     evalkey_tensor,
+    factor_matrices,
     ideal_basis_r,
     mult_intermediates,
     n_mode_product,
@@ -220,7 +221,8 @@ def test_keygen_deterministic(toy_params):
     assert k3.points != k1.points
 
 
-# sha256 of repr((S, S_dec, P1, P2, W)) over seeds 1..3, per preset
+# sha256 of repr((S, S_dec, P1, P2, W)) over seeds 1..3, per preset; P1 and
+# P2 are rebuilt from the key's D1s, D2s and E by the oracle
 KEY_DIGESTS = {
     "bench12": "4bcf209b17f7c5a3bf5285489c3d26a499d0c02cb6d97cf4facaf711a8bb9ba2",
     "bench16": "f900998918a41e379344a316944c7813d4d844604a8caf9d8b1e0538adf2d2ee",
@@ -240,31 +242,29 @@ def test_seeded_keys_are_pinned(name):
     for seed in (1, 2, 3):
         sk = keygen(p, Random(f"pin-{name}-{seed}"))
         evk = build_evalkey(sk, rng=Random(f"pin-evk-{name}-{seed}"))
-        h.update(repr((sk.S, sk.S_dec, evk.P1, evk.P2, evk.W)).encode())
+        P1, P2 = factor_matrices(evk)
+        h.update(repr((sk.S, sk.S_dec, P1, P2, evk.W)).encode())
     assert h.hexdigest() == KEY_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_evalkey_discloses_the_decryption_matrix(name):
     """Whoever holds an evaluation key can decrypt, so it must be kept like
-    the secret key.  Row s·ell + i of P_i's first ell columns is bit s of
-    D·2^u + eps (mod q·2^u), so summing the bits back gives it; the masking
+    the secret key.  D1s and D2s hold D·2^u + eps (mod q·2^u); the masking
     keeps |eps| < 2^u/(4n), below the rounding boundary 2^(u − 1), so
     rounding off the u low bits gives D mod q, and D's last ell − n columns
-    are S_dec.  Masking is zero on every preset but small, so P1 == P2
+    are S_dec.  Masking is zero on every preset but small, so D1s == D2s
     there.  A change that hides D must update this test on purpose."""
     p = preset_params(name)
-    q, u, ell, K = p.q, p.u, p.ell, p.q_bits
+    q, u = p.q, p.u
     sk = keygen(p, Random(f"disclose-{name}"))
     evk = build_evalkey(sk, rng=Random(f"disclose-evk-{name}"))
-    assert (evk.P1 == evk.P2) == (name != "small")
+    assert (evk.D1s == evk.D2s) == (name != "small")
     rng = Random(f"disclose-msgs-{name}")
     msgs = [[rng.randrange(2) for _ in range(p.message_bits)] for _ in range(20)]
     cts = [encrypt(sk, m, rng) for m in msgs]
     half = q // 2
-    for P in (evk.P1, evk.P2):
-        scaled = [[sum(P[s * ell + i][j] << s for s in range(u + K))
-                   for j in range(ell)] for i in range(ell)]
+    for scaled in (evk.D1s, evk.D2s):
         D = [[((x + (1 << u >> 1)) >> u) % q for x in row] for row in scaled]
         assert D == sk.D
         S_dec = [row[p.n:] for row in D]
@@ -571,7 +571,8 @@ def test_carry_sets_end_on_full_and_partial_windows():
 @pytest.mark.parametrize("name", sorted(CARRY_SETS))
 def test_carry_product_matches_gadget_transform(name):
     """_carry_product(c, _carry_table(P)) is t·P for the gadget transform t
-    of c, on nonnegative P with a zero row, entries up to 2^70 (past the
+    of c, on P's rows packed as ``carry_table_from_P`` packs them, for
+    nonnegative P with a zero row, entries up to 2^70 (past the
     one-call packing), and an all-zero P.  c = ±(q − 1)/2 sets every bit of
     its quotient, so it reads the top entry of every hex window; ±1 reads
     the low windows only; mixed signs and magnitudes in one vector too.
@@ -592,11 +593,39 @@ def test_carry_product_matches_gadget_transform(name):
     full, rest = divmod(p.q_bits - 1, 4)
     sizes = [16] * full + ([1 << rest] if rest else [])
     for P in (small, wide, [[0] * cols for _ in range(rows)]):
-        table = _carry_table(P, q, u)
+        table = carry_table_from_P(P, q, u)
         assert [[len(w) for w in entry] for entry in table.windows] == [sizes] * p.ell
         for c in vecs:
             assert _carry_product(c, table, q, u) == vec_mat(
                 _powersoftwo_numerators(c, q, u), P)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_factored_key_builds_the_carry_tables_of_P(name):
+    """The carry tables a key builds from D1s, D2s and E on its first AND
+    equal those a key storing P1 and P2 would build, P rebuilt by the
+    oracle's triple sum.  The key sizes its slots by the bound n(q − 1) on
+    P's entries, not by P's largest entry: on seeds 1..3 the two widths
+    agree on every preset but small, where the bound may take one byte
+    more; there the tables differ only in packing, so their products with
+    random balanced vectors must agree."""
+    p = preset_params(name)
+    q, u = p.q, p.u
+    h = (q - 1) // 2
+    for seed in (1, 2, 3):
+        sk = keygen(p, Random(f"pin-{name}-{seed}"))
+        evk = build_evalkey(sk, rng=Random(f"pin-evk-{name}-{seed}"))
+        rng = Random(f"tables-{name}-{seed}")
+        for got, P in zip(evk.packed, factor_matrices(evk)):
+            want = carry_table_from_P(P, q, u)
+            assert got.cols == want.cols == p.t
+            if got.width == want.width:
+                assert got.low == want.low and got.windows == want.windows
+                continue
+            assert name == "small" and got.width == want.width + 1
+            for _ in range(10):
+                c = [rng.randint(-h, h) for _ in range(p.ell)]
+                assert _carry_product(c, got, q, u) == _carry_product(c, want, q, u)
 
 
 # --- build_evalkey --------------------------------------------------------
@@ -656,9 +685,11 @@ def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
 def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     """Every linear system is one solve and no inverse is formed: a build
     makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
-    two mat_mul_exact and one reduce_by_set per degree-(<= 2r) ideal basis
-    element.  A keygen draw that passes its rank checks makes one solve (S),
-    one inverse (the secret key's D = C^{-1}) and no product.  An
+    one reduce_by_set per degree-(<= 2r) ideal basis element, and no
+    mat_mul_exact: the first AND under a toy key makes the one, for the
+    carry table both its products share, and a second AND makes none.  A
+    keygen draw that passes its rank checks makes one solve (S), one
+    inverse (the secret key's D = C^{-1}) and no product.  An
     encryption is one packed product by C: the first under a key packs C's
     rows once, and every encryption reads its product back with one
     unpack_slots and calls no vec_mat."""
@@ -670,9 +701,14 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(keys, name, counted)
-    build_evalkey(toy_sk, rng=Random(1))
-    assert calls == {"mat_mul": 2, "solve_mod_q": 2, "mat_mul_exact": 2,
+    evk = build_evalkey(toy_sk, rng=Random(1))
+    assert calls == {"mat_mul": 2, "solve_mod_q": 2,
                      "reduce_by_set": toy_sk.params.n1}
+    calls.clear()
+    c = encrypt(toy_sk, [1, 1], Random(2))
+    she.eval_mult(evk, c, c)
+    she.eval_mult(evk, c, c)
+    assert calls == {"mat_mul_exact": 1}
     calls.clear()
     sk = keygen(toy_sk.params, Random(3))
     assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
@@ -744,8 +780,14 @@ def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):
     p = toy_sk.params
     width = p.u + p.q_bits
-    assert toy_evk.input_dim == len(toy_evk.P1) == len(toy_evk.P2) == p.ell * width
-    assert len(toy_evk.P1[0]) == p.t
+    P1, P2 = factor_matrices(toy_evk)
+    assert toy_evk.input_dim == len(P1) == len(P2) == p.ell * width
+    assert len(P1[0]) == p.t
+    for Ds in (toy_evk.D1s, toy_evk.D2s):
+        assert len(Ds) == p.ell and all(len(row) == p.ell for row in Ds)
+        assert all(0 <= x < p.q << p.u for row in Ds for x in row)
+    assert len(toy_evk.E) == p.n and all(len(row) == p.t - p.ell for row in toy_evk.E)
+    assert all(0 <= x < p.q for row in toy_evk.E for x in row)
     assert len(toy_evk.W) == p.t and len(toy_evk.W[0]) == p.ell
     assert _carry_bound(p.ell, p.u, p.q_bits) == 2 * (Fraction(p.ell * width, 2) + 1)
     # balanced third factor
@@ -757,7 +799,7 @@ def test_masking_zero_at_toy_scale(toy_sk):
     two builds with different randomness agree except for nothing at all."""
     e1 = build_evalkey(toy_sk, rng=Random(1))
     e2 = build_evalkey(toy_sk, rng=Random(2))
-    assert e1.P1 == e2.P1 and e1.P2 == e2.P2 and e1.W == e2.W
+    assert e1 == e2
 
 
 def test_masking_nonzero_at_small_preset(small_sk):
@@ -766,7 +808,7 @@ def test_masking_nonzero_at_small_preset(small_sk):
     assert bound > 1  # the preset is sized to leave masking room
     e1 = build_evalkey(small_sk, rng=Random(3))
     e2 = build_evalkey(small_sk, rng=Random(4))
-    assert e1.P1 != e2.P1
+    assert e1.D1s != e2.D1s and e1.E == e2.E
 
 
 def test_masking_column_norm_bound(small_sk):
@@ -794,7 +836,8 @@ def test_tensor_composition_matches_factored_form():
     U = Tensor3.zeros(tiny.t, tiny.t, tiny.t)
     for s, c in enumerate(u_coeffs(evk)):
         U.set_entry(s, s, s, c)
-    M = n_mode_product(n_mode_product(n_mode_product(U, evk.P1, 1), evk.P2, 2),
+    P1, P2 = factor_matrices(evk)
+    M = n_mode_product(n_mode_product(n_mode_product(U, P1, 1), P2, 2),
                        transpose(evk.W), 3)
     assert M == evalkey_tensor(evk)
     assert M.dims == (evk.input_dim, evk.input_dim, tiny.ell)

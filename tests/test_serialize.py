@@ -82,8 +82,8 @@ def test_evalkey_roundtrip(tmp_path, toy_sk, toy_evk):
     path = str(tmp_path / "evk.bin")
     save_evalkey(toy_evk, path)
     back = load_evalkey(path)
-    assert back.P1 == toy_evk.P1 and back.P2 == toy_evk.P2
-    assert back.W == toy_evk.W
+    assert back.D1s == toy_evk.D1s and back.D2s == toy_evk.D2s
+    assert back.E == toy_evk.E and back.W == toy_evk.W
     assert back.params == toy_evk.params
     p = back.params
     assert mult_noise_hint(back, p.B, p.B) == mult_noise_hint(toy_evk, p.B, p.B)
@@ -138,11 +138,12 @@ def test_version_gate_precedes_checksum(tmp_path, toy_params):
     # win, for a future version, for version 1, which stored six fields
     # that the parameters fix, for version 2, which stored the noise hint
     # as a rational, for version 3, which stored matrix shapes, vector
-    # lengths, a point count and g as a sparse term list, and for version 4,
-    # which stored a ciphertext's level
-    assert VERSION == 5
+    # lengths, a point count and g as a sparse term list, for version 4,
+    # which stored a ciphertext's level, and for version 5, whose
+    # evaluation keys stored the factors P1 and P2
+    assert VERSION == 6
     path = str(tmp_path / "p.bin")
-    for version in (99, 1, 2, 3, 4):
+    for version in (99, 1, 2, 3, 4, 5):
         save_params(toy_params, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
@@ -275,80 +276,116 @@ def _refused_unsaved(save, obj, path, message: str) -> None:
 
 
 def test_evalkey_factor_shapes_checked(tmp_path, toy_evk):
+    """The parameters fix D1s and D2s at ell x ell and E at n x (t − ell);
+    save_evalkey refuses a block one row or one column short and writes no
+    file."""
     p = toy_evk.params
-    rows = p.ell * (p.u + p.q_bits)
-    for bad in (replace(toy_evk, P1=toy_evk.P1[:-1]),
-                replace(toy_evk, P2=[row[:-1] for row in toy_evk.P2])):
-        _refused_unsaved(save_evalkey, bad, tmp_path / "evk.bin",
-                         f"^P[12] must be {rows}x{p.t} for these parameters$")
+    shapes = {"D1s": (p.ell, p.ell), "D2s": (p.ell, p.ell), "E": (p.n, p.t - p.ell)}
+    for name, (rows, cols) in shapes.items():
+        m = getattr(toy_evk, name)
+        for bad in (m[:-1], [row[:-1] for row in m]):
+            _refused_unsaved(save_evalkey, replace(toy_evk, **{name: bad}),
+                             tmp_path / "evk.bin",
+                             f"^{name} must be {rows}x{cols} for these parameters$")
 
 
-def test_evalkey_factor_range_checked(tmp_path, toy_sk, toy_evk, capsys):
-    """P1/P2 entries must lie in 0..n(q − 1), the range of every built key."""
-    p = toy_evk.params
-    top = p.n * (p.q - 1)
-    assert max(max(map(max, P)) for P in (toy_evk.P1, toy_evk.P2)) <= top
+def _evalkey_refused(tmp_path, evk, index: int, value: int, message: str,
+                     capsys) -> None:
+    """A field holding ``value`` at payload integer ``index`` is refused:
+    by save_evalkey with ParameterError (no file written), and in a good
+    file patched to hold it, by load_evalkey and by ``mvphe eval`` with
+    FormatError and one error line."""
+    p = evk.params
+    names = ("D1s", "D2s", "E", "W")
+    fields = [getattr(evk, name) for name in names]
+    flat = [x for m in fields for row in m for x in row]
+    entries = iter(flat[:index] + [value] + flat[index + 1:])
+    bad = {name: [[next(entries) for _ in row] for row in m]
+           for name, m in zip(names, fields)}
+    _refused_unsaved(save_evalkey, replace(evk, **bad), tmp_path / "refused.bin",
+                     f"^{message}$")
     path = str(tmp_path / "evk.bin")
-    low = [row[:] for row in toy_evk.P1]
-    low[0][0] = -1
-    high = [row[:] for row in toy_evk.P2]
-    high[-1][-1] = top + 1
-    for bad in (replace(toy_evk, P2=high), replace(toy_evk, P1=low)):
-        save_evalkey(bad, path)
-        with pytest.raises(FormatError, match=f"P[12] has an entry outside 0..{top}"):
-            load_evalkey(path)
+    save_evalkey(evk, path)
+    _shift_payload_int(path, index, value - flat[index])
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        load_evalkey(path)
     ct = str(tmp_path / "ct.bin")
-    save_ciphertext(encrypt(toy_sk, [1, 1], Random(153)), toy_sk.params, ct)
+    save_ciphertext(Ciphertext(vec=[1] * p.ell, q=p.q, noise_hint=p.B), p, ct)
     netlist = tmp_path / "c.txt"
     netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
                  "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
-    assert "error: P1 has an entry outside" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_evalkey_w_range_checked(tmp_path, toy_sk, toy_evk, capsys):
+def test_evalkey_factor_range_checked(tmp_path, toy_evk, capsys):
+    """D1s/D2s entries must lie in 0..q·2^u − 1 and E's in 0..q − 1, the
+    ranges of every key build_evalkey makes: a D entry of q·2^u or −1 and an
+    E entry of q or −1 are refused when saving and when loading."""
+    p = toy_evk.params
+    top = (p.q << p.u) - 1
+    assert all(0 <= x <= top for m in (toy_evk.D1s, toy_evk.D2s)
+               for row in m for x in row)
+    assert all(0 <= x < p.q for row in toy_evk.E for x in row)
+    dd, ee = p.ell * p.ell, p.n * (p.t - p.ell)
+    cases = [(0, top + 1, f"D1s has an entry outside 0..{top}"),
+             (2 * dd - 1, top + 1, f"D2s has an entry outside 0..{top}"),
+             (dd, -1, f"D2s has an entry outside 0..{top}"),
+             (2 * dd, p.q, f"E has an entry outside 0..{p.q - 1}"),
+             (2 * dd + ee - 1, -1, f"E has an entry outside 0..{p.q - 1}")]
+    for index, value, message in cases:
+        _evalkey_refused(tmp_path, toy_evk, index, value, message, capsys)
+
+
+def test_evalkey_w_range_checked(tmp_path, toy_evk, capsys):
     """W entries must lie in −floor(q/2)..floor(q/2), as build_evalkey
-    balances them; a W shifted by a multiple of q is refused."""
+    balances them; an entry past either end is refused when saving and
+    when loading."""
     p = toy_evk.params
     half = p.q // 2
     assert all(-half <= x <= half for row in toy_evk.W for x in row)
-    path = str(tmp_path / "evk.bin")
-    shifted = [row[:] for row in toy_evk.W]
-    for row in shifted:
-        row[0] += 7 * p.q
-    low = [row[:] for row in toy_evk.W]
-    low[-1][-1] = -half - 1
-    for bad in (replace(toy_evk, W=shifted), replace(toy_evk, W=low)):
-        save_evalkey(bad, path)
-        with pytest.raises(FormatError, match=f"W has an entry outside -{half}..{half}"):
-            load_evalkey(path)
-    ct = str(tmp_path / "ct.bin")
-    save_ciphertext(encrypt(toy_sk, [1, 1], Random(154)), toy_sk.params, ct)
-    netlist = tmp_path / "c.txt"
-    netlist.write_text("in a\nin b\nt = AND a b\nout t\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["eval", "--evalkey", path, "--circuit", str(netlist),
-                 "--in", ct, ct, "--out-prefix", str(tmp_path / "r")]) == 2
-    assert "error: W has an entry outside" in capsys.readouterr().err
+    start = 2 * p.ell * p.ell + p.n * (p.t - p.ell)
+    message = f"W has an entry outside -{half}..{half}"
+    for index, value in ((start, toy_evk.W[0][0] + 7 * p.q),
+                         (start + p.t * p.ell - 1, -half - 1)):
+        _evalkey_refused(tmp_path, toy_evk, index, value, message, capsys)
+
+
+def test_evalkey_truncated_anywhere(tmp_path, toy_evk):
+    """A version-6 evaluation key cut anywhere in its payload, re-sealed, is
+    a truncated file."""
+    path = tmp_path / "evk.bin"
+    save_evalkey(toy_evk, str(path))
+    body = path.read_bytes()[:-32]
+    payload = 11 + int.from_bytes(body[7:11], "little")
+    for cut in (payload, payload + 1, (payload + len(body)) // 2, len(body) - 1):
+        path.write_bytes(body[:cut] + hashlib.sha256(body[:cut]).digest())
+        with pytest.raises(FormatError, match="^truncated file$"):
+            load_evalkey(str(path))
 
 
 def test_evalkey_w_shape_and_u_checked(tmp_path, toy_evk):
+    """W must be t x ell.  The payload's layout does not depend on u, the
+    block's last u32: a u patched down leaves D entries past q·2^(u − 1)
+    and is refused, and one patched up reads the same integers as a key
+    of another u."""
     p = toy_evk.params
     for bad in (replace(toy_evk, W=toy_evk.W[:-1]),
                 replace(toy_evk, W=[row[:-1] for row in toy_evk.W])):
         _refused_unsaved(save_evalkey, bad, tmp_path / "evk.bin",
                          f"^W must be {p.t}x{p.ell} for these parameters$")
-    # the key's u is its parameter block's, the block's last u32; P1 and P2
-    # have ell·(u + q_bits) rows for it, so a u patched up reads past the
-    # end, and one patched down leaves 2·ell·t integers unread
-    path = str(tmp_path / "evk.bin")
-    for u, message in ((p.u + 1, "^truncated file$"),
-                       (p.u - 1, r"^\d+ bytes after the payload$")):
-        save_evalkey(toy_evk, path)
-        _patch_payload(path, -4, 4, u.to_bytes(4, "little"))
-        with pytest.raises(FormatError, match=message):
-            load_evalkey(path)
+    path = tmp_path / "evk.bin"
+    save_evalkey(toy_evk, str(path))
+    _patch_payload(str(path), -4, 4, (p.u - 1).to_bytes(4, "little"))
+    with pytest.raises(FormatError, match=r"^D1s has an entry outside 0\.\."):
+        load_evalkey(str(path))
+    save_evalkey(toy_evk, str(path))
+    _patch_payload(str(path), -4, 4, (p.u + 1).to_bytes(4, "little"))
+    back = load_evalkey(str(path))
+    assert back.params.u == p.u + 1
+    assert (back.D1s, back.D2s, back.E, back.W) == (toy_evk.D1s, toy_evk.D2s,
+                                                    toy_evk.E, toy_evk.W)
 
 
 def _patch_params_u32(path: str, field: int, value: int) -> None:
@@ -607,14 +644,14 @@ def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, cap
         "ct": ["decrypt", "--key", files["sk"], "--in", files["ct"]],
     }
     g_len = math.comb(p.v + p.r_g, p.r_g)
-    dim = p.ell * (p.u + p.q_bits)
     cases = [  # (kind, field, index, lo)
         ("sk", "g", 0, -half),
         ("sk", "points", g_len, 0),
         ("sk", "S", g_len + p.t * p.v, 0),
         ("sk", "R1", g_len + p.t * p.v + p.message_bits * p.n, 0),
         ("sk", "R2", g_len + p.t * p.v + (p.message_bits + p.n) * p.n, 0),
-        ("evk", "W", 2 * dim * p.t, -half),
+        ("evk", "E", 2 * p.ell * p.ell, 0),
+        ("evk", "W", 2 * p.ell * p.ell + p.n * (p.t - p.ell), -half),
         ("pk", "C0", 0, -half),
         ("pk", "C_unit", pk.d * p.ell, -half),
         ("ct", "ciphertext", 1, -half),  # past the hint

@@ -438,22 +438,22 @@ def test_mult_packed_form_follows_the_key(toy_sk):
     first = eval_mult(evk, c1, c2)
     tables = evk.packed
     assert eval_mult(evk, c1, c2) == first and evk.packed is tables
-    swapped = replace(evk, P1=evk.P2, P2=evk.P1)
+    swapped = replace(evk, D1s=evk.D2s, D2s=evk.D1s)
     got = eval_mult(swapped, c1, c2)
     assert swapped.packed is not tables
     assert swapped.packed[0] == tables[1] and swapped.packed[1] == tables[0]
     assert got.vec == mult_intermediates(toy_sk, swapped, c1.vec, c2.vec)["product"]
-    assert swapped == replace(evk, P1=evk.P2, P2=evk.P1)  # the cache is not compared
+    assert swapped == replace(evk, D1s=evk.D2s, D2s=evk.D1s)  # the cache is not compared
     assert "packed" not in repr(evk)
 
 
 def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
-    """With no masking (toy) P1 == P2, and both products run on one carry
-    table; small's masking blocks make P1 != P2, so it builds two."""
-    assert toy_evk.P1 == toy_evk.P2
+    """With no masking (toy) D1s == D2s, and both products run on one carry
+    table; small's masking blocks make D1s != D2s, so it builds two."""
+    assert toy_evk.D1s == toy_evk.D2s
     assert toy_evk.packed[0] is toy_evk.packed[1]
     small_evk = build_evalkey(small_sk, rng=Random(159))
-    assert small_evk.P1 != small_evk.P2
+    assert small_evk.D1s != small_evk.D2s
     T1, T2 = small_evk.packed
     assert T1 is not T2 and T1 != T2
 
