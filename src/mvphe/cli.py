@@ -102,7 +102,6 @@ def cmd_params(args) -> int:
         p = preset_params(args.preset, rng=_modulus_rng(args), **overrides)
     else:
         p = setup(rng=_modulus_rng(args), **overrides)
-    margin = p.depth_margin()
     print("parameter set")
     print(f"  lambda         {p.lambda_}")
     print(f"  depth L        {p.L}")
@@ -112,7 +111,6 @@ def cmd_params(args) -> int:
     print(f"  message bits   {p.message_bits}")
     print(f"  q              {p.q}  ({p.q_bits} bits)")
     print(f"  sigma, B, u    {p.sigma}, {p.B}, {p.u}")
-    print(f"  depth margin   (q/B) / (n*log2 q)^L = {float(margin):.4g}")
     print(f"  fingerprint    {serialize.params_fingerprint(p)}")
     print("note: sizes are chosen for correctness at depth L; the underlying")
     print("hardness assumption is not calibrated at these toy dimensions.")

@@ -98,7 +98,7 @@ from .linalg import (
 from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
-_T_BITS = 32  # files record lambda, the point count t and matrix shapes as u32
+_T_BITS = 32  # files record lambda as a u32; every binomial is at most n1 <= t
 _Q_BITS_MAX = 64  # below log2(psi_13), so the fixed bases prove every q prime
 
 
@@ -112,8 +112,9 @@ class Params:
 
     Derived fields satisfy: r = r_prime + r_g, n = C(v+r_prime, r_prime),
     N = C(v+r, r), n1 = C(v + 2r − r_g, 2r − r_g), t = n1 + ell − n,
-    n < ell <= N, and t < 2^32 (key files record t as a u32).  q is an
-    odd prime of at most 64 bits, and u <= 64 (ell·(u + q_bits) key rows).
+    n < ell <= N, and t < 2^32, which bounds every binomial the package
+    takes (each is at most n1 <= t).  q is an odd prime of at most 64 bits,
+    u <= 64 (ell·(u + q_bits) key rows), and q >= B·(n·log2 q)^L.
     """
 
     lambda_: int
@@ -183,16 +184,15 @@ class Params:
                 f"decryption needs B < floor(q/2)/2: B={self.B}, q={self.q}"
             )
         # L is a u32 in every file, so refuse a hopeless depth before the
-        # exact power: (n·q_bits)^L >= 2^q_bits > q/B leaves a margin below 1
+        # exact power: (n·q_bits)^L >= 2^q_bits > q/B
         if self.L * ((self.n * self.q_bits).bit_length() - 1) >= self.q_bits:
             raise ParameterError(
                 f"q/B ratio too small for depth L={self.L}: "
                 f"(n·log2 q)^L >= 2^{self.q_bits} > q/B"
             )
-        if self.depth_margin() < 1:
+        if self.q < self.B * (self.n * self.q_bits) ** self.L:
             raise ParameterError(
-                f"q/B ratio too small for depth L={self.L}: margin "
-                f"{float(self.depth_margin()):.3g} < 1"
+                f"q/B ratio too small for depth L={self.L}: q < B·(n·log2 q)^L"
             )
 
     # -- convenience -------------------------------------------------------
@@ -203,10 +203,6 @@ class Params:
     @property
     def message_bits(self) -> int:
         return self.ell - self.n
-
-    def depth_margin(self) -> Fraction:
-        """(q/B) / (n * log2 q)^L; >= 1 on every valid preset."""
-        return Fraction(self.q, self.B) / (self.n * self.q_bits) ** self.L
 
 
 def _check_dimensions(v: int, r_g: int, r_prime: int) -> None:
@@ -270,7 +266,7 @@ def _auto_q_bits(L: int, ell: int, u: int, B: int) -> int:
 
 
 #: Named parameter sets.  q_bits values are pinned (not auto-derived) so the
-#: file formats stay stable; each satisfies the depth-margin requirement.
+#: file formats stay stable; each satisfies q >= B·(n·log2 q)^L.
 PRESETS: dict[str, dict] = {
     # everyday testing scale: 2 message bits, depth 2
     "toy": dict(lambda_=64, L=2, v=2, r_g=1, r_prime=2, ell=8, q_bits=40,

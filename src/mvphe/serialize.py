@@ -4,12 +4,16 @@ Layout of every file:
 
     magic "MVPH" | version u16 | type u8 | params block | payload | sha256
 
-All integers are little-endian.  Arbitrary-precision integers are encoded
-as sign byte (0 or 1) + u32 byte count + magnitude; rationals as two such
-integers (numerator, denominator).  The trailing 32 bytes are the SHA-256
-digest of everything before them.  The version is checked before any
-payload is parsed; a corrupted digest, a truncated file or bytes after the
-payload raise FormatError.
+All integers are little-endian.  The header's version is a u16, its type
+a u8 and the parameter block's length a u32; the block's lambda, L, v,
+r_g, r_prime, ell and u are u32.  Every other field is one run: a width
+byte w, then each of its integers as w signed (two's complement) bytes,
+where w is the least width that holds the run's min and max.  q, B and a
+ciphertext's noise hint are runs of one, sigma a run of two (numerator,
+then a positive denominator), and each matrix one run, row by row.  The
+trailing 32 bytes are the SHA-256 digest of everything before them.  The
+version is checked before any payload is parsed; a corrupted digest, a
+truncated file or bytes after the payload raise FormatError.
 
 Every file embeds the complete parameter block of the parameters it was
 produced under.  The 8-byte parameter fingerprint — the first 8 bytes of
@@ -19,10 +23,10 @@ together without comparing full keys.
 A file stores nothing that its parameters fix.  The parameter block holds
 lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
 inside it are refused.  It also fixes every payload's layout, so a payload
-is a plain run of integers with no shape, length, count or exponent in it;
-matrices are stored row by row, and each ``save_*`` refuses a field whose
-shape differs from the one the parameters fix.  Secret-key files store only
-the core fields: g as C(v + r_g, r_g) coefficients over
+is a plain sequence of runs with no shape, length, count or exponent in it,
+and each ``save_*`` refuses a field whose shape differs from the one the
+parameters fix.  Secret-key files store only the core fields: g as
+C(v + r_g, r_g) coefficients over
 ``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
 first and the leading monomial last), the t x v points, then S, R1 and R2.
 All derived matrices are recomputed on load, so a save/load round trip is
@@ -37,19 +41,21 @@ d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
 of the unit vectors.  Ciphertext files store the noise hint, one integer
 that must be nonnegative, and the ell entries of the vector.
 
-Files are canonical: every residue is stored in the one form the package
-makes, so one key has one byte string.  g's coefficients and every
-public-key and ciphertext entry are balanced, in −floor(q/2)..floor(q/2),
-and the points, S, R1 and R2 lie in 0..q − 1.  Each loader refuses any
-other form with FormatError, after one min and one max pass per field, and
-every ``save_*`` refuses it with ParameterError.
+Files are canonical: every run has its least width and every residue is
+stored in the one form the package makes, so one key has one byte string.
+A run of width 0 or of any other width is refused with FormatError, and a
+run that would need more than 255 bytes an entry, which only a noise hint
+can reach after about 2040 self-sums, is refused when saving.  g's
+coefficients and every public-key and ciphertext entry are balanced, in
+−floor(q/2)..floor(q/2), and the points, S, R1 and R2 lie in 0..q − 1.
+Each loader refuses any other form with FormatError, after one min and one
+max pass per field, and every ``save_*`` refuses it with ParameterError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
@@ -70,7 +76,7 @@ __all__ = [
 ]
 
 MAGIC = b"MVPH"
-VERSION = 6
+VERSION = 7
 
 TYPE_PARAMS = 0x50      # 'P'
 TYPE_SECRET = 0x53      # 'S'
@@ -95,35 +101,28 @@ def _w_uint(buf: bytearray, x: int, nbytes: int) -> None:
     buf += x.to_bytes(nbytes, "little")
 
 
-# Every integer starts with the same header: sign byte, u32 magnitude length.
-_INT_HEADER = struct.Struct("<BI")
+def _width(lo: int, hi: int) -> int:
+    """The least w such that w signed bytes hold every integer in lo..hi."""
+    return (max(hi, ~lo).bit_length() + 8) // 8
 
 
-def _w_ints(buf: bytearray, xs: Iterable[int]) -> None:
-    """Encode each of ``xs`` in turn, with no count in front."""
-    pack = _INT_HEADER.pack
-    for x in xs:
-        mag = -x if x < 0 else x
-        raw = mag.to_bytes((mag.bit_length() + 7) // 8, "little")
-        buf += pack(x < 0, len(raw))
-        buf += raw
-
-
-def _w_int(buf: bytearray, x: int) -> None:
-    _w_ints(buf, (x,))
-
-
-def _w_fraction(buf: bytearray, x) -> None:
-    f = Fraction(x)
-    _w_int(buf, f.numerator)
-    _w_int(buf, f.denominator)
+def _w_ints(buf: bytearray, name: str, xs: Iterable[int]) -> None:
+    """Encode the nonempty ``xs`` as one run: a width byte w, then each
+    entry as w signed little-endian bytes, w the least that holds them."""
+    xs = list(xs)
+    w = _width(min(xs), max(xs))
+    if w > 255:
+        raise ParameterError(f"{name} needs {w}-byte integers; a run holds "
+                             "at most 255")
+    buf.append(w)
+    buf += b"".join([x.to_bytes(w, "little", signed=True) for x in xs])
 
 
 def _w_matrix(buf: bytearray, name: str, m: Matrix, rows: int, cols: int) -> None:
-    """Encode ``m``'s entries row by row; it must be rows x cols."""
+    """Encode ``m`` as one run, row by row; it must be rows x cols."""
     if len(m) != rows or any(len(row) != cols for row in m):
         raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
-    _w_ints(buf, chain.from_iterable(m))
+    _w_ints(buf, name, chain.from_iterable(m))
 
 
 def _check_range(name: str, m: Matrix, lo: int, hi: int,
@@ -150,56 +149,26 @@ class _Reader:
         return int.from_bytes(self.take(nbytes), "little")
 
     def ints(self, count: int) -> list[int]:
-        """``count`` integers, each a sign byte, u32 length and magnitude.
-
-        Every payload is read through here.  The first fault in the data is
-        refused with one message whether it is the first integer or a later
-        one: a sign byte other than 0 or 1, negative zero, or an integer cut
-        short.
-        """
-        data, pos = self.data, self.pos
-        unpack_from, from_bytes = _INT_HEADER.unpack_from, int.from_bytes
-        out = []
-        append = out.append
-        try:
-            for _ in range(count):
-                sign, n = unpack_from(data, pos)
-                pos += 5
-                mag = from_bytes(data[pos : pos + n], "little")
-                pos += n
-                if sign:
-                    if sign != 1:
-                        raise FormatError("bad integer sign byte")
-                    if not mag:
-                        raise FormatError("truncated file" if pos > len(data)
-                                          else "negative zero encoding")
-                    mag = -mag
-                append(mag)
-        except struct.error:
-            # a short header: its sign byte, if present, is checked first
-            if pos < len(data) and data[pos] > 1:
-                raise FormatError("bad integer sign byte") from None
-            raise FormatError("truncated file") from None
-        # a magnitude that runs past the end leaves every later header short,
-        # so one check after the loop catches it
-        if pos > len(data):
-            raise FormatError("truncated file")
-        self.pos = pos
+        """One run of ``count`` integers, ``count`` >= 1.  Every payload is
+        read through here; a run cut short, or whose width is 0 or other
+        than the least that holds its entries, is refused."""
+        w = self.uint(1)
+        if not w:
+            raise FormatError("integer run of width 0")
+        raw = self.take(w * count)
+        from_bytes = int.from_bytes
+        out = [from_bytes(raw[i : i + w], "little", signed=True)
+               for i in range(0, len(raw), w)]
+        least = _width(min(out), max(out))
+        if w != least:
+            raise FormatError(f"integer run of width {w}, not the least "
+                              f"width {least}")
         return out
 
-    def int_(self) -> int:
-        return self.ints(1)[0]
-
-    def fraction(self) -> Fraction:
-        num = self.int_()
-        den = self.int_()
-        if den <= 0:
-            raise FormatError("bad rational denominator")
-        return Fraction(num, den)
-
     def matrix(self, rows: int, cols: int) -> Matrix:
-        """rows x cols integers, row by row."""
-        return [self.ints(cols) for _ in range(rows)]
+        """rows x cols integers, one run, row by row."""
+        xs = self.ints(rows * cols)
+        return [xs[i : i + cols] for i in range(0, len(xs), cols)]
 
     def end(self, what: str = "payload") -> None:
         if self.pos != len(self.data):
@@ -212,34 +181,28 @@ class _Reader:
 
 def _params_block(p: Params) -> bytes:
     buf = bytearray()
-    _w_uint(buf, p.lambda_, 4)
-    _w_uint(buf, p.L, 4)
-    _w_uint(buf, p.v, 4)
-    _w_uint(buf, p.r_g, 4)
-    _w_uint(buf, p.r_prime, 4)
-    _w_uint(buf, p.ell, 4)
-    _w_int(buf, p.q)
-    _w_fraction(buf, p.sigma)
-    _w_int(buf, p.B)
+    for x in (p.lambda_, p.L, p.v, p.r_g, p.r_prime, p.ell):
+        _w_uint(buf, x, 4)
+    sigma = Fraction(p.sigma)
+    _w_ints(buf, "q", (p.q,))
+    _w_ints(buf, "sigma", (sigma.numerator, sigma.denominator))
+    _w_ints(buf, "B", (p.B,))
     _w_uint(buf, p.u, 4)
     return bytes(buf)
 
 
 def _read_params(r: _Reader) -> Params:
-    lam = r.uint(4)
-    L = r.uint(4)
-    v = r.uint(4)
-    r_g = r.uint(4)
-    r_prime = r.uint(4)
-    ell = r.uint(4)
-    q = r.int_()
-    sigma_f = r.fraction()
-    sigma = int(sigma_f) if sigma_f.denominator == 1 else sigma_f
-    B = r.int_()
+    lam, L, v, r_g, r_prime, ell = (r.uint(4) for _ in range(6))
+    [q] = r.ints(1)
+    num, den = r.ints(2)
+    if den <= 0:
+        raise FormatError("bad rational denominator")
+    sigma = Fraction(num, den)
+    [B] = r.ints(1)
     u = r.uint(4)
     r.end("parameter block")
-    return Params(lambda_=lam, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell,
-                  q=q, sigma=sigma, B=B, u=u)
+    return Params(lambda_=lam, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell, q=q,
+                  sigma=int(sigma) if sigma.denominator == 1 else sigma, B=B, u=u)
 
 
 def params_fingerprint(p: Params) -> str:
@@ -314,7 +277,7 @@ def save_secret_key(sk: SecretKey, path: str) -> None:
     coeffs = [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)]
     _check_range("g", [coeffs], -(p.q // 2), p.q // 2, ParameterError)
     buf = bytearray()
-    _w_ints(buf, coeffs)
+    _w_ints(buf, "g", coeffs)
     for name, m, rows, cols in (("points", sk.points, p.t, p.v),
                                 ("S", sk.S, p.message_bits, p.n),
                                 ("R1", sk.R1, p.n, p.n),
@@ -406,14 +369,14 @@ def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_range("ciphertext", [ct.vec], -(params.q // 2), params.q // 2,
                  ParameterError)
     buf = bytearray()
-    _w_int(buf, ct.noise_hint)
-    _w_ints(buf, ct.vec)
+    _w_ints(buf, "noise hint", (ct.noise_hint,))
+    _w_ints(buf, "ciphertext", ct.vec)
     _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
 
 
 def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
     params, r = _read_container(path, TYPE_CIPHERTEXT)
-    hint = r.int_()
+    [hint] = r.ints(1)
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
     vec = r.ints(params.ell)

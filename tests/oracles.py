@@ -6,10 +6,10 @@ and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
 of one multiplication carried out with exact rationals, the key factors
 P_i = D_i~·A by a plain triple sum and their carry tables packed as a
-key that stores P would pack them, a random netlist
-generator and a netlist's noise hints gate by gate, the container's
-integer encoding written one entry at a time, and the noise hints as the
-exact rational bounds that the integer rules round up.
+key that stores P would pack them, a random netlist generator and a
+netlist's noise hints gate by gate, the container's integer runs sized by
+trial and written one byte at a time, and the noise hints as the exact
+rational bounds that the integer rules round up.
 
 Production evaluation never materializes the order-3 tensor M or the
 per-stage vectors; these exist so tests can check the factored form against
@@ -528,18 +528,23 @@ def hint_ledger(circ: Circuit, p: Params, in_hints: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# container integers, one entry at a time
+# container runs, one entry at a time
 # ---------------------------------------------------------------------------
 
-def w_int_reference(buf: bytearray, x: int) -> None:
-    """Append x as the container encodes every integer: sign byte (0 or 1),
-    u32 little-endian byte count, little-endian magnitude (none for 0)."""
-    sign = 1 if x < 0 else 0
-    mag = abs(x)
-    raw = mag.to_bytes((mag.bit_length() + 7) // 8, "little") if mag else b""
-    buf.append(sign)
-    buf += len(raw).to_bytes(4, "little")
-    buf += raw
+def w_run_reference(buf: bytearray, xs: Sequence[int]) -> None:
+    """Append the nonempty ``xs`` as one container run.  The width is found
+    by trial: w = 1, 2, … until every entry lies in
+    −2^(8w−1)..2^(8w−1) − 1.  Then the width byte, and each entry alone as
+    its w-byte two's complement, least significant byte first."""
+    w = 1
+    while not all(-(1 << 8 * w - 1) <= x < 1 << 8 * w - 1 for x in xs):
+        w += 1
+    buf.append(w)
+    for x in xs:
+        x %= 1 << 8 * w
+        for _ in range(w):
+            buf.append(x & 0xFF)
+            x >>= 8
 
 
 # ---------------------------------------------------------------------------

@@ -319,13 +319,13 @@ def test_eval_refuses_foreign_ciphertext(workdir, tmp_path, capsys):
 
 def test_eval_rejects_malformed_evalkey(workdir, tmp_path, capsys):
     # the parameters fix D1s, D2s, E and W's shapes; a file one W entry short
-    # runs out of bytes
+    # runs out of bytes (an entry is as long as the W run's width byte says)
     evk = serialize.load_evalkey(str(workdir / "evk.bin"))
-    last = bytearray()
-    serialize._w_int(last, evk.W[-1][-1])
+    w_run = bytearray()
+    serialize._w_ints(w_run, "W", (x for row in evk.W for x in row))
     body = (workdir / "evk.bin").read_bytes()[:-32]
-    assert body.endswith(last)
-    body = body[:-len(last)]
+    assert body.endswith(w_run)
+    body = body[:-w_run[0]]
     bad = str(tmp_path / "evk_bad.bin")
     with open(bad, "wb") as fh:
         fh.write(body + hashlib.sha256(body).digest())
@@ -444,14 +444,14 @@ def test_bench_refuses_fewer_than_one_mult(mults, capsys):
 # byte-identical under a fixed seed; a change here is a format change and
 # needs a VERSION bump.
 PINNED_TOY_SEED_7 = {
-    "params.bin": "a994795db4abb60ce5265e592d34ef69b32ff4f4bca6c43efd645decd57f5c58",
-    "sk.bin": "8e2e650ececef65b828581f0c200c6409a30361e52de0b5b2d9d419c13a1d716",
-    "evk.bin": "043528c3dbc5d151f4d6ecb99187c2be267f299ea1414a332f19e27c50e49d82",
-    "pk.bin": "887b69ce408f8e28b78a0f1d85d9d9e054d10a8b3daabe4ae46bcc2bb888d57f",
-    "ct.bin": "c4fad47ed546300c838b7bcaf36a3831db3477cac7c80a3cc789651cc040841f",
-    "pct.bin": "3fd1e3441ed8b0fd11e9b6783735fbed2ce50bce6f45d74fa318b84f19aea936",
-    "out0.bin": "3b2a86073eac3cec953d35e2b5fa5e579bbdcf1cf74b9135b6281e1c4e79814a",
-    "out1.bin": "a3b5a71219faf81de82f19c9e8cf5c106ac4bbbee86cab1bcfd5e675918582c9",
+    "params.bin": "68b5c18194d9d2a2ff374ead4a755a9b249cc95d45ab636b522469c6e63f3936",
+    "sk.bin": "43b50dcd9bf98fe8fd3d529e536a4cd330704f91bbaf54fd466ab6ec5c92b448",
+    "evk.bin": "104c4ef58289a610bcb1ddf3b691d7effb0d20acea294cb9f6874d318f4cdab0",
+    "pk.bin": "baace2a50bddbe3463183fdd0aa3958507721f3b98c838215491fa0dad508c3d",
+    "ct.bin": "babd73cb04d699cd83bd743239d8cc3981bb7e7f692d591441449341c4ea681f",
+    "pct.bin": "bc2eedd7157f9a0a3d2701205555a36eb60ab8a1c2fba7945297088ca92f8c03",
+    "out0.bin": "259abe0d238d6029e9b85790adc3adaf6e10489097a2d28336a7f3c1f3a1deda",
+    "out1.bin": "4218759715b127a1ddb77b7cb1b5b7d55649225aa7580cfb0b550519602d652e",
 }
 
 

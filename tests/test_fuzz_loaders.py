@@ -27,9 +27,9 @@ from mvphe.serialize import (
     save_params,
     save_public_key,
     save_secret_key,
-    _w_ints,
 )
 from mvphe.she import encrypt
+from oracles import w_run_reference
 
 LOADERS = {
     "params": load_params,
@@ -61,8 +61,8 @@ VERB_RUNS = {
 def toy_bodies(tmp_path_factory, toy_params, toy_sk, toy_evk):
     """The fuzzed file's path, the paths of a good toy file of each kind
     (keyed by kind, spaces as underscores) and of a one-AND netlist, and each
-    kind's body (the file without its digest).  The evaluation key's body
-    is the version-6 payload: D1s, D2s, E and W, and nothing else."""
+    kind's body (the file without its digest).  The evaluation key's
+    payload is D1s, D2s, E and W, one run each, and nothing else."""
     d = tmp_path_factory.mktemp("fuzz")
     savers = {
         "params": lambda p: save_params(toy_params, p),
@@ -82,8 +82,8 @@ def toy_bodies(tmp_path_factory, toy_params, toy_sk, toy_evk):
         paths[path.stem] = str(path)
         bodies[kind] = path.read_bytes()[:-32]
     payload = bytearray()
-    _w_ints(payload, (x for m in (toy_evk.D1s, toy_evk.D2s, toy_evk.E, toy_evk.W)
-                      for row in m for x in row))
+    for m in (toy_evk.D1s, toy_evk.D2s, toy_evk.E, toy_evk.W):
+        w_run_reference(payload, [x for row in m for x in row])
     assert bodies["evaluation key"].endswith(payload)
     assert len(bodies["evaluation key"]) == len(bodies["params"]) + len(payload)
     return paths, bodies

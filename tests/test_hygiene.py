@@ -3,7 +3,8 @@ no top-level function or class, and no method or property of a package
 class, that nothing in the package uses.  Listing a name in __all__ does
 not count as using it.  And the benchmark still runs on it: every function
 its tracer wraps exists, every layer its metrics read is reached, and its
-workloads give the ciphertext vectors its digests pin."""
+workloads give the ciphertext vectors its digests pin.  README names the
+container's current format version."""
 
 import ast
 import importlib.util
@@ -12,11 +13,13 @@ from pathlib import Path
 from random import Random
 
 import mvphe
+from mvphe import serialize
 from mvphe.circuit import _walk
 from mvphe.keys import _product_hint, _sum_hint
 
 PACKAGE = Path(mvphe.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
+README = Path(__file__).parents[1] / "README.md"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -245,3 +248,13 @@ def test_benchmark_netlists_stay_far_below_the_noise_limit():
             _walk(circ.gates, dict.fromkeys(circ.inputs, p.B), AND, _sum_hint)
     assert len(ands) == 200 * sum(shape[1] for shape in BENCHMARK_NETLISTS)
     assert 32 * max(ands) < (1 << (p.q_bits - 1)) // 2
+
+
+def test_readme_names_the_format_version():
+    """README's "format version (N)" and the last bullet of its version
+    history both name serialize.VERSION, so a bump cannot leave it behind."""
+    text = README.read_text(encoding="utf-8")
+    version = str(serialize.VERSION)
+    assert re.findall(r"format version \((\d+)\)", text) == [version]
+    history = re.findall(r"^- Version (\d+) ", text, flags=re.MULTILINE)
+    assert history and history[-1] == version

@@ -94,7 +94,7 @@ def test_all_presets_valid():
         assert p.n < p.ell <= p.N
         assert p.t == p.n1 + p.ell - p.n
         assert p.B < Fraction(p.q // 2, 2)
-        assert p.depth_margin() >= 1
+        assert p.q >= p.B * (p.n * p.q_bits) ** p.L
 
 
 def test_setup_deterministic():
@@ -116,8 +116,8 @@ def test_setup_rejects_bad_shapes():
         preset_params("nope")
     with pytest.raises(ParameterError, match=r"unknown parameter overrides: \['w'\]"):
         setup(64, 1, w=3)
-    # 5·log2(6·40) < 40 bits passes the cheap L check; the margin refuses it
-    with pytest.raises(ParameterError, match="depth L=5: margin 0.0"):
+    # 5·log2(6·40) < 40 bits passes the cheap L check; the exact one refuses it
+    with pytest.raises(ParameterError, match=r"depth L=5: q < B·\(n·log2 q\)\^L$"):
         preset_params("toy", L=5)
     # negative dimensions are refused before any binomial is taken, by setup
     # (default ell) and by Params alike

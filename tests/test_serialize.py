@@ -9,12 +9,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvphe import (
     Ciphertext,
     Polynomial,
     decrypt,
     encrypt,
+    eval_add,
     eval_mult,
     mult_noise_hint,
     pk_encrypt,
@@ -25,11 +28,14 @@ from mvphe.cli import main
 from mvphe.errors import FormatError, ParameterError
 from mvphe.serialize import (
     MAGIC,
+    TYPE_CIPHERTEXT,
+    TYPE_EVALKEY,
     TYPE_PARAMS,
+    TYPE_PUBLIC,
+    TYPE_SECRET,
     VERSION,
+    _read_container,
     _Reader,
-    _w_fraction,
-    _w_int,
     _w_ints,
     _w_uint,
     load_ciphertext,
@@ -44,7 +50,8 @@ from mvphe.serialize import (
     save_public_key,
     save_secret_key,
 )
-from oracles import w_int_reference
+from mvphe.she import pk_rows
+from oracles import w_run_reference
 
 
 # --- roundtrips -------------------------------------------------------------
@@ -62,6 +69,9 @@ def test_params_roundtrip_fraction_sigma(tmp_path):
     back = load_params(path)
     assert back.sigma == Fraction(17, 2)
     assert back == p
+    # the block's runs are what the reference encoder writes
+    _params_file(tmp_path / "ref.bin", p, p.q, (17, 2))
+    assert (tmp_path / "ref.bin").read_bytes() == (tmp_path / "p.bin").read_bytes()
 
 
 def test_secret_key_roundtrip(tmp_path, toy_sk):
@@ -139,11 +149,12 @@ def test_version_gate_precedes_checksum(tmp_path, toy_params):
     # that the parameters fix, for version 2, which stored the noise hint
     # as a rational, for version 3, which stored matrix shapes, vector
     # lengths, a point count and g as a sparse term list, for version 4,
-    # which stored a ciphertext's level, and for version 5, whose
-    # evaluation keys stored the factors P1 and P2
-    assert VERSION == 6
+    # which stored a ciphertext's level, for version 5, whose evaluation
+    # keys stored the factors P1 and P2, and for version 6, which gave every
+    # integer its own sign byte and length
+    assert VERSION == 7
     path = str(tmp_path / "p.bin")
-    for version in (99, 1, 2, 3, 4, 5):
+    for version in (99, 1, 2, 3, 4, 5, 6):
         save_params(toy_params, path)
         with open(path, "r+b") as fh:
             fh.seek(len(MAGIC))
@@ -186,69 +197,139 @@ def test_type_mismatch(tmp_path, toy_params, toy_sk):
         load_params(path)
 
 
-def _encode(*xs: int) -> bytes:
+def _run(*xs: int) -> bytes:
+    """``xs`` as one run, written by the reference encoder."""
     buf = bytearray()
-    for x in xs:
-        w_int_reference(buf, x)
+    w_run_reference(buf, xs)
     return bytes(buf)
 
 
-def _read_nine(form: str, entries: bytes):
-    """Read nine integers from ``entries`` as nine int_ calls, one ints call
-    or one 3x3 matrix."""
-    if form == "int_":
-        r = _Reader(entries)
-        return [r.int_() for _ in range(9)]
-    if form == "ints":
-        return _Reader(entries).ints(9)
-    return _Reader(entries).matrix(3, 3)
+def _widened(run: bytes) -> bytes:
+    """``run`` with its width byte + 1 and each entry sign-extended by a
+    byte: the same integers, one byte wider than the least width."""
+    w = run[0]
+    out = bytearray([w + 1])
+    for i in range(1, len(run), w):
+        entry = run[i : i + w]
+        out += entry + (b"\xff" if entry[-1] & 0x80 else b"\x00")
+    return bytes(out)
+
+
+def _read_nine(form: str, run: bytes) -> list[int]:
+    """Read a run of nine integers as one ints call or one 3x3 matrix, and
+    check that the reader stopped at its last byte."""
+    r = _Reader(run)
+    xs = r.ints(9) if form == "ints" else [x for row in r.matrix(3, 3) for x in row]
+    assert r.pos == len(run)
+    return xs
 
 
 def test_reader_rejects_malformed_primitives():
-    """Each malformed integer is refused with the same message, read through
-    int_, ints or matrix, as the first entry or a middle one."""
-    good = _encode(-3)
-    header = bytes([0]) + (2).to_bytes(4, "little")  # a two-byte magnitude
-    malformed = [  # (bad entry, whether entries may follow it, message)
-        (bytes([2]) + (1).to_bytes(4, "little") + b"\x07", True, "bad integer sign byte"),
-        (bytes([1]) + (0).to_bytes(4, "little"), True, "negative zero encoding"),
-        (header + b"\x01", False, "truncated file"),  # magnitude one byte short
-        # ... even where the bytes that are there read as negative zero
-        (bytes([1]) + header[1:] + b"\x00", False, "truncated file"),
-        (bytes([2]), False, "bad integer sign byte"),  # sign checked before length
-    ] + [(header[:cut], False, "truncated file") for cut in range(5)]
-    for bad, more, message in malformed:
-        for at in (0, 4):
-            entries = good * at + bad + (good * (8 - at) if more else b"")
-            for form in ("int_", "ints", "matrix"):
-                with pytest.raises(FormatError, match=f"^{message}$"):
-                    _read_nine(form, entries)
-    # denominators must be positive
-    zero = _encode(0)
-    for data in (zero + zero, zero + _encode(-1)):
-        with pytest.raises(FormatError, match="denominator"):
-            _Reader(data).fraction()
+    """Each malformed run of nine integers is refused with one message, read
+    through ints or matrix: width byte 0, a width one past the least, no
+    width byte, or entries cut short anywhere.  A run of one entry with a
+    high zero byte, as the sign-and-length encoding once read it, is
+    refused too."""
+    good = _run(-3, 0, 200, *range(6))
+    assert good[0] == 2
+    malformed = [
+        (bytes([0]) + good[1:], "^integer run of width 0$"),
+        (bytes([0]), "^integer run of width 0$"),
+        (_widened(good), "^integer run of width 3, not the least width 2$"),
+    ] + [(good[:cut], "^truncated file$") for cut in range(len(good))]
+    for bad, message in malformed:
+        for form in ("ints", "matrix"):
+            with pytest.raises(FormatError, match=message):
+                _read_nine(form, bad)
+    with pytest.raises(FormatError, match="^integer run of width 2, not the least width 1$"):
+        _Reader(bytes([2]) + b"\x05\x00").ints(1)
 
 
-@pytest.mark.parametrize("form", ["int_", "ints", "matrix"])
+@pytest.mark.parametrize("form", ["ints", "matrix"])
 def test_reader_decodes_up_to_the_last_byte(form):
-    xs = [0, 1, -1, 255, -256, 1 << 70, 7, -(1 << 40), 3]
-    entries = _encode(*xs)
-    assert entries[-1] != 0
-    got = _read_nine(form, entries)
-    assert (got if form != "matrix" else [x for row in got for x in row]) == xs
+    xs = [0, 1, -1, 255, -256, 1 << 70, 7, 3, -(1 << 40)]
+    run = _run(*xs)
+    assert run[-1] != 0
+    assert _read_nine(form, run) == xs
 
 
 def test_integer_encoding_roundtrips_and_matches_reference():
+    """_w_ints writes what the reference writes, and _Reader.ints reads it
+    back: each integer at either end of every width up to 70 bytes alone,
+    and all of them as one mixed-sign run."""
     xs = [0]
-    for k in range(71):
-        for x in ((1 << 8 * k) - 1, 1 << 8 * k):
-            xs += [x, -x] if x else []
+    for k in range(1, 71):
+        m = 1 << 8 * k - 1
+        xs += [m, -m, m - 1, 1 - m]
+    for run in [[x] for x in xs] + [xs]:
+        buf = bytearray()
+        _w_ints(buf, "run", run)
+        assert bytes(buf) == _run(*run)
+        r = _Reader(bytes(buf))
+        assert r.ints(len(run)) == run and r.pos == len(buf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-(1 << 2000), 1 << 2000), min_size=1))
+def test_run_roundtrips_at_its_least_width(xs):
     buf = bytearray()
-    _w_ints(buf, xs)
-    assert bytes(buf) == _encode(*xs)
+    _w_ints(buf, "run", xs)
     r = _Reader(bytes(buf))
     assert r.ints(len(xs)) == xs and r.pos == len(buf)
+    w = buf[0]  # w − 1 bytes would not hold every entry
+    assert w == 1 or not all(-(1 << 8 * w - 9) <= x < 1 << 8 * w - 9 for x in xs)
+
+
+def _seal(path: str, body: bytes) -> None:
+    """Write ``body`` and its digest to ``path``."""
+    with open(path, "wb") as fh:
+        fh.write(body + hashlib.sha256(body).digest())
+
+
+def _run_lengths(type_byte: int, p) -> list[int]:
+    """How many integers each payload run of a file of this type holds."""
+    return {TYPE_SECRET: [math.comb(p.v + p.r_g, p.r_g), p.t * p.v,
+                          p.message_bits * p.n, p.n * p.n, p.message_bits * p.n],
+            TYPE_EVALKEY: [p.ell * p.ell, p.ell * p.ell, p.n * (p.t - p.ell),
+                           p.t * p.ell],
+            TYPE_PUBLIC: [pk_rows(p) * p.ell, p.message_bits * p.ell],
+            TYPE_CIPHERTEXT: [1, p.ell]}[type_byte]
+
+
+def _read_runs(path: str) -> tuple[bytes, list[list[int]]]:
+    """A good file's body up to its payload, and its payload's runs."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    params, r = _read_container(path, data[6])
+    head = data[:r.pos]
+    runs = [r.ints(count) for count in _run_lengths(data[6], params)]
+    r.end()
+    return head, runs
+
+
+def test_run_wider_than_least_or_of_width_zero_refused(tmp_path, toy_sk,
+                                                       toy_params, toy_evk):
+    """One key, one byte string: each run of a toy secret key, evaluation
+    key and ciphertext, re-sealed one byte wider with its entries
+    sign-extended, or with width byte 0, is refused naming the width."""
+    file = tmp_path / "f.bin"
+    path = str(file)
+    ct = encrypt(toy_sk, [1, 0], Random(152))
+    for save, load in ((lambda: save_secret_key(toy_sk, path), load_secret_key),
+                       (lambda: save_evalkey(toy_evk, path), load_evalkey),
+                       (lambda: save_ciphertext(ct, toy_params, path), load_ciphertext)):
+        save()
+        head, runs = _read_runs(path)
+        runs = [_run(*xs) for xs in runs]
+        assert file.read_bytes()[:-32] == head + b"".join(runs)
+        for i, run in enumerate(runs):
+            w = run[0]
+            for bad, message in ((_widened(run), f"^integer run of width {w + 1}, "
+                                                 f"not the least width {w}$"),
+                                 (bytes([0]) + run[1:], "^integer run of width 0$")):
+                _seal(path, head + b"".join(runs[:i] + [bad] + runs[i + 1:]))
+                with pytest.raises(FormatError, match=message):
+                    load(path)
 
 
 # --- shape and range checks (files re-sealed with a valid checksum) ---------
@@ -353,8 +434,8 @@ def test_evalkey_w_range_checked(tmp_path, toy_evk, capsys):
 
 
 def test_evalkey_truncated_anywhere(tmp_path, toy_evk):
-    """A version-6 evaluation key cut anywhere in its payload, re-sealed, is
-    a truncated file."""
+    """An evaluation key cut anywhere in its payload, re-sealed, is a
+    truncated file."""
     path = tmp_path / "evk.bin"
     save_evalkey(toy_evk, str(path))
     body = path.read_bytes()[:-32]
@@ -415,29 +496,43 @@ def test_params_huge_u32_refused_at_once(tmp_path, toy_params, fields, message):
     assert time.perf_counter() - start < 0.5
 
 
-def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
-    """A q of more than 64 bits is refused before the primality test, which
-    would sweep 64 Miller–Rabin rounds over this one for days."""
-    q = (1 << 16383) + 1
-    while math.gcd(q, math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))) != 1:
-        q += 2
-    p = toy_params
+def _params_file(path, p, q: int, sigma: tuple[int, int]) -> None:
+    """A parameters file of ``p``'s fields, with ``q`` and sigma's
+    (numerator, denominator) as given, written by the reference encoder."""
     block = bytearray()
     for x in (p.lambda_, p.L, p.v, p.r_g, p.r_prime, p.ell):
         _w_uint(block, x, 4)
-    _w_int(block, q)
-    _w_fraction(block, p.sigma)
-    _w_int(block, p.B)
+    for run in ((q,), sigma, (p.B,)):
+        w_run_reference(block, run)
     _w_uint(block, p.u, 4)
     body = bytearray(MAGIC)
     _w_uint(body, VERSION, 2)
     body.append(TYPE_PARAMS)
     _w_uint(body, len(block), 4)
-    body += block
+    _seal(str(path), bytes(body + block))
+
+
+def test_params_sigma_denominator_checked(tmp_path, toy_params):
+    """sigma's denominator must be positive."""
     path = tmp_path / "p.bin"
-    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    for sigma in ((0, 0), (-8, -1), (8, -1)):
+        _params_file(path, toy_params, toy_params.q, sigma)
+        with pytest.raises(FormatError, match="^bad rational denominator$"):
+            load_params(str(path))
+
+
+def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
+    """A q of more than 64 bits is refused before the primality test, which
+    would sweep 64 Miller–Rabin rounds over this one, as wide as a run
+    holds."""
+    q = (1 << 2038) + 1
+    while math.gcd(q, math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))) != 1:
+        q += 2
+    path = tmp_path / "p.bin"
+    _params_file(path, toy_params, q, (toy_params.sigma, 1))
+    assert path.read_bytes()[11 + 24] == 255  # q's run width
     start = time.perf_counter()
-    with pytest.raises(ParameterError, match="q must have at most 64 bits, got 16384"):
+    with pytest.raises(ParameterError, match="q must have at most 64 bits, got 2039"):
         load_params(str(path))
     assert time.perf_counter() - start < 0.5
 
@@ -546,7 +641,8 @@ def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
 def test_ciphertext_hint_checked(tmp_path, toy_params):
     """The hint must be nonnegative, and any nonnegative hint loads, also
     one past the decryption limit; a vector of another length is refused
-    by test_payload_one_integer_off_refused."""
+    by test_payload_one_integer_off_refused.  A hint that has outgrown
+    255-byte integers, after about 2040 self-sums, is refused when saving."""
     path = str(tmp_path / "ct.bin")
     vec = [3] * toy_params.ell
     save_ciphertext(Ciphertext(vec=vec, q=toy_params.q, noise_hint=toy_params.q),
@@ -556,7 +652,7 @@ def test_ciphertext_hint_checked(tmp_path, toy_params):
     # hint opens the payload
     save_ciphertext(Ciphertext(vec=vec, q=toy_params.q, noise_hint=0),
                     toy_params, path)
-    _patch_payload(path, 0, len(_encode(0)), _encode(-1))
+    _patch_payload(path, 0, len(_run(0)), _run(-1))
     with pytest.raises(FormatError, match="negative noise hint -1"):
         load_ciphertext(path)
     # and save_ciphertext refuses a vector of another length
@@ -564,29 +660,41 @@ def test_ciphertext_hint_checked(tmp_path, toy_params):
         save_ciphertext(Ciphertext(vec=vec[:-1], q=toy_params.q,
                                    noise_hint=0), toy_params, str(tmp_path / "c2.bin"))
     assert not (tmp_path / "c2.bin").exists()
+    ct = Ciphertext(vec=vec, q=toy_params.q, noise_hint=toy_params.B)
+    sums = 0
+    while ct.noise_hint < 1 << 2039:
+        save_ciphertext(ct, toy_params, path)
+        assert load_ciphertext(path)[0] == ct
+        ct = eval_add(ct, ct)
+        sums += 1
+    assert 2030 < sums <= 2040
+    with pytest.raises(ParameterError, match="^noise hint needs 256-byte integers"):
+        save_ciphertext(ct, toy_params, str(tmp_path / "c2.bin"))
+    assert not (tmp_path / "c2.bin").exists()
 
 
 def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
-    """The parameters fix how many integers each payload holds, so a file
-    one integer short is truncated and one integer long has bytes after its
-    payload.  A parameters file has no payload; its block one u32 short (u
-    cut) is truncated."""
+    """The parameters fix how many integers each payload run holds, so a
+    file whose last run is one integer short is truncated and one with an
+    integer more has bytes after its payload.  A parameters file has no
+    payload; its block one u32 short (u cut) is truncated."""
     ct = encrypt(toy_sk, [1, 0], Random(155))
     pk = pk_keygen(toy_sk, Random(156))
-    kinds = [  # (save, load, the payload's last integer)
-        (lambda path: save_secret_key(toy_sk, path), load_secret_key, toy_sk.R2[-1][-1]),
-        (lambda path: save_evalkey(toy_evk, path), load_evalkey, toy_evk.W[-1][-1]),
-        (lambda path: save_public_key(pk, path), load_public_key, pk.C_unit[-1][-1]),
-        (lambda path: save_ciphertext(ct, toy_params, path), load_ciphertext, ct.vec[-1]),
+    kinds = [  # (save, load)
+        (lambda path: save_secret_key(toy_sk, path), load_secret_key),
+        (lambda path: save_evalkey(toy_evk, path), load_evalkey),
+        (lambda path: save_public_key(pk, path), load_public_key),
+        (lambda path: save_ciphertext(ct, toy_params, path), load_ciphertext),
     ]
     path = tmp_path / "f.bin"
-    for save, load, last in kinds:
+    for save, load in kinds:
         save(str(path))
         body = path.read_bytes()[:-32]
-        assert body.endswith(_encode(last))
-        for changed, message in ((body[:-len(_encode(last))], "^truncated file$"),
-                                 (body + _encode(last), f"^{len(_encode(last))} "
-                                                        "bytes after the payload$")):
+        last = _run(*_read_runs(str(path))[1][-1])
+        assert body.endswith(last)
+        w = last[0]  # bytes per entry of the last run
+        for changed, message in ((body[:-w], "^truncated file$"),
+                                 (body + body[-w:], f"^{w} bytes after the payload$")):
             path.write_bytes(changed + hashlib.sha256(changed).digest())
             with pytest.raises(FormatError, match=message):
                 load(str(path))
@@ -597,9 +705,9 @@ def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
     with pytest.raises(FormatError, match="^truncated file$"):
         load_params(str(path))
     save_params(toy_params, str(path))
-    body = path.read_bytes()[:-32] + _encode(0)
+    body = path.read_bytes()[:-32] + _run(0)
     path.write_bytes(body + hashlib.sha256(body).digest())
-    with pytest.raises(FormatError, match="^5 bytes after the payload$"):
+    with pytest.raises(FormatError, match="^2 bytes after the payload$"):
         load_params(str(path))
 
 
@@ -608,20 +716,15 @@ def test_payload_one_integer_off_refused(tmp_path, toy_sk, toy_params, toy_evk):
 # the loaders refuse it and the writers never make it.
 
 def _shift_payload_int(path: str, index: int, by: int) -> None:
-    """Add ``by`` to the index-th integer of the payload and re-seal the
-    checksum."""
-    with open(path, "rb") as fh:
-        body = fh.read()[:-32]
-    r = _Reader(body)
-    r.pos = start = 11 + int.from_bytes(body[7:11], "little")
-    xs = []
-    while r.pos < len(body):
-        xs.append(r.int_())
-    xs[index] += by
-    buf = bytearray(body[:start])
-    _w_ints(buf, xs)
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf) + hashlib.sha256(bytes(buf)).digest())
+    """Add ``by`` to the index-th integer of the payload, re-encode the runs
+    at their least widths and re-seal the checksum."""
+    head, runs = _read_runs(path)
+    for xs in runs:
+        if index < len(xs):
+            xs[index] += by
+            break
+        index -= len(xs)
+    _seal(path, head + b"".join(_run(*xs) for xs in runs))
 
 
 def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, capsys):
