@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import ParameterError
@@ -66,6 +67,16 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _proved_prime(n: int) -> bool:
+    """The fixed-base proof for odd 37 < n < psi_13, memoized: ``Params``
+    proves its q on every construction, and a process sees few moduli.
+    Only this branch is cached; the rng branch draws its witnesses from the
+    caller's stream, which a cache hit would leave unadvanced."""
+    # only n = 41 meets its own base; skipping it is exact
+    return not any(_miller_rabin_witness(n, a) for a in _PROOF_BASES if a < n)
+
+
 def is_probable_prime(n: int, rng=None) -> bool:
     """Miller–Rabin primality test, _MR_ROUNDS rounds: false positives <= 4**-64.
 
@@ -80,8 +91,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
         if n % p == 0:
             return n == p
     if rng is None and n < _PSI_13:
-        # n > 37 here, so only n = 41 meets its own base; skipping it is exact
-        return not any(_miller_rabin_witness(n, a) for a in _PROOF_BASES if a < n)
+        return _proved_prime(n)
     for i in range(_MR_ROUNDS):
         if rng is not None:
             a = 2 + randbelow(rng, n - 3)

@@ -59,7 +59,8 @@ that its bits in D_i~ select (``mat_mul_exact``), with no multiplication.
 ``_carry_table`` keeps them as hex windows, the 16 subset sums of each
 four carry rows, so a carry sum is one lookup per hex digit of the
 quotient.  When D2s equals D1s (zero masking, every preset but ``small``)
-one table serves both products.
+one table serves both products.  W's rows are packed on that first AND
+too (``EvalKey.packed_W``), for the contraction of ``she._contract``.
 
 The evaluation key is not public: it stores D_i·2^u + eps_i, and rounding
 off the u low bits gives D and so S_dec.
@@ -708,10 +709,11 @@ class EvalKey:
 
     ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
     (``_carry_table``: the packed rows P_red and the hex windows of the
-    carry rows H), one table given twice when D2s == D1s.  It is not part
-    of the key: equality, repr and files ignore it, and ``replace`` gives a
-    key that builds its own tables afresh.  Mutating a field in place
-    after the first eval_mult leaves it stale.
+    carry rows H), one table given twice when D2s == D1s, and
+    ``packed_W`` caches W's rows packed for the contraction.  Neither is
+    part of the key: equality, repr and files ignore them, and ``replace``
+    gives a key that builds its own afresh.  Mutating a field in place
+    after the first eval_mult leaves them stale.
     """
 
     params: Params
@@ -750,6 +752,29 @@ class EvalKey:
 
         T1 = table(self.D1s)
         return T1, T1 if self.D2s == self.D1s else table(self.D2s)
+
+    @cached_property
+    def packed_W(self) -> tuple[list[int], int, int, list[int]]:
+        """W's rows packed for AND's contraction, built on first use: the
+        packed rows, their slot width, the modulus M2 = q²·2^(2u) and the
+        factors u_s·q of the z_s (2 on the message band, q elsewhere).
+
+        Each row is W[s] + floor(q/2), entries in 0..q − 1, with a trailing
+        1, packed at the width of t·M2·q: so the combination by any z
+        reduced into [0, M2) has every slot in 0..t·M2·q, and its last slot
+        is sum z_s, the offset to take back off every other slot.  A W
+        entry outside −floor(q/2)..floor(q/2) would break that bound, and is
+        refused.
+        """
+        p = self.params
+        q, half = p.q, p.q // 2
+        if min(map(min, self.W)) < -half or max(map(max, self.W)) > half:
+            raise ParameterError("W must be balanced, in -floor(q/2)..floor(q/2)")
+        M2 = q * q << (2 * p.u)
+        width = slot_width(p.t * M2 * q)
+        rows = pack_rows([[w + half for w in row] + [1] for row in self.W], width)
+        factors = [2 if p.n <= s < p.ell else q for s in range(p.t)]
+        return rows, width, M2, factors
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:

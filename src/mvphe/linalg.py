@@ -3,13 +3,14 @@
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
 into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
-exception is ``vec_mat``, the exact integer product of decryption and AND's
-W contraction.  (``keys.mat_mul_exact``, the key's D~·A on A's packed rows,
-sums the rows its 0/1 factor selects instead.)
+exception is ``vec_mat``, the exact integer product of decryption.
+(``keys.mat_mul_exact``, the key's D~·A on A's packed rows, sums the rows
+its 0/1 factor selects instead.)
 ``pack_rows`` and ``unpack_slots`` are Kronecker substitution: a row packed
 into one integer turns a vector-matrix product into one big-integer
-multiply-add per row.  ``mat_mul`` and encryption (``she.encrypt``, on the
-secret key's packed C) multiply that way, and AND's carry tables
+multiply-add per row.  ``mat_mul``, encryption (``she.encrypt``, on the
+secret key's packed C) and AND's W contraction (``she._contract``, on
+W's rows offset into 0..q − 1) multiply that way, and AND's carry tables
 (``keys._carry_table``) are sums of such rows read back by one
 ``unpack_slots``, which splits every slot with one ``struct`` call cached
 per (width, cols) shape.
@@ -64,11 +65,10 @@ def balanced_matrix(A: Matrix, q: int) -> Matrix:
 def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
     """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced.
 
-    The one entrywise multiply-accumulate loop of the package: decryption
-    and the W contraction of AND run through it.  Encryption, ``mat_mul``
-    and AND's products against the key factors use packed rows, and
-    ``keys.mat_mul_exact`` and ``she.pk_encrypt`` take column sums of
-    selected rows.
+    The one entrywise multiply-accumulate loop of the package, and
+    decryption its only caller.  Encryption, ``mat_mul`` and every layer
+    of AND use packed rows, and ``keys.mat_mul_exact`` and
+    ``she.pk_encrypt`` take column sums of selected rows.
     """
     out = [0] * len(M[0]) if M else []
     cols = range(len(out))

@@ -47,9 +47,10 @@ A run of width 0 or of any other width is refused with FormatError, and a
 run that would need more than 255 bytes an entry, which only a noise hint
 can reach after about 2040 self-sums, is refused when saving.  g's
 coefficients and every public-key and ciphertext entry are balanced, in
-−floor(q/2)..floor(q/2), and the points, S, R1 and R2 lie in 0..q − 1.
-Each loader refuses any other form with FormatError, after one min and one
-max pass per field, and every ``save_*`` refuses it with ParameterError.
+−floor(q/2)..floor(q/2), the points, S, R1 and R2 lie in 0..q − 1, and
+the parameter block's sigma is a fraction in lowest terms.  Each loader
+refuses any other form with FormatError, after one min and one max pass
+per field, and every ``save_*`` refuses it with ParameterError.
 """
 
 from __future__ import annotations
@@ -197,6 +198,8 @@ def _read_params(r: _Reader) -> Params:
     num, den = r.ints(2)
     if den <= 0:
         raise FormatError("bad rational denominator")
+    if math.gcd(num, den) != 1:  # one parameter set, one byte string
+        raise FormatError("sigma is not in lowest terms")
     sigma = Fraction(num, den)
     [B] = r.ints(1)
     u = r.uint(4)

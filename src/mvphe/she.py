@@ -21,7 +21,8 @@ equality comparisons.  Files store it.
 
 The hint is the one depth rule.  Multiplication contracts the
 evaluation-key tensor with the gadget transforms of the two ciphertexts
-and floors; its hint is the per-product bound ``keys._product_hint`` at
+and floors, every layer on Kronecker-packed key rows (``eval_mult``); its
+hint is the per-product bound ``keys._product_hint`` at
 max(h1, h2), linear in the carry bound k_max, and ``eval_mult`` refuses a
 product whose hint reaches the limit.  Addition is entrywise (hint:
 ``keys._sum_hint``) and refuses nothing, so decryption warns when a hint
@@ -188,15 +189,17 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     window lookup per hex digit of its quotient, against the key's
     Kronecker-packed carry tables (``evk.packed``, which the first call on
     a key builds from its stored blocks, once when D2s == D1s), and one
-    ``unpack_slots``.  The W
-    contraction: first z_s = x_s·y_s·u_s, then z·W (``vec_mat``), so the
-    k-th output is
+    ``unpack_slots``.  The W contraction (``_contract``): z_s = x_s·y_s·u_s,
+    and the k-th output is
 
         floor( sum_s z_s * W[s,k] )  mod q,
 
     where u_s is 2/q on the message band and 1 elsewhere.  Each sum is one
     integer numerator over the common denominator q·2^(2u), so the floor
-    is one exact integer division.
+    is one exact integer division, and only the numerator mod q²·2^(2u)
+    matters: each z_s is reduced to that first, and the sums are one
+    multiply-add per row of W against its packed rows (``evk.packed_W``,
+    also built by the first call on a key) and one ``unpack_slots``.
     """
     p = evk.params
     _check_ciphertext(p, ct1)
@@ -211,18 +214,32 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
 
 def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int]) -> list[int]:
     """The three layers of ``eval_mult`` on two ciphertext vectors, with no
-    hint and no refusal; the entries are unbalanced."""
+    hint and no refusal: two carry products, then ``_contract``; the
+    entries are unbalanced."""
     p = evk.params
     q = p.q
     T1, T2 = evk.packed
-    x = _carry_product(v1, T1, q, p.u)
-    y = _carry_product(v2, T2, q, p.u)
-    # u_s times the common denominator q·2^(2u) (2^u from each transform)
-    n, ell = p.n, p.ell
-    z = [xs * ys * (2 if n <= s < ell else q)
-         for s, (xs, ys) in enumerate(zip(x, y))]
-    denom = q << (2 * p.u)
-    return [acc // denom for acc in vec_mat(z, evk.W)]
+    return _contract(evk, _carry_product(v1, T1, q, p.u),
+                     _carry_product(v2, T2, q, p.u))
+
+
+def _contract(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The W contraction of x = t1·P1 and y = t2·P2: output k is
+    floor(sum_s z_s·W[s,k] / denom) mod q, where z_s = x_s·y_s·u_s·q is
+    the numerator of u_s·x_s·y_s over denom = q·2^(2u) (2^u from each
+    transform) and u_s is as in ``eval_mult``.
+
+    That floor mod q depends only on the sum mod M2 = q·denom, so each z_s
+    is reduced mod M2 first and the sums are one multiply-add per row of
+    W against its packed rows (``evk.packed_W``), read back by one
+    ``unpack_slots``; the entries are unbalanced."""
+    p = evk.params
+    rows, width, M2, factors = evk.packed_W
+    z = [xs * ys * f % M2 for xs, ys, f in zip(x, y, factors)]
+    # the last slot is sum_s z_s, times the floor(q/2) offset of W's rows
+    *slots, total = unpack_slots(sum(map(mul, z, rows)), width, p.ell + 1)
+    offset, denom = p.q // 2 * total, M2 // p.q
+    return [(s - offset) % M2 // denom for s in slots]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
 of one multiplication carried out with exact rationals, the key factors
 P_i = D_i~·A by a plain triple sum and their carry tables packed as a
-key that stores P would pack them, a random netlist generator and a
+key that stores P would pack them, AND's W contraction entry by entry on
+the unreduced z, a random netlist generator and a
 netlist's noise hints gate by gate, the container's integer runs sized by
 trial and written one byte at a time, and the noise hints as the exact
 rational bounds that the integer rules round up.
@@ -40,7 +41,15 @@ from mvphe.keys import (
     preset_params,
     setup,
 )
-from mvphe.linalg import Matrix, inverse_mod_q, mat_mul, pack_rows, slot_width, zeros
+from mvphe.linalg import (
+    Matrix,
+    inverse_mod_q,
+    mat_mul,
+    pack_rows,
+    slot_width,
+    vec_mat,
+    zeros,
+)
 from mvphe.mvpoly import Polynomial, enumerate_monomials, reduce_by_set
 
 
@@ -405,6 +414,18 @@ def carry_table_from_P(P: Matrix, q: int, u: int) -> CarryTable:
     entry needs, then regrouped by ``keys._carry_table``."""
     width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
     return _carry_table(pack_rows(P, width), width, len(P[0]), q, u)
+
+
+def contract_reference(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """AND's W contraction as it ran before W was packed: z_s = x_s·y_s·u_s
+    times the common denominator q·2^(2u), unreduced (about 220 bits on
+    toy), then ``vec_mat(z, W)`` and one floor per output."""
+    p = evk.params
+    q = p.q
+    z = [xs * ys * (2 if p.n <= s < p.ell else q)
+         for s, (xs, ys) in enumerate(zip(x, y))]
+    denom = q << (2 * p.u)
+    return [acc // denom for acc in vec_mat(z, evk.W)]
 
 
 def u_coeffs(evk: EvalKey) -> list[Fraction]:

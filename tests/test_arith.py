@@ -10,6 +10,7 @@ from mvphe.arith import (
     _PSI_13,
     NoiseSampler,
     _miller_rabin_witness,
+    _proved_prime,
     balance,
     is_probable_prime,
     random_prime,
@@ -144,6 +145,21 @@ def test_random_prime_trial_division_oracle():
 def test_random_prime_deterministic():
     assert random_prime(40, Random(9)) == random_prime(40, Random(9))
     assert random_prime(40, Random(9)) != random_prime(40, Random(10))
+
+
+def test_cached_proof_leaves_seeded_primes_unmoved():
+    """The fixed-base proof is memoized, the rng branch is not: a seeded
+    random_prime draws the same prime before and after a cached proof of
+    that prime, and a test with an rng always advances it."""
+    p = random_prime(40, Random(9))
+    assert is_probable_prime(p) and is_probable_prime(p)
+    hits = _proved_prime.cache_info().hits
+    assert is_probable_prime(p) and _proved_prime.cache_info().hits == hits + 1
+    assert random_prime(40, Random(9)) == p
+    rng = Random(11)
+    for _ in range(2):
+        state = rng.getstate()
+        assert is_probable_prime(p, rng=rng) and rng.getstate() != state
 
 
 def test_is_probable_prime_known_values():

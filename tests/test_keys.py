@@ -687,7 +687,8 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
     one reduce_by_set per degree-(<= 2r) ideal basis element, and no
     mat_mul_exact: the first AND under a toy key makes the one, for the
-    carry table both its products share, and a second AND makes none.  A
+    carry table both its products share, and a second AND makes none.  No
+    AND calls vec_mat: its W contraction runs on W's packed rows.  A
     keygen draw that passes its rank checks makes one solve (S), one
     inverse (the secret key's D = C^{-1}) and no product.  An
     encryption is one packed product by C: the first under a key packs C's
@@ -705,18 +706,19 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert calls == {"mat_mul": 2, "solve_mod_q": 2,
                      "reduce_by_set": toy_sk.params.n1}
     calls.clear()
-    c = encrypt(toy_sk, [1, 1], Random(2))
-    she.eval_mult(evk, c, c)
-    she.eval_mult(evk, c, c)
-    assert calls == {"mat_mul_exact": 1}
-    calls.clear()
-    sk = keygen(toy_sk.params, Random(3))
-    assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
     products, packed, unpacked = [], [], []
 
     def vec_mat_counted(v, M, _fn=she.vec_mat):
         products.append(M)
         return _fn(v, M)
+    monkeypatch.setattr(she, "vec_mat", vec_mat_counted)
+    c = encrypt(toy_sk, [1, 1], Random(2))
+    she.eval_mult(evk, c, c)
+    she.eval_mult(evk, c, c)
+    assert calls == {"mat_mul_exact": 1} and products == []
+    calls.clear()
+    sk = keygen(toy_sk.params, Random(3))
+    assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
 
     def pack_counted(M, width, _fn=keys.pack_rows):
         packed.append(M)
@@ -725,7 +727,6 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     def unpack_counted(total, width, cols, _fn=she.unpack_slots):
         unpacked.append((width, cols))
         return _fn(total, width, cols)
-    monkeypatch.setattr(she, "vec_mat", vec_mat_counted)
     monkeypatch.setattr(keys, "pack_rows", pack_counted)
     monkeypatch.setattr(she, "unpack_slots", unpack_counted)
     m = [1] * sk.params.message_bits

@@ -521,6 +521,18 @@ def test_params_sigma_denominator_checked(tmp_path, toy_params):
             load_params(str(path))
 
 
+def test_params_sigma_in_lowest_terms(tmp_path, toy_params):
+    """One parameter set has one byte string: a sigma of 8 stored as 16/2
+    (or 0 as 0/2) is refused, while 8/1 loads as the preset."""
+    path = tmp_path / "p.bin"
+    for sigma in ((16, 2), (-16, 2), (0, 2), (24, 3)):
+        _params_file(path, toy_params, toy_params.q, sigma)
+        with pytest.raises(FormatError, match="^sigma is not in lowest terms$"):
+            load_params(str(path))
+    _params_file(path, toy_params, toy_params.q, (toy_params.sigma, 1))
+    assert load_params(str(path)) == toy_params
+
+
 def test_params_q_past_64_bits_refused_at_once(tmp_path, toy_params):
     """A q of more than 64 bits is refused before the primality test, which
     would sweep 64 Miller–Rabin rounds over this one, as wide as a run

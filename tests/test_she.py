@@ -25,12 +25,13 @@ from mvphe import (
 )
 from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
-from mvphe.keys import PRESETS, _reaches_limit
+from mvphe.keys import PRESETS, _carry_product, _reaches_limit
 from mvphe.linalg import mat_mul, unpack_slots, vec_mat
 from mvphe.serialize import save_ciphertext
-from mvphe.she import _product
+from mvphe.she import _contract, _product
 from oracles import (
     CARRY_SETS,
+    contract_reference,
     encrypt_reference,
     mult_intermediates,
     product_hint_reference,
@@ -430,14 +431,15 @@ def test_mult_matches_exact_oracle(preset):
 
 
 def test_mult_packed_form_follows_the_key(toy_sk):
-    """The carry tables are built once per key object: a repeat call reuses
-    them and gives the same product, a replaced key builds its own, and
-    equality ignores them."""
+    """The carry tables and W's packed rows are built once per key object:
+    a repeat call reuses them and gives the same product, a replaced key
+    builds its own, and equality and repr ignore them."""
     evk = build_evalkey(toy_sk, rng=Random(119))
     c1, c2, *_ = _extreme_ciphertexts(toy_sk)
     first = eval_mult(evk, c1, c2)
-    tables = evk.packed
-    assert eval_mult(evk, c1, c2) == first and evk.packed is tables
+    tables, packed_W = evk.packed, evk.packed_W
+    assert eval_mult(evk, c1, c2) == first
+    assert evk.packed is tables and evk.packed_W is packed_W
     swapped = replace(evk, D1s=evk.D2s, D2s=evk.D1s)
     got = eval_mult(swapped, c1, c2)
     assert swapped.packed is not tables
@@ -445,6 +447,21 @@ def test_mult_packed_form_follows_the_key(toy_sk):
     assert got.vec == mult_intermediates(toy_sk, swapped, c1.vec, c2.vec)["product"]
     assert swapped == replace(evk, D1s=evk.D2s, D2s=evk.D1s)  # the cache is not compared
     assert "packed" not in repr(evk)
+    # a new W gets its own packed rows, and the product follows it
+    negated = replace(evk, W=[[-w for w in row] for row in evk.W])
+    p = evk.params
+    x = _carry_product(c1.vec, tables[0], p.q, p.u)
+    y = _carry_product(c2.vec, tables[1], p.q, p.u)
+    got = [balance(a, p.q) for a in _contract(negated, x, y)]
+    assert "packed_W" in vars(negated) and negated.packed_W is not packed_W
+    assert negated.packed_W[0] != packed_W[0]
+    assert got == [balance(a, p.q) for a in contract_reference(negated, x, y)]
+    assert got != first.vec
+    # an unbalanced W would overflow the packed slots, so it is refused
+    for w in (p.q // 2 + 1, -(p.q // 2) - 1):
+        bad = replace(evk, W=[row[:-1] + [w] for row in evk.W])
+        with pytest.raises(ParameterError, match="W must be balanced"):
+            eval_mult(bad, c1, c2)
 
 
 def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
@@ -475,6 +492,38 @@ def test_mult_matches_oracle_on_random_vectors(name):
     for v1, v2 in zip(vecs, vecs[1:] + vecs[:1]):
         want = mult_intermediates(sk, evk, v1, v2)["product"]
         assert [balance(x, p.q) for x in _product(evk, v1, v2)] == want
+
+
+@pytest.mark.parametrize("name", ["tiny-q97", *sorted(PRESETS)])
+def test_contraction_matches_reference(name):
+    """she._contract, on W's packed rows with each z_s reduced mod
+    q²·2^(2u), equals the entrywise contraction of the unreduced z
+    (``oracles.contract_reference``) mod q: on x and y at their bound
+    ±input_dim·(q·2^u)/2·n(q − 1), with alternating signs, zero and
+    random; and with every z_s at its largest residue against a W of all
+    floor(q/2), the largest sums the slot width must hold."""
+    p = CARRY_SETS[name]()
+    q, t = p.q, p.t
+    sk = keygen(p, Random(f"contract-{name}"))
+    evk = build_evalkey(sk, rng=Random(f"contract-evk-{name}"))
+    bound = evk.input_dim * ((q << p.u) // 2) * p.n * (q - 1)
+    rng = Random(f"contract-vec-{name}")
+    vecs = [[bound] * t, [-bound] * t, [(-1) ** s * bound for s in range(t)],
+            [0] * t, *([rng.randint(-bound, bound) for _ in range(t)] for _ in range(3))]
+
+    def agree(key, x, y):
+        got = [a % q for a in _contract(key, x, y)]
+        assert got == [a % q for a in contract_reference(key, x, y)]
+
+    for x in vecs:
+        for y in vecs:
+            agree(evk, x, y)
+    # z_s = M2 − f_s, f_s = 2 on the message band and q elsewhere
+    M2 = q * q << (2 * p.u)
+    y = [M2 // (2 if p.n <= s < p.ell else q) - 1 for s in range(t)]
+    top = replace(evk, W=[[q // 2] * p.ell for _ in range(t)])
+    agree(top, [1] * t, y)
+    agree(evk, [1] * t, y)
 
 
 def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
