@@ -86,6 +86,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _check_range,
     balanced_matrix,
     inverse_mod_q,
     mat_mul,
@@ -735,10 +736,16 @@ class EvalKey:
         sum of the packed rows of A that its bit row in D_i~ selects
         (``mat_mul_exact``), so P_i is never formed unpacked.  The slot
         width holds every entry of t·P_i for a balanced t: input_dim
-        entries up to (q·2^u)/2 times entries of P_i up to n(q − 1).
+        entries up to (q·2^u)/2 times entries of P_i up to n(q − 1).  That
+        bound needs D1s and D2s in 0..q·2^u − 1 and E in 0..q − 1, as
+        build_evalkey makes them, so an entry outside is refused.
         """
         p = self.params
         n, ell, t = p.n, p.ell, p.t
+        top = (p.q << p.u) - 1
+        for name, m, hi in (("D1s", self.D1s, top), ("D2s", self.D2s, top),
+                            ("E", self.E, p.q - 1)):
+            _check_range(name, m, 0, hi, ParameterError)
         width = slot_width(self.input_dim * ((p.q << p.u) // 2) * n * (p.q - 1))
         zero = [0] * (t - ell)
         A = [[int(i == j) for j in range(ell)] + (self.E[i] if i < n else zero)

@@ -58,6 +58,14 @@ def balanced_matrix(A: Matrix, q: int) -> Matrix:
     return [[balance(x, q) for x in row] for row in A]
 
 
+def _check_range(name: str, m: Matrix, lo: int, hi: int,
+                 error: type[Exception]) -> None:
+    """Refuse, with ``error``, a nonempty matrix with an entry outside
+    lo..hi: one min and one max pass, however large the matrix."""
+    if min(map(min, m)) < lo or max(map(max, m)) > hi:
+        raise error(f"{name} has an entry outside {lo}..{hi}")
+
+
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------

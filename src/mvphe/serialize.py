@@ -23,34 +23,36 @@ together without comparing full keys.
 A file stores nothing that its parameters fix.  The parameter block holds
 lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
 inside it are refused.  It also fixes every payload's layout, so a payload
-is a plain sequence of runs with no shape, length, count or exponent in it,
-and each ``save_*`` refuses a field whose shape differs from the one the
-parameters fix.  Secret-key files store only the core fields: g as
-C(v + r_g, r_g) coefficients over
+is a plain sequence of runs with no shape, length, count or exponent in
+it.  ``_layout`` lists each file type's runs in order, with the shape and
+the entry range of each.  Every save goes through ``_save``, which refuses
+a field of another shape or with an entry out of its range with
+ParameterError before it writes; every load goes through ``_load``, which
+reads each field in its shape and refuses an entry out of its range with
+FormatError, after one min and one max pass per field.
+
+Secret-key files store only the core fields: g's coefficients over
 ``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
-first and the leading monomial last), the t x v points, then S, R1 and R2.
-All derived matrices are recomputed on load, so a save/load round trip is
-bit-exact by construction; g must be as keygen draws it, with leading
-coefficient 1 and a nonzero constant term.  Evaluation keys store the
-blocks the factors P1 and P2 follow from, not the factors: D1s and D2s
-(ell x ell, entries in 0..q·2^u − 1), E (n x (t − ell), entries in
-0..q − 1), then W (t x ell, entries in −floor(q/2)..floor(q/2), as
-build_evalkey balances it); the carry bound k_max follows from the
-parameters.  Public-key files store exactly
+first and the leading monomial last), then the points, S, R1 and R2.  All
+derived matrices are recomputed on load, so a save/load round trip is
+bit-exact by construction.  g must be as keygen draws it, with leading
+coefficient 1 and a nonzero constant term: a scaled g, one of lower degree
+or one with a zero constant would otherwise load and evaluate, so saver and
+loader both refuse it, and the loader refuses a singular R1, which leaves C
+without an inverse.  Evaluation keys store the blocks the factors P1 and P2
+follow from, not the factors: D1s, D2s, E, then W; the carry bound k_max
+follows from the parameters.  Public-key files store exactly
 d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
 of the unit vectors.  Ciphertext files store the noise hint, one integer
 that must be nonnegative, and the ell entries of the vector.
 
-Files are canonical: every run has its least width and every residue is
-stored in the one form the package makes, so one key has one byte string.
-A run of width 0 or of any other width is refused with FormatError, and a
-run that would need more than 255 bytes an entry, which only a noise hint
-can reach after about 2040 self-sums, is refused when saving.  g's
-coefficients and every public-key and ciphertext entry are balanced, in
-−floor(q/2)..floor(q/2), the points, S, R1 and R2 lie in 0..q − 1, and
-the parameter block's sigma is a fraction in lowest terms.  Each loader
-refuses any other form with FormatError, after one min and one max pass
-per field, and every ``save_*`` refuses it with ParameterError.
+Files are canonical: every run has its least width, every residue is
+stored in the one form the package makes (``_layout``'s ranges), and the
+parameter block's sigma is a fraction in lowest terms, so one key has one
+byte string.  A run of width 0 or of any other width is refused with
+FormatError, and a run that would need more than 255 bytes an entry, which
+only a noise hint can reach after about 2040 self-sums, is refused when
+saving.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Iterable
 
 from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey
-from .linalg import Matrix
+from .linalg import Matrix, _check_range
 from .mvpoly import Polynomial, enumerate_monomials
 from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
@@ -119,19 +121,9 @@ def _w_ints(buf: bytearray, name: str, xs: Iterable[int]) -> None:
     buf += b"".join([x.to_bytes(w, "little", signed=True) for x in xs])
 
 
-def _w_matrix(buf: bytearray, name: str, m: Matrix, rows: int, cols: int) -> None:
-    """Encode ``m`` as one run, row by row; it must be rows x cols."""
-    if len(m) != rows or any(len(row) != cols for row in m):
-        raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
+def _w_matrix(buf: bytearray, name: str, m: Matrix) -> None:
+    """Encode ``m`` as one run, row by row."""
     _w_ints(buf, name, chain.from_iterable(m))
-
-
-def _check_range(name: str, m: Matrix, lo: int, hi: int,
-                 error: type[Exception]) -> None:
-    """Refuse, with ``error``, a nonempty matrix with an entry outside
-    lo..hi: one min and one max pass, however large the matrix."""
-    if min(map(min, m)) < lo or max(map(max, m)) > hi:
-        raise error(f"{name} has an entry outside {lo}..{hi}")
 
 
 class _Reader:
@@ -217,21 +209,6 @@ def params_fingerprint(p: Params) -> str:
 # container plumbing
 # ---------------------------------------------------------------------------
 
-def _write_container(path: str, type_byte: int, params: Params,
-                     payload: bytes) -> None:
-    buf = bytearray()
-    buf += MAGIC
-    _w_uint(buf, VERSION, 2)
-    buf.append(type_byte)
-    block = _params_block(params)
-    _w_uint(buf, len(block), 4)
-    buf += block
-    buf += payload
-    buf += hashlib.sha256(bytes(buf)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
-
-
 def _read_container(path: str, expect_type: int) -> tuple[Params, _Reader]:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -258,18 +235,83 @@ def _read_container(path: str, expect_type: int) -> tuple[Params, _Reader]:
     return params, r
 
 
+def _layout(type_byte: int, p: Params) -> tuple[tuple, ...]:
+    """(field, rows, cols, lowest entry, highest entry) of each payload run
+    of a file of this type, in file order.  The noise hint alone has no
+    range here: a ciphertext refuses a negative one itself."""
+    half, top = p.q // 2, p.q - 1
+    if type_byte == TYPE_SECRET:
+        return (("g", 1, math.comb(p.v + p.r_g, p.r_g), -half, half),
+                ("points", p.t, p.v, 0, top), ("S", p.message_bits, p.n, 0, top),
+                ("R1", p.n, p.n, 0, top), ("R2", p.message_bits, p.n, 0, top))
+    if type_byte == TYPE_EVALKEY:
+        d_top = (p.q << p.u) - 1
+        return (("D1s", p.ell, p.ell, 0, d_top), ("D2s", p.ell, p.ell, 0, d_top),
+                ("E", p.n, p.t - p.ell, 0, top), ("W", p.t, p.ell, -half, half))
+    if type_byte == TYPE_PUBLIC:
+        return (("C0", pk_rows(p), p.ell, -half, half),
+                ("C_unit", p.message_bits, p.ell, -half, half))
+    if type_byte == TYPE_CIPHERTEXT:
+        return (("noise hint", 1, 1, None, None),
+                ("ciphertext", 1, p.ell, -half, half))
+    return ()
+
+
+def _save(path: str, type_byte: int, params: Params,
+          fields: Iterable[Matrix]) -> None:
+    """Write a file of ``fields``, the matrices of ``_layout``'s runs in
+    order; a field of another shape or with an entry out of its range is
+    refused before anything is written."""
+    buf = bytearray(MAGIC)
+    _w_uint(buf, VERSION, 2)
+    buf.append(type_byte)
+    block = _params_block(params)
+    _w_uint(buf, len(block), 4)
+    buf += block
+    for (name, rows, cols, lo, hi), m in zip(_layout(type_byte, params), fields,
+                                             strict=True):
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
+        if lo is not None:
+            _check_range(name, m, lo, hi, ParameterError)
+        _w_matrix(buf, name, m)
+    buf += hashlib.sha256(buf).digest()
+    with open(path, "wb") as fh:
+        fh.write(buf)
+
+
+def _load(path: str, type_byte: int) -> tuple[Params, list[Matrix]]:
+    """The parameters and the payload fields of a file of this type, each
+    of ``_layout``'s shape and in its range."""
+    params, r = _read_container(path, type_byte)
+    layout = _layout(type_byte, params)
+    fields = [r.matrix(rows, cols) for _, rows, cols, _, _ in layout]
+    r.end()
+    for (name, _, _, lo, hi), m in zip(layout, fields):
+        if lo is not None:
+            _check_range(name, m, lo, hi, FormatError)
+    return params, fields
+
+
 # ---------------------------------------------------------------------------
 # public save/load API
 # ---------------------------------------------------------------------------
 
 def save_params(p: Params, path: str) -> None:
-    _write_container(path, TYPE_PARAMS, p, b"")
+    _save(path, TYPE_PARAMS, p, ())
 
 
 def load_params(path: str) -> Params:
-    params, r = _read_container(path, TYPE_PARAMS)
-    r.end()
-    return params
+    return _load(path, TYPE_PARAMS)[0]
+
+
+def _check_generator(coeffs: list[int], p: Params, error: type[Exception]) -> None:
+    """g must be as keygen draws it, monic with a nonzero constant term mod
+    q: a scaled g, one of lower degree or one with a zero constant would
+    otherwise load and evaluate."""
+    if coeffs[-1] % p.q != 1 or coeffs[0] % p.q == 0:
+        raise error(f"secret key generator is not monic of degree r_g = {p.r_g} "
+                    f"in v = {p.v} variables with a nonzero constant term")
 
 
 def save_secret_key(sk: SecretKey, path: str) -> None:
@@ -278,112 +320,49 @@ def save_secret_key(sk: SecretKey, path: str) -> None:
         raise ParameterError(f"g has a term outside the monomials of degree <= "
                              f"r_g = {p.r_g} in v = {p.v} variables")
     coeffs = [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)]
-    _check_range("g", [coeffs], -(p.q // 2), p.q // 2, ParameterError)
-    buf = bytearray()
-    _w_ints(buf, "g", coeffs)
-    for name, m, rows, cols in (("points", sk.points, p.t, p.v),
-                                ("S", sk.S, p.message_bits, p.n),
-                                ("R1", sk.R1, p.n, p.n),
-                                ("R2", sk.R2, p.message_bits, p.n)):
-        _w_matrix(buf, name, m, rows, cols)
-        _check_range(name, m, 0, p.q - 1, ParameterError)
-    _write_container(path, TYPE_SECRET, p, bytes(buf))
+    _check_generator(coeffs, p, ParameterError)
+    _save(path, TYPE_SECRET, p, ([coeffs], sk.points, sk.S, sk.R1, sk.R2))
 
 
 def load_secret_key(path: str) -> SecretKey:
-    params, r = _read_container(path, TYPE_SECRET)
-    q = params.q
-    # read before enumerating: a block can name C(v + r_g, r_g) monomials
-    # far past what the file holds
-    coeffs = r.ints(math.comb(params.v + params.r_g, params.r_g))
-    _check_range("g", [coeffs], -(q // 2), q // 2, FormatError)
-    if coeffs[-1] != 1 or coeffs[0] == 0:
-        raise FormatError(f"secret key generator is not monic of degree r_g = "
-                          f"{params.r_g} in v = {params.v} variables with a "
-                          "nonzero constant term")
-    g = Polynomial(params.v, q, dict(zip(enumerate_monomials(params.v, params.r_g),
-                                         coeffs)))
-    points = r.matrix(params.t, params.v)
-    S = r.matrix(params.message_bits, params.n)
-    R1 = r.matrix(params.n, params.n)
-    R2 = r.matrix(params.message_bits, params.n)
-    r.end()
-    for name, m in (("points", points), ("S", S), ("R1", R1), ("R2", R2)):
-        _check_range(name, m, 0, q - 1, FormatError)
-    points = [tuple(z) for z in points]
+    # every run is read before g's monomials are enumerated: a block can
+    # name C(v + r_g, r_g) of them, far past what the file holds
+    params, ([coeffs], points, S, R1, R2) = _load(path, TYPE_SECRET)
+    _check_generator(coeffs, params, FormatError)
+    g = Polynomial(params.v, params.q,
+                   dict(zip(enumerate_monomials(params.v, params.r_g), coeffs)))
     try:  # C is invertible exactly when R1 is
-        return SecretKey(params=params, g=g, points=points, S=S, R1=R1, R2=R2)
+        return SecretKey(params=params, g=g, points=[tuple(z) for z in points],
+                         S=S, R1=R1, R2=R2)
     except SingularMatrixError:
-        raise FormatError(f"secret key R1 is singular mod q = {q}") from None
-
-
-def _evalkey_layout(p: Params) -> tuple[tuple[str, int, int, int, int], ...]:
-    """(field, rows, cols, lowest entry, highest entry) of each evaluation
-    key field, in file order."""
-    half = p.q // 2
-    top = (p.q << p.u) - 1
-    return (("D1s", p.ell, p.ell, 0, top), ("D2s", p.ell, p.ell, 0, top),
-            ("E", p.n, p.t - p.ell, 0, p.q - 1), ("W", p.t, p.ell, -half, half))
+        raise FormatError(f"secret key R1 is singular mod q = {params.q}") from None
 
 
 def save_evalkey(evk: EvalKey, path: str) -> None:
-    buf = bytearray()
-    for name, rows, cols, lo, hi in _evalkey_layout(evk.params):
-        m = getattr(evk, name)
-        _w_matrix(buf, name, m, rows, cols)
-        _check_range(name, m, lo, hi, ParameterError)
-    _write_container(path, TYPE_EVALKEY, evk.params, bytes(buf))
+    _save(path, TYPE_EVALKEY, evk.params, (evk.D1s, evk.D2s, evk.E, evk.W))
 
 
 def load_evalkey(path: str) -> EvalKey:
-    params, r = _read_container(path, TYPE_EVALKEY)
-    layout = _evalkey_layout(params)
-    fields = [r.matrix(rows, cols) for _, rows, cols, _, _ in layout]
-    r.end()
-    for (name, _, _, lo, hi), m in zip(layout, fields):
-        _check_range(name, m, lo, hi, FormatError)
+    params, fields = _load(path, TYPE_EVALKEY)
     return EvalKey(params, *fields)
 
 
 def save_public_key(pk: PublicKey, path: str) -> None:
-    p = pk.params
-    half = p.q // 2
-    buf = bytearray()
-    for name, m, rows in (("C0", pk.C0, pk_rows(p)),
-                          ("C_unit", pk.C_unit, p.message_bits)):
-        _w_matrix(buf, name, m, rows, p.ell)
-        _check_range(name, m, -half, half, ParameterError)
-    _write_container(path, TYPE_PUBLIC, p, bytes(buf))
+    _save(path, TYPE_PUBLIC, pk.params, (pk.C0, pk.C_unit))
 
 
 def load_public_key(path: str) -> PublicKey:
-    params, r = _read_container(path, TYPE_PUBLIC)
-    C0 = r.matrix(pk_rows(params), params.ell)
-    C_unit = r.matrix(params.message_bits, params.ell)
-    r.end()
-    half = params.q // 2
-    _check_range("C0", C0, -half, half, FormatError)
-    _check_range("C_unit", C_unit, -half, half, FormatError)
+    params, (C0, C_unit) = _load(path, TYPE_PUBLIC)
     return PublicKey(params=params, C0=C0, C_unit=C_unit)
 
 
 def save_ciphertext(ct: Ciphertext, params: Params, path: str) -> None:
     _check_ciphertext(params, ct)
-    _check_range("ciphertext", [ct.vec], -(params.q // 2), params.q // 2,
-                 ParameterError)
-    buf = bytearray()
-    _w_ints(buf, "noise hint", (ct.noise_hint,))
-    _w_ints(buf, "ciphertext", ct.vec)
-    _write_container(path, TYPE_CIPHERTEXT, params, bytes(buf))
+    _save(path, TYPE_CIPHERTEXT, params, ([[ct.noise_hint]], [ct.vec]))
 
 
 def load_ciphertext(path: str) -> tuple[Ciphertext, Params]:
-    params, r = _read_container(path, TYPE_CIPHERTEXT)
-    [hint] = r.ints(1)
+    params, ([[hint]], [vec]) = _load(path, TYPE_CIPHERTEXT)
     if hint < 0:
         raise FormatError(f"negative noise hint {hint}")
-    vec = r.ints(params.ell)
-    r.end()
-    _check_range("ciphertext", [vec], -(params.q // 2), params.q // 2, FormatError)
-    ct = Ciphertext(vec=vec, q=params.q, noise_hint=hint)
-    return ct, params
+    return Ciphertext(vec=vec, q=params.q, noise_hint=hint), params

@@ -58,6 +58,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_payload_fields_go_through_the_layout():
+    """In serialize, only ``_save`` writes a payload field (``_w_matrix``)
+    and only ``_load`` reads one (``.matrix(``): both check each field
+    against ``_layout``'s shape and range, so no field can skip them."""
+    tree = TREES["serialize.py"]
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(node: ast.AST, name: str) -> int:
+        return sum(isinstance(call, ast.Call) and name in (
+                       getattr(call.func, "id", None), getattr(call.func, "attr", None))
+                   for call in ast.walk(node))
+    for name, where in (("_w_matrix", "_save"), ("matrix", "_load")):
+        assert calls(tree, name) == calls(functions[where], name) > 0, name
+
+
 # User entry points that the package never calls itself.  Exporting a name
 # is not a use: a helper that only tests call belongs in tests/oracles.py.
 ENTRY_POINTS = {

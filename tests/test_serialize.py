@@ -15,10 +15,12 @@ from hypothesis import strategies as st
 from mvphe import (
     Ciphertext,
     Polynomial,
+    build_evalkey,
     decrypt,
     encrypt,
     eval_add,
     eval_mult,
+    keygen,
     mult_noise_hint,
     pk_encrypt,
     pk_keygen,
@@ -26,6 +28,8 @@ from mvphe import (
 )
 from mvphe.cli import main
 from mvphe.errors import FormatError, ParameterError
+from mvphe.keys import PRESETS
+from mvphe.mvpoly import enumerate_monomials
 from mvphe.serialize import (
     MAGIC,
     TYPE_CIPHERTEXT,
@@ -130,6 +134,43 @@ def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
     save_secret_key(load_secret_key(a), b)
     with open(a, "rb") as f1, open(b, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_kind_roundtrips_on_every_preset(tmp_path, preset):
+    """Each file kind round-trips on each preset: the loaded object equals
+    the saved one, saving it again gives the same bytes, and the payload is
+    exactly the runs of ``_run_lengths``' counts, as the reference encoder
+    writes them.  small is the one preset whose D1s and D2s differ."""
+    p = preset_params(preset)
+    rng = Random(f"roundtrip-{preset}")
+    sk = keygen(p, rng)
+    evk = build_evalkey(sk, rng)
+    ct = eval_add(encrypt(sk, [1] * p.message_bits, rng),
+                  encrypt(sk, [0] * p.message_bits, rng))
+
+    def load_ct(path: str) -> Ciphertext:
+        back, params = load_ciphertext(path)
+        assert params == p and back.noise_hint == ct.noise_hint
+        return back
+
+    kinds = [  # (object, save, load)
+        (p, save_params, load_params),
+        (sk, save_secret_key, load_secret_key),
+        (evk, save_evalkey, load_evalkey),
+        (pk_keygen(sk, rng), save_public_key, load_public_key),
+        (ct, lambda c, path: save_ciphertext(c, p, path), load_ct),
+    ]
+    assert (evk.D1s != evk.D2s) == (preset == "small")
+    first, again = tmp_path / "first.bin", tmp_path / "again.bin"
+    for obj, save, load in kinds:
+        save(obj, str(first))
+        back = load(str(first))
+        assert back == obj
+        save(back, str(again))
+        assert again.read_bytes() == first.read_bytes()
+        head, runs = _read_runs(str(first))  # ends where the payload ends
+        assert first.read_bytes()[:-32] == head + b"".join(_run(*xs) for xs in runs)
 
 
 # --- integrity --------------------------------------------------------------
@@ -288,7 +329,8 @@ def _seal(path: str, body: bytes) -> None:
 
 def _run_lengths(type_byte: int, p) -> list[int]:
     """How many integers each payload run of a file of this type holds."""
-    return {TYPE_SECRET: [math.comb(p.v + p.r_g, p.r_g), p.t * p.v,
+    return {TYPE_PARAMS: [],
+            TYPE_SECRET: [math.comb(p.v + p.r_g, p.r_g), p.t * p.v,
                           p.message_bits * p.n, p.n * p.n, p.message_bits * p.n],
             TYPE_EVALKEY: [p.ell * p.ell, p.ell * p.ell, p.n * (p.t - p.ell),
                            p.t * p.ell],
@@ -589,8 +631,9 @@ def test_secret_key_generator_checked(tmp_path, toy_sk):
     grevlex, nonzero constant term.  The file holds g's coefficients on the
     monomials of degree <= r_g in v variables, so a g with a term outside
     them is refused when saving; a scaled g, a g of lower degree or one
-    with a zero constant would otherwise load and evaluate, so the loader
-    refuses them."""
+    with a zero constant would otherwise load and evaluate, so the saver
+    refuses them, and the loader refuses a good file whose g run is
+    patched to hold one."""
     p = toy_sk.params
     g = toy_sk.g
     const = (0,) * p.v
@@ -607,7 +650,13 @@ def test_secret_key_generator_checked(tmp_path, toy_sk):
                 g - Polynomial.monomial(p.v, p.q, const, g.terms[const])):
         key = copy.copy(toy_sk)
         key.g = bad
-        save_secret_key(key, str(path))
+        _refused_unsaved(save_secret_key, key, tmp_path / "refused.bin",
+                         "^secret key generator is not monic of degree")
+        save_secret_key(toy_sk, str(path))
+        monomials = enumerate_monomials(p.v, p.r_g)
+        good = _run(*(g.terms.get(m, 0) for m in monomials))
+        _patch_payload(str(path), 0, len(good),
+                       _run(*(bad.terms.get(m, 0) for m in monomials)))
         with pytest.raises(FormatError, match="generator is not monic of degree"):
             load_secret_key(str(path))
 

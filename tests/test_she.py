@@ -464,6 +464,29 @@ def test_mult_packed_form_follows_the_key(toy_sk):
             eval_mult(bad, c1, c2)
 
 
+def test_mult_refuses_factor_blocks_out_of_range(toy_sk, toy_evk):
+    """The carry tables' slot width holds t·P_i only for D1s and D2s in
+    0..q·2^u − 1 and E in 0..q − 1, the ranges build_evalkey makes: so the
+    first AND under a key with an entry outside refuses it by name.  Left
+    unchecked, an E entry shifted by q·2^20 or a D2s entry of −1 gives a
+    wrong product here, a negative E entry fails inside pack_rows, and a
+    D1s entry shifted by q·2^(u + 14) is silently reduced away."""
+    p = toy_evk.params
+    q, top = p.q, (p.q << p.u) - 1
+    c1, c2, *_ = _extreme_ciphertexts(toy_sk)
+
+    def bumped(m, by):
+        return [[m[0][0] + by] + m[0][1:]] + m[1:]
+    cases = [("E", q << 20, f"E has an entry outside 0..{q - 1}"),
+             ("E", -q, f"E has an entry outside 0..{q - 1}"),
+             ("D1s", q << (p.u + 14), f"D1s has an entry outside 0..{top}"),
+             ("D2s", -1 - toy_evk.D2s[0][0], f"D2s has an entry outside 0..{top}")]
+    for name, by, message in cases:
+        bad = replace(toy_evk, **{name: bumped(getattr(toy_evk, name), by)})
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            eval_mult(bad, c1, c2)
+
+
 def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
     """With no masking (toy) D1s == D2s, and both products run on one carry
     table; small's masking blocks make D1s != D2s, so it builds two."""
