@@ -11,15 +11,14 @@ class ParameterError(MvpheError, ValueError):
 
 
 class SingularMatrixError(MvpheError, ValueError):
-    """Matrix inversion hit a zero pivot.
+    """``linalg.solve_mod_q``, and so ``linalg.inverse_mod_q``, found a
+    column with no pivot, recorded as ``column``.  ``keys._reduction_map``
+    re-raises it as ConstructionError and ``serialize.load_secret_key`` as
+    FormatError; no other caller catches it."""
 
-    ``column`` records the pivot column that could not be eliminated, which
-    is useful when key generation needs to decide which points to resample.
-    """
-
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int):
         self.column = column
-        super().__init__(message or f"matrix is singular (no pivot in column {column})")
+        super().__init__(f"matrix is singular (no pivot in column {column})")
 
 
 class ConstructionError(MvpheError, RuntimeError):

@@ -349,9 +349,10 @@ class SecretKey:
     settable.  Encryption multiplies by C = T^{-1}·R, T = [[I, S^T], [0, I]];
     D = C^{-1} unmasks, and its last ell − n columns are S_dec.
 
-    ``packed`` caches C's rows Kronecker-packed for ``she.encrypt``.  Like
-    ``EvalKey.packed`` it is not part of the key: equality, repr and files
-    ignore it, and ``replace`` gives a key that packs afresh.
+    ``packed`` caches the rows of C and S_dec Kronecker-packed for
+    ``she.encrypt`` and ``she.decrypt``.  Like ``EvalKey.packed`` it is not
+    part of the key: equality, repr and files ignore it, and ``replace``
+    gives a key that packs afresh.
     """
 
     params: Params
@@ -387,13 +388,14 @@ class SecretKey:
         self.S_dec = [row[n:] for row in self.D]
 
     @cached_property
-    def packed(self) -> tuple[list[int], int]:
-        """C's rows packed by ``pack_rows``, and their slot width, built on
-        first use.  An encryption's vector has entries in (−q, q) and C's
-        in [0, q), so every slot of its product lies within ell·q²."""
+    def packed(self) -> tuple[list[int], list[int], int]:
+        """The rows of C and of S_dec packed by ``pack_rows``, and their one
+        slot width, built on first use.  An encryption's vector has entries
+        in (−q, q), a ciphertext's in (−q/2, q/2), and C's and S_dec's in
+        [0, q), so every slot of either product lies within ell·q²."""
         p = self.params
         width = slot_width(p.ell * p.q ** 2)
-        return pack_rows(self.C, width), width
+        return pack_rows(self.C, width), pack_rows(self.S_dec, width), width
 
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
@@ -671,14 +673,21 @@ def _reduction_map(sk: SecretKey, F1p: Matrix) -> Matrix:
     fractional parts of a product straight into the tail of the output,
     where the final floor absorbs them.  The mandatory post-check
     F1p·X = F2 (mod q), equivalent to the paper's F1·Q = F2, runs here.
+    Before the solve, F2's first n rows (the degree-(<= r') elements, left
+    as they are) must satisfy E1·S^T = −F2[:n, n:], E1 = F2[:n, :n], for
+    [S | I] to kill them; a key that fails would give wrong ANDs.
     """
     p = sk.params
-    q = p.q
+    q, n = p.q, p.n
     G = build_G(sk)
     F2 = []
     for b in _ideal_basis_2r(p, sk.g):
         rem = reduce_by_set(b, G, p.r)
         F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
+    top = F2[:n]
+    if mat_mul([row[:n] for row in top], list(zip(*sk.S)), q) != [
+            [-x % q for x in row[n:]] for row in top]:
+        raise ConstructionError("S does not annihilate the ideal at z_1..z_ell")
     try:
         X = solve_mod_q(F1p, F2, q)
     except SingularMatrixError as exc:
@@ -750,11 +759,10 @@ class EvalKey:
         zero = [0] * (t - ell)
         A = [[int(i == j) for j in range(ell)] + (self.E[i] if i < n else zero)
              for i in range(ell)]
-        A_rows = [[a] for a in pack_rows(A, width)]
+        A_rows = pack_rows(A, width)
 
         def table(D_scaled: Matrix) -> CarryTable:
-            bits = _bit_rows(D_scaled, p)
-            rows = [row[0] for row in mat_mul_exact(bits, A_rows)]
+            rows = mat_mul_exact(_bit_rows(D_scaled, p), A_rows)
             return _carry_table(rows, width, t, p.q, p.u)
 
         T1 = table(self.D1s)
@@ -766,22 +774,21 @@ class EvalKey:
         packed rows, their slot width, the modulus M2 = q²·2^(2u) and the
         factors u_s·q of the z_s (2 on the message band, q elsewhere).
 
-        Each row is W[s] + floor(q/2), entries in 0..q − 1, with a trailing
-        1, packed at the width of t·M2·q: so the combination by any z
-        reduced into [0, M2) has every slot in 0..t·M2·q, and its last slot
-        is sum z_s, the offset to take back off every other slot.  A W
-        entry outside −floor(q/2)..floor(q/2) would break that bound, and is
-        refused.
+        The rows are packed signed: W + floor(q/2), entries in 0..q − 1, is
+        packed, and the packed row of floor(q/2)s is taken off each.  They
+        are packed at the width of t·M2·floor(q/2), so the combination by
+        any z reduced into [0, M2) has every slot within that bound.  A W
+        entry outside −floor(q/2)..floor(q/2) would break it, and is refused.
         """
         p = self.params
         q, half = p.q, p.q // 2
-        if min(map(min, self.W)) < -half or max(map(max, self.W)) > half:
-            raise ParameterError("W must be balanced, in -floor(q/2)..floor(q/2)")
+        _check_range("W", self.W, -half, half, ParameterError)
         M2 = q * q << (2 * p.u)
-        width = slot_width(p.t * M2 * q)
-        rows = pack_rows([[w + half for w in row] + [1] for row in self.W], width)
+        width = slot_width(p.t * M2 * half)
+        offset, *rows = pack_rows([[half] * p.ell]
+                                  + [[w + half for w in row] for row in self.W], width)
         factors = [2 if p.n <= s < p.ell else q for s in range(p.t)]
-        return rows, width, M2, factors
+        return [r - offset for r in rows], width, M2, factors
 
 
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
@@ -793,7 +800,8 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     rescaling diagonal folded into the rank-1 slice structure, (4)+(5)
     re-expression matrix B times reduction matrix Q, from the X that solves
     F1p·X = F2, F2 being the division remainders of the degree-(<= 2r)
-    ideal basis.  The mandatory post-check F1p·X = F2 (mod q) runs on every
+    ideal basis.  A key whose S does not annihilate its ideal is refused
+    first, and the mandatory post-check F1p·X = F2 (mod q) runs on every
     build.  F1p, read off the monomial table at the solve points, feeds
     both E and X.  The factors P_i = D_i~·A are left to the first AND.
     """
@@ -817,22 +825,12 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     return EvalKey(params=p, D1s=D1s, D2s=D2s, E=E, W=W)
 
 
-def mat_mul_exact(A: Matrix, B: Matrix) -> Matrix:
-    """Integer matrix product without modular reduction, row by row as
-    the column sums of the rows of B that the row of A selects.
-
-    A row of B is taken as it is under an entry 1 and scaled under any
-    other nonzero entry, so the product is exact for every integer A; on
-    the 0/1 bit rows of D~ it makes no multiplication at all.  A row that
-    selects nothing gives a fresh zero row.
-    """
-    cols = len(B[0]) if B else 0
-    out = []
-    for a in A:
-        rows = [r if x == 1 else [*map(x.__mul__, r)]
-                for x, r in compress(zip(a, B), a)]
-        out.append([*map(sum, zip(*rows))] or [0] * cols)
-    return out
+def mat_mul_exact(bits: Matrix, rows: Sequence[int]) -> list[int]:
+    """The exact product of 0/1 rows by a matrix given as its packed rows
+    (``pack_rows``): for each bit row, the sum of the packed rows it
+    selects, 0 when it selects none.  D~·A on A's packed rows makes no
+    multiplication."""
+    return [sum(compress(rows, b)) for b in bits]
 
 
 def _bit_rows(D_scaled: Matrix, p: Params) -> Matrix:

@@ -2,18 +2,17 @@
 
 Matrices over Z_q are plain lists of row lists holding Python ints; the
 modulus is passed explicitly to each operation.  Results come back reduced
-into [0, q); use ``balanced_matrix`` when the balanced form is needed.  The
-exception is ``vec_mat``, the exact integer product of decryption.
-(``keys.mat_mul_exact``, the key's D~·A on A's packed rows, sums the rows
-its 0/1 factor selects instead.)
+into [0, q); use ``balanced_matrix`` when the balanced form is needed.
 ``pack_rows`` and ``unpack_slots`` are Kronecker substitution: a row packed
 into one integer turns a vector-matrix product into one big-integer
-multiply-add per row.  ``mat_mul``, encryption (``she.encrypt``, on the
-secret key's packed C) and AND's W contraction (``she._contract``, on
-W's rows offset into 0..q − 1) multiply that way, and AND's carry tables
-(``keys._carry_table``) are sums of such rows read back by one
-``unpack_slots``, which splits every slot with one ``struct`` call cached
-per (width, cols) shape.
+multiply-add per row, and it is the package's one way to multiply a vector
+by a matrix.  ``mat_mul``, encryption and decryption (``she.encrypt`` and
+``she.decrypt``, on the secret key's packed C and S_dec) and AND's W
+contraction (``she._contract``, on W's signed packed rows) multiply that
+way; AND's carry tables (``keys._carry_table``) are sums of packed rows of
+A that D~'s bits select (``keys.mat_mul_exact``).  Every product is read
+back by one ``unpack_slots``, which splits every slot with one ``struct``
+call cached per (width, cols) shape.
 ``solve_mod_q`` is the one entry point for linear systems: it solves
 A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
 against the identity.
@@ -69,23 +68,6 @@ def _check_range(name: str, m: Matrix, lo: int, hi: int,
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
-
-def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
-    """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced.
-
-    The one entrywise multiply-accumulate loop of the package, and
-    decryption its only caller.  Encryption, ``mat_mul`` and every layer
-    of AND use packed rows, and ``keys.mat_mul_exact`` and
-    ``she.pk_encrypt`` take column sums of selected rows.
-    """
-    out = [0] * len(M[0]) if M else []
-    cols = range(len(out))
-    for a, row in zip(v, M):
-        if a:
-            for j in cols:
-                out[j] += a * row[j]
-    return out
-
 
 def slot_width(bound: int) -> int:
     """Bytes per Kronecker slot for packed sums whose every slot lies in

@@ -10,6 +10,7 @@ vector, and C the secret key's encryption matrix; y, the noise and
 computes w = c·S_dec (mod q, balanced), S_dec being the last ell − n
 columns of C^{-1}, and rounds each w_j to the nearest multiple of
 floor(q/2), mod 2, as the integer (2·w_j + floor(q/2)) // (2·floor(q/2)).
+Both products run on the key's Kronecker-packed rows (``SecretKey.packed``).
 Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 
 Every ciphertext carries a ``noise_hint``, and must: an upper bound on the
@@ -46,7 +47,7 @@ from .arith import NoiseSampler, approx, balance, randbelow
 from .errors import DepthError, ParameterError
 from .keys import EvalKey, Params, SecretKey
 from .keys import _carry_product, _product_hint, _reaches_limit, _sum_hint
-from .linalg import Matrix, unpack_slots, vec_mat
+from .linalg import Matrix, unpack_slots
 
 __all__ = [
     "Ciphertext", "PublicKey", "encrypt", "decrypt", "noise_of",
@@ -104,7 +105,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     keeps at most B, so B is the fresh noise hint.  ``zero_noise`` drops
     the Gaussian term (debugging/test calibration); the hint is then 0 and
     decryption is exact.  The product by C runs on the key's packed rows
-    (``sk.packed``, which the first encryption under a key builds): ell
+    (``sk.packed``, which the first use of a key builds): ell
     big-integer multiply-adds and one ``unpack_slots``.
     """
     p = sk.params
@@ -117,7 +118,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
         band = [x + sampler.sample() for x in band]
     # message + noise on the band after y: S_dec is the last ell − n columns
     # of C^{-1}, so (y ‖ band)·C·S_dec = band and y drops out at decryption
-    rows, width = sk.packed
+    rows, _, width = sk.packed
     vec = unpack_slots(sum(map(mul, y + band, rows)), width, p.ell)
     hint = 0 if zero_noise else p.B
     return Ciphertext(vec=vec, q=q, noise_hint=hint)
@@ -144,7 +145,12 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
 
 
 def _apply_sdec(sk: SecretKey, vec: Sequence[int]) -> list[int]:
-    return [balance(x, sk.params.q) for x in vec_mat(vec, sk.S_dec)]
+    """c·S_dec, balanced: one multiply-add per row of S_dec's packed rows
+    (``sk.packed``) and one ``unpack_slots``."""
+    p = sk.params
+    _, rows, width = sk.packed
+    w = unpack_slots(sum(map(mul, vec, rows)), width, p.message_bits)
+    return [balance(x, p.q) for x in w]
 
 
 def noise_of(sk: SecretKey, ct: Ciphertext, m: Sequence[int]) -> list[int]:
@@ -231,15 +237,14 @@ def _contract(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:
 
     That floor mod q depends only on the sum mod M2 = q·denom, so each z_s
     is reduced mod M2 first and the sums are one multiply-add per row of
-    W against its packed rows (``evk.packed_W``), read back by one
+    W against its signed packed rows (``evk.packed_W``), read back by one
     ``unpack_slots``; the entries are unbalanced."""
     p = evk.params
     rows, width, M2, factors = evk.packed_W
     z = [xs * ys * f % M2 for xs, ys, f in zip(x, y, factors)]
-    # the last slot is sum_s z_s, times the floor(q/2) offset of W's rows
-    *slots, total = unpack_slots(sum(map(mul, z, rows)), width, p.ell + 1)
-    offset, denom = p.q // 2 * total, M2 // p.q
-    return [(s - offset) % M2 // denom for s in slots]
+    denom = M2 // p.q
+    return [s % M2 // denom
+            for s in unpack_slots(sum(map(mul, z, rows)), width, p.ell)]
 
 
 # ---------------------------------------------------------------------------

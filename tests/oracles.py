@@ -1,5 +1,6 @@
-"""Test-only oracles: nearest-integer rounding of exact rationals,
-Gauss–Jordan elimination entry by entry, the gadget transforms as exact
+"""Test-only oracles: nearest-integer rounding of exact rationals, the
+exact vector–matrix product entry by entry, Gauss–Jordan elimination
+entry by entry, the gadget transforms as exact
 rationals, the degree-(<= r) ideal basis as polynomial products,
 encryption in two products from the key's core fields, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
@@ -47,7 +48,6 @@ from mvphe.linalg import (
     mat_mul,
     pack_rows,
     slot_width,
-    vec_mat,
     zeros,
 )
 from mvphe.mvpoly import Polynomial, enumerate_monomials, reduce_by_set
@@ -65,6 +65,19 @@ def round_nearest(x: int | Fraction) -> int:
     """Nearest integer to x, half-values rounding toward +infinity: the
     reference for ``decrypt``'s integer rounding."""
     return math.floor(2 * x + 1) // 2
+
+
+def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
+    """Exact product v·M = sum_i v[i]·M[i] over the integers, unreduced,
+    entry by entry: the reference for the package's products on packed
+    rows (decryption, encryption, ``mat_mul``, AND's contraction)."""
+    out = [0] * len(M[0]) if M else []
+    cols = range(len(out))
+    for a, row in zip(v, M):
+        if a:
+            for j in cols:
+                out[j] += a * row[j]
+    return out
 
 
 # ---------------------------------------------------------------------------

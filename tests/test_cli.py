@@ -190,6 +190,21 @@ def test_evalkey_refuses_key_with_repeated_extension_point(tmp_path, toy_sk, cap
     assert "error:" in err and "lost rank" in err
 
 
+def test_evalkey_refuses_key_whose_S_does_not_annihilate_its_ideal(tmp_path, toy_sk,
+                                                                  capsys):
+    """A secret-key file saved, checksum and all, with one S entry off by
+    one loads, but its evaluation key would give wrong ANDs: evalkey
+    refuses it and writes no file."""
+    S = [list(row) for row in toy_sk.S]
+    S[0][0] = (S[0][0] + 1) % toy_sk.params.q
+    key, out = tmp_path / "sk.bin", tmp_path / "evk.bin"
+    serialize.save_secret_key(replace(toy_sk, S=S), str(key))
+    assert main(["evalkey", "--key", str(key), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "S does not annihilate" in err
+    assert not out.exists()
+
+
 def test_decrypt_refuses_fingerprint_mismatch(workdir, tmp_path, capsys):
     other_sk = str(tmp_path / "other.bin")
     ct = str(tmp_path / "ct.bin")

@@ -4,11 +4,14 @@ class, that nothing in the package uses.  Listing a name in __all__ does
 not count as using it.  And the benchmark still runs on it: every function
 its tracer wraps exists, every layer its metrics read is reached, and its
 workloads give the ciphertext vectors its digests pin.  README names the
-container's current format version."""
+container's current format version, and every ``module.name`` or
+``Class.attr`` that README or a package docstring cites exists."""
 
 import ast
+import importlib
 import importlib.util
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from random import Random
 
@@ -274,3 +277,30 @@ def test_readme_names_the_format_version():
     assert re.findall(r"format version \((\d+)\)", text) == [version]
     history = re.findall(r"^- Version (\d+) ", text, flags=re.MULTILINE)
     assert history and history[-1] == version
+
+
+def test_cited_names_exist():
+    """Every `module.name` or `Class.attr` that README cites, and every
+    ``module.name`` or ``Class.attr`` in a package docstring, resolves to
+    an attribute or a dataclass field, module and class both the
+    package's: so a rename or a deletion cannot leave a citation behind.
+    Other dotted names (``sk.packed``, `fractions.Fraction`) are not
+    checked."""
+    modules = {name[:-3]: importlib.import_module(f"mvphe.{name[:-3]}")
+               for name in TREES if name != "__init__.py"}
+    heads = dict(modules)
+    for module in modules.values():
+        heads.update((name, obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and obj.__module__ == module.__name__)
+    docstrings = [ast.get_docstring(node) or "" for tree in TREES.values()
+                  for node in ast.walk(tree) if isinstance(node, (
+                      ast.Module, ast.ClassDef, ast.FunctionDef))]
+    cited = re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    cited += re.findall(r"``(\w+)\.(\w+)``", "\n".join(docstrings))
+    checked = [(head, name) for head, name in cited if head in heads]
+    assert len(checked) > 30
+    missing = [f"{head}.{name}" for head, name in checked
+               if not hasattr(heads[head], name) and not (
+                   is_dataclass(heads[head])
+                   and name in {f.name for f in fields(heads[head])})]
+    assert missing == []

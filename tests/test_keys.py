@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -35,7 +36,7 @@ from mvphe.keys import (
     _monomial_table,
     build_G,
 )
-from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q, vec_mat
+from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.serialize import load_secret_key, save_secret_key
 from mvphe.arith import balance
@@ -58,6 +59,7 @@ from oracles import (
     powersoftwo,
     transpose,
     u_coeffs,
+    vec_mat,
 )
 
 
@@ -665,6 +667,22 @@ def test_evalkey_refuses_repeated_extension_point(toy_sk):
         build_evalkey(sk, rng=Random(1))
 
 
+def test_evalkey_refuses_a_key_whose_S_does_not_annihilate_its_ideal(toy_sk):
+    """C and D come from S, so a key with a wrong S, or with points that S
+    was not solved for, encrypts and decrypts as before, but its ANDs
+    decrypt wrong: build_evalkey refuses both, one S entry or one
+    coordinate of z_1 off by one."""
+    q = toy_sk.params.q
+    S = [list(row) for row in toy_sk.S]
+    S[0][0] = (S[0][0] + 1) % q
+    z1, *rest = toy_sk.points
+    moved = [((z1[0] + 1) % q, *z1[1:]), *rest]
+    for sk in (replace(toy_sk, S=S), replace(toy_sk, points=moved)):
+        with pytest.raises(ConstructionError,
+                           match="^S does not annihilate the ideal at z_1..z_ell$"):
+            build_evalkey(sk, rng=Random(1))
+
+
 def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
     """The post-check tests the solution X of F1p·X = F2 against the system
     it came from: one wrong entry of the n1-row X trips it."""
@@ -684,16 +702,16 @@ def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
 
 def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     """Every linear system is one solve and no inverse is formed: a build
-    makes two solve_mod_q (E and X), two mat_mul (the post-check and W),
-    one reduce_by_set per degree-(<= 2r) ideal basis element, and no
-    mat_mul_exact: the first AND under a toy key makes the one, for the
-    carry table both its products share, and a second AND makes none.  No
-    AND calls vec_mat: its W contraction runs on W's packed rows.  A
-    keygen draw that passes its rank checks makes one solve (S), one
-    inverse (the secret key's D = C^{-1}) and no product.  An
-    encryption is one packed product by C: the first under a key packs C's
-    rows once, and every encryption reads its product back with one
-    unpack_slots and calls no vec_mat."""
+    makes two solve_mod_q (E and X), three mat_mul (the check that S
+    annihilates the ideal, the post-check and W), one reduce_by_set per
+    degree-(<= 2r) ideal basis element, and no mat_mul_exact: the first
+    AND under a toy key makes the one, for the carry table both its
+    products share, and a second AND makes none.  A keygen draw that
+    passes its rank checks makes one solve (S), one inverse (the secret
+    key's D = C^{-1}) and no product.  Encryption and decryption are one
+    packed product each, by C and by S_dec: the first use of a key packs
+    the rows of both once, and every product is read back with one
+    unpack_slots."""
     calls = {}
     names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "mat_mul_exact",
              "reduce_by_set")
@@ -703,19 +721,14 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(keys, name, counted)
     evk = build_evalkey(toy_sk, rng=Random(1))
-    assert calls == {"mat_mul": 2, "solve_mod_q": 2,
+    assert calls == {"mat_mul": 3, "solve_mod_q": 2,
                      "reduce_by_set": toy_sk.params.n1}
     calls.clear()
-    products, packed, unpacked = [], [], []
-
-    def vec_mat_counted(v, M, _fn=she.vec_mat):
-        products.append(M)
-        return _fn(v, M)
-    monkeypatch.setattr(she, "vec_mat", vec_mat_counted)
+    packed, unpacked = [], []
     c = encrypt(toy_sk, [1, 1], Random(2))
     she.eval_mult(evk, c, c)
     she.eval_mult(evk, c, c)
-    assert calls == {"mat_mul_exact": 1} and products == []
+    assert calls == {"mat_mul_exact": 1}
     calls.clear()
     sk = keygen(toy_sk.params, Random(3))
     assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
@@ -729,14 +742,17 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
         return _fn(total, width, cols)
     monkeypatch.setattr(keys, "pack_rows", pack_counted)
     monkeypatch.setattr(she, "unpack_slots", unpack_counted)
-    m = [1] * sk.params.message_bits
-    encrypt(sk, m, Random(4))
-    rows, width = sk.packed
-    assert packed == [sk.C] and len(rows) == sk.params.ell
-    assert unpacked == [(width, sk.params.ell)] and products == []
+    p = sk.params
+    m = [1] * p.message_bits
+    ct = encrypt(sk, m, Random(4))
+    rows, dec_rows, width = sk.packed
+    assert packed == [sk.C, sk.S_dec]
+    assert len(rows) == len(dec_rows) == p.ell
+    assert unpacked == [(width, p.ell)]
     encrypt(sk, m, Random(5))
-    assert packed == [sk.C]
-    assert unpacked == [(width, sk.params.ell)] * 2 and products == []
+    assert decrypt(sk, ct) == m
+    assert packed == [sk.C, sk.S_dec]
+    assert unpacked == [(width, p.ell)] * 2 + [(width, p.message_bits)]
 
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,

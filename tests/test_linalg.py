@@ -17,7 +17,6 @@ from mvphe.linalg import (
     slot_width,
     solve_mod_q,
     unpack_slots,
-    vec_mat,
     zeros,
 )
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     identity,
     n_mode_product,
     transpose,
+    vec_mat,
 )
 
 Q40 = 858024799843  # a 40-bit prime
@@ -94,7 +94,7 @@ def triple_sum_product(A, B):
 
 
 def test_products_against_triple_sum():
-    """vec_mat, mat_mul_exact and mat_mul on signed entries, with zero rows
+    """The reference vec_mat and mat_mul on signed entries, with zero rows
     in both factors and zero entries in the vectors."""
     rng = Random(37)
     for _ in range(30):
@@ -106,47 +106,47 @@ def test_products_against_triple_sum():
         B[rng.randrange(k)] = [0] * m
         want = triple_sum_product(A, B)
         assert [vec_mat(row, B) for row in A] == want
-        assert mat_mul_exact(A, B) == want
         assert mat_mul(A, B, Q40) == [[x % Q40 for x in row] for row in want]
     with pytest.raises(ParameterError):
         mat_mul([[1, 2]], [[1, 2]], 7)
 
 
-def test_mat_mul_exact_scales_every_selected_row():
-    """Entries other than 0 and 1 scale the row they select, signed and
-    past 64 bits alike, so the column sums equal the triple sum for any
-    integer A."""
+def exact_by_packed_rows(A, B):
+    """mat_mul_exact of the 0/1 matrix A by B's packed rows, unpacked."""
+    width = slot_width(len(B) * max(map(max, B), default=0))
+    return [unpack_slots(x, width, len(B[0]))
+            for x in mat_mul_exact(A, pack_rows(B, width))]
+
+
+def test_mat_mul_exact_sums_the_selected_packed_rows():
+    """For each 0/1 row, the sum of the packed rows it selects is the
+    packed row of the product: unpacked, the triple sum."""
     rng = Random(42)
-    picks = (-1, 0, 1, 2, 2**70, -2**70)
     for _ in range(40):
         n, k, m = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 9)
-        A = [[rng.choice(picks) for _ in range(k)] for _ in range(n)]
-        B = [[rng.randrange(-Q40, Q40) for _ in range(m)] for _ in range(k)]
-        assert mat_mul_exact(A, B) == triple_sum_product(A, B)
+        A = [[rng.randrange(2) for _ in range(k)] for _ in range(n)]
+        B = [[rng.randrange(Q40) for _ in range(m)] for _ in range(k)]
+        assert exact_by_packed_rows(A, B) == triple_sum_product(A, B)
 
 
-def test_mat_mul_exact_zero_rows_are_fresh_lists():
-    """0/1 rows that select nothing give zero rows, each its own list, so
-    writing into one result row leaves the others as they were."""
+def test_mat_mul_exact_empty_selection_gives_zero():
+    """0/1 rows that select nothing give the packed zero row, 0, and rows
+    that select a positive row do not."""
     rng = Random(43)
     for k, m in ((1, 1), (4, 3), (15, 40)):
         A = [[rng.randrange(2) for _ in range(k)] for _ in range(6)]
         A[1] = A[4] = [0] * k
-        B = [[rng.randrange(-Q40, Q40) for _ in range(m)] for _ in range(k)]
-        got = mat_mul_exact(A, B)
-        assert got == triple_sum_product(A, B)
-        assert got[1] == got[4] == [0] * m and got[1] is not got[4]
-        got[1][0] = 5
-        assert got[4] == [0] * m
+        B = [[rng.randrange(1, Q40) for _ in range(m)] for _ in range(k)]
+        got = mat_mul_exact(A, pack_rows(B, 8))
+        assert got[1] == got[4] == 0
+        assert [x == 0 for x in got] == [not any(a) for a in A]
 
 
 def test_mat_mul_exact_empty_shapes():
-    """An A with no rows, and a B with no columns."""
-    B = [[1, -2, 3], [4, 5, -6]]
-    assert mat_mul_exact([], B) == triple_sum_product([], B) == []
-    A = [[1, 0], [0, 0], [2, -1]]
-    want = triple_sum_product(A, [[], []])
-    assert mat_mul_exact(A, [[], []]) == want == [[], [], []]
+    """No bit rows give no packed rows, and bit rows of length 0 against
+    no packed rows give 0s."""
+    assert mat_mul_exact([], pack_rows([[1, 2, 3], [4, 5, 6]], 8)) == []
+    assert mat_mul_exact([[], []], []) == [0, 0]
 
 
 def test_mat_mul_exact_on_bench16_bit_shape():
@@ -155,7 +155,7 @@ def test_mat_mul_exact_on_bench16_bit_shape():
     rng = Random(44)
     A = [[rng.randrange(2) for _ in range(15)] for _ in range(768)]
     B = rand_matrix(rng, 15, 40, Q40)
-    assert mat_mul_exact(A, B) == triple_sum_product(A, B)
+    assert exact_by_packed_rows(A, B) == triple_sum_product(A, B)
 
 
 def test_mat_mul_at_its_slot_bound():

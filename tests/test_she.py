@@ -26,7 +26,7 @@ from mvphe import (
 from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS, _carry_product, _reaches_limit
-from mvphe.linalg import mat_mul, unpack_slots, vec_mat
+from mvphe.linalg import mat_mul, unpack_slots
 from mvphe.serialize import save_ciphertext
 from mvphe.she import _contract, _product
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     mult_intermediates,
     product_hint_reference,
     round_nearest,
+    vec_mat,
 )
 
 
@@ -126,7 +127,7 @@ def test_encrypt_packed_product_at_its_slot_bound(name):
     width must hold."""
     p = CARRY_SETS[name]()
     sk = keygen(p, Random(f"enc-slots-{name}"))
-    rows, width = sk.packed
+    rows, _, width = sk.packed
     rng = Random(f"enc-slots-signs-{name}")
     top = p.q - 1
     signs = [[1] * p.ell, [-1] * p.ell,
@@ -134,6 +135,27 @@ def test_encrypt_packed_product_at_its_slot_bound(name):
     for sign in signs:
         v = [s * top for s in sign]
         assert unpack_slots(sum(map(mul, v, rows)), width, p.ell) == vec_mat(v, sk.C)
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_decrypt_packed_product_at_its_slot_bound(name):
+    """decrypt's product by S_dec's packed rows, at the width of C's, equals
+    vec_mat(c, S_dec) when every |c_i| is floor(q/2), the largest entry a
+    balanced ciphertext holds, with all signs equal and mixed; and decrypt
+    and noise_of read w = c·S_dec off it."""
+    p = CARRY_SETS[name]()
+    sk = keygen(p, Random(f"dec-slots-{name}"))
+    _, rows, width = sk.packed
+    rng = Random(f"dec-slots-signs-{name}")
+    half, mb = p.q // 2, p.message_bits
+    signs = [[1] * p.ell, [-1] * p.ell,
+             *([rng.choice((-1, 1)) for _ in range(p.ell)] for _ in range(8))]
+    for sign in signs:
+        c = [s * half for s in sign]
+        w = vec_mat(c, sk.S_dec)
+        assert unpack_slots(sum(map(mul, c, rows)), width, mb) == w
+        ct = Ciphertext(vec=c, q=p.q, noise_hint=0)
+        assert noise_of(sk, ct, [0] * mb) == [balance(x, p.q) for x in w]
 
 
 def test_decryption_matrix_identity(toy_sk):
@@ -460,7 +482,7 @@ def test_mult_packed_form_follows_the_key(toy_sk):
     # an unbalanced W would overflow the packed slots, so it is refused
     for w in (p.q // 2 + 1, -(p.q // 2) - 1):
         bad = replace(evk, W=[row[:-1] + [w] for row in evk.W])
-        with pytest.raises(ParameterError, match="W must be balanced"):
+        with pytest.raises(ParameterError, match="^W has an entry outside "):
             eval_mult(bad, c1, c2)
 
 
@@ -524,7 +546,8 @@ def test_contraction_matches_reference(name):
     (``oracles.contract_reference``) mod q: on x and y at their bound
     ±input_dim·(q·2^u)/2·n(q − 1), with alternating signs, zero and
     random; and with every z_s at its largest residue against a W of all
-    floor(q/2), the largest sums the slot width must hold."""
+    floor(q/2) and of all −floor(q/2), the largest and the most negative
+    sums the slot width must hold."""
     p = CARRY_SETS[name]()
     q, t = p.q, p.t
     sk = keygen(p, Random(f"contract-{name}"))
@@ -547,6 +570,8 @@ def test_contraction_matches_reference(name):
     top = replace(evk, W=[[q // 2] * p.ell for _ in range(t)])
     agree(top, [1] * t, y)
     agree(evk, [1] * t, y)
+    bottom = replace(evk, W=[[-(q // 2)] * p.ell for _ in range(t)])
+    agree(bottom, [1] * t, y)
 
 
 def test_mult_rejects_foreign_modulus(toy_evk, small_sk):
