@@ -12,9 +12,10 @@ class ParameterError(MvpheError, ValueError):
 
 class SingularMatrixError(MvpheError, ValueError):
     """``linalg.solve_mod_q``, and so ``linalg.inverse_mod_q``, found a
-    column with no pivot, recorded as ``column``.  ``keys._reduction_map``
-    re-raises it as ConstructionError and ``serialize.load_secret_key`` as
-    FormatError; no other caller catches it."""
+    column with no pivot, recorded as ``column``.  ``keys.keygen`` redraws
+    on it (condition 2, the solve for S); ``keys._reduction_map`` re-raises
+    it from both its solves (against E1 and F1p) as ConstructionError, and
+    ``serialize.load_secret_key`` as FormatError.  No other caller catches it."""
 
     def __init__(self, column: int):
         self.column = column

@@ -38,15 +38,15 @@ structure lets evaluation run through the two factor matrices P_i = D_i~ · A
 and the combined third factor W = B·Q·R.  Neither B nor Q is formed either:
 B·Q's rows at the solve points are the X that solves F1p·X = F2, F1p being
 the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
-points (``_reduction_map``).  X, E and S each come from one
-``linalg.solve_mod_q``; no inverse is formed and then multiplied.  Their
-ideal evaluations are g(z)·m(z) mod q, one monomial table times g's values
-(``_monomial_table``, ``_ideal_rows``); no product polynomial is formed.
+points (``_reduction_map``).  E and −S^T are one solve against E1, the
+ideal's evaluations at z_1..z_n, carried on to the extension and band
+points.  Every system is one ``linalg.solve_mod_q``, with no inverse
+formed; ideal evaluations are g(z)·m(z) mod q (``_ideal_rows``).
 
 P_i is not formed either, and the key does not store it.  A = [I | A_ext]
 with A_ext zero below its first n rows, so P_i = [D_i~ | D_i~[:, :n]·E]
 follows from two small blocks: D_i·2^u + eps_i mod q·2^u (ell x ell), whose
-bits are D_i~, and E, those n rows (``_build_E``).  The key holds those
+bits are D_i~, and E, those n rows.  The key holds those
 blocks and W.  Every entry of P_i lies in 0..n(q − 1): D_i~ is 0/1 and E
 has entries in [0, q).  AND multiplies the gadget-transformed ciphertexts
 by P_i without forming the transforms: every entry of a transform is c·2^s
@@ -349,10 +349,10 @@ class SecretKey:
     settable.  Encryption multiplies by C = T^{-1}·R, T = [[I, S^T], [0, I]];
     D = C^{-1} unmasks, and its last ell − n columns are S_dec.
 
-    ``packed`` caches the rows of C and S_dec Kronecker-packed for
-    ``she.encrypt`` and ``she.decrypt``.  Like ``EvalKey.packed`` it is not
-    part of the key: equality, repr and files ignore it, and ``replace``
-    gives a key that packs afresh.
+    ``packed`` and ``packed_S_dec`` cache the rows of C and of S_dec
+    Kronecker-packed, each on its first product.  Like ``EvalKey.packed``
+    they are not part of the key: equality, repr and files ignore them, and
+    ``replace`` gives a key that packs afresh.
     """
 
     params: Params
@@ -388,14 +388,21 @@ class SecretKey:
         self.S_dec = [row[n:] for row in self.D]
 
     @cached_property
-    def packed(self) -> tuple[list[int], list[int], int]:
-        """The rows of C and of S_dec packed by ``pack_rows``, and their one
-        slot width, built on first use.  An encryption's vector has entries
-        in (−q, q), a ciphertext's in (−q/2, q/2), and C's and S_dec's in
-        [0, q), so every slot of either product lies within ell·q²."""
-        p = self.params
-        width = slot_width(p.ell * p.q ** 2)
-        return pack_rows(self.C, width), pack_rows(self.S_dec, width), width
+    def packed(self) -> tuple[list[int], int]:
+        """C's rows packed for ``she.encrypt`` (``_pack``), on first use."""
+        return self._pack(self.C)
+
+    @cached_property
+    def packed_S_dec(self) -> tuple[list[int], int]:
+        """S_dec's rows packed for ``she.decrypt`` (``_pack``), on first use."""
+        return self._pack(self.S_dec)
+
+    def _pack(self, M: Matrix) -> tuple[list[int], int]:
+        """M's rows packed by ``pack_rows`` at one width for C and S_dec: an
+        encryption's vector has entries in (−q, q), a ciphertext's in
+        (−q/2, q/2), and C's and S_dec's in [0, q), so ell·q² bounds both."""
+        width = slot_width(self.params.ell * self.params.q ** 2)
+        return pack_rows(M, width), width
 
 
 def _sample_generator(p: Params, rng: Random) -> Polynomial:
@@ -457,10 +464,11 @@ def keygen(params: Params, rng: Random) -> SecretKey:
 
     Point batches are redrawn until (1) evaluation at z_1..z_ell spans all
     of Z_q^ell for degree-<= r polynomials, (2) the ideal basis evaluated at
-    z_1..z_n is invertible, and (3) the degree-(<= 2r) ideal basis evaluated
-    at (z_1..z_n, z_{ell+1}..z_t) is invertible.  Each full redraw counts
-    against a retry cap of RETRY_CAP.  Each check reads a monomial table
-    of its points: (1) its degree-(<= r) rows, (2) and (3) rows times g(z).
+    z_1..z_n, E1, is invertible (the solve for S against E1), and (3) the
+    degree-(<= 2r) ideal basis evaluated at (z_1..z_n, z_{ell+1}..z_t) is
+    invertible.  Each full redraw counts against a retry cap of RETRY_CAP.
+    Each check reads a monomial table of its points: (1) its degree-(<= r)
+    rows, (2) and (3) rows times g(z).
     """
     p = params
     q = p.q
@@ -471,10 +479,12 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
         if rank_mod_q(table[:p.N], q) != p.ell:
             continue
-        # condition 2: ideal evaluations at the first n points are a basis
+        # condition 2 is the solve for S: row j − n of S^T solves E1·s = −E[:, j]
         E = _ideal_rows(g, pts, table[:p.n])
-        E1 = [row[: p.n] for row in E]
-        if rank_mod_q(E1, q) != p.n:
+        try:
+            S = [list(col) for col in zip(*solve_mod_q(
+                [row[:p.n] for row in E], [[-x for x in row[p.n:]] for row in E], q))]
+        except SingularMatrixError:
             continue
         # condition 3: extension points keep the 2r-slice evaluations full rank
         for _ in range(RETRY_CAP):
@@ -485,9 +495,6 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         else:
             continue
         pts = pts + extras
-        # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
-        S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
-        S = [list(col) for col in zip(*S_t)]
         for _ in range(RETRY_CAP):
             R1 = [[randbelow(rng, q) for _ in range(p.n)] for _ in range(p.n)]
             if rank_mod_q(R1, q) == p.n:
@@ -646,58 +653,49 @@ def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
     return scaled
 
 
-def _build_E(F1p: Matrix, n: int, q: int) -> Matrix:
-    """Extension coefficients E (n x (t − ell)), step 2.
-
-    The paper's point-extension matrix is A = [I | A_ext] (ell x t), and
-    A_ext is zero below its first n rows; E is those rows.  Column k
-    expresses evaluation at the extra point z_(ell+k) as a linear
-    combination of evaluations at z_1..z_n, valid on ideal elements of
-    degree <= r: E solves E1·E = evals, F1p's first n rows split at column n.
-    """
-    top = F1p[:n]
-    return solve_mod_q([row[:n] for row in top], [row[n:] for row in top], q)
-
-
-def _reduction_map(sk: SecretKey, F1p: Matrix) -> Matrix:
-    """B·Q (t x ell): re-expression B and reduction Q, steps 4 and 5, in
-    one solve.
+def _reduction_map(sk: SecretKey, F1p: Matrix) -> tuple[Matrix, Matrix]:
+    """B·Q (t x ell), steps 4 and 5, and the extension coefficients E
+    (n x (t − ell)), step 2, in two solves mod q.
 
     F1p is the degree-(<= 2r) ideal basis evaluated at the n1 solve points
     (z_1..z_n, then the extension points) and F2 its remainders under
-    build_G evaluated at z_1..z_ell.  B·Q's rows at the solve points are
-    the X that solves F1p·X = F2 (mod q), one elimination over [F1p | F2]:
-    B adds the Y that solves F1p·Y = F1[:, n:ell] into exactly the band
-    columns from which Q's right-hand side subtracts F1[:, n:ell].  Its
-    rows n..ell−1 are Q's pinned unit rows [0 | I], which pass the
-    fractional parts of a product straight into the tail of the output,
-    where the final floor absorbs them.  The mandatory post-check
-    F1p·X = F2 (mod q), equivalent to the paper's F1·Q = F2, runs here.
-    Before the solve, F2's first n rows (the degree-(<= r') elements, left
-    as they are) must satisfy E1·S^T = −F2[:n, n:], E1 = F2[:n, :n], for
-    [S | I] to kill them; a key that fails would give wrong ANDs.
+    build_G at z_1..z_ell.  Their first n rows, the degree-(<= r) ideal
+    elements, need no reduction and share their first n columns, E1.  One
+    solve against E1 carries them on to the band points, as Y_S, and to the
+    extension points, as E, the nonzero rows of A = [I | A_ext]; [S | I]
+    kills the ideal at z_1..z_ell, as AND needs, exactly when Y_S = −S^T.
+    B·Q's rows at the solve points are the X that solves F1p·X = F2: B adds
+    the Y that solves F1p·Y = F1[:, n:ell] into exactly the band columns
+    from which Q's right-hand side subtracts F1[:, n:ell].  Its rows
+    n..ell−1 are Q's pinned unit rows [0 | I], which pass the fractional
+    parts of a product straight into the tail of the output, where the
+    final floor absorbs them.  The mandatory post-check F1p·X = F2 (mod q),
+    equivalent to the paper's F1·Q = F2, runs here.
     """
     p = sk.params
-    q, n = p.q, p.n
+    q, n, k = p.q, p.n, p.ell - p.n
     G = build_G(sk)
     F2 = []
     for b in _ideal_basis_2r(p, sk.g):
         rem = reduce_by_set(b, G, p.r)
         F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
-    top = F2[:n]
-    if mat_mul([row[:n] for row in top], list(zip(*sk.S)), q) != [
-            [-x % q for x in row[n:]] for row in top]:
+
+    def solve(A: Matrix, Y: Matrix, failure: str) -> Matrix:
+        try:
+            return solve_mod_q(A, Y, q)
+        except SingularMatrixError as exc:
+            raise ConstructionError(f"{failure}; regenerate the key") from exc
+
+    top = F1p[:n]
+    YE = solve([row[:n] for row in top], [f2[n:] + f1[n:] for f2, f1 in zip(F2, top)],
+               "ideal evaluations at z_1..z_n are singular")
+    if [row[:k] for row in YE] != [[-x % q for x in col] for col in zip(*sk.S)]:
         raise ConstructionError("S does not annihilate the ideal at z_1..z_ell")
-    try:
-        X = solve_mod_q(F1p, F2, q)
-    except SingularMatrixError as exc:
-        raise ConstructionError(
-            "extension-point evaluations lost rank; regenerate the key"
-        ) from exc
+    X = solve(F1p, F2, "extension-point evaluations lost rank")
     if mat_mul(F1p, X, q) != F2:
         raise ConstructionError("post-check failed: F1p·X != F2 (mod q)")
     unit_rows = [[int(j == i) for j in range(p.ell)] for i in range(p.n, p.ell)]
-    return X[:p.n] + unit_rows + X[p.n:]
+    return X[:p.n] + unit_rows + X[p.n:], [row[k:] for row in YE]
 
 
 @dataclass
@@ -800,10 +798,10 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     rescaling diagonal folded into the rank-1 slice structure, (4)+(5)
     re-expression matrix B times reduction matrix Q, from the X that solves
     F1p·X = F2, F2 being the division remainders of the degree-(<= 2r)
-    ideal basis.  A key whose S does not annihilate its ideal is refused
-    first, and the mandatory post-check F1p·X = F2 (mod q) runs on every
-    build.  F1p, read off the monomial table at the solve points, feeds
-    both E and X.  The factors P_i = D_i~·A are left to the first AND.
+    ideal basis.  One solve against E1 gives E and checks S, refusing a
+    key whose E1 is singular or whose S does not annihilate its ideal, and
+    the mandatory post-check F1p·X = F2 (mod q) runs on every build
+    (``_reduction_map``).  The factors P_i = D_i~·A are left to the first AND.
     """
     p = sk.params
     q = p.q
@@ -815,13 +813,11 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
                 for eps in (_sample_masking_block(p, rng),
                             _sample_masking_block(p, rng))]
 
-    # step 2: extension coefficients
+    # steps 2, 4+5: extension coefficients, and B·Q
     solve_points = sk.points[:p.n] + sk.points[p.ell:]
     F1p = _ideal_rows(sk.g, solve_points, _monomial_table(p, solve_points))
-    E = _build_E(F1p, p.n, q)
-
-    # steps 4+5
-    W = balanced_matrix(mat_mul(_reduction_map(sk, F1p), sk.R, q), q)
+    BQ, E = _reduction_map(sk, F1p)
+    W = balanced_matrix(mat_mul(BQ, sk.R, q), q)
     return EvalKey(params=p, D1s=D1s, D2s=D2s, E=E, W=W)
 
 

@@ -10,7 +10,7 @@ vector, and C the secret key's encryption matrix; y, the noise and
 computes w = c·S_dec (mod q, balanced), S_dec being the last ell − n
 columns of C^{-1}, and rounds each w_j to the nearest multiple of
 floor(q/2), mod 2, as the integer (2·w_j + floor(q/2)) // (2·floor(q/2)).
-Both products run on the key's Kronecker-packed rows (``SecretKey.packed``).
+Both run on packed rows (``SecretKey.packed``, ``SecretKey.packed_S_dec``).
 Correct as long as the noise stays below floor(q/2)/2 in infinity norm.
 
 Every ciphertext carries a ``noise_hint``, and must: an upper bound on the
@@ -105,7 +105,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
     keeps at most B, so B is the fresh noise hint.  ``zero_noise`` drops
     the Gaussian term (debugging/test calibration); the hint is then 0 and
     decryption is exact.  The product by C runs on the key's packed rows
-    (``sk.packed``, which the first use of a key builds): ell
+    (``sk.packed``, which the first encryption under a key builds): ell
     big-integer multiply-adds and one ``unpack_slots``.
     """
     p = sk.params
@@ -118,7 +118,7 @@ def encrypt(sk: SecretKey, m: Sequence[int], rng: Random, *,
         band = [x + sampler.sample() for x in band]
     # message + noise on the band after y: S_dec is the last ell − n columns
     # of C^{-1}, so (y ‖ band)·C·S_dec = band and y drops out at decryption
-    rows, _, width = sk.packed
+    rows, width = sk.packed
     vec = unpack_slots(sum(map(mul, y + band, rows)), width, p.ell)
     hint = 0 if zero_noise else p.B
     return Ciphertext(vec=vec, q=q, noise_hint=hint)
@@ -146,9 +146,9 @@ def decrypt(sk: SecretKey, ct: Ciphertext) -> list[int]:
 
 def _apply_sdec(sk: SecretKey, vec: Sequence[int]) -> list[int]:
     """c·S_dec, balanced: one multiply-add per row of S_dec's packed rows
-    (``sk.packed``) and one ``unpack_slots``."""
+    (``sk.packed_S_dec``) and one ``unpack_slots``."""
     p = sk.params
-    _, rows, width = sk.packed
+    rows, width = sk.packed_S_dec
     w = unpack_slots(sum(map(mul, vec, rows)), width, p.message_bits)
     return [balance(x, p.q) for x in w]
 

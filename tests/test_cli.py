@@ -205,6 +205,18 @@ def test_evalkey_refuses_key_whose_S_does_not_annihilate_its_ideal(tmp_path, toy
     assert not out.exists()
 
 
+def test_evalkey_refuses_key_whose_first_points_repeat(tmp_path, toy_sk, capsys):
+    """A secret-key file saved with z_2 = z_1 loads, but its E1 is
+    singular: evalkey exits 2 with an error line and writes no file."""
+    z1, _, *rest = toy_sk.points
+    key, out = tmp_path / "sk.bin", tmp_path / "evk.bin"
+    serialize.save_secret_key(replace(toy_sk, points=[z1, z1, *rest]), str(key))
+    assert main(["evalkey", "--key", str(key), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "singular" in err
+    assert not out.exists()
+
+
 def test_decrypt_refuses_fingerprint_mismatch(workdir, tmp_path, capsys):
     other_sk = str(tmp_path / "other.bin")
     ct = str(tmp_path / "ct.bin")

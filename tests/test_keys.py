@@ -26,7 +26,12 @@ from mvphe import (
     setup,
     she,
 )
-from mvphe.errors import ConstructionError, GenerationFailure, ParameterError
+from mvphe.errors import (
+    ConstructionError,
+    GenerationFailure,
+    ParameterError,
+    SingularMatrixError,
+)
 from mvphe.keys import (
     _auto_q_bits,
     _carry_bound,
@@ -398,34 +403,36 @@ def test_mixing_matrix_block_shape(toy_sk):
 
 
 def _rank_stub(monkeypatch, p, failures):
-    """Make keys.rank_mod_q report one rank short on the first
-    ``failures[check]`` calls of each keygen check (1, 2, 3 or "R1") and
-    record the check of every call.  E1 and R1 are both n × n; R1's check
-    is the one that follows condition 3 or another R1 draw."""
-    real, seen = keys.rank_mod_q, []
+    """Make each keygen check (1, 2, 3 or "R1") fail on its first
+    ``failures[check]`` calls and record the check of every call: checks 1,
+    3 and "R1" through keys.rank_mod_q, reporting one rank short, and
+    check 2, the solve for S, through keys.solve_mod_q, raising
+    SingularMatrixError."""
+    real_rank, real_solve, seen = keys.rank_mod_q, keys.solve_mod_q, []
 
-    def stub(M, q):
-        shape = (len(M), len(M[0]))
-        if shape == (p.N, p.ell):
-            check = 1
-        elif shape == (p.n1, p.n1):
-            check = 3
-        else:
-            assert shape == (p.n, p.n)
-            check = "R1" if seen and seen[-1] in (3, "R1") else 2
+    def fails(check):
         seen.append(check)
-        if seen.count(check) <= failures.get(check, 0):
-            return min(shape) - 1
-        return real(M, q)
+        return seen.count(check) <= failures.get(check, 0)
 
-    monkeypatch.setattr(keys, "rank_mod_q", stub)
+    def rank(M, q):
+        shape = (len(M), len(M[0]))
+        check = {(p.N, p.ell): 1, (p.n1, p.n1): 3, (p.n, p.n): "R1"}[shape]
+        return min(shape) - 1 if fails(check) else real_rank(M, q)
+
+    def solve(A, Y, q):
+        if fails(2):
+            raise SingularMatrixError(0)
+        return real_solve(A, Y, q)
+
+    monkeypatch.setattr(keys, "rank_mod_q", rank)
+    monkeypatch.setattr(keys, "solve_mod_q", solve)
     return seen
 
 
 def test_keygen_redraws_on_each_rejection(monkeypatch, toy_params):
     """Conditions 1 and 2 fail once each, then condition 3 and the R1 draw
     each fail RETRY_CAP times in a row, which redraws the whole batch: the
-    fifth batch gives a key, after 8 + 2·RETRY_CAP extra rank checks."""
+    fifth batch gives a key, after 8 + 2·RETRY_CAP extra checks."""
     cap, p = keys.RETRY_CAP, toy_params
     seen = _rank_stub(monkeypatch, p, {1: 1, 2: 1, 3: cap, "R1": cap})
     sk = keygen(p, Random(5))
@@ -683,6 +690,18 @@ def test_evalkey_refuses_a_key_whose_S_does_not_annihilate_its_ideal(toy_sk):
             build_evalkey(sk, rng=Random(1))
 
 
+def test_evalkey_refuses_a_key_whose_first_points_repeat(toy_sk):
+    """With z_2 = z_1 the ideal evaluations at z_1..z_n, E1, are singular:
+    the solve against E1 that gives E and checks S raises
+    ConstructionError, not the solver's SingularMatrixError."""
+    z1, _, *rest = toy_sk.points
+    sk = replace(toy_sk, points=[z1, z1, *rest])
+    with pytest.raises(ConstructionError, match="at z_1..z_n are singular") as exc:
+        build_evalkey(sk, rng=Random(1))
+    assert exc.type is ConstructionError
+    assert isinstance(exc.value.__cause__, SingularMatrixError)
+
+
 def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
     """The post-check tests the solution X of F1p·X = F2 against the system
     it came from: one wrong entry of the n1-row X trips it."""
@@ -702,26 +721,28 @@ def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
 
 def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     """Every linear system is one solve and no inverse is formed: a build
-    makes two solve_mod_q (E and X), three mat_mul (the check that S
-    annihilates the ideal, the post-check and W), one reduce_by_set per
-    degree-(<= 2r) ideal basis element, and no mat_mul_exact: the first
-    AND under a toy key makes the one, for the carry table both its
-    products share, and a second AND makes none.  A keygen draw that
-    passes its rank checks makes one solve (S), one inverse (the secret
-    key's D = C^{-1}) and no product.  Encryption and decryption are one
-    packed product each, by C and by S_dec: the first use of a key packs
-    the rows of both once, and every product is read back with one
+    makes two solve_mod_q (one against E1 for E and the check of S, one
+    against F1p for X), two mat_mul (the post-check and W), no rank_mod_q,
+    one reduce_by_set per degree-(<= 2r) ideal basis element, and no
+    mat_mul_exact: the first AND under a toy key makes the one, for the
+    carry table both its products share, and a second AND makes none.  A
+    keygen draw that passes its checks first time makes three rank_mod_q
+    (conditions 1 and 3, and R1), one solve (S, which is condition 2), one
+    inverse (the secret key's D = C^{-1}) and no product.  Encryption and
+    decryption are one packed product each, by C and by S_dec: each packs
+    its own matrix's rows on its first use under a key, so a key that only
+    decrypts never packs C, and every product is read back with one
     unpack_slots."""
     calls = {}
-    names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "mat_mul_exact",
-             "reduce_by_set")
+    names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "rank_mod_q",
+             "mat_mul_exact", "reduce_by_set")
     for name in names:
         def counted(*args, _name=name, _fn=getattr(keys, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(keys, name, counted)
     evk = build_evalkey(toy_sk, rng=Random(1))
-    assert calls == {"mat_mul": 3, "solve_mod_q": 2,
+    assert calls == {"mat_mul": 2, "solve_mod_q": 2,
                      "reduce_by_set": toy_sk.params.n1}
     calls.clear()
     packed, unpacked = [], []
@@ -731,7 +752,7 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert calls == {"mat_mul_exact": 1}
     calls.clear()
     sk = keygen(toy_sk.params, Random(3))
-    assert calls == {"inverse_mod_q": 1, "solve_mod_q": 1}
+    assert calls == {"rank_mod_q": 3, "inverse_mod_q": 1, "solve_mod_q": 1}
 
     def pack_counted(M, width, _fn=keys.pack_rows):
         packed.append(M)
@@ -745,14 +766,20 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     p = sk.params
     m = [1] * p.message_bits
     ct = encrypt(sk, m, Random(4))
-    rows, dec_rows, width = sk.packed
-    assert packed == [sk.C, sk.S_dec]
-    assert len(rows) == len(dec_rows) == p.ell
+    rows, width = sk.packed
+    assert packed == [sk.C]
+    assert len(rows) == p.ell
     assert unpacked == [(width, p.ell)]
     encrypt(sk, m, Random(5))
     assert decrypt(sk, ct) == m
+    dec_rows, dec_width = sk.packed_S_dec
     assert packed == [sk.C, sk.S_dec]
+    assert len(dec_rows) == p.ell and dec_width == width
     assert unpacked == [(width, p.ell)] * 2 + [(width, p.message_bits)]
+    fresh = replace(sk)
+    assert decrypt(fresh, ct) == m
+    assert packed == [sk.C, sk.S_dec, sk.S_dec]
+    assert "packed" not in vars(fresh)
 
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,

@@ -127,7 +127,7 @@ def test_encrypt_packed_product_at_its_slot_bound(name):
     width must hold."""
     p = CARRY_SETS[name]()
     sk = keygen(p, Random(f"enc-slots-{name}"))
-    rows, _, width = sk.packed
+    rows, width = sk.packed
     rng = Random(f"enc-slots-signs-{name}")
     top = p.q - 1
     signs = [[1] * p.ell, [-1] * p.ell,
@@ -145,7 +145,7 @@ def test_decrypt_packed_product_at_its_slot_bound(name):
     and noise_of read w = c·S_dec off it."""
     p = CARRY_SETS[name]()
     sk = keygen(p, Random(f"dec-slots-{name}"))
-    _, rows, width = sk.packed
+    rows, width = sk.packed_S_dec
     rng = Random(f"dec-slots-signs-{name}")
     half, mb = p.q // 2, p.message_bits
     signs = [[1] * p.ell, [-1] * p.ell,
