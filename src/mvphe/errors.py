@@ -12,10 +12,11 @@ class ParameterError(MvpheError, ValueError):
 
 class SingularMatrixError(MvpheError, ValueError):
     """``linalg.solve_mod_q``, and so ``linalg.inverse_mod_q``, found a
-    column with no pivot, recorded as ``column``.  ``keys.keygen`` redraws
-    on it (condition 2, the solve for S); ``keys._reduction_map`` re-raises
-    it from both its solves (against E1 and F1p) as ConstructionError, and
-    ``serialize.load_secret_key`` as FormatError.  No other caller catches it."""
+    column with no pivot, recorded as ``column``.  ``keys._reduction_map``
+    re-raises it from both its solves (against E1 and F1p) as
+    ConstructionError, and ``serialize.load_secret_key`` as FormatError.
+    No other caller catches it: ``keys.keygen`` rank-checks E1 before its
+    solve for S."""
 
     def __init__(self, column: int):
         self.column = column

@@ -464,11 +464,10 @@ def keygen(params: Params, rng: Random) -> SecretKey:
 
     Point batches are redrawn until (1) evaluation at z_1..z_ell spans all
     of Z_q^ell for degree-<= r polynomials, (2) the ideal basis evaluated at
-    z_1..z_n, E1, is invertible (the solve for S against E1), and (3) the
-    degree-(<= 2r) ideal basis evaluated at (z_1..z_n, z_{ell+1}..z_t) is
-    invertible.  Each full redraw counts against a retry cap of RETRY_CAP.
-    Each check reads a monomial table of its points: (1) its degree-(<= r)
-    rows, (2) and (3) rows times g(z).
+    z_1..z_n is invertible, and (3) the degree-(<= 2r) ideal basis evaluated
+    at (z_1..z_n, z_{ell+1}..z_t) is invertible.  Each full redraw counts
+    against a retry cap of RETRY_CAP.  Each check reads a monomial table
+    of its points: (1) its degree-(<= r) rows, (2) and (3) rows times g(z).
     """
     p = params
     q = p.q
@@ -479,12 +478,10 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
         if rank_mod_q(table[:p.N], q) != p.ell:
             continue
-        # condition 2 is the solve for S: row j − n of S^T solves E1·s = −E[:, j]
+        # condition 2: ideal evaluations at the first n points are a basis
         E = _ideal_rows(g, pts, table[:p.n])
-        try:
-            S = [list(col) for col in zip(*solve_mod_q(
-                [row[:p.n] for row in E], [[-x for x in row[p.n:]] for row in E], q))]
-        except SingularMatrixError:
+        E1 = [row[: p.n] for row in E]
+        if rank_mod_q(E1, q) != p.n:
             continue
         # condition 3: extension points keep the 2r-slice evaluations full rank
         for _ in range(RETRY_CAP):
@@ -495,6 +492,9 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         else:
             continue
         pts = pts + extras
+        # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
+        S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
+        S = [list(col) for col in zip(*S_t)]
         for _ in range(RETRY_CAP):
             R1 = [[randbelow(rng, q) for _ in range(p.n)] for _ in range(p.n)]
             if rank_mod_q(R1, q) == p.n:
@@ -687,9 +687,12 @@ def _reduction_map(sk: SecretKey, F1p: Matrix) -> tuple[Matrix, Matrix]:
             raise ConstructionError(f"{failure}; regenerate the key") from exc
 
     top = F1p[:n]
-    YE = solve([row[:n] for row in top], [f2[n:] + f1[n:] for f2, f1 in zip(F2, top)],
-               "ideal evaluations at z_1..z_n are singular")
-    if [row[:k] for row in YE] != [[-x % q for x in col] for col in zip(*sk.S)]:
+    E1 = [row[:n] for row in top]
+    # band columns, then extension columns: Y_S should be −S^T, the rest is E
+    rhs = [f2[n:] + f1[n:] for f2, f1 in zip(F2, top)]
+    YE = solve(E1, rhs, "ideal evaluations at z_1..z_n are singular")
+    minus_S_t = [[-x % q for x in col] for col in zip(*sk.S)]
+    if [row[:k] for row in YE] != minus_S_t:
         raise ConstructionError("S does not annihilate the ideal at z_1..z_ell")
     X = solve(F1p, F2, "extension-point evaluations lost rank")
     if mat_mul(F1p, X, q) != F2:

@@ -403,36 +403,34 @@ def test_mixing_matrix_block_shape(toy_sk):
 
 
 def _rank_stub(monkeypatch, p, failures):
-    """Make each keygen check (1, 2, 3 or "R1") fail on its first
-    ``failures[check]`` calls and record the check of every call: checks 1,
-    3 and "R1" through keys.rank_mod_q, reporting one rank short, and
-    check 2, the solve for S, through keys.solve_mod_q, raising
-    SingularMatrixError."""
-    real_rank, real_solve, seen = keys.rank_mod_q, keys.solve_mod_q, []
+    """Make keys.rank_mod_q report one rank short on the first
+    ``failures[check]`` calls of each keygen check (1, 2, 3 or "R1") and
+    record the check of every call.  E1 and R1 are both n × n; R1's check
+    is the one that follows condition 3 or another R1 draw."""
+    real, seen = keys.rank_mod_q, []
 
-    def fails(check):
-        seen.append(check)
-        return seen.count(check) <= failures.get(check, 0)
-
-    def rank(M, q):
+    def stub(M, q):
         shape = (len(M), len(M[0]))
-        check = {(p.N, p.ell): 1, (p.n1, p.n1): 3, (p.n, p.n): "R1"}[shape]
-        return min(shape) - 1 if fails(check) else real_rank(M, q)
+        if shape == (p.N, p.ell):
+            check = 1
+        elif shape == (p.n1, p.n1):
+            check = 3
+        else:
+            assert shape == (p.n, p.n)
+            check = "R1" if seen and seen[-1] in (3, "R1") else 2
+        seen.append(check)
+        if seen.count(check) <= failures.get(check, 0):
+            return min(shape) - 1
+        return real(M, q)
 
-    def solve(A, Y, q):
-        if fails(2):
-            raise SingularMatrixError(0)
-        return real_solve(A, Y, q)
-
-    monkeypatch.setattr(keys, "rank_mod_q", rank)
-    monkeypatch.setattr(keys, "solve_mod_q", solve)
+    monkeypatch.setattr(keys, "rank_mod_q", stub)
     return seen
 
 
 def test_keygen_redraws_on_each_rejection(monkeypatch, toy_params):
     """Conditions 1 and 2 fail once each, then condition 3 and the R1 draw
     each fail RETRY_CAP times in a row, which redraws the whole batch: the
-    fifth batch gives a key, after 8 + 2·RETRY_CAP extra checks."""
+    fifth batch gives a key, after 8 + 2·RETRY_CAP extra rank checks."""
     cap, p = keys.RETRY_CAP, toy_params
     seen = _rank_stub(monkeypatch, p, {1: 1, 2: 1, 3: cap, "R1": cap})
     sk = keygen(p, Random(5))
@@ -726,11 +724,11 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     one reduce_by_set per degree-(<= 2r) ideal basis element, and no
     mat_mul_exact: the first AND under a toy key makes the one, for the
     carry table both its products share, and a second AND makes none.  A
-    keygen draw that passes its checks first time makes three rank_mod_q
-    (conditions 1 and 3, and R1), one solve (S, which is condition 2), one
-    inverse (the secret key's D = C^{-1}) and no product.  Encryption and
-    decryption are one packed product each, by C and by S_dec: each packs
-    its own matrix's rows on its first use under a key, so a key that only
+    keygen draw that passes its checks first time makes four rank_mod_q
+    (conditions 1, 2 and 3, and R1), one solve (S), one inverse (the
+    secret key's D = C^{-1}) and no product.  Encryption and decryption
+    are one packed product each, by C and by S_dec: each packs its own
+    matrix's rows on its first use under a key, so a key that only
     decrypts never packs C, and every product is read back with one
     unpack_slots."""
     calls = {}
@@ -752,7 +750,7 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert calls == {"mat_mul_exact": 1}
     calls.clear()
     sk = keygen(toy_sk.params, Random(3))
-    assert calls == {"rank_mod_q": 3, "inverse_mod_q": 1, "solve_mod_q": 1}
+    assert calls == {"rank_mod_q": 4, "inverse_mod_q": 1, "solve_mod_q": 1}
 
     def pack_counted(M, width, _fn=keys.pack_rows):
         packed.append(M)
