@@ -14,9 +14,8 @@ class SingularMatrixError(MvpheError, ValueError):
     """``linalg.solve_mod_q``, and so ``linalg.inverse_mod_q``, found a
     column with no pivot, recorded as ``column``.  ``keys._reduction_map``
     re-raises it from both its solves (against E1 and F1p) as
-    ConstructionError, and ``serialize.load_secret_key`` as FormatError.
-    No other caller catches it: ``keys.keygen`` rank-checks E1 before its
-    solve for S."""
+    ConstructionError and ``serialize.load_secret_key`` as FormatError;
+    no other caller catches it."""
 
     def __init__(self, column: int):
         self.column = column
