@@ -5,7 +5,9 @@ size and `fractions.Fraction` for rationals.  No floating point enters any
 ciphertext or key computation.  The single place a ``float`` appears is in
 the noise sampler's acceptance weights, and each weight is rounded to a
 fixed integer (a numerator at a fixed power-of-two denominator) before use,
-so the sample stream is reproducible bit-for-bit from a seed.
+so the sample stream is reproducible bit-for-bit from a seed.  A weight is
+computed when a draw first needs it and then kept, one cache per σ
+(``_weights``), so a sample is mostly integer draws and a lookup.
 
 Every uniform draw below a bound is ``randbelow``, on the generator's
 ``getrandbits`` alone: it draws what ``Random.randrange`` draws, without
@@ -124,6 +126,15 @@ def six_sigma(sigma: Rational) -> int:
 
 
 _WEIGHT_SCALE = 1 << 48  # acceptance weights are numerators over 2^48
+_SHARED_BOUND = 1 << 12  # samplers up to this bound share one weight cache
+
+
+@lru_cache(maxsize=16)
+def _weights(sigma: Rational) -> dict[int, int]:
+    """The acceptance weights of candidates at σ, shared by every sampler
+    at that σ: empty when made, each weight stored by the first draw that
+    needs it."""
+    return {}
 
 
 class NoiseSampler:
@@ -132,10 +143,14 @@ class NoiseSampler:
     The target mass is proportional to exp(−x² / (2σ²)), i.e. σ is the
     standard deviation of the untruncated distribution.  The truncated tail
     mass is below 2^−26, so the restriction is statistically invisible at
-    test scale.  Each acceptance weight is computed when a draw needs it,
-    so building a sampler costs the same at every σ.  ``Params`` requires
-    the noise bound B >= ⌈6σ⌉, so B bounds every fresh sample; it is the
-    noise hint of a fresh ciphertext.
+    test scale.  Each acceptance weight is computed the first time a draw
+    needs it and kept: samplers whose bound is at most 2^12 share one cache
+    per σ (``_weights``), so a process computes each weight once; a larger
+    bound keeps its weights with the sampler alone, so memory grows only
+    with its own draws.  Either way, building a sampler computes no weight
+    and costs the same at every σ.  ``Params`` requires the noise bound
+    B >= ⌈6σ⌉, so B bounds every fresh sample; it is the noise hint of a
+    fresh ciphertext.
 
     σ = 0 is the degenerate zero-noise test mode: every sample is 0.
 
@@ -152,15 +167,19 @@ class NoiseSampler:
         self._width = 2 * self.bound + 1  # candidates -bound..bound
         s = float(sigma)
         self._two_s2 = 2 * s * s
+        self._weights = _weights(sigma) if self.bound <= _SHARED_BOUND else {}
 
     def sample(self) -> int:
         """One sample, |result| <= bound, reproducible from the rng state."""
         if self.sigma == 0:
             return 0
-        rng, bound, width, two_s2 = self.rng, self.bound, self._width, self._two_s2
+        rng, bound, width, weights = self.rng, self.bound, self._width, self._weights
         while True:
             x = randbelow(rng, width) - bound
-            weight = round(_WEIGHT_SCALE * math.exp(-(x * x) / two_s2))
+            weight = weights.get(x)
+            if weight is None:
+                weight = weights[x] = round(
+                    _WEIGHT_SCALE * math.exp(-(x * x) / self._two_s2))
             if randbelow(rng, _WEIGHT_SCALE) < weight:
                 return x
 

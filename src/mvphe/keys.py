@@ -350,9 +350,11 @@ class SecretKey:
     D = C^{-1} unmasks, and its last ell − n columns are S_dec.
 
     ``packed`` and ``packed_S_dec`` cache the rows of C and of S_dec
-    Kronecker-packed, each on its first product.  Like ``EvalKey.packed``
-    they are not part of the key: equality, repr and files ignore them, and
-    ``replace`` gives a key that packs afresh.
+    Kronecker-packed, each on its first product, and ``F1p`` caches the
+    ideal evaluations ``build_evalkey`` solves against, which keygen has
+    already formed.  Like ``EvalKey.packed`` they are not part of the key:
+    equality, repr and files ignore them, and ``replace`` gives a key that
+    builds them afresh.  Mutating a field in place leaves them stale.
     """
 
     params: Params
@@ -386,6 +388,15 @@ class SecretKey:
                   for row, s_col in zip(R, zip(*self.S))] + R[n:]
         self.D = inverse_mod_q(self.C, q)
         self.S_dec = [row[n:] for row in self.D]
+
+    @cached_property
+    def F1p(self) -> Matrix:
+        """The degree-(<= 2r) ideal basis evaluated at the solve points
+        z_1..z_n and z_{ell+1}..z_t (``_ideal_rows_2r``): keygen's condition-3
+        matrix, which keygen stores here, and ``build_evalkey``'s F1p.  A
+        key made otherwise builds it on first use."""
+        p = self.params
+        return _ideal_rows_2r(p, self.g, self.points[:p.n] + self.points[p.ell:])
 
     @cached_property
     def packed(self) -> tuple[list[int], int]:
@@ -426,16 +437,19 @@ def _sample_point(p: Params, g: Polynomial, rng: Random) -> tuple[int, ...]:
     raise GenerationFailure("could not find a point where g is nonzero")
 
 
-def _monomial_table(p: Params, points: Sequence[tuple[int, ...]]) -> Matrix:
-    """m(z) mod q for the monomials m of degree <= 2r − r_g (rows, ascending
-    by degree as ``enumerate_monomials`` lists them, so the first N rows have
-    degree <= r and the first n degree <= r_prime) at each point z (columns).
+def _monomial_table(p: Params, points: Sequence[tuple[int, ...]],
+                    degree: int) -> Matrix:
+    """m(z) mod q for the monomials m of degree <= ``degree`` (rows,
+    ascending by degree as ``enumerate_monomials`` lists them, so the first
+    N rows have degree <= r and the first n degree <= r_prime) at each
+    point z (columns): degree r for the N monomials that span ciphertexts,
+    2r − r_g for the n1 that times g span the ideal's degree-(<= 2r) slice.
 
     The row of m = m'·x_i is the row of m' times the coordinates z_i, one
     multiplication mod q per entry; m' has lower degree, so its row is
     already built."""
     q = p.q
-    const, *monos = enumerate_monomials(p.v, 2 * p.r - p.r_g)
+    const, *monos = enumerate_monomials(p.v, degree)
     rows = {const: [1] * len(points)}
     for m in monos:
         i = next(i for i, e in enumerate(m) if e)
@@ -450,6 +464,13 @@ def _ideal_rows(g: Polynomial, points: Sequence[tuple[int, ...]],
     q = g.q
     gz = [g.eval(z) for z in points]
     return [[a * b % q for a, b in zip(gz, row)] for row in table]
+
+
+def _ideal_rows_2r(p: Params, g: Polynomial,
+                   points: Sequence[tuple[int, ...]]) -> Matrix:
+    """The degree-(<= 2r) ideal basis g·m, m of degree <= 2r − r_g,
+    evaluated at ``points``: n1 rows read off one monomial table."""
+    return _ideal_rows(g, points, _monomial_table(p, points, 2 * p.r - p.r_g))
 
 
 def _ideal_basis_2r(p: Params, g: Polynomial) -> list[Polynomial]:
@@ -467,16 +488,19 @@ def keygen(params: Params, rng: Random) -> SecretKey:
     z_1..z_n is invertible, and (3) the degree-(<= 2r) ideal basis evaluated
     at (z_1..z_n, z_{ell+1}..z_t) is invertible.  Each full redraw counts
     against a retry cap of RETRY_CAP.  Each check reads a monomial table
-    of its points: (1) its degree-(<= r) rows, (2) and (3) rows times g(z).
+    of its points: (1) the degree-(<= r) table, (2) its first n rows times
+    g(z), (3) the degree-(<= 2r − r_g) table times g(z) (``_ideal_rows_2r``).
+    Condition 3's matrix is the key's ``SecretKey.F1p``, kept for
+    ``build_evalkey``.
     """
     p = params
     q = p.q
     for _ in range(RETRY_CAP):
         g = _sample_generator(p, rng)
         pts = [_sample_point(p, g, rng) for _ in range(p.ell)]
-        table = _monomial_table(p, pts)
+        table = _monomial_table(p, pts, p.r)
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
-        if rank_mod_q(table[:p.N], q) != p.ell:
+        if rank_mod_q(table, q) != p.ell:
             continue
         # condition 2: ideal evaluations at the first n points are a basis
         E = _ideal_rows(g, pts, table[:p.n])
@@ -487,7 +511,8 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         for _ in range(RETRY_CAP):
             extras = [_sample_point(p, g, rng) for _ in range(p.t - p.ell)]
             sub = pts[: p.n] + extras
-            if rank_mod_q(_ideal_rows(g, sub, _monomial_table(p, sub)), q) == p.n1:
+            F1p = _ideal_rows_2r(p, g, sub)
+            if rank_mod_q(F1p, q) == p.n1:
                 break
         else:
             continue
@@ -502,7 +527,9 @@ def keygen(params: Params, rng: Random) -> SecretKey:
         else:
             continue
         R2 = [[randbelow(rng, q) for _ in range(p.n)] for _ in range(p.ell - p.n)]
-        return SecretKey(params=p, g=g, points=pts, S=S, R1=R1, R2=R2)
+        sk = SecretKey(params=p, g=g, points=pts, S=S, R1=R1, R2=R2)
+        sk.F1p = F1p  # condition 3's matrix is build_evalkey's
+        return sk
     raise GenerationFailure(
         f"key generation failed after {RETRY_CAP} attempts; parameters degenerate?"
     )
@@ -653,17 +680,20 @@ def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
     return scaled
 
 
-def _reduction_map(sk: SecretKey, F1p: Matrix) -> tuple[Matrix, Matrix]:
+def _reduction_map(sk: SecretKey) -> tuple[Matrix, Matrix]:
     """B·Q (t x ell), steps 4 and 5, and the extension coefficients E
     (n x (t − ell)), step 2, in two solves mod q.
 
-    F1p is the degree-(<= 2r) ideal basis evaluated at the n1 solve points
-    (z_1..z_n, then the extension points) and F2 its remainders under
-    build_G at z_1..z_ell.  Their first n rows, the degree-(<= r) ideal
-    elements, need no reduction and share their first n columns, E1.  One
-    solve against E1 carries them on to the band points, as Y_S, and to the
-    extension points, as E, the nonzero rows of A = [I | A_ext]; [S | I]
-    kills the ideal at z_1..z_ell, as AND needs, exactly when Y_S = −S^T.
+    F1p (``SecretKey.F1p``) is the degree-(<= 2r) ideal basis evaluated at
+    the n1 solve points (z_1..z_n, then the extension points) and F2 its
+    remainders under build_G at z_1..z_ell, each read off the monomial
+    table at those points as its coefficients times the table's rows, one
+    multiply-add per term on packed rows.  Their first n rows, the
+    degree-(<= r) ideal elements, need no reduction and share their first
+    n columns, E1.  One solve against E1 carries them on to the band
+    points, as Y_S, and to the extension points, as E, the nonzero rows of
+    A = [I | A_ext]; [S | I] kills the ideal at z_1..z_ell, as AND needs,
+    exactly when Y_S = −S^T.
     B·Q's rows at the solve points are the X that solves F1p·X = F2: B adds
     the Y that solves F1p·Y = F1[:, n:ell] into exactly the band columns
     from which Q's right-hand side subtracts F1[:, n:ell].  Its rows
@@ -675,10 +705,16 @@ def _reduction_map(sk: SecretKey, F1p: Matrix) -> tuple[Matrix, Matrix]:
     p = sk.params
     q, n, k = p.q, p.n, p.ell - p.n
     G = build_G(sk)
+    # a remainder has degree <= r: at most N terms, coefficients within
+    # ±floor(q/2), which bound every slot
+    width = slot_width(p.N * (q // 2) * (q - 1))
+    at = dict(zip(enumerate_monomials(p.v, p.r),
+                  pack_rows(_monomial_table(p, sk.points[:p.ell], p.r), width)))
     F2 = []
     for b in _ideal_basis_2r(p, sk.g):
         rem = reduce_by_set(b, G, p.r)
-        F2.append([rem.eval(z) % q for z in sk.points[:p.ell]])
+        total = sum(c * at[m] for m, c in rem.terms.items())
+        F2.append([x % q for x in unpack_slots(total, width, p.ell)])
 
     def solve(A: Matrix, Y: Matrix, failure: str) -> Matrix:
         try:
@@ -686,6 +722,7 @@ def _reduction_map(sk: SecretKey, F1p: Matrix) -> tuple[Matrix, Matrix]:
         except SingularMatrixError as exc:
             raise ConstructionError(f"{failure}; regenerate the key") from exc
 
+    F1p = sk.F1p
     top = F1p[:n]
     E1 = [row[:n] for row in top]
     # band columns, then extension columns: Y_S should be −S^T, the rest is E
@@ -817,9 +854,7 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
                             _sample_masking_block(p, rng))]
 
     # steps 2, 4+5: extension coefficients, and B·Q
-    solve_points = sk.points[:p.n] + sk.points[p.ell:]
-    F1p = _ideal_rows(sk.g, solve_points, _monomial_table(p, solve_points))
-    BQ, E = _reduction_map(sk, F1p)
+    BQ, E = _reduction_map(sk)
     W = balanced_matrix(mat_mul(BQ, sk.R, q), q)
     return EvalKey(params=p, D1s=D1s, D2s=D2s, E=E, W=W)
 

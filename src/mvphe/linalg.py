@@ -23,7 +23,9 @@ bit-wide slots: clearing a pivot column from a row is one big-integer
 multiply-add.  Slots are reduced only in the pivot row, so every slot
 stays below q + rank·(q − 1)², which the slot width holds; pivots are
 chosen on residues mod q, so pivots and results are those of elimination
-entry by entry.
+entry by entry.  Rows stay packed when it returns: ``rank_mod_q`` reads
+none back and ``solve_mod_q`` only the right-hand side's columns
+(``_unpack``).
 """
 
 from __future__ import annotations
@@ -146,27 +148,33 @@ def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
-    """Gauss–Jordan elimination of ``work`` in place, mod prime q.
+def _eliminate(M: Sequence[Sequence[int]], ncols: int,
+               q: int) -> tuple[list[int], list[int], int]:
+    """Gauss–Jordan elimination of a copy of ``M`` mod prime q, on
+    Kronecker-packed rows; ``M`` itself is left as it is.
 
-    Entries must already lie in [0, q).  Pivots are sought only in the first
-    ``ncols`` columns, so trailing columns (an identity, a right-hand side)
-    ride along with the row operations.  On return row i holds the i-th
-    pivot, scaled to 1 and cleared from every other row; the pivot columns
-    are returned in order, and a column without a pivot is skipped.
+    Pivots are sought only in the first ``ncols`` columns, so trailing
+    columns (an identity, a right-hand side) ride along with the row
+    operations.  Returns the pivot columns in order (a column without a
+    pivot is skipped), the worked rows packed, and the slot width in bits.
+    Row i holds the i-th pivot, ≡ 1 mod q in its slot, and that column is
+    ≡ 0 mod q in every other row.  The rows are read back by ``_unpack``,
+    and each caller reads only what it uses.
 
-    Rows are worked on packed, one slot of ``bits`` bits per entry and
-    column 0 in the top slot.  A pivot row is unpacked, reduced, scaled and
-    repacked once; every other row then takes row += (q − f)·row_p, f being
-    its slot in the pivot column mod q.  That adds less than (q − 1)² to
-    each slot, and a row is reduced when it becomes a pivot, so every slot
-    stays below q + rank·(q − 1)² and never carries into the next.  Pivots
-    and f are read as residues, so the pivots and the reduced rows are the
-    same as elimination entry by entry (``tests/oracles.py`` keeps that
-    kernel as the reference).
+    Each row is packed once, entries reduced mod q, one slot of ``bits``
+    bits per entry and column 0 in the top slot.  A pivot row is unpacked,
+    reduced, scaled and repacked from its pivot column on: every row from
+    the current rank down is ≡ 0 mod q in the columns before it, so those
+    slots are packed as 0.  Every other row then takes
+    row += (q − f)·row_p, f being its slot in the pivot column mod q.  That
+    adds less than (q − 1)² to each slot, and a row is reduced when it
+    becomes a pivot, so every slot stays below q + rank·(q − 1)² and never
+    carries into the next.  Pivots and f are read as residues, so the
+    pivots and the reduced rows are the same as elimination entry by entry
+    (``tests/oracles.py`` keeps that kernel as the reference).
     """
-    n = len(work)
-    width = len(work[0]) if work else 0
+    n = len(M)
+    width = len(M[0]) if M else 0
     bits = ((q - 1) * (1 + min(n, ncols) * (q - 1))).bit_length()
     mask = (1 << bits) - 1
     shifts = range(bits * (width - 1), -1, -bits)  # slot j sits at shifts[j]
@@ -177,7 +185,7 @@ def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
             acc = acc << bits | x
         return acc
 
-    rows = [pack(row) for row in work]
+    rows = [pack([x % q for x in row]) for row in M]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -191,18 +199,26 @@ def _eliminate(work: Matrix, ncols: int, q: int) -> list[int]:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         fs[rank], fs[pivot] = fs[pivot], fs[rank]
         inv, top = pow(fs[rank], -1, q), rows[rank]
-        row_p = rows[rank] = pack([(top >> t & mask) * inv % q for t in shifts])
+        row_p = rows[rank] = pack([(top >> t & mask) * inv % q
+                                   for t in shifts[col:]])
         for r, f in enumerate(fs):
             if f and r != rank:
                 rows[r] += (q - f) * row_p
         pivots.append(col)
-    work[:] = [[(row >> t & mask) % q for t in shifts] for row in rows]
-    return pivots
+    return pivots, rows, bits
+
+
+def _unpack(row: int, bits: int, cols: int, q: int) -> list[int]:
+    """The last ``cols`` entries of a row packed by ``_eliminate`` at
+    ``bits`` bits per slot, reduced into [0, q)."""
+    mask = (1 << bits) - 1
+    return [(row >> t & mask) % q for t in range(bits * (cols - 1), -1, -bits)]
 
 
 def solve_mod_q(A: Matrix, Y: Matrix, q: int) -> Matrix:
     """X with A·X = Y (mod prime q), for square A, by one Gauss–Jordan pass
-    over [A | Y] with pivots sought only in A's columns.
+    over [A | Y] with pivots sought only in A's columns; only Y's columns
+    are read back.
 
     Raises SingularMatrixError naming the first column left without a pivot.
     """
@@ -211,12 +227,12 @@ def solve_mod_q(A: Matrix, Y: Matrix, q: int) -> Matrix:
         raise ParameterError(f"solve needs a square matrix, got {n}x{m}")
     if len(Y) != n:
         raise ParameterError(f"cannot solve {n}x{n} against {len(Y)} rows")
-    work = [[x % q for x in (*a, *y)] for a, y in zip(A, Y)]
-    pivots = _eliminate(work, n, q)
+    pivots, rows, bits = _eliminate([[*a, *y] for a, y in zip(A, Y)], n, q)
     if len(pivots) < n:
         raise SingularMatrixError(
             next((c for c, col in enumerate(pivots) if c != col), len(pivots)))
-    return [row[n:] for row in work]
+    cols = len(Y[0]) if Y else 0
+    return [_unpack(row, bits, cols, q) for row in rows]
 
 
 def inverse_mod_q(A: Matrix, q: int) -> Matrix:
@@ -226,6 +242,8 @@ def inverse_mod_q(A: Matrix, q: int) -> Matrix:
 
 
 def rank_mod_q(A: Matrix, q: int) -> int:
+    """The rank of A mod prime q: the pivot count of ``_eliminate``, whose
+    rows it does not read back."""
     if not A or not A[0]:
         return 0
-    return len(_eliminate([[x % q for x in row] for row in A], len(A[0]), q))
+    return len(_eliminate(A, len(A[0]), q)[0])

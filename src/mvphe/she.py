@@ -68,10 +68,13 @@ class Ciphertext:
     noise_hint: int = field(compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.noise_hint, int) or self.noise_hint < 0:
+        # bool is an int subclass, but True is no noise bound
+        if type(self.noise_hint) is not int or self.noise_hint < 0:
             raise ParameterError(
                 f"noise hint must be a nonnegative int, got {self.noise_hint!r}")
-        self.vec = [balance(x, self.q) for x in self.vec]
+        q = self.q
+        half = q // 2
+        self.vec = [r - q if (r := x % q) > half else r for x in self.vec]
 
     def __len__(self) -> int:
         return len(self.vec)

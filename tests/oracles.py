@@ -1,4 +1,5 @@
 """Test-only oracles: nearest-integer rounding of exact rationals, the
+noise sampler computing every weight afresh, the
 exact vector–matrix product entry by entry, Gauss–Jordan elimination
 entry by entry, the gadget transforms as exact
 rationals, the degree-(<= r) ideal basis as polynomial products,
@@ -25,7 +26,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from mvphe.arith import NoiseSampler, balance
+from mvphe.arith import balance
 from mvphe.circuit import Circuit, parse_circuit
 from mvphe.errors import ConstructionError, ParameterError, SingularMatrixError
 from mvphe.keys import (
@@ -78,6 +79,23 @@ def vec_mat(v: Sequence[int], M: Matrix) -> list[int]:
             for j in cols:
                 out[j] += a * row[j]
     return out
+
+
+def sample_reference(sigma, rng: Random) -> int:
+    """One draw of the truncated discrete Gaussian as ``NoiseSampler``
+    draws it, with nothing kept between draws: a candidate x uniform in
+    −⌈6σ⌉..⌈6σ⌉ is accepted when a uniform draw below 2^48 falls under
+    round(2^48·exp(−x²/2σ²)), its weight computed afresh for every
+    candidate.  Both draws are ``rng.randrange``; σ = 0 draws nothing."""
+    if sigma == 0:
+        return 0
+    bound = math.ceil(6 * Fraction(sigma))
+    s = float(sigma)
+    while True:
+        x = rng.randrange(2 * bound + 1) - bound
+        weight = round((1 << 48) * math.exp(-(x * x) / (2 * s * s)))
+        if rng.randrange(1 << 48) < weight:
+            return x
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +231,12 @@ def encryption_factors(sk: SecretKey) -> tuple[Matrix, Matrix]:
 def encrypt_reference(sk: SecretKey, m: Sequence[int], rng: Random) -> list[int]:
     """A fresh ciphertext's vector in two products, (y·S_enc + [0 | band])·R
     with S_enc = [I | −S^T] the first n rows of T^{-1}, band = m·floor(q/2)
-    + e; y and then the noise are drawn from ``rng`` as ``encrypt`` draws
-    them."""
+    + e; y and then the noise (``sample_reference``) are drawn from ``rng``
+    as ``encrypt`` draws them."""
     p = sk.params
     q, n, ell = p.q, p.n, p.ell
     y = [rng.randrange(q) for _ in range(n)]
-    sampler = NoiseSampler(p.sigma, rng)
-    band = [b * (q // 2) + sampler.sample() for b in m]
+    band = [b * (q // 2) + sample_reference(p.sigma, rng) for b in m]
     T_inv, R = encryption_factors(sk)
     pre = [sum(y[i] * T_inv[i][c] for i in range(n)) for c in range(ell)]
     for j, x in enumerate(band):

@@ -4,6 +4,9 @@ import math
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from mvphe import arith
 from mvphe.arith import (
     _MR_ROUNDS,
     _PROOF_BASES,
@@ -17,7 +20,7 @@ from mvphe.arith import (
     randbelow,
 )
 from mvphe.keys import PRESETS, preset_params
-from oracles import round_nearest
+from oracles import round_nearest, sample_reference
 
 
 def test_balanced_mod_range_and_congruence():
@@ -119,6 +122,41 @@ def test_sampler_default_bound():
     s = NoiseSampler(8, Random(2))
     assert s.bound == 48  # ceil(6*8)
     assert NoiseSampler(Fraction(5, 2), Random(3)).bound == 15
+
+
+@pytest.mark.parametrize("sigma", [8, Fraction(5, 2), Fraction(1, 3)])
+def test_sampler_stream_matches_the_reference(sigma):
+    """Cached weights change no draw: a sampler's stream is the
+    reference's, which computes every weight afresh, and so are two
+    samplers at one σ that share the cache, interleaved on one rng."""
+    arith._weights.cache_clear()
+    s, ref = NoiseSampler(sigma, Random(9)), Random(9)
+    assert [s.sample() for _ in range(2000)] == [
+        sample_reference(sigma, ref) for _ in range(2000)]
+    rng, ref = Random(10), Random(10)
+    a, b = NoiseSampler(sigma, rng), NoiseSampler(sigma, rng)
+    assert a._weights is b._weights
+    got = [(a if i % 3 else b).sample() for i in range(600)]
+    assert got == [sample_reference(sigma, ref) for _ in range(600)]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sampler_construction_computes_no_weight(monkeypatch):
+    """A sampler fills its weights only as draws need them, so a σ whose
+    2·⌈6σ⌉ + 1 candidates no table could hold costs nothing to build; a
+    bound past 2^12 keeps its weights out of the shared cache."""
+    arith._weights.cache_clear()
+    exps = []
+    real_exp = math.exp
+    monkeypatch.setattr(arith.math, "exp", lambda x: exps.append(x) or real_exp(x))
+    s = NoiseSampler(1 << 40, Random(4))
+    assert s._weights == {} and exps == []
+    assert arith._weights.cache_info().currsize == 0
+    x = s.sample()
+    assert abs(x) <= s.bound and 0 < len(s._weights) == len(exps)
+    assert arith._weights.cache_info().currsize == 0
+    t = NoiseSampler(8, Random(4))
+    assert t._weights == {} and arith._weights.cache_info().currsize == 1
 
 
 def test_random_prime_8_bits_exhaustive():

@@ -183,6 +183,17 @@ def test_draws_use_getrandbits_only():
     assert receivers == {"rng"}
 
 
+def test_only_arith_calls_getrandbits():
+    """``arith.randbelow`` is the package's one bounded-draw rule, and
+    ``arith.random_prime`` its one other reader of raw bits: no other
+    module calls ``getrandbits``, so no draw rule can be inlined
+    elsewhere."""
+    callers = {name for name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "getrandbits"}
+    assert callers == {"arith.py"}
+
+
 def _load_perfbench(name: str):
     """A perfbench module, loaded from its file and left as it is."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",

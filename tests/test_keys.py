@@ -322,17 +322,18 @@ def test_monomial_table_matches_polynomial_products(name):
     """Key construction reads every ideal evaluation off one monomial table
     as g(z)·m(z); at all t points that equals (g·m)(z) for the products
     formed as polynomials.  The table's first N rows are the monomials of
-    degree <= r, and the first n ideal rows are the degree-(<= r) basis.
+    degree <= r, the whole table at degree r, and the first n ideal rows
+    are the degree-(<= r) basis.
     The table builds each row from a parent row times one coordinate, so
     the shapes with three and four variables check that recurrence on
     every variable."""
     p = TABLE_SHAPES[name]() if name in TABLE_SHAPES else preset_params(name)
     sk = keygen(p, Random(f"table-{name}"))
     q = p.q
-    table = _monomial_table(p, sk.points)
-    assert table[:p.N] == [[Polynomial.monomial(p.v, q, m).eval(z) % q
-                            for z in sk.points]
-                           for m in enumerate_monomials(p.v, p.r)]
+    table = _monomial_table(p, sk.points, 2 * p.r - p.r_g)
+    assert table[:p.N] == _monomial_table(p, sk.points, p.r) == [
+        [Polynomial.monomial(p.v, q, m).eval(z) % q for z in sk.points]
+        for m in enumerate_monomials(p.v, p.r)]
     rows = _ideal_rows(sk.g, sk.points, table)
     assert rows == [[b.eval(z) % q for z in sk.points]
                     for b in _ideal_basis_2r(p, sk.g)]
@@ -782,9 +783,12 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
                                                        monkeypatch):
-    """keygen and load_secret_key form no Polynomial product, and
-    build_evalkey evaluates only g, once per solve point, and the n1
-    division remainders, each at z_1..z_ell."""
+    """keygen and load_secret_key form no Polynomial product.  build_evalkey
+    evaluates no polynomial but g, and makes one reduce_by_set call per
+    degree-(<= 2r) ideal basis element: it reads the remainders off a
+    monomial table.  On a keygen key it evaluates nothing, for keygen's
+    condition-3 matrix is its F1p; on a loaded key, which builds its own
+    F1p, it evaluates g once per solve point."""
     products, evaluated, remainders = [], [], []
     real_mul, real_eval, real_reduce = (Polynomial.__mul__, Polynomial.eval,
                                         keys.reduce_by_set)
@@ -809,14 +813,40 @@ def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
     sk = keygen(p, Random(3))
     path = str(tmp_path / "sk.bin")
     save_secret_key(sk, path)
-    load_secret_key(path)
+    loaded = load_secret_key(path)
     assert products == []
     evaluated.clear()
     build_evalkey(sk, rng=Random(1))
-    assert sum(f is sk.g for f in evaluated) == p.n1
+    assert evaluated == []
     assert len(remainders) == p.n1
-    counts = Counter(id(f) for f in evaluated if f is not sk.g)
-    assert counts == {id(rem): p.ell for rem in remainders}
+    build_evalkey(loaded, rng=Random(1))
+    assert len(evaluated) == p.n1 and all(f is loaded.g for f in evaluated)
+    assert len(remainders) == 2 * p.n1
+
+
+def test_f1p_is_keygens_matrix_and_no_part_of_the_key(toy_params, tmp_path):
+    """keygen keeps its condition-3 matrix as the key's F1p, and a loaded
+    copy of the key builds an equal one on first use, so build_evalkey
+    gives equal keys from both under the same rng.  The cache is no
+    field: ==, repr and the file bytes ignore it, and replace gives a key
+    that builds its own."""
+    sk = keygen(toy_params, Random(3))
+    assert "F1p" in vars(sk)
+    path = tmp_path / "sk.bin"
+    save_secret_key(sk, str(path))
+    loaded = load_secret_key(str(path))
+    assert "F1p" not in vars(loaded)
+    assert loaded == sk and repr(loaded) == repr(sk)
+    assert build_evalkey(sk, rng=Random(1)) == build_evalkey(loaded, rng=Random(1))
+    assert loaded.F1p == sk.F1p and loaded.F1p is not sk.F1p
+    again = tmp_path / "again.bin"
+    save_secret_key(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    fresh = replace(sk)
+    assert "F1p" not in vars(fresh)
+    assert fresh.F1p == sk.F1p and fresh.F1p is not sk.F1p
+    sk.F1p = [[0]]  # a stale cache still leaves the key what its fields say
+    assert sk == loaded and repr(sk) == repr(loaded)
 
 
 def test_evalkey_shapes_and_kmax(toy_sk, toy_evk):

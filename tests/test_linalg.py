@@ -10,6 +10,7 @@ from mvphe.errors import ParameterError, SingularMatrixError
 from mvphe.keys import mat_mul_exact
 from mvphe.linalg import (
     _eliminate,
+    _unpack,
     inverse_mod_q,
     mat_mul,
     pack_rows,
@@ -353,9 +354,14 @@ def test_rank_against_minor_oracle():
 
 
 def assert_eliminates_like_reference(M, ncols, q):
-    work, ref = [row[:] for row in M], [row[:] for row in M]
-    assert _eliminate(work, ncols, q) == eliminate_reference(ref, ncols, q)
-    assert work == ref
+    """_eliminate gives the reference's pivots and, read back in full, its
+    worked matrix, and leaves M as it was."""
+    before, ref = [row[:] for row in M], [row[:] for row in M]
+    pivots, rows, bits = _eliminate(M, ncols, q)
+    assert pivots == eliminate_reference(ref, ncols, q)
+    cols = len(M[0]) if M else 0
+    assert [_unpack(row, bits, cols, q) for row in rows] == ref
+    assert M == before
 
 
 def planted_matrix(rng, rows, cols, q):
@@ -414,10 +420,40 @@ def test_eliminate_extremes():
     assert solve_mod_q([], [], q) == []
     assert inverse_mod_q([], q) == []
     for rows in (0, 3):
-        work = [[] for _ in range(rows)]
-        assert _eliminate(work, 0, q) == []
-        assert work == [[] for _ in range(rows)]
+        pivots, packed, _ = _eliminate([[] for _ in range(rows)], 0, q)
+        assert pivots == [] and packed == [0] * rows
     assert rank_mod_q([[], []], q) == 0
+
+
+def test_eliminate_skips_a_pivotless_column_before_a_pivot():
+    """Row 0's pivot in column 0 turns rows 1 and 2 into [q, 2q, q + 1, ..]
+    and [2q, 2q, q − 2, ..] slot by slot: column 1 is then ≡ 0 mod q below
+    the pivot row, so it has no pivot, and row 1 becomes column 2's pivot
+    with the nonzero multiples q and 2q in its first two slots.  Repacked
+    from column 2 on, they read 0, as in the reference.  A leading zero
+    column gives the same skip with nothing to drop."""
+    for q in (7, 11, Q40):
+        M = [[1, 2, 1, 5], [3, 6, 4, 2], [2, 4, 0, 2]]
+        assert_eliminates_like_reference(M, 4, q)
+        assert_eliminates_like_reference(M, 3, q)
+        assert _eliminate(M, 4, q)[0] == [0, 2, 3]
+        M = [[0, 1, 2, 3], [0, 2, 4, 1], [0, 3, 1, 2], [0, 0, 5, 6]]
+        assert_eliminates_like_reference(M, 4, q)
+        assert _eliminate(M, 4, q)[0] == [1, 2, 3]
+
+
+def test_solve_and_rank_leave_their_arguments_as_they_are():
+    rng = Random(11)
+    for q in (7, Q40):
+        A, Y = rand_matrix(rng, 6, 6, q), rand_matrix(rng, 6, 3, q)
+        A[2] = [x + q for x in A[2]]  # unreduced entries, as callers may pass
+        Y[1] = [-x for x in Y[1]]
+        A0, Y0 = [row[:] for row in A], [row[:] for row in Y]
+        X = solve_mod_q(A, Y, q)
+        assert mat_mul(A, X, q) == [[y % q for y in row] for row in Y]
+        rank_mod_q(A, q)
+        rank_mod_q(Y, q)
+        assert A == A0 and Y == Y0
 
 
 # --- tensors ----------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_ciphertext_requires_a_hint(toy_sk):
 
 def test_ciphertext_hint_is_a_nonnegative_int(toy_sk):
     p = toy_sk.params
-    for bad in (-1, Fraction(1, 2), Fraction(3), 2.0, "48"):
+    for bad in (-1, Fraction(1, 2), Fraction(3), 2.0, "48", True, False):
         with pytest.raises(ParameterError, match="noise hint must be a nonnegative int"):
             Ciphertext([0] * p.ell, p.q, bad)
     assert Ciphertext([0] * p.ell, p.q, 10**400).noise_hint == 10**400
