@@ -52,15 +52,14 @@ has entries in [0, q).  AND multiplies the gadget-transformed ciphertexts
 by P_i without forming the transforms: every entry of a transform is c·2^s
 less a carry, and all the carries of an entry c come from the bits of one
 quotient, so t·P_i is c·P_red plus a subset sum of carry rows
-(``_carry_product``).  Those rows come from P_i's rows Kronecker-packed
-once per key object, on its first AND (``EvalKey.packed``): A's ell rows
-are packed, and each packed row of P_i is the sum of the packed rows of A
-that its bits in D_i~ select (``mat_mul_exact``), with no multiplication.
-``_carry_table`` keeps them as hex windows, the 16 subset sums of each
-four carry rows, so a carry sum is one lookup per hex digit of the
-quotient.  When D2s equals D1s (zero masking, every preset but ``small``)
-one table serves both products.  W's rows are packed on that first AND
-too (``EvalKey.packed_W``), for the contraction of ``she._contract``.
+(``_carry_product``).  Those rows are built Kronecker-packed once per key
+object, on its first AND (``EvalKey.packed``), from A's packed rows
+(``_carry_table``): entry j's P_red is row j of D_i·2^u + eps_i times A,
+and its carry rows sum the rows of A its bits at u + 1..u + K − 1 select
+(``mat_mul_exact``), kept as hex windows, the 16 subset sums of each four,
+so a carry sum is one lookup per hex digit of the quotient.  When D2s
+equals D1s (zero masking, every preset but ``small``) one table serves
+both.  W's rows are packed on that first AND too (``EvalKey.packed_W``).
 
 The evaluation key is not public: it stores D_i·2^u + eps_i, and rounding
 off the u low bits gives D and so S_dec.
@@ -137,12 +136,7 @@ class Params:
     t: int = field(init=False)
 
     def __post_init__(self):
-        # every binomial below is at most n1 <= t, and n1 >= 2^min(v, 2r - r_g):
-        # refuse a set whose t cannot fit before a binomial grows past it
         _check_dimensions(self.v, self.r_g, self.r_prime)
-        if min(self.v, self.r_g + 2 * self.r_prime) >= _T_BITS:
-            raise ParameterError(f"need t < 2^{_T_BITS} points: v = {self.v}, "
-                                 f"r_g = {self.r_g}, r_prime = {self.r_prime}")
         r = self.r_g + self.r_prime
         n = math.comb(self.v + self.r_prime, self.r_prime)
         N = math.comb(self.v + r, r)
@@ -208,9 +202,14 @@ class Params:
 
 
 def _check_dimensions(v: int, r_g: int, r_prime: int) -> None:
-    """Refuse a shape before any binomial of it is taken."""
+    """Refuse a shape before any binomial of it is taken: every binomial is
+    at most n1 <= t, and n1 >= 2^min(v, 2r − r_g), so a shape whose t
+    cannot fit is refused before a binomial grows past it."""
     if v < 1 or r_g < 1 or r_prime < 1:
         raise ParameterError("need v, r_g, r_prime >= 1")
+    if min(v, r_g + 2 * r_prime) >= _T_BITS:
+        raise ParameterError(f"need t < 2^{_T_BITS} points: v = {v}, "
+                             f"r_g = {r_g}, r_prime = {r_prime}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,8 @@ class SecretKey:
         matrix, which keygen stores here, and ``build_evalkey``'s F1p.  A
         key made otherwise builds it on first use."""
         p = self.params
-        return _ideal_rows_2r(p, self.g, self.points[:p.n] + self.points[p.ell:])
+        points = self.points[:p.n] + self.points[p.ell:]
+        return _ideal_rows_2r(p, [self.g.eval(z) for z in points], points)
 
     @cached_property
     def packed(self) -> tuple[list[int], int]:
@@ -429,11 +429,14 @@ def _sample_generator(p: Params, rng: Random) -> Polynomial:
     return Polynomial(p.v, q, terms)
 
 
-def _sample_point(p: Params, g: Polynomial, rng: Random) -> tuple[int, ...]:
+def _sample_point(p: Params, g: Polynomial,
+                  rng: Random) -> tuple[tuple[int, ...], int]:
+    """A point z where g is nonzero, and g(z)."""
     for _ in range(RETRY_CAP * 100):
         z = tuple(randbelow(rng, p.q) for _ in range(p.v))
-        if g.eval(z) != 0:
-            return z
+        gz = g.eval(z)
+        if gz != 0:
+            return z, gz
     raise GenerationFailure("could not find a point where g is nonzero")
 
 
@@ -458,19 +461,18 @@ def _monomial_table(p: Params, points: Sequence[tuple[int, ...]],
     return list(rows.values())
 
 
-def _ideal_rows(g: Polynomial, points: Sequence[tuple[int, ...]],
-                table: Matrix) -> Matrix:
-    """(g·m)(z) = g(z)·m(z) mod q for each row m(z) of ``table``."""
-    q = g.q
-    gz = [g.eval(z) for z in points]
+def _ideal_rows(gz: Sequence[int], table: Matrix, q: int) -> Matrix:
+    """(g·m)(z) = g(z)·m(z) mod q for each row m(z) of ``table``, given
+    g's values ``gz`` at its points."""
     return [[a * b % q for a, b in zip(gz, row)] for row in table]
 
 
-def _ideal_rows_2r(p: Params, g: Polynomial,
+def _ideal_rows_2r(p: Params, gz: Sequence[int],
                    points: Sequence[tuple[int, ...]]) -> Matrix:
     """The degree-(<= 2r) ideal basis g·m, m of degree <= 2r − r_g,
-    evaluated at ``points``: n1 rows read off one monomial table."""
-    return _ideal_rows(g, points, _monomial_table(p, points, 2 * p.r - p.r_g))
+    evaluated at ``points``, where g takes the values ``gz``: n1 rows read
+    off one monomial table."""
+    return _ideal_rows(gz, _monomial_table(p, points, 2 * p.r - p.r_g), p.q)
 
 
 def _ideal_basis_2r(p: Params, g: Polynomial) -> list[Polynomial]:
@@ -489,34 +491,35 @@ def keygen(params: Params, rng: Random) -> SecretKey:
     at (z_1..z_n, z_{ell+1}..z_t) is invertible.  Each full redraw counts
     against a retry cap of RETRY_CAP.  Each check reads a monomial table
     of its points: (1) the degree-(<= r) table, (2) its first n rows times
-    g(z), (3) the degree-(<= 2r − r_g) table times g(z) (``_ideal_rows_2r``).
-    Condition 3's matrix is the key's ``SecretKey.F1p``, kept for
-    ``build_evalkey``.
+    g(z), (3) the degree-(<= 2r − r_g) table times g(z) (``_ideal_rows_2r``),
+    g(z) as each point's draw computed it.  Condition 3's matrix is the
+    key's ``SecretKey.F1p``, kept for ``build_evalkey``.
     """
     p = params
     q = p.q
     for _ in range(RETRY_CAP):
         g = _sample_generator(p, rng)
-        pts = [_sample_point(p, g, rng) for _ in range(p.ell)]
+        pts, gz = zip(*(_sample_point(p, g, rng) for _ in range(p.ell)))
         table = _monomial_table(p, pts, p.r)
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
         if rank_mod_q(table, q) != p.ell:
             continue
         # condition 2: ideal evaluations at the first n points are a basis
-        E = _ideal_rows(g, pts, table[:p.n])
+        E = _ideal_rows(gz, table[:p.n], q)
         E1 = [row[: p.n] for row in E]
         if rank_mod_q(E1, q) != p.n:
             continue
         # condition 3: extension points keep the 2r-slice evaluations full rank
         for _ in range(RETRY_CAP):
-            extras = [_sample_point(p, g, rng) for _ in range(p.t - p.ell)]
+            extras, gx = zip(*(_sample_point(p, g, rng)
+                               for _ in range(p.t - p.ell)))
             sub = pts[: p.n] + extras
-            F1p = _ideal_rows_2r(p, g, sub)
+            F1p = _ideal_rows_2r(p, gz[: p.n] + gx, sub)
             if rank_mod_q(F1p, q) == p.n1:
                 break
         else:
             continue
-        pts = pts + extras
+        pts = list(pts + extras)
         # S annihilates ideal evaluations: row j-n solves E1 * s = -E[:, j]
         S_t = solve_mod_q(E1, [[-x for x in row[p.n:]] for row in E], q)
         S = [list(col) for col in zip(*S_t)]
@@ -544,17 +547,9 @@ def _gadget_width(q: int, u: int) -> int:
     return u + q.bit_length()
 
 
-def _bitdecomp_numerators(nums: Sequence[int], q: int, u: int) -> list[int]:
-    """u + q_bits bits of each numerator's residue mod q·2^u, position-major:
-    entry i's bit s is at index s·len(nums) + i, the row order of P."""
-    modulus = q << u
-    reduced = [num % modulus for num in nums]
-    return [(num >> s) & 1 for s in range(_gadget_width(q, u)) for num in reduced]
-
-
 class CarryTable(NamedTuple):
-    """A key factor P regrouped for ``_carry_product``, rows packed at one
-    slot width by ``pack_rows``."""
+    """A key factor P_i = D_i~·A in the form ``_carry_product`` reads, rows
+    packed at one slot width by ``pack_rows``."""
 
     low: list[int]                  # P_red,i, one per ciphertext entry i
     windows: list[list[list[int]]]  # entry i's subset sums of H_i,b, by fours
@@ -562,31 +557,35 @@ class CarryTable(NamedTuple):
     cols: int
 
 
-def _carry_table(rows: Sequence[int], width: int, cols: int, q: int,
-                 u: int) -> CarryTable:
-    """Regroup the packed rows of a key factor P (position-major, u + K of
-    them per entry, K = q_bits; packed at ``width`` by ``pack_rows``) by
-    the carry identity of ``_carry_product``.
+def _carry_table(D_scaled: Matrix, A_rows: Sequence[int], width: int,
+                 cols: int, q: int, u: int) -> CarryTable:
+    """The carry table of P = D~·A for ``_carry_product``, from D_scaled
+    (entries in 0..q·2^u − 1, whose u + K bits are D~, K = q_bits) and A's
+    rows packed at ``width`` by ``pack_rows``.
 
-    With R_k the row of entry i at position u + k and S_0 = 0, the carry
-    rows are H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
-    P_red = sum_(s <= u) 2^s·P[s·ell + i] + 2^(u+1)·S_(K−1).  The H_b are
-    kept only as hex windows: window j holds, at each index d < 16, the
-    sum of the H_(4j+k) whose bit k is set in d, so the carry sum of a
+    Entry i's rows of P are R_s = bit_s(D_scaled[i])·A, one per position s.
+    Their gadget-weighted sum P_red = sum_s 2^s·R_s is D_scaled[i]·A, one
+    multiply-add per row of A.  With R_k the row at position u + k and
+    S_0 = 0, the carry rows are H_b = S_b + R_(K−1−b) and
+    S_(b+1) = 2·S_b + R_(K−1−b), so only the bit rows at positions u + 1..
+    u + K − 1 are formed, all entries' in one ``mat_mul_exact``.  The H_b
+    are kept only as hex windows: window j holds, at each index d < 16,
+    the sum of the H_(4j+k) whose bit k is set in d, so the carry sum of a
     quotient is one lookup per hex digit.  The last window is shorter when
     4 does not divide K − 1.  Every row here is a sum of packed rows, so
     the slot width must hold the entries of t·P for every balanced t,
     |t_k| <= (q·2^u)/2.
     """
-    ell = len(rows) // _gadget_width(q, u)
-    low, windows = [], []
-    for i in range(ell):
-        R = rows[i::ell]  # position s of entry i; R_k = R[u + k]
+    k = q.bit_length() - 1  # carry rows per entry
+    low = [sum(map(mul, row, A_rows)) for row in D_scaled]
+    R = mat_mul_exact([[x >> s & 1 for x in row]
+                       for row in D_scaled for s in range(u + k, u, -1)], A_rows)
+    windows = []
+    for i in range(0, len(R), k):  # an entry's R_(K−1) down to R_1
         S, H = 0, []
-        for r in R[:u:-1]:  # R_(K−1) down to R_1
+        for r in R[i:i + k]:
             H.append(S + r)
             S = 2 * S + r
-        low.append(sum(r << s for s, r in enumerate(R[:u + 1])) + (S << (u + 1)))
         entry = []
         for j in range(0, len(H), 4):
             sums = [0]
@@ -667,19 +666,6 @@ def _sample_masking_block(p: Params, rng: Random) -> Matrix:
             for _ in range(p.n)]
 
 
-def _build_D_scaled(sk: SecretKey, eps: Matrix) -> Matrix:
-    """The secret key's unmasking matrix D = C^{-1} = R^{-1}·[[I, S^T],[0, I]]
-    plus masking, as the exact integer matrix D·2^u (entries of D are
-    balanced integers plus dyadic masking with u fractional bits)."""
-    p = sk.params
-    n = p.n
-    scaled = [[x << p.u for x in row] for row in balanced_matrix(sk.D, p.q)]
-    for i in range(n):
-        for j in range(p.ell - n):
-            scaled[i][n + j] += eps[i][j]
-    return scaled
-
-
 def _reduction_map(sk: SecretKey) -> tuple[Matrix, Matrix]:
     """B·Q (t x ell), steps 4 and 5, and the extension coefficients E
     (n x (t − ell)), step 2, in two solves mod q.
@@ -744,7 +730,8 @@ class EvalKey:
     secret key: whoever holds it can decrypt.
 
     ``D1s``/``D2s`` hold D·2^u + eps_i mod q·2^u (ell x ell, entries in
-    0..q·2^u − 1), whose bits, position-major, are D_i~; ``E`` holds the
+    0..q·2^u − 1), whose u + q_bits bits are D_i~ (row s·ell + j of D_i~
+    holds bit s of row j, P_i's row order); ``E`` holds the
     extension coefficients (n x (t − ell), entries in 0..q − 1), the
     nonzero rows of A's extension block; ``W`` is the balanced combined
     third factor B·Q·R mod q.  The two factor matrices are P_i = D_i~·A =
@@ -756,8 +743,9 @@ class EvalKey:
     never needs it.
 
     ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
-    (``_carry_table``: the packed rows P_red and the hex windows of the
-    carry rows H), one table given twice when D2s == D1s, and
+    (``_carry_table``: the packed rows P_red = D_is·A and the hex windows of
+    the carry rows H), read off D1s, D2s and E, one table given twice when
+    D2s == D1s, and
     ``packed_W`` caches W's rows packed for the contraction.  Neither is
     part of the key: equality, repr and files ignore them, and ``replace``
     gives a key that builds its own afresh.  Mutating a field in place
@@ -779,9 +767,10 @@ class EvalKey:
         """P1 and P2 as the carry tables of ``_carry_table``, built on
         first use; one table, given twice, when D2s equals D1s.
 
-        A's ell rows are packed once, and each packed row of P_i is the
-        sum of the packed rows of A that its bit row in D_i~ selects
-        (``mat_mul_exact``), so P_i is never formed unpacked.  The slot
+        A's ell rows are packed once, and ``_carry_table`` reads each
+        table off them and the rows of D_is: P_red as D_is times A, the
+        carry rows from D_is's bits at positions u + 1..u + q_bits − 1
+        (``mat_mul_exact``), so P_i is never formed.  The slot
         width holds every entry of t·P_i for a balanced t: input_dim
         entries up to (q·2^u)/2 times entries of P_i up to n(q − 1).  That
         bound needs D1s and D2s in 0..q·2^u − 1 and E in 0..q − 1, as
@@ -798,13 +787,10 @@ class EvalKey:
         A = [[int(i == j) for j in range(ell)] + (self.E[i] if i < n else zero)
              for i in range(ell)]
         A_rows = pack_rows(A, width)
-
-        def table(D_scaled: Matrix) -> CarryTable:
-            rows = mat_mul_exact(_bit_rows(D_scaled, p), A_rows)
-            return _carry_table(rows, width, t, p.q, p.u)
-
-        T1 = table(self.D1s)
-        return T1, T1 if self.D2s == self.D1s else table(self.D2s)
+        T1 = _carry_table(self.D1s, A_rows, width, t, p.q, p.u)
+        if self.D2s == self.D1s:
+            return T1, T1
+        return T1, _carry_table(self.D2s, A_rows, width, t, p.q, p.u)
 
     @cached_property
     def packed_W(self) -> tuple[list[int], int, int, list[int]]:
@@ -832,8 +818,9 @@ class EvalKey:
 def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     """Construct the multiplication key from a secret key.
 
-    The five steps: (1) unmasking matrices D_i with fresh dyadic masking
-    blocks, kept as D_i·2^u + eps_i mod q·2^u, (2) the extension
+    The five steps: (1) the secret key's unmasking matrix D with fresh
+    dyadic masking blocks eps_i on its top-right n x (ell − n) block, kept
+    as D·2^u + eps_i mod q·2^u from D's residues, (2) the extension
     coefficients E, the nonzero block of the point-extension matrix A, (3)
     rescaling diagonal folded into the rank-1 slice structure, (4)+(5)
     re-expression matrix B times reduction matrix Q, from the X that solves
@@ -847,9 +834,10 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     q = p.q
     rng = rng or Random()
 
-    # step 1: unmasking matrices, reduced mod q·2^u
-    modulus = q << p.u
-    D1s, D2s = [[[x % modulus for x in row] for row in _build_D_scaled(sk, eps)]
+    # step 1: D·2^u + eps_i mod q·2^u, eps_i on D's top-right block
+    modulus, k = q << p.u, p.ell - p.n
+    D1s, D2s = [[[((d << p.u) + e) % modulus for d, e in zip(row, [0] * p.n + e_row)]
+                 for row, e_row in zip(sk.D, eps + [[0] * k] * k)]
                 for eps in (_sample_masking_block(p, rng),
                             _sample_masking_block(p, rng))]
 
@@ -865,10 +853,3 @@ def mat_mul_exact(bits: Matrix, rows: Sequence[int]) -> list[int]:
     selects, 0 when it selects none.  D~·A on A's packed rows makes no
     multiplication."""
     return [sum(compress(rows, b)) for b in bits]
-
-
-def _bit_rows(D_scaled: Matrix, p: Params) -> Matrix:
-    """D~: the bits of D_scaled's entries, position-major, so row s·ell + i
-    holds bit s of row i of D_scaled."""
-    bits = _bitdecomp_numerators([x for row in D_scaled for x in row], p.q, p.u)
-    return [bits[k:k + p.ell] for k in range(0, len(bits), p.ell)]

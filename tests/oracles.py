@@ -8,7 +8,8 @@ and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
 of one multiplication carried out with exact rationals, the key factors
 P_i = D_i~·A by a plain triple sum and their carry tables packed as a
-key that stores P would pack them, AND's W contraction entry by entry on
+key that stores P would pack them and regrouped from every bit row in
+the gadget's position-major order, AND's W contraction entry by entry on
 the unreduced z, a random netlist generator and a
 netlist's noise hints gate by gate, the container's integer runs sized by
 trial and written one byte at a time, and the noise hints as the exact
@@ -35,8 +36,6 @@ from mvphe.keys import (
     EvalKey,
     Params,
     SecretKey,
-    _bitdecomp_numerators,
-    _carry_table,
     _gadget_width,
     _ideal_basis_2r,
     build_G,
@@ -155,8 +154,8 @@ def bitdecomp(vec: Sequence, q: int, u: int) -> list[int]:
         num = int(y)
         if num != y:
             raise ParameterError(f"entry {x} does not have {u} fractional bits")
-        nums.append(num)
-    return _bitdecomp_numerators(nums, q, u)
+        nums.append(num % (q << u))
+    return [(num >> s) & 1 for s in range(_gadget_width(q, u)) for num in nums]
 
 
 def _powersoftwo_numerators(vec: Sequence[int], q: int, u: int) -> list[int]:
@@ -429,21 +428,47 @@ def factor_matrices(evk: EvalKey) -> tuple[Matrix, Matrix]:
     n, ell, t = p.n, p.ell, p.t
     A = [[int(i == j) for j in range(ell)]
          + (list(evk.E[i]) if i < n else [0] * (t - ell)) for i in range(ell)]
-    out = []
-    for Ds in (evk.D1s, evk.D2s):
-        bits = [[(x >> s) & 1 for x in row]
-                for s in range(_gadget_width(p.q, p.u)) for row in Ds]
-        out.append([[sum(b[j] * A[j][c] for j in range(ell)) for c in range(t)]
-                    for b in bits])
-    return out[0], out[1]
+    return bit_factor(evk.D1s, A, p.q, p.u), bit_factor(evk.D2s, A, p.q, p.u)
+
+
+def bit_factor(Ds: Matrix, A: Matrix, q: int, u: int) -> Matrix:
+    """D~·A as a plain triple sum, D~ position-major: row s·ell + i holds
+    bit s of row i of Ds, whose entries lie in 0..q·2^u − 1."""
+    bits = [[(x >> s) & 1 for x in row]
+            for s in range(_gadget_width(q, u)) for row in Ds]
+    return [[sum(b[j] * A[j][c] for j in range(len(A))) for c in range(len(A[0]))]
+            for b in bits]
 
 
 def carry_table_from_P(P: Matrix, q: int, u: int) -> CarryTable:
     """The carry table of a factor P packed the way a key that stores P
     packs it: every row by ``pack_rows`` at the slot width that P's largest
-    entry needs, then regrouped by ``keys._carry_table``."""
+    entry needs, then regrouped entry by entry in P's position-major row
+    order (row s·ell + i is entry i's bit s), ``keys._carry_table``'s
+    identity read off all u + K rows of each entry.
+
+    With R_k the row of entry i at position u + k and S_0 = 0, the carry
+    rows are H_b = S_b + R_(K−1−b) and S_(b+1) = 2·S_b + R_(K−1−b), and
+    P_red = sum_(s <= u) 2^s·P[s·ell + i] + 2^(u+1)·S_(K−1)."""
     width = slot_width(len(P) * ((q << u) // 2) * max(map(max, P)))
-    return _carry_table(pack_rows(P, width), width, len(P[0]), q, u)
+    rows = pack_rows(P, width)
+    ell = len(rows) // _gadget_width(q, u)
+    low, windows = [], []
+    for i in range(ell):
+        R = rows[i::ell]  # position s of entry i; R_k = R[u + k]
+        S, H = 0, []
+        for r in R[:u:-1]:  # R_(K−1) down to R_1
+            H.append(S + r)
+            S = 2 * S + r
+        low.append(sum(r << s for s, r in enumerate(R[:u + 1])) + (S << (u + 1)))
+        entry = []
+        for j in range(0, len(H), 4):
+            sums = [0]
+            for h in H[j:j + 4]:
+                sums += [x + h for x in sums]
+            entry.append(sums)
+        windows.append(entry)
+    return CarryTable(low, windows, width, len(P[0]))
 
 
 def contract_reference(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:

@@ -62,10 +62,12 @@ def test_params_bad_depth_exits_2(capsys):
     (["--lambda", "4294967296", "--out", "p.bin"],
      "need lambda < 2^32, got lambda = 4294967296"),
     (["--q-bits", "30000"], "q must have at most 64 bits, got 30000"),
+    (["--v", "3000000", "--r-prime", "3000000"], "need t < 2^32 points"),
 ])
 def test_params_refuses_bad_input_at_once(argv, message, tmp_path, capsys):
     """Each input ends in one error line, not a traceback or a stall (a
-    depth of 14 ran past a minute, and 30000 bits drew a prime)."""
+    depth of 14 ran past a minute, 30000 bits drew a prime, and a shape of
+    3·10^6 variables sized q for over a minute)."""
     argv = [str(tmp_path / a) if a.endswith(".bin") else a for a in argv]
     t0 = time.perf_counter()
     assert main(["params", *argv]) == 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -36,12 +37,13 @@ from mvphe.keys import (
     _auto_q_bits,
     _carry_bound,
     _carry_product,
+    _carry_table,
     _ideal_basis_2r,
     _ideal_rows,
     _monomial_table,
     build_G,
 )
-from mvphe.linalg import inverse_mod_q, mat_mul, rank_mod_q
+from mvphe.linalg import inverse_mod_q, mat_mul, pack_rows, rank_mod_q
 from mvphe.mvpoly import grevlex_key, monomial_divides
 from mvphe.serialize import load_secret_key, save_secret_key
 from mvphe.arith import balance
@@ -51,6 +53,7 @@ from oracles import (
     _powersoftwo_numerators,
     auto_q_bits_reference,
     bilinear_eval,
+    bit_factor,
     bitdecomp,
     build_B,
     build_Q,
@@ -154,6 +157,16 @@ def test_params_rejects_t_past_u32():
     with pytest.raises(ParameterError, match="need t < 2\\^32 points, got t = "):
         Params(lambda_=64, L=1, v=2**31, r_g=1, r_prime=1, ell=2**31 + 2,
                q=858024799843, sigma=8, B=48, u=8)
+
+
+def test_setup_refuses_a_shape_past_u32_points_at_once():
+    """setup refuses a shape whose t cannot fit before it takes a binomial
+    or sizes q: v = r_prime = 10^6 ran 40 s before the depth refusal."""
+    for size in (10**6, 2 * 10**6):
+        t0 = time.perf_counter()
+        with pytest.raises(ParameterError, match=r"need t < 2\^32 points: v = "):
+            setup(64, 1, v=size, r_prime=size)
+        assert time.perf_counter() - t0 < 1
 
 
 def test_setup_refuses_q_past_64_bits():
@@ -334,7 +347,7 @@ def test_monomial_table_matches_polynomial_products(name):
     assert table[:p.N] == _monomial_table(p, sk.points, p.r) == [
         [Polynomial.monomial(p.v, q, m).eval(z) % q for z in sk.points]
         for m in enumerate_monomials(p.v, p.r)]
-    rows = _ideal_rows(sk.g, sk.points, table)
+    rows = _ideal_rows([sk.g.eval(z) for z in sk.points], table, q)
     assert rows == [[b.eval(z) % q for z in sk.points]
                     for b in _ideal_basis_2r(p, sk.g)]
     assert rows[:p.n] == [[b.eval(z) % q for z in sk.points]
@@ -608,6 +621,35 @@ def test_carry_product_matches_gadget_transform(name):
                 _powersoftwo_numerators(c, q, u), P)
 
 
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_carry_table_reads_D_and_A(name):
+    """_carry_table(D, A's packed rows) is the carry table of P = D~·A that
+    the reference regroups from all u + K bit rows of each entry, in every
+    field, at the reference's slot width; and its carry product is t·P for
+    the gadget transform t.  D holds 0, q·2^u − 1 and a zero row; A is
+    nonnegative with a zero row and entries past 2^64."""
+    p = CARRY_SETS[name]()
+    q, u, ell, cols = p.q, p.u, p.ell, 5
+    M = q << u
+    h = (q - 1) // 2
+    rng = Random(f"carry-table-D-{name}")
+    D = [[rng.randrange(M) for _ in range(ell)] for _ in range(ell)]
+    D[0][0], D[-1][-1] = 0, M - 1
+    D[rng.randrange(1, ell - 1)] = [0] * ell
+    A = [[rng.choice((0, rng.randrange(q), rng.randrange(1 << 70)))
+          for _ in range(cols)] for _ in range(ell)]
+    A[rng.randrange(ell)] = [0] * cols
+    assert max(map(max, A)) >> 64
+    P = bit_factor(D, A, q, u)
+    want = carry_table_from_P(P, q, u)
+    got = _carry_table(D, pack_rows(A, want.width), want.width, cols, q, u)
+    assert got == want
+    for c in ([h] * ell, [-h] * ell, [0] * ell,
+              *([rng.randint(-h, h) for _ in range(ell)] for _ in range(10))):
+        assert _carry_product(c, got, q, u) == vec_mat(
+            _powersoftwo_numerators(c, q, u), P)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_factored_key_builds_the_carry_tables_of_P(name):
     """The carry tables a key builds from D1s, D2s and E on its first AND
@@ -781,6 +823,23 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
     assert "packed" not in vars(fresh)
 
 
+def test_keygen_evaluates_g_once_per_point(monkeypatch):
+    """keygen evaluates g once at each point it draws, and its ideal rows
+    reuse that value: a bench16 keygen that passes first time evaluates g
+    at its t points only."""
+    evaluated = []
+    real_eval = Polynomial.eval
+
+    def evaluate(self, point):
+        evaluated.append(point)
+        return real_eval(self, point)
+
+    monkeypatch.setattr(Polynomial, "eval", evaluate)
+    p = preset_params("bench16")
+    sk = keygen(p, Random(1))
+    assert sorted(evaluated) == sorted(sk.points) and len(evaluated) == p.t
+
+
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
                                                        monkeypatch):
     """keygen and load_secret_key form no Polynomial product.  build_evalkey
@@ -884,20 +943,21 @@ def test_masking_nonzero_at_small_preset(small_sk):
 
 
 def test_masking_column_norm_bound(small_sk):
-    """Column one-norms of D - R^{-1}[[I,S^T],[0,I]] stay below B/q."""
-    from mvphe.keys import _build_D_scaled, _sample_masking_block
-    from mvphe.linalg import zeros
+    """The masking a built key carries, eps_i = D_is − D·2^u balanced mod
+    q·2^u, lies on D's top-right n x (ell − n) block, is nonzero at the
+    small preset, and keeps each column's one-norm over 2^u below B/q."""
     p = small_sk.params
-    rng = Random(7)
-    eps = _sample_masking_block(p, rng)
-    assert any(any(row) for row in eps)
-    base = _build_D_scaled(small_sk, zeros(p.n, p.ell - p.n))
-    withe = _build_D_scaled(small_sk, eps)
-    for j in range(p.ell - p.n):
-        col_norm = Fraction(
-            sum(abs(withe[i][p.n + j] - base[i][p.n + j]) for i in range(p.n)),
-            1 << p.u)
-        assert col_norm < Fraction(p.B, p.q)
+    n, M = p.n, p.q << p.u
+    evk = build_evalkey(small_sk, rng=Random(7))
+    for Ds in (evk.D1s, evk.D2s):
+        eps = [[balance(x - (d << p.u), M) for x, d in zip(row, d_row)]
+               for row, d_row in zip(Ds, small_sk.D)]
+        block = [row[n:] for row in eps[:n]]
+        assert all(x == 0 for row in eps[:n] for x in row[:n])
+        assert all(x == 0 for row in eps[n:] for x in row)
+        assert any(any(row) for row in block)
+        for col in zip(*block):
+            assert Fraction(sum(map(abs, col)), 1 << p.u) < Fraction(p.B, p.q)
 
 
 def test_tensor_composition_matches_factored_form():
