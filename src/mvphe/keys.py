@@ -23,8 +23,8 @@ taken after multiplying by R, and the pre-floor vector carries fractional
 parts only in its last ell − n coordinates.  With R2 above the diagonal
 those coordinates are passed through unscaled, so flooring commutes with the
 mixing step; a random block *below* the diagonal would smear the fractional
-tails across all coordinates and corrupt decryption (this fails empirically,
-not just in the analysis — see the decision notes shipped with the tests).
+tails across all coordinates and corrupt the products' decryption, as
+tests/test_keys.py::test_random_block_belongs_above_the_diagonal shows.
 
 The multiplication key is the order-3 tensor
 
@@ -287,29 +287,22 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
-          **overrides) -> Params:
-    """Build a consistent Params object.
-
-    Dimension knobs (v, r_g, r_prime, ell, sigma, B, u, q_bits, q) may be
-    overridden; anything left out is defaulted, with the modulus size chosen
-    as the smallest that passes a worst-case noise simulation for depth L.  Without an explicit ``rng`` the modulus is
-    drawn from a generator seeded by (lambda_, L, overrides), so the result
-    is a pure function of its arguments.
+def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None, *,
+          v: int = 2, r_g: int = 1, r_prime: int = 2, ell: int | None = None,
+          sigma: Rational = 8, B: int | None = None, u: int = 8,
+          q: int | None = None, q_bits: int | None = None) -> Params:
+    """Build a consistent Params object from the knobs in the signature:
+    ``ell=None`` means n + 2, ``B=None`` ceil(6·sigma) (48 at sigma = 0) and
+    ``q_bits=None`` the smallest size that passes a worst-case noise
+    simulation for depth L.  Without ``q`` and ``rng`` the modulus is drawn
+    from a generator seeded by the stamp (lambda_, L, v, r_g, r_prime, ell,
+    q_bits), so the result is a pure function of its arguments.
     """
-    v = overrides.pop("v", 2)
-    r_g = overrides.pop("r_g", 1)
-    r_prime = overrides.pop("r_prime", 2)
     _check_dimensions(v, r_g, r_prime)
-    n = math.comb(v + r_prime, r_prime)
-    ell = overrides.pop("ell", n + 2)
-    sigma = overrides.pop("sigma", 8)
-    B = overrides.pop("B", six_sigma(sigma) if sigma else 48)
-    u = overrides.pop("u", 8)
-    q = overrides.pop("q", None)
-    q_bits = overrides.pop("q_bits", None)
-    if overrides:
-        raise ParameterError(f"unknown parameter overrides: {sorted(overrides)}")
+    if ell is None:
+        ell = math.comb(v + r_prime, r_prime) + 2
+    if B is None:
+        B = six_sigma(sigma) if sigma else 48
     if q is None:
         if q_bits is None:
             q_bits = _auto_q_bits(L, ell, u, B)
@@ -325,14 +318,11 @@ def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None,
 
 
 def preset_params(name: str, rng: Random | None = None, **extra) -> Params:
-    """Params for a named preset; ``extra`` overrides preset fields."""
+    """``setup`` on a named preset's knobs, ``extra`` taking precedence over
+    them."""
     if name not in PRESETS:
         raise ParameterError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    kwargs = dict(PRESETS[name])
-    kwargs.update(extra)
-    lam = kwargs.pop("lambda_")
-    L = kwargs.pop("L")
-    return setup(lam, L, rng=rng, **kwargs)
+    return setup(rng=rng, **{**PRESETS[name], **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +805,9 @@ class EvalKey:
         return [r - offset for r in rows], width, M2, factors
 
 
-def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
-    """Construct the multiplication key from a secret key.
+def build_evalkey(sk: SecretKey, rng: Random) -> EvalKey:
+    """Construct the multiplication key from a secret key, drawing its
+    masking blocks from ``rng``.
 
     The five steps: (1) the secret key's unmasking matrix D with fresh
     dyadic masking blocks eps_i on its top-right n x (ell − n) block, kept
@@ -832,7 +823,6 @@ def build_evalkey(sk: SecretKey, rng: Random | None = None) -> EvalKey:
     """
     p = sk.params
     q = p.q
-    rng = rng or Random()
 
     # step 1: D·2^u + eps_i mod q·2^u, eps_i on D's top-right block
     modulus, k = q << p.u, p.ell - p.n

@@ -86,7 +86,8 @@ def pack_rows(M: Matrix, width: int) -> list[int]:
     packed form of the same combination of the rows; ``unpack_slots``
     reads it back when every slot of the result lies strictly inside
     ±2^(8·width − 1), as ``slot_width`` ensures for the bound it is given.
-    Negative entries would borrow across slots and are refused.  Rows are
+    Negative entries would borrow across slots and entries of 2^(8·width)
+    or more would spill into the next, so both are refused.  Rows are
     packed one at a time, so no matrix-sized integer is ever built.
     """
     # one struct call per row when every entry fits the widest native
@@ -102,8 +103,10 @@ def pack_rows(M: Matrix, width: int) -> list[int]:
     try:
         return [int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)),
                                "little") for row in M]
-    except OverflowError:  # to_bytes refuses a negative entry
-        raise ParameterError("pack_rows needs a nonnegative matrix") from None
+    except OverflowError:  # to_bytes refuses a negative or too wide entry
+        fault = ("a nonnegative matrix" if min(map(min, M)) < 0
+                 else f"entries below 2^{8 * width}")
+        raise ParameterError(f"pack_rows needs {fault}") from None
 
 
 @lru_cache(maxsize=64)

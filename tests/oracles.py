@@ -3,7 +3,8 @@ noise sampler computing every weight afresh, the
 exact vector–matrix product entry by entry, Gauss–Jordan elimination
 entry by entry, the gadget transforms as exact
 rationals, the degree-(<= r) ideal basis as polynomial products,
-encryption in two products from the key's core fields, the re-expression
+encryption in two products from the key's core fields, a key mixed with
+its random block below the diagonal, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
 of one multiplication carried out with exact rationals, the key factors
@@ -23,6 +24,7 @@ the paper's literal definitions.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -225,6 +227,24 @@ def encryption_factors(sk: SecretKey) -> tuple[Matrix, Matrix]:
         for j in range(n):
             R[i][j] = sk.R1[i][j] % q
     return T_inv, R
+
+
+def below_diagonal_key(sk: SecretKey) -> SecretKey:
+    """A copy of ``sk`` mixed by R = [[R1, 0], [R2, I]], the random block
+    below the diagonal, with C = T^{-1}·R, D = C^{-1} and S_dec the last
+    ell − n columns of D rebuilt to match: a key that encrypts and decrypts
+    as well as ``sk`` but whose products the final floor corrupts."""
+    p = sk.params
+    q, n = p.q, p.n
+    R = identity(p.ell)
+    for row, block in zip(R, sk.R1 + sk.R2):
+        row[:n] = [x % q for x in block]
+    key = replace(sk)
+    key.R = R
+    key.C = mat_mul(encryption_factors(sk)[0], R, q)
+    key.D = inverse_mod_q(key.C, q)
+    key.S_dec = [row[n:] for row in key.D]
+    return key
 
 
 def encrypt_reference(sk: SecretKey, m: Sequence[int], rng: Random) -> list[int]:

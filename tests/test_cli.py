@@ -1,6 +1,7 @@
 """End-to-end command-line workflows (run in-process through cli.main)."""
 
 import hashlib
+import os
 import time
 from dataclasses import replace
 
@@ -102,6 +103,28 @@ def test_keygen_is_seeded_deterministic(tmp_path, capsys):
     capsys.readouterr()
     with open(a, "rb") as f1, open(b, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_keygen_writes_to_the_null_device(capsys):
+    assert main(["keygen", "--preset", "toy", "--seed", "7", "--out",
+                 os.devnull]) == 0
+    assert f"wrote {os.devnull}" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_keygen_into_a_pipe_writes_the_file_bytes(tmp_path, capsys):
+    """--out /dev/fd/<w> on a pipe's write end gives exactly the bytes a
+    regular file gets."""
+    argv = ["keygen", "--preset", "toy", "--seed", "7", "--out"]
+    assert main([*argv, str(tmp_path / "sk.bin")]) == 0
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        with os.fdopen(w, "wb") as writer:
+            assert main([*argv, f"/dev/fd/{writer.fileno()}"]) == 0
+        got = reader.read()
+    capsys.readouterr()
+    assert got == (tmp_path / "sk.bin").read_bytes()
+    assert len(got) == 739
 
 
 def test_keygen_takes_params_or_preset_not_both(tmp_path, capsys):

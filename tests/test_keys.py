@@ -52,6 +52,7 @@ from oracles import (
     Tensor3,
     _powersoftwo_numerators,
     auto_q_bits_reference,
+    below_diagonal_key,
     bilinear_eval,
     bit_factor,
     bitdecomp,
@@ -124,7 +125,7 @@ def test_setup_rejects_bad_shapes():
         setup(64, 1, q=97, B=30)  # B >= floor(q/2)/2
     with pytest.raises(ParameterError):
         preset_params("nope")
-    with pytest.raises(ParameterError, match=r"unknown parameter overrides: \['w'\]"):
+    with pytest.raises(TypeError, match="'w'"):
         setup(64, 1, w=3)
     # 5·log2(6·40) < 40 bits passes the cheap L check; the exact one refuses it
     with pytest.raises(ParameterError, match=r"depth L=5: q < B·\(n·log2 q\)\^L$"):
@@ -390,6 +391,32 @@ def test_annihilation_via_s_enc_rows(toy_sk):
     assert toy_sk.C == mat_mul(T_inv, R, q)
     assert mat_mul(toy_sk.C[:p.n], toy_sk.S_dec, q) == [
         [0] * (p.ell - p.n) for _ in range(p.n)]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_random_block_belongs_above_the_diagonal(name):
+    """The keys module's claim on R2's place: a copy of a key with R2
+    below the diagonal (``oracles.below_diagonal_key``) encrypts and
+    decrypts every message, yet AND's final floor no longer commutes with
+    the mixing step, and 7 to 18 of 20 seeded ANDs come out wrong under
+    it (at least 5 asserted); none do under the key keygen built."""
+    p = preset_params(name)
+    sk = keygen(p, Random(f"below-{name}"))
+
+    def wrong_ands(key):
+        evk = build_evalkey(key, Random(f"below-evk-{name}"))
+        rng = Random(f"below-ands-{name}")
+        wrong = 0
+        for _ in range(20):
+            a, b = ([rng.randrange(2) for _ in range(p.message_bits)] for _ in "ab")
+            ca, cb = encrypt(key, a, rng), encrypt(key, b, rng)
+            assert decrypt(key, ca) == a and decrypt(key, cb) == b
+            product = decrypt(key, she.eval_mult(evk, ca, cb))
+            wrong += product != [x & y for x, y in zip(a, b)]
+        return wrong
+
+    assert wrong_ands(sk) == 0
+    assert wrong_ands(below_diagonal_key(sk)) >= 5
 
 
 def test_mixing_matrix_block_shape(toy_sk):

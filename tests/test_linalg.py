@@ -217,6 +217,11 @@ def test_pack_rows_refuses_negative_entries():
     for width in (1, 8, 9):
         with pytest.raises(ParameterError, match="nonnegative"):
             pack_rows([[3, 1], [-1, 5]], width)
+    # an entry too wide for its slot is refused as such, not as a negative one
+    for row, width in (([1 << 200, 1], 8), ([256, 0], 1), ([0, 1 << 72], 9)):
+        with pytest.raises(ParameterError, match=rf"needs entries below 2\^{8 * width}$"):
+            pack_rows([row], width)
+    assert pack_rows([[(1 << 72) - 1, 0]], 9) == [(1 << 72) - 1]
 
 
 def test_identity_inverse():
