@@ -8,6 +8,10 @@ README for the quickstart; the usual flow is
     sk  = keygen(params, Random(1))
     evk = build_evalkey(sk, rng=Random(2))
     c   = encrypt(sk, [0, 1], Random(3))
+
+The polynomial arithmetic that key construction runs inside,
+``mvpoly.Polynomial`` and ``mvpoly.reduce_by_set``, is not exported here;
+import it from ``mvphe.mvpoly``.
 """
 
 from .arith import NoiseSampler, random_prime
@@ -31,7 +35,7 @@ from .keys import (
     preset_params,
     setup,
 )
-from .mvpoly import Polynomial, enumerate_monomials, reduce_by_set
+from .mvpoly import enumerate_monomials
 from .she import (
     Ciphertext,
     PublicKey,
@@ -51,8 +55,8 @@ __all__ = [
     "__version__",
     # arithmetic
     "NoiseSampler", "random_prime",
-    # polynomials
-    "Polynomial", "enumerate_monomials", "reduce_by_set",
+    # monomial order of the secret key's g (``SecretKey.g``)
+    "enumerate_monomials",
     # keys and parameters
     "Params", "SecretKey", "EvalKey", "PRESETS", "setup", "preset_params",
     "keygen", "build_evalkey",

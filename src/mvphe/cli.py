@@ -18,13 +18,17 @@ output file is byte-identical across runs.  ``--preset`` names the parameter
 set for ``params`` and ``keygen`` (which takes it or ``--params``, not both);
 the other verbs read it from their input files.  Files carry a parameter
 fingerprint, and verbs that combine files refuse to run when the
-fingerprints disagree.
+fingerprints disagree.  A verb prints its status lines to standard output,
+so it refuses an ``--out`` (or ``bench --csv``) that is that same regular
+file or pipe, before writing anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 import time
 import warnings
@@ -81,6 +85,19 @@ def _check_fingerprints(a: Params, b: Params, what: str) -> None:
         raise MvpheError(
             f"parameter fingerprint mismatch between {what} ({fa} vs {fb}); "
             "refusing to continue")
+
+
+def _check_not_stdout(path: str) -> None:
+    """Refuse an output path that is the regular file or pipe standard
+    output writes to: the status lines would land inside the file."""
+    try:
+        out, target = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (OSError, ValueError):  # no such file, or stdout has no descriptor
+        return
+    if ((out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)
+            and (stat.S_ISREG(out.st_mode) or stat.S_ISFIFO(out.st_mode))):
+        raise MvpheError(f"{path} is standard output, where the status lines "
+                         "go; write the file elsewhere")
 
 
 def _fmt_matrix(name: str, m) -> str:
@@ -352,6 +369,9 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:
+            for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+                if path:
+                    _check_not_stdout(path)
             return args.func(args)
         except (MvpheError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,8 @@ The scheme encrypts (ell − n)-bit messages into length-ell vectors over Z_q.
 A secret key is built from
 
 * a generator polynomial g of degree r_g (monic, nonzero constant term),
+  held as its balanced coefficients on ``enumerate_monomials(v, r_g)``,
+  constant first and the leading 1 last, the row the key file stores,
 * the n monomials h_1..h_n of degree <= r_prime, so that the products
   g·h_i form a basis of the degree-(<= r) slice of the ideal <g>,
 * evaluation points z_1..z_t in Z_q^v — the first ell define ciphertexts,
@@ -41,7 +43,10 @@ the degree-(<= 2r) ideal basis evaluated at z_1..z_n and the extension
 points (``_reduction_map``).  E and −S^T are one solve against E1, the
 ideal's evaluations at z_1..z_n, carried on to the extension and band
 points.  Every system is one ``linalg.solve_mod_q``, with no inverse
-formed; ideal evaluations are g(z)·m(z) mod q (``_ideal_rows``).
+formed; ideal evaluations are g(z)·m(z) mod q (``_ideal_rows``), g(z) the
+sum of g's coefficients times its monomials at z (``_generator_at``).  Only
+F2's division forms g as a polynomial (``mvpoly.Polynomial``), in
+``_reduction_map``.
 
 P_i is not formed either, and the key does not store it.  A = [I | A_ext]
 with A_ext zero below its first n rows, so P_i = [D_i~ | D_i~[:, :n]·E]
@@ -76,7 +81,7 @@ from operator import getitem, mul
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .arith import Rational, is_probable_prime, randbelow, random_prime, six_sigma
+from .arith import Rational, balance, is_probable_prime, randbelow, random_prime, six_sigma
 from .errors import (
     ConstructionError,
     GenerationFailure,
@@ -96,7 +101,7 @@ from .linalg import (
     unpack_slots,
     zeros,
 )
-from .mvpoly import Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
+from .mvpoly import Monomial, Polynomial, enumerate_monomials, grevlex_key, reduce_by_set
 
 RETRY_CAP = 100  # rejection-sampling cap for key generation
 _T_BITS = 32  # files record lambda as a u32; every binomial is at most n1 <= t
@@ -335,8 +340,11 @@ class SecretKey:
 
     Core fields (g, points, S, R1, R2) determine everything; the derived
     matrices are recomputed deterministically on construction and are not
-    settable.  Encryption multiplies by C = T^{-1}·R, T = [[I, S^T], [0, I]];
-    D = C^{-1} unmasks, and its last ell − n columns are S_dec.
+    settable.  g is the list of the generator's balanced coefficients on
+    ``enumerate_monomials(v, r_g)``, the constant first and the leading 1
+    last, as the key file stores them.  Encryption multiplies by
+    C = T^{-1}·R, T = [[I, S^T], [0, I]]; D = C^{-1} unmasks, and its last
+    ell − n columns are S_dec.
 
     ``packed`` and ``packed_S_dec`` cache the rows of C and of S_dec
     Kronecker-packed, each on its first product, and ``F1p`` caches the
@@ -347,7 +355,7 @@ class SecretKey:
     """
 
     params: Params
-    g: Polynomial
+    g: list[int]
     points: list[tuple[int, ...]]
     S: Matrix
     R1: Matrix
@@ -386,7 +394,9 @@ class SecretKey:
         key made otherwise builds it on first use."""
         p = self.params
         points = self.points[:p.n] + self.points[p.ell:]
-        return _ideal_rows_2r(p, [self.g.eval(z) for z in points], points)
+        monos = enumerate_monomials(p.v, p.r_g)
+        return _ideal_rows_2r(p, [_generator_at(self.g, monos, z, p.q)
+                                  for z in points], points)
 
     @cached_property
     def packed(self) -> tuple[list[int], int]:
@@ -406,25 +416,32 @@ class SecretKey:
         return pack_rows(M, width), width
 
 
-def _sample_generator(p: Params, rng: Random) -> Polynomial:
-    """Monic degree-r_g polynomial with a nonzero constant term."""
+def _sample_generator(p: Params, rng: Random) -> list[int]:
+    """A monic degree-r_g polynomial with a nonzero constant term, as its
+    balanced coefficients on ``enumerate_monomials(v, r_g)``: one draw per
+    monomial in that order, then the last, the grevlex-leading monomial of
+    degree r_g, is set to 1, and a zero constant is redrawn."""
     q = p.q
-    monos = enumerate_monomials(p.v, p.r_g)
-    terms = {m: randbelow(rng, q) for m in monos}
-    lead = max((m for m in monos if sum(m) == p.r_g), key=grevlex_key)
-    terms[lead] = 1
-    const = (0,) * p.v
-    if terms.get(const, 0) % q == 0:
-        terms[const] = 1 + randbelow(rng, q - 1)
-    return Polynomial(p.v, q, terms)
+    g = [randbelow(rng, q) for _ in range(math.comb(p.v + p.r_g, p.r_g))]
+    g[-1] = 1
+    if g[0] == 0:
+        g[0] = 1 + randbelow(rng, q - 1)
+    return [balance(c, q) for c in g]
 
 
-def _sample_point(p: Params, g: Polynomial,
+def _generator_at(g: Sequence[int], monos: Sequence[Monomial],
+                  z: Sequence[int], q: int) -> int:
+    """g(z) mod q, from g's coefficients on ``monos``, the monomials of
+    ``enumerate_monomials(v, r_g)``."""
+    return sum(map(mul, g, [math.prod(map(pow, z, m)) for m in monos])) % q
+
+
+def _sample_point(p: Params, g: Sequence[int], monos: Sequence[Monomial],
                   rng: Random) -> tuple[tuple[int, ...], int]:
-    """A point z where g is nonzero, and g(z)."""
+    """A point z where g is nonzero, and g(z) (``_generator_at``)."""
     for _ in range(RETRY_CAP * 100):
         z = tuple(randbelow(rng, p.q) for _ in range(p.v))
-        gz = g.eval(z)
+        gz = _generator_at(g, monos, z, p.q)
         if gz != 0:
             return z, gz
     raise GenerationFailure("could not find a point where g is nonzero")
@@ -482,14 +499,16 @@ def keygen(params: Params, rng: Random) -> SecretKey:
     against a retry cap of RETRY_CAP.  Each check reads a monomial table
     of its points: (1) the degree-(<= r) table, (2) its first n rows times
     g(z), (3) the degree-(<= 2r − r_g) table times g(z) (``_ideal_rows_2r``),
-    g(z) as each point's draw computed it.  Condition 3's matrix is the
-    key's ``SecretKey.F1p``, kept for ``build_evalkey``.
+    g(z) as each point's draw computed it, from g's coefficients and the
+    monomials of degree <= r_g, enumerated once per call.  Condition 3's
+    matrix is the key's ``SecretKey.F1p``, kept for ``build_evalkey``.
     """
     p = params
     q = p.q
+    monos = enumerate_monomials(p.v, p.r_g)
     for _ in range(RETRY_CAP):
         g = _sample_generator(p, rng)
-        pts, gz = zip(*(_sample_point(p, g, rng) for _ in range(p.ell)))
+        pts, gz = zip(*(_sample_point(p, g, monos, rng) for _ in range(p.ell)))
         table = _monomial_table(p, pts, p.r)
         # condition 1: evaluations of degree-<= r polynomials fill Z_q^ell
         if rank_mod_q(table, q) != p.ell:
@@ -501,7 +520,7 @@ def keygen(params: Params, rng: Random) -> SecretKey:
             continue
         # condition 3: extension points keep the 2r-slice evaluations full rank
         for _ in range(RETRY_CAP):
-            extras, gx = zip(*(_sample_point(p, g, rng)
+            extras, gx = zip(*(_sample_point(p, g, monos, rng)
                                for _ in range(p.t - p.ell)))
             sub = pts[: p.n] + extras
             F1p = _ideal_rows_2r(p, gz[: p.n] + gx, sub)
@@ -626,7 +645,7 @@ def _carry_product(vec: Sequence[int], table: CarryTable, q: int, u: int) -> lis
 # multiplication-key construction
 # ---------------------------------------------------------------------------
 
-def build_G(sk: SecretKey) -> list[Polynomial]:
+def build_G(p: Params, g: Polynomial) -> list[Polynomial]:
     """Reduction set: g·m for every monomial m of exact degree r_prime + 1.
 
     Ordered with the grevlex-largest leading monomial first, so top-reduction
@@ -634,11 +653,10 @@ def build_G(sk: SecretKey) -> list[Polynomial]:
     draws it so and ``load_secret_key`` refuses any other), hence so is
     every element.
     """
-    p = sk.params
     monos = [m for m in enumerate_monomials(p.v, p.r_prime + 1)
              if sum(m) == p.r_prime + 1]
     monos.sort(key=grevlex_key, reverse=True)
-    return [sk.g * Polynomial.monomial(p.v, p.q, m) for m in monos]
+    return [g * Polynomial.monomial(p.v, p.q, m) for m in monos]
 
 
 def _sample_masking_block(p: Params, rng: Random) -> Matrix:
@@ -664,7 +682,8 @@ def _reduction_map(sk: SecretKey) -> tuple[Matrix, Matrix]:
     the n1 solve points (z_1..z_n, then the extension points) and F2 its
     remainders under build_G at z_1..z_ell, each read off the monomial
     table at those points as its coefficients times the table's rows, one
-    multiply-add per term on packed rows.  Their first n rows, the
+    multiply-add per term on packed rows.  The division runs on g formed
+    once as a ``Polynomial`` from the key's coefficients.  Their first n rows, the
     degree-(<= r) ideal elements, need no reduction and share their first
     n columns, E1.  One solve against E1 carries them on to the band
     points, as Y_S, and to the extension points, as E, the nonzero rows of
@@ -680,14 +699,15 @@ def _reduction_map(sk: SecretKey) -> tuple[Matrix, Matrix]:
     """
     p = sk.params
     q, n, k = p.q, p.n, p.ell - p.n
-    G = build_G(sk)
+    g = Polynomial(p.v, q, dict(zip(enumerate_monomials(p.v, p.r_g), sk.g)))
+    G = build_G(p, g)
     # a remainder has degree <= r: at most N terms, coefficients within
     # ±floor(q/2), which bound every slot
     width = slot_width(p.N * (q // 2) * (q - 1))
     at = dict(zip(enumerate_monomials(p.v, p.r),
                   pack_rows(_monomial_table(p, sk.points[:p.ell], p.r), width)))
     F2 = []
-    for b in _ideal_basis_2r(p, sk.g):
+    for b in _ideal_basis_2r(p, g):
         rem = reduce_by_set(b, G, p.r)
         total = sum(c * at[m] for m, c in rem.terms.items())
         F2.append([x % q for x in unpack_slots(total, width, p.ell)])

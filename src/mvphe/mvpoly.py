@@ -8,6 +8,10 @@ x2^2.
 
 Coefficients are stored as balanced representatives in (−q/2, q/2] and zero
 coefficients are never kept, so ``terms`` is always in canonical form.
+``Polynomial`` has the arithmetic that F2's division needs and no more:
+products, differences and ``reduce_by_set``, run once per evaluation key
+in ``keys._reduction_map``.  The secret key holds g as its coefficient
+list (``SecretKey.g``), not as a ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -113,9 +117,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.v, self.q, frozenset(self.terms.items())))
-
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.q != other.q or self.v != other.v:
@@ -124,13 +125,6 @@ class Polynomial:
                 f"(v={other.v}, q={other.q})"
             )
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return Polynomial(self.v, self.q, out)
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         out = dict(self.terms)
@@ -138,12 +132,7 @@ class Polynomial:
             out[mono] = out.get(mono, 0) - c
         return Polynomial(self.v, self.q, out)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.v, self.q, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
@@ -151,53 +140,6 @@ class Polynomial:
                 mono = monomial_mul(ma, mb)
                 out[mono] = (out.get(mono, 0) + ca * cb) % self.q
         return Polynomial(self.v, self.q, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.v, self.q, {m: coeff * c for m, coeff in self.terms.items()})
-
-    def eval(self, point: Sequence[int]) -> int:
-        """Value at a point of Z_q^v, as a balanced residue."""
-        if len(point) != self.v:
-            raise ParameterError(
-                f"point has dimension {len(point)}, polynomial has v={self.v}"
-            )
-        q = self.q
-        acc = 0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for z, e in zip(point, mono):
-                if e:
-                    term = term * pow(z, e, q) % q
-            acc = (acc + term) % q
-        return balance(acc, q)
-
-    # -- text form --------------------------------------------------------
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=grevlex_key, reverse=True):
-            coeff = self.terms[mono]
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(mono)
-                if e
-            ]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            elif coeff == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(f"{coeff}*" + "*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"Polynomial(v={self.v}, q={self.q}, {self})"
 
 
 def reduce_by_set(f: Polynomial, G: Sequence[Polynomial], r: int) -> Polynomial:

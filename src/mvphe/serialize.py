@@ -33,7 +33,8 @@ FormatError, after one min and one max pass per field.
 
 Secret-key files store only the core fields: g's coefficients over
 ``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
-first and the leading monomial last), then the points, S, R1 and R2.  All
+first and the leading monomial last), then the points, S, R1 and R2.  That
+g row is ``SecretKey.g`` itself, written and read as it stands.  All
 derived matrices are recomputed on load, so a save/load round trip is
 bit-exact by construction.  g must be as keygen draws it, with leading
 coefficient 1 and a nonzero constant term: a scaled g, one of lower degree
@@ -66,7 +67,6 @@ from typing import Iterable
 from .errors import FormatError, ParameterError, SingularMatrixError
 from .keys import EvalKey, Params, SecretKey
 from .linalg import Matrix, _check_range
-from .mvpoly import Polynomial, enumerate_monomials
 from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
 __all__ = [
@@ -308,29 +308,21 @@ def load_params(path: str) -> Params:
 def _check_generator(coeffs: list[int], p: Params, error: type[Exception]) -> None:
     """g must be as keygen draws it, monic with a nonzero constant term mod
     q: a scaled g, one of lower degree or one with a zero constant would
-    otherwise load and evaluate."""
-    if coeffs[-1] % p.q != 1 or coeffs[0] % p.q == 0:
+    otherwise load and evaluate.  A g of another length that passes is
+    refused by ``_layout``'s shape."""
+    if not coeffs or coeffs[-1] % p.q != 1 or coeffs[0] % p.q == 0:
         raise error(f"secret key generator is not monic of degree r_g = {p.r_g} "
                     f"in v = {p.v} variables with a nonzero constant term")
 
 
 def save_secret_key(sk: SecretKey, path: str) -> None:
-    p, g = sk.params, sk.g
-    if g.v != p.v or g.degree > p.r_g:
-        raise ParameterError(f"g has a term outside the monomials of degree <= "
-                             f"r_g = {p.r_g} in v = {p.v} variables")
-    coeffs = [g.terms.get(m, 0) for m in enumerate_monomials(p.v, p.r_g)]
-    _check_generator(coeffs, p, ParameterError)
-    _save(path, TYPE_SECRET, p, ([coeffs], sk.points, sk.S, sk.R1, sk.R2))
+    _check_generator(sk.g, sk.params, ParameterError)
+    _save(path, TYPE_SECRET, sk.params, ([sk.g], sk.points, sk.S, sk.R1, sk.R2))
 
 
 def load_secret_key(path: str) -> SecretKey:
-    # every run is read before g's monomials are enumerated: a block can
-    # name C(v + r_g, r_g) of them, far past what the file holds
-    params, ([coeffs], points, S, R1, R2) = _load(path, TYPE_SECRET)
-    _check_generator(coeffs, params, FormatError)
-    g = Polynomial(params.v, params.q,
-                   dict(zip(enumerate_monomials(params.v, params.r_g), coeffs)))
+    params, ([g], points, S, R1, R2) = _load(path, TYPE_SECRET)
+    _check_generator(g, params, FormatError)
     try:  # C is invertible exactly when R1 is
         return SecretKey(params=params, g=g, points=[tuple(z) for z in points],
                          S=S, R1=R1, R2=R2)

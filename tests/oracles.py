@@ -2,7 +2,8 @@
 noise sampler computing every weight afresh, the
 exact vector–matrix product entry by entry, Gauss–Jordan elimination
 entry by entry, the gadget transforms as exact
-rationals, the degree-(<= r) ideal basis as polynomial products,
+rationals, the secret key's g as a polynomial and polynomials evaluated
+term by term, the degree-(<= r) ideal basis as polynomial products,
 encryption in two products from the key's core fields, a key mixed with
 its random block below the diagonal, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
@@ -198,16 +199,48 @@ def powersoftwo(vec: Sequence[int], q: int, u: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the ideal basis, as products
+# g and the ideal basis, as polynomials
 # ---------------------------------------------------------------------------
+
+def generator(sk: SecretKey) -> Polynomial:
+    """The key's g as a polynomial: its coefficients (``SecretKey.g``) on
+    the monomials of ``enumerate_monomials(v, r_g)``, in that order."""
+    p = sk.params
+    return Polynomial(p.v, p.q, dict(zip(enumerate_monomials(p.v, p.r_g), sk.g)))
+
+
+def evaluate(f: Polynomial, point: Sequence[int]) -> int:
+    """f at a point of Z_q^v, as a balanced residue, term by term."""
+    if len(point) != f.v:
+        raise ParameterError(
+            f"point has dimension {len(point)}, polynomial has v={f.v}")
+    q = f.q
+    acc = 0
+    for mono, coeff in f.terms.items():
+        term = coeff
+        for z, e in zip(point, mono):
+            if e:
+                term = term * pow(z, e, q) % q
+        acc = (acc + term) % q
+    return balance(acc, q)
+
 
 def ideal_basis_r(sk: SecretKey) -> list[Polynomial]:
     """The basis g·h_i of the degree-(<= r) slice of <g>, one polynomial
     product per monomial h_i of degree <= r_prime: the reference for key
     construction, which evaluates it as g(z)·h_i(z) without the products."""
     p = sk.params
-    return [sk.g * Polynomial.monomial(p.v, p.q, m)
+    g = generator(sk)
+    return [g * Polynomial.monomial(p.v, p.q, m)
             for m in enumerate_monomials(p.v, p.r_prime)]
+
+
+def ideal_element(sk: SecretKey, coeffs: Sequence[int]) -> Polynomial:
+    """sum_i c_i·(g·h_i) over the degree-(<= r) basis (``ideal_basis_r``),
+    formed as the one product g·(sum_i c_i·h_i)."""
+    p = sk.params
+    h = dict(zip(enumerate_monomials(p.v, p.r_prime), coeffs, strict=True))
+    return generator(sk) * Polynomial(p.v, p.q, h)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +357,9 @@ def stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
     """
     p = sk.params
     q = p.q
-    basis2 = _ideal_basis_2r(p, sk.g)
-    F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
+    g = generator(sk)
+    basis2 = _ideal_basis_2r(p, g)
+    F1 = [[evaluate(b, z) % q for z in sk.points] for b in basis2]
     F1p = [row[:p.n] + row[p.ell:] for row in F1]
     try:
         F1p_inv = inverse_mod_q(F1p, q)
@@ -335,11 +369,11 @@ def stage_matrices(sk: SecretKey) -> tuple[Matrix, Matrix]:
         ) from exc
     B = build_B(sk, F1, F1p_inv)
 
-    G = build_G(sk)
+    G = build_G(p, g)
     F2 = []
     for b in basis2:
         rem = reduce_by_set(b, G, p.r)
-        F2.append([rem.eval(z) % q for z in sk.points[: p.ell]])
+        F2.append([evaluate(rem, z) % q for z in sk.points[: p.ell]])
     Q = build_Q(sk, F1, F2, F1p_inv)
     if mat_mul(F1, Q, q) != F2:
         raise ConstructionError("post-check failed: F1·Q != F2 (mod q)")

@@ -18,7 +18,6 @@ import pytest
 from mvphe import (
     PRESETS,
     Ciphertext,
-    Polynomial,
     build_evalkey,
     decrypt,
     encrypt,
@@ -32,20 +31,22 @@ from mvphe import (
     pk_encrypt,
     pk_keygen,
     preset_params,
-    reduce_by_set,
 )
 from mvphe.arith import balance
 from mvphe.errors import DepthError
 from mvphe.keys import _carry_bound, _ideal_basis_2r, build_G
 from mvphe.linalg import inverse_mod_q, mat_mul
+from mvphe.mvpoly import reduce_by_set
 from oracles import (
     Tensor3,
     bilinear_eval,
     bitdecomp,
     build_B,
     build_Q,
-    ideal_basis_r,
+    evaluate,
+    generator,
     hint_ledger,
+    ideal_element,
     n_mode_product,
     powersoftwo,
     random_circuit,
@@ -149,11 +150,12 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
         p = preset_params("toy")
         sk = keygen(p, Random(f"acc-6-key-{trial}"))
         q = p.q
-        basis2 = _ideal_basis_2r(p, sk.g)
-        G = build_G(sk)
-        F1 = [[b.eval(z) % q for z in sk.points] for b in basis2]
-        F2 = [[reduce_by_set(b, G, p.r).eval(z) % q for z in sk.points[:p.ell]]
-              for b in basis2]
+        g = generator(sk)
+        basis2 = _ideal_basis_2r(p, g)
+        G = build_G(p, g)
+        F1 = [[evaluate(b, z) % q for z in sk.points] for b in basis2]
+        F2 = [[evaluate(reduce_by_set(b, G, p.r), z) % q
+               for z in sk.points[:p.ell]] for b in basis2]
         sub = list(range(p.n)) + list(range(p.ell, p.t))
         F1p_inv = inverse_mod_q(
             [[F1[r][c] for c in sub] for r in range(p.n1)], q)
@@ -166,17 +168,15 @@ def test_c06_evalkey_integrity_and_polynomial_pipeline():
         for _ in range(10):
             cts, polys = [], []
             for _ in range(2):
-                f = Polynomial(p.v, q)
-                for b in ideal_basis_r(sk):
-                    f = f + b.scale(rng.randrange(q))
-                ev = [f.eval(z) % q for z in sk.points[:p.ell]]
+                f = ideal_element(sk, [rng.randrange(q) for _ in range(p.n)])
+                ev = [evaluate(f, z) % q for z in sk.points[:p.ell]]
                 vec = [sum(ev[i] * sk.R[i][j] for i in range(p.ell)) % q
                        for j in range(p.ell)]
                 polys.append(f)
                 cts.append(Ciphertext(vec=vec, q=q, noise_hint=0))
             got = eval_mult(evk, cts[0], cts[1])
             reduced = reduce_by_set(polys[0] * polys[1], G, p.r)
-            ev = [reduced.eval(z) % q for z in sk.points[:p.ell]]
+            ev = [evaluate(reduced, z) % q for z in sk.points[:p.ell]]
             want = [balance(sum(ev[i] * sk.R[i][j] for i in range(p.ell)), q)
                     for j in range(p.ell)]
             assert got.vec == want

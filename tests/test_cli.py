@@ -1,12 +1,18 @@
 """End-to-end command-line workflows (run in-process through cli.main)."""
 
+import ast
 import hashlib
+import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import mvphe
 from mvphe import preset_params, serialize
 from mvphe.cli import build_parser, main
 
@@ -127,6 +133,52 @@ def test_keygen_into_a_pipe_writes_the_file_bytes(tmp_path, capsys):
     assert len(got) == 739
 
 
+def _mvphe(*argv: str, **run) -> subprocess.CompletedProcess:
+    """``mvphe`` in a child process of its own, so its standard output can
+    be a real file or pipe."""
+    src = str(Path(mvphe.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mvphe.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          stderr=subprocess.PIPE, **run)
+
+
+KEYGEN_TOY_7 = ("keygen", "--preset", "toy", "--seed", "7", "--out")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_refuses_stdout_redirected_to_a_file(tmp_path):
+    """With standard output redirected to a file f, ``--out /dev/stdout``
+    or ``--out f`` would put the status line inside the container (739
+    bytes that no loader reads), and so would ``bench --csv``: each exits
+    2 with one error line and leaves f empty.  Another ``--out`` works."""
+    f = tmp_path / "f"
+    for argv in ([*KEYGEN_TOY_7, "/dev/stdout"], [*KEYGEN_TOY_7, str(f)],
+                 ["bench", "--mults", "1", "--csv", "/dev/stdout"]):
+        with open(f, "wb") as stdout:
+            run = _mvphe(*argv, stdout=stdout)
+        assert run.returncode == 2, argv
+        assert run.stderr.decode() == (f"error: {argv[-1]} is standard output, "
+                                       "where the status lines go; write the "
+                                       "file elsewhere\n")
+        assert f.read_bytes() == b""
+    with open(f, "wb") as stdout:
+        assert _mvphe(*KEYGEN_TOY_7, str(tmp_path / "sk.bin"),
+                      stdout=stdout).returncode == 0
+    assert f.read_text().startswith(f"wrote {tmp_path / 'sk.bin'} ")
+    assert serialize.load_secret_key(str(tmp_path / "sk.bin")).params.q
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_refuses_stdout_as_a_pipe(tmp_path):
+    """Into a pipe, ``--out /dev/stdout`` would append the status line to
+    the container (788 bytes): it exits 2 and writes nothing to the pipe."""
+    run = _mvphe(*KEYGEN_TOY_7, "/dev/stdout", stdout=subprocess.PIPE)
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode().startswith("error: /dev/stdout is standard output")
+
+
 def test_keygen_takes_params_or_preset_not_both(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["keygen", "--params", str(tmp_path / "p.bin"), "--preset",
@@ -152,7 +204,11 @@ def test_keygen_dump_keys(tmp_path, capsys):
     assert main(["keygen", "--preset", "toy", "--seed", "5", "--out", out,
                  "--dump-keys"]) == 0
     text = capsys.readouterr().out
-    assert "g = " in text
+    # g is printed as the coefficient run save_secret_key writes, read here
+    # straight off the file
+    [g_line] = [line for line in text.splitlines() if line.startswith("g = ")]
+    p, payload = serialize._read_container(out, serialize.TYPE_SECRET)
+    assert ast.literal_eval(g_line[4:]) == payload.ints(math.comb(p.v + p.r_g, p.r_g))
     assert "points (23):" in text
     assert "S (2x6):" in text and "R1 (6x6):" in text and "R2 (2x6):" in text
 

@@ -77,6 +77,47 @@ def test_payload_fields_go_through_the_layout():
         assert calls(tree, name) == calls(functions[where], name) > 0, name
 
 
+# keys's F2 helpers: the one place the package forms g as a polynomial,
+# for the division that gives F2
+F2_HELPERS = {"_reduction_map", "build_G", "_ideal_basis_2r"}
+
+
+def _imports_mvpoly(tree: ast.AST) -> bool:
+    return any(isinstance(node, ast.ImportFrom) and (
+                   node.module in ("mvpoly", "mvphe.mvpoly")
+                   or "mvpoly" in (alias.name for alias in node.names))
+               or isinstance(node, ast.Import)
+               and any(alias.name == "mvphe.mvpoly" for alias in node.names)
+               for node in ast.walk(tree))
+
+
+def test_polynomial_stays_in_the_division():
+    """The secret key holds g as its coefficient list, so ``Polynomial`` is
+    named in the package only in mvpoly and in keys's F2 helpers (and the
+    import that brings it there); serialize and cli import nothing from
+    mvpoly; and mvphe exports neither ``Polynomial`` nor
+    ``reduce_by_set``."""
+    named = []
+    for name, tree in TREES.items():
+        if name == "mvpoly.py":
+            continue
+        for top in tree.body:
+            if name == "keys.py" and (getattr(top, "name", None) in F2_HELPERS
+                                      or isinstance(top, ast.ImportFrom)
+                                      and top.module == "mvpoly"):
+                continue
+            named += [f"{name}:{node.lineno}" for node in ast.walk(top)
+                      if "Polynomial" in (getattr(node, "id", None),
+                                          getattr(node, "attr", None),
+                                          getattr(node, "name", None))]
+    assert named == []
+    assert _imports_mvpoly(TREES["keys.py"])
+    assert [name for name in ("serialize.py", "cli.py")
+            if _imports_mvpoly(TREES[name])] == []
+    assert {"Polynomial", "reduce_by_set"} & set(mvphe.__all__) == set()
+    assert not hasattr(mvphe, "Polynomial") and not hasattr(mvphe, "reduce_by_set")
+
+
 # User entry points that the package never calls itself.  Exporting a name
 # is not a use: a helper that only tests call belongs in tests/oracles.py.
 ENTRY_POINTS = {

@@ -14,7 +14,6 @@ import pytest
 from mvphe import (
     PRESETS,
     Params,
-    Polynomial,
     SecretKey,
     build_evalkey,
     decrypt,
@@ -23,7 +22,6 @@ from mvphe import (
     keygen,
     keys,
     preset_params,
-    reduce_by_set,
     setup,
     she,
 )
@@ -44,7 +42,7 @@ from mvphe.keys import (
     build_G,
 )
 from mvphe.linalg import inverse_mod_q, mat_mul, pack_rows, rank_mod_q
-from mvphe.mvpoly import grevlex_key, monomial_divides
+from mvphe.mvpoly import Polynomial, grevlex_key, monomial_divides, reduce_by_set
 from mvphe.serialize import load_secret_key, save_secret_key
 from mvphe.arith import balance
 from oracles import (
@@ -61,8 +59,11 @@ from oracles import (
     carry_table_from_P,
     encryption_factors,
     evalkey_tensor,
+    evaluate,
     factor_matrices,
+    generator,
     ideal_basis_r,
+    ideal_element,
     mult_intermediates,
     n_mode_product,
     powersoftwo,
@@ -295,31 +296,38 @@ def test_evalkey_discloses_the_decryption_matrix(name):
 
 
 def test_generator_properties(toy_sk):
+    """The key holds g as its C(v + r_g, r_g) balanced coefficients, the
+    constant first and the leading 1 last; as a polynomial it is monic of
+    degree r_g with a nonzero constant term, and nonzero at every point."""
     p = toy_sk.params
-    g = toy_sk.g
+    half = p.q // 2
+    assert type(toy_sk.g) is list and len(toy_sk.g) == math.comb(p.v + p.r_g, p.r_g)
+    assert all(type(c) is int and -half <= c <= half for c in toy_sk.g)
+    assert toy_sk.g[-1] == 1 and toy_sk.g[0] != 0
+    g = generator(toy_sk)
     assert g.degree == p.r_g
     assert g.terms.get((0,) * p.v, 0) != 0  # nonzero constant term
     lm, lc = g.leading_term()
     assert lc == 1 and sum(lm) == p.r_g
     for z in toy_sk.points:
-        assert g.eval(z) != 0
+        assert evaluate(g, z) != 0
 
 
 def test_point_rank_conditions(toy_sk):
     p = toy_sk.params
     q = p.q
     # condition 1: degree <= r evaluations fill the whole ciphertext space
-    V = [[Polynomial.monomial(p.v, q, m).eval(z) % q for z in toy_sk.points[:p.ell]]
-         for m in enumerate_monomials(p.v, p.r)]
+    V = [[evaluate(Polynomial.monomial(p.v, q, m), z) % q
+          for z in toy_sk.points[:p.ell]] for m in enumerate_monomials(p.v, p.r)]
     assert rank_mod_q(V, q) == p.ell
     # condition 2: ideal evaluations at the first n points have full rank
-    E1 = [[b.eval(z) % q for z in toy_sk.points[:p.n]]
+    E1 = [[evaluate(b, z) % q for z in toy_sk.points[:p.n]]
           for b in ideal_basis_r(toy_sk)]
     assert rank_mod_q(E1, q) == p.n
     # extension condition: the 2r-slice basis at (z_1..z_n, extras)
-    basis2 = _ideal_basis_2r(p, toy_sk.g)
+    basis2 = _ideal_basis_2r(p, generator(toy_sk))
     sub = toy_sk.points[:p.n] + toy_sk.points[p.ell:]
-    F1p = [[b.eval(z) % q for z in sub] for b in basis2]
+    F1p = [[evaluate(b, z) % q for z in sub] for b in basis2]
     assert rank_mod_q(F1p, q) == p.n1
 
 
@@ -346,12 +354,13 @@ def test_monomial_table_matches_polynomial_products(name):
     q = p.q
     table = _monomial_table(p, sk.points, 2 * p.r - p.r_g)
     assert table[:p.N] == _monomial_table(p, sk.points, p.r) == [
-        [Polynomial.monomial(p.v, q, m).eval(z) % q for z in sk.points]
+        [evaluate(Polynomial.monomial(p.v, q, m), z) % q for z in sk.points]
         for m in enumerate_monomials(p.v, p.r)]
-    rows = _ideal_rows([sk.g.eval(z) for z in sk.points], table, q)
-    assert rows == [[b.eval(z) % q for z in sk.points]
-                    for b in _ideal_basis_2r(p, sk.g)]
-    assert rows[:p.n] == [[b.eval(z) % q for z in sk.points]
+    g = generator(sk)
+    rows = _ideal_rows([evaluate(g, z) for z in sk.points], table, q)
+    assert rows == [[evaluate(b, z) % q for z in sk.points]
+                    for b in _ideal_basis_2r(p, g)]
+    assert rows[:p.n] == [[evaluate(b, z) % q for z in sk.points]
                           for b in ideal_basis_r(sk)]
 
 
@@ -362,11 +371,8 @@ def test_annihilation_of_ideal_evaluations(toy_sk):
     q = p.q
     rng = Random(55)
     for _ in range(20):
-        coeffs = [rng.randrange(q) for _ in range(p.n)]
-        f = Polynomial(p.v, q)
-        for c, b in zip(coeffs, ideal_basis_r(toy_sk)):
-            f = f + b.scale(c)
-        ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]
+        f = ideal_element(toy_sk, [rng.randrange(q) for _ in range(p.n)])
+        ev = [evaluate(f, z) % q for z in toy_sk.points[:p.ell]]
         for j in range(p.ell - p.n):
             acc = sum(toy_sk.S[j][i] * ev[i] for i in range(p.n)) + ev[p.n + j]
             assert acc % q == 0
@@ -499,7 +505,7 @@ def test_keygen_gives_up_at_the_retry_cap(monkeypatch, toy_params, check):
 
 def test_build_g_count_and_degrees(toy_sk):
     p = toy_sk.params
-    G = build_G(toy_sk)
+    G = build_G(p, generator(toy_sk))
     assert len(G) == math.comb(p.v + p.r_prime, p.r_prime + 1) == 4
     keys = []
     for gi in G:
@@ -513,8 +519,9 @@ def test_build_g_count_and_degrees(toy_sk):
 def test_build_g_covers_all_top_multiples(toy_sk):
     """Every degree-(r+1) multiple of LM(g) is divisible by some LM(g_i)."""
     p = toy_sk.params
-    lm_g, _ = toy_sk.g.leading_term()
-    lms = [gi.leading_term()[0] for gi in build_G(toy_sk)]
+    g = generator(toy_sk)
+    lm_g, _ = g.leading_term()
+    lms = [gi.leading_term()[0] for gi in build_G(p, g)]
     for m in enumerate_monomials(p.v, p.r + 1):
         if sum(m) == p.r + 1 and monomial_divides(lm_g, m):
             assert any(monomial_divides(l, m) for l in lms)
@@ -713,11 +720,12 @@ def test_f1q_equals_f2_post_check(toy_sk, toy_evk):
     against balanced(B·Q·R mod q)."""
     p = toy_sk.params
     q = p.q
-    basis2 = _ideal_basis_2r(p, toy_sk.g)
-    G = build_G(toy_sk)
-    F1 = [[b.eval(z) % q for z in toy_sk.points] for b in basis2]
-    F2 = [[reduce_by_set(b, G, p.r).eval(z) % q for z in toy_sk.points[:p.ell]]
-          for b in basis2]
+    g = generator(toy_sk)
+    basis2 = _ideal_basis_2r(p, g)
+    G = build_G(p, g)
+    F1 = [[evaluate(b, z) % q for z in toy_sk.points] for b in basis2]
+    F2 = [[evaluate(reduce_by_set(b, G, p.r), z) % q
+           for z in toy_sk.points[:p.ell]] for b in basis2]
     st_probe = mult_intermediates(toy_sk, toy_evk, [0] * p.ell, [0] * p.ell)
     assert st_probe["product"] == [0] * p.ell
     sub_idx = list(range(p.n)) + list(range(p.ell, p.t))
@@ -853,58 +861,63 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
 def test_keygen_evaluates_g_once_per_point(monkeypatch):
     """keygen evaluates g once at each point it draws, and its ideal rows
     reuse that value: a bench16 keygen that passes first time evaluates g
-    at its t points only."""
+    at its t points only, each value the oracle's evaluation of g there."""
     evaluated = []
-    real_eval = Polynomial.eval
+    real = keys._generator_at
 
-    def evaluate(self, point):
-        evaluated.append(point)
-        return real_eval(self, point)
+    def counted(g, monos, z, q):
+        evaluated.append(z)
+        return real(g, monos, z, q)
 
-    monkeypatch.setattr(Polynomial, "eval", evaluate)
+    monkeypatch.setattr(keys, "_generator_at", counted)
     p = preset_params("bench16")
     sk = keygen(p, Random(1))
     assert sorted(evaluated) == sorted(sk.points) and len(evaluated) == p.t
+    g, monos = generator(sk), enumerate_monomials(p.v, p.r_g)
+    assert [real(sk.g, monos, z, p.q) for z in sk.points] == [
+        evaluate(g, z) % p.q for z in sk.points]
 
 
 def test_ideal_evaluations_form_no_polynomial_products(toy_params, tmp_path,
                                                        monkeypatch):
-    """keygen and load_secret_key form no Polynomial product.  build_evalkey
-    evaluates no polynomial but g, and makes one reduce_by_set call per
-    degree-(<= 2r) ideal basis element: it reads the remainders off a
-    monomial table.  On a keygen key it evaluates nothing, for keygen's
-    condition-3 matrix is its F1p; on a loaded key, which builds its own
-    F1p, it evaluates g once per solve point."""
-    products, evaluated, remainders = [], [], []
-    real_mul, real_eval, real_reduce = (Polynomial.__mul__, Polynomial.eval,
-                                        keys.reduce_by_set)
+    """keygen, save_secret_key and load_secret_key form no Polynomial at
+    all.  build_evalkey evaluates no polynomial but g, from its
+    coefficients, forms g as a Polynomial once for F2's division, and makes
+    one reduce_by_set call per degree-(<= 2r) ideal basis element: it reads
+    the remainders off a monomial table.  On a keygen key it evaluates
+    nothing, for keygen's condition-3 matrix is its F1p; on a loaded key,
+    which builds its own F1p, it evaluates g once per solve point."""
+    made, evaluated, remainders = [], [], []
+    real_init, real_at, real_reduce = (Polynomial.__init__, keys._generator_at,
+                                       keys.reduce_by_set)
 
-    def mul(self, other):
-        products.append(other)
-        return real_mul(self, other)
+    def init(self, v, q, terms=None):
+        made.append(terms)
+        real_init(self, v, q, terms)
 
-    def evaluate(self, point):
-        evaluated.append(self)
-        return real_eval(self, point)
+    def at(g, monos, z, q):
+        evaluated.append(g)
+        return real_at(g, monos, z, q)
 
     def reduce(*args):
         remainders.append(real_reduce(*args))
         return remainders[-1]
 
-    monkeypatch.setattr(Polynomial, "__mul__", mul)
-    monkeypatch.setattr(Polynomial, "__rmul__", mul)
-    monkeypatch.setattr(Polynomial, "eval", evaluate)
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(keys, "_generator_at", at)
     monkeypatch.setattr(keys, "reduce_by_set", reduce)
     p = toy_params
     sk = keygen(p, Random(3))
     path = str(tmp_path / "sk.bin")
     save_secret_key(sk, path)
     loaded = load_secret_key(path)
-    assert products == []
+    assert made == []
     evaluated.clear()
     build_evalkey(sk, rng=Random(1))
     assert evaluated == []
     assert len(remainders) == p.n1
+    g = dict(zip(enumerate_monomials(p.v, p.r_g), sk.g))
+    assert made.count(g) == 1
     build_evalkey(loaded, rng=Random(1))
     assert len(evaluated) == p.n1 and all(f is loaded.g for f in evaluated)
     assert len(remainders) == 2 * p.n1
@@ -1026,21 +1039,19 @@ def test_noiseless_pipeline_matches_polynomial_reduction(toy_sk):
     q = p.q
     rng = Random(60)
     evk = build_evalkey(toy_sk, rng=rng)
-    G = build_G(toy_sk)
+    G = build_G(p, generator(toy_sk))
     for _ in range(5):
         fs, cts = [], []
         for _ in range(2):
-            f = Polynomial(p.v, q)
-            for b in ideal_basis_r(toy_sk):
-                f = f + b.scale(rng.randrange(q))
-            ev = [f.eval(z) % q for z in toy_sk.points[:p.ell]]
+            f = ideal_element(toy_sk, [rng.randrange(q) for _ in range(p.n)])
+            ev = [evaluate(f, z) % q for z in toy_sk.points[:p.ell]]
             vec = [sum(ev[i] * toy_sk.R[i][j] for i in range(p.ell)) % q
                    for j in range(p.ell)]
             fs.append(f)
             cts.append(vec)
         st = mult_intermediates(toy_sk, evk, cts[0], cts[1])
         f_mult = reduce_by_set(fs[0] * fs[1], G, p.r)
-        want = [f_mult.eval(z) % q for z in toy_sk.points[:p.ell]]
+        want = [evaluate(f_mult, z) % q for z in toy_sk.points[:p.ell]]
         for j in range(p.ell):
             cj = st["reduced"][j]
             assert cj.denominator == 1  # exact integers in this mode

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from mvphe import (
     Ciphertext,
-    Polynomial,
     build_evalkey,
     decrypt,
     encrypt,
@@ -26,6 +25,7 @@ from mvphe import (
     pk_keygen,
     preset_params,
 )
+from mvphe.arith import balance
 from mvphe.cli import main
 from mvphe.errors import FormatError, ParameterError
 from mvphe.keys import PRESETS
@@ -55,7 +55,7 @@ from mvphe.serialize import (
     save_secret_key,
 )
 from mvphe.she import pk_rows
-from oracles import w_run_reference
+from oracles import generator, w_run_reference
 
 
 # --- roundtrips -------------------------------------------------------------
@@ -134,6 +134,31 @@ def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
     save_secret_key(load_secret_key(a), b)
     with open(a, "rb") as f1, open(b, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+# sha256 of the three secret-key files that save_secret_key writes for the
+# keys keygen draws from Random(f"pin-{preset}-{seed}"), seeds 1..3
+SECRET_KEY_DIGESTS = {
+    "bench12": "4e903085febc1cd9f4edf2945f172b804867df997c67a8e72c40f5ab3f3f49d6",
+    "bench16": "c302d79f20fa5d91798ecd2acc08974fec970e9497b62514bbc77aa8baab44b6",
+    "depth3": "40372d1e1df11516f9b7e38c7bb480322284e8e21e656483853ae402dc275596",
+    "small": "82a32914fdccfb44e07a71b8ea22632c7385d115d887ed38258e6bc8fe1eb8a1",
+    "toy": "79472c2f38fd15a34dda93a470f0d417ff7dba50fec554fb98c7e62b589c4532",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_secret_key_files_are_pinned(tmp_path, preset):
+    """Secret-key files, g's run among them, are a fixed function of the
+    seed on every preset: a change to how the key holds g or how the file
+    writes it must keep every byte."""
+    p = preset_params(preset)
+    h = hashlib.sha256()
+    path = tmp_path / "sk.bin"
+    for seed in (1, 2, 3):
+        save_secret_key(keygen(p, Random(f"pin-{preset}-{seed}")), str(path))
+        h.update(path.read_bytes())
+    assert h.hexdigest() == SECRET_KEY_DIGESTS[preset]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -629,36 +654,44 @@ def test_key_matrix_shapes_checked(tmp_path, toy_sk):
 def test_secret_key_generator_checked(tmp_path, toy_sk):
     """g must be what keygen draws: v variables, degree r_g, monic under
     grevlex, nonzero constant term.  The file holds g's coefficients on the
-    monomials of degree <= r_g in v variables, so a g with a term outside
-    them is refused when saving; a scaled g, a g of lower degree or one
+    C(v + r_g, r_g) monomials of degree <= r_g in v variables, as the key
+    does, so a g of another length is refused when saving, here a monic
+    g in one variable and g² in v; a scaled g, a g of lower degree or one
     with a zero constant would otherwise load and evaluate, so the saver
-    refuses them, and the loader refuses a good file whose g run is
-    patched to hold one."""
+    refuses them, and so an empty g, and the loader refuses a good file
+    whose g run is patched to hold one."""
     p = toy_sk.params
     g = toy_sk.g
-    const = (0,) * p.v
-    lead = g.leading_term()[0]
+    cols = len(enumerate_monomials(p.v, p.r_g))
     path = tmp_path / "key.bin"
-    for bad in (Polynomial(p.v + 1, p.q, {(1,) + const: 1, (0,) + const: 5}),
-                g * g):
+    square = _generator_square(toy_sk)
+    assert square[-1] == 1 and square[0] != 0
+    for bad in ([g[0], 1], square):
         key = copy.copy(toy_sk)
         key.g = bad
-        _refused_unsaved(save_secret_key, key, path, "^g has a term outside the "
-                         f"monomials of degree <= r_g = {p.r_g} in v = {p.v}")
-    for bad in (g.scale(2),
-                g - Polynomial.monomial(p.v, p.q, lead),
-                g - Polynomial.monomial(p.v, p.q, const, g.terms[const])):
+        _refused_unsaved(save_secret_key, key, path,
+                         f"^g must be 1x{cols} for these parameters$")
+    key = copy.copy(toy_sk)
+    key.g = []
+    _refused_unsaved(save_secret_key, key, path,
+                     "^secret key generator is not monic of degree")
+    for bad in ([balance(2 * c, p.q) for c in g], g[:-1] + [0], [0] + g[1:]):
         key = copy.copy(toy_sk)
         key.g = bad
         _refused_unsaved(save_secret_key, key, tmp_path / "refused.bin",
                          "^secret key generator is not monic of degree")
         save_secret_key(toy_sk, str(path))
-        monomials = enumerate_monomials(p.v, p.r_g)
-        good = _run(*(g.terms.get(m, 0) for m in monomials))
-        _patch_payload(str(path), 0, len(good),
-                       _run(*(bad.terms.get(m, 0) for m in monomials)))
+        good = _run(*g)
+        _patch_payload(str(path), 0, len(good), _run(*bad))
         with pytest.raises(FormatError, match="generator is not monic of degree"):
             load_secret_key(str(path))
+
+
+def _generator_square(sk) -> list[int]:
+    """g² as its coefficients on the monomials of degree <= 2·r_g."""
+    p = sk.params
+    g = generator(sk)
+    return [(g * g).terms.get(m, 0) for m in enumerate_monomials(p.v, 2 * p.r_g)]
 
 
 def test_secret_key_huge_r_g_refused_at_once(tmp_path, toy_sk, stall_guard):
@@ -846,8 +879,7 @@ def test_residue_shifted_by_q_refused(tmp_path, toy_sk, toy_params, toy_evk, cap
         _refused_unsaved(save_secret_key, key, tmp,
                          f"^{name} has an entry outside 0..{q - 1}$")
     key = copy.copy(toy_sk)
-    key.g = copy.copy(toy_sk.g)
-    key.g.terms = {m: c + q for m, c in toy_sk.g.terms.items()}
+    key.g = [c + q for c in toy_sk.g]
     _refused_unsaved(save_secret_key, key, tmp, f"^g has an entry outside -{half}..")
     for name in ("C0", "C_unit"):
         m = [row[:] for row in getattr(pk, name)]
