@@ -14,6 +14,10 @@ Every uniform draw below a bound is ``randbelow``, on the generator's
 that method's argument handling.  (``random_prime`` takes its candidates'
 bits from ``getrandbits`` directly.)
 
+Without an rng, ``is_probable_prime`` is the fixed-base proof below psi_13,
+past every modulus ``Params`` admits, or a refusal; with one, as
+``random_prime`` calls it, it tests witnesses drawn from that rng.
+
 The balanced representative convention: an integer x reduced mod an odd
 prime q is reported in the interval (−q/2, q/2].  Serialization and all
 cross-module arithmetic use this form.
@@ -80,26 +84,23 @@ def _proved_prime(n: int) -> bool:
 
 
 def is_probable_prime(n: int, rng=None) -> bool:
-    """Miller–Rabin primality test, _MR_ROUNDS rounds: false positives <= 4**-64.
-
-    Witnesses are drawn from ``rng`` when given (keeps callers deterministic
-    under a fixed seed).  Without one, n below psi_13 is decided exactly by
-    the fixed bases 2..41; larger n get a deterministic sweep of
-    _MR_ROUNDS bases.
-    """
+    """Whether n is prime: trial division by the primes up to 37, then
+    Miller–Rabin.  Without ``rng`` a proof: the fixed bases 2..41 decide
+    n below psi_13, and a larger n is refused with ParameterError.  With
+    ``rng``, _MR_ROUNDS witnesses drawn from it (deterministic under a
+    fixed seed): false positives <= 4**-64."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    if rng is None and n < _PSI_13:
+    if rng is None:
+        if n >= _PSI_13:
+            raise ParameterError(
+                f"without an rng, primality is proved only below psi_13; got n = {n}")
         return _proved_prime(n)
-    for i in range(_MR_ROUNDS):
-        if rng is not None:
-            a = 2 + randbelow(rng, n - 3)
-        else:
-            a = 2 + i * 0x9E3779B97F4A7C15 % (n - 3)
-        if _miller_rabin_witness(n, a):
+    for _ in range(_MR_ROUNDS):
+        if _miller_rabin_witness(n, 2 + randbelow(rng, n - 3)):
             return False
     return True
 

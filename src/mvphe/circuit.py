@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from .errors import DepthError, FormatError, ParameterError
 from .keys import EvalKey
-from .she import Ciphertext, _check_ciphertext, eval_add, eval_mult
+from .she import Ciphertext, _are_bits, _check_ciphertext, eval_add, eval_mult
 
 __all__ = ["Gate", "Circuit", "parse_circuit", "eval_plain", "eval_homomorphic"]
 
@@ -150,8 +150,8 @@ def eval_plain(circ: Circuit, inputs: Sequence[Sequence[int]]) -> list[list[int]
     vecs = [list(vec) for vec in inputs]
     if any(len(vec) != len(vecs[0]) for vec in vecs):
         raise ParameterError("all input vectors must have the same width")
-    if any(b not in (0, 1) for vec in vecs for b in vec):
-        raise ParameterError("input bits must be 0 or 1")
+    if not all(map(_are_bits, vecs)):
+        raise ParameterError("input bits must be the ints 0 or 1")
     env = _walk(circ.gates, dict(zip(circ.inputs, vecs)),
                 lambda a, b: [x & y for x, y in zip(a, b)],
                 lambda a, b: [x ^ y for x, y in zip(a, b)])

@@ -295,29 +295,30 @@ PRESETS: dict[str, dict] = {
 def setup(lambda_: int = 64, L: int = 1, rng: Random | None = None, *,
           v: int = 2, r_g: int = 1, r_prime: int = 2, ell: int | None = None,
           sigma: Rational = 8, B: int | None = None, u: int = 8,
-          q: int | None = None, q_bits: int | None = None) -> Params:
+          q_bits: int | None = None) -> Params:
     """Build a consistent Params object from the knobs in the signature:
     ``ell=None`` means n + 2, ``B=None`` ceil(6·sigma) (48 at sigma = 0) and
     ``q_bits=None`` the smallest size that passes a worst-case noise
-    simulation for depth L.  Without ``q`` and ``rng`` the modulus is drawn
-    from a generator seeded by the stamp (lambda_, L, v, r_g, r_prime, ell,
-    q_bits), so the result is a pure function of its arguments.
+    simulation for depth L.  The modulus q is a prime of ``q_bits`` bits
+    drawn from ``rng``; without one, from a generator seeded by the stamp
+    (lambda_, L, v, r_g, r_prime, ell, q_bits), so the result is a pure
+    function of its arguments.  A chosen modulus goes to ``Params``
+    directly.
     """
     _check_dimensions(v, r_g, r_prime)
     if ell is None:
         ell = math.comb(v + r_prime, r_prime) + 2
     if B is None:
         B = six_sigma(sigma) if sigma else 48
-    if q is None:
-        if q_bits is None:
-            q_bits = _auto_q_bits(L, ell, u, B)
-        elif q_bits > _Q_BITS_MAX:  # refused before a long prime search
-            raise ParameterError(
-                f"q must have at most {_Q_BITS_MAX} bits, got {q_bits}")
-        if rng is None:
-            stamp = f"mvphe-setup|{lambda_}|{L}|{v}|{r_g}|{r_prime}|{ell}|{q_bits}"
-            rng = Random(stamp)
-        q = random_prime(q_bits, rng)
+    if q_bits is None:
+        q_bits = _auto_q_bits(L, ell, u, B)
+    elif q_bits > _Q_BITS_MAX:  # refused before a long prime search
+        raise ParameterError(
+            f"q must have at most {_Q_BITS_MAX} bits, got {q_bits}")
+    if rng is None:
+        stamp = f"mvphe-setup|{lambda_}|{L}|{v}|{r_g}|{r_prime}|{ell}|{q_bits}"
+        rng = Random(stamp)
+    q = random_prime(q_bits, rng)
     return Params(lambda_=lambda_, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell,
                   q=q, sigma=sigma, B=B, u=u)
 

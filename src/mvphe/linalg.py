@@ -139,8 +139,6 @@ def mat_mul(A: Matrix, B: Matrix, q: int) -> Matrix:
     k2, m = dims(B)
     if k != k2:
         raise ParameterError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    if not m:
-        return [[] for _ in A]
     width = slot_width(k * (q - 1) ** 2)
     rows = pack_rows([[x % q for x in row] for row in B], width)
     return [[x % q for x in unpack_slots(
@@ -193,8 +191,6 @@ def _eliminate(M: Sequence[Sequence[int]], ncols: int,
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
-        if rank == n:
-            break
         s = shifts[col]
         fs = [(row >> s & mask) % q for row in rows]
         pivot = next((r for r in range(rank, n) if fs[r]), None)
@@ -248,6 +244,4 @@ def inverse_mod_q(A: Matrix, q: int) -> Matrix:
 def rank_mod_q(A: Matrix, q: int) -> int:
     """The rank of A mod prime q: the pivot count of ``_eliminate``, whose
     rows it does not read back."""
-    if not A or not A[0]:
-        return 0
-    return len(_eliminate(A, len(A[0]), q)[0])
+    return len(_eliminate(A, dims(A)[1], q)[0])

@@ -109,14 +109,6 @@ class Polynomial:
         mono = max(self.terms, key=grevlex_key)
         return mono, self.terms[mono]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.v == other.v
-            and self.q == other.q
-            and self.terms == other.terms
-        )
-
     # -- arithmetic -------------------------------------------------------
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.q != other.q or self.v != other.v:

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import mul
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arith import NoiseSampler, approx, balance, randbelow
 from .errors import DepthError, ParameterError
@@ -76,8 +76,10 @@ class Ciphertext:
         half = q // 2
         self.vec = [r - q if (r := x % q) > half else r for x in self.vec]
 
-    def __len__(self) -> int:
-        return len(self.vec)
+
+def _are_bits(xs: Iterable) -> bool:
+    """Whether every x is the int 0 or 1: a bool passes, 1.0 does not."""
+    return all(isinstance(x, int) and x in (0, 1) for x in xs)
 
 
 def _check_message(params: Params, m: Sequence[int]) -> list[int]:
@@ -86,8 +88,8 @@ def _check_message(params: Params, m: Sequence[int]) -> list[int]:
         raise ParameterError(
             f"message must have {params.message_bits} bits, got {len(m)}"
         )
-    if any(b not in (0, 1) for b in m):
-        raise ParameterError("message bits must be 0 or 1")
+    if not _are_bits(m):
+        raise ParameterError("message bits must be the ints 0 or 1")
     return m
 
 

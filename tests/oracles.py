@@ -43,7 +43,6 @@ from mvphe.keys import (
     _ideal_basis_2r,
     build_G,
     preset_params,
-    setup,
 )
 from mvphe.linalg import (
     Matrix,
@@ -185,8 +184,8 @@ CARRY_SETS = {
     "toy-u0": lambda: preset_params("toy", u=0),
     # q_bits − 1 = 40 carry rows: the last hex window is a full one
     "toy-q41": lambda: preset_params("toy", q_bits=41),
-    "tiny-q97": lambda: setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97,
-                              sigma=1, B=6, u=2),
+    "tiny-q97": lambda: Params(lambda_=8, L=1, v=1, r_g=1, r_prime=1, ell=3,
+                               q=97, sigma=1, B=6, u=2),
 }
 
 

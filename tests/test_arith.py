@@ -19,6 +19,7 @@ from mvphe.arith import (
     random_prime,
     randbelow,
 )
+from mvphe.errors import ParameterError
 from mvphe.keys import PRESETS, preset_params
 from oracles import round_nearest, sample_reference
 
@@ -205,7 +206,9 @@ def test_is_probable_prime_known_values():
     assert not is_probable_prime(1) and not is_probable_prime(561)  # Carmichael
     # a few Mersenne-adjacent composites
     assert not is_probable_prime((1 << 40) - 1)
-    assert is_probable_prime((1 << 89) - 1)
+    # past psi_13 only witnesses drawn from an rng decide
+    assert is_probable_prime((1 << 89) - 1, rng=Random(12))
+    assert not is_probable_prime(((1 << 61) - 1) * ((1 << 31) - 1), rng=Random(12))
 
 
 # psi_k: the least strong pseudoprime to the first k prime bases, k = 1..13
@@ -225,10 +228,14 @@ def _swept(n: int) -> bool:
 def test_fixed_bases_refuse_every_psi():
     assert PSI[-1] == _PSI_13
     assert [a for a in _PROOF_BASES if _miller_rabin_witness(PSI[-2], a)] == [41]
-    for n in PSI:
+    for n in PSI[:-1]:
         assert not is_probable_prime(n), n
-    # psi_13 is past the proof's range and falls to the sweep
+    # psi_13 is past the proof's range: refused without an rng, and
+    # exposed by drawn witnesses
     assert not any(_miller_rabin_witness(_PSI_13, a) for a in _PROOF_BASES)
+    with pytest.raises(ParameterError, match="psi_13"):
+        is_probable_prime(_PSI_13)
+    assert not is_probable_prime(_PSI_13, rng=Random(13))
 
 
 def test_fixed_bases_agree_with_trial_division_below_20000():

@@ -2,6 +2,7 @@
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -147,6 +148,14 @@ def test_eval_plain_validates_inputs():
         eval_plain(c, [[0, 1], [0]])  # ragged widths
     with pytest.raises(ParameterError):
         eval_plain(c, [[0, 2], [0, 1]])  # non-bit
+
+
+def test_eval_plain_refuses_bits_that_are_not_ints():
+    c = parse_circuit(SIMPLE)
+    for bad in ([[1.0, 0], [0, 1]], [[0, 1], [0, Fraction(1)]]):
+        with pytest.raises(ParameterError, match="ints 0 or 1"):
+            eval_plain(c, bad)
+    assert eval_plain(c, [[True, True], [True, False]]) == [[1, 0]]
 
 
 # --- homomorphic evaluation --------------------------------------------------

@@ -1,16 +1,21 @@
 """The shipped package holds the scheme and nothing more: no unused imports,
 no top-level function or class, and no method or property of a package
-class, that nothing in the package uses.  Listing a name in __all__ does
-not count as using it.  And the benchmark still runs on it: every function
-its tracer wraps exists, every layer its metrics read is reached, and its
-workloads give the ciphertext vectors its digests pin.  README names the
-container's current format version, and every ``module.name`` or
-``Class.attr`` that README or a package docstring cites exists."""
+class, that nothing in the package uses, and no statement that no public
+flow runs.  Listing a name in __all__ does not count as using it.  And
+the benchmark still runs on it: every function its tracer wraps exists,
+every layer its metrics read is reached, and its workloads give the
+ciphertext vectors its digests pin.  README names the container's current
+format version, and every ``module.name`` or ``Class.attr`` that README
+or a package docstring cites exists."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from random import Random
@@ -356,3 +361,180 @@ def test_cited_names_exist():
                    is_dataclass(heads[head])
                    and name in {f.name for f in fields(heads[head])})]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# statement reach
+# ---------------------------------------------------------------------------
+
+FLOWS = Path(__file__).with_name("public_flows.py")
+
+# Statements no public flow runs that the package keeps, keyed by module,
+# function and the statement's first line, each with its reason.
+_RARE = "a redraw after a draw of probability about 1/q, which no seed of the flows makes"
+_REFERENCE = ("the to_bytes path packs entries of 2^64 or more, which "
+              "oracles.carry_table_from_P and test_linalg's wide-entry "
+              "products pack through it as the reference")
+ALLOWED = {
+    ("keys", "_sample_generator", "g[0] = 1 + randbelow(rng, q - 1)"): _RARE,
+    ("keys", "keygen", "continue"): _RARE,
+    ("arith", "is_probable_prime", "return False"):
+        "n < 2: random_prime's candidates have 8 bits or more, and Params refuses q < 3 first",
+    ("linalg", "pack_rows", 'widths, order = repeat(width), repeat("little")'):
+        _REFERENCE,
+    ("linalg", "pack_rows", "try:"): _REFERENCE,
+    ("linalg", "pack_rows",
+     'return [int.from_bytes(b"".join(map(int.to_bytes, row, widths, order)),'):
+        _REFERENCE,
+}
+
+
+def _refuses(stmt: ast.stmt, raisers: set[str]) -> bool:
+    """A ``raise``, or a call of a helper whose body is one ``raise``."""
+    return isinstance(stmt, ast.Raise) or (
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        and getattr(stmt.value.func, "id", None) in raisers)
+
+
+def _is_main_guard(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+
+
+def _is_constant(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+
+
+def _statement_misses(module: str, source: str, hits: set[int],
+                      allowed: dict) -> list[str]:
+    """``module.py:line: statement`` for each statement of ``source`` that
+    no line in ``hits`` reached, unless it only refuses or ``allowed``
+    names it, and a line for each ``allowed`` entry of ``module`` that
+    names no statement, so the list cannot go stale.
+
+    A statement is reached when a line it spans ran: any line of it runs
+    only after it has started.  Exempt: a ``raise``; a call of a helper
+    whose body is one ``raise``; every statement of an ``except`` handler
+    or of a block that ends by refusing (a definition's body is no such
+    block); the body of the ``__main__`` guard; and a bare constant, such
+    as a docstring, which compiles to nothing.  ``allowed`` is keyed by
+    module, function (dotted for a method) and the statement's first
+    line."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    raisers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and [type(s) for s in node.body
+                    if not _is_constant(s)] == [ast.Raise]}
+    misses, present = [], set()
+
+    def visit(block: list[ast.stmt], where: str, exempt: bool) -> None:
+        for stmt in block:
+            text = lines[stmt.lineno - 1].strip()
+            present.add((where, text))
+            if not (exempt or _refuses(stmt, raisers) or _is_constant(stmt)
+                    or hits.intersection(range(stmt.lineno, stmt.end_lineno + 1))
+                    or (module, where, text) in allowed):
+                misses.append(f"{module}.py:{stmt.lineno}: {text}")
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                # a definition's body runs whole, whatever its last statement
+                visit(stmt.body, f"{where}.{stmt.name}".lstrip("."), exempt)
+                continue
+            for name in ("body", "orelse", "finalbody"):
+                inner = getattr(stmt, name, None)
+                if inner:
+                    visit(inner, where, exempt or _refuses(inner[-1], raisers)
+                          or name == "body" and _is_main_guard(stmt))
+            for handler in getattr(stmt, "handlers", ()):
+                visit(handler.body, where, True)
+
+    visit(tree.body, "", False)
+    misses += [f"{module}.py: ALLOWED names no statement {where}: {text}"
+               for mod, where, text in allowed
+               if mod == module and (where, text) not in present]
+    return misses
+
+
+def test_every_statement_runs(tmp_path):
+    """Every statement of the package runs on a public flow
+    (``tests/public_flows.py``: each preset through the library, sums past
+    the decryption limit, a sigma = 0 key, and every CLI verb), traced in
+    a fresh interpreter, unless it only refuses or ``ALLOWED`` names it
+    (``_statement_misses``).  A branch that nothing public reaches is
+    dead code, and code a later change adds must bring the flow that
+    reaches it."""
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    hits_path = tmp_path / "hits.json"
+    run = subprocess.run([sys.executable, str(FLOWS), str(hits_path), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    hits = json.loads(hits_path.read_text(encoding="utf-8"))
+    assert {module for module, _, _ in ALLOWED} <= {name[:-3] for name in TREES}
+    misses = [miss for name in TREES for miss in _statement_misses(
+                  name[:-3], (PACKAGE / name).read_text(encoding="utf-8"),
+                  set(hits[name]), ALLOWED)]
+    assert misses == [], "\n".join(misses)
+
+
+# A module for the guard's rules; lines marked "# hit" are the ones run.
+SYNTHETIC = '''\
+"""A docstring."""  # hit
+
+
+def err(msg):  # hit
+    """Refuse."""
+    raise ValueError(msg)
+
+
+def f(x):  # hit
+    """Not run as code."""
+    if x:  # hit
+        y = 1  # hit
+    else:
+        y = 2
+    if x < 0:  # hit
+        raise ValueError(x)
+    try:  # hit
+        y += 1  # hit
+    except ValueError:
+        y = 3
+    if x > 9:  # hit
+        note = "big"
+        err(note)
+    return y  # hit
+
+
+def g(xs):  # hit
+    for x in xs:  # hit
+        if x:  # hit
+            continue
+        return x  # hit
+    raise LookupError(xs)
+
+
+if __name__ == "__main__":  # hit
+    f(1)
+'''
+
+
+def test_statement_guard_rules():
+    """Of the unreached statements only ``y = 2`` and the ``continue`` are
+    misses: a ``raise``, an ``except`` body, a block that ends in a call
+    of a one-``raise`` helper, the ``__main__`` body and docstrings are
+    exempt, while a function whose body ends by raising is not.  An
+    ``ALLOWED`` entry covers a miss by module, function and text, and one
+    that names no statement is itself reported."""
+    hits = {i for i, line in enumerate(SYNTHETIC.splitlines(), start=1)
+            if line.endswith("# hit")}
+    misses = ["m.py:14: y = 2", "m.py:30: continue"]
+    assert _statement_misses("m", SYNTHETIC, hits, {}) == misses
+    assert _statement_misses("m", SYNTHETIC, hits | {14, 30}, {}) == []
+    allowed = {("m", "f", "y = 2"): "why", ("m", "g", "continue"): "why"}
+    assert _statement_misses("m", SYNTHETIC, hits, allowed) == []
+    assert _statement_misses("other", SYNTHETIC, hits, allowed) == [
+        "other.py:14: y = 2", "other.py:30: continue"]
+    stale = {("m", "f", "y = 4"): "why", ("m", "g", "y = 2"): "why"}
+    assert _statement_misses("m", SYNTHETIC, hits, stale) == misses + [
+        "m.py: ALLOWED names no statement f: y = 4",
+        "m.py: ALLOWED names no statement g: y = 2"]

@@ -115,6 +115,15 @@ def test_setup_deterministic():
     assert a == b
 
 
+# each preset's modulus, drawn from its stamp-seeded generator
+PRESET_MODULI = {"bench12": 746581830899, "bench16": 954845559319,
+                 "depth3": 232126662491323, "small": 1812037, "toy": 783018399557}
+
+
+def test_preset_moduli_are_pinned():
+    assert {name: preset_params(name).q for name in PRESETS} == PRESET_MODULI
+
+
 def test_setup_rejects_bad_shapes():
     with pytest.raises(ParameterError):
         setup(64, 0)  # L >= 1
@@ -122,12 +131,16 @@ def test_setup_rejects_bad_shapes():
         setup(64, 1, v=2, r_g=1, r_prime=2, ell=6)  # ell must exceed n
     with pytest.raises(ParameterError):
         setup(64, 1, v=2, r_g=1, r_prime=2, ell=11)  # ell beyond N=10
-    with pytest.raises(ParameterError):
-        setup(64, 1, q=97, B=30)  # B >= floor(q/2)/2
+    with pytest.raises(ParameterError, match="decryption needs B"):
+        Params(lambda_=64, L=1, v=2, r_g=1, r_prime=2, ell=8, q=97, sigma=1,
+               B=30, u=8)  # B >= floor(q/2)/2
     with pytest.raises(ParameterError):
         preset_params("nope")
     with pytest.raises(TypeError, match="'w'"):
         setup(64, 1, w=3)
+    # a chosen modulus goes to Params, not to setup
+    with pytest.raises(TypeError, match="'q'"):
+        setup(64, 1, q=97)
     # 5·log2(6·40) < 40 bits passes the cheap L check; the exact one refuses it
     with pytest.raises(ParameterError, match=r"depth L=5: q < B·\(n·log2 q\)\^L$"):
         preset_params("toy", L=5)
@@ -332,8 +345,8 @@ def test_point_rank_conditions(toy_sk):
 
 
 TABLE_SHAPES = {
-    "tiny": lambda: setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1,
-                          B=6, u=2),
+    "tiny": lambda: Params(lambda_=8, L=1, v=1, r_g=1, r_prime=1, ell=3, q=97,
+                           sigma=1, B=6, u=2),
     "v3": lambda: setup(64, 1, v=3, r_g=2, r_prime=1, ell=6),
     "v4": lambda: setup(64, 1, v=4, r_g=1, r_prime=1, ell=7),
 }
@@ -1003,7 +1016,8 @@ def test_masking_column_norm_bound(small_sk):
 def test_tensor_composition_matches_factored_form():
     """M assembled by chained n-mode products U x1 P1 x2 P2 x3 W^T equals the
     factored entry formula, on a tiny set where the tensor is materializable."""
-    tiny = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
+    tiny = Params(lambda_=8, L=1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1,
+                  B=6, u=2)
     evk = build_evalkey(keygen(tiny, Random(8)), rng=Random(8))
     U = Tensor3.zeros(tiny.t, tiny.t, tiny.t)
     for s, c in enumerate(u_coeffs(evk)):
@@ -1018,7 +1032,8 @@ def test_tensor_composition_matches_factored_form():
 def test_evalkey_denominators_divide_q_2_2u():
     """EvalKey tensor entries have denominators dividing q*2^(2u); checked
     on a tiny parameter set where the gadget tensor is materializable."""
-    tiny = setup(8, 1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1, B=6, u=2)
+    tiny = Params(lambda_=8, L=1, v=1, r_g=1, r_prime=1, ell=3, q=97, sigma=1,
+                  B=6, u=2)
     sk = keygen(tiny, Random(9))
     evk = build_evalkey(sk, rng=Random(10))
     M = evalkey_tensor(evk)

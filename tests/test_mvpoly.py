@@ -25,6 +25,11 @@ def const(c, v=2, q=Q):
     return Polynomial(v, q, {(0,) * v: c})
 
 
+def same(f, g):
+    """Equal as polynomials: ``Polynomial`` has no ``==`` of its own."""
+    return (f.v, f.q, f.terms) == (g.v, g.q, g.terms)
+
+
 def random_poly(v, q, deg, rng, density=0.7):
     terms = {}
     for m in enumerate_monomials(v, deg):
@@ -91,10 +96,10 @@ def test_mul_identity_and_difference_of_squares():
     rng = Random(22)
     f = random_poly(2, 7, 3, rng)
     one = Polynomial(2, 7, {(0, 0): 1})
-    assert f * one == f
+    assert same(f * one, f)
     x1 = Polynomial(2, 7, {(1, 0): 1})
     a = Polynomial(2, 7, {(1, 0): 1, (0, 0): 1}) * (x1 - one)
-    assert a == Polynomial(2, 7, {(2, 0): 1, (0, 0): -1})
+    assert same(a, Polynomial(2, 7, {(2, 0): 1, (0, 0): -1}))
 
 
 def test_mul_matches_dense_convolution():
@@ -116,7 +121,7 @@ def test_mul_matches_dense_convolution():
 def test_sub_is_termwise():
     f = Polynomial(2, 7, {(1, 0): 3})
     g = Polynomial(2, 7, {(1, 0): -4, (0, 1): 1})
-    assert f - g == Polynomial(2, 7, {(0, 1): -1})  # 3+4 = 0 mod 7
+    assert same(f - g, Polynomial(2, 7, {(0, 1): -1}))  # 3+4 = 0 mod 7
     assert (f * g).degree == 2
 
 
@@ -182,7 +187,7 @@ def test_reduce_noop_below_degree():
     g = sample_g(2, Q, 1, rng)
     G = make_reduction_set(2, Q, g, 2)
     f = random_poly(2, Q, 3, rng)
-    assert reduce_by_set(f, G, 3) == f
+    assert reduce_by_set(f, G, 3) is f
 
 
 def test_reduce_element_of_ideal_membership():
@@ -212,8 +217,8 @@ def test_reduce_element_of_ideal_membership():
                     break
             else:
                 raise AssertionError("manual reduction stalled")
-        assert work == rem
-        assert f - rem == Polynomial(v, Q) - minus_recon
+        assert same(work, rem)
+        assert same(f - rem, Polynomial(v, Q) - minus_recon)
 
 
 def test_reduce_is_linear():
@@ -231,7 +236,7 @@ def test_reduce_is_linear():
         lhs = reduce_by_set(f1 * const(a) - f2 * const(-b), G, r)
         rhs = (reduce_by_set(f1, G, r) * const(a)
                - reduce_by_set(f2, G, r) * const(-b))
-        assert lhs == rhs
+        assert same(lhs, rhs)
 
 
 def test_reduce_termination_bound():
@@ -253,7 +258,7 @@ def test_reduce_termination_bound():
             work = work - Polynomial(v, Q, {shift: lc}) * hit
             steps += 1
             assert steps <= budget
-        assert work == reduce_by_set(f, G, r)
+        assert same(work, reduce_by_set(f, G, r))
 
 
 def test_reduce_stall_raises_construction_error():

@@ -22,6 +22,7 @@ from mvphe import (
     pk_encrypt,
     pk_keygen,
     preset_params,
+    setup,
 )
 from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
@@ -79,7 +80,7 @@ def test_fresh_roundtrip(toy_sk):
         ct = encrypt(toy_sk, m, rng)
         assert decrypt(toy_sk, ct) == m
         assert ct.noise_hint == toy_sk.params.B
-        assert len(ct) == toy_sk.params.ell
+        assert len(ct.vec) == toy_sk.params.ell
 
 
 def test_fresh_roundtrip_other_presets(small_sk, depth3_sk):
@@ -99,6 +100,31 @@ def test_zero_noise_is_exact(toy_sk):
         assert ct.noise_hint == 0
         assert noise_of(toy_sk, ct, m) == [0] * mb
         assert decrypt(toy_sk, ct) == m
+
+
+def test_sigma_zero_key_end_to_end():
+    """A ``setup(sigma=0)`` key: its sampler draws nothing, so fresh
+    ciphertexts have no noise, yet carry the hint B = 48 that ``setup``
+    gives sigma = 0, and decrypt exactly; one AND's measured noise stays
+    within its hint."""
+    p = setup(sigma=0)
+    assert p.B == 48
+    sk = keygen(p, Random("sigma0"))
+    evk = build_evalkey(sk, rng=Random("sigma0-evk"))
+    fresh = []
+    for seed in range(20):
+        rng = Random(seed)
+        m = [rng.randrange(2) for _ in range(p.message_bits)]
+        ct = encrypt(sk, m, rng)
+        assert ct.noise_hint == 48
+        assert noise_of(sk, ct, m) == [0] * p.message_bits
+        assert decrypt(sk, ct) == m
+        fresh.append((ct, m))
+    (c1, m1), (c2, m2) = fresh[:2]
+    want = [a & b for a, b in zip(m1, m2)]
+    prod = eval_mult(evk, c1, c2)
+    assert decrypt(sk, prod) == want
+    assert max(map(abs, noise_of(sk, prod, want))) <= prod.noise_hint
 
 
 def test_zero_message_zero_randomness_is_zero_vector(toy_sk):
@@ -188,6 +214,25 @@ def test_message_validation(toy_sk):
         encrypt(toy_sk, [0, 1, 0], rng)  # too long
     with pytest.raises(ParameterError):
         encrypt(toy_sk, [0, 2], rng)  # not a bit
+
+
+# messages whose entries equal bits but are no ints; a bool is an int
+NOT_INT_BITS = ([1.0, 0], [0, Fraction(1)])
+
+
+def test_encrypt_refuses_bits_that_are_not_ints(toy_sk):
+    for m in NOT_INT_BITS:
+        with pytest.raises(ParameterError, match="ints 0 or 1"):
+            encrypt(toy_sk, m, Random(105))
+    assert decrypt(toy_sk, encrypt(toy_sk, [True, False], Random(105))) == [1, 0]
+
+
+def test_noise_of_refuses_bits_that_are_not_ints(toy_sk):
+    ct = encrypt(toy_sk, [1, 0], Random(105))
+    for m in NOT_INT_BITS:
+        with pytest.raises(ParameterError, match="ints 0 or 1"):
+            noise_of(toy_sk, ct, m)
+    assert noise_of(toy_sk, ct, [True, False]) == noise_of(toy_sk, ct, [1, 0])
 
 
 @pytest.mark.parametrize("key", ["toy_sk", "small_sk"])
@@ -350,7 +395,7 @@ def test_mult_truth_table(toy_sk, toy_evk):
             prod = eval_mult(toy_evk, c1, c2)
             assert decrypt(toy_sk, prod) == [a & b, a & b]
             assert prod.noise_hint == mult_noise_hint(toy_evk, *[toy_sk.params.B] * 2)
-            assert len(prod) == toy_sk.params.ell
+            assert len(prod.vec) == toy_sk.params.ell
 
 
 def test_mult_mixed_slots(toy_sk, toy_evk):
@@ -707,6 +752,14 @@ def test_pk_encrypt_roundtrip(toy_sk, toy_pk):
         assert decrypt(toy_sk, ct) == m
         assert noise_of(toy_sk, ct, m) is not None
         assert 0 <= ct.noise_hint <= (toy_pk.d + p.message_bits) * p.B
+
+
+def test_pk_encrypt_refuses_bits_that_are_not_ints(toy_sk, toy_pk):
+    for m in NOT_INT_BITS:
+        with pytest.raises(ParameterError, match="ints 0 or 1"):
+            pk_encrypt(toy_pk, m, Random(105))
+    ct = pk_encrypt(toy_pk, [True, False], Random(105))
+    assert decrypt(toy_sk, ct) == [1, 0]
 
 
 def test_pk_encrypt_empty_subset_is_zero(toy_pk):
