@@ -175,8 +175,10 @@ def eval_homomorphic(evk: EvalKey, circ: Circuit,
     for ct in inputs:
         _check_ciphertext(evk.params, ct)
     # eval_mult and eval_add are read from this module at call time, so a
-    # wrapper set on mvphe.circuit sees every gate
+    # wrapper set on mvphe.circuit sees every gate; the ANDs share one memo
+    # of carry products, so a wire feeding several of them pays once
+    carries: dict = {}
     env = _walk(circ.gates, dict(zip(circ.inputs, inputs)),
-                lambda a, b: eval_mult(evk, a, b), eval_add)
+                lambda a, b: eval_mult(evk, a, b, carries), eval_add)
     return [env[w] for w in circ.outputs]
 

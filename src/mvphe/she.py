@@ -183,7 +183,8 @@ def mult_noise_hint(evk: EvalKey, h1: int, h2: int) -> int:
     return _product_hint(max(h1, h2), p.ell, p.u, p.q)
 
 
-def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
+def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
+              carries: dict | None = None) -> Ciphertext:
     """Homomorphic AND via the multiplication key.
 
     A product whose hint (``mult_noise_hint``) reaches the decryption limit
@@ -211,6 +212,12 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
     matters: each z_s is reduced to that first, and the sums are one
     multiply-add per row of W against its packed rows (``evk.packed_W``,
     also built by the first call on a key) and one ``unpack_slots``.
+
+    ``carries`` is a memo of carry products that the ANDs of one
+    evaluation under this key share (``circuit.eval_homomorphic`` passes
+    one per call): a ciphertext already multiplied there, on either side
+    when D2s == D1s, reuses its carry product, so a wire that feeds several
+    ANDs pays for it once.  Without one, each call keeps its own.
     """
     p = evk.params
     _check_ciphertext(p, ct1)
@@ -220,18 +227,29 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
         raise DepthError(f"AND refused: its noise hint {approx(hint, '.4g')} "
                          f"reaches floor(q/2)/2 = {p.q // 2 / 2:.4g}")
     # the constructor balances
-    return Ciphertext(vec=_product(evk, ct1.vec, ct2.vec), q=p.q, noise_hint=hint)
+    return Ciphertext(vec=_product(evk, ct1.vec, ct2.vec, carries), q=p.q,
+                      noise_hint=hint)
 
 
-def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int]) -> list[int]:
+def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int],
+             carries: dict | None = None) -> list[int]:
     """The three layers of ``eval_mult`` on two ciphertext vectors, with no
     hint and no refusal: two carry products, then ``_contract``; the
-    entries are unbalanced."""
+    entries are unbalanced.  Each carry product is read from ``carries``
+    (a fresh dict when None), or computed and stored there, keyed by
+    (whether the table is P1's, *the vector): a hit is what
+    ``keys._carry_product`` would return, and one table given twice
+    (D2s == D1s) serves both sides."""
     p = evk.params
-    q = p.q
     T1, T2 = evk.packed
-    return _contract(evk, _carry_product(v1, T1, q, p.u),
-                     _carry_product(v2, T2, q, p.u))
+    memo = {} if carries is None else carries
+    xy = []
+    for vec, table, on_P1 in ((v1, T1, True), (v2, T2, T2 is T1)):
+        key = (on_P1, *vec)
+        if key not in memo:
+            memo[key] = _carry_product(vec, table, p.q, p.u)
+        xy.append(memo[key])
+    return _contract(evk, *xy)
 
 
 def _contract(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:

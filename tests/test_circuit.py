@@ -8,7 +8,9 @@ from random import Random
 import pytest
 
 from mvphe import circuit as circuit_mod
+from mvphe import she as she_mod
 from mvphe import (
+    build_evalkey,
     decrypt,
     encrypt,
     eval_homomorphic,
@@ -39,6 +41,20 @@ abc  = AND ab cin
 cout = XOR ab2 abc   # carry
 out s
 out cout
+"""
+
+# wire a feeds three ANDs, on both sides
+SHARED_WIRE = """
+in a
+in b
+in c
+in d
+ab = AND a b
+ca = AND c a
+ad = AND a d
+x  = XOR ab ca
+out x
+out ad
 """
 
 
@@ -171,6 +187,38 @@ def test_homomorphic_matches_plain(toy_sk, toy_evk):
         want = eval_plain(c, plains)
         got = eval_homomorphic(toy_evk, c, cts)
         assert [decrypt(toy_sk, ct) for ct in got] == want
+
+
+def test_a_wire_feeding_three_ands_costs_one_carry_product(toy_sk, monkeypatch):
+    """Each evaluation computes one carry product per distinct input
+    vector, not one per AND input: wire a feeds three ANDs, and toy's one
+    carry table serves both sides.  A key that has evaluated the netlist
+    before keeps nothing from it, and gives the Ciphertexts, hints
+    included, of a fresh key of the same seed and of the gates run one
+    eval_mult at a time with no shared memo; they decrypt to eval_plain's."""
+    p = toy_sk.params
+    c = parse_circuit(SHARED_WIRE)
+    rng = Random(140)
+    plains = [[rng.randrange(2) for _ in range(p.message_bits)] for _ in c.inputs]
+    cts = [encrypt(toy_sk, m, rng) for m in plains]
+    warm = build_evalkey(toy_sk, rng=Random(141))
+    eval_homomorphic(warm, c, [encrypt(toy_sk, m, rng) for m in plains])
+    fresh = build_evalkey(toy_sk, rng=Random(141))
+    assert fresh == warm
+    a, b, cc, d = cts
+    ab, ca, ad = (she_mod.eval_mult(fresh, x, y) for x, y in ((a, b), (cc, a), (a, d)))
+    want = [she_mod.eval_add(ab, ca), ad]
+    calls = []
+    real = she_mod._carry_product
+    monkeypatch.setattr(she_mod, "_carry_product",
+                        lambda vec, *args: calls.append(tuple(vec)) or real(vec, *args))
+    for evk in (fresh, warm):
+        calls.clear()
+        got = eval_homomorphic(evk, c, cts)
+        assert sorted(calls) == sorted(tuple(ct.vec) for ct in cts)
+        assert got == want
+        assert [ct.noise_hint for ct in got] == [ct.noise_hint for ct in want]
+        assert [decrypt(toy_sk, ct) for ct in got] == eval_plain(c, plains)
 
 
 def test_product_trees_and_chains_evaluate_on_toy(toy_sk, toy_evk):

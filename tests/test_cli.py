@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import mvphe
-from mvphe import preset_params, serialize
-from mvphe.cli import build_parser, main
+from mvphe import preset_params, serialize, she
+from mvphe.cli import BENCH_PRESETS, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +522,20 @@ def test_pk_workflow(workdir, tmp_path, capsys):
 
 
 # --- bench -------------------------------------------------------------------
+
+def test_bench_times_a_whole_and_per_mult(monkeypatch, capsys):
+    """bench's timed loop computes both carry products of every mult on
+    each preset it times, after its warmup's two: repeating one pair of
+    ciphertexts reuses nothing across eval_mult calls."""
+    calls = []
+    real = she._carry_product
+    monkeypatch.setattr(she, "_carry_product",
+                        lambda *args: calls.append(1) or real(*args))
+    mults = 3
+    assert main(["bench", "--mults", str(mults), "--seed", "17"]) == 0
+    assert len(calls) == len(BENCH_PRESETS) * 2 * (1 + mults)
+    capsys.readouterr()
+
 
 def test_bench_csv_structure(tmp_path, capsys):
     csv_path = str(tmp_path / "bench.csv")

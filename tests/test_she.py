@@ -28,6 +28,7 @@ from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS, _carry_product, _reaches_limit
 from mvphe.linalg import mat_mul, unpack_slots
+from mvphe import she as she_mod
 from mvphe.serialize import save_ciphertext
 from mvphe.she import _contract, _product
 from oracles import (
@@ -529,6 +530,88 @@ def test_mult_packed_form_follows_the_key(toy_sk):
         bad = replace(evk, W=[row[:-1] + [w] for row in evk.W])
         with pytest.raises(ParameterError, match="^W has an entry outside "):
             eval_mult(bad, c1, c2)
+
+
+def _count_carry_products(monkeypatch) -> list:
+    """Record (table, vector) for every carry product she computes."""
+    calls = []
+    real = she_mod._carry_product
+
+    def counted(vec, table, q, u):
+        calls.append((id(table), tuple(vec)))
+        return real(vec, table, q, u)
+    monkeypatch.setattr(she_mod, "_carry_product", counted)
+    return calls
+
+
+def test_mult_memo_reuses_each_carry_product(toy_sk, monkeypatch):
+    """ANDs that share a memo compute each vector's carry product once: an
+    equal vector in a new Ciphertext hits, a vector one entry off misses,
+    and on toy, whose one carry table serves both sides, a ciphertext on
+    the left of one AND and on the right of another costs one carry
+    product.  Every product still equals the oracle's."""
+    evk = build_evalkey(toy_sk, rng=Random(160))
+    calls = _count_carry_products(monkeypatch)
+    c1, c2, c3 = (encrypt(toy_sk, [1, 1], Random(seed)) for seed in (161, 162, 163))
+    carries = {}
+
+    def mult(a, b):
+        got = eval_mult(evk, a, b, carries)
+        assert got.vec == mult_intermediates(toy_sk, evk, a.vec, b.vec)["product"]
+        return got
+
+    first = mult(c1, c2)
+    assert len(calls) == 2
+    copies = [Ciphertext(vec=list(c.vec), q=c.q, noise_hint=c.noise_hint)
+              for c in (c1, c2)]
+    assert mult(*copies) == first
+    assert len(calls) == 2
+    off = Ciphertext(vec=[c1.vec[0] + 1] + c1.vec[1:], q=c1.q, noise_hint=0)
+    mult(off, c2)
+    assert calls[2:] == [(id(evk.packed[0]), tuple(off.vec))]
+    mult(c3, c1)
+    mult(c2, c3)
+    assert [vec for _, vec in calls].count(tuple(c3.vec)) == 1
+    assert len(calls) == len(set(calls)) == 4
+    assert len(carries) == 4
+
+
+def test_mult_memo_keeps_the_sides_apart_on_small(small_sk, monkeypatch):
+    """small's masking blocks give P1 and P2 two carry tables, so a vector
+    on the left and the same vector on the right are two carry products,
+    each computed once, and the products equal the oracle's."""
+    evk = build_evalkey(small_sk, rng=Random(164))
+    T1, T2 = evk.packed
+    assert T1 is not T2
+    calls = _count_carry_products(monkeypatch)
+    mb = small_sk.params.message_bits
+    c1, c2 = (encrypt(small_sk, [1] * mb, Random(seed)) for seed in (165, 166))
+    carries = {}
+    for a, b in ((c1, c2), (c2, c1), (c1, c1), (c1, c2)):
+        got = eval_mult(evk, a, b, carries).vec
+        assert got == mult_intermediates(small_sk, evk, a.vec, b.vec)["product"]
+    assert sorted(calls) == sorted((id(T), tuple(c.vec)) for T in (T1, T2)
+                                   for c in (c1, c2))
+    assert len(carries) == 4
+
+
+def test_mult_without_a_memo_reuses_nothing_across_calls(toy_sk, monkeypatch):
+    """eval_mult given no memo computes both carry products on every call,
+    however often the same pair comes back, and leaves nothing on the key:
+    what ``mvphe bench`` times is a whole AND each time.  Only a square
+    reuses, within its own call, on toy's one table."""
+    evk = build_evalkey(toy_sk, rng=Random(169))
+    c1, c2 = (encrypt(toy_sk, [0, 1], Random(seed)) for seed in (170, 171))
+    fields = dict(vars(evk))
+    calls = _count_carry_products(monkeypatch)
+    first = eval_mult(evk, c1, c2)
+    for _ in range(3):
+        assert eval_mult(evk, c1, c2) == first
+    assert len(calls) == 8
+    calls.clear()
+    eval_mult(evk, c1, c1)
+    assert len(calls) == 1
+    assert set(vars(evk)) == set(fields) | {"packed", "packed_W"}
 
 
 def test_mult_refuses_factor_blocks_out_of_range(toy_sk, toy_evk):
