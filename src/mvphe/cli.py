@@ -19,8 +19,9 @@ set for ``params`` and ``keygen`` (which takes it or ``--params``, not both);
 the other verbs read it from their input files.  Files carry a parameter
 fingerprint, and verbs that combine files refuse to run when the
 fingerprints disagree.  A verb prints its status lines to standard output,
-so it refuses an ``--out`` (or ``bench --csv``) that is that same regular
-file or pipe, before writing anything.
+so it refuses an ``--out`` (or ``bench --csv``, or one of ``eval``'s
+``<prefix><i>.bin``) that is that same regular file or pipe, before writing
+anything.
 """
 
 from __future__ import annotations
@@ -204,16 +205,18 @@ def cmd_eval(args) -> int:
     evk = serialize.load_evalkey(args.evalkey)
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circ = circuit_mod.parse_circuit(fh.read())
+    paths = [f"{args.out_prefix}{i}.bin" for i in range(len(circ.outputs))]
+    for path in paths:
+        _check_not_stdout(path)
     cts = []
     for path in args.inputs:
         ct, ct_params = serialize.load_ciphertext(path)
         _check_fingerprints(evk.params, ct_params, f"evaluation key and {path}")
         cts.append(ct)
     outs = circuit_mod.eval_homomorphic(evk, circ, cts)
-    for i, ct in enumerate(outs):
-        path = f"{args.out_prefix}{i}.bin"
+    for name, ct, path in zip(circ.outputs, outs, paths):
         serialize.save_ciphertext(ct, evk.params, path)
-        print(f"{circ.outputs[i]} -> {path}")
+        print(f"{name} -> {path}")
     return 0
 
 

@@ -60,6 +60,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import stat
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
@@ -261,7 +263,9 @@ def _save(path: str, type_byte: int, params: Params,
           fields: Iterable[Matrix]) -> None:
     """Write a file of ``fields``, the matrices of ``_layout``'s runs in
     order; a field of another shape or with an entry out of its range is
-    refused before anything is written."""
+    refused before anything is written.  It is written in place and a
+    regular file then cut to length, with no fsync: truncating first makes
+    ext4 flush at close."""
     buf = bytearray(MAGIC)
     _w_uint(buf, VERSION, 2)
     buf.append(type_byte)
@@ -276,8 +280,10 @@ def _save(path: str, type_byte: int, params: Params,
             _check_range(name, m, lo, hi, ParameterError)
         _w_matrix(buf, name, m)
     buf += hashlib.sha256(buf).digest()
-    with open(path, "wb") as fh:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(buf)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _load(path: str, type_byte: int) -> tuple[Params, list[Matrix]]:

@@ -169,6 +169,49 @@ def test_out_refuses_stdout_redirected_to_a_file(tmp_path):
     assert serialize.load_secret_key(str(tmp_path / "sk.bin")).params.q
 
 
+def test_eval_refuses_an_output_that_is_stdout(workdir, tmp_path):
+    """``mvphe eval --out-prefix res > res1.bin`` would put the status
+    lines inside res1.bin: it exits 2 with one error line before it
+    evaluates, writes neither output and leaves res1.bin empty."""
+    netlist = tmp_path / "and.txt"
+    netlist.write_text("in a\nin b\nc = AND a b\nout c\nout a\n",
+                       encoding="utf-8")
+    ca = str(tmp_path / "a.bin")
+    assert main(["encrypt", "--key", str(workdir / "sk.bin"), "--bits", "11",
+                 "--seed", "12", "--out", ca]) == 0
+    prefix = str(tmp_path / "res")
+    argv = ("eval", "--evalkey", str(workdir / "evk.bin"), "--circuit",
+            str(netlist), "--in", ca, ca, "--out-prefix", prefix)
+    with open(prefix + "1.bin", "wb") as stdout:
+        run = _mvphe(*argv, stdout=stdout)
+    assert run.returncode == 2
+    assert run.stderr.decode() == (f"error: {prefix}1.bin is standard output, "
+                                   "where the status lines go; write the file "
+                                   "elsewhere\n")
+    assert (tmp_path / "res1.bin").read_bytes() == b""
+    assert not (tmp_path / "res0.bin").exists()
+    with open(tmp_path / "log", "wb") as stdout:
+        assert _mvphe(*argv, stdout=stdout).returncode == 0
+    assert (tmp_path / "log").read_text() == (f"c -> {prefix}0.bin\n"
+                                              f"a -> {prefix}1.bin\n")
+    assert serialize.load_ciphertext(prefix + "0.bin")[0].vec
+
+
+def test_read_only_out_exits_2_and_leaves_the_file(tmp_path, capsys):
+    """A save over an existing file its mode forbids writing is an error
+    line, as ``open(path, "wb")`` made it, and the file keeps its bytes."""
+    path = tmp_path / "sk.bin"
+    path.write_bytes(b"old bytes")
+    path.chmod(0o444)
+    if os.access(path, os.W_OK):
+        pytest.skip("this process may write a file whose mode forbids it")
+    assert main([*KEYGEN_TOY_7, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 13] Permission denied")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == b"old bytes"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_out_refuses_stdout_as_a_pipe(tmp_path):
     """Into a pipe, ``--out /dev/stdout`` would append the status line to

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import math
+import os
+import stat
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -134,6 +136,67 @@ def test_save_is_byte_identical(tmp_path, toy_sk, toy_params):
     save_secret_key(load_secret_key(a), b)
     with open(a, "rb") as f1, open(b, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+# --- how a save writes --------------------------------------------------------
+
+def test_shorter_file_saved_over_a_longer_one_leaves_exactly_its_bytes(
+        tmp_path, toy_sk, toy_params):
+    """A save writes in place and cuts a regular file to length: a
+    ciphertext over a public key file leaves the ciphertext's bytes and
+    nothing of the key, and saving one object twice is one save."""
+    ct = encrypt(toy_sk, [1, 0], Random(160))
+    fresh, over = tmp_path / "fresh.bin", tmp_path / "over.bin"
+    save_ciphertext(ct, toy_params, str(fresh))
+    save_public_key(pk_keygen(toy_sk, Random(161)), str(over))
+    assert over.stat().st_size > fresh.stat().st_size
+    save_ciphertext(ct, toy_params, str(over))
+    assert over.read_bytes() == fresh.read_bytes()
+    assert load_ciphertext(str(over)) == (ct, toy_params)
+    save_ciphertext(ct, toy_params, str(over))
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_save_interrupted_before_its_cut_is_refused(tmp_path, toy_sk, toy_params):
+    """A save killed between its write and its cut leaves the new, shorter
+    container's bytes over the head of the old file.  The old file's tail
+    ends in the old digest, so the loader refuses the file; it never reads
+    it as either container."""
+    new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+    save_ciphertext(encrypt(toy_sk, [0, 1], Random(162)), toy_params, str(new))
+    save_public_key(pk_keygen(toy_sk, Random(163)), str(old))
+    fd = os.open(old, os.O_WRONLY)
+    try:
+        os.write(fd, new.read_bytes())
+    finally:
+        os.close(fd)
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        load_ciphertext(str(old))
+    with pytest.raises(FormatError, match="checksum mismatch"):
+        load_public_key(str(old))
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+def test_new_file_mode_is_that_of_open_wb(tmp_path, toy_params, mask):
+    """A new file gets 0o666 less the umask, as ``open(path, "wb")`` gives."""
+    saved, opened = tmp_path / "saved.bin", tmp_path / "opened.bin"
+    before = os.umask(mask)
+    try:
+        save_params(toy_params, str(saved))
+        open(opened, "wb").close()
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(saved.stat().st_mode) == 0o666 & ~mask
+    assert stat.S_IMODE(opened.stat().st_mode) == 0o666 & ~mask
+
+
+def test_existing_file_keeps_its_mode(tmp_path, toy_sk):
+    path = tmp_path / "sk.bin"
+    path.write_bytes(bytes(1000))
+    path.chmod(0o640)
+    save_secret_key(toy_sk, str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert load_secret_key(str(path)).g == toy_sk.g
 
 
 # sha256 of the three secret-key files that save_secret_key writes for the
