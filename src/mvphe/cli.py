@@ -267,7 +267,7 @@ def cmd_bench(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-@functools.cache  # built once per process: main runs once per verb
+@functools.lru_cache(maxsize=1)  # built once per process: main runs once per verb
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="mvphe",

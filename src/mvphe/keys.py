@@ -339,20 +339,25 @@ def preset_params(name: str, rng: Random | None = None, **extra) -> Params:
 class SecretKey:
     """Secret key material plus derived encryption/decryption matrices.
 
-    Core fields (g, points, S, R1, R2) determine everything; the derived
-    matrices are recomputed deterministically on construction and are not
+    Core fields (g, points, S, R1, R2) determine everything; R, C and
+    S_dec are recomputed deterministically on construction and are not
     settable.  g is the list of the generator's balanced coefficients on
     ``enumerate_monomials(v, r_g)``, the constant first and the leading 1
     last, as the key file stores them.  Encryption multiplies by
     C = T^{-1}·R, T = [[I, S^T], [0, I]]; D = C^{-1} unmasks, and its last
-    ell − n columns are S_dec.
+    ell − n columns are S_dec.  C is block upper-triangular, so S_dec is
+    R1^{-1}·(S^T − R2^T) stacked on I: one n x n solve, which also refuses
+    a singular R1 (and so a C without an inverse) with
+    SingularMatrixError.  D itself is built on first use (``D``), by
+    ``build_evalkey`` alone.
 
     ``packed`` and ``packed_S_dec`` cache the rows of C and of S_dec
     Kronecker-packed, each on its first product, and ``F1p`` caches the
     ideal evaluations ``build_evalkey`` solves against, which keygen has
-    already formed.  Like ``EvalKey.packed`` they are not part of the key:
-    equality, repr and files ignore them, and ``replace`` gives a key that
-    builds them afresh.  Mutating a field in place leaves them stale.
+    already formed.  Like ``D`` and ``EvalKey.packed`` they are not part
+    of the key: equality, repr and files ignore them, and ``replace`` gives
+    a key that builds them afresh.  Mutating a field in place leaves them
+    stale.
     """
 
     params: Params
@@ -361,10 +366,9 @@ class SecretKey:
     S: Matrix
     R1: Matrix
     R2: Matrix
-    # derived by __post_init__, not settable
+    # derived by __post_init__, not settable; D is built on first use
     R: Matrix = field(init=False, repr=False)
     C: Matrix = field(init=False, repr=False)
-    D: Matrix = field(init=False, repr=False)
     S_dec: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -384,8 +388,19 @@ class SecretKey:
         # C = T^{-1}·R = [[R1, R2^T − S^T], [0, I]]
         self.C = [row[:n] + [(x - s) % q for x, s in zip(row[n:], s_col)]
                   for row, s_col in zip(R, zip(*self.S))] + R[n:]
-        self.D = inverse_mod_q(self.C, q)
-        self.S_dec = [row[n:] for row in self.D]
+        # S_dec = [R1^{-1}·(S^T − R2^T); I], the last k columns of C^{-1}
+        self.S_dec = (solve_mod_q(self.R1, [[-x % q for x in row[n:]]
+                                            for row in self.C[:n]], q)
+                      + [row[n:] for row in R[n:]])
+
+    @cached_property
+    def D(self) -> Matrix:
+        """D = C^{-1} = [[R1^{-1}, S_dec's top n rows], [0, I]], built on
+        first use: only ``build_evalkey`` reads it."""
+        n = self.params.n
+        return ([inv + dec for inv, dec in zip(inverse_mod_q(self.R1, self.params.q),
+                                               self.S_dec)]
+                + [[0] * n + row for row in self.S_dec[n:]])
 
     @cached_property
     def F1p(self) -> Matrix:

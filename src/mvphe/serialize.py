@@ -18,7 +18,9 @@ truncated file or bytes after the payload raise FormatError.
 Every file embeds the complete parameter block of the parameters it was
 produced under.  The 8-byte parameter fingerprint — the first 8 bytes of
 the SHA-256 of that block — is how tools decide whether two files belong
-together without comparing full keys.
+together without comparing full keys.  A process decodes each block it
+reads once and encodes each parameter set it writes once (``_decode_params``
+and ``_params_block``, each a bounded cache).
 
 A file stores nothing that its parameters fix.  The parameter block holds
 lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
@@ -34,17 +36,18 @@ FormatError, after one min and one max pass per field.
 Secret-key files store only the core fields: g's coefficients over
 ``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
 first and the leading monomial last), then the points, S, R1 and R2.  That
-g row is ``SecretKey.g`` itself, written and read as it stands.  All
-derived matrices are recomputed on load, so a save/load round trip is
-bit-exact by construction.  g must be as keygen draws it, with leading
-coefficient 1 and a nonzero constant term: a scaled g, one of lower degree
-or one with a zero constant would otherwise load and evaluate, so saver and
-loader both refuse it, and the loader refuses a singular R1, which leaves C
-without an inverse.  Evaluation keys store the blocks the factors P1 and P2
-follow from, not the factors: D1s, D2s, E, then W; the carry bound k_max
-follows from the parameters.  Public-key files store exactly
-d = ceil((1 + PK_EPS)·ell·log2 q) zero encryptions, then the encryptions
-of the unit vectors.  Ciphertext files store the noise hint, one integer
+g row is ``SecretKey.g`` itself, written and read as it stands.  R, C
+and S_dec are recomputed on load and D on its first use, which only
+``build_evalkey`` makes, so a save/load round trip is bit-exact by
+construction.  g must be as keygen draws it, with leading coefficient 1
+and a nonzero constant term: a scaled g, one of lower degree or one with a
+zero constant would otherwise load and evaluate, so saver and loader both
+refuse it.  The loader refuses a singular R1, which leaves C without an
+inverse: the solve against R1 that S_dec needs finds it.  Evaluation keys
+store the blocks the factors P1 and P2 follow from, not the factors: D1s,
+D2s, E, then W; the carry bound k_max follows from the parameters.
+Public-key files store exactly d = ceil((1 + PK_EPS)·ell·log2 q) zero
+encryptions, then the encryptions of the unit vectors.  Ciphertext files store the noise hint, one integer
 that must be nonnegative, and the ell entries of the vector.
 
 Files are canonical: every run has its least width, every residue is
@@ -63,6 +66,7 @@ import math
 import os
 import stat
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -174,7 +178,10 @@ class _Reader:
 # parameter block and fingerprint
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _params_block(p: Params) -> bytes:
+    """p's parameter block, encoded once per parameter set: every save
+    writes it and ``params_fingerprint`` hashes it."""
     buf = bytearray()
     for x in (p.lambda_, p.L, p.v, p.r_g, p.r_prime, p.ell):
         _w_uint(buf, x, 4)
@@ -200,6 +207,14 @@ def _read_params(r: _Reader) -> Params:
     r.end("parameter block")
     return Params(lambda_=lam, L=L, v=v, r_g=r_g, r_prime=r_prime, ell=ell, q=q,
                   sigma=int(sigma) if sigma.denominator == 1 else sigma, B=B, u=u)
+
+
+@lru_cache(maxsize=16)
+def _decode_params(block: bytes) -> Params:
+    """The parameters a block holds, decoded once per block: every load
+    reads one.  A malformed block raises, and a raise is not cached, so it
+    is refused on every load."""
+    return _read_params(_Reader(block))
 
 
 def params_fingerprint(p: Params) -> str:
@@ -233,8 +248,7 @@ def _read_container(path: str, expect_type: int) -> tuple[Params, _Reader]:
     r.pos = 7
     block_len = r.uint(4)
     block = r.take(block_len)
-    params = _read_params(_Reader(block))
-    return params, r
+    return _decode_params(block), r
 
 
 def _layout(type_byte: int, p: Params) -> tuple[tuple, ...]:
@@ -329,7 +343,7 @@ def save_secret_key(sk: SecretKey, path: str) -> None:
 def load_secret_key(path: str) -> SecretKey:
     params, ([g], points, S, R1, R2) = _load(path, TYPE_SECRET)
     _check_generator(g, params, FormatError)
-    try:  # C is invertible exactly when R1 is
+    try:  # the solve for S_dec refuses a singular R1, and so a singular C
         return SecretKey(params=params, g=g, points=[tuple(z) for z in points],
                          S=S, R1=R1, R2=R2)
     except SingularMatrixError:

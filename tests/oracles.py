@@ -4,7 +4,9 @@ exact vector–matrix product entry by entry, Gauss–Jordan elimination
 entry by entry, the gadget transforms as exact
 rationals, the secret key's g as a polynomial and polynomials evaluated
 term by term, the degree-(<= r) ideal basis as polynomial products,
-encryption in two products from the key's core fields, a key mixed with
+encryption in two products from the key's core fields, the unmasking
+matrix D = C^{-1} and its S_dec columns from those fields by elimination
+entry by entry, a key mixed with
 its random block below the diagonal, the re-expression
 and reduction matrices B and Q built one at a time as the paper stages
 them, the multiplication key as an explicit rational tensor, every stage
@@ -259,6 +261,21 @@ def encryption_factors(sk: SecretKey) -> tuple[Matrix, Matrix]:
         for j in range(n):
             R[i][j] = sk.R1[i][j] % q
     return T_inv, R
+
+
+def unmasking_reference(sk: SecretKey) -> tuple[Matrix, Matrix]:
+    """D = C^{-1} and S_dec, its last ell − n columns: C = T^{-1}·R entry
+    by entry from the key's core fields (``encryption_factors``), inverted
+    by elimination entry by entry against the identity."""
+    p = sk.params
+    q, ell = p.q, p.ell
+    T_inv, R = encryption_factors(sk)
+    work = [[x % q for x in vec_mat(row, R)] + e
+            for row, e in zip(T_inv, identity(ell))]
+    if eliminate_reference(work, ell, q) != list(range(ell)):
+        raise SingularMatrixError(ell)
+    D = [row[ell:] for row in work]
+    return D, [row[p.n:] for row in D]
 
 
 def below_diagonal_key(sk: SecretKey) -> SecretKey:

@@ -240,6 +240,52 @@ def test_only_arith_calls_getrandbits():
     assert callers == {"arith.py"}
 
 
+def _unbounded_caches(name: str, tree: ast.AST) -> list[str]:
+    """Each ``functools.cache``, ``lru_cache`` not called with a maxsize,
+    or ``lru_cache`` with maxsize=None in ``tree``, imported or dotted."""
+    nodes = list(ast.walk(tree))
+    lru = {"lru_cache", "functools.lru_cache"}
+    calls = [node for node in nodes if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in lru]
+    found = [f"{name}: imports cache" for node in nodes
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name == "cache"]
+    found += [f"{name}: {ast.unparse(node)}" for node in nodes
+              if isinstance(node, ast.Attribute) and node.attr == "cache"
+              and ast.unparse(node.value) == "functools"]
+    found += [f"{name}: {ast.unparse(node)} names no maxsize" for node in nodes
+              if isinstance(node, (ast.Name, ast.Attribute))
+              and ast.unparse(node) in lru
+              and not any(call.func is node for call in calls)]
+    for call in calls:
+        size = [*call.args[:1],
+                *(k.value for k in call.keywords if k.arg == "maxsize")]
+        if not size or (isinstance(size[0], ast.Constant) and size[0].value is None):
+            found.append(f"{name}: {ast.unparse(call)}")
+    return found
+
+
+def test_every_functools_cache_is_bounded():
+    """A process-wide cache keeps whatever a long-running caller passes
+    through it, so every ``functools`` cache of the package names its
+    maxsize: no ``cache``, no bare ``lru_cache`` and no maxsize=None.
+    ``cached_property`` lives and dies with its object and is not one."""
+    assert [hit for name, tree in TREES.items()
+            for hit in _unbounded_caches(name, tree)] == []
+    rules = {"from functools import cache": ["m.py: imports cache"],
+             "@functools.cache\ndef f(): pass": ["m.py: functools.cache"],
+             "@lru_cache\ndef f(): pass": ["m.py: lru_cache names no maxsize"],
+             "@functools.lru_cache()\ndef f(): pass":
+                 ["m.py: functools.lru_cache()"],
+             "@lru_cache(None)\ndef f(): pass": ["m.py: lru_cache(None)"],
+             "@lru_cache(maxsize=None)\ndef f(): pass":
+                 ["m.py: lru_cache(maxsize=None)"],
+             "@lru_cache(maxsize=8)\ndef f(): pass": [],
+             "@functools.lru_cache(1)\ndef f(): pass": []}
+    for source, want in rules.items():
+        assert _unbounded_caches("m.py", ast.parse(source)) == want, source
+
+
 def _load_perfbench(name: str):
     """A perfbench module, loaded from its file and left as it is."""
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",

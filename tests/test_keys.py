@@ -69,6 +69,7 @@ from oracles import (
     powersoftwo,
     transpose,
     u_coeffs,
+    unmasking_reference,
     vec_mat,
 )
 
@@ -462,6 +463,40 @@ def test_mixing_matrix_block_shape(toy_sk):
     assert mat_mul(R, toy_sk.D, p.q) == T
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_unmasking_matrices_match_the_reference(name):
+    """S_dec, one n x n solve against R1 stacked on I, and D, built on first
+    use from R1^{-1} and S_dec, are C^{-1} and its last ell − n columns as
+    elimination entry by entry finds them, on every preset at three seeds."""
+    p = preset_params(name)
+    for seed in (1, 2, 3):
+        sk = keygen(p, Random(f"unmask-{name}-{seed}"))
+        D, S_dec = unmasking_reference(sk)
+        assert sk.S_dec == S_dec
+        assert "D" not in vars(sk)
+        assert sk.D == D
+
+
+def test_loaded_key_forms_no_inverse(tmp_path, toy_sk, monkeypatch):
+    """A key loaded from a file encrypts and decrypts without inverting
+    anything: S_dec is one solve against R1, and D, the one matrix built
+    from R1^{-1}, is left to build_evalkey."""
+    path = str(tmp_path / "key.bin")
+    save_secret_key(toy_sk, path)
+    D = toy_sk.D
+    calls = []
+
+    def counted(*args, _fn=keys.inverse_mod_q):
+        calls.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(keys, "inverse_mod_q", counted)
+    sk = load_secret_key(path)
+    m = [1, 0]
+    assert decrypt(sk, encrypt(sk, m, Random(5))) == m
+    assert calls == [] and "D" not in vars(sk)
+    assert sk.D == D and len(calls) == 1
+
+
 def _rank_stub(monkeypatch, p, failures):
     """Make keys.rank_mod_q report one rank short on the first
     ``failures[check]`` calls of each keygen check (1, 2, 3 or "R1") and
@@ -809,19 +844,21 @@ def test_evalkey_post_check_catches_a_bad_inverse(toy_sk, monkeypatch):
 
 
 def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
-    """Every linear system is one solve and no inverse is formed: a build
-    makes two solve_mod_q (one against E1 for E and the check of S, one
-    against F1p for X), two mat_mul (the post-check and W), no rank_mod_q,
-    one reduce_by_set per degree-(<= 2r) ideal basis element, and no
-    mat_mul_exact: the first AND under a toy key makes the one, for the
-    carry table both its products share, and a second AND makes none.  A
-    keygen draw that passes its checks first time makes four rank_mod_q
-    (conditions 1, 2 and 3, and R1), one solve (S), one inverse (the
-    secret key's D = C^{-1}) and no product.  Encryption and decryption
-    are one packed product each, by C and by S_dec: each packs its own
-    matrix's rows on its first use under a key, so a key that only
-    decrypts never packs C, and every product is read back with one
-    unpack_slots."""
+    """Every linear system is one solve, and the one inverse formed is
+    R1's: a build on a key whose D is not built yet makes one inverse_mod_q
+    (R1^{-1}, D's top-left block), two solve_mod_q (one against E1 for E
+    and the check of S, one against F1p for X), two mat_mul (the
+    post-check and W), no rank_mod_q, one reduce_by_set per degree-(<= 2r)
+    ideal basis element, and no mat_mul_exact: the first AND under a toy
+    key makes the one, for the carry table both its products share, and a
+    second AND makes none.  A keygen draw that passes its checks first time
+    makes four rank_mod_q (conditions 1, 2 and 3, and R1), two solves (S,
+    and the secret key's S_dec against R1), no inverse and no product.
+    Encryption and decryption are one packed product each, by C and by
+    S_dec: each packs its own matrix's rows on its first use under a key,
+    so a key that only decrypts never packs C, and every product is read
+    back with one unpack_slots."""
+    fresh_sk = replace(toy_sk)  # D not built yet, whatever ran before
     calls = {}
     names = ("mat_mul", "inverse_mod_q", "solve_mod_q", "rank_mod_q",
              "mat_mul_exact", "reduce_by_set")
@@ -830,18 +867,18 @@ def test_evalkey_construction_call_counts(toy_sk, monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(keys, name, counted)
-    evk = build_evalkey(toy_sk, rng=Random(1))
-    assert calls == {"mat_mul": 2, "solve_mod_q": 2,
-                     "reduce_by_set": toy_sk.params.n1}
+    evk = build_evalkey(fresh_sk, rng=Random(1))
+    assert calls == {"inverse_mod_q": 1, "mat_mul": 2, "solve_mod_q": 2,
+                     "reduce_by_set": fresh_sk.params.n1}
     calls.clear()
     packed, unpacked = [], []
-    c = encrypt(toy_sk, [1, 1], Random(2))
+    c = encrypt(fresh_sk, [1, 1], Random(2))
     she.eval_mult(evk, c, c)
     she.eval_mult(evk, c, c)
     assert calls == {"mat_mul_exact": 1}
     calls.clear()
-    sk = keygen(toy_sk.params, Random(3))
-    assert calls == {"rank_mod_q": 4, "inverse_mod_q": 1, "solve_mod_q": 1}
+    sk = keygen(fresh_sk.params, Random(3))
+    assert calls == {"rank_mod_q": 4, "solve_mod_q": 2}
 
     def pack_counted(M, width, _fn=keys.pack_rows):
         packed.append(M)

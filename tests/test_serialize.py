@@ -29,8 +29,8 @@ from mvphe import (
 )
 from mvphe.arith import balance
 from mvphe.cli import main
-from mvphe.errors import FormatError, ParameterError
-from mvphe.keys import PRESETS
+from mvphe.errors import FormatError, ParameterError, SingularMatrixError
+from mvphe.keys import PRESETS, SecretKey
 from mvphe.mvpoly import enumerate_monomials
 from mvphe.serialize import (
     MAGIC,
@@ -40,6 +40,8 @@ from mvphe.serialize import (
     TYPE_PUBLIC,
     TYPE_SECRET,
     VERSION,
+    _decode_params,
+    _params_block,
     _read_container,
     _Reader,
     _w_ints,
@@ -781,6 +783,23 @@ def test_secret_key_singular_r1_refused(tmp_path, toy_sk):
         load_secret_key(path)
 
 
+def test_secret_key_rank_deficient_r1_refused(tmp_path, toy_sk):
+    """An R1 that is singular but not zero, its last row equal to its
+    first, is refused too: the solve against R1 that S_dec needs raises
+    SingularMatrixError, which the loader reports as a malformed file."""
+    R1 = [row[:] for row in toy_sk.R1]
+    R1[-1] = R1[0][:]
+    key = copy.copy(toy_sk)
+    key.R1 = R1
+    path = str(tmp_path / "key.bin")
+    save_secret_key(key, path)
+    with pytest.raises(FormatError, match=r"^secret key R1 is singular mod q = "):
+        load_secret_key(path)
+    with pytest.raises(SingularMatrixError):
+        SecretKey(params=toy_sk.params, g=toy_sk.g, points=toy_sk.points,
+                  S=toy_sk.S, R1=R1, R2=toy_sk.R2)
+
+
 def test_trailing_bytes_rejected(tmp_path, toy_sk, toy_params, toy_evk):
     paths = [str(tmp_path / name) for name in ("p.bin", "ct.bin", "evk.bin")]
     save_params(toy_params, paths[0])
@@ -969,3 +988,56 @@ def test_fingerprint_survives_serialization(tmp_path, toy_params):
     path = str(tmp_path / "p.bin")
     save_params(toy_params, path)
     assert params_fingerprint(load_params(path)) == params_fingerprint(toy_params)
+
+
+# --- parameter-block caches -------------------------------------------------
+
+def test_one_block_decodes_to_one_params(tmp_path, toy_params, toy_sk):
+    """Every load of one parameter block, in any file type, gives the one
+    Params object its first decode made."""
+    paths = [str(tmp_path / name) for name in ("p.bin", "key.bin")]
+    save_params(toy_params, paths[0])
+    save_secret_key(toy_sk, paths[1])
+    first = load_params(paths[0])
+    assert first == toy_params
+    assert load_params(paths[0]) is first
+    assert load_secret_key(paths[1]).params is first
+
+
+def test_malformed_block_refused_on_every_load(tmp_path, toy_params):
+    """A raise is not cached: a block with sigma not in lowest terms is
+    refused on each of two loads in a row."""
+    path = tmp_path / "p.bin"
+    _params_file(path, toy_params, toy_params.q, (16, 2))
+    for _ in range(2):
+        with pytest.raises(FormatError, match="^sigma is not in lowest terms$"):
+            load_params(str(path))
+
+
+def test_cached_block_is_a_fresh_encode(tmp_path):
+    """The block a save writes from the cache is byte for byte the one a
+    fresh encode gives, on every preset and on a Fraction sigma, also for
+    an equal Params that is another object."""
+    params = [preset_params(name) for name in sorted(PRESETS)]
+    params.append(preset_params("toy", sigma=Fraction(17, 2), B=51))
+    for p in params:
+        fresh = _params_block.__wrapped__(p)
+        _params_block(p)
+        hits = _params_block.cache_info().hits
+        assert _params_block(p) == fresh
+        assert _params_block(replace(p)) == fresh
+        assert _params_block.cache_info().hits == hits + 2
+        path = tmp_path / "p.bin"
+        save_params(p, str(path))
+        assert path.read_bytes()[11:11 + len(fresh)] == fresh
+
+
+def test_parameter_caches_stay_bounded(toy_params):
+    """Neither cache grows past its maxsize, whatever the number of
+    parameter sets a process sees."""
+    for u in range(40):
+        p = replace(toy_params, u=u)
+        assert _decode_params(_params_block(p)) == p
+    for cached in (_params_block, _decode_params):
+        info = cached.cache_info()
+        assert 0 < info.currsize <= info.maxsize < 40
