@@ -52,19 +52,21 @@ P_i is not formed either, and the key does not store it.  A = [I | A_ext]
 with A_ext zero below its first n rows, so P_i = [D_i~ | D_i~[:, :n]·E]
 follows from two small blocks: D_i·2^u + eps_i mod q·2^u (ell x ell), whose
 bits are D_i~, and E, those n rows.  The key holds those
-blocks and W.  Every entry of P_i lies in 0..n(q − 1): D_i~ is 0/1 and E
-has entries in [0, q).  AND multiplies the gadget-transformed ciphertexts
-by P_i without forming the transforms: every entry of a transform is c·2^s
+blocks and W.  AND multiplies the gadget-transformed ciphertexts by P_i
+without forming the transforms or P_i.  Every entry of a transform is c·2^s
 less a carry, and all the carries of an entry c come from the bits of one
-quotient, so t·P_i is c·P_red plus a subset sum of carry rows
-(``_carry_product``).  Those rows are built Kronecker-packed once per key
-object, on its first AND (``EvalKey.packed``), from A's packed rows
-(``_carry_table``): entry j's P_red is row j of D_i·2^u + eps_i times A,
-and its carry rows sum the rows of A its bits at u + 1..u + K − 1 select
-(``mat_mul_exact``), kept as hex windows, the 16 subset sums of each four,
-so a carry sum is one lookup per hex digit of the quotient.  When D2s
-equals D1s (zero masking, every preset but ``small``) one table serves
-both.  W's rows are packed on that first AND too (``EvalKey.packed_W``).
+quotient, so y = t·D_i~ is the sum of c times its row of
+D_i·2^u + eps_i, less a subset sum of carry rows (``_carry_product``), and
+t·P_i = [y | y[:n]·E].  So the carry tables have ell columns, D_i~'s, not
+t.  They are built Kronecker-packed once per key object, on its first AND
+(``EvalKey.packed``), on the packed rows of the ell x ell identity, which
+are A's first ell columns (``_carry_table``): an entry's carry rows sum the
+unit rows its bits at u + 1..u + K − 1 select (``mat_mul_exact``), kept as
+hex windows, the 16 subset sums of each four, so a carry sum is one lookup
+per hex digit of the quotient.  When D2s equals D1s (zero masking, every
+preset but ``small``) one table serves both.  E's rows, which extend each
+carry product by y[:n]·E (``she._product``), and W's rows are packed on
+that first AND too (``EvalKey.packed_E``, ``EvalKey.packed_W``).
 
 The evaluation key is not public: it stores D_i·2^u + eps_i, and rounding
 off the u low bits gives D and so S_dec.
@@ -573,8 +575,9 @@ def _gadget_width(q: int, u: int) -> int:
 
 
 class CarryTable(NamedTuple):
-    """A key factor P_i = D_i~·A in the form ``_carry_product`` reads, rows
-    packed at one slot width by ``pack_rows``."""
+    """A factor P = D~·A in the form ``_carry_product`` reads, rows packed
+    at one slot width by ``pack_rows``; ``EvalKey.packed`` holds those of
+    D1~ and D2~, A the identity."""
 
     low: list[int]                  # P_red,i, one per ciphertext entry i
     windows: list[list[list[int]]]  # entry i's subset sums of H_i,b, by fours
@@ -582,29 +585,37 @@ class CarryTable(NamedTuple):
     cols: int
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _carry_table(D_scaled: Matrix, A_rows: Sequence[int], width: int,
                  cols: int, q: int, u: int) -> CarryTable:
     """The carry table of P = D~·A for ``_carry_product``, from D_scaled
     (entries in 0..q·2^u − 1, whose u + K bits are D~, K = q_bits) and A's
-    rows packed at ``width`` by ``pack_rows``.
+    rows packed at ``width`` by ``pack_rows``.  ``EvalKey.packed`` passes
+    the unit rows of the ell x ell identity, so its tables are those of
+    D~ itself, ell columns wide.
 
     Entry i's rows of P are R_s = bit_s(D_scaled[i])·A, one per position s.
     Their gadget-weighted sum P_red = sum_s 2^s·R_s is D_scaled[i]·A, one
     multiply-add per row of A.  With R_k the row at position u + k and
     S_0 = 0, the carry rows are H_b = S_b + R_(K−1−b) and
     S_(b+1) = 2·S_b + R_(K−1−b), so only the bit rows at positions u + 1..
-    u + K − 1 are formed, all entries' in one ``mat_mul_exact``.  The H_b
-    are kept only as hex windows: window j holds, at each index d < 16,
-    the sum of the H_(4j+k) whose bit k is set in d, so the carry sum of a
-    quotient is one lookup per hex digit.  The last window is shorter when
-    4 does not divide K − 1.  Every row here is a sum of packed rows, so
+    u + K − 1 are formed, all entries' in one ``mat_mul_exact``: each
+    entry's K − 1 bits are read off one binary format of it, the top
+    K − 1 of its u + K digits, and a row's formats transposed give its bit
+    rows.  The H_b are kept only as hex windows: window j holds, at each
+    index d < 16, the sum of the H_(4j+k) whose bit k is set in d, so the
+    carry sum of a quotient is one lookup per hex digit.  The last window
+    is shorter when 4 does not divide K − 1.  Every row here is a sum of packed rows, so
     the slot width must hold the entries of t·P for every balanced t,
     |t_k| <= (q·2^u)/2.
     """
     k = q.bit_length() - 1  # carry rows per entry
     low = [sum(map(mul, row, A_rows)) for row in D_scaled]
-    R = mat_mul_exact([[x >> s & 1 for x in row]
-                       for row in D_scaled for s in range(u + k, u, -1)], A_rows)
+    digits = f"0{u + k + 1}b"  # bit u + K − 1 first
+    R = mat_mul_exact([bits for row in D_scaled for bits in zip(
+        *(format(x, digits)[:k].encode().translate(_BITS) for x in row))], A_rows)
     windows = []
     for i in range(0, len(R), k):  # an entry's R_(K−1) down to R_1
         S, H = 0, []
@@ -768,11 +779,12 @@ class EvalKey:
     input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
     never needs it.
 
-    ``packed`` caches P1 and P2 as the carry tables eval_mult multiplies by
-    (``_carry_table``: the packed rows P_red = D_is·A and the hex windows of
-    the carry rows H), read off D1s, D2s and E, one table given twice when
-    D2s == D1s, and
-    ``packed_W`` caches W's rows packed for the contraction.  Neither is
+    ``packed`` caches the carry tables eval_mult multiplies by, those of
+    D1~ and D2~ (``_carry_table``: the packed rows D_is and the hex windows
+    of the carry rows H, ell columns wide), one table given twice when
+    D2s == D1s; ``packed_E`` caches E's rows packed, which extend each
+    carry product y = t·D_i~ to t·P_i = [y | y[:n]·E]; and
+    ``packed_W`` caches W's rows packed for the contraction.  None is
     part of the key: equality, repr and files ignore them, and ``replace``
     gives a key that builds its own afresh.  Mutating a field in place
     after the first eval_mult leaves them stale.
@@ -790,33 +802,46 @@ class EvalKey:
 
     @cached_property
     def packed(self) -> tuple[CarryTable, CarryTable]:
-        """P1 and P2 as the carry tables of ``_carry_table``, built on
-        first use; one table, given twice, when D2s equals D1s.
+        """The carry tables of D1~ and D2~, ``_carry_table``'s on the unit
+        rows of the ell x ell identity, built on first use; one table,
+        given twice, when D2s equals D1s.
 
-        A's ell rows are packed once, and ``_carry_table`` reads each
-        table off them and the rows of D_is: P_red as D_is times A, the
-        carry rows from D_is's bits at positions u + 1..u + q_bits − 1
-        (``mat_mul_exact``), so P_i is never formed.  The slot
-        width holds every entry of t·P_i for a balanced t: input_dim
-        entries up to (q·2^u)/2 times entries of P_i up to n(q − 1).  That
-        bound needs D1s and D2s in 0..q·2^u − 1 and E in 0..q − 1, as
-        build_evalkey makes them, so an entry outside is refused.
+        The unit rows are A's first ell columns packed, so each table's
+        low rows are the rows of D_is and its carry rows sum the unit rows
+        that D_is's bits at positions u + 1..u + q_bits − 1 select
+        (``mat_mul_exact``): neither P_i nor D_i~ is formed.  The slot
+        width holds every entry of y = t·D_i~ for a balanced t: input_dim
+        entries up to (q·2^u)/2 times bits.  That bound needs D1s and D2s
+        in 0..q·2^u − 1, as build_evalkey makes them, so an entry outside
+        is refused.
         """
         p = self.params
-        n, ell, t = p.n, p.ell, p.t
         top = (p.q << p.u) - 1
-        for name, m, hi in (("D1s", self.D1s, top), ("D2s", self.D2s, top),
-                            ("E", self.E, p.q - 1)):
-            _check_range(name, m, 0, hi, ParameterError)
-        width = slot_width(self.input_dim * ((p.q << p.u) // 2) * n * (p.q - 1))
-        zero = [0] * (t - ell)
-        A = [[int(i == j) for j in range(ell)] + (self.E[i] if i < n else zero)
-             for i in range(ell)]
-        A_rows = pack_rows(A, width)
-        T1 = _carry_table(self.D1s, A_rows, width, t, p.q, p.u)
+        for name, m in (("D1s", self.D1s), ("D2s", self.D2s)):
+            _check_range(name, m, 0, top, ParameterError)
+        width = slot_width(self.input_dim * ((p.q << p.u) // 2))
+        # the packed identity: unit row i is 1 in slot i
+        unit_rows = [1 << 8 * width * i for i in range(p.ell)]
+        T1 = _carry_table(self.D1s, unit_rows, width, p.ell, p.q, p.u)
         if self.D2s == self.D1s:
             return T1, T1
-        return T1, _carry_table(self.D2s, A_rows, width, t, p.q, p.u)
+        return T1, _carry_table(self.D2s, unit_rows, width, p.ell, p.q, p.u)
+
+    @cached_property
+    def packed_E(self) -> tuple[list[int], int, int]:
+        """E's n rows packed for the extension y[:n]·E of a carry product
+        y = t·D_i~, built on first use: the packed rows, their slot width
+        and their t − ell columns.
+
+        The width holds every entry of y[:n]·E: n entries of y, each up to
+        input_dim·(q·2^u)/2, times entries of E up to q − 1.  That bound
+        needs E in 0..q − 1, as build_evalkey makes it, so an entry outside
+        is refused.
+        """
+        p = self.params
+        _check_range("E", self.E, 0, p.q - 1, ParameterError)
+        width = slot_width(self.input_dim * ((p.q << p.u) // 2) * p.n * (p.q - 1))
+        return pack_rows(self.E, width), width, p.t - p.ell
 
     @cached_property
     def packed_W(self) -> tuple[list[int], int, int, list[int]]:
@@ -876,6 +901,6 @@ def build_evalkey(sk: SecretKey, rng: Random) -> EvalKey:
 def mat_mul_exact(bits: Matrix, rows: Sequence[int]) -> list[int]:
     """The exact product of 0/1 rows by a matrix given as its packed rows
     (``pack_rows``): for each bit row, the sum of the packed rows it
-    selects, 0 when it selects none.  D~·A on A's packed rows makes no
-    multiplication."""
+    selects, 0 when it selects none, with no multiplication: on the unit
+    rows ``EvalKey.packed`` passes, each sum packs its bit row."""
     return [sum(compress(rows, b)) for b in bits]

@@ -9,11 +9,12 @@ multiply-add per row, and it is the package's one way to multiply a vector
 by a matrix.  ``mat_mul``, encryption and decryption (``she.encrypt`` and
 ``she.decrypt``, on the secret key's packed C and S_dec) and AND's W
 contraction (``she._contract``, on W's signed packed rows) multiply that
-way; AND's carry tables (``keys._carry_table``) are D_is's rows times A's
-packed rows and sums of the packed rows of A that D~'s bits select
-(``keys.mat_mul_exact``).  Every product is read back by one
-``unpack_slots``, which splits every slot with one ``struct``
-call cached per (width, cols) shape.
+way; AND's carry tables (``keys._carry_table``) have D~'s ell columns: the
+rows of D_is and sums of the packed unit rows that D~'s bits select
+(``keys.mat_mul_exact``), and each carry product is extended by its first
+n entries times E's packed rows (``she._product``).  Every product is
+read back by one ``unpack_slots``, which splits every slot with one
+``struct`` call cached per (width, cols) shape.
 ``solve_mod_q`` is the one entry point for linear systems: it solves
 A·X = Y in one elimination pass, and ``inverse_mod_q`` is its solve
 against the identity.

@@ -196,13 +196,15 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
     layers, the first two fused in ``keys._carry_product`` so that the
     transforms t_i are never formed.  Quotients and carries: one division
     per ciphertext entry, whose bits give every carry of that entry's
-    transform.  Packed products: x = t1·P1 and y = t2·P2, each one
-    big-integer multiply-add per ciphertext entry plus a carry sum of one
-    window lookup per hex digit of its quotient, against the key's
-    Kronecker-packed carry tables (``evk.packed``, which the first call on
-    a key builds from its stored blocks, once when D2s == D1s), and one
-    ``unpack_slots``.  The W contraction (``_contract``): z_s = x_s·y_s·u_s,
-    and the k-th output is
+    transform.  Packed products: x = t1·P1 and y = t2·P2.  Each is first
+    t_i·D_i~, one big-integer multiply-add per ciphertext entry plus a
+    carry sum of one window lookup per hex digit of its quotient, against
+    the key's Kronecker-packed carry tables of ell columns (``evk.packed``,
+    which the first call on a key builds from D1s and D2s, once when
+    D2s == D1s), and one ``unpack_slots``; then A's extension appends its
+    first n entries times E, n multiply-adds against E's packed rows
+    (``evk.packed_E``) and one ``unpack_slots``.  The W contraction
+    (``_contract``): z_s = x_s·y_s·u_s, and the k-th output is
 
         floor( sum_s z_s * W[s,k] )  mod q,
 
@@ -216,8 +218,9 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
     ``carries`` is a memo of carry products that the ANDs of one
     evaluation under this key share (``circuit.eval_homomorphic`` passes
     one per call): a ciphertext already multiplied there, on either side
-    when D2s == D1s, reuses its carry product, so a wire that feeds several
-    ANDs pays for it once.  Without one, each call keeps its own.
+    when D2s == D1s, reuses its carry product, already extended by E, so a
+    wire that feeds several ANDs pays for it once.  Without one, each call
+    keeps its own.
     """
     p = evk.params
     _check_ciphertext(p, ct1)
@@ -235,19 +238,24 @@ def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int],
              carries: dict | None = None) -> list[int]:
     """The three layers of ``eval_mult`` on two ciphertext vectors, with no
     hint and no refusal: two carry products, then ``_contract``; the
-    entries are unbalanced.  Each carry product is read from ``carries``
-    (a fresh dict when None), or computed and stored there, keyed by
-    (whether the table is P1's, *the vector): a hit is what
-    ``keys._carry_product`` would return, and one table given twice
+    entries are unbalanced.  A carry product is t·P_i: y = t·D_i~ by
+    ``keys._carry_product`` on D_i~'s table, extended by A to
+    [y | y[:n]·E] on E's packed rows (``evk.packed_E``).  Each is read
+    from ``carries`` (a fresh dict when None), or computed, extended and
+    stored there, keyed by (whether the table is D1~'s, *the vector): a
+    hit is t·P_i as computed here, and one table given twice
     (D2s == D1s) serves both sides."""
     p = evk.params
     T1, T2 = evk.packed
+    E_rows, width, cols = evk.packed_E
     memo = {} if carries is None else carries
     xy = []
     for vec, table, on_P1 in ((v1, T1, True), (v2, T2, T2 is T1)):
         key = (on_P1, *vec)
         if key not in memo:
-            memo[key] = _carry_product(vec, table, p.q, p.u)
+            y = _carry_product(vec, table, p.q, p.u)
+            # E has n rows, so the sum reads y[:n]
+            memo[key] = y + unpack_slots(sum(map(mul, y, E_rows)), width, cols)
         xy.append(memo[key])
     return _contract(evk, *xy)
 

@@ -32,6 +32,7 @@ from mvphe.errors import (
     SingularMatrixError,
 )
 from mvphe.keys import (
+    EvalKey,
     _auto_q_bits,
     _carry_bound,
     _carry_product,
@@ -732,32 +733,60 @@ def test_carry_table_reads_D_and_A(name):
             _powersoftwo_numerators(c, q, u), P)
 
 
+def _extended_products(evk, c):
+    """t·P1 and t·P2 for the gadget transform t of c, as eval_mult forms
+    them: the carry products, extended by E, that ``she._product`` keeps
+    in its memo."""
+    memo = {}
+    she._product(evk, c, c, memo)
+    T1, T2 = evk.packed
+    return memo[(True, *c)], memo[(T2 is T1, *c)]
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_factored_key_builds_the_carry_tables_of_P(name):
-    """The carry tables a key builds from D1s, D2s and E on its first AND
-    equal those a key storing P1 and P2 would build, P rebuilt by the
-    oracle's triple sum.  The key sizes its slots by the bound n(q − 1) on
-    P's entries, not by P's largest entry: on seeds 1..3 the two widths
-    agree on every preset but small, where the bound may take one byte
-    more; there the tables differ only in packing, so their products with
-    random balanced vectors must agree."""
+    """The carry tables a key builds from D1s and D2s on its first AND are
+    those of D1~ and D2~, the first ell columns of P1 and P2 rebuilt by the
+    oracle's triple sum, in every field and ell columns wide: the oracle
+    sizes its slots by their largest entry, 1, and the key by that bound.
+    Each carry product extended by E is the carry product on all of P_i,
+    t·P_i, on random balanced vectors and on ±(q − 1)/2."""
     p = preset_params(name)
-    q, u = p.q, p.u
+    q, u, ell = p.q, p.u, p.ell
     h = (q - 1) // 2
     for seed in (1, 2, 3):
         sk = keygen(p, Random(f"pin-{name}-{seed}"))
         evk = build_evalkey(sk, rng=Random(f"pin-evk-{name}-{seed}"))
         rng = Random(f"tables-{name}-{seed}")
-        for got, P in zip(evk.packed, factor_matrices(evk)):
-            want = carry_table_from_P(P, q, u)
-            assert got.cols == want.cols == p.t
-            if got.width == want.width:
-                assert got.low == want.low and got.windows == want.windows
-                continue
-            assert name == "small" and got.width == want.width + 1
-            for _ in range(10):
-                c = [rng.randint(-h, h) for _ in range(p.ell)]
-                assert _carry_product(c, got, q, u) == _carry_product(c, want, q, u)
+        Ps = factor_matrices(evk)
+        for got, P in zip(evk.packed, Ps):
+            assert got == carry_table_from_P([row[:ell] for row in P], q, u)
+            assert got.cols == ell
+        wants = [carry_table_from_P(P, q, u) for P in Ps]
+        for c in ([h] * ell, [-h] * ell,
+                  *([rng.randint(-h, h) for _ in range(ell)] for _ in range(5))):
+            assert list(_extended_products(evk, c)) == [
+                _carry_product(c, want, q, u) for want in wants]
+
+
+@pytest.mark.parametrize("name", sorted(CARRY_SETS))
+def test_extended_carry_product_at_both_slot_bounds(name):
+    """A key whose D1s entries are all q·2^u − 1, the largest the range
+    check admits, and whose E entries are all q − 1 puts the largest
+    entries into both packings of a carry product: the ell-column table's
+    and the extension's by E.  With ±(q − 1)/2 in every entry of c, the
+    extended carry product is still t·P for the gadget transform t."""
+    p = CARRY_SETS[name]()
+    q, u, n, ell, t = p.q, p.u, p.n, p.ell, p.t
+    top = [[(q << u) - 1] * ell for _ in range(ell)]
+    evk = EvalKey(params=p, D1s=top, D2s=top,
+                  E=[[q - 1] * (t - ell) for _ in range(n)],
+                  W=[[0] * ell for _ in range(t)])
+    P, _ = factor_matrices(evk)
+    h = (q - 1) // 2
+    for c in ([h] * ell, [-h] * ell):
+        assert _extended_products(evk, c)[0] == vec_mat(
+            _powersoftwo_numerators(c, q, u), P)
 
 
 # --- build_evalkey --------------------------------------------------------

@@ -611,7 +611,7 @@ def test_mult_without_a_memo_reuses_nothing_across_calls(toy_sk, monkeypatch):
     calls.clear()
     eval_mult(evk, c1, c1)
     assert len(calls) == 1
-    assert set(vars(evk)) == set(fields) | {"packed", "packed_W"}
+    assert set(vars(evk)) == set(fields) | {"packed", "packed_E", "packed_W"}
 
 
 def test_mult_refuses_factor_blocks_out_of_range(toy_sk, toy_evk):
