@@ -66,7 +66,10 @@ hex windows, the 16 subset sums of each four, so a carry sum is one lookup
 per hex digit of the quotient.  When D2s equals D1s (zero masking, every
 preset but ``small``) one table serves both.  E's rows, which extend each
 carry product by y[:n]·E (``she._product``), and W's rows are packed on
-that first AND too (``EvalKey.packed_E``, ``EvalKey.packed_W``).
+that first AND too, in the same one cache.  The shapes and ranges of the
+key's four blocks are stated once (``_evalkey_blocks``): files check them
+on save and load (``serialize._layout``), and that first AND checks them
+before it builds anything (``linalg._check_blocks``, the one checker).
 
 The evaluation key is not public: it stores D_i·2^u + eps_i, and rounding
 off the u low bits gives D and so S_dec.
@@ -92,7 +95,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    _check_range,
+    _check_blocks,
     balanced_matrix,
     inverse_mod_q,
     mat_mul,
@@ -779,15 +782,17 @@ class EvalKey:
     input_dim x input_dim x ell (input_dim = ell·(u + q_bits)); evaluation
     never needs it.
 
-    ``packed`` caches the carry tables eval_mult multiplies by, those of
-    D1~ and D2~ (``_carry_table``: the packed rows D_is and the hex windows
-    of the carry rows H, ell columns wide), one table given twice when
-    D2s == D1s; ``packed_E`` caches E's rows packed, which extend each
-    carry product y = t·D_i~ to t·P_i = [y | y[:n]·E]; and
-    ``packed_W`` caches W's rows packed for the contraction.  None is
-    part of the key: equality, repr and files ignore them, and ``replace``
-    gives a key that builds its own afresh.  Mutating a field in place
-    after the first eval_mult leaves them stale.
+    ``packed`` is the one cache: all that eval_mult multiplies by, built
+    together because every AND reads all of it.  It holds the carry
+    tables of D1~ and D2~ (``_carry_table``: the packed rows D_is and the
+    hex windows of the carry rows H, ell columns wide), one table given
+    twice when D2s == D1s; E's rows packed, which extend each carry
+    product y = t·D_i~ to t·P_i = [y | y[:n]·E]; and W's rows packed for
+    the contraction.  It is built only after each block has passed
+    ``_evalkey_blocks``'s shape and range, the one table files check too.
+    It is not part of the key: equality, repr and files ignore it, and
+    ``replace`` gives a key that builds its own afresh.  Mutating a field
+    in place after the first eval_mult leaves it stale.
     """
 
     params: Params
@@ -801,69 +806,66 @@ class EvalKey:
         return self.params.ell * _gadget_width(self.params.q, self.params.u)
 
     @cached_property
-    def packed(self) -> tuple[CarryTable, CarryTable]:
-        """The carry tables of D1~ and D2~, ``_carry_table``'s on the unit
-        rows of the ell x ell identity, built on first use; one table,
-        given twice, when D2s equals D1s.
+    def packed(self) -> tuple[CarryTable, CarryTable, tuple, tuple]:
+        """All that AND multiplies by, built on first use once the four
+        blocks are checked against ``_evalkey_blocks``: (T1, T2, E_packed,
+        W_packed).
 
-        The unit rows are A's first ell columns packed, so each table's
-        low rows are the rows of D_is and its carry rows sum the unit rows
-        that D_is's bits at positions u + 1..u + q_bits − 1 select
-        (``mat_mul_exact``): neither P_i nor D_i~ is formed.  The slot
-        width holds every entry of y = t·D_i~ for a balanced t: input_dim
-        entries up to (q·2^u)/2 times bits.  That bound needs D1s and D2s
-        in 0..q·2^u − 1, as build_evalkey makes them, so an entry outside
-        is refused.
+        T1 and T2 are the carry tables of D1~ and D2~, ``_carry_table``'s
+        on the unit rows of the ell x ell identity; one table, given
+        twice, when D2s equals D1s.  The unit rows are A's first ell
+        columns packed, so each table's low rows are the rows of D_is and
+        its carry rows sum the unit rows that D_is's bits at positions
+        u + 1..u + q_bits − 1 select (``mat_mul_exact``): neither P_i nor
+        D_i~ is formed.  The slot width holds every entry of y = t·D_i~
+        for a balanced t: input_dim entries up to (q·2^u)/2 times bits.
+
+        E_packed is E's n rows packed for the extension y[:n]·E, with
+        their slot width and t − ell columns: the width holds n entries of
+        y times entries of E up to q − 1.
+
+        W_packed is W's rows packed for the contraction, their slot width,
+        the modulus M2 = q²·2^(2u) and the factors u_s·q of the z_s (2 on
+        the message band, q elsewhere).  The rows are packed signed: W +
+        floor(q/2), entries in 0..q − 1, is packed, and the packed row of
+        floor(q/2)s is taken off each, at the width of t·M2·floor(q/2), so
+        the combination by any z reduced into [0, M2) has every slot
+        within that bound.
+
+        Every width needs its block in ``_evalkey_blocks``'s range, and
+        every packing its shape, as build_evalkey makes them, so a block
+        outside either is refused.
         """
         p = self.params
-        top = (p.q << p.u) - 1
-        for name, m in (("D1s", self.D1s), ("D2s", self.D2s)):
-            _check_range(name, m, 0, top, ParameterError)
-        width = slot_width(self.input_dim * ((p.q << p.u) // 2))
+        q, u, half = p.q, p.u, p.q // 2
+        _check_blocks(_evalkey_blocks(p), (self.D1s, self.D2s, self.E, self.W),
+                      ParameterError)
+        y_bound = self.input_dim * ((q << u) // 2)
+        width = slot_width(y_bound)
         # the packed identity: unit row i is 1 in slot i
         unit_rows = [1 << 8 * width * i for i in range(p.ell)]
-        T1 = _carry_table(self.D1s, unit_rows, width, p.ell, p.q, p.u)
-        if self.D2s == self.D1s:
-            return T1, T1
-        return T1, _carry_table(self.D2s, unit_rows, width, p.ell, p.q, p.u)
-
-    @cached_property
-    def packed_E(self) -> tuple[list[int], int, int]:
-        """E's n rows packed for the extension y[:n]·E of a carry product
-        y = t·D_i~, built on first use: the packed rows, their slot width
-        and their t − ell columns.
-
-        The width holds every entry of y[:n]·E: n entries of y, each up to
-        input_dim·(q·2^u)/2, times entries of E up to q − 1.  That bound
-        needs E in 0..q − 1, as build_evalkey makes it, so an entry outside
-        is refused.
-        """
-        p = self.params
-        _check_range("E", self.E, 0, p.q - 1, ParameterError)
-        width = slot_width(self.input_dim * ((p.q << p.u) // 2) * p.n * (p.q - 1))
-        return pack_rows(self.E, width), width, p.t - p.ell
-
-    @cached_property
-    def packed_W(self) -> tuple[list[int], int, int, list[int]]:
-        """W's rows packed for AND's contraction, built on first use: the
-        packed rows, their slot width, the modulus M2 = q²·2^(2u) and the
-        factors u_s·q of the z_s (2 on the message band, q elsewhere).
-
-        The rows are packed signed: W + floor(q/2), entries in 0..q − 1, is
-        packed, and the packed row of floor(q/2)s is taken off each.  They
-        are packed at the width of t·M2·floor(q/2), so the combination by
-        any z reduced into [0, M2) has every slot within that bound.  A W
-        entry outside −floor(q/2)..floor(q/2) would break it, and is refused.
-        """
-        p = self.params
-        q, half = p.q, p.q // 2
-        _check_range("W", self.W, -half, half, ParameterError)
-        M2 = q * q << (2 * p.u)
-        width = slot_width(p.t * M2 * half)
-        offset, *rows = pack_rows([[half] * p.ell]
-                                  + [[w + half for w in row] for row in self.W], width)
+        T1 = _carry_table(self.D1s, unit_rows, width, p.ell, q, u)
+        T2 = (T1 if self.D2s == self.D1s
+              else _carry_table(self.D2s, unit_rows, width, p.ell, q, u))
+        E_width = slot_width(y_bound * p.n * (q - 1))
+        M2 = q * q << (2 * u)
+        W_width = slot_width(p.t * M2 * half)
+        offset, *W_rows = pack_rows([[half] * p.ell]
+                                    + [[w + half for w in row] for row in self.W],
+                                    W_width)
         factors = [2 if p.n <= s < p.ell else q for s in range(p.t)]
-        return [r - offset for r in rows], width, M2, factors
+        return (T1, T2, (pack_rows(self.E, E_width), E_width, p.t - p.ell),
+                ([r - offset for r in W_rows], W_width, M2, factors))
+
+
+def _evalkey_blocks(p: Params) -> tuple[tuple, ...]:
+    """(block, rows, cols, lowest entry, highest entry) of each block of an
+    evaluation key under ``p``, in file order: the one statement of their
+    shapes and ranges, which files (``serialize._layout``) and the first
+    AND (``EvalKey.packed``) both check."""
+    d_top, half = (p.q << p.u) - 1, p.q // 2
+    return (("D1s", p.ell, p.ell, 0, d_top), ("D2s", p.ell, p.ell, 0, d_top),
+            ("E", p.n, p.t - p.ell, 0, p.q - 1), ("W", p.t, p.ell, -half, half))
 
 
 def build_evalkey(sk: SecretKey, rng: Random) -> EvalKey:

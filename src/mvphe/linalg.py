@@ -61,12 +61,18 @@ def balanced_matrix(A: Matrix, q: int) -> Matrix:
     return [[balance(x, q) for x in row] for row in A]
 
 
-def _check_range(name: str, m: Matrix, lo: int, hi: int,
-                 error: type[Exception]) -> None:
-    """Refuse, with ``error``, a nonempty matrix with an entry outside
-    lo..hi: one min and one max pass, however large the matrix."""
-    if min(map(min, m)) < lo or max(map(max, m)) > hi:
-        raise error(f"{name} has an entry outside {lo}..{hi}")
+def _check_blocks(blocks: Sequence[tuple], fields: Sequence[Matrix],
+                  error: type[Exception]) -> None:
+    """Refuse, with ``error``, the first of ``fields`` not of its block's
+    shape or with an entry outside its block's range, each block a
+    (name, rows, cols, lo, hi) and the fields in the blocks' order; a
+    block whose lo is None has no range.  The range is one min and one
+    max pass, however large the matrix."""
+    for (name, rows, cols, lo, hi), m in zip(blocks, fields, strict=True):
+        if len(m) != rows or set(map(len, m)) != {cols}:
+            raise error(f"{name} must be {rows}x{cols} for these parameters")
+        if lo is not None and (min(map(min, m)) < lo or max(map(max, m)) > hi):
+            raise error(f"{name} has an entry outside {lo}..{hi}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,13 @@ lambda, L, v, r_g, r_prime, ell, q, sigma, B and u, and bytes left over
 inside it are refused.  It also fixes every payload's layout, so a payload
 is a plain sequence of runs with no shape, length, count or exponent in
 it.  ``_layout`` lists each file type's runs in order, with the shape and
-the entry range of each.  Every save goes through ``_save``, which refuses
-a field of another shape or with an entry out of its range with
-ParameterError before it writes; every load goes through ``_load``, which
-reads each field in its shape and refuses an entry out of its range with
-FormatError, after one min and one max pass per field.
+the entry range of each; for an evaluation key it is one table,
+``keys._evalkey_blocks``, that the first AND under a key checks as well.
+One checker, ``linalg._check_blocks``, holds every field to its shape and
+range, with one min and one max pass per field.  Every save goes through
+``_save``, which runs it with ParameterError before it writes; every load
+goes through ``_load``, which reads each field in its shape and runs it
+with FormatError.
 
 Secret-key files store only the core fields: g's coefficients over
 ``enumerate_monomials(v, r_g)`` (ascending grevlex, so the constant comes
@@ -71,8 +73,8 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import FormatError, ParameterError, SingularMatrixError
-from .keys import EvalKey, Params, SecretKey
-from .linalg import Matrix, _check_range
+from .keys import EvalKey, Params, SecretKey, _evalkey_blocks
+from .linalg import Matrix, _check_blocks
 from .she import Ciphertext, PublicKey, _check_ciphertext, pk_rows
 
 __all__ = [
@@ -253,17 +255,17 @@ def _read_container(path: str, expect_type: int) -> tuple[Params, _Reader]:
 
 def _layout(type_byte: int, p: Params) -> tuple[tuple, ...]:
     """(field, rows, cols, lowest entry, highest entry) of each payload run
-    of a file of this type, in file order.  The noise hint alone has no
-    range here: a ciphertext refuses a negative one itself."""
+    of a file of this type, in file order; an evaluation key's are
+    ``keys._evalkey_blocks``, the table its first AND checks too.  The
+    noise hint alone has no range here: a ciphertext refuses a negative
+    one itself."""
     half, top = p.q // 2, p.q - 1
     if type_byte == TYPE_SECRET:
         return (("g", 1, math.comb(p.v + p.r_g, p.r_g), -half, half),
                 ("points", p.t, p.v, 0, top), ("S", p.message_bits, p.n, 0, top),
                 ("R1", p.n, p.n, 0, top), ("R2", p.message_bits, p.n, 0, top))
     if type_byte == TYPE_EVALKEY:
-        d_top = (p.q << p.u) - 1
-        return (("D1s", p.ell, p.ell, 0, d_top), ("D2s", p.ell, p.ell, 0, d_top),
-                ("E", p.n, p.t - p.ell, 0, top), ("W", p.t, p.ell, -half, half))
+        return _evalkey_blocks(p)
     if type_byte == TYPE_PUBLIC:
         return (("C0", pk_rows(p), p.ell, -half, half),
                 ("C_unit", p.message_bits, p.ell, -half, half))
@@ -274,24 +276,22 @@ def _layout(type_byte: int, p: Params) -> tuple[tuple, ...]:
 
 
 def _save(path: str, type_byte: int, params: Params,
-          fields: Iterable[Matrix]) -> None:
+          fields: tuple[Matrix, ...]) -> None:
     """Write a file of ``fields``, the matrices of ``_layout``'s runs in
     order; a field of another shape or with an entry out of its range is
-    refused before anything is written.  It is written in place and a
+    refused with ParameterError by ``_check_blocks``, the one block
+    checker, before anything is written.  It is written in place and a
     regular file then cut to length, with no fsync: truncating first makes
     ext4 flush at close."""
+    layout = _layout(type_byte, params)
+    _check_blocks(layout, fields, ParameterError)
     buf = bytearray(MAGIC)
     _w_uint(buf, VERSION, 2)
     buf.append(type_byte)
     block = _params_block(params)
     _w_uint(buf, len(block), 4)
     buf += block
-    for (name, rows, cols, lo, hi), m in zip(_layout(type_byte, params), fields,
-                                             strict=True):
-        if len(m) != rows or any(len(row) != cols for row in m):
-            raise ParameterError(f"{name} must be {rows}x{cols} for these parameters")
-        if lo is not None:
-            _check_range(name, m, lo, hi, ParameterError)
+    for (name, *_), m in zip(layout, fields):
         _w_matrix(buf, name, m)
     buf += hashlib.sha256(buf).digest()
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
@@ -302,14 +302,13 @@ def _save(path: str, type_byte: int, params: Params,
 
 def _load(path: str, type_byte: int) -> tuple[Params, list[Matrix]]:
     """The parameters and the payload fields of a file of this type, each
-    of ``_layout``'s shape and in its range."""
+    read in ``_layout``'s shape; one out of its range is refused with
+    FormatError by ``_check_blocks``, as ``_save`` refuses it."""
     params, r = _read_container(path, type_byte)
     layout = _layout(type_byte, params)
     fields = [r.matrix(rows, cols) for _, rows, cols, _, _ in layout]
     r.end()
-    for (name, _, _, lo, hi), m in zip(layout, fields):
-        if lo is not None:
-            _check_range(name, m, lo, hi, FormatError)
+    _check_blocks(layout, fields, FormatError)
     return params, fields
 
 

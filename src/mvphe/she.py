@@ -199,11 +199,10 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
     transform.  Packed products: x = t1·P1 and y = t2·P2.  Each is first
     t_i·D_i~, one big-integer multiply-add per ciphertext entry plus a
     carry sum of one window lookup per hex digit of its quotient, against
-    the key's Kronecker-packed carry tables of ell columns (``evk.packed``,
-    which the first call on a key builds from D1s and D2s, once when
-    D2s == D1s), and one ``unpack_slots``; then A's extension appends its
-    first n entries times E, n multiply-adds against E's packed rows
-    (``evk.packed_E``) and one ``unpack_slots``.  The W contraction
+    the key's Kronecker-packed carry tables of ell columns, built from D1s
+    and D2s, once when D2s == D1s, and one ``unpack_slots``; then A's
+    extension appends its first n entries times E, n multiply-adds against
+    E's packed rows and one ``unpack_slots``.  The W contraction
     (``_contract``): z_s = x_s·y_s·u_s, and the k-th output is
 
         floor( sum_s z_s * W[s,k] )  mod q,
@@ -212,8 +211,12 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
     integer numerator over the common denominator q·2^(2u), so the floor
     is one exact integer division, and only the numerator mod q²·2^(2u)
     matters: each z_s is reduced to that first, and the sums are one
-    multiply-add per row of W against its packed rows (``evk.packed_W``,
-    also built by the first call on a key) and one ``unpack_slots``.
+    multiply-add per row of W against its packed rows and one
+    ``unpack_slots``.  The tables and the packed rows of E and W are one
+    cache, ``evk.packed``, which the first call on a key builds after it
+    checks the key's four blocks against their one table of shapes and
+    ranges (``keys._evalkey_blocks``, which files check too), so a
+    misshapen block or one out of range is refused with ParameterError.
 
     ``carries`` is a memo of carry products that the ANDs of one
     evaluation under this key share (``circuit.eval_homomorphic`` passes
@@ -237,17 +240,16 @@ def eval_mult(evk: EvalKey, ct1: Ciphertext, ct2: Ciphertext,
 def _product(evk: EvalKey, v1: Sequence[int], v2: Sequence[int],
              carries: dict | None = None) -> list[int]:
     """The three layers of ``eval_mult`` on two ciphertext vectors, with no
-    hint and no refusal: two carry products, then ``_contract``; the
+    hint and no depth refusal: two carry products, then ``_contract``; the
     entries are unbalanced.  A carry product is t·P_i: y = t·D_i~ by
     ``keys._carry_product`` on D_i~'s table, extended by A to
-    [y | y[:n]·E] on E's packed rows (``evk.packed_E``).  Each is read
-    from ``carries`` (a fresh dict when None), or computed, extended and
-    stored there, keyed by (whether the table is D1~'s, *the vector): a
-    hit is t·P_i as computed here, and one table given twice
-    (D2s == D1s) serves both sides."""
+    [y | y[:n]·E] on E's packed rows, both read off the one cache
+    ``evk.packed``.  Each is read from ``carries`` (a fresh dict when
+    None), or computed, extended and stored there, keyed by (whether the
+    table is D1~'s, *the vector): a hit is t·P_i as computed here, and one
+    table given twice (D2s == D1s) serves both sides."""
     p = evk.params
-    T1, T2 = evk.packed
-    E_rows, width, cols = evk.packed_E
+    T1, T2, (E_rows, width, cols), _ = evk.packed
     memo = {} if carries is None else carries
     xy = []
     for vec, table, on_P1 in ((v1, T1, True), (v2, T2, T2 is T1)):
@@ -268,10 +270,11 @@ def _contract(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list[int]:
 
     That floor mod q depends only on the sum mod M2 = q·denom, so each z_s
     is reduced mod M2 first and the sums are one multiply-add per row of
-    W against its signed packed rows (``evk.packed_W``), read back by one
-    ``unpack_slots``; the entries are unbalanced."""
+    W against its signed packed rows, the last part of the one cache
+    ``evk.packed``, read back by one ``unpack_slots``; the entries are
+    unbalanced."""
     p = evk.params
-    rows, width, M2, factors = evk.packed_W
+    *_, (rows, width, M2, factors) = evk.packed
     z = [xs * ys * f % M2 for xs, ys, f in zip(x, y, factors)]
     denom = M2 // p.q
     return [s % M2 // denom

@@ -14,7 +14,8 @@ of one multiplication carried out with exact rationals, the key factors
 P_i = D_i~·A by a plain triple sum and their carry tables packed as a
 key that stores P would pack them and regrouped from every bit row in
 the gadget's position-major order, AND's W contraction entry by entry on
-the unreduced z, a random netlist generator and a
+the unreduced z, evaluation keys with one block misshapen or out of
+range and the message that refuses each, a random netlist generator and a
 netlist's noise hints gate by gate, the container's integer runs sized by
 trial and written one byte at a time, and the noise hints as the exact
 rational bounds that the integer rules round up.
@@ -551,6 +552,35 @@ def contract_reference(evk: EvalKey, x: Sequence[int], y: Sequence[int]) -> list
          for s, (xs, ys) in enumerate(zip(x, y))]
     denom = q << (2 * p.u)
     return [acc // denom for acc in vec_mat(z, evk.W)]
+
+
+def bad_evalkeys(evk: EvalKey) -> list[tuple[EvalKey, str]]:
+    """Copies of ``evk`` with one block misshapen or out of range, each
+    with the message that refuses it: every block with its last row
+    removed, then with its last column removed, sized from the block as
+    ``evk`` holds it; W's last column at floor(q/2) + 1 and at
+    −floor(q/2) − 1; and the four out-of-range entries of
+    ``test_she.py::test_mult_refuses_factor_blocks_out_of_range``."""
+    p = evk.params
+    q, half, top = p.q, p.q // 2, (p.q << p.u) - 1
+    out = []
+    for name in ("D1s", "D2s", "E", "W"):
+        m = getattr(evk, name)
+        shape = f"{name} must be {len(m)}x{len(m[0])} for these parameters"
+        out.append((replace(evk, **{name: m[:-1]}), shape))
+        out.append((replace(evk, **{name: [row[:-1] for row in m]}), shape))
+    for w in (half + 1, -half - 1):
+        out.append((replace(evk, W=[row[:-1] + [w] for row in evk.W]),
+                    f"W has an entry outside {-half}..{half}"))
+
+    def bumped(name: str, by: int) -> EvalKey:
+        m = getattr(evk, name)
+        return replace(evk, **{name: [[m[0][0] + by] + m[0][1:]] + m[1:]})
+    out += [(bumped("E", q << 20), f"E has an entry outside 0..{q - 1}"),
+            (bumped("E", -q), f"E has an entry outside 0..{q - 1}"),
+            (bumped("D1s", q << (p.u + 14)), f"D1s has an entry outside 0..{top}"),
+            (bumped("D2s", -1 - evk.D2s[0][0]), f"D2s has an entry outside 0..{top}")]
+    return out
 
 
 def u_coeffs(evk: EvalKey) -> list[Fraction]:

@@ -739,7 +739,7 @@ def _extended_products(evk, c):
     in its memo."""
     memo = {}
     she._product(evk, c, c, memo)
-    T1, T2 = evk.packed
+    T1, T2, *_ = evk.packed
     return memo[(True, *c)], memo[(T2 is T1, *c)]
 
 
@@ -759,7 +759,7 @@ def test_factored_key_builds_the_carry_tables_of_P(name):
         evk = build_evalkey(sk, rng=Random(f"pin-evk-{name}-{seed}"))
         rng = Random(f"tables-{name}-{seed}")
         Ps = factor_matrices(evk)
-        for got, P in zip(evk.packed, Ps):
+        for got, P in zip(evk.packed[:2], Ps, strict=True):
             assert got == carry_table_from_P([row[:ell] for row in P], q, u)
             assert got.cols == ell
         wants = [carry_table_from_P(P, q, u) for P in Ps]

@@ -59,7 +59,7 @@ from mvphe.serialize import (
     save_secret_key,
 )
 from mvphe.she import pk_rows
-from oracles import generator, w_run_reference
+from oracles import bad_evalkeys, generator, w_run_reference
 
 
 # --- roundtrips -------------------------------------------------------------
@@ -500,6 +500,25 @@ def test_evalkey_factor_shapes_checked(tmp_path, toy_evk):
             _refused_unsaved(save_evalkey, replace(toy_evk, **{name: bad}),
                              tmp_path / "evk.bin",
                              f"^{name} must be {rows}x{cols} for these parameters$")
+
+
+@pytest.mark.parametrize("name", ["toy", "small"])
+def test_save_evalkey_refuses_as_the_first_and_does(name, request, tmp_path):
+    """One table of the evaluation key's shapes and ranges serves the
+    container and the first AND: every key ``oracles.bad_evalkeys`` makes
+    is refused by save_evalkey with ParameterError and no file left
+    behind, with the message eval_mult refuses it with."""
+    sk = request.getfixturevalue(f"{name}_sk")
+    evk = build_evalkey(sk, rng=Random(f"misshapen-{name}"))
+    ct = encrypt(sk, [1] * sk.params.message_bits, Random(f"misshapen-ct-{name}"))
+    for i, (bad, message) in enumerate(bad_evalkeys(evk)):
+        path = tmp_path / f"bad-{i}.bin"
+        with pytest.raises(ParameterError) as saving:
+            save_evalkey(bad, str(path))
+        assert not path.exists()
+        with pytest.raises(ParameterError) as multiplying:
+            eval_mult(bad, ct, ct)
+        assert str(saving.value) == str(multiplying.value) == message
 
 
 def _evalkey_refused(tmp_path, evk, index: int, value: int, message: str,

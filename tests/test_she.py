@@ -1,6 +1,7 @@
 """Encryption, decryption, noise accounting, and homomorphic operations."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -28,11 +29,13 @@ from mvphe.arith import balance
 from mvphe.errors import DepthError, ParameterError
 from mvphe.keys import PRESETS, _carry_product, _reaches_limit
 from mvphe.linalg import mat_mul, unpack_slots
+from mvphe import keys as keys_mod
 from mvphe import she as she_mod
 from mvphe.serialize import save_ciphertext
 from mvphe.she import _contract, _product
 from oracles import (
     CARRY_SETS,
+    bad_evalkeys,
     contract_reference,
     encrypt_reference,
     mult_intermediates,
@@ -499,15 +502,16 @@ def test_mult_matches_exact_oracle(preset):
 
 
 def test_mult_packed_form_follows_the_key(toy_sk):
-    """The carry tables and W's packed rows are built once per key object:
-    a repeat call reuses them and gives the same product, a replaced key
-    builds its own, and equality and repr ignore them."""
+    """The carry tables and W's packed rows, in the one cache ``packed``,
+    are built once per key object: a repeat call reuses them and gives the
+    same product, a replaced key builds its own, and equality and repr
+    ignore them."""
     evk = build_evalkey(toy_sk, rng=Random(119))
     c1, c2, *_ = _extreme_ciphertexts(toy_sk)
     first = eval_mult(evk, c1, c2)
-    tables, packed_W = evk.packed, evk.packed_W
+    tables, packed_W = evk.packed, evk.packed[3]
     assert eval_mult(evk, c1, c2) == first
-    assert evk.packed is tables and evk.packed_W is packed_W
+    assert evk.packed is tables and evk.packed[3] is packed_W
     swapped = replace(evk, D1s=evk.D2s, D2s=evk.D1s)
     got = eval_mult(swapped, c1, c2)
     assert swapped.packed is not tables
@@ -521,8 +525,8 @@ def test_mult_packed_form_follows_the_key(toy_sk):
     x = _carry_product(c1.vec, tables[0], p.q, p.u)
     y = _carry_product(c2.vec, tables[1], p.q, p.u)
     got = [balance(a, p.q) for a in _contract(negated, x, y)]
-    assert "packed_W" in vars(negated) and negated.packed_W is not packed_W
-    assert negated.packed_W[0] != packed_W[0]
+    assert "packed" in vars(negated) and negated.packed[3] is not packed_W
+    assert negated.packed[3][0] != packed_W[0]
     assert got == [balance(a, p.q) for a in contract_reference(negated, x, y)]
     assert got != first.vec
     # an unbalanced W would overflow the packed slots, so it is refused
@@ -581,7 +585,7 @@ def test_mult_memo_keeps_the_sides_apart_on_small(small_sk, monkeypatch):
     on the left and the same vector on the right are two carry products,
     each computed once, and the products equal the oracle's."""
     evk = build_evalkey(small_sk, rng=Random(164))
-    T1, T2 = evk.packed
+    T1, T2, *_ = evk.packed
     assert T1 is not T2
     calls = _count_carry_products(monkeypatch)
     mb = small_sk.params.message_bits
@@ -611,7 +615,7 @@ def test_mult_without_a_memo_reuses_nothing_across_calls(toy_sk, monkeypatch):
     calls.clear()
     eval_mult(evk, c1, c1)
     assert len(calls) == 1
-    assert set(vars(evk)) == set(fields) | {"packed", "packed_E", "packed_W"}
+    assert set(vars(evk)) == set(fields) | {"packed"}
 
 
 def test_mult_refuses_factor_blocks_out_of_range(toy_sk, toy_evk):
@@ -637,6 +641,33 @@ def test_mult_refuses_factor_blocks_out_of_range(toy_sk, toy_evk):
             eval_mult(bad, c1, c2)
 
 
+@pytest.mark.parametrize("name", ["toy", "small"])
+def test_mult_refuses_misshapen_blocks(name, request, monkeypatch):
+    """The first AND under a key checks its four blocks against their one
+    table of shapes and ranges before it builds a carry table: a D1s, D2s,
+    E or W short of a row or of a column is refused by name and shape, as
+    is a W entry one past ±floor(q/2) and each out-of-range entry of
+    ``test_mult_refuses_factor_blocks_out_of_range``, and
+    ``keys.mat_mul_exact`` never runs.  Left unchecked, most of these give
+    a wrong product and no error: on toy (keygen Random(1), evalkey
+    Random(2), the inputs encrypted with Random(3) and Random(4)), a W
+    short of its last column makes 11 AND 10 decrypt to 11.  small's
+    masking keeps D1s and D2s apart."""
+    sk = request.getfixturevalue(f"{name}_sk")
+    evk = build_evalkey(sk, rng=Random(f"misshapen-{name}"))
+    c1, c2, *_ = _extreme_ciphertexts(sk)
+    built, real = [], keys_mod.mat_mul_exact
+    monkeypatch.setattr(keys_mod, "mat_mul_exact",
+                        lambda *args: built.append(args) or real(*args))
+    cases = bad_evalkeys(evk)
+    assert len(cases) == 14
+    for bad, message in cases:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            eval_mult(bad, c1, c2)
+        assert "packed" not in vars(bad)
+    assert built == []
+
+
 def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
     """With no masking (toy) D1s == D2s, and both products run on one carry
     table; small's masking blocks make D1s != D2s, so it builds two."""
@@ -644,7 +675,7 @@ def test_one_carry_table_when_the_factors_match(toy_evk, small_sk):
     assert toy_evk.packed[0] is toy_evk.packed[1]
     small_evk = build_evalkey(small_sk, rng=Random(159))
     assert small_evk.D1s != small_evk.D2s
-    T1, T2 = small_evk.packed
+    T1, T2, *_ = small_evk.packed
     assert T1 is not T2 and T1 != T2
 
 
